@@ -44,6 +44,9 @@ __all__ = [
     "eval_spline",
     "derivative_decomposition",
     "gram_matrix",
+    "weighted_gram",
+    "moment_rows",
+    "live_pieces",
     "gauss_legendre_rule",
 ]
 
@@ -535,6 +538,11 @@ class CompiledBasis:
     coeffs: np.ndarray  # (dim, n_intervals, order + 1)
 
     @property
+    def edges(self) -> np.ndarray:
+        """Interval edges ``-inf, breakpoints..., +inf``; interval i is [edges[i], edges[i+1])."""
+        return np.concatenate([[-np.inf], self.breakpoints, [np.inf]])
+
+    @property
     def pieces(self) -> list[PiecewisePoly]:
         return [PiecewisePoly(self.breakpoints, self.refs, self.coeffs[j]) for j in range(self.coeffs.shape[0])]
 
@@ -953,8 +961,8 @@ def gram_matrix(basis: BasisSpec, p: int = 0, weight=None, gl_points: int | None
     whole line, so the truncation order must satisfy ``t < p`` or the wing
     functions would make it diverge.  ``p = order + 1`` uses the trapezoid
     convention for the knot atoms.  A ``weight`` object with a
-    ``piece_integral(a, b, coeffs, ref)`` method (a prior distribution)
-    integrates products against that measure instead.
+    ``moment_table(lo, hi, ref, deg)`` method (a prior distribution; see
+    ``weighted_gram``) integrates products against that measure instead.
     """
     n = basis.order
     if not 0 <= p <= n + 1:
@@ -980,48 +988,32 @@ def gram_matrix(basis: BasisSpec, p: int = 0, weight=None, gl_points: int | None
     return dm.matrix.T @ core @ dm.matrix
 
 
+def live_pieces(cb: CompiledBasis):
+    """Edges, refs and coefficients of the nonempty intervals some function lives on."""
+    lo, hi = cb.edges[:-1], cb.edges[1:]
+    live = (hi > lo) & np.any(cb.coeffs != 0.0, axis=(0, 2))
+    return lo[live], hi[live], cb.refs[live], cb.coeffs[:, live, :]
+
+
 def weighted_gram(cb: CompiledBasis, weight) -> np.ndarray:
     """Inner products of compiled functions against a measure.
 
-    ``weight`` must expose ``piece_integral(a, b, coeffs, ref)`` returning
-    the integral over [a, b) of the local polynomial against the measure.
+    ``weight`` must expose ``moment_table(lo, hi, ref, deg)``, the integrals
+    of ``(x - ref)^d`` over each ``[lo, hi)`` for every ``d <= deg``; the
+    Gram is that table of degree ``2 * order``, read as one Hankel matrix
+    per interval, contracted with the coefficients of both factors.
     """
-    basis = cb.basis
-    g = basis.knots.knots
-    dim = basis.dimension
-    gram = np.zeros((dim, dim))
-    edges = np.concatenate([[-np.inf], g, [np.inf]])
-    for i in range(edges.size - 1):
-        a, b = edges[i], edges[i + 1]
-        if a == b:
-            continue
-        ref = cb.refs[i]
-        block = cb.coeffs[:, i, :]
-        live = [j for j in range(dim) if np.any(block[j] != 0.0)]
-        for ji, j in enumerate(live):
-            for l in live[ji:]:
-                prod = np.convolve(block[j], block[l])
-                val = weight.piece_integral(a, b, prod, ref)
-                gram[j, l] += val
-                if l != j:
-                    gram[l, j] += val
-    return gram
+    lo, hi, refs, coeffs = live_pieces(cb)
+    deg = coeffs.shape[2] - 1
+    table = weight.moment_table(lo, hi, refs, 2 * deg)
+    hankel = table[:, np.add.outer(np.arange(deg + 1), np.arange(deg + 1))]
+    gram = np.einsum("jia,iab,lib->jl", coeffs, hankel, coeffs, optimize=True)
+    return 0.5 * (gram + gram.T)
 
 
 def moment_rows(cb: CompiledBasis, weight) -> np.ndarray:
-    """Vector of integrals of each compiled function against a measure."""
-    basis = cb.basis
-    g = basis.knots.knots
-    dim = basis.dimension
-    out = np.zeros(dim)
-    edges = np.concatenate([[-np.inf], g, [np.inf]])
-    for i in range(edges.size - 1):
-        a, b = edges[i], edges[i + 1]
-        if a == b:
-            continue
-        ref = cb.refs[i]
-        for j in range(dim):
-            c = cb.coeffs[j, i, :]
-            if np.any(c != 0.0):
-                out[j] += weight.piece_integral(a, b, c, ref)
-    return out
+    """Vector of integrals of each compiled function against a measure
+    (``weight.moment_table`` as in ``weighted_gram``)."""
+    lo, hi, refs, coeffs = live_pieces(cb)
+    table = weight.moment_table(lo, hi, refs, coeffs.shape[2] - 1)
+    return np.einsum("jid,id->j", coeffs, table)

@@ -12,6 +12,7 @@ arbitrage validation), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -346,17 +347,11 @@ def _forward_at(cfg, T: float) -> float:
     return float(np.interp(T, pts[:, 0], pts[:, 1]))
 
 
-def _surface_config(cfg) -> sf.SurfaceConfig:
-    sc = cfg.get("config", {})
-    return sf.SurfaceConfig(
-        n_knots=int(sc.get("n_knots", 13)),
-        order=int(sc.get("order", 3)),
-        curvature_weight=float(sc.get("curvature_weight", 1.0)),
-        time_smoothness_weight=float(sc.get("time_smoothness_weight", 1e-3)),
-        lsq_weight=float(sc.get("lsq_weight", 1.0)),
-        relative_grid_size=int(sc.get("relative_grid_size", 81)),
-        nonuniform_time_differences=bool(sc.get("nonuniform_time_differences", False)),
-    )
+def _surface_config(sc: dict) -> sf.SurfaceConfig:
+    """SurfaceConfig from a JSON object; absent fields keep their defaults."""
+    defaults = sf.SurfaceConfig()
+    names = [f.name for f in dataclasses.fields(sf.SurfaceConfig) if f.name in sc]
+    return sf.SurfaceConfig(**{k: type(getattr(defaults, k))(sc[k]) for k in names})
 
 
 def cmd_surface_calibrate(r: Runner) -> None:
@@ -375,13 +370,20 @@ def cmd_surface_calibrate(r: Runner) -> None:
     if not maturities:
         raise ConfigError("no maturities given")
     market = [sf.MarketSlice(T, _forward_at(cfg, T), tuple(groups.get(T, ()))) for T in maturities]
+    for sl in market:  # a prior that cannot serve a slice (an SSVI forward mismatch) is a config error
+        try:
+            sf.slice_measure(prior, sl.maturity, sl.forward)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    config = _surface_config(cfg.get("config", {}))
     with r.stage("calibrate"):
-        calib = sf.calibrate_surface(market, prior, _surface_config(cfg), mode=cfg.get("mode", "bracket"))
+        calib = sf.calibrate_surface(market, prior, config, mode=cfg.get("mode", "bracket"))
     r.emit_json(
         "surface.json",
         {
             "prior": cfg["prior"],
             "coordinate": "log-moneyness" if calib.slices[0].measure.spot_map == "exp" else "price",
+            "config": dataclasses.asdict(config),
             "slices": [sl.to_json() for sl in calib.slices],
         },
     )
@@ -404,20 +406,14 @@ def cmd_surface_calibrate(r: Runner) -> None:
 
 
 def _rebuild_surface(doc) -> sf.SurfaceCalibration:
+    """The calibration a surface.json describes (files without a config use the defaults)."""
     prior = pr.prior_from_json(doc["prior"])
     slices = []
     for s in doc["slices"]:
         T, F = float(s["maturity"]), float(s["forward"])
         basis = bs.make_basis(np.asarray(s["knots"], dtype=float), int(s["order"]), truncation=0)
-        if isinstance(prior, pr.LogNormalPrior):
-            law = pr.BachelierPrior(-0.5 * prior.total_variance * T, prior.total_variance * T)
-            measure = sf.GaussianCoordMeasure(law, F, "exp")
-        elif isinstance(prior, pr.SSVIParams):
-            measure = sf.SSVICoordMeasure(prior, T)
-        else:
-            measure = sf.GaussianCoordMeasure(pr.BachelierPrior(F, prior.variance * T), F, "identity")
-        slices.append(sf.RNSlice(basis, np.asarray(s["weights"], dtype=float), T, F, measure))
-    config = sf.SurfaceConfig()
+        slices.append(sf.RNSlice(basis, np.asarray(s["weights"], dtype=float), T, F, sf.slice_measure(prior, T, F)))
+    config = _surface_config(doc.get("config", {}))
     rel = sf._relative_grid(slices[0].basis, [sl.measure for sl in slices], config)
     return sf.SurfaceCalibration(tuple(slices), rel, config)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from volspline.bspline import BasisSpec, CompiledBasis, SplineError, gauss_legendre_rule, make_basis, moment_rows
+from volspline.bspline import BasisSpec, CompiledBasis, gauss_legendre_rule, live_pieces, make_basis
 from volspline.priors import BachelierPrior
 
 __all__ = [
@@ -144,9 +144,8 @@ class GalerkinSystem:
 
 
 def _basis_tables(cb: CompiledBasis, npts: int):
-    cached = getattr(cb, "_pde_tables", None)
-    if cached is not None and cached[0] == npts:
-        return cached[1]
+    """Gauss-Legendre points and weights on the knot intervals, with the
+    basis values and derivatives there."""
     basis = cb.basis
     g = basis.knots.knots
     xs_n, ws_n = gauss_legendre_rule(npts)
@@ -166,25 +165,24 @@ def _basis_tables(cb: CompiledBasis, npts: int):
     dcoef = cb.coeffs[:, :, 1:] * np.arange(1, cb.coeffs.shape[2])
     dcb = CompiledBasis(basis=basis, breakpoints=cb.breakpoints, refs=cb.refs, coeffs=dcoef)
     dvals = dcb.evaluate(xs)
-    out = (xs, ws, vals, dvals)
-    object.__setattr__(cb, "_pde_tables", (npts, out))
-    return out
+    return xs, ws, vals, dvals
 
 
-def assemble(problem: PDEProblem, t: float, gl_points: int = 10) -> GalerkinSystem:
+def assemble(problem: PDEProblem, t: float, gl_points: int = 10, tables=None) -> GalerkinSystem:
     """Weak-form matrices at time t.
 
     Rows correspond to the compact-support test functions; columns to the
     full trial basis including the two constant wings.  The advection
     coefficient is ``v dlog(phi0)/dx + v_x / 2`` and the reaction term
     collects the base-relative second-derivative terms; both involve only
-    polynomial ratios for the Gaussian base.
+    polynomial ratios for the Gaussian base.  ``tables`` are the quadrature
+    tables of ``gl_points`` points per interval, when the caller has them
+    (``evolve`` computes them once for all its steps).
     """
     if t <= 0.0:
         raise PDEError("coefficients are defined for t > 0")
     basis = problem.basis
-    cb = basis.compiled()
-    xs, ws, vals, dvals = _basis_tables(cb, gl_points)
+    xs, ws, vals, dvals = tables if tables is not None else _basis_tables(basis.compiled(), gl_points)
     v = np.asarray(problem.local_variance.value(t, xs), dtype=float)
     if np.any(v <= 0.0):
         raise PDEError("local variance must be positive on the domain")
@@ -211,28 +209,15 @@ def assemble(problem: PDEProblem, t: float, gl_points: int = 10) -> GalerkinSyst
 
 
 def constrain(problem: PDEProblem, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-mass and mean integral rows against the base density at time t."""
-    base = problem.base_density(t)
-    cb = problem.basis.compiled()
-    mass_row = moment_rows(cb, base)
-    # mean row: integrate x * b_j; shift each local polynomial by one degree
-    dim = problem.basis.dimension
-    g = problem.basis.knots.knots
-    edges = np.concatenate([[-np.inf], g, [np.inf]])
-    mean_row = np.zeros(dim)
-    for i in range(edges.size - 1):
-        a, b = edges[i], edges[i + 1]
-        if b <= a:
-            continue
-        ref = cb.refs[i]
-        for j in range(dim):
-            cfs = cb.coeffs[j, i, :]
-            if not np.any(cfs != 0.0):
-                continue
-            lifted = np.zeros(cfs.size + 1)
-            lifted[1:] += cfs  # (x - ref) * poly
-            lifted[:-1] += ref * cfs  # + ref * poly
-            mean_row[j] += base.piece_integral(a, b, lifted, ref)
+    """Unit-mass and mean integral rows against the base density at time t.
+
+    One moment table of degree order + 1 serves both rows: the mean row
+    integrates x b_j = ((x - ref) + ref) b_j piece by piece.
+    """
+    lo, hi, refs, coeffs = live_pieces(problem.basis.compiled())
+    table = problem.base_density(t).moment_table(lo, hi, refs, coeffs.shape[2])
+    mass_row = np.einsum("jid,id->j", coeffs, table[:, :-1])
+    mean_row = np.einsum("jid,id->j", coeffs, table[:, 1:] + refs[:, None] * table[:, :-1])
     return mass_row, mean_row
 
 
@@ -406,7 +391,8 @@ def evolve(
     if np.abs(ones - 1.0).max() > 1e-10:
         raise PDEError("basis does not represent the constant initial ratio exactly")
 
-    sys0 = assemble(problem, 0.5 * (times[0] + times[1]), gl_points)
+    tables = _basis_tables(basis.compiled(), gl_points)
+    sys0 = assemble(problem, 0.5 * (times[0] + times[1]), tables=tables)
     A = sys0.mass
     W = np.empty((times.size, dim))
     W[0] = 1.0
@@ -416,7 +402,7 @@ def evolve(
         t0, t1 = times[m], times[m + 1]
         dt = t1 - t0
         tm = 0.5 * (t0 + t1)
-        B = assemble(problem, tm, gl_points).stiffness
+        B = assemble(problem, tm, tables=tables).stiffness
         vals_rows, op_rows = collocation_rows(problem, tm)
         lhs_band = A - th * dt * B
         rhs_band = (A + (1.0 - th) * dt * B) @ w

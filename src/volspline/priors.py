@@ -1,15 +1,19 @@
-"""Base probability models: densities, partial moments, arbitrage checks.
+"""Base probability models: densities, moment tables, arbitrage checks.
 
-Every prior exposes ``partial_moment(a, b, n)`` (integral of x^n over
-[a, b]), a shifted variant used to integrate piecewise polynomials in
-local coordinates, and ``piece_integral`` consumed by the B-spline Gram
-and moment assembly.  Gaussian and lognormal moments are closed form;
-the SSVI surface model integrates by adaptive quadrature in log-moneyness.
+Every measure exposes one vectorized method, ``moment_table(lo, hi, ref,
+deg)``: for arrays of interval edges and local reference points it returns
+the table of integrals of ``(x - ref)^d dQ`` over ``[lo_i, hi_i]`` for every
+interval i and every degree ``d <= deg``.  The B-spline Gram, moment and
+pricing rows are contractions of that table with the compiled piecewise
+polynomial coefficients.  ``partial_moment``, ``shifted_partial_moment``
+and ``piece_integral`` are scalar views of the same table.  Gaussian and
+lognormal tables are closed form; the SSVI slice integrates on one
+composite Gauss-Legendre grid in log-moneyness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
@@ -43,25 +47,59 @@ def _phi(z):
     return np.exp(-0.5 * z * z) / _SQRT2PI
 
 
-def _gauss_power_moments(alpha: float, beta: float, nmax: int) -> np.ndarray:
-    """Integrals of z^n against the standard normal over [alpha, beta]."""
-    out = np.empty(nmax + 1)
-    pa = _phi(alpha) if np.isfinite(alpha) else 0.0
-    pb = _phi(beta) if np.isfinite(beta) else 0.0
-    ca = ndtr(alpha) if np.isfinite(alpha) else (0.0 if alpha < 0 else 1.0)
-    cb = ndtr(beta) if np.isfinite(beta) else (0.0 if beta < 0 else 1.0)
-    out[0] = cb - ca
-    if nmax >= 1:
-        out[1] = pa - pb
-    for n in range(2, nmax + 1):
-        ta = alpha ** (n - 1) * pa if np.isfinite(alpha) else 0.0
-        tb = beta ** (n - 1) * pb if np.isfinite(beta) else 0.0
-        out[n] = (n - 1) * out[n - 2] + ta - tb
+def _ndtr_diff(a, b):
+    """Phi(b) - Phi(a), taken in the upper tail where both arguments are positive."""
+    return np.where(a > 0.0, ndtr(-a) - ndtr(-b), ndtr(b) - ndtr(a))
+
+
+def _table_args(lo, hi, ref, deg: int):
+    lo, hi, ref = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, ref)))
+    if deg < 0:
+        raise PriorError("moment degree must be nonnegative")
+    if np.any(lo > hi):
+        raise PriorError("integration bounds out of order")
+    return lo, hi, ref
+
+
+def _gauss_power_moments(alpha, beta, shift, nmax: int) -> np.ndarray:
+    """Integrals of (z + shift)^n against the standard normal over [alpha, beta].
+
+    Vectorized over intervals: returns shape ``alpha.shape + (nmax + 1,)``,
+    from the recursion I_n = (n-1) I_{n-2} + shift I_{n-1} + boundary terms.
+    """
+    fa, fb = np.isfinite(alpha), np.isfinite(beta)
+    pa, pb = _phi(alpha), _phi(beta)  # zero at infinite ends
+    ya = np.where(fa, alpha + shift, 0.0)
+    yb = np.where(fb, beta + shift, 0.0)
+    out = np.empty(np.shape(alpha) + (nmax + 1,))
+    out[..., 0] = _ndtr_diff(alpha, beta)
+    ta, tb = pa, pb  # y^(n-1) phi at both ends
+    for n in range(1, nmax + 1):
+        prev2 = (n - 1) * out[..., n - 2] if n >= 2 else 0.0
+        out[..., n] = prev2 + shift * out[..., n - 1] + ta - tb
+        ta, tb = ta * ya, tb * yb
     return out
 
 
+class _MomentViews:
+    """Scalar views of ``moment_table`` shared by the prior models."""
+
+    def partial_moment(self, a: float, b: float, n: int) -> float:
+        """Integral of x^n dQ over [a, b]."""
+        return self.shifted_partial_moment(a, b, n, 0.0)
+
+    def shifted_partial_moment(self, a: float, b: float, n: int, center: float) -> float:
+        """Integral of (x - center)^n dQ over [a, b]."""
+        return float(self.moment_table(a, b, center, n)[n])
+
+    def piece_integral(self, a: float, b: float, coeffs, ref: float) -> float:
+        """Integral over [a, b] of the polynomial sum_d coeffs[d] (x - ref)^d."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        return float(self.moment_table(a, b, ref, coeffs.size - 1) @ coeffs)
+
+
 @dataclass(frozen=True)
-class BachelierPrior:
+class BachelierPrior(_MomentViews):
     """Normal law in price (or any linear) units."""
 
     mean: float
@@ -82,31 +120,15 @@ class BachelierPrior:
     def cdf(self, x):
         return ndtr((np.asarray(x, dtype=float) - self.mean) / self.sigma)
 
-    def partial_moment(self, a: float, b: float, n: int) -> float:
-        return self.shifted_partial_moment(a, b, n, 0.0)
-
-    def shifted_partial_moment(self, a: float, b: float, n: int, center: float) -> float:
-        """Integral of (x - center)^n over [a, b]."""
-        if a > b:
-            raise PriorError("integration bounds out of order")
-        if n < 0:
-            raise PriorError("moment degree must be nonnegative")
+    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        """Integrals of (x - ref_i)^d over [lo_i, hi_i] for d <= deg."""
+        lo, hi, ref = _table_args(lo, hi, ref, deg)
         s = self.sigma
-        alpha = (a - self.mean) / s if np.isfinite(a) else -np.inf
-        beta = (b - self.mean) / s if np.isfinite(b) else np.inf
-        mom = _gauss_power_moments(alpha, beta, n)
-        shift = self.mean - center
-        total = 0.0
-        for j in range(n + 1):
-            total += comb(n, j) * shift ** (n - j) * s**j * mom[j]
-        return float(total)
+        mom = _gauss_power_moments((lo - self.mean) / s, (hi - self.mean) / s, (self.mean - ref) / s, deg)
+        return mom * s ** np.arange(deg + 1)
 
-    def piece_integral(self, a: float, b: float, coeffs, ref: float) -> float:
-        total = 0.0
-        for d, c in enumerate(np.asarray(coeffs, dtype=float)):
-            if c != 0.0:
-                total += c * self.shifted_partial_moment(a, b, d, ref)
-        return total
+    # defined on the class itself so that per-method tracers find it here
+    piece_integral = _MomentViews.piece_integral
 
     def tilted(self, coef: float) -> tuple[float, "BachelierPrior"]:
         """Factor and law such that e^{coef x} dQ = factor dQ'."""
@@ -117,8 +139,18 @@ class BachelierPrior:
         return self.mean
 
 
+def _shift_table(raw: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Moments about ``ref`` from moments about zero: binomial expansion per interval."""
+    deg = raw.shape[-1] - 1
+    d = np.arange(deg + 1)
+    binom = np.array([[comb(i, j) for j in d] for i in d], dtype=float)
+    gap = np.clip(d[:, None] - d[None, :], 0, None)
+    powers = (-ref)[..., None, None] ** gap * (d[:, None] >= d[None, :])
+    return np.einsum("dj,...dj,...j->...d", binom, powers, raw)
+
+
 @dataclass(frozen=True)
-class LogNormalPrior:
+class LogNormalPrior(_MomentViews):
     """Driftless lognormal with the stated forward: E[S] = forward exactly."""
 
     forward: float
@@ -143,43 +175,21 @@ class LogNormalPrior:
         z = (np.log(x / self.forward) + 0.5 * w) / np.sqrt(w)
         return _phi(z) / (x * np.sqrt(w))
 
-    def partial_moment(self, a: float, b: float, n: int) -> float:
-        if a > b:
-            raise PriorError("integration bounds out of order")
-        if n < 0:
-            raise PriorError("moment degree must be nonnegative")
-        a = max(a, 0.0)
-        b = max(b, 0.0)
-        w = self.total_variance
-        F = self.forward
+    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        """Integrals of (x - ref_i)^d over [lo_i, hi_i], from the closed-form
+        partial moments F^n exp(n(n-1)w/2) [Phi(z_b - n sqrt(w)) - Phi(z_a - n sqrt(w))]."""
+        lo, hi, ref = _table_args(lo, hi, ref, deg)
+        w, F = self.total_variance, self.forward
+        n = np.arange(deg + 1)
         if w == 0.0:
-            return F**n if a <= F <= b else 0.0
+            atom = (lo <= F) & (F <= hi)
+            return np.where(atom[..., None], (F - ref)[..., None] ** n, 0.0)
         sq = np.sqrt(w)
-
-        def z(x):
-            if x <= 0.0:
-                return -np.inf
-            if not np.isfinite(x):
-                return np.inf
-            return (np.log(x / F) + 0.5 * w) / sq
-
-        za, zb = z(a), z(b)
-        lo = ndtr(za - n * sq) if np.isfinite(za) else (0.0 if za < 0 else 1.0)
-        hi = ndtr(zb - n * sq) if np.isfinite(zb) else (0.0 if zb < 0 else 1.0)
-        return float(F**n * np.exp(0.5 * n * (n - 1) * w) * (hi - lo))
-
-    def shifted_partial_moment(self, a: float, b: float, n: int, center: float) -> float:
-        total = 0.0
-        for j in range(n + 1):
-            total += comb(n, j) * (-center) ** (n - j) * self.partial_moment(a, b, j)
-        return float(total)
-
-    def piece_integral(self, a: float, b: float, coeffs, ref: float) -> float:
-        total = 0.0
-        for d, c in enumerate(np.asarray(coeffs, dtype=float)):
-            if c != 0.0:
-                total += c * self.shifted_partial_moment(a, b, d, ref)
-        return total
+        with np.errstate(divide="ignore"):
+            za = (np.log(np.maximum(lo, 0.0) / F) + 0.5 * w) / sq
+            zb = (np.log(np.maximum(hi, 0.0) / F) + 0.5 * w) / sq
+        raw = F**n * np.exp(0.5 * n * (n - 1) * w) * _ndtr_diff(za[..., None] - n * sq, zb[..., None] - n * sq)
+        return _shift_table(raw, ref)
 
     def mean_value(self) -> float:
         return self.forward
@@ -311,7 +321,8 @@ def validate_ssvi(p: SSVIParams, t_range: tuple[float, float], n_grid: int = 200
     b1 = 4.0 - thetas * phi * (1.0 + abs(p.rho))
     b2 = 4.0 - thetas * phi**2 * (1.0 + abs(p.rho))
     dtheta_thetaphi = (1.0 - p.gamma) * p.eta * thetas ** (-p.gamma)
-    cal_hi = (1.0 + np.sqrt(1.0 - p.rho**2)) * phi / p.rho**2 - dtheta_thetaphi
+    with np.errstate(divide="ignore", over="ignore"):  # no upper bound as rho -> 0
+        cal_hi = (1.0 + np.sqrt(1.0 - p.rho**2)) * phi / p.rho**2 - dtheta_thetaphi
     checks = [
         ("butterfly: theta*phi*(1+|rho|) < 4", bool(np.all(b1 > 0.0)), float(b1.min())),
         ("butterfly: theta*phi^2*(1+|rho|) <= 4", bool(np.all(b2 >= 0.0)), float(b2.min())),
@@ -323,13 +334,68 @@ def validate_ssvi(p: SSVIParams, t_range: tuple[float, float], n_grid: int = 200
     return ValidationReport(passed=all(ok for _, ok, _ in checks), checks=tuple(checks))
 
 
+# composite Gauss-Legendre grid of every SSVI slice table: cells over the
+# clipped log-moneyness range (SSVISlice.grid), and nodes per cell (also on
+# the partial cells at interval ends)
+_SSVI_CELLS = 200
+_SSVI_NODES = 8
+
+
+def _composite_table(edges, coord, weight, lo, hi, ref, deg: int) -> np.ndarray:
+    """Integrals of (coord(k) - ref_i)^d weight(k) dk over [lo_i, hi_i] in k.
+
+    ``edges`` are the cell edges of one composite Gauss-Legendre grid;
+    bounds are clipped to it.  Whole cells enter through their moments
+    about the cell centre, re-expanded about each ``ref`` (no cancellation:
+    the expansion point lies inside the cell); the at most two partial
+    cells of an interval get their own Gauss-Legendre rule.
+    """
+    xs, ws = gauss_legendre_rule(_SSVI_NODES)
+    lo = np.clip(lo, edges[0], edges[-1])
+    hi = np.clip(hi, lo, edges[-1])
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    nodes = mid[:, None] + half[:, None] * xs
+    centre = coord(mid)
+    local = coord(nodes) - centre[:, None]
+    mass = half[:, None] * ws * weight(nodes)
+    cell_mom = np.stack([(mass * local**j).sum(axis=1) for j in range(deg + 1)], axis=1)
+
+    first = np.searchsorted(edges, lo, side="left")  # first edge >= lo
+    last = np.searchsorted(edges, hi, side="right") - 1  # last edge <= hi
+    cells = np.arange(edges.size - 1)
+    whole = (cells >= first[:, None]) & (cells < last[:, None])
+    gap = np.where(whole, centre - ref[:, None], 0.0)  # (intervals, cells)
+    # shifted[:, m, j] = sum over whole cells of (centre - ref)^m * cell_mom[:, j]
+    shifted = np.empty(lo.shape + (deg + 1, deg + 1))
+    power = whole.astype(float)
+    for m in range(deg + 1):
+        shifted[:, m, :] = power @ cell_mom
+        power = power * gap
+    out = np.zeros(lo.shape + (deg + 1,))
+    for d in range(deg + 1):
+        for j in range(d + 1):
+            out[:, d] += comb(d, j) * shifted[:, d - j, j]
+
+    split = np.minimum(edges[np.minimum(first, edges.size - 1)], hi)
+    for a, b in ((lo, split), (np.maximum(edges[np.maximum(last, 0)], split), hi)):
+        pm, ph = 0.5 * (a + b), 0.5 * (b - a)
+        k = pm[:, None] + ph[:, None] * xs
+        pw = ph[:, None] * ws * weight(k)
+        u = coord(k) - ref[:, None]
+        out += np.stack([(pw * u**d).sum(axis=1) for d in range(deg + 1)], axis=1)
+    return out
+
+
 @dataclass(frozen=True)
-class SSVISlice:
-    """Fixed-maturity marginal of the SSVI surface, integrated numerically."""
+class SSVISlice(_MomentViews):
+    """Fixed-maturity marginal of the SSVI surface.
+
+    Tables integrate on one composite Gauss-Legendre grid of
+    ``_SSVI_CELLS`` cells in log-moneyness (see ``grid``).
+    """
 
     params: SSVIParams
     maturity: float
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.maturity <= 0.0:
@@ -339,60 +405,53 @@ class SSVISlice:
     def forward(self) -> float:
         return self.params.forward(self.maturity)
 
+    def grid(self) -> np.ndarray:
+        """Cell edges in log-moneyness, sinh-spaced about the money.
+
+        The range reaches out until d- and d+ = d- + sqrt(w) both exceed 9 in
+        size at each end, so that the density and the spot-weighted density
+        there are below e^-40 of their scale.  SSVI wings are linear in k,
+        so those tails are exponential, not Gaussian, and can be wide.
+        """
+        s = float(np.sqrt(ssvi_total_variance(self.params, self.maturity, 0.0)))
+        cut = 10.0 * s
+        for _ in range(60):
+            ends = np.array([-cut, cut])
+            root_w = np.sqrt(ssvi_total_variance(self.params, self.maturity, ends))
+            d_minus = -ends / root_w - 0.5 * root_w
+            if d_minus[0] >= 9.0 and d_minus[1] + root_w[1] <= -9.0:
+                break
+            cut *= 1.25
+        a = np.arcsinh(cut / s)
+        return s * np.sinh(np.linspace(-a, a, _SSVI_CELLS + 1))
+
     def density(self, x):
         return ssvi_density(self.params, self.maturity, x)
 
     def logm_density(self, k):
         return ssvi_logm_density(self.params, self.maturity, k)
 
-    def _k_range(self) -> tuple[float, float]:
-        w0 = ssvi_total_variance(self.params, self.maturity, 0.0)
-        half = 10.0 * np.sqrt(w0)
-        return -half, half
-
-    def partial_moment(self, a: float, b: float, n: int) -> float:
-        """Integral of x^n dQ over [a, b], by quadrature in log-moneyness."""
-        if a > b:
-            raise PriorError("integration bounds out of order")
+    def log_moment_table(self, lo, hi, ref, deg: int, spot: bool = False) -> np.ndarray:
+        """Table in log-moneyness k: integrals of (k - ref_i)^d dQ over
+        [lo_i, hi_i], or of (k - ref_i)^d S dQ with S = F e^k when ``spot``."""
+        lo, hi, ref = _table_args(lo, hi, ref, deg)
         F = self.forward
-        lo, hi = self._k_range()
-        ka = np.log(max(a, 0.0) / F) if a > 0.0 else -np.inf
-        kb = np.log(b / F) if (np.isfinite(b) and b > 0.0) else np.inf
-        lo2, hi2 = max(lo, ka), min(hi, kb)
-        if hi2 <= lo2:
-            return 0.0
-        fn = lambda k: F**n * np.exp(n * k) * self.logm_density(k)
-        scale = max(F**n, 1.0)
-        val = adaptive_quad(fn, lo2, hi2, self.tol * scale)
-        # extend the tails until the increments fall below tolerance
-        step = 0.5 * (hi - lo)
-        left, right = lo2, hi2
-        while left > ka and left > lo - 40.0:
-            inc = adaptive_quad(fn, max(left - step, ka, lo - 40.0), left, self.tol * scale)
-            val += inc
-            left = max(left - step, ka, lo - 40.0)
-            if abs(inc) < self.tol * scale:
-                break
-        while right < kb and right < hi + 40.0:
-            inc = adaptive_quad(fn, right, min(right + step, kb, hi + 40.0), self.tol * scale)
-            val += inc
-            right = min(right + step, kb, hi + 40.0)
-            if abs(inc) < self.tol * scale:
-                break
-        return float(val)
+        weight = (lambda k: F * np.exp(k) * self.logm_density(k)) if spot else self.logm_density
+        shape = lo.shape
+        out = _composite_table(self.grid(), lambda k: k, weight, lo.ravel(), hi.ravel(), ref.ravel(), deg)
+        return out.reshape(shape + (deg + 1,))
 
-    def shifted_partial_moment(self, a: float, b: float, n: int, center: float) -> float:
-        total = 0.0
-        for j in range(n + 1):
-            total += comb(n, j) * (-center) ** (n - j) * self.partial_moment(a, b, j)
-        return float(total)
-
-    def piece_integral(self, a: float, b: float, coeffs, ref: float) -> float:
-        total = 0.0
-        for d, c in enumerate(np.asarray(coeffs, dtype=float)):
-            if c != 0.0:
-                total += c * self.shifted_partial_moment(a, b, d, ref)
-        return total
+    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        """Table in spot units: integrals of (x - ref_i)^d dQ over [lo_i, hi_i]."""
+        lo, hi, ref = _table_args(lo, hi, ref, deg)
+        F = self.forward
+        with np.errstate(divide="ignore"):
+            klo, khi = np.log(np.maximum(lo, 0.0) / F), np.log(np.maximum(hi, 0.0) / F)
+        shape = lo.shape
+        out = _composite_table(
+            self.grid(), lambda k: F * np.exp(k), self.logm_density, klo.ravel(), khi.ravel(), ref.ravel(), deg
+        )
+        return out.reshape(shape + (deg + 1,))
 
     def mean_value(self) -> float:
         return self.forward

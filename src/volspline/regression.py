@@ -10,7 +10,7 @@ normal equations into a cone program handled by :mod:`volspline.opt`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,41 +85,69 @@ def tikhonov_factor(sample: Sample, cfg: RegressionConfig) -> float:
     return cfg.tikhonov_constant * sample.sigma_x ** (2 * p - 1) / sample.n
 
 
-@dataclass
 class ConstraintSet:
     """Linear equalities/inequalities plus second-order cone blocks.
 
     Inequality rows mean ``row . w >= rhs``.  ``families`` labels each row
-    or block for infeasibility diagnostics.
+    or block for infeasibility diagnostics.  Rows are collected in blocks
+    and stacked once, when ``eq_rows``/``ineq_rows`` are read.
     """
 
-    dim: int
-    eq_rows: np.ndarray = field(default=None)
-    eq_rhs: np.ndarray = field(default=None)
-    ineq_rows: np.ndarray = field(default=None)
-    ineq_rhs: np.ndarray = field(default=None)
-    socs: list = field(default_factory=list)  # (A, b, c, d)
-    eq_families: list = field(default_factory=list)
-    ineq_families: list = field(default_factory=list)
-    soc_families: list = field(default_factory=list)
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._eq: list[tuple[np.ndarray, np.ndarray]] = []
+        self._ineq: list[tuple[np.ndarray, np.ndarray]] = []
+        self.socs: list = []  # (A, b, c, d)
+        self.eq_families: list[str] = []
+        self.ineq_families: list[str] = []
+        self.soc_families: list[str] = []
 
-    def __post_init__(self) -> None:
-        if self.eq_rows is None:
-            self.eq_rows = np.zeros((0, self.dim))
-            self.eq_rhs = np.zeros(0)
-        if self.ineq_rows is None:
-            self.ineq_rows = np.zeros((0, self.dim))
-            self.ineq_rhs = np.zeros(0)
+    def _block(self, rows, rhs) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.array(rows, dtype=float, ndmin=2)
+        if rows.shape[1] != self.dim:
+            raise ValueError(f"constraint rows have {rows.shape[1]} columns, expected {self.dim}")
+        return rows, np.broadcast_to(np.asarray(rhs, dtype=float), rows.shape[:1]).copy()
+
+    def _stacked(self, parts: list) -> tuple[np.ndarray, np.ndarray]:
+        if len(parts) != 1:
+            rows = np.vstack([r for r, _ in parts]) if parts else np.zeros((0, self.dim))
+            rhs = np.concatenate([v for _, v in parts]) if parts else np.zeros(0)
+            parts[:] = [(rows, rhs)]
+        return parts[0]
+
+    def add_eq_rows(self, rows, rhs, family: str) -> None:
+        """Equalities ``rows @ w == rhs`` (rhs a scalar or one value per row)."""
+        block = self._block(rows, rhs)
+        self._eq.append(block)
+        self.eq_families.extend([family] * block[0].shape[0])
+
+    def add_ineq_rows(self, rows, rhs, family: str) -> None:
+        """Inequalities ``rows @ w >= rhs`` (rhs a scalar or one value per row)."""
+        block = self._block(rows, rhs)
+        self._ineq.append(block)
+        self.ineq_families.extend([family] * block[0].shape[0])
 
     def add_eq(self, row, rhs: float, family: str) -> None:
-        self.eq_rows = np.vstack([self.eq_rows, np.asarray(row, dtype=float)])
-        self.eq_rhs = np.append(self.eq_rhs, float(rhs))
-        self.eq_families.append(family)
+        self.add_eq_rows(row, rhs, family)
 
     def add_ineq(self, row, rhs: float, family: str) -> None:
-        self.ineq_rows = np.vstack([self.ineq_rows, np.asarray(row, dtype=float)])
-        self.ineq_rhs = np.append(self.ineq_rhs, float(rhs))
-        self.ineq_families.append(family)
+        self.add_ineq_rows(row, rhs, family)
+
+    @property
+    def eq_rows(self) -> np.ndarray:
+        return self._stacked(self._eq)[0]
+
+    @property
+    def eq_rhs(self) -> np.ndarray:
+        return self._stacked(self._eq)[1]
+
+    @property
+    def ineq_rows(self) -> np.ndarray:
+        return self._stacked(self._ineq)[0]
+
+    @property
+    def ineq_rhs(self) -> np.ndarray:
+        return self._stacked(self._ineq)[1]
 
     def add_soc(self, A, b, c, d, family: str) -> None:
         self.socs.append(
@@ -136,10 +164,8 @@ class ConstraintSet:
         if other.dim != self.dim:
             raise ValueError("constraint sets have different dimensions")
         out = ConstraintSet(self.dim)
-        out.eq_rows = np.vstack([self.eq_rows, other.eq_rows])
-        out.eq_rhs = np.concatenate([self.eq_rhs, other.eq_rhs])
-        out.ineq_rows = np.vstack([self.ineq_rows, other.ineq_rows])
-        out.ineq_rhs = np.concatenate([self.ineq_rhs, other.ineq_rhs])
+        out._eq = [self._stacked(self._eq), other._stacked(other._eq)]
+        out._ineq = [self._stacked(self._ineq), other._stacked(other._ineq)]
         out.socs = list(self.socs) + list(other.socs)
         out.eq_families = self.eq_families + other.eq_families
         out.ineq_families = self.ineq_families + other.ineq_families
@@ -148,7 +174,7 @@ class ConstraintSet:
 
     @property
     def n_rows(self) -> int:
-        return self.eq_rows.shape[0] + self.ineq_rows.shape[0] + len(self.socs)
+        return len(self.eq_families) + len(self.ineq_families) + len(self.socs)
 
     def as_blocks(self):
         return self.eq_rows, self.eq_rhs, self.ineq_rows, self.ineq_rhs, self.socs
@@ -173,18 +199,18 @@ class LebesgueMeasure:
         self.lower = lower
         self.upper = upper
 
-    def piece_integral(self, a: float, b: float, coeffs, ref: float) -> float:
-        lo, hi = max(a, self.lower), min(b, self.upper)
-        if hi <= lo:
-            return 0.0
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("Lebesgue piece integral requires finite clipped bounds")
-        ua, ub = lo - ref, hi - ref
-        total = 0.0
-        for d, c in enumerate(np.asarray(coeffs, dtype=float)):
-            if c != 0.0:
-                total += c * (ub ** (d + 1) - ua ** (d + 1)) / (d + 1)
-        return total
+    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        """Integrals of (x - ref_i)^d dx over [lo_i, hi_i] clipped to the support."""
+        lo = np.maximum(np.asarray(lo, dtype=float), self.lower)
+        hi = np.minimum(np.asarray(hi, dtype=float), self.upper)
+        ref = np.asarray(ref, dtype=float)
+        live = hi > lo
+        if not np.all(np.isfinite(lo[live]) & np.isfinite(hi[live])):
+            raise ValueError("Lebesgue moment table requires finite clipped bounds")
+        p = np.arange(1, deg + 2)
+        ua = np.where(live, lo - ref, 0.0)[..., None]
+        ub = np.where(live, hi - ref, 0.0)[..., None]
+        return (ub**p - ua**p) / p
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +293,7 @@ def fit_constrained(
 # ---------------------------------------------------------------------------
 
 def _derivative_sign_rows(basis: BasisSpec, p: int, sign: float, cs: ConstraintSet, family: str) -> None:
-    dm = derivative_decomposition(basis, p)
-    for row in dm.matrix:
-        cs.add_ineq(sign * row, 0.0, family)
+    cs.add_ineq_rows(sign * derivative_decomposition(basis, p).matrix, 0.0, family)
 
 
 def _limit_row(basis: BasisSpec, p: int, side: str) -> np.ndarray:
@@ -312,8 +336,7 @@ def shape_constraints(basis: BasisSpec, specs) -> ConstraintSet:
     for spec in specs:
         kind = spec if isinstance(spec, str) else spec["kind"]
         if kind == "nonnegative":
-            for j in range(basis.dimension):
-                cs.add_ineq(np.eye(basis.dimension)[j], 0.0, "nonnegative")
+            cs.add_ineq_rows(np.eye(basis.dimension), 0.0, "nonnegative")
         elif kind in ("nondecreasing", "nonincreasing"):
             if n + 1 < 1:
                 raise SplineError("monotonicity needs order >= 0")
@@ -389,11 +412,9 @@ def compatibility_constraints(
             raise ValueError("hull lower bound exceeds upper bound")
         eye = np.eye(basis.dimension)
         if np.isfinite(lo):
-            for j in range(basis.dimension):
-                cs.add_ineq(eye[j], lo, "hull")
+            cs.add_ineq_rows(eye, lo, "hull")
         if np.isfinite(hi):
-            for j in range(basis.dimension):
-                cs.add_ineq(-eye[j], -hi, "hull")
+            cs.add_ineq_rows(-eye, -hi, "hull")
     if ey2 is not None:
         if ey2 < 0.0:
             raise ValueError("second moment must be nonnegative")

@@ -254,9 +254,7 @@ def calibrate_leverage(
         if flags.forward_variance_eq:
             cs.add_eq(moment_rows(cb, marginal), forward_variance(p, t1), "forward-variance")
         if flags.nonnegative:
-            eye = np.eye(basis.dimension)
-            for jrow in range(basis.dimension):
-                cs.add_ineq(eye[jrow], 0.0, "nonnegative")
+            cs.add_ineq_rows(np.eye(basis.dimension), 0.0, "nonnegative")
         if flags.quadratic_cap:
             M = weighted_gram(cb, marginal)
             L = np.linalg.cholesky(M + 1e-14 * max(np.trace(M), 1.0) * np.eye(M.shape[0]))

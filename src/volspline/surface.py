@@ -23,14 +23,7 @@ import numpy as np
 from volspline import opt
 from volspline.black import black_call, implied_vol
 from volspline.bspline import BasisSpec, CompiledBasis, Spline, make_basis
-from volspline.priors import (
-    BachelierPrior,
-    LogNormalPrior,
-    SSVIParams,
-    adaptive_quad,
-    ssvi_logm_density,
-    ssvi_total_variance,
-)
+from volspline.priors import BachelierPrior, LogNormalPrior, SSVIParams, SSVISlice, ssvi_total_variance
 from volspline.regression import ConstraintSet
 
 __all__ = [
@@ -83,122 +76,107 @@ class MarketSlice:
 # slice measures: the prior at one maturity, in spline coordinates
 # ---------------------------------------------------------------------------
 
-class GaussianCoordMeasure:
-    """Gaussian prior measure in the spline coordinate.
+class _CoordMeasure:
+    """A prior at one maturity in the spline coordinate u.
 
-    ``spot_map='exp'`` means the underlying is ``F exp(u)`` of the
-    coordinate (log-moneyness splines under a lognormal prior);
-    ``'identity'`` means the coordinate is the price itself.
+    ``spot_map='exp'`` means the underlying is ``F exp(u)`` (log-moneyness
+    splines); ``'identity'`` means the coordinate is the price itself.
+    Subclasses supply ``moment_table`` and ``spot_moment_table``: integrals
+    of ``(u - ref)^d`` against the measure, and against spot times the
+    measure, for arrays of intervals.
     """
+
+    forward: float
+    spot_map: str
+
+    def coord_of_strike(self, strikes):
+        strikes = np.asarray(strikes, dtype=float)
+        if self.spot_map != "exp":
+            return strikes
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(strikes, 0.0) / self.forward)
+
+    def spot_of_coord(self, u):
+        u = np.asarray(u, dtype=float)
+        return self.forward * np.exp(u) if self.spot_map == "exp" else u
+
+    def density_price(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.spot_map == "exp":
+            return self.coord_density(np.log(x / self.forward)) / x
+        return self.coord_density(x)
+
+
+class GaussianCoordMeasure(_CoordMeasure):
+    """Gaussian prior measure in the spline coordinate."""
 
     def __init__(self, law: BachelierPrior, forward: float, spot_map: str):
         self.law = law
         self.forward = forward
         self.spot_map = spot_map
 
-    def coord_of_strike(self, strike: float) -> float:
-        if self.spot_map == "exp":
-            if strike <= 0.0:
-                return -np.inf
-            return float(np.log(strike / self.forward))
-        return float(strike)
+    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        return self.law.moment_table(lo, hi, ref, deg)
 
-    def piece_integral(self, a, b, coeffs, ref) -> float:
-        return self.law.piece_integral(a, b, coeffs, ref)
-
-    def spot_piece_integral(self, a, b, coeffs, ref) -> float:
-        """Integral of poly(u - ref) * spot(u) over the piece."""
+    def spot_moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
         if self.spot_map == "exp":
             factor, tilted = self.law.tilted(1.0)
-            return self.forward * factor * tilted.piece_integral(a, b, coeffs, ref)
-        shifted = np.zeros(len(coeffs) + 1)
-        shifted[1:] += np.asarray(coeffs, dtype=float)  # u * poly in (u - ref): (u-ref)*poly + ref*poly
-        shifted[:-1] += ref * np.asarray(coeffs, dtype=float)
-        return self.law.piece_integral(a, b, shifted, ref)
-
-    def density_price(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.spot_map == "exp":
-            return self.law.density(np.log(x / self.forward)) / x
-        return self.law.density(x)
+            return self.forward * factor * tilted.moment_table(lo, hi, ref, deg)
+        # u (u - ref)^d = (u - ref)^(d+1) + ref (u - ref)^d
+        table = self.law.moment_table(lo, hi, ref, deg + 1)
+        return table[..., 1:] + np.asarray(ref, dtype=float)[..., None] * table[..., :-1]
 
     def coord_density(self, u):
         return self.law.density(u)
 
-    def spot_of_coord(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.forward * np.exp(u) if self.spot_map == "exp" else u
 
+class SSVICoordMeasure(_CoordMeasure):
+    """SSVI prior at one maturity in log-moneyness (see ``priors.SSVISlice``)."""
 
-class SSVICoordMeasure:
-    """SSVI prior at one maturity, integrated numerically in log-moneyness."""
+    spot_map = "exp"
 
-    def __init__(self, params: SSVIParams, maturity: float, tol: float = 1e-11):
+    def __init__(self, params: SSVIParams, maturity: float):
         self.params = params
         self.maturity = maturity
-        self.forward = params.forward(maturity)
-        self.tol = tol
-        w0 = ssvi_total_variance(params, maturity, 0.0)
-        self.cut = 10.0 * float(np.sqrt(w0)) + 2.0
-        self.spot_map = "exp"
+        self.slice = SSVISlice(params, maturity)
+        self.forward = self.slice.forward
 
-    def coord_of_strike(self, strike: float) -> float:
-        if strike <= 0.0:
-            return -np.inf
-        return float(np.log(strike / self.forward))
+    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        return self.slice.log_moment_table(lo, hi, ref, deg)
 
-    def _q(self, u):
-        return ssvi_logm_density(self.params, self.maturity, u)
-
-    def _integrate(self, a, b, fn) -> float:
-        lo = max(a, -self.cut)
-        hi = min(b, self.cut)
-        if hi <= lo:
-            return 0.0
-        return adaptive_quad(fn, lo, hi, self.tol)
-
-    def piece_integral(self, a, b, coeffs, ref) -> float:
-        coeffs = np.asarray(coeffs, dtype=float)
-
-        def fn(u):
-            acc = np.zeros_like(u)
-            for c in coeffs[::-1]:
-                acc = acc * (u - ref) + c
-            return acc * self._q(u)
-
-        return self._integrate(a, b, fn)
-
-    def spot_piece_integral(self, a, b, coeffs, ref) -> float:
-        coeffs = np.asarray(coeffs, dtype=float)
-        F = self.forward
-
-        def fn(u):
-            acc = np.zeros_like(u)
-            for c in coeffs[::-1]:
-                acc = acc * (u - ref) + c
-            return acc * F * np.exp(u) * self._q(u)
-
-        return self._integrate(a, b, fn)
-
-    def density_price(self, x):
-        x = np.asarray(x, dtype=float)
-        return self._q(np.log(x / self.forward)) / x
+    def spot_moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        return self.slice.log_moment_table(lo, hi, ref, deg, spot=True)
 
     def coord_density(self, u):
-        return self._q(np.asarray(u, dtype=float))
-
-    def spot_of_coord(self, u):
-        return self.forward * np.exp(np.asarray(u, dtype=float))
+        return self.slice.logm_density(np.asarray(u, dtype=float))
 
 
 def slice_measure(prior, maturity: float, forward: float | None = None):
-    """Prior marginal at a maturity, exposed in spline coordinates."""
+    """Prior marginal at a maturity, exposed in spline coordinates.
+
+    The one mapping from a prior to a slice measure.  Both Gaussian priors
+    carry a variance per unit maturity: the lognormal law of log(S/F) has
+    total variance ``total_variance * maturity``, the Bachelier law of S
+    has variance ``variance * maturity`` and is centred on the forward.
+    ``forward`` defaults to the prior's own; an SSVI prior must agree with
+    it, since its forward curve fixes the log-moneyness of every strike.
+    """
+    if maturity <= 0.0:
+        raise ValueError("maturity must be positive")
     if isinstance(prior, SSVIParams):
-        return SSVICoordMeasure(prior, maturity)
+        measure = SSVICoordMeasure(prior, maturity)
+        if forward is not None and abs(measure.forward - forward) > 1e-12 * forward:
+            raise ValueError(
+                f"SSVI forward curve gives {measure.forward!r} at T={maturity!r}, "
+                f"the slice forward is {forward!r}; set the prior's forward_curve"
+            )
+        return measure
     if isinstance(prior, LogNormalPrior):
-        return GaussianCoordMeasure(prior.log_law(), prior.forward, "exp")
+        F = prior.forward if forward is None else forward
+        return GaussianCoordMeasure(LogNormalPrior(F, prior.total_variance * maturity).log_law(), F, "exp")
     if isinstance(prior, BachelierPrior):
-        return GaussianCoordMeasure(prior, forward if forward is not None else prior.mean, "identity")
+        F = prior.mean if forward is None else forward
+        return GaussianCoordMeasure(BachelierPrior(F, prior.variance * maturity), F, "identity")
     raise TypeError(f"unsupported prior {type(prior).__name__}")
 
 
@@ -206,27 +184,35 @@ def slice_measure(prior, maturity: float, forward: float | None = None):
 # linear pricing forms
 # ---------------------------------------------------------------------------
 
-def _row_accumulate(cb: CompiledBasis, measure, lo_clip: float, hi_clip: float, with_spot: bool) -> np.ndarray:
-    basis = cb.basis
-    g = basis.knots.knots
-    edges = np.concatenate([[-np.inf], g, [np.inf]])
-    dim = basis.dimension
-    out = np.zeros(dim)
-    for i in range(edges.size - 1):
-        a = max(edges[i], lo_clip)
-        b = min(edges[i + 1], hi_clip)
-        if b <= a:
-            continue
-        ref = cb.refs[i]
-        for j in range(dim):
-            c = cb.coeffs[j, i, :]
-            if not np.any(c != 0.0):
-                continue
-            if with_spot:
-                out[j] += measure.spot_piece_integral(a, b, c, ref)
-            else:
-                out[j] += measure.piece_integral(a, b, c, ref)
-    return out
+def _piece_rows(cb: CompiledBasis, measure) -> tuple[np.ndarray, np.ndarray]:
+    """Mass and spot integrals of every function on every interval, (dim, intervals) each."""
+    lo, hi, deg = cb.edges[:-1], cb.edges[1:], cb.coeffs.shape[2] - 1
+    mass = np.einsum("jid,id->ji", cb.coeffs, measure.moment_table(lo, hi, cb.refs, deg))
+    spot = np.einsum("jid,id->ji", cb.coeffs, measure.spot_moment_table(lo, hi, cb.refs, deg))
+    return mass, spot
+
+
+def _tail_rows(cb: CompiledBasis, measure, strikes: np.ndarray):
+    """Whole-line rows and, per strike, the rows of the integrals above it.
+
+    Whole intervals above a strike enter through right-cumulative sums of
+    the per-interval rows; the interval holding the strike adds one partial
+    piece.  Returns (mass_row, spot_row, mass_tails, spot_tails), the tails
+    with one row per strike.
+    """
+    mass, spot = _piece_rows(cb, measure)
+    uk = measure.coord_of_strike(strikes)
+    idx = np.searchsorted(cb.breakpoints, uk, side="right")
+    hi, ref, coeffs = cb.edges[idx + 1], cb.refs[idx], cb.coeffs[:, idx, :]
+    deg = coeffs.shape[2] - 1
+
+    def tails(rows, table):
+        above = np.concatenate([np.cumsum(rows[:, ::-1], axis=1)[:, ::-1], np.zeros((rows.shape[0], 1))], axis=1)
+        return above[:, idx + 1].T + np.einsum("jkd,kd->kj", coeffs, table)
+
+    mass_tails = tails(mass, measure.moment_table(uk, hi, ref, deg))
+    spot_tails = tails(spot, measure.spot_moment_table(uk, hi, ref, deg))
+    return mass.sum(axis=1), spot.sum(axis=1), mass_tails, spot_tails
 
 
 def pricing_linear_forms(basis: BasisSpec, measure, strikes) -> dict:
@@ -237,18 +223,10 @@ def pricing_linear_forms(basis: BasisSpec, measure, strikes) -> dict:
     call - put = forward - K * mass.
     """
     strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-    cb = basis.compiled()
-    mass_row = _row_accumulate(cb, measure, -np.inf, np.inf, with_spot=False)
-    forward_row = _row_accumulate(cb, measure, -np.inf, np.inf, with_spot=True)
-    call_rows = np.zeros((strikes.size, basis.dimension))
-    put_rows = np.zeros_like(call_rows)
-    for idx, K in enumerate(strikes):
-        uk = measure.coord_of_strike(float(K))
-        spot_tail = _row_accumulate(cb, measure, uk, np.inf, with_spot=True)
-        mass_tail = _row_accumulate(cb, measure, uk, np.inf, with_spot=False)
-        call_rows[idx] = spot_tail - K * mass_tail
-        # put row from the complementary region keeps parity exact
-        put_rows[idx] = call_rows[idx] - (forward_row - K * mass_row)
+    mass_row, forward_row, mass_tails, spot_tails = _tail_rows(basis.compiled(), measure, strikes)
+    call_rows = spot_tails - strikes[:, None] * mass_tails
+    # put row from the complementary region keeps parity exact
+    put_rows = call_rows - (forward_row - strikes[:, None] * mass_row)
     return {
         "call_rows": call_rows,
         "put_rows": put_rows,
@@ -258,11 +236,12 @@ def pricing_linear_forms(basis: BasisSpec, measure, strikes) -> dict:
     }
 
 
-def call_slope_row(basis: BasisSpec, measure, strike: float) -> np.ndarray:
-    """Row for dC/dK = -integral of the reweighted density above the strike."""
-    cb = basis.compiled()
-    uk = measure.coord_of_strike(float(strike))
-    return -_row_accumulate(cb, measure, uk, np.inf, with_spot=False)
+def call_slope_row(basis: BasisSpec, measure, strike) -> np.ndarray:
+    """Row for dC/dK = -integral of the reweighted density above the strike
+    (one row per strike for an array of strikes)."""
+    strikes = np.asarray(strike, dtype=float)
+    tails = _tail_rows(basis.compiled(), measure, np.atleast_1d(strikes))[2]
+    return -tails[0] if strikes.ndim == 0 else -tails
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +267,10 @@ class RNSlice:
         return Spline(self.basis, self.weights)
 
     def mass(self) -> float:
-        row = _row_accumulate(self.basis.compiled(), self.measure, -np.inf, np.inf, False)
-        return float(row @ self.weights)
+        return float(_piece_rows(self.basis.compiled(), self.measure)[0].sum(axis=1) @ self.weights)
 
     def mean(self) -> float:
-        row = _row_accumulate(self.basis.compiled(), self.measure, -np.inf, np.inf, True)
-        return float(row @ self.weights)
+        return float(_piece_rows(self.basis.compiled(), self.measure)[1].sum(axis=1) @ self.weights)
 
     def call_price(self, strikes):
         forms = pricing_linear_forms(self.basis, self.measure, strikes)
@@ -361,15 +338,13 @@ class SurfaceCalibration:
         return np.array([s.maturity for s in self.slices])
 
 
-def _knot_grid(market: list[MarketSlice], measure_of, cfg: SurfaceConfig) -> np.ndarray:
-    coords = []
-    for sl in market:
-        m = measure_of(sl)
-        for q in sl.quotes:
-            coords.append(m.coord_of_strike(q.strike))
-    if not coords:
+def _knot_grid(market: list[MarketSlice], measures, cfg: SurfaceConfig) -> np.ndarray:
+    coords = np.concatenate(
+        [np.atleast_1d(m.coord_of_strike([q.strike for q in sl.quotes])) for sl, m in zip(market, measures)]
+    )
+    if not coords.size:
         raise ValueError("no quotes to place knots from")
-    coords = np.sort(np.unique(np.asarray(coords, dtype=float)))
+    coords = np.unique(coords)
     if coords.size == 1:
         lo, hi = coords[0] - 0.5, coords[0] + 0.5
     else:
@@ -380,7 +355,12 @@ def _knot_grid(market: list[MarketSlice], measure_of, cfg: SurfaceConfig) -> np.
 
 
 def _relative_grid(slices_basis: BasisSpec, measures, cfg: SurfaceConfig) -> np.ndarray:
-    """Relative strikes (moneyness) for the calendar fine grid."""
+    """Relative strikes K / F for the calendar fine grid.
+
+    Log-moneyness slices span four at-the-money standard deviations of the
+    widest slice; price-space slices span the knots, taken relative to the
+    first slice's forward.
+    """
     w_max = 0.0
     for m in measures:
         if isinstance(m, GaussianCoordMeasure) and m.spot_map == "exp":
@@ -389,8 +369,7 @@ def _relative_grid(slices_basis: BasisSpec, measures, cfg: SurfaceConfig) -> np.
             w_max = max(w_max, ssvi_total_variance(m.params, m.maturity, 0.0))
     if w_max <= 0.0:
         g = slices_basis.knots.knots
-        span = np.linspace(g[0], g[-1], cfg.relative_grid_size)
-        return span
+        return np.linspace(g[0], g[-1], cfg.relative_grid_size) / measures[0].forward
     half = 4.0 * np.sqrt(w_max)
     return np.exp(np.linspace(-half, half, cfg.relative_grid_size))
 
@@ -400,60 +379,44 @@ def calendar_constraints(
     measures: list,
     forwards: list[float],
     rel_grid: np.ndarray,
-    price_space: bool = False,
 ) -> ConstraintSet:
     """Maturity-monotonicity rows on the fine grid plus wing rows.
 
     Per adjacent pair: a call row and a put row for each relative strike
-    (prices at constant moneyness must be nondecreasing in maturity), the
-    two order-zero extrapolation-coefficient rows, and one price row per
-    far wing beyond the knot range; 2m + 4 rows per pair in total.
+    (prices at constant moneyness K / F must be nondecreasing in maturity),
+    the two order-zero extrapolation-coefficient rows, and one price row
+    per far wing beyond the knot range; 2m + 4 rows per pair in total.
     """
     dims = [b.dimension for b in bases]
     total = sum(dims)
     offs = np.concatenate([[0], np.cumsum(dims)])
     cs = ConstraintSet(total)
-    n_s = len(bases)
+    m = rel_grid.size
     g = bases[0].knots.knots
-    for i in range(n_s - 1):
-        b1, b2 = bases[i], bases[i + 1]
-        m1, m2 = measures[i], measures[i + 1]
-        F1, F2 = forwards[i], forwards[i + 1]
-        k1 = rel_grid * F1 if not price_space else F1 + (rel_grid - 1.0) * F1
-        k2 = rel_grid * F2 if not price_space else F2 + (rel_grid - 1.0) * F2
-        f1 = pricing_linear_forms(b1, m1, k1)
-        f2 = pricing_linear_forms(b2, m2, k2)
-        for r in range(rel_grid.size):
-            row = np.zeros(total)
-            row[offs[i] : offs[i] + dims[i]] = -f1["call_rows"][r]
-            row[offs[i + 1] : offs[i + 1] + dims[i + 1]] = f2["call_rows"][r]
-            cs.add_ineq(row, 0.0, "calendar-fine-grid")
-            row = np.zeros(total)
-            row[offs[i] : offs[i] + dims[i]] = -f1["put_rows"][r]
-            row[offs[i + 1] : offs[i + 1] + dims[i + 1]] = f2["put_rows"][r]
-            cs.add_ineq(row, 0.0, "calendar-fine-grid")
+    span = g[-1] - g[0]
+    far = np.array([g[0] - 0.25 * span, g[-1] + 0.25 * span])
+    # one set of forms per slice: the fine grid, then the two far strikes
+    forms = [
+        pricing_linear_forms(b, meas, np.concatenate([rel_grid * F, meas.spot_of_coord(far)]))
+        for b, meas, F in zip(bases, measures, forwards)
+    ]
+    for i in range(len(bases) - 1):
+        lo, hi = slice(offs[i], offs[i + 1]), slice(offs[i + 1], offs[i + 2])
+        f1, f2 = forms[i], forms[i + 1]
+        fine = np.zeros((2 * m, total))
+        fine[0::2, lo], fine[0::2, hi] = -f1["call_rows"][:m], f2["call_rows"][:m]
+        fine[1::2, lo], fine[1::2, hi] = -f1["put_rows"][:m], f2["put_rows"][:m]
+        cs.add_ineq_rows(fine, 0.0, "calendar-fine-grid")
         # order-zero wing coefficients must be nondecreasing in maturity
-        for pick in (0, dims[i] - 1):
-            row = np.zeros(total)
-            row[offs[i] + pick] = -1.0
-            row[offs[i + 1] + (pick if pick == 0 else dims[i + 1] - 1)] = 1.0
-            cs.add_ineq(row, 0.0, "calendar-wing")
-        # far-strike price rows beyond the knot range, one per side
-        span = g[-1] - g[0]
-        far_lo = float(np.exp(g[0] - 0.25 * span)) if not price_space else float(g[0] - 0.25 * span)
-        far_hi = float(np.exp(g[-1] + 0.25 * span)) if not price_space else float(g[-1] + 0.25 * span)
-        fl1 = pricing_linear_forms(b1, m1, [far_lo * F1 if not price_space else far_lo])
-        fl2 = pricing_linear_forms(b2, m2, [far_lo * F2 if not price_space else far_lo])
-        fh1 = pricing_linear_forms(b1, m1, [far_hi * F1 if not price_space else far_hi])
-        fh2 = pricing_linear_forms(b2, m2, [far_hi * F2 if not price_space else far_hi])
-        row = np.zeros(total)
-        row[offs[i] : offs[i] + dims[i]] = -fl1["put_rows"][0]
-        row[offs[i + 1] : offs[i + 1] + dims[i + 1]] = fl2["put_rows"][0]
-        cs.add_ineq(row, 0.0, "calendar-wing")
-        row = np.zeros(total)
-        row[offs[i] : offs[i] + dims[i]] = -fh1["call_rows"][0]
-        row[offs[i + 1] : offs[i + 1] + dims[i + 1]] = fh2["call_rows"][0]
-        cs.add_ineq(row, 0.0, "calendar-wing")
+        wing = np.zeros((2, total))
+        wing[0, offs[i]], wing[0, offs[i + 1]] = -1.0, 1.0
+        wing[1, offs[i + 1] - 1], wing[1, offs[i + 2] - 1] = -1.0, 1.0
+        cs.add_ineq_rows(wing, 0.0, "calendar-wing")
+        # far-strike price rows beyond the knot range: a put below, a call above
+        farrows = np.zeros((2, total))
+        farrows[0, lo], farrows[0, hi] = -f1["put_rows"][m], f2["put_rows"][m]
+        farrows[1, lo], farrows[1, hi] = -f1["call_rows"][m + 1], f2["call_rows"][m + 1]
+        cs.add_ineq_rows(farrows, 0.0, "calendar-wing")
     return cs
 
 
@@ -480,29 +443,12 @@ def calibrate_surface(
     """
     if not market:
         raise ValueError("no market slices supplied")
+    if mode not in ("bracket", "lsq"):
+        raise ValueError(f"unknown calibration mode {mode!r}")
     market = sorted(market, key=lambda s: s.maturity)
-
-    def measure_of(sl: MarketSlice):
-        if isinstance(prior, LogNormalPrior):
-            # reuse the prior's shape, recentered on each slice maturity
-            return GaussianCoordMeasure(
-                BachelierPrior(-0.5 * prior.total_variance * sl.maturity, prior.total_variance * sl.maturity)
-                if prior.total_variance > 0 else prior.log_law(),
-                sl.forward,
-                "exp",
-            )
-        if isinstance(prior, SSVIParams):
-            return SSVICoordMeasure(prior, sl.maturity)
-        if isinstance(prior, BachelierPrior):
-            return GaussianCoordMeasure(
-                BachelierPrior(sl.forward, prior.variance * sl.maturity), sl.forward, "identity"
-            )
-        raise TypeError(f"unsupported prior {type(prior).__name__}")
-
-    price_space = isinstance(prior, BachelierPrior)
-    knots = _knot_grid(market, measure_of, config)
+    measures = [slice_measure(prior, sl.maturity, sl.forward) for sl in market]
+    knots = _knot_grid(market, measures, config)
     bases = [make_basis(knots, config.order, truncation=0) for _ in market]
-    measures = [measure_of(sl) for sl in market]
     dims = [b.dimension for b in bases]
     total = sum(dims)
     offs = np.concatenate([[0], np.cumsum(dims)])
@@ -512,32 +458,32 @@ def calibrate_surface(
     cs = ConstraintSet(total)
     R1 = _curvature_gram(bases[0])
     for i, (sl, b, m) in enumerate(zip(market, bases, measures)):
-        block = slice(offs[i], offs[i] + dims[i])
+        block = slice(offs[i], offs[i + 1])
         P[block, block] += 2.0 * config.curvature_weight * R1
         forms = pricing_linear_forms(b, m, [qt.strike for qt in sl.quotes] or [sl.forward])
-        mass_row = np.zeros(total)
-        mass_row[block] = forms["mass_row"]
-        cs.add_eq(mass_row, 1.0, "mass")
-        fwd_row = np.zeros(total)
-        fwd_row[block] = forms["forward_row"]
-        cs.add_eq(fwd_row, sl.forward, "forward")
-        eye = np.eye(dims[i])
-        for jrow in range(dims[i]):
-            row = np.zeros(total)
-            row[block] = eye[jrow]
-            cs.add_ineq(row, 0.0, "nonnegative")
-        for qi, qt in enumerate(sl.quotes):
-            prow = forms["call_rows"][qi] if qt.is_call else forms["put_rows"][qi]
-            row = np.zeros(total)
-            row[block] = prow
-            if mode == "bracket":
-                cs.add_ineq(row, qt.bid, "bid-ask")
-                cs.add_ineq(-row, -qt.ask, "bid-ask")
-            elif mode == "lsq":
-                P += 2.0 * config.lsq_weight * np.outer(row, row)
-                q += -2.0 * config.lsq_weight * qt.mid * row
-            else:
-                raise ValueError(f"unknown calibration mode {mode!r}")
+        row = np.zeros(total)
+        row[block] = forms["mass_row"]
+        cs.add_eq(row, 1.0, "mass")
+        row = np.zeros(total)
+        row[block] = forms["forward_row"]
+        cs.add_eq(row, sl.forward, "forward")
+        rows = np.zeros((dims[i], total))
+        rows[:, block] = np.eye(dims[i])
+        cs.add_ineq_rows(rows, 0.0, "nonnegative")
+        if not sl.quotes:
+            continue
+        rows = np.zeros((len(sl.quotes), total))
+        rows[:, block] = [forms["call_rows" if qt.is_call else "put_rows"][qi] for qi, qt in enumerate(sl.quotes)]
+        if mode == "bracket":
+            # each quote's bid row, then its ask row
+            bracket = np.empty((2 * len(sl.quotes), total))
+            bracket[0::2], bracket[1::2] = rows, -rows
+            bounds = np.ravel([(qt.bid, -qt.ask) for qt in sl.quotes])
+            cs.add_ineq_rows(bracket, bounds, "bid-ask")
+        else:
+            mids = np.array([qt.mid for qt in sl.quotes])
+            P += 2.0 * config.lsq_weight * rows.T @ rows
+            q += -2.0 * config.lsq_weight * rows.T @ mids
 
     # second time-difference of each loading index across the maturity grid
     if len(market) >= 3 and config.time_smoothness_weight > 0.0:
@@ -549,18 +495,15 @@ def calibrate_surface(
                 c_prev, c_mid, c_next = 2 / (h0 * (h0 + h1)), -2 / (h0 * h1), 2 / (h1 * (h0 + h1))
             else:
                 c_prev, c_mid, c_next = 1.0, -2.0, 1.0
-            for j in range(dims[kmid]):
-                row = np.zeros(total)
-                row[offs[kmid - 1] + j] = c_prev
-                row[offs[kmid] + j] = c_mid
-                row[offs[kmid + 1] + j] = c_next
-                P += 2.0 * config.time_smoothness_weight * np.outer(row, row)
+            n = dims[kmid]
+            rows = np.zeros((n, total))
+            for off, c in ((offs[kmid - 1], c_prev), (offs[kmid], c_mid), (offs[kmid + 1], c_next)):
+                rows[:, off : off + n] += c * np.eye(n)
+            P += 2.0 * config.time_smoothness_weight * rows.T @ rows
 
     rel_grid = _relative_grid(bases[0], measures, config)
     if len(market) >= 2:
-        cs = cs.merge(
-            calendar_constraints(bases, measures, [sl.forward for sl in market], rel_grid, price_space)
-        )
+        cs = cs.merge(calendar_constraints(bases, measures, [sl.forward for sl in market], rel_grid))
 
     sol = opt.solve_qp(opt.QuadForm(P, q), cs, tol=tol)
     if sol.status == "infeasible":
@@ -582,7 +525,7 @@ def calibrate_surface(
     slices = tuple(
         RNSlice(
             basis=b,
-            weights=np.asarray(sol.x[offs[i] : offs[i] + dims[i]]),
+            weights=np.asarray(sol.x[offs[i] : offs[i + 1]]),
             maturity=sl.maturity,
             forward=sl.forward,
             measure=m,
@@ -683,12 +626,11 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
         cal_worst = np.inf
         tangent_worst = np.inf
         for s1, s2 in zip(calib.slices, calib.slices[1:]):
-            K1 = rel * s1.forward if s1.measure.spot_map == "exp" else s1.forward + (rel - 1.0) * s1.forward
-            K2 = rel * s2.forward if s2.measure.spot_map == "exp" else s2.forward + (rel - 1.0) * s2.forward
+            K1, K2 = rel * s1.forward, rel * s2.forward
             c1 = s1.call_price(K1)
             c2 = s2.call_price(K2)
             cal_worst = min(cal_worst, float(np.min(c2 - c1)))
-            slopes = np.array([call_slope_row(s2.basis, s2.measure, k) @ s2.weights for k in K2]) * s2.forward
+            slopes = call_slope_row(s2.basis, s2.measure, K2) @ s2.weights * s2.forward
             for i in range(rel.size - 1):
                 x0, x1 = rel[i], rel[i + 1]
                 s_lo, s_hi = slopes[i], slopes[i + 1]

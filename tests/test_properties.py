@@ -1,0 +1,269 @@
+"""Invariants of the moment tables and the pricing rows, on random inputs.
+
+The oracles share no code with the tables: ``scipy.integrate.quad`` of the
+densities written out here, split at the knots and at multiples of the
+standard deviation, and basis values from the recursive evaluation route.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import quad
+
+from volspline import bspline as bs, priors as pr, regression as rg, surface as sf
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+SPLITS = np.array([-40.0, -20.0, -10.0, -6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0, 10.0, 20.0, 40.0])
+
+maturities = st.floats(0.1, 2.0)
+# interval ends in standard deviations from the centre; None is infinite
+ends = st.one_of(st.none(), st.floats(-14.0, 14.0))
+
+
+def _quad(f, lo, hi, centre, sd, points=(), reach=45.0):
+    """Integral of f over [lo, hi] clipped to centre -+ reach * sd, split at
+    centre + SPLITS * sd and at ``points``."""
+    lo, hi = max(lo, centre - reach * sd), min(hi, centre + reach * sd)
+    cuts = np.unique(np.concatenate([[lo, hi], centre + SPLITS * sd, np.asarray(points, dtype=float)]))
+    cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0] for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def _gauss_pdf(mean, sd):
+    return lambda x: math.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+
+def _bounds(z_lo, z_hi, centre, sd):
+    lo = -math.inf if z_lo is None else centre + z_lo * sd
+    hi = math.inf if z_hi is None else centre + z_hi * sd
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
+def _ssvi(data, T):
+    params = pr.SSVIParams(
+        C=data.draw(st.floats(0.0, 0.02)), K=data.draw(st.floats(0.02, 0.08)),
+        rho=data.draw(st.floats(-0.7, 0.5)), eta=data.draw(st.floats(0.2, 1.2)),
+        gamma=data.draw(st.floats(0.3, 0.6)), forward_curve=100.0,
+    )
+    assume(pr.validate_ssvi(params, (T, T)).passed)
+    return params
+
+
+# ---------------------------------------------------------------------------
+# one table per measure
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(T=maturities, mean=st.floats(-150.0, 150.0), rate=st.floats(0.01, 400.0),
+       z=st.tuples(ends, ends), zref=st.floats(-4.0, 4.0), deg=st.integers(0, 6))
+def test_gaussian_table_matches_quad(T, mean, rate, z, zref, deg):
+    law = pr.BachelierPrior(mean, rate * T)
+    sd = law.sigma
+    lo, hi = _bounds(*z, mean, sd)
+    ref = mean + zref * sd
+    table = law.moment_table([lo], [hi], [ref], deg)[0]
+    pdf = _gauss_pdf(mean, sd)
+    for d in range(deg + 1):
+        want = _quad(lambda x: (x - ref) ** d * pdf(x), lo, hi, mean, sd)
+        size = _quad(lambda x: abs(x - ref) ** d * pdf(x), lo, hi, mean, sd)
+        # relative to the integral of |x - ref|^d: far-tail intervals keep their digits
+        assert abs(table[d] - want) <= 1e-10 * size + 1e-300
+
+
+@SETTINGS
+@given(T=maturities, vol=st.floats(0.05, 0.6), z=st.tuples(ends, ends), zref=st.floats(-3.0, 3.0),
+       deg=st.integers(0, 4))
+def test_lognormal_tables_match_quad(T, vol, z, zref, deg):
+    """The lognormal in price, its log-law and the exponential tilt of the log-law."""
+    F, w = 100.0, vol * vol * T
+    sd, m = math.sqrt(w), -0.5 * w
+    klo, khi = _bounds(*z, m, sd)
+    pdf = _gauss_pdf(m, sd)
+    # price space: (x - ref)^d with x = F e^k
+    prior = pr.LogNormalPrior(F, w)
+    lo, hi = F * math.exp(klo), F * math.exp(khi)
+    ref = F * math.exp(zref * sd)
+    table = prior.moment_table([lo], [hi], [ref], deg)[0]
+    for d in range(deg + 1):
+        want = _quad(lambda k: (F * math.exp(k) - ref) ** d * pdf(k), klo, khi, m, sd)
+        scale = sum(math.comb(d, j) * ref ** (d - j) * F**j * math.exp(0.5 * j * (j - 1) * w) for j in range(d + 1))
+        assert table[d] == pytest.approx(want, rel=1e-9, abs=1e-13 * scale)
+    # log-moneyness: the log-law and its tilt, as the surface measure uses them
+    measure = sf.slice_measure(pr.LogNormalPrior(F, vol * vol), T, F)
+    kref = m + zref * sd
+    mass = measure.moment_table([klo], [khi], [kref], deg)[0]
+    spot = measure.spot_moment_table([klo], [khi], [kref], deg)[0]
+    for d in range(deg + 1):
+        want = _quad(lambda k: (k - kref) ** d * pdf(k), klo, khi, m, sd)
+        assert mass[d] == pytest.approx(want, rel=1e-9, abs=1e-13 * (4.0 * sd) ** d)
+        want = _quad(lambda k: (k - kref) ** d * F * math.exp(k) * pdf(k), klo, khi, m, sd)
+        assert spot[d] == pytest.approx(want, rel=1e-9, abs=1e-13 * F * (4.0 * sd) ** d)
+
+
+@SETTINGS
+@given(data=st.data(), T=maturities, z=st.tuples(ends, ends), zref=st.floats(-3.0, 3.0), deg=st.integers(0, 3))
+def test_ssvi_tables_match_quad(data, T, z, zref, deg):
+    """Log-moneyness tables to the degree the surface uses; spot moments up to the mean."""
+    params = _ssvi(data, T)
+    slc = pr.SSVISlice(params, T)
+    F = slc.forward
+    sd = math.sqrt(pr.ssvi_total_variance(params, T, 0.0))
+    klo, khi = _bounds(*z, 0.0, sd)
+    kref = zref * sd
+    q = lambda k: float(pr.ssvi_logm_density(params, T, k))  # noqa: E731
+    reach = 60.0 / sd  # SSVI wings are linear in k: exponential, wide tails
+    mass = slc.log_moment_table([klo], [khi], [kref], deg)[0]
+    spot = slc.log_moment_table([klo], [khi], [kref], deg, spot=True)[0]
+    for d in range(deg + 1):
+        want = _quad(lambda k: (k - kref) ** d * q(k), klo, khi, 0.0, sd, reach=reach)
+        assert mass[d] == pytest.approx(want, rel=1e-8, abs=1e-12)
+        want = _quad(lambda k: (k - kref) ** d * F * math.exp(k) * q(k), klo, khi, 0.0, sd, reach=reach)
+        assert spot[d] == pytest.approx(want, rel=1e-8, abs=1e-12 * F)
+    xref = F * math.exp(kref)
+    price = slc.moment_table([F * math.exp(klo)], [F * math.exp(khi)], [xref], 1)[0]
+    for d in range(2):
+        want = _quad(lambda k: (F * math.exp(k) - xref) ** d * q(k), klo, khi, 0.0, sd, reach=reach)
+        assert price[d] == pytest.approx(want, rel=1e-8, abs=1e-12 * (F + xref) ** d)
+
+
+@SETTINGS
+@given(support=st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 10.0)), z=st.tuples(ends, ends),
+       ref=st.floats(-5.0, 5.0), deg=st.integers(0, 6))
+def test_lebesgue_table_matches_quad(support, z, ref, deg):
+    lower, upper = support[0], support[0] + support[1]
+    lo, hi = _bounds(*z, lower, support[1])
+    table = rg.LebesgueMeasure(lower, upper).moment_table([lo], [hi], [ref], deg)[0]
+    a, b = max(lo, lower), min(hi, upper)
+    for d in range(deg + 1):
+        want = quad(lambda x: (x - ref) ** d, a, b, epsabs=0.0, epsrel=1e-13)[0] if b > a else 0.0
+        assert table[d] == pytest.approx(want, rel=1e-10, abs=1e-12 * (abs(ref) + abs(lower) + abs(upper)) ** d)
+
+
+# ---------------------------------------------------------------------------
+# moment rows and Gram matrices of a random basis
+# ---------------------------------------------------------------------------
+
+def _measure_and_pdf(data, kind, T, knots_centre):
+    """A measure, its density, the centre, scale and reach of its mass, and its kinks."""
+    if kind == "bachelier":
+        law = pr.BachelierPrior(knots_centre + data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(0.2, 4.0)) * T)
+        return law, _gauss_pdf(law.mean, law.sigma), law.mean, law.sigma, 45.0, ()
+    if kind == "ssvi":
+        params = _ssvi(data, T)
+        sd = math.sqrt(pr.ssvi_total_variance(params, T, 0.0))
+        q = lambda k: float(pr.ssvi_logm_density(params, T, k))  # noqa: E731
+        return sf.SSVICoordMeasure(params, T), q, 0.0, sd, 60.0 / sd, ()  # a measure over log-moneyness
+    lower = knots_centre - data.draw(st.floats(0.5, 3.0))
+    upper = knots_centre + data.draw(st.floats(0.5, 3.0))
+    pdf = lambda x: 1.0 if lower <= x <= upper else 0.0  # noqa: E731
+    return rg.LebesgueMeasure(lower, upper), pdf, knots_centre, 1.0, 45.0, (lower, upper)
+
+
+def _spline_pieces(basis, weights):
+    """(a, b, power coefficients) per piece, interpolated from the recursive evaluation route."""
+    g = basis.knots.knots
+    span = g[-1] - g[0]
+    edges = np.concatenate([[-math.inf], g, [math.inf]])
+    spline = bs.Spline(basis, weights)
+    pieces = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= a:
+            continue
+        lo, hi = max(a, g[0] - span - 1.0), min(b, g[-1] + span + 1.0)
+        xs = lo + (hi - lo) * (0.5 - 0.5 * np.cos(np.pi * (np.arange(basis.order + 1) + 0.5) / (basis.order + 1)))
+        poly = np.polynomial.Polynomial.fit(xs, spline(xs, method="forward"), basis.order).convert()
+        pieces.append((a, b, list(poly.coef[::-1])))
+    return pieces
+
+
+def _horner(coef, x):
+    acc = 0.0
+    for c in coef:
+        acc = acc * x + c
+    return acc
+
+
+@SETTINGS
+@given(data=st.data(), kind=st.sampled_from(["bachelier", "ssvi", "lebesgue"]), T=maturities,
+       order=st.integers(0, 3), n_knots=st.integers(2, 9), centre=st.floats(-1.0, 1.0))
+def test_moment_rows_and_gram_match_quad(data, kind, T, order, n_knots, centre):
+    gaps = data.draw(st.lists(st.floats(0.1, 1.0), min_size=n_knots - 1, max_size=n_knots - 1))
+    knots = centre - 0.5 * sum(gaps) + np.concatenate([[0.0], np.cumsum(gaps)])
+    truncation = data.draw(st.integers(-1, order)) if kind == "lebesgue" else 0
+    basis = bs.make_basis(knots, order, truncation)
+    measure, pdf, mid, sd, reach, kinks = _measure_and_pdf(data, kind, T, centre)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    v, w = rng.standard_normal((2, basis.dimension))
+    want_row = want_gram = scale = 0.0
+    for (a, b, pv), (_, _, pw) in zip(_spline_pieces(basis, v), _spline_pieces(basis, w)):
+        want_row += _quad(lambda x: _horner(pw, x) * pdf(x), a, b, mid, sd, kinks, reach)
+        want_gram += _quad(lambda x: _horner(pv, x) * _horner(pw, x) * pdf(x), a, b, mid, sd, kinks, reach)
+        scale += _quad(lambda x: abs(_horner(pv, x) * _horner(pw, x)) * pdf(x), a, b, mid, sd, kinks, reach)
+    cb = basis.compiled()
+    gram = bs.weighted_gram(cb, measure)
+    assert bs.moment_rows(cb, measure) @ w == pytest.approx(want_row, rel=1e-8, abs=1e-10)
+    assert v @ gram @ w == pytest.approx(want_gram, rel=1e-8, abs=1e-10 * max(scale, 1.0))
+    np.testing.assert_array_equal(gram, gram.T)
+
+
+# ---------------------------------------------------------------------------
+# pricing rows
+# ---------------------------------------------------------------------------
+
+def _slice(data, kind, T):
+    F = 100.0
+    if kind == "lognormal":
+        prior = pr.LogNormalPrior(F, data.draw(st.floats(0.01, 0.25)))
+    elif kind == "bachelier":
+        prior = pr.BachelierPrior(F, data.draw(st.floats(25.0, 900.0)))
+    else:
+        prior = _ssvi(data, T)
+    measure = sf.slice_measure(prior, T, F)
+    if kind == "bachelier":
+        sd = math.sqrt(prior.variance * T)
+        knots = np.linspace(F - 3.0 * sd, F + 3.0 * sd, data.draw(st.integers(4, 12)))
+        strikes = F + sd * np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8)))
+    else:
+        sd = math.sqrt(T * (prior.total_variance if kind == "lognormal" else prior.K))
+        knots = np.linspace(-3.0 * sd, 3.0 * sd, data.draw(st.integers(4, 12)))
+        strikes = F * np.exp(sd * np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8))))
+    return sf.make_basis(knots, data.draw(st.integers(1, 3)), truncation=0), measure, F, strikes
+
+
+priors = st.sampled_from(["lognormal", "bachelier", "ssvi"])
+
+
+@SETTINGS
+@given(data=st.data(), kind=priors, T=maturities)
+def test_put_call_parity_rowwise(data, kind, T):
+    basis, measure, F, strikes = _slice(data, kind, T)
+    forms = sf.pricing_linear_forms(basis, measure, strikes)
+    parity = forms["forward_row"] - strikes[:, None] * forms["mass_row"]
+    np.testing.assert_allclose(forms["call_rows"] - forms["put_rows"], parity, rtol=0.0, atol=1e-12 * F)
+
+
+@SETTINGS
+@given(data=st.data(), kind=priors, T=maturities)
+def test_unit_weights_give_mass_one_and_the_forward(data, kind, T):
+    basis, measure, F, strikes = _slice(data, kind, T)
+    forms = sf.pricing_linear_forms(basis, measure, strikes)
+    ones = np.ones(basis.dimension)
+    assert forms["mass_row"] @ ones == pytest.approx(1.0, abs=1e-9)
+    assert forms["forward_row"] @ ones == pytest.approx(F, rel=1e-9)
+
+
+@SETTINGS
+@given(data=st.data(), kind=priors, T=maturities)
+def test_calls_nonincreasing_and_convex_for_nonnegative_weights(data, kind, T):
+    basis, measure, F, _ = _slice(data, kind, T)
+    g = basis.knots.knots
+    span = g[-1] - g[0]
+    coords = np.linspace(g[0] - 0.5 * span, g[-1] + 0.5 * span, 60)
+    strikes = measure.spot_of_coord(coords)
+    weights = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=basis.dimension, max_size=basis.dimension)))
+    calls = sf.pricing_linear_forms(basis, measure, strikes)["call_rows"] @ weights
+    assert np.diff(calls).max() <= 1e-10 * F
+    slopes = np.diff(calls) / np.diff(strikes)
+    assert np.diff(slopes).min() >= -1e-10

@@ -108,6 +108,38 @@ class TestFitPenalized:
         assert np.abs(f1(xs) - f2(a * xs + b)).max() <= 1e-8
 
 
+class TestConstraintSet:
+    def test_block_assembly_equals_row_by_row(self):
+        rng = np.random.default_rng(21)
+        eq, ineq = rng.standard_normal((3, 5)), rng.standard_normal((7, 5))
+        eq_rhs, ineq_rhs = rng.standard_normal(3), rng.standard_normal(7)
+        rows = rg.ConstraintSet(5)
+        for r, v in zip(eq, eq_rhs):
+            rows.add_eq(r, v, "e")
+        for r, v in zip(ineq[:4], ineq_rhs[:4]):
+            rows.add_ineq(r, v, "a")
+        rows.add_ineq(ineq[4], 0.0, "b")
+        assert rows.ineq_rows.shape == (5, 5)  # reading in between keeps later rows
+        for r in ineq[5:]:
+            rows.add_ineq(r, 0.0, "b")
+        blocks = rg.ConstraintSet(5)
+        blocks.add_eq_rows(eq, eq_rhs, "e")
+        blocks.add_ineq_rows(ineq[:4], ineq_rhs[:4], "a")
+        blocks.add_ineq_rows(ineq[4:], 0.0, "b")
+        for a, b in zip(rows.as_blocks()[:4], blocks.as_blocks()[:4]):
+            np.testing.assert_array_equal(a, b)
+        assert rows.eq_families == blocks.eq_families == ["e"] * 3
+        assert rows.ineq_families == blocks.ineq_families == ["a"] * 4 + ["b"] * 3
+        assert rows.n_rows == blocks.n_rows == 10
+        merged = rows.merge(blocks)
+        np.testing.assert_array_equal(merged.ineq_rows, np.vstack([ineq, ineq]))
+        np.testing.assert_array_equal(merged.eq_rhs, np.concatenate([eq_rhs, eq_rhs]))
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        with pytest.raises(ValueError):
+            rg.ConstraintSet(3).add_ineq_rows(np.eye(2), 0.0, "x")
+
+
 class TestShapeConstraints:
     def test_nonnegative_rows(self):
         cfg = make_cfg()

@@ -1,9 +1,12 @@
 """Linear pricing forms, slice calibration and the joint surface program."""
 
+import json
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from volspline import opt, priors as pr, surface as sf
+from volspline import cli, opt, priors as pr, surface as sf
 from volspline.black import black_call
 from volspline.priors import ssvi_total_variance
 
@@ -94,6 +97,79 @@ class TestPricingForms:
         breakpoints = [100.0 * np.exp(v) for v in basis.knots.knots if v > np.log(K / 100.0)]
         ref = quad(integrand, K, 2000.0, epsabs=1e-12, limit=400, points=breakpoints)[0]
         assert forms["call_rows"][0] @ w == pytest.approx(ref, abs=1e-8)
+
+
+class TestSliceMeasure:
+    """``slice_measure`` at maturities other than 1: variance scales with T."""
+
+    def test_lognormal_reprices_prior_at_maturity(self, lognormal_prior):
+        T = 0.4
+        measure = sf.slice_measure(lognormal_prior, T, 100.0)
+        basis = sf.make_basis(np.linspace(-0.5, 0.5, 11), 3, truncation=0)
+        strikes = np.array([80.0, 95.0, 100.0, 108.0, 125.0])
+        forms = sf.pricing_linear_forms(basis, measure, strikes)
+        ones = np.ones(basis.dimension)
+        np.testing.assert_allclose(forms["call_rows"] @ ones, black_call(100.0, strikes, 0.04 * T), atol=1e-10)
+
+    def test_bachelier_reprices_prior_at_maturity(self):
+        T, F, var = 1.7, 100.0, 15.0**2
+        measure = sf.slice_measure(pr.BachelierPrior(90.0, var), T, F)  # centred on the slice forward
+        basis = sf.make_basis(np.linspace(60.0, 140.0, 11), 3, truncation=0)
+        strikes = np.array([75.0, 100.0, 130.0])
+        forms = sf.pricing_linear_forms(basis, measure, strikes)
+        sd = np.sqrt(var * T)
+        d = (F - strikes) / sd
+        bachelier = (F - strikes) * ndtr(d) + sd * np.exp(-0.5 * d * d) / np.sqrt(2.0 * np.pi)
+        np.testing.assert_allclose(forms["call_rows"] @ np.ones(basis.dimension), bachelier, atol=1e-10)
+
+    @pytest.mark.parametrize("prior", [pr.LogNormalPrior(100.0, 0.04), pr.BachelierPrior(100.0, 400.0)])
+    def test_rows_equal_those_of_the_calibration(self, prior):
+        quoted = pr.LogNormalPrior(100.0, 0.04)
+        mkt = [prior_quotes(quoted, T, [90.0, 100.0, 110.0], spread=0.5) for T in (0.3, 1.6)]
+        calib = sf.calibrate_surface(mkt, prior, sf.SurfaceConfig(n_knots=9))
+        strikes = [85.0, 100.0, 120.0]
+        for sl in calib.slices:
+            mine = sf.pricing_linear_forms(sl.basis, sf.slice_measure(prior, sl.maturity, sl.forward), strikes)
+            theirs = sf.pricing_linear_forms(sl.basis, sl.measure, strikes)
+            for key in ("call_rows", "put_rows", "mass_row", "forward_row"):
+                np.testing.assert_array_equal(mine[key], theirs[key])
+
+    def test_ssvi_forward_mismatch_rejected(self):
+        params = pr.SSVIParams(C=0.0, K=0.04, rho=-0.2, eta=0.5, gamma=0.5)  # forward 1 by default
+        with pytest.raises(ValueError, match="forward"):
+            sf.slice_measure(params, 0.5, 100.0)
+
+
+class TestSurfaceCommands:
+    def _config(self, tmp_path, prior, extra=None):
+        quotes = []
+        for T in (0.5, 1.0):
+            for q in prior_quotes(pr.LogNormalPrior(100.0, 0.04), T, [85.0, 100.0, 115.0], 0.2).quotes:
+                quotes.append({"maturity": T, "strike": q.strike, "bid": q.bid, "ask": q.ask})
+        cfg = {"prior": prior, "forward": 100.0, "quotes": quotes, "config": {"n_knots": 9, **(extra or {})}}
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_ssvi_forward_mismatch_is_a_config_error(self, tmp_path, capsys):
+        prior = {"type": "ssvi", "C": 0.0, "K": 0.04, "rho": -0.2, "eta": 0.5, "gamma": 0.5}
+        cfg = self._config(tmp_path, prior)
+        code = cli.main(["surface-calibrate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "forward_curve" in capsys.readouterr().err
+
+    def test_validation_uses_the_calibration_config(self, tmp_path):
+        prior = {"type": "lognormal", "forward": 100.0, "total_variance": 0.04}
+        cfg = self._config(tmp_path, prior, {"relative_grid_size": 41})
+        assert cli.main(["surface-calibrate", "--config", str(cfg), "--out", str(tmp_path / "cal")]) == 0
+        doc = json.loads((tmp_path / "cal" / "surface.json").read_text())
+        assert doc["config"]["relative_grid_size"] == 41 and doc["config"]["n_knots"] == 9
+        assert cli._rebuild_surface(doc).relative_strike_grid.size == 41
+        del doc["config"]  # files written without a config fall back to the defaults
+        assert cli._rebuild_surface(doc).relative_strike_grid.size == sf.SurfaceConfig().relative_grid_size
+        val = tmp_path / "validate.json"
+        val.write_text(json.dumps({"surface": str(tmp_path / "cal" / "surface.json")}))
+        assert cli.main(["validate-surface", "--config", str(val), "--out", str(tmp_path / "val")]) == 0
 
 
 class TestSliceCalibration:
