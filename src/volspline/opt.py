@@ -1,15 +1,17 @@
-"""Embedded second-order cone solver and quadratic-programming front ends.
+"""Embedded cone solver for quadratic objectives, and its front ends.
 
 The solver is a dense primal-dual interior-point method with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector step, sized for the problems
 this package produces (a few hundred variables, a few thousand constraint
-rows).  Quadratic objectives are recast as cone programs by the epigraph
-trick, and an equality-constrained hierarchy is available through a
-quadratic-form-weighted pseudoinverse.
+rows).  It minimizes ``0.5 x^T P x + f^T x`` over orthant rows,
+second-order cones and equalities; the PSD matrix P enters the Newton
+system directly, as in CVXOPT's ``coneqp``.  An equality-constrained
+hierarchy is available through a quadratic-form-weighted pseudoinverse.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,13 +19,14 @@ import numpy as np
 __all__ = [
     "OptError",
     "InfeasibleError",
+    "ConvergenceWarning",
     "ConeBlock",
     "SOCProgram",
     "QuadForm",
     "Solution",
     "solve_socp",
-    "qp_to_socp",
     "solve_qp",
+    "warn_unconverged",
     "pseudoinverse_lsq",
 ]
 
@@ -34,6 +37,10 @@ class OptError(ValueError):
 
 class InfeasibleError(OptError):
     """Raised by front ends when the solver certifies infeasibility."""
+
+
+class ConvergenceWarning(UserWarning):
+    """A front end accepted a solve whose status is not ``optimal``."""
 
 
 @dataclass(frozen=True)
@@ -65,14 +72,16 @@ class ConeBlock:
 
 @dataclass(frozen=True)
 class SOCProgram:
-    """minimize f^T x over the given cone blocks and equalities."""
+    """minimize ``0.5 x^T P x + f^T x`` over the given cone blocks and
+    equalities; P is symmetric PSD and zero when omitted."""
 
     f: np.ndarray
     cones: tuple[ConeBlock, ...]
     A_eq: np.ndarray
     b_eq: np.ndarray
+    P: np.ndarray
 
-    def __init__(self, f, cones=(), A_eq=None, b_eq=None):
+    def __init__(self, f, cones=(), A_eq=None, b_eq=None, P=None):
         f = np.asarray(f, dtype=float).reshape(-1)
         n = f.size
         cones = tuple(cones)
@@ -86,14 +95,21 @@ class SOCProgram:
         b_eq = np.asarray(b_eq, dtype=float).reshape(-1) if b_eq is not None else np.zeros(0)
         if A_eq.shape[0] != b_eq.size or (A_eq.shape[0] and A_eq.shape[1] != n):
             raise OptError("equality block shapes are inconsistent")
+        P = np.zeros((n, n)) if P is None else np.asarray(P, dtype=float)
+        if P.shape != (n, n):
+            raise OptError("P must be square and match the objective length")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "cones", cones)
         object.__setattr__(self, "A_eq", A_eq)
         object.__setattr__(self, "b_eq", b_eq)
+        object.__setattr__(self, "P", P)
 
     @property
     def n(self) -> int:
         return self.f.size
+
+    def objective(self, x) -> float:
+        return float(0.5 * x @ self.P @ x + self.f @ x)
 
 
 @dataclass(frozen=True)
@@ -112,6 +128,9 @@ class QuadForm:
         if sym_err > 1e-12 * scale:
             raise OptError("P must be symmetric")
         P = 0.5 * (P + P.T)
+        w = np.linalg.eigvalsh(P) if P.size else np.zeros(1)
+        if w.min() < -1e-8 * max(1.0, abs(w.max())):
+            raise OptError("quadratic form is not positive semidefinite")
         if q is None:
             q = np.zeros(P.shape[0])
         q = np.asarray(q, dtype=float).reshape(-1)
@@ -151,10 +170,7 @@ class _Cones:
         self.socs = socs
         self.m = ml + sum(socs)
         self.degree = ml + len(socs)
-        starts = [ml]
-        for q in socs[:-1]:
-            starts.append(starts[-1] + q)
-        self.starts = starts
+        self.starts = [ml + sum(socs[:k]) for k in range(len(socs))]
 
     def blocks(self, v: np.ndarray):
         for st, q in zip(self.starts, self.socs):
@@ -163,17 +179,8 @@ class _Cones:
     def e(self) -> np.ndarray:
         out = np.zeros(self.m)
         out[: self.ml] = 1.0
-        for st in self.starts:
-            out[st] = 1.0
+        out[self.starts] = 1.0
         return out
-
-    def inside(self, v: np.ndarray, margin: float = 0.0) -> bool:
-        if np.any(v[: self.ml] <= margin):
-            return False
-        for blk in self.blocks(v):
-            if blk[0] - np.linalg.norm(blk[1:]) <= margin:
-                return False
-        return True
 
     def min_margin(self, v: np.ndarray) -> float:
         vals = []
@@ -251,19 +258,25 @@ class _Scaling:
         ml = cones.ml
         self.w_lin = np.sqrt(s[:ml] / z[:ml]) if ml else np.zeros(0)
         self.soc = []
+        # ok is False once rounding has put s, z or lambda on a cone boundary
+        self.ok = False
         for st, q in zip(cones.starts, cones.socs):
             sb, zb = s[st : st + q], z[st : st + q]
             # floor protects against iterates rounding onto the boundary
             rs = np.sqrt(max(sb[0] ** 2 - sb[1:] @ sb[1:], 1e-28 * max(sb[0] ** 2, 1e-300)))
             rz = np.sqrt(max(zb[0] ** 2 - zb[1:] @ zb[1:], 1e-28 * max(zb[0] ** 2, 1e-300)))
             sbar, zbar = sb / rs, zb / rz
-            gamma = np.sqrt(0.5 * (1.0 + sbar @ zbar))
+            gamma2 = 0.5 * (1.0 + sbar @ zbar)
+            if not gamma2 > 0.0:
+                return
+            gamma = np.sqrt(gamma2)
             wbar = np.empty(q)
             wbar[0] = (sbar[0] + zbar[0]) / (2.0 * gamma)
             wbar[1:] = (sbar[1:] - zbar[1:]) / (2.0 * gamma)
             eta = np.sqrt(rs / rz)
             self.soc.append((eta, wbar))
         self.lam = self.apply(z)
+        self.ok = cones.min_margin(self.lam) > 0.0
 
     @staticmethod
     def _wbar_apply(wbar: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -343,13 +356,16 @@ def _standard_form(prog: SOCProgram):
     return G, h, _Cones(ml, soc_dims)
 
 
-def _equilibrate(G, h, A, b, f, cones: _Cones, sweeps: int = 6):
-    """Ruiz-style scaling; second-order cone rows share one scalar per block."""
+def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
+    """Ruiz-style scaling; second-order cone rows share one scalar per block.
+
+    Columns are scaled by their largest entry in ``[d P d; G; A]``, as in
+    OSQP; a column with no entry at all keeps its scale.
+    """
     m, n = G.shape
-    p = A.shape[0]
     d = np.ones(n)
     e = np.ones(m)
-    a = np.ones(p)
+    a = np.ones(A.shape[0])
 
     def row_groups():
         groups = [(i, i + 1) for i in range(cones.ml)]
@@ -357,95 +373,108 @@ def _equilibrate(G, h, A, b, f, cones: _Cones, sweeps: int = 6):
         return groups
 
     for _ in range(sweeps):
+        Ps = (d[:, None] * P) * d[None, :]
         Gs = (e[:, None] * G) * d[None, :]
-        As = (a[:, None] * A) * d[None, :] if p else A
-        stack = np.vstack([Gs, As]) if p else Gs
-        col = np.sqrt(np.maximum(np.abs(stack).max(axis=0), 1e-12))
-        d /= col
+        As = (a[:, None] * A) * d[None, :]
+        col = np.abs(np.vstack([Ps, Gs, As])).max(axis=0)
+        d /= np.sqrt(np.where(col > 0.0, col, 1.0))
         Gs = (e[:, None] * G) * d[None, :]
         for lo, hi in row_groups():
             r = np.abs(Gs[lo:hi]).max()
             if r > 0.0:
                 e[lo:hi] /= np.sqrt(r)
-        if p:
-            As = (a[:, None] * A) * d[None, :]
-            ra = np.sqrt(np.maximum(np.abs(As).max(axis=1), 1e-12))
-            a /= ra
+        As = (a[:, None] * A) * d[None, :]
+        a /= np.sqrt(np.maximum(np.abs(As).max(axis=1, initial=0.0), 1e-12))
     Gs = (e[:, None] * G) * d[None, :]
-    hs = e * h
-    As = (a[:, None] * A) * d[None, :] if p else A
-    bs = a * b if p else b
+    As = (a[:, None] * A) * d[None, :]
     fs = d * f
-    obj_scale = max(np.abs(fs).max(), 1e-12)
-    fs = fs / obj_scale
-    return Gs, hs, As, bs, fs, d, e, a, obj_scale
+    Ps = (d[:, None] * P) * d[None, :]
+    # OSQP's cost scaling: the larger of |f| and the mean column size of P
+    obj_scale = max(np.abs(fs).max(), np.abs(Ps).max(axis=0).mean(), 1e-12)
+    return Gs, e * h, As, a * b, fs / obj_scale, Ps / obj_scale, d, e
+
+
+def _penalized_kkt_point(P, G, h, A, b, f):
+    """x minimizing ``0.5 x^T P x + f^T x + 0.5 |G x - h|^2`` subject to
+    ``A x = b``, and the multiplier y of the equalities."""
+    n, p = P.shape[0], A.shape[0]
+    K = np.block([[P + G.T @ G, A.T], [A, np.zeros((p, p))]])
+    xy, *_ = np.linalg.lstsq(K, np.concatenate([G.T @ h - f, b]), rcond=None)
+    return xy[:n], xy[n:]
 
 
 def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solution:
-    """Interior-point solve of the cone program.
+    """Interior-point solve of ``min 0.5 x^T P x + f^T x`` over the cone
+    blocks and equalities.
 
-    Returns a Solution whose status is ``optimal`` (KKT residuals at or
-    below ``tol``, measured on the internally equilibrated problem),
-    ``infeasible`` (a certificate was found or the iterates diverged) or
-    ``max_iter``.
+    Returns a Solution whose status is ``optimal``, ``infeasible`` (a
+    certificate was found or the iterates diverged) or ``max_iter``.
+    ``optimal`` means, on the internally equilibrated problem:
+
+    - primal residuals at or below ``tol``;
+    - the dual residual at or below ``tol``, relative to the largest of 1,
+      ``|f|``, ``|P x|``, ``|A^T y|`` and ``|G^T z|``;
+    - the duality gap, relative to ``max(1, |objective|)``, at or below
+      ``tol**2`` for a quadratic objective and at or below ``tol`` for a
+      linear one.
+
+    The gap of a quadratic objective bounds the error in x along a
+    direction of small curvature only through its square root: a gap of
+    ``tol`` would leave errors of about ``sqrt(tol)`` there.  An active
+    second-order cone can stop the iteration short of ``tol**2``: its
+    ``s o z`` cancels to the rounding of ``s0 z0``, and rounding then puts
+    the scaled point on the cone's boundary.  For a program with such a
+    block the best iterate is therefore ``optimal`` at a gap of ``tol``
+    once the iteration ends.  A program without cone rows is one KKT solve.
     """
-    f_orig = prog.f
     n = prog.n
     G, h, cones = _standard_form(prog)
-    A, b = prog.A_eq, prog.b_eq
+    A, b, f, P = prog.A_eq, prog.b_eq, prog.f, prog.P
     p = A.shape[0]
     m = cones.m
-    if m:
-        G, h, A, b, f, d_scale, e_scale, a_scale, obj_scale = _equilibrate(
-            G, h, A, b, f_orig, cones
-        )
-    else:
-        f = f_orig
-        d_scale = np.ones(n)
 
     if m == 0:
-        # purely equality-constrained linear objective: bounded only if f
-        # lies in the row space of A
-        if p == 0:
-            status = "optimal" if not f.any() else "infeasible"
-            return Solution(np.zeros(n), status, (0.0, 0.0, 0.0), 0, 0.0)
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        res = np.linalg.norm(A @ x - b)
-        ok = res <= tol * max(1.0, np.linalg.norm(b))
-        return Solution(x, "optimal" if ok else "infeasible", (res, 0.0, 0.0), 0, float(f @ x))
+        # equalities only: the optimality conditions are one linear system
+        x, y = _penalized_kkt_point(P, G, h, A, b, f)
+        pres = np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b))
+        Px, Ay = P @ x, A.T @ y
+        dres = np.linalg.norm(Px + Ay + f) / max(1.0, *map(np.linalg.norm, (f, Px, Ay)))
+        # an unbounded objective leaves a dual residual no x can remove
+        status = "optimal" if max(pres, dres) <= tol else "infeasible"
+        return Solution(x, status, (pres, dres, 0.0), 0, prog.objective(x))
+
+    G, h, A, b, f, P, d_scale, e_scale = _equilibrate(G, h, A, b, f, P, cones)
+    gap_tol = tol**2 if P.any() else tol
 
     def finish(x_s, s_s, status, res, iters):
         x_o = d_scale * x_s
-        s_o = s_s / e_scale
-        return Solution(x_o, status, res, iters, float(f_orig @ x_o), slacks=s_o)
+        return Solution(x_o, status, res, iters, prog.objective(x_o), slacks=s_s / e_scale)
 
-    # starting point: least-squares primal, shifted into the cone interior
-    KA = np.vstack([A, G]) if p else G
-    Kb = np.concatenate([b, h]) if p else h
-    x, *_ = np.linalg.lstsq(KA, Kb, rcond=None)
+    # starting point as in CVXOPT's coneqp: s = h - G x and z = -s shifted
+    # into the cone interior.  A start whose x ignored P left some random
+    # quadratic programs with a cone cycling at a gap of 0.1 to 0.3.
+    x, y = _penalized_kkt_point(P, G, h, A, b, f)
     s = cones.shift_into(h - G @ x)
-    if p:
-        Kd = np.hstack([A.T, G.T])
-        yz, *_ = np.linalg.lstsq(Kd, -f, rcond=None)
-        y, z = yz[:p], yz[p:]
-    else:
-        z, *_ = np.linalg.lstsq(G.T, -f, rcond=None)
-        y = np.zeros(0)
-    z = cones.shift_into(z)
+    z = cones.shift_into(G @ x - h)
 
-    bnorm = max(1.0, np.linalg.norm(b)) if p else 1.0
+    bnorm = max(1.0, np.linalg.norm(b))
     hnorm = max(1.0, np.linalg.norm(h))
     fnorm = max(1.0, np.linalg.norm(f))
 
     def residuals(x, y, z, s):
-        rx = A.T @ y + G.T @ z + f if p else G.T @ z + f
-        ry = A @ x - b if p else np.zeros(0)
+        Px, Ay, Gz = P @ x, A.T @ y, G.T @ z
+        rx = Px + Ay + Gz + f
+        ry = A @ x - b
         rz = G @ x + s - h
         gap = float(s @ z)
-        pres = max(np.linalg.norm(rz) / hnorm, (np.linalg.norm(ry) / bnorm) if p else 0.0)
-        dres = np.linalg.norm(rx) / fnorm
-        relgap = gap / max(1.0, abs(float(f @ x)))
-        return rx, ry, rz, gap, pres, dres, relgap
+        pres = max(np.linalg.norm(rz) / hnorm, np.linalg.norm(ry) / bnorm)
+        # relative to the largest term: the terms cancel, their rounding errors do not
+        dres = np.linalg.norm(rx) / max(fnorm, *map(np.linalg.norm, (Px, Ay, Gz)))
+        relgap = gap / max(1.0, abs(float(0.5 * x @ Px + f @ x)))
+        return rx, ry, rz, gap, (pres, dres, relgap), Px
+
+    def converged(pres, dres, relgap, gap_tol=gap_tol):
+        return pres <= tol and dres <= tol and relgap <= gap_tol
 
     status = "max_iter"
     iters = 0
@@ -455,12 +484,13 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
 
     for it in range(1, max_iter + 1):
         iters = it
-        rx, ry, rz, gap, pres, dres, relgap = residuals(x, y, z, s)
+        rx, ry, rz, gap, res, Px = residuals(x, y, z, s)
+        pres, dres, relgap = res
         mu = gap / cones.degree
         merit = max(pres, dres, relgap)
         if np.isfinite(merit) and (best is None or merit < best[0]):
-            best = (merit, x.copy(), y.copy(), z.copy(), s.copy(), (pres, dres, relgap))
-        if pres <= tol and dres <= tol and relgap <= tol:
+            best = (merit, x.copy(), s.copy(), res)
+        if converged(*res):
             status = "optimal"
             break
         if best is not None and np.isfinite(merit) and merit > 1e4 * best[0] and best[0] < 1e-6:
@@ -469,16 +499,16 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
         # primal infeasibility certificate: A^T y + G^T z ~ 0, h^T z + b^T y < 0,
         # judged on the normalized ray and only without a near-feasible iterate
         near_feasible = best is not None and best[0] <= 1e3 * tol
-        ray_scale = float(np.linalg.norm(z)) + (float(np.linalg.norm(y)) if p else 0.0)
-        cert = float(h @ z) + (float(b @ y) if p else 0.0)
+        ray_scale = float(np.linalg.norm(z)) + float(np.linalg.norm(y))
+        cert = float(h @ z) + float(b @ y)
         if cert < 0.0 and ray_scale > 0.0 and not near_feasible:
-            lhs = np.linalg.norm(A.T @ y + G.T @ z) if p else np.linalg.norm(G.T @ z)
+            lhs = np.linalg.norm(A.T @ y + G.T @ z)
             if lhs <= 1e-7 * (-cert) and -cert > 1e-6 * ray_scale * max(1.0, hnorm + bnorm):
                 infeas_hits += 1
                 if infeas_hits >= 5:
                     status = "infeasible"
                     break
-        dobj = -float(h @ z) - (float(b @ y) if p else 0.0)
+        dobj = -0.5 * float(x @ Px) - float(h @ z) - float(b @ y)
         if (abs(dobj) > 1.0 / tol and not near_feasible) or not np.isfinite(mu):
             status = "infeasible"
             break
@@ -486,14 +516,15 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
             break
 
         W = _Scaling(cones, s, z)
+        if not W.ok:
+            break
         lam = W.lam
         Gs = W.apply_inv_mat(G)
-        H = Gs.T @ Gs
+        H = P + Gs.T @ Gs
         KKT = np.zeros((n + p, n + p))
         KKT[:n, :n] = H
-        if p:
-            KKT[:n, n:] = A.T
-            KKT[n:, :n] = A
+        KKT[:n, n:] = A.T
+        KKT[n:, :n] = A
         reg = 1e-13 * max(1.0, np.trace(H) / max(n, 1))
         KKT[:n, :n] += reg * np.eye(n)
         try:
@@ -502,10 +533,10 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
             break
 
         def kkt_solve(r1, r2):
-            rhs = np.concatenate([r1, r2]) if p else r1
+            rhs = np.concatenate([r1, r2])
             sol = lu_solve(fac, rhs)
             sol += lu_solve(fac, rhs - KKT @ sol)  # one refinement step
-            return (sol[:n], sol[n:]) if p else (sol, np.zeros(0))
+            return sol[:n], sol[n:]
 
         def newton_raw(bx, by, bz, blam):
             u = cones.solve_arrow(lam, blam)
@@ -517,12 +548,12 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
             return dx, dy, dz, ds
 
         def newton(ds_rhs):
-            bx, by, bz, blam = -rx, (-ry if p else np.zeros(0)), -rz, ds_rhs
+            bx, by, bz, blam = -rx, -ry, -rz, ds_rhs
             dx, dy, dz, ds = newton_raw(bx, by, bz, blam)
             for _ in range(2):  # full-system refinement keeps residuals near
                 # machine precision as the scaling degenerates
-                e1 = bx - ((A.T @ dy if p else 0.0) + G.T @ dz)
-                e2 = by - A @ dx if p else np.zeros(0)
+                e1 = bx - (P @ dx + A.T @ dy + G.T @ dz)
+                e2 = by - A @ dx
                 e3 = bz - (G @ dx + ds)
                 e4 = blam - cones.prod(lam, W.apply(dz) + W.apply_inv(ds))
                 cx, cy, cz, cs = newton_raw(e1, e2, e3, e4)
@@ -554,76 +585,44 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
         x = x + alpha * dx
         s = s + alpha * ds
         z = z + alpha * dz
-        if p:
-            y = y + alpha * dy
+        y = y + alpha * dy
 
     if status == "infeasible":
         return finish(x, s, "infeasible", (np.inf, np.inf, np.inf), iters)
     if status == "optimal":
-        res = residuals(x, y, z, s)[4:]
-        return finish(x, s, "optimal", res, iters)
+        return finish(x, s, "optimal", residuals(x, y, z, s)[4], iters)
     if best is not None:
-        _, xb, yb, zb, sb, res = best
-        status = "optimal" if max(res) <= tol else "max_iter"
-        return finish(xb, sb, status, res, iters)
+        _, xb, sb, res = best
+        ok = converged(*res) or (cones.socs and converged(*res, gap_tol=tol))
+        return finish(xb, sb, "optimal" if ok else "max_iter", res, iters)
     return finish(x, s, "max_iter", (np.inf,) * 3, iters)
 
 
 # ---------------------------------------------------------------------------
-# QP recast and weighted pseudoinverse
+# quadratic programs and weighted pseudoinverse
 # ---------------------------------------------------------------------------
 
-def _chol_psd(P: np.ndarray) -> np.ndarray:
-    """Cholesky factor of P with trace-scaled regularization; rejects non-PSD."""
-    dim = P.shape[0]
-    eps = 1e-12 * max(np.trace(P), 0.0) / max(dim, 1)
-    bump = max(eps, 0.0)
-    for _ in range(3):
-        try:
-            return np.linalg.cholesky(P + bump * np.eye(dim))
-        except np.linalg.LinAlgError:
-            bump = max(bump * 1e3, 1e-300)
-    # eigenvalue check for a clear error
-    w = np.linalg.eigvalsh(0.5 * (P + P.T))
-    if w.min() < -1e-8 * max(1.0, abs(w.max())):
-        raise OptError("quadratic form is not positive semidefinite")
-    raise OptError("Cholesky failed on a semidefinite form; increase regularization")
-
-
-def qp_to_socp(quad: QuadForm, constraints=None) -> tuple[SOCProgram, int]:
-    """Epigraph recast: appends a scalar bound on the weighted residual norm.
-
-    Returns the cone program over (x, t) plus the index of t.  At the
-    optimum t equals ``||M x + M^{-T} q||`` for the Cholesky factor M.
-    """
-    n = quad.P.shape[0]
-    L = _chol_psd(quad.P)
-    M = L.T
-    # ||M x + M^{-T} q||^2 = x^T P x + 2 q^T x + const
-    b0 = np.linalg.solve(L, quad.q)
-    blocks = [ConeBlock(np.hstack([M, np.zeros((n, 1))]), b0, np.r_[np.zeros(n), 1.0], 0.0)]
-    A_eq = np.zeros((0, n + 1))
-    b_eq = np.zeros(0)
-    if constraints is not None:
-        eq_rows, eq_rhs, ineq_rows, ineq_rhs, socs = constraints.as_blocks()
-        if eq_rows.shape[0]:
-            A_eq = np.hstack([eq_rows, np.zeros((eq_rows.shape[0], 1))])
-            b_eq = eq_rhs
-        for r, rhs in zip(ineq_rows, ineq_rhs):
-            blocks.append(ConeBlock(np.zeros((0, n + 1)), np.zeros(0), np.r_[r, 0.0], -rhs))
-        for Ab, bb, cb, db in socs:
-            Aa = np.hstack([Ab, np.zeros((Ab.shape[0], 1))])
-            blocks.append(ConeBlock(Aa, bb, np.r_[cb, 0.0], db))
-    fobj = np.r_[np.zeros(n), 1.0]
-    return SOCProgram(fobj, tuple(blocks), A_eq, b_eq), n
-
-
 def solve_qp(quad: QuadForm, constraints=None, tol: float = 1e-8, max_iter: int = 100) -> Solution:
-    """Recast + solve; the returned solution is in the original variables."""
-    prog, n = qp_to_socp(quad, constraints)
-    sol = solve_socp(prog, tol=tol, max_iter=max_iter)
-    x = sol.x[:n]
-    return Solution(x, sol.status, sol.kkt_residuals, sol.iterations, quad.value(x), slacks=sol.slacks)
+    """Minimize the quadratic form under a ``ConstraintSet`` (or none)."""
+    n = quad.P.shape[0]
+    blocks = []
+    A_eq = b_eq = None
+    if constraints is not None:
+        A_eq, b_eq, ineq_rows, ineq_rhs, socs = constraints.as_blocks()
+        blocks = [ConeBlock(np.zeros((0, n)), np.zeros(0), r, -rhs) for r, rhs in zip(ineq_rows, ineq_rhs)]
+        blocks += [ConeBlock(*soc) for soc in socs]
+    return solve_socp(SOCProgram(quad.q, blocks, A_eq, b_eq, P=quad.P), tol=tol, max_iter=max_iter)
+
+
+def warn_unconverged(sol: Solution, what: str) -> None:
+    """Warn that ``what`` accepts a solve whose status is not ``optimal``."""
+    pres, dres, gap = sol.kkt_residuals
+    warnings.warn(
+        f"{what} accepted a {sol.status} solve after {sol.iterations} iterations "
+        f"(primal residual {pres:.3e}, dual residual {dres:.3e}, gap {gap:.3e})",
+        ConvergenceWarning,
+        stacklevel=3,
+    )
 
 
 def pseudoinverse_lsq(A, b, Q) -> np.ndarray:

@@ -266,7 +266,11 @@ def fit_constrained(
     constraints: ConstraintSet | None = None,
     tol: float = 1e-8,
 ) -> Spline:
-    """Penalized least squares under a constraint set, via the cone solver."""
+    """Penalized least squares under a constraint set, via the cone solver.
+
+    A solve that stops short of ``optimal`` with KKT residuals at most 1e-6
+    is accepted with an ``opt.ConvergenceWarning``.
+    """
     if lam is None:
         lam = tikhonov_factor(sample, cfg)
     _, V, c = design_system(sample, cfg.basis)
@@ -281,10 +285,12 @@ def fit_constrained(
                 fam = max(viols, key=viols.get)
                 detail = f"; most violated family: {fam} ({viols[fam]:.3e})"
         raise opt.InfeasibleError("constrained regression is infeasible" + detail)
-    if sol.status != "optimal" and max(sol.kkt_residuals) > 1e-6:
-        raise opt.OptError(
-            f"constrained regression did not converge (residuals {sol.kkt_residuals})"
-        )
+    if sol.status != "optimal":
+        if max(sol.kkt_residuals) > 1e-6:
+            raise opt.OptError(
+                f"constrained regression did not converge (residuals {sol.kkt_residuals})"
+            )
+        opt.warn_unconverged(sol, "constrained regression")
     return Spline(cfg.basis, sol.x)
 
 

@@ -200,7 +200,6 @@ def calibrate_leverage(
     tikhonov_constant: float = 1.0,
     flags: ConstraintFlags = ConstraintFlags(),
     knot_halfwidth_stds: float = 2.5,
-    substeps: int = 1,
 ) -> LeverageSurface:
     """Run the forward particle calibration over the time grid.
 
@@ -225,18 +224,12 @@ def calibrate_leverage(
     for k in range(times.size - 1):
         t0, t1 = times[k], times[k + 1]
         rng = _step_rng(seed, "calibrate", k)
-        for j in range(substeps):
-            dt = (t1 - t0) / substeps
-            z = rng.standard_normal((2, n_particles))
-            a = p.a0 * np.exp(u)
-            lev = p.sigma_bs * s / np.sqrt(np.maximum(cond_at_particles, slices[-1].floor))
-            u, dw = ou_step_exact(u, dt, p, z)
-            s = s + a * lev * dw
-            s = np.maximum(s, 1e-8 * p.s0)
-            if substeps > 1 and j < substeps - 1:
-                # leverage is frozen over the regression interval; only the
-                # conditional variance at the moved particles is refreshed
-                cond_at_particles = slices[-1].conditional_variance(s)
+        z = rng.standard_normal((2, n_particles))
+        a = p.a0 * np.exp(u)
+        lev = p.sigma_bs * s / np.sqrt(np.maximum(cond_at_particles, slices[-1].floor))
+        u, dw = ou_step_exact(u, t1 - t0, p, z)
+        s = s + a * lev * dw
+        s = np.maximum(s, 1e-8 * p.s0)
 
         a_sq = p.a0**2 * np.exp(2.0 * u)
         x = np.log(s)
@@ -318,7 +311,6 @@ def simulate_terminal(
     n_paths: int,
     seed: int,
     antithetic: bool = True,
-    substeps: int = 1,
 ) -> np.ndarray:
     """Terminal spots under the calibrated dynamics, fresh random stream."""
     p = surface.params
@@ -326,18 +318,15 @@ def simulate_terminal(
     half = (n_paths + 1) // 2 if antithetic else n_paths
     s = np.full(2 * half if antithetic else n_paths, p.s0)
     u = np.zeros_like(s)
-    for k in range(times.size - 1):
-        t0, t1 = times[k], times[k + 1]
+    for k, dt in enumerate(np.diff(times)):
         rng = _step_rng(seed, "reprice", k)
-        for _ in range(substeps):
-            dt = (t1 - t0) / substeps
-            z_half = rng.standard_normal((2, half))
-            z = np.concatenate([z_half, -z_half], axis=1) if antithetic else z_half
-            a = p.a0 * np.exp(u)
-            lev = surface.slices[k].leverage(s)
-            u, dw = ou_step_exact(u, dt, p, z)
-            s = s + a * lev * dw
-            s = np.maximum(s, 1e-8 * p.s0)
+        z_half = rng.standard_normal((2, half))
+        z = np.concatenate([z_half, -z_half], axis=1) if antithetic else z_half
+        a = p.a0 * np.exp(u)
+        lev = surface.slices[k].leverage(s)
+        u, dw = ou_step_exact(u, dt, p, z)
+        s = s + a * lev * dw
+        s = np.maximum(s, 1e-8 * p.s0)
     return s[:n_paths]
 
 

@@ -440,6 +440,8 @@ def calibrate_surface(
     curvature (plus the time-smoothness coupling) subject to every quote
     repricing inside its bid-ask bracket.  Maturities without quotes are
     legitimate: they are shaped by the penalties and the calendar rows.
+    A solve that stops short of ``optimal`` is accepted, with an
+    ``opt.ConvergenceWarning``, only if its point satisfies every constraint.
     """
     if not market:
         raise ValueError("no market slices supplied")
@@ -521,6 +523,7 @@ def calibrate_surface(
             raise opt.OptError(
                 f"surface calibration did not converge: residuals {sol.kkt_residuals}"
             )
+        opt.warn_unconverged(sol, "surface calibration")
 
     slices = tuple(
         RNSlice(

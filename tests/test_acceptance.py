@@ -118,7 +118,7 @@ def test_criterion_2_gram_exactness():
 
 
 def test_criterion_3_solver_suite():
-    from tests.test_opt import solve_qp_oracle_box, solve_qp_oracle_eq
+    from test_opt import solve_qp_oracle_box, solve_qp_oracle_eq
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)

@@ -1,4 +1,4 @@
-"""Cone solver, QP recast and weighted pseudoinverse."""
+"""Cone solver, QP front end and weighted pseudoinverse."""
 
 from itertools import product
 
@@ -69,6 +69,13 @@ class TestSolveSOCP:
         sol = opt.solve_qp(opt.QuadForm(np.array([[2.0]])), cs)
         assert sol.status == "infeasible"
 
+    def test_orthant_only_lp(self):
+        # min x s.t. x >= 1: orthant rows and no second-order cone
+        prog = opt.SOCProgram(np.array([1.0]), [opt.ConeBlock(np.zeros((0, 1)), [], [1.0], -1.0)])
+        sol = opt.solve_socp(prog)
+        assert sol.status == "optimal"
+        assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
+
     def test_kkt_residuals_reported(self):
         prog = opt.SOCProgram(np.array([1.0]), [opt.ConeBlock(np.array([[1.0]]), [0.0], [0.0], 1.0)])
         sol = opt.solve_socp(prog, tol=1e-8)
@@ -92,19 +99,32 @@ class TestQPRecast:
         sol = opt.solve_qp(opt.QuadForm(2.0 * np.eye(2)), cs)
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-7)
 
-    def test_epigraph_value(self):
-        quad = opt.QuadForm(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([1.0, -1.0]))
-        prog, n = opt.qp_to_socp(quad)
-        sol = opt.solve_socp(prog)
-        x = sol.x[:n]
-        t = sol.x[n]
-        L = np.linalg.cholesky(quad.P + 1e-12 * np.trace(quad.P) / 2 * np.eye(2))
-        expected = np.linalg.norm(L.T @ x + np.linalg.solve(L, quad.q))
-        assert t == pytest.approx(expected, abs=1e-6)
+    def test_objective_and_equality_only_solve(self):
+        P = np.array([[2.0, 0.5], [0.5, 4.0]])
+        q = np.array([1.0, -1.0])
+        A, b = np.array([[1.0, 2.0]]), np.array([0.5])
+        quad = opt.QuadForm(P, q)
+        cs = ConstraintSet(2)
+        cs.add_eq(A[0], b[0], "eq")
+        sol = opt.solve_qp(quad, cs)
+        assert sol.objective == quad.value(sol.x)
+        # no cone rows: one KKT solve, no interior-point iterations
+        assert sol.status == "optimal" and sol.iterations == 0
+        np.testing.assert_allclose(sol.x, solve_qp_oracle_eq(P, q, A, b), atol=1e-12)
+
+    @pytest.mark.parametrize("P", [np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])])
+    def test_variable_in_no_constraint_row(self, P):
+        # x1 appears in no row and the one row, x0 >= 0, is inactive
+        q = np.array([-1.0, -1.0])
+        cs = ConstraintSet(2)
+        cs.add_ineq([1.0, 0.0], 0.0, "x0 >= 0")
+        sol = opt.solve_qp(opt.QuadForm(P, q), cs)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, np.linalg.solve(P, -q), rtol=1e-9)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(opt.OptError):
-            opt.qp_to_socp(opt.QuadForm(np.array([[1.0, 0.0], [0.0, -1.0]])))
+        with pytest.raises(opt.OptError, match="not positive semidefinite"):
+            opt.QuadForm(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
     def test_matches_normal_equations_unconstrained(self):
         rng = np.random.default_rng(21)

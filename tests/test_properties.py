@@ -1,8 +1,10 @@
-"""Invariants of the moment tables and the pricing rows, on random inputs.
+"""Invariants of the moment tables, the pricing rows and the cone solver,
+on random inputs.
 
-The oracles share no code with the tables: ``scipy.integrate.quad`` of the
-densities written out here, split at the knots and at multiples of the
-standard deviation, and basis values from the recursive evaluation route.
+The oracles share no code with the parts under test: ``scipy.integrate.quad``
+of the densities written out here, split at the knots and at multiples of
+the standard deviation, basis values from the recursive evaluation route,
+and scipy's SLSQP for the solver.
 """
 
 import math
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
-from volspline import bspline as bs, priors as pr, regression as rg, surface as sf
+from volspline import bspline as bs, opt, priors as pr, regression as rg, surface as sf
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 SPLITS = np.array([-40.0, -20.0, -10.0, -6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0, 10.0, 20.0, 40.0])
@@ -267,3 +270,56 @@ def test_calls_nonincreasing_and_convex_for_nonnegative_weights(data, kind, T):
     assert np.diff(calls).max() <= 1e-10 * F
     slopes = np.diff(calls) / np.diff(strikes)
     assert np.diff(slopes).min() >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# cone solver
+# ---------------------------------------------------------------------------
+
+@settings(SETTINGS, max_examples=150)
+@given(data=st.data(), n=st.integers(2, 6), m=st.integers(0, 8), with_soc=st.booleans())
+def test_qp_solutions_are_feasible_and_match_slsqp(data, n, m, with_soc):
+    """Random strictly feasible QPs: inequality rows and an optional cone
+    around an interior point x0, equalities through x0.  Some variables may
+    have no entry in the inequality rows."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    B = rng.standard_normal((n, n))
+    scale = 10.0 ** data.draw(st.floats(-3.0, 3.0))
+    P = scale * (B @ B.T + data.draw(st.floats(0.05, 1.0)) * np.eye(n))
+    q = 3.0 * scale * rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    cs = rg.ConstraintSet(n)
+    G = rng.standard_normal((m, n))
+    G[:, data.draw(st.lists(st.integers(0, n - 1), max_size=n - 1))] = 0.0
+    cs.add_ineq_rows(G, G @ x0 - rng.uniform(0.1, 1.0, m), "ineq")
+    me = data.draw(st.integers(0, n - 1))
+    A = rng.standard_normal((me, n))
+    cs.add_eq_rows(A, A @ x0, "eq")
+    if with_soc:
+        k = data.draw(st.integers(1, n))
+        As, bs_, cs_ = rng.standard_normal((k, n)), rng.standard_normal(k), rng.standard_normal(n)
+        ds = np.linalg.norm(As @ x0 + bs_) - cs_ @ x0 + rng.uniform(0.1, 1.0)
+        cs.add_soc(As, bs_, cs_, ds, "soc")
+
+    quad_form = opt.QuadForm(P, q)
+    sol = opt.solve_qp(quad_form, cs)
+    assert sol.status == "optimal", (sol.status, sol.kkt_residuals)
+    assert max(cs.violations(sol.x).values(), default=0.0) <= 1e-7
+
+    cons = [{"type": "ineq", "fun": lambda x: G @ x - cs.ineq_rhs, "jac": lambda x: G}] if m else []
+    if me:
+        cons.append({"type": "eq", "fun": lambda x: A @ x - A @ x0, "jac": lambda x: A})
+    if with_soc:
+        cons.append({"type": "ineq", "fun": lambda x: cs_ @ x + ds - np.linalg.norm(As @ x + bs_)})
+    # SLSQP's stopping test is absolute: hand it the objective in units of scale
+    ref = minimize(lambda x: quad_form.value(x) / scale, x0, jac=lambda x: (P @ x + q) / scale,
+                   constraints=cons, method="SLSQP", options={"ftol": 1e-14, "maxiter": 500})
+    assume(ref.success and max(cs.violations(ref.x).values(), default=0.0) <= 1e-9)
+    ref_value = quad_form.value(ref.x)
+    atol = 1e-6 * max(abs(ref_value), scale)
+    # SLSQP's point is feasible, so it bounds the optimum from above.  Without
+    # a cone it is the optimum too; with one it can stop short near the apex,
+    # where the norm has no gradient
+    assert sol.objective <= ref_value + atol
+    if not with_soc:
+        assert sol.objective >= ref_value - atol

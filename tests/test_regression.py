@@ -1,7 +1,10 @@
 """Penalized fits, constraint builders and marginal compatibility."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from volspline import bspline as bs, opt, priors as pr, regression as rg
 
@@ -233,6 +236,41 @@ class TestCompatibility:
         gap = (c @ w + d) - np.linalg.norm(A @ w + b)
         assert gap > 0.1  # variance slack
 
+    def test_convex_order_cone_solution(self):
+        # inactive, the cone leaves the fit alone; active, the fit is the
+        # minimizer of the objective plus mu/2 |A w|^2 under the mean row,
+        # with the multiplier mu found by a scalar root search
+        rng = np.random.default_rng(8)
+        basis = bs.make_basis(np.linspace(-2, 2, 8), 2, truncation=1)
+        cfg = rg.RegressionConfig(basis, penalty_order=2)
+        prior = pr.BachelierPrior(0.0, 1.0)
+        x = rng.standard_normal(500)
+        s = rg.Sample(x, 1.0 + 0.5 * np.tanh(x) + 0.1 * rng.standard_normal(500))
+        w_free = rg.fit_constrained(s, cfg, constraints=rg.compatibility_constraints(basis, prior, (1.0, None, None))).weights
+        cs = rg.compatibility_constraints(basis, prior, (1.0, 1.5, None))
+        w = rg.fit_constrained(s, cfg, constraints=cs).weights
+        A, _, _, d = cs.socs[0]
+        assert d - np.linalg.norm(A @ w) > 0.1
+        assert np.abs(w - w_free).max() <= 1e-9 * np.abs(w_free).max()
+
+        _, V, c = rg.design_system(s, basis)
+        P = 2.0 * (V + rg.tikhonov_factor(s, cfg) * rg.penalty_matrix(cfg))
+        for ey2 in (1.1, 1.05):
+            cs = rg.compatibility_constraints(basis, prior, (1.0, ey2, None))
+            A, _, _, d = cs.socs[0]
+            E, e = cs.eq_rows, cs.eq_rhs
+            n = P.shape[0]
+
+            def w_of(mu):
+                K = np.block([[P + mu * A.T @ A, E.T], [E, np.zeros((1, 1))]])
+                return np.linalg.solve(K, np.concatenate([2.0 * c, e]))[:n]
+
+            mu = brentq(lambda mu: np.linalg.norm(A @ w_of(mu)) - d, 0.0, 1e6, xtol=1e-15, rtol=1e-15)
+            assert mu > 1e-2
+            w_ref = w_of(mu)
+            w = rg.fit_constrained(s, cfg, constraints=cs).weights
+            assert np.abs(w - w_ref).max() <= 1e-8 * np.abs(w_ref).max()
+
     def test_infeasible_reports_family(self):
         rng = np.random.default_rng(9)
         basis = bs.make_basis(np.linspace(-2, 2, 8), 2, truncation=1)
@@ -274,3 +312,32 @@ class TestConstrainedMatchesUnconstrained:
         w2 = rg.fit_constrained(s, cfg, lam, cs).weights
         assert w1.min() > 0.1
         assert np.abs(w1 - w2).max() <= 1e-5
+
+    @pytest.mark.parametrize("kind, value", [("value_ge", -5.0), ("value_le", 5.0)])
+    def test_inactive_bound_at_one_point(self, kind, value):
+        # the bound's row has entries only for the B-splines alive at x;
+        # the other weights appear in no constraint row
+        rng = np.random.default_rng(7)
+        cfg = make_cfg()
+        x = rng.uniform(-2, 2, 200)
+        s = rg.Sample(x, np.sin(x) + 0.1 * rng.standard_normal(200))
+        cs = rg.shape_constraints(cfg.basis, {"kind": kind, "x": 0.3, "value": value})
+        assert (cs.ineq_rows == 0.0).all(axis=0).any()
+        w_free = rg.fit_penalized(s, cfg).weights
+        w_bound = rg.fit_constrained(s, cfg, constraints=cs).weights
+        assert np.abs(w_bound - w_free).max() <= 1e-9 * np.abs(w_free).max()
+
+
+def test_accepted_unconverged_fit_warns(stall_solver):
+    rng = np.random.default_rng(12)
+    cfg = make_cfg()
+    x = rng.uniform(-2, 2, 300)
+    s = rg.Sample(x, np.cos(x) + 0.1 * rng.standard_normal(300))
+    cs = rg.shape_constraints(cfg.basis, "nonnegative")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", opt.ConvergenceWarning)
+        w_optimal = rg.fit_constrained(s, cfg, 1e-4, cs).weights
+    stall_solver()
+    with pytest.warns(opt.ConvergenceWarning, match="constrained regression accepted a max_iter solve"):
+        w_stalled = rg.fit_constrained(s, cfg, 1e-4, cs).weights
+    np.testing.assert_array_equal(w_stalled, w_optimal)

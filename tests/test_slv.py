@@ -129,6 +129,16 @@ class TestCalibration:
         cap = slv.fourth_moment(params, t)
         assert total < cap * (1.0 - 1e-3)  # strictly slack, not binding
 
+    def test_inactive_cap_leaves_calibration_unchanged(self, params):
+        # the cone row does not bind, so every slice must match the
+        # calibration without it to solver precision
+        grid = np.linspace(0, 0.5, 6)
+        capped = slv.calibrate_leverage(params, grid, 4000, seed=12, flags=slv.ConstraintFlags(True, True, True))
+        free = slv.calibrate_leverage(params, grid, 4000, seed=12, flags=slv.ConstraintFlags(True, True, False))
+        for a, b in zip(capped.slices[1:], free.slices[1:]):
+            ca, cb = a.cond_var.coeffs, b.cond_var.coeffs
+            assert np.abs(ca - cb).max() <= 1e-8 * np.abs(cb).max()
+
     def test_rejects_bad_grid(self, params):
         with pytest.raises(ValueError):
             slv.calibrate_leverage(params, [0.5, 1.0], 1000)

@@ -1,6 +1,7 @@
 """Linear pricing forms, slice calibration and the joint surface program."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,17 @@ class TestSliceCalibration:
         for q, p in zip(ms.quotes, prices):
             assert q.bid - 1e-7 <= p <= q.ask + 1e-7
         assert min(sl.weights) >= -1e-9
+
+    def test_accepted_unconverged_calibration_warns(self, lognormal_prior, stall_solver):
+        ms = prior_quotes(lognormal_prior, 1.0, [80.0, 90.0, 100.0, 110.0, 125.0], spread=0.05)
+        cfg = sf.SurfaceConfig(n_knots=11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", opt.ConvergenceWarning)
+            w_optimal = sf.calibrate_slice(ms, lognormal_prior, cfg).weights
+        stall_solver()
+        with pytest.warns(opt.ConvergenceWarning, match="surface calibration accepted a max_iter solve"):
+            w_stalled = sf.calibrate_slice(ms, lognormal_prior, cfg).weights
+        np.testing.assert_array_equal(w_stalled, w_optimal)
 
     def test_infeasible_brackets_reported(self, lognormal_prior):
         # quotes violating convexity cannot be matched by any density
