@@ -35,6 +35,7 @@ __all__ = [
     "Spline",
     "DiracComb",
     "DerivativeMap",
+    "LebesgueMeasure",
     "make_basis",
     "locate",
     "eval_basis",
@@ -569,19 +570,21 @@ class CompiledBasis:
             out[rows, cols] = acc
         return out
 
+    def derivative(self) -> "CompiledBasis":
+        """The first derivatives of the kept functions, on the same pieces."""
+        c = self.coeffs
+        if c.shape[2] == 1:
+            dc = np.zeros_like(c)
+        else:
+            dc = c[:, :, 1:] * np.arange(1, c.shape[2])
+        return CompiledBasis(basis=self.basis, breakpoints=self.breakpoints, refs=self.refs, coeffs=dc)
+
     def spline_values(self, weights: np.ndarray, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        w = np.asarray(weights, dtype=float)
         idx = np.searchsorted(self.breakpoints, xs, side="right")
         u = xs - self.refs[idx]
-        # collapse weighted coefficients per interval once, then Horner
-        tab = getattr(self, "_wtab_cache", None)
-        key = w.tobytes()
-        if tab is None or tab[0] != key:
-            wc = np.tensordot(w, self.coeffs, axes=(0, 0))  # (intervals, order+1)
-            object.__setattr__(self, "_wtab_cache", (key, wc))
-        else:
-            wc = tab[1]
+        # collapse weighted coefficients per interval, then Horner
+        wc = np.tensordot(np.asarray(weights, dtype=float), self.coeffs, axes=(0, 0))  # (intervals, order+1)
         c = wc[idx]
         acc = c[:, -1].copy()
         for d in range(c.shape[1] - 2, -1, -1):
@@ -932,29 +935,28 @@ def _comb_gram(knots: KnotVector) -> np.ndarray:
     return np.diag(diag)
 
 
-def _lebesgue_gram(cb: CompiledBasis, npts: int) -> np.ndarray:
-    """Gauss-Legendre inner products over the knot span.
+class LebesgueMeasure:
+    """Plain dx on an interval (or the whole line)."""
 
-    Requires the compiled functions to vanish off the knot span; callers
-    enforce this by checking truncation before integrating over the line.
-    """
-    basis = cb.basis
-    g = basis.knots.knots
-    dim = basis.dimension
-    gram = np.zeros((dim, dim))
-    xsn, wsn = gauss_legendre_rule(npts)
-    for i in range(g.size - 1):
-        a, b = g[i], g[i + 1]
-        if b <= a:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xs = mid + half * xsn
-        vals = cb.evaluate(xs)  # (npts, dim)
-        gram += half * (vals.T * wsn) @ vals
-    return gram
+    def __init__(self, lower: float = -np.inf, upper: float = np.inf):
+        self.lower = lower
+        self.upper = upper
+
+    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        """Integrals of (x - ref_i)^d dx over [lo_i, hi_i] clipped to the support."""
+        lo = np.maximum(np.asarray(lo, dtype=float), self.lower)
+        hi = np.minimum(np.asarray(hi, dtype=float), self.upper)
+        ref = np.asarray(ref, dtype=float)
+        live = hi > lo
+        if not np.all(np.isfinite(lo[live]) & np.isfinite(hi[live])):
+            raise ValueError("Lebesgue moment table requires finite clipped bounds")
+        p = np.arange(1, deg + 2)
+        ua = np.where(live, lo - ref, 0.0)[..., None]
+        ub = np.where(live, hi - ref, 0.0)[..., None]
+        return (ub**p - ua**p) / p
 
 
-def gram_matrix(basis: BasisSpec, p: int = 0, weight=None, gl_points: int | None = None) -> np.ndarray:
+def gram_matrix(basis: BasisSpec, p: int = 0, weight=None) -> np.ndarray:
     """Matrix of inner products of p-th derivatives of the kept functions.
 
     Against Lebesgue measure (``weight=None``) the integral runs over the
@@ -981,10 +983,8 @@ def gram_matrix(basis: BasisSpec, p: int = 0, weight=None, gl_points: int | None
             raise SplineError(
                 "square-integrability over the line needs truncation < penalty order"
             )
-        npts = gl_points if gl_points is not None else n + 1
-        core = _lebesgue_gram(low.compiled(), npts)
-    else:
-        core = weighted_gram(low.compiled(), weight)
+        weight = LebesgueMeasure()
+    core = weighted_gram(low.compiled(), weight)
     return dm.matrix.T @ core @ dm.matrix
 
 

@@ -16,8 +16,9 @@ growing boundary-layer modes.  The stepping therefore closes the system
 with strong-form collocation of the equation at the two boundary knots,
 and then projects each accepted step exactly onto the mass/mean
 constraint manifold, so the integral conditions hold at every step by
-construction.  The step systems are banded plus two extra rows and are
-solved by the structured bordered elimination.
+construction.  Each step system is banded in the interior trial functions
+plus two flat-wing columns and two collocation rows; one banded LU of the
+interior block and a 2 x 2 Schur complement for the wings solve it.
 """
 
 from __future__ import annotations
@@ -143,32 +144,23 @@ class GalerkinSystem:
     bandwidth: int
 
 
-def _basis_tables(cb: CompiledBasis, npts: int):
+GL_POINTS = 10  # Gauss-Legendre points per knot interval in the weak form
+
+
+def _basis_tables(cb: CompiledBasis):
     """Gauss-Legendre points and weights on the knot intervals, with the
     basis values and derivatives there."""
-    basis = cb.basis
-    g = basis.knots.knots
-    xs_n, ws_n = gauss_legendre_rule(npts)
-    xs = []
-    ws = []
-    for i in range(g.size - 1):
-        a, b = g[i], g[i + 1]
-        if b <= a:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xs.append(mid + half * xs_n)
-        ws.append(half * ws_n)
-    xs = np.concatenate(xs)
-    ws = np.concatenate(ws)
-    vals = cb.evaluate(xs)
-    # derivative values from the local polynomial coefficients
-    dcoef = cb.coeffs[:, :, 1:] * np.arange(1, cb.coeffs.shape[2])
-    dcb = CompiledBasis(basis=basis, breakpoints=cb.breakpoints, refs=cb.refs, coeffs=dcoef)
-    dvals = dcb.evaluate(xs)
-    return xs, ws, vals, dvals
+    g = cb.basis.knots.knots
+    xs_n, ws_n = gauss_legendre_rule(GL_POINTS)
+    a, b = g[:-1], g[1:]
+    live = b > a
+    mid, half = 0.5 * (a + b)[live, None], 0.5 * (b - a)[live, None]
+    xs = (mid + half * xs_n).reshape(-1)
+    ws = (half * ws_n).reshape(-1)
+    return xs, ws, cb.evaluate(xs), cb.derivative().evaluate(xs)
 
 
-def assemble(problem: PDEProblem, t: float, gl_points: int = 10, tables=None) -> GalerkinSystem:
+def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
     """Weak-form matrices at time t.
 
     Rows correspond to the compact-support test functions; columns to the
@@ -176,13 +168,13 @@ def assemble(problem: PDEProblem, t: float, gl_points: int = 10, tables=None) ->
     coefficient is ``v dlog(phi0)/dx + v_x / 2`` and the reaction term
     collects the base-relative second-derivative terms; both involve only
     polynomial ratios for the Gaussian base.  ``tables`` are the quadrature
-    tables of ``gl_points`` points per interval, when the caller has them
-    (``evolve`` computes them once for all its steps).
+    tables of ``_basis_tables``, when the caller has them (``evolve``
+    computes them once for all its steps).
     """
     if t <= 0.0:
         raise PDEError("coefficients are defined for t > 0")
     basis = problem.basis
-    xs, ws, vals, dvals = tables if tables is not None else _basis_tables(basis.compiled(), gl_points)
+    xs, ws, vals, dvals = tables if tables is not None else _basis_tables(basis.compiled())
     v = np.asarray(problem.local_variance.value(t, xs), dtype=float)
     if np.any(v <= 0.0):
         raise PDEError("local variance must be positive on the domain")
@@ -228,88 +220,39 @@ def solve_bordered_banded(
     rhs_border: np.ndarray,
     bandwidth: int,
 ) -> np.ndarray:
-    """Gaussian elimination specialized to banded rows plus dense borders.
+    """Solve ``[band; border] x = [rhs_band; rhs_border]`` for banded rows
+    plus two dense border rows.
 
-    Eliminations stay within each row's nonzero window, so the banded part
-    costs O(dim * bandwidth^2) and each dense border row O(dim).  Pivoting
-    is threshold-based: a banded row is preferred while its pivot is within
-    a factor 10 of the best available, which keeps multipliers bounded
-    without densifying the band in the typical case.
+    The unknowns split into the interior block ``x[1:-1]`` and the two wing
+    columns.  The square interior block ``band[:, 1:-1]``, with ``bandwidth``
+    sub- and super-diagonals, takes one banded LU (LAPACK ``gbsv``) for
+    three right-hand sides: ``rhs_band`` and the two wing columns.  The
+    border rows then reduce to a 2 x 2 Schur complement for the wing
+    weights, and the interior follows by back-substitution.  The interior
+    block must be nonsingular, since the LU pivots only inside it and never
+    across the border rows; in ``evolve`` it is the symmetric positive
+    definite interior mass block minus ``theta dt`` times the stiffness.
     """
+    from scipy.linalg import solve_banded  # here, so that importing pde does not load scipy.linalg
+
     r, d = band.shape
-    nb = border.shape[0]
-    if r + nb != d:
+    if border.shape != (2, d) or r + 2 != d:
         raise PDEError("bordered system is not square")
-    rows = np.vstack([band, border])
-    rhs = np.concatenate([rhs_band, rhs_border])
-    n_rows = rows.shape[0]
-
-    win_lo = np.zeros(n_rows, dtype=int)
-    win_hi = np.zeros(n_rows, dtype=int)
-    for i in range(n_rows):
-        nz = np.nonzero(rows[i])[0]
-        if nz.size == 0:
-            raise PDEError("zero row in the bordered system")
-        win_lo[i], win_hi[i] = nz[0], nz[-1]
-    width = win_hi - win_lo
-
-    pivot_row_of_col: dict[int, int] = {}
-    pivoted = np.zeros(n_rows, dtype=bool)
-    order: list[int] = []
-    for j in range(d):
-        cand = [i for i in range(n_rows) if not pivoted[i] and win_lo[i] <= j <= win_hi[i] and rows[i, j] != 0.0]
-        if not cand:
-            return _dense_fallback(band, border, rhs_band, rhs_border)
-        best = max(abs(rows[i, j]) for i in cand)
-        narrow = [i for i in cand if width[i] <= 4 * bandwidth + 2]
-        piv = None
-        if narrow:
-            piv = max(narrow, key=lambda i: abs(rows[i, j]))
-            if abs(rows[piv, j]) < 0.1 * best:
-                piv = None
-        if piv is None:
-            piv = max(cand, key=lambda i: abs(rows[i, j]))
-        pivoted[piv] = True
-        pivot_row_of_col[j] = piv
-        order.append(j)
-        lo, hi = win_lo[piv], win_hi[piv]
-        for i in cand:
-            if i == piv:
-                continue
-            f = rows[i, j] / rows[piv, j]
-            rows[i, lo : hi + 1] -= f * rows[piv, lo : hi + 1]
-            rows[i, j] = 0.0
-            rhs[i] -= f * rhs[piv]
-            win_lo[i] = min(win_lo[i], lo)
-            win_hi[i] = max(win_hi[i], hi)
-            width[i] = win_hi[i] - win_lo[i]
-
-    x = np.zeros(d)
-    for j in reversed(order):
-        i = pivot_row_of_col[j]
-        lo, hi = win_lo[i], win_hi[i]
-        acc = rhs[i] - rows[i, lo : hi + 1] @ x[lo : hi + 1] + rows[i, j] * x[j]
-        x[j] = acc / rows[i, j]
-    return x
-
-
-def _dense_fallback(band, border, rhs_band, rhs_border) -> np.ndarray:
-    full = np.vstack([band, border])
-    rhs = np.concatenate([rhs_band, rhs_border])
+    interior = band[:, 1:-1]
+    inside = np.abs(np.subtract.outer(np.arange(r), np.arange(r))) <= bandwidth
+    if np.any(interior[~inside]):
+        raise PDEError("interior block is wider than the bandwidth")
+    i, j = np.nonzero(inside)
+    ab = np.zeros((2 * bandwidth + 1, r))  # LAPACK band storage: ab[bandwidth + i - j, j]
+    ab[bandwidth + i - j, j] = interior[i, j]
     try:
-        return np.linalg.solve(full, rhs)
+        y = solve_banded((bandwidth, bandwidth), ab, np.column_stack([rhs_band, band[:, 0], band[:, -1]]))
+        inner = border[:, 1:-1]
+        schur = border[:, [0, -1]] - inner @ y[:, 1:]
+        wings = np.linalg.solve(schur, rhs_border - inner @ y[:, 0])
     except np.linalg.LinAlgError as exc:
         raise PDEError("bordered system is singular") from exc
-
-
-def _derived_tables(cb: CompiledBasis, orders: int):
-    """Compiled coefficient tensors of the basis and its first derivatives."""
-    tabs = [cb]
-    c = cb.coeffs
-    for _ in range(orders):
-        c = c[:, :, 1:] * np.arange(1, c.shape[2]) if c.shape[2] > 1 else np.zeros_like(c[:, :, :1])
-        tabs.append(CompiledBasis(basis=cb.basis, breakpoints=cb.breakpoints, refs=cb.refs, coeffs=c))
-    return tabs
+    return np.concatenate([wings[:1], y[:, 0] - y[:, 1:] @ wings, wings[1:]])
 
 
 def collocation_rows(problem: PDEProblem, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -321,10 +264,11 @@ def collocation_rows(problem: PDEProblem, t: float) -> tuple[np.ndarray, np.ndar
     basis = problem.basis
     g = basis.knots.knots
     pts = np.array([g[0], g[-1]])
-    cb0, cb1, cb2 = _derived_tables(basis.compiled(), 2)
-    B0 = cb0.evaluate(pts)
-    B1 = cb1.evaluate(pts)
-    B2 = cb2.evaluate(pts)
+    cb = basis.compiled()
+    d1 = cb.derivative()
+    B0 = cb.evaluate(pts)
+    B1 = d1.evaluate(pts)
+    B2 = d1.derivative().evaluate(pts)
     v = np.asarray(problem.local_variance.value(t, pts), dtype=float)
     vx = np.asarray(problem.local_variance.dx(t, pts), dtype=float)
     vxx = np.asarray(problem.local_variance.dxx(t, pts), dtype=float)
@@ -360,8 +304,6 @@ def evolve(
     problem: PDEProblem,
     steps: int,
     scheme: str = "cn",
-    gl_points: int = 10,
-    time_grid: np.ndarray | None = None,
     rannacher: int = 2,
 ) -> Trajectory:
     """March the constrained system from the constant initial ratio.
@@ -377,12 +319,7 @@ def evolve(
         raise PDEError(f"unknown scheme {scheme!r}")
     basis = problem.basis
     dim = basis.dimension
-    if time_grid is None:
-        times = np.linspace(0.0, problem.horizon, steps + 1)
-    else:
-        times = np.asarray(time_grid, dtype=float)
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-            raise PDEError("time grid must start at zero and increase")
+    times = np.linspace(0.0, problem.horizon, steps + 1)
 
     # startup check: the truncated basis must reproduce the constant 1
     g = basis.knots.knots
@@ -391,7 +328,7 @@ def evolve(
     if np.abs(ones - 1.0).max() > 1e-10:
         raise PDEError("basis does not represent the constant initial ratio exactly")
 
-    tables = _basis_tables(basis.compiled(), gl_points)
+    tables = _basis_tables(basis.compiled())
     sys0 = assemble(problem, 0.5 * (times[0] + times[1]), tables=tables)
     A = sys0.mass
     W = np.empty((times.size, dim))

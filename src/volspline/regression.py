@@ -17,6 +17,8 @@ import numpy as np
 from volspline import opt
 from volspline.bspline import (
     BasisSpec,
+    CompiledBasis,
+    LebesgueMeasure,
     Spline,
     SplineError,
     derivative_decomposition,
@@ -35,6 +37,7 @@ __all__ = [
     "fit_constrained",
     "shape_constraints",
     "compatibility_constraints",
+    "add_second_moment_cap",
 ]
 
 
@@ -190,27 +193,6 @@ class ConstraintSet:
             gap = float(np.linalg.norm(A @ w + b) - (c @ w + d))
             out[fam] = max(out.get(fam, 0.0), max(0.0, gap))
         return out
-
-
-class LebesgueMeasure:
-    """Plain dx on an interval (or the whole line)."""
-
-    def __init__(self, lower: float = -np.inf, upper: float = np.inf):
-        self.lower = lower
-        self.upper = upper
-
-    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
-        """Integrals of (x - ref_i)^d dx over [lo_i, hi_i] clipped to the support."""
-        lo = np.maximum(np.asarray(lo, dtype=float), self.lower)
-        hi = np.minimum(np.asarray(hi, dtype=float), self.upper)
-        ref = np.asarray(ref, dtype=float)
-        live = hi > lo
-        if not np.all(np.isfinite(lo[live]) & np.isfinite(hi[live])):
-            raise ValueError("Lebesgue moment table requires finite clipped bounds")
-        p = np.arange(1, deg + 2)
-        ua = np.where(live, lo - ref, 0.0)[..., None]
-        ub = np.where(live, hi - ref, 0.0)[..., None]
-        return (ub**p - ua**p) / p
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +406,17 @@ def compatibility_constraints(
     if ey2 is not None:
         if ey2 < 0.0:
             raise ValueError("second moment must be nonnegative")
-        M = weighted_gram(cb, marginal_x)
-        jitter = 1e-14 * max(np.trace(M), 1.0)
-        L = np.linalg.cholesky(M + jitter * np.eye(M.shape[0]))
-        cs.add_soc(L.T, np.zeros(basis.dimension), np.zeros(basis.dimension), np.sqrt(ey2), "convex-order")
+        add_second_moment_cap(cs, cb, marginal_x, ey2, "convex-order")
     return cs
+
+
+def add_second_moment_cap(cs: ConstraintSet, cb: CompiledBasis, measure, bound: float, family: str) -> None:
+    """Cone row capping the second moment of the fit against ``measure``.
+
+    With the Gram ``M = L L^T`` of ``cb`` against the measure (Cholesky,
+    with a jitter of ``1e-14 max(trace M, 1)``), ``|L^T w| <= sqrt(bound)``
+    says ``w^T M w``, the integral of the squared fit, is at most ``bound``.
+    """
+    M = weighted_gram(cb, measure)
+    L = np.linalg.cholesky(M + 1e-14 * max(np.trace(M), 1.0) * np.eye(M.shape[0]))
+    cs.add_soc(L.T, np.zeros(cs.dim), np.zeros(cs.dim), np.sqrt(bound), family)

@@ -19,7 +19,7 @@ from numpy.polynomial import Polynomial
 
 from volspline import regression as rg
 from volspline.black import implied_vol
-from volspline.bspline import PiecewisePoly, Spline, make_basis, moment_rows, weighted_gram
+from volspline.bspline import PiecewisePoly, Spline, make_basis, moment_rows
 from volspline.priors import BachelierPrior
 
 __all__ = [
@@ -249,10 +249,7 @@ def calibrate_leverage(
         if flags.nonnegative:
             cs.add_ineq_rows(np.eye(basis.dimension), 0.0, "nonnegative")
         if flags.quadratic_cap:
-            M = weighted_gram(cb, marginal)
-            L = np.linalg.cholesky(M + 1e-14 * max(np.trace(M), 1.0) * np.eye(M.shape[0]))
-            cs.add_soc(L.T, np.zeros(basis.dimension), np.zeros(basis.dimension),
-                       np.sqrt(fourth_moment(p, t1)), "second-moment-cap")
+            rg.add_second_moment_cap(cs, cb, marginal, fourth_moment(p, t1), "second-moment-cap")
 
         if cs.n_rows:
             try:

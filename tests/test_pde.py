@@ -99,19 +99,45 @@ class TestBorderedSolve:
         assert worst <= 1e-10
 
     def test_matches_dense_on_assembled_step_systems(self):
-        prob = ratio_problem(0.9, n_knots=25, half_sigmas=5.0)
-        A = pde.assemble(prob, 0.55).mass
-        B = pde.assemble(prob, 0.55).stiffness
-        vals, op = pde.collocation_rows(prob, 0.55)
-        dt = 0.01
-        band = A - 0.5 * dt * B
-        border = vals - 0.5 * dt * op
+        # the early, stiff step is where the interior block is least well conditioned
         rng = np.random.default_rng(5)
-        rb = rng.standard_normal(band.shape[0])
-        rbb = rng.standard_normal(2)
-        x1 = pde.solve_bordered_banded(band, border, rb, rbb, prob.basis.order)
-        x2 = np.linalg.solve(np.vstack([band, border]), np.concatenate([rb, rbb]))
-        assert np.abs(x1 - x2).max() <= 1e-10 * max(1.0, np.abs(x2).max())
+        dt = 0.01
+        for n_knots in (25, 40):
+            prob = ratio_problem(0.9, n_knots=n_knots, half_sigmas=5.0)
+            for t in (0.005, 0.55, 0.995):
+                sys_ = pde.assemble(prob, t)
+                vals, op = pde.collocation_rows(prob, t)
+                band = sys_.mass - 0.5 * dt * sys_.stiffness
+                border = vals - 0.5 * dt * op
+                rb = rng.standard_normal(band.shape[0])
+                rbb = rng.standard_normal(2)
+                x1 = pde.solve_bordered_banded(band, border, rb, rbb, prob.basis.order)
+                x2 = np.linalg.solve(np.vstack([band, border]), np.concatenate([rb, rbb]))
+                assert np.abs(x1 - x2).max() <= 1e-10 * max(1.0, np.abs(x2).max()), (n_knots, t)
+
+    def test_singular_system_raises(self):
+        prob = ratio_problem(0.9, n_knots=25, half_sigmas=5.0)
+        sys_ = pde.assemble(prob, 0.55)
+        vals, op = pde.collocation_rows(prob, 0.55)
+        band = sys_.mass - 0.005 * sys_.stiffness
+        border = vals - 0.005 * op
+        rb = np.ones(band.shape[0])
+        rbb = np.ones(2)
+        equal_borders = np.vstack([border[0], border[0]])
+        with pytest.raises(pde.PDEError, match="singular"):
+            pde.solve_bordered_banded(band, equal_borders, rb, rbb, prob.basis.order)
+        zero_row = band.copy()
+        zero_row[band.shape[0] // 2] = 0.0
+        with pytest.raises(pde.PDEError, match="singular"):
+            pde.solve_bordered_banded(zero_row, border, rb, rbb, prob.basis.order)
+
+    def test_rejects_entries_outside_the_band(self):
+        prob = ratio_problem(0.9, n_knots=25, half_sigmas=5.0)
+        sys_ = pde.assemble(prob, 0.55)
+        vals, _ = pde.collocation_rows(prob, 0.55)
+        rb = np.ones(sys_.mass.shape[0])
+        with pytest.raises(pde.PDEError, match="bandwidth"):
+            pde.solve_bordered_banded(sys_.mass, vals, rb, np.ones(2), prob.basis.order - 1)
 
 
 class TestEvolve:
