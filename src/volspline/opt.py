@@ -45,11 +45,9 @@ class ConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ConeBlock:
-    """One constraint ``||A x + b|| <= c^T x + d``.
-
-    With an empty ``A`` (zero rows) the block degenerates to the linear
-    inequality ``0 <= c^T x + d``.
-    """
+    """One second-order cone ``||A x + b|| <= c^T x + d``; ``A`` has at
+    least one row.  Linear inequalities are the orthant rows ``G x <= h``
+    of ``SOCProgram``."""
 
     A: np.ndarray
     b: np.ndarray
@@ -57,12 +55,14 @@ class ConeBlock:
     d: float
 
     def __init__(self, A, b, c, d):
-        A = np.atleast_2d(np.asarray(A, dtype=float)) if np.size(A) else np.zeros((0, np.size(c)))
+        A = np.atleast_2d(np.asarray(A, dtype=float))
         b = np.asarray(b, dtype=float).reshape(-1)
         c = np.asarray(c, dtype=float).reshape(-1)
+        if A.shape[0] == 0:
+            raise OptError("cone block A has no rows")
         if A.shape[0] != b.size:
             raise OptError("cone block A and b row counts differ")
-        if A.shape[0] and A.shape[1] != c.size:
+        if A.shape[1] != c.size:
             raise OptError("cone block A column count differs from c")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -72,29 +72,32 @@ class ConeBlock:
 
 @dataclass(frozen=True)
 class SOCProgram:
-    """minimize ``0.5 x^T P x + f^T x`` over the given cone blocks and
-    equalities; P is symmetric PSD and zero when omitted."""
+    """minimize ``0.5 x^T P x + f^T x`` subject to
+
+    - the orthant rows ``G x <= h``, one matrix block;
+    - one second-order cone per ``ConeBlock`` in ``cones``;
+    - the equalities ``A_eq x = b_eq``.
+
+    P is symmetric PSD and zero when omitted; an omitted block has no rows.
+    """
 
     f: np.ndarray
     cones: tuple[ConeBlock, ...]
     A_eq: np.ndarray
     b_eq: np.ndarray
     P: np.ndarray
+    G: np.ndarray
+    h: np.ndarray
 
-    def __init__(self, f, cones=(), A_eq=None, b_eq=None, P=None):
+    def __init__(self, f, cones=(), A_eq=None, b_eq=None, P=None, G=None, h=None):
         f = np.asarray(f, dtype=float).reshape(-1)
         n = f.size
         cones = tuple(cones)
         for blk in cones:
             if blk.c.size != n:
                 raise OptError("cone block dimension does not match objective length")
-        if A_eq is None:
-            A_eq = np.zeros((0, n))
-            b_eq = np.zeros(0)
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float)) if np.size(A_eq) else np.zeros((0, n))
-        b_eq = np.asarray(b_eq, dtype=float).reshape(-1) if b_eq is not None else np.zeros(0)
-        if A_eq.shape[0] != b_eq.size or (A_eq.shape[0] and A_eq.shape[1] != n):
-            raise OptError("equality block shapes are inconsistent")
+        A_eq, b_eq = self._rows(A_eq, b_eq, n, "equality")
+        G, h = self._rows(G, h, n, "orthant")
         P = np.zeros((n, n)) if P is None else np.asarray(P, dtype=float)
         if P.shape != (n, n):
             raise OptError("P must be square and match the objective length")
@@ -103,6 +106,17 @@ class SOCProgram:
         object.__setattr__(self, "A_eq", A_eq)
         object.__setattr__(self, "b_eq", b_eq)
         object.__setattr__(self, "P", P)
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "h", h)
+
+    @staticmethod
+    def _rows(M, v, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """A row block ``M`` with ``n`` columns and its right-hand side ``v``."""
+        M = np.atleast_2d(np.asarray(M, dtype=float)) if M is not None and np.size(M) else np.zeros((0, n))
+        v = np.asarray(v, dtype=float).reshape(-1) if v is not None else np.zeros(0)
+        if M.shape[0] != v.size or (M.shape[0] and M.shape[1] != n):
+            raise OptError(f"{what} block shapes are inconsistent")
+        return M, v
 
     @property
     def n(self) -> int:
@@ -323,41 +337,15 @@ class _Scaling:
 
 
 def _standard_form(prog: SOCProgram):
-    """Split the blocks into orthant rows and SOC blocks: G x + s = h."""
-    n = prog.n
-    lin_G, lin_h = [], []
-    soc_G, soc_h, soc_dims = [], [], []
-    for blk in prog.cones:
-        if blk.A.shape[0] == 0:
-            lin_G.append(-blk.c)
-            lin_h.append(blk.d)
-        else:
-            q = blk.A.shape[0] + 1
-            Gb = np.vstack([-blk.c, -blk.A])
-            hb = np.concatenate([[blk.d], blk.b])
-            soc_G.append(Gb)
-            soc_h.append(hb)
-            soc_dims.append(q)
-    parts_G = []
-    parts_h = []
-    ml = len(lin_G)
-    if ml:
-        parts_G.append(np.vstack(lin_G))
-        parts_h.append(np.array(lin_h))
-    for Gb, hb in zip(soc_G, soc_h):
-        parts_G.append(Gb)
-        parts_h.append(hb)
-    if parts_G:
-        G = np.vstack(parts_G)
-        h = np.concatenate(parts_h)
-    else:
-        G = np.zeros((0, n))
-        h = np.zeros(0)
-    return G, h, _Cones(ml, soc_dims)
+    """``G x + s = h`` with s in the orthant rows, then in each cone block."""
+    G = np.vstack([prog.G] + [np.vstack([-blk.c, -blk.A]) for blk in prog.cones])
+    h = np.concatenate([prog.h] + [np.concatenate([[blk.d], blk.b]) for blk in prog.cones])
+    return G, h, _Cones(prog.G.shape[0], [blk.A.shape[0] + 1 for blk in prog.cones])
 
 
 def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
-    """Ruiz-style scaling; second-order cone rows share one scalar per block.
+    """Ruiz-style scaling: each orthant row has its own scalar, and the rows
+    of a second-order cone block share one; a zero row keeps its scale.
 
     Columns are scaled by their largest entry in ``[d P d; G; A]``, as in
     OSQP; a column with no entry at all keeps its scale.
@@ -366,12 +354,6 @@ def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
     d = np.ones(n)
     e = np.ones(m)
     a = np.ones(A.shape[0])
-
-    def row_groups():
-        groups = [(i, i + 1) for i in range(cones.ml)]
-        groups += [(st, st + q) for st, q in zip(cones.starts, cones.socs)]
-        return groups
-
     for _ in range(sweeps):
         Ps = (d[:, None] * P) * d[None, :]
         Gs = (e[:, None] * G) * d[None, :]
@@ -379,10 +361,12 @@ def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
         col = np.abs(np.vstack([Ps, Gs, As])).max(axis=0)
         d /= np.sqrt(np.where(col > 0.0, col, 1.0))
         Gs = (e[:, None] * G) * d[None, :]
-        for lo, hi in row_groups():
-            r = np.abs(Gs[lo:hi]).max()
+        row = np.abs(Gs[: cones.ml]).max(axis=1, initial=0.0)
+        e[: cones.ml] /= np.sqrt(np.where(row > 0.0, row, 1.0))
+        for st, q in zip(cones.starts, cones.socs):
+            r = np.abs(Gs[st : st + q]).max()
             if r > 0.0:
-                e[lo:hi] /= np.sqrt(r)
+                e[st : st + q] /= np.sqrt(r)
         As = (a[:, None] * A) * d[None, :]
         a /= np.sqrt(np.maximum(np.abs(As).max(axis=1, initial=0.0), 1e-12))
     Gs = (e[:, None] * G) * d[None, :]
@@ -404,8 +388,8 @@ def _penalized_kkt_point(P, G, h, A, b, f):
 
 
 def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solution:
-    """Interior-point solve of ``min 0.5 x^T P x + f^T x`` over the cone
-    blocks and equalities.
+    """Interior-point solve of ``min 0.5 x^T P x + f^T x`` over the orthant
+    rows, the second-order cone blocks and the equalities.
 
     Returns a Solution whose status is ``optimal``, ``infeasible`` (a
     certificate was found or the iterates diverged) or ``max_iter``.
@@ -603,15 +587,18 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
 # ---------------------------------------------------------------------------
 
 def solve_qp(quad: QuadForm, constraints=None, tol: float = 1e-8, max_iter: int = 100) -> Solution:
-    """Minimize the quadratic form under a ``ConstraintSet`` (or none)."""
-    n = quad.P.shape[0]
-    blocks = []
-    A_eq = b_eq = None
-    if constraints is not None:
-        A_eq, b_eq, ineq_rows, ineq_rhs, socs = constraints.as_blocks()
-        blocks = [ConeBlock(np.zeros((0, n)), np.zeros(0), r, -rhs) for r, rhs in zip(ineq_rows, ineq_rhs)]
-        blocks += [ConeBlock(*soc) for soc in socs]
-    return solve_socp(SOCProgram(quad.q, blocks, A_eq, b_eq, P=quad.P), tol=tol, max_iter=max_iter)
+    """Minimize the quadratic form under a ``ConstraintSet`` (or none).
+
+    The inequality rows ``rows @ x >= rhs`` become the orthant block
+    ``G = -rows``, ``h = -rhs``; each second-order cone of the set becomes
+    one ``ConeBlock``.
+    """
+    if constraints is None:
+        return solve_socp(SOCProgram(quad.q, P=quad.P), tol=tol, max_iter=max_iter)
+    A_eq, b_eq, ineq_rows, ineq_rhs, socs = constraints.as_blocks()
+    cones = [ConeBlock(*soc) for soc in socs]
+    prog = SOCProgram(quad.q, cones, A_eq, b_eq, P=quad.P, G=-ineq_rows, h=-ineq_rhs)
+    return solve_socp(prog, tol=tol, max_iter=max_iter)
 
 
 def warn_unconverged(sol: Solution, what: str) -> None:

@@ -242,6 +242,8 @@ def solve_bordered_banded(
     inside = np.abs(np.subtract.outer(np.arange(r), np.arange(r))) <= bandwidth
     if np.any(interior[~inside]):
         raise PDEError("interior block is wider than the bandwidth")
+    if r == 1 and interior[0, 0] == 0.0:  # solve_banded divides a 1 x 1 block without a check
+        raise PDEError("bordered system is singular")
     i, j = np.nonzero(inside)
     ab = np.zeros((2 * bandwidth + 1, r))  # LAPACK band storage: ab[bandwidth + i - j, j]
     ab[bandwidth + i - j, j] = interior[i, j]

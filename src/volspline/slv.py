@@ -182,6 +182,21 @@ def _step_rng(seed: int, stream: str, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _particle_step(s, u, dt: float, p: ScottParams, normals, leverage: LeverageSlice):
+    """Move the spots ``s`` one date in place, by an Euler step with the
+    slice's leverage, and floor them at ``1e-8 s0``; return the OU state
+    advanced exactly."""
+    # in place, one particle-sized array at a time: the caller still holds
+    # the old u, and each extra array raises the repricing's peak memory
+    step = p.a0 * np.exp(u)
+    step *= leverage.leverage(s)
+    u, dw = ou_step_exact(u, dt, p, normals)
+    step *= dw
+    s += step
+    np.maximum(s, 1e-8 * p.s0, out=s)
+    return u
+
+
 def _spot_marginal_log(p: ScottParams, t: float) -> BachelierPrior:
     """Law of log S_t under the flat target smile (exact lognormal marginal)."""
     w = p.sigma_bs**2 * t
@@ -205,9 +220,9 @@ def calibrate_leverage(
 
     Knots are re-derived from the ensemble at each date: evenly spaced in
     log-spot across ``knot_halfwidth_stds`` sample standard deviations on
-    both sides of the forward.  Basis values computed at the particles for
-    the regression are reused for the leverage evaluation in the next
-    simulation step.
+    both sides of the forward.  Each date moves the particles with the
+    leverage of the previous date's slice, the step ``simulate_terminal``
+    takes.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -218,18 +233,11 @@ def calibrate_leverage(
     s = np.full(n_particles, p.s0)
     u = np.zeros(n_particles)
     slices: list[LeverageSlice] = [_constant_slice(0.0, p.a0**2, p.sigma_bs)]
-    # conditional variance at the current particles, reused for stepping
-    cond_at_particles = np.full(n_particles, p.a0**2)
 
     for k in range(times.size - 1):
         t0, t1 = times[k], times[k + 1]
         rng = _step_rng(seed, "calibrate", k)
-        z = rng.standard_normal((2, n_particles))
-        a = p.a0 * np.exp(u)
-        lev = p.sigma_bs * s / np.sqrt(np.maximum(cond_at_particles, slices[-1].floor))
-        u, dw = ou_step_exact(u, t1 - t0, p, z)
-        s = s + a * lev * dw
-        s = np.maximum(s, 1e-8 * p.s0)
+        u = _particle_step(s, u, t1 - t0, p, rng.standard_normal((2, n_particles)), slices[-1])
 
         a_sq = p.a0**2 * np.exp(2.0 * u)
         x = np.log(s)
@@ -261,8 +269,6 @@ def calibrate_leverage(
 
         floor = 1e-10 * forward_variance(p, t1)
         slices.append(LeverageSlice(t=float(t1), cond_var=fit.compiled(), floor=floor, sigma_bs=p.sigma_bs))
-        B = cb.evaluate(x)
-        cond_at_particles = np.maximum(B @ fit.weights, floor)
 
     return LeverageSurface(times=times, slices=tuple(slices), params=p)
 
@@ -282,7 +288,8 @@ def _l2_distance_sq(f: PiecewisePoly, g: PiecewisePoly, law: BachelierPrior) -> 
         g_local = Polynomial(g.coeffs[j])(Polynomial([ref - g.refs[j], 1.0]))
         diff = Polynomial(f.coeffs[i]) - g_local
         total += law.piece_integral(a, b, (diff**2).coef, ref)
-    return total
+    # an integral of a square: surfaces that agree to rounding can sum below 0
+    return max(total, 0.0)
 
 
 def conditional_variance_distance(surface: LeverageSurface, reference: LeverageSurface) -> float:
@@ -319,11 +326,7 @@ def simulate_terminal(
         rng = _step_rng(seed, "reprice", k)
         z_half = rng.standard_normal((2, half))
         z = np.concatenate([z_half, -z_half], axis=1) if antithetic else z_half
-        a = p.a0 * np.exp(u)
-        lev = surface.slices[k].leverage(s)
-        u, dw = ou_step_exact(u, dt, p, z)
-        s = s + a * lev * dw
-        s = np.maximum(s, 1e-8 * p.s0)
+        u = _particle_step(s, u, dt, p, z, surface.slices[k])
     return s[:n_paths]
 
 

@@ -71,15 +71,61 @@ class TestSolveSOCP:
 
     def test_orthant_only_lp(self):
         # min x s.t. x >= 1: orthant rows and no second-order cone
-        prog = opt.SOCProgram(np.array([1.0]), [opt.ConeBlock(np.zeros((0, 1)), [], [1.0], -1.0)])
+        prog = opt.SOCProgram(np.array([1.0]), G=[[-1.0]], h=[-1.0])
         sol = opt.solve_socp(prog)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
+
+    def test_rejects_inconsistent_orthant_block(self):
+        f = np.array([1.0, 2.0])
+        with pytest.raises(opt.OptError, match="orthant block"):
+            opt.SOCProgram(f, G=[[1.0, 0.0], [0.0, 1.0]], h=[1.0])  # two rows, one right-hand side
+        with pytest.raises(opt.OptError, match="orthant block"):
+            opt.SOCProgram(f, G=[[1.0, 0.0, 0.0]], h=[1.0])  # three columns, two variables
+        with pytest.raises(opt.OptError, match="orthant block"):
+            opt.SOCProgram(f, h=[1.0])  # a right-hand side without rows
+
+    def test_cone_block_is_a_second_order_cone(self):
+        with pytest.raises(opt.OptError, match="no rows"):
+            opt.ConeBlock(np.zeros((0, 1)), [], [1.0], -1.0)
 
     def test_kkt_residuals_reported(self):
         prog = opt.SOCProgram(np.array([1.0]), [opt.ConeBlock(np.array([[1.0]]), [0.0], [0.0], 1.0)])
         sol = opt.solve_socp(prog, tol=1e-8)
         assert max(sol.kkt_residuals) <= 1e-8
+
+
+def equilibrate_row_by_row(G, h, A, b, f, P, ml, socs, sweeps=6):
+    """``opt._equilibrate`` with one Python step per orthant row."""
+    d, e, a = np.ones(G.shape[1]), np.ones(G.shape[0]), np.ones(A.shape[0])
+    starts = np.cumsum([ml] + socs[:-1])
+    groups = [(i, i + 1) for i in range(ml)] + [(st, st + q) for st, q in zip(starts, socs)]
+    for _ in range(sweeps):
+        col = np.abs(np.vstack([(d[:, None] * P) * d, (e[:, None] * G) * d, (a[:, None] * A) * d])).max(axis=0)
+        d /= np.sqrt(np.where(col > 0.0, col, 1.0))
+        Gs = (e[:, None] * G) * d
+        for lo, hi in groups:
+            r = np.abs(Gs[lo:hi]).max()
+            if r > 0.0:
+                e[lo:hi] /= np.sqrt(r)
+        a /= np.sqrt(np.maximum(np.abs((a[:, None] * A) * d).max(axis=1, initial=0.0), 1e-12))
+    fs, Ps = d * f, (d[:, None] * P) * d
+    obj_scale = max(np.abs(fs).max(), np.abs(Ps).max(axis=0).mean(), 1e-12)
+    return (e[:, None] * G) * d, e * h, (a[:, None] * A) * d, a * b, fs / obj_scale, Ps / obj_scale, d, e
+
+
+def test_orthant_rows_scale_as_one_block():
+    rng = np.random.default_rng(9)
+    n, ml, socs = 5, 7, [3, 2]
+    G = rng.standard_normal((ml + sum(socs), n)) * 10.0 ** rng.uniform(-4, 4, (ml + sum(socs), 1))
+    G[2] = 0.0  # a zero row keeps its scale
+    h, b, f = rng.standard_normal(G.shape[0]), rng.standard_normal(2), rng.standard_normal(n)
+    A = rng.standard_normal((2, n))
+    B = rng.standard_normal((n, n))
+    P = B @ B.T
+    got = opt._equilibrate(G, h, A, b, f, P, opt._Cones(ml, socs))
+    for x, y in zip(got, equilibrate_row_by_row(G, h, A, b, f, P, ml, socs)):
+        np.testing.assert_array_equal(x, y)
 
 
 class TestQPRecast:
@@ -121,6 +167,22 @@ class TestQPRecast:
         sol = opt.solve_qp(opt.QuadForm(P, q), cs)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, np.linalg.solve(P, -q), rtol=1e-9)
+
+    def test_zero_inequality_row_changes_nothing(self):
+        # an all-zero row 0 >= -1 keeps its equilibration scale of 1
+        P = np.array([[2.0, 0.5], [0.5, 1.0]])
+        q = np.array([-4.0, 1.0])
+        rows = np.array([[-1.0, 0.0], [0.0, 1.0]])  # x0 <= 1, x1 >= 0.5
+        rhs = np.array([-1.0, 0.5])
+        plain = ConstraintSet(2)
+        plain.add_ineq_rows(rows, rhs, "box")
+        padded = ConstraintSet(2)
+        padded.add_ineq_rows(np.insert(rows, 1, 0.0, axis=0), np.insert(rhs, 1, -1.0), "box")
+        want = opt.solve_qp(opt.QuadForm(P, q), plain)
+        sol = opt.solve_qp(opt.QuadForm(P, q), padded)
+        assert want.status == sol.status == "optimal"
+        np.testing.assert_allclose(want.x, [1.0, 0.5], atol=1e-8)
+        np.testing.assert_allclose(sol.x, want.x, rtol=0.0, atol=1e-10)
 
     def test_rejects_indefinite(self):
         with pytest.raises(opt.OptError, match="not positive semidefinite"):

@@ -130,6 +130,10 @@ class TestBorderedSolve:
         zero_row[band.shape[0] // 2] = 0.0
         with pytest.raises(pde.PDEError, match="singular"):
             pde.solve_bordered_banded(zero_row, border, rb, rbb, prob.basis.order)
+        # a 1 x 1 interior block: the full matrix is nonsingular (determinant 3), its interior is not
+        tiny = np.array([[1.0, 0.0, 2.0]]), np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(pde.PDEError, match="singular"):
+            pde.solve_bordered_banded(*tiny, np.ones(1), np.ones(2), 1)
 
     def test_rejects_entries_outside_the_band(self):
         prob = ratio_problem(0.9, n_knots=25, half_sigmas=5.0)

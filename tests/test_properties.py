@@ -1,10 +1,11 @@
-"""Invariants of the moment tables, the pricing rows and the cone solver,
-on random inputs.
+"""Invariants of the basis, the moment tables, the pricing rows and the
+cone solver, on random inputs.
 
-The oracles share no code with the parts under test: ``scipy.integrate.quad``
-of the densities written out here, split at the knots and at multiples of
-the standard deviation, basis values from the recursive evaluation route,
-and scipy's SLSQP for the solver.
+The oracles share no code with the parts under test: the constant one and
+the forward recursion for the basis, ``scipy.integrate.quad`` of the
+densities written out here, split at the knots and at multiples of the
+standard deviation, basis values from the recursive evaluation route, and
+scipy's SLSQP for the solver.
 """
 
 import math
@@ -52,6 +53,75 @@ def _ssvi(data, T):
     )
     assume(pr.validate_ssvi(params, (T, T)).passed)
     return params
+
+
+# ---------------------------------------------------------------------------
+# the basis: partition of unity and evaluation routes
+# ---------------------------------------------------------------------------
+
+# knots near zero and far from it, where local coordinates keep Horner exact
+centres = st.sampled_from([0.0, 1e3, -1e4, 1e6, -3e7])
+
+
+def _knots_and_points(data, n_knots, centre):
+    """Random knots, and points across them, three spans into each wing and on every knot."""
+    gaps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_knots - 1, max_size=n_knots - 1))
+    g = centre + np.concatenate([[0.0], np.cumsum(gaps)])
+    span = g[-1] - g[0]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    return g, np.concatenate([rng.uniform(g[0] - 3.0 * span, g[-1] + 3.0 * span, 60), g]), rng
+
+
+@SETTINGS
+@given(data=st.data(), order=st.integers(0, 4), extra=st.integers(2, 7), centre=centres)
+def test_partition_of_unity_for_every_truncation(data, order, extra, centre):
+    """On k knots with order n, the k - n + 1 functions of wing degree at most
+    0 sum to one on the whole line, and every truncation t >= 0 keeps them.
+    The compact B-splines (t = -1) sum to one on [g_n, g_{k-1-n}), where all
+    n + 1 active ones are kept, and to zero off [g_0, g_{k-1}).  A kept wing
+    of degree d >= 1 vanishes on [g_{n-d}, g_{k-1-n+d}]."""
+    n, k = order, order + extra
+    g, xs, _ = _knots_and_points(data, k, centre)
+    for t in range(-1, n + 1):
+        basis = bs.make_basis(g, n, t)
+        full = np.arange(basis.first_index, basis.last_index + 1)  # full-basis index per kept function
+        flat = (full >= n) & (full <= k)
+        for values in (bs.design_matrix(basis, xs), basis.compiled().evaluate(xs)):
+            total = values[:, flat].sum(axis=1)
+            if t >= 0:
+                assert flat.sum() == k - n + 1
+                np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-13)
+            else:
+                inside = (xs >= g[n]) & (xs < g[k - 1 - n])
+                np.testing.assert_allclose(total[inside], 1.0, rtol=0.0, atol=1e-13)
+                assert not values[(xs < g[0]) | (xs >= g[-1])].any()
+            for d in range(1, t + 1):
+                assert not values[xs >= g[n - d], np.flatnonzero(full == n - d)].any()
+                assert not values[xs <= g[k - 1 - n + d], np.flatnonzero(full == k + d)].any()
+
+
+@SETTINGS
+@given(data=st.data(), order=st.integers(0, 4), extra=st.integers(2, 7), centre=centres)
+def test_evaluation_routes_agree(data, order, extra, centre):
+    """Forward recursion, de Boor collapse and compiled Horner give one
+    spline, and the derivative map gives the derivative of the compiled
+    pieces.  Errors are relative to ``sum |w_j B_j| + max |w_j|``: near the
+    end of a support both routes round to about eps, not to eps times the
+    small value."""
+    g, xs, rng = _knots_and_points(data, order + extra, centre)
+    basis = bs.make_basis(g, order, data.draw(st.integers(-1, order)))
+    spline = bs.Spline(basis, rng.standard_normal(basis.dimension))
+
+    def scale(sp):
+        return np.abs(bs.design_matrix(sp.basis, xs)) @ np.abs(sp.weights) + np.abs(sp.weights).max()
+
+    forward = spline(xs, method="forward")
+    for route in ("backward", "compiled"):
+        assert np.max(np.abs(spline(xs, method=route) - forward) / scale(spline)) <= 1e-12, route
+    if order:
+        slope = spline.derivative_spline(1)
+        err = np.abs(slope(xs, method="forward") - spline.compiled().derivative()(xs))
+        assert np.max(err / scale(slope)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

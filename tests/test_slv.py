@@ -179,6 +179,14 @@ class TestConditionalVarianceDistance:
             sq.append(val)
         assert slv.conditional_variance_distance(a, b) == pytest.approx(np.sqrt(np.mean(sq)), rel=1e-8)
 
+    def test_surfaces_that_agree_to_rounding_are_at_distance_zero(self, params):
+        # knot spans one ulp apart: each date's integral of a square rounds to about -1e-19
+        grid = np.linspace(0, 1, 41)
+        a = slv.calibrate_leverage(params, grid, 4000, seed=2)
+        b = slv.calibrate_leverage(params, grid, 4000, seed=2, knot_halfwidth_stds=2.5 * (1 + 2**-50))
+        dist = slv.conditional_variance_distance(a, b)
+        assert np.isfinite(dist) and dist < 1e-9
+
     def test_rejects_different_grids(self, params):
         a = slv.calibrate_leverage(params, np.linspace(0, 0.5, 6), 1000, seed=5)
         b = slv.calibrate_leverage(params, np.linspace(0, 0.5, 3), 1000, seed=5)
