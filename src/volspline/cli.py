@@ -35,10 +35,9 @@ class ConfigError(ValueError):
 
 
 def _fmt(v) -> str:
-    v = float(v)
-    if np.isnan(v):
-        return "nan"
-    return repr(v)
+    """Shortest round-tripping text of a number; ``repr`` of a float writes
+    ``nan``, ``inf``, ``-inf`` and ``-0.0`` as they are."""
+    return repr(float(v))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

@@ -464,7 +464,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
     iters = 0
     best = None
     infeas_hits = 0
-    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg.lapack import dgetrf, dgetrs  # here, so that importing opt does not load scipy.linalg
 
     for it in range(1, max_iter + 1):
         iters = it
@@ -511,15 +511,16 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
         KKT[n:, :n] = A
         reg = 1e-13 * max(1.0, np.trace(H) / max(n, 1))
         KKT[:n, :n] += reg * np.eye(n)
-        try:
-            fac = lu_factor(KKT)
-        except (np.linalg.LinAlgError, ValueError):
+        if not np.all(np.isfinite(KKT)):
+            break
+        lu, piv, info = dgetrf(KKT)
+        if info != 0:  # an exactly zero pivot: the step would be inf/NaN
             break
 
         def kkt_solve(r1, r2):
             rhs = np.concatenate([r1, r2])
-            sol = lu_solve(fac, rhs)
-            sol += lu_solve(fac, rhs - KKT @ sol)  # one refinement step
+            sol = dgetrs(lu, piv, rhs)[0]
+            sol += dgetrs(lu, piv, rhs - KKT @ sol)[0]  # one refinement step
             return sol[:n], sol[n:]
 
         def newton_raw(bx, by, bz, blam):

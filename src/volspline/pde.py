@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,9 +148,24 @@ class GalerkinSystem:
 GL_POINTS = 10  # Gauss-Legendre points per knot interval in the weak form
 
 
-def _basis_tables(cb: CompiledBasis):
-    """Gauss-Legendre points and weights on the knot intervals, with the
-    basis values and derivatives there."""
+class _StepTables(NamedTuple):
+    """Time-invariant basis data that every step of ``evolve`` reuses."""
+
+    xs: np.ndarray  # Gauss-Legendre points on the knot intervals
+    ws: np.ndarray  # their weights
+    vals: np.ndarray  # basis values at xs, (points, dimension)
+    dvals: np.ndarray  # basis derivatives at xs
+    pts: np.ndarray  # the two boundary knots
+    B0: np.ndarray  # basis values at pts, (2, dimension)
+    B1: np.ndarray  # first derivatives there
+    B2: np.ndarray  # second derivatives there
+    pieces: tuple  # live_pieces of the compiled basis
+
+
+def _basis_tables(cb: CompiledBasis) -> _StepTables:
+    """Gauss-Legendre points and weights on the knot intervals with the
+    basis values and derivatives there, the basis and its first two
+    derivatives at the boundary knots, and the live polynomial pieces."""
     g = cb.basis.knots.knots
     xs_n, ws_n = gauss_legendre_rule(GL_POINTS)
     a, b = g[:-1], g[1:]
@@ -157,7 +173,19 @@ def _basis_tables(cb: CompiledBasis):
     mid, half = 0.5 * (a + b)[live, None], 0.5 * (b - a)[live, None]
     xs = (mid + half * xs_n).reshape(-1)
     ws = (half * ws_n).reshape(-1)
-    return xs, ws, cb.evaluate(xs), cb.derivative().evaluate(xs)
+    pts = np.array([g[0], g[-1]])
+    d1 = cb.derivative()
+    return _StepTables(
+        xs=xs,
+        ws=ws,
+        vals=cb.evaluate(xs),
+        dvals=d1.evaluate(xs),
+        pts=pts,
+        B0=cb.evaluate(pts),
+        B1=d1.evaluate(pts),
+        B2=d1.derivative().evaluate(pts),
+        pieces=live_pieces(cb),
+    )
 
 
 def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
@@ -167,14 +195,16 @@ def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
     full trial basis including the two constant wings.  The advection
     coefficient is ``v dlog(phi0)/dx + v_x / 2`` and the reaction term
     collects the base-relative second-derivative terms; both involve only
-    polynomial ratios for the Gaussian base.  ``tables`` are the quadrature
-    tables of ``_basis_tables``, when the caller has them (``evolve``
-    computes them once for all its steps).
+    polynomial ratios for the Gaussian base.  ``tables`` are the
+    time-invariant basis tables of ``_basis_tables``; ``evolve`` builds them
+    once for all its steps, and without them they are built from the basis.
     """
     if t <= 0.0:
         raise PDEError("coefficients are defined for t > 0")
     basis = problem.basis
-    xs, ws, vals, dvals = tables if tables is not None else _basis_tables(basis.compiled())
+    if tables is None:
+        tables = _basis_tables(basis.compiled())
+    xs, ws, vals, dvals = tables.xs, tables.ws, tables.vals, tables.dvals
     v = np.asarray(problem.local_variance.value(t, xs), dtype=float)
     if np.any(v <= 0.0):
         raise PDEError("local variance must be positive on the domain")
@@ -200,13 +230,14 @@ def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
     )
 
 
-def constrain(problem: PDEProblem, t: float) -> tuple[np.ndarray, np.ndarray]:
+def constrain(problem: PDEProblem, t: float, tables=None) -> tuple[np.ndarray, np.ndarray]:
     """Unit-mass and mean integral rows against the base density at time t.
 
     One moment table of degree order + 1 serves both rows: the mean row
-    integrates x b_j = ((x - ref) + ref) b_j piece by piece.
+    integrates x b_j = ((x - ref) + ref) b_j piece by piece.  The pieces
+    come from ``tables`` (see ``assemble``) when given, else from the basis.
     """
-    lo, hi, refs, coeffs = live_pieces(problem.basis.compiled())
+    lo, hi, refs, coeffs = tables.pieces if tables is not None else live_pieces(problem.basis.compiled())
     table = problem.base_density(t).moment_table(lo, hi, refs, coeffs.shape[2])
     mass_row = np.einsum("jid,id->j", coeffs, table[:, :-1])
     mean_row = np.einsum("jid,id->j", coeffs, table[:, 1:] + refs[:, None] * table[:, :-1])
@@ -225,15 +256,18 @@ def solve_bordered_banded(
 
     The unknowns split into the interior block ``x[1:-1]`` and the two wing
     columns.  The square interior block ``band[:, 1:-1]``, with ``bandwidth``
-    sub- and super-diagonals, takes one banded LU (LAPACK ``gbsv``) for
-    three right-hand sides: ``rhs_band`` and the two wing columns.  The
-    border rows then reduce to a 2 x 2 Schur complement for the wing
-    weights, and the interior follows by back-substitution.  The interior
-    block must be nonsingular, since the LU pivots only inside it and never
-    across the border rows; in ``evolve`` it is the symmetric positive
-    definite interior mass block minus ``theta dt`` times the stiffness.
+    sub- and super-diagonals, takes one banded LU (LAPACK ``dgbsv``, called
+    directly) for three right-hand sides: ``rhs_band`` and the two wing
+    columns.  The border rows then reduce to a 2 x 2 Schur complement for
+    the wing weights, and the interior follows by back-substitution.  The
+    interior block must be nonsingular, since the LU pivots only inside it
+    and never across the border rows; in ``evolve`` it is the symmetric
+    positive definite interior mass block minus ``theta dt`` times the
+    stiffness.  A zero pivot in either solve raises ``PDEError``, and so
+    does an interior entry outside the bandwidth.  The inputs are not
+    checked for finiteness: a non-finite entry gives a non-finite answer.
     """
-    from scipy.linalg import solve_banded  # here, so that importing pde does not load scipy.linalg
+    from scipy.linalg.lapack import dgbsv  # here, so that importing pde does not load scipy.linalg
 
     r, d = band.shape
     if border.shape != (2, d) or r + 2 != d:
@@ -242,35 +276,35 @@ def solve_bordered_banded(
     inside = np.abs(np.subtract.outer(np.arange(r), np.arange(r))) <= bandwidth
     if np.any(interior[~inside]):
         raise PDEError("interior block is wider than the bandwidth")
-    if r == 1 and interior[0, 0] == 0.0:  # solve_banded divides a 1 x 1 block without a check
-        raise PDEError("bordered system is singular")
-    i, j = np.nonzero(inside)
-    ab = np.zeros((2 * bandwidth + 1, r))  # LAPACK band storage: ab[bandwidth + i - j, j]
-    ab[bandwidth + i - j, j] = interior[i, j]
+    y = np.column_stack([rhs_band, band[:, 0], band[:, -1]])
+    if r:  # gbsv rejects an empty system; without an interior only the wings remain
+        i, j = np.nonzero(inside)
+        # LAPACK gbsv band storage ab[2 bw + i - j, j]; the top bw rows take the LU fill-in
+        ab = np.zeros((3 * bandwidth + 1, r))
+        ab[2 * bandwidth + i - j, j] = interior[i, j]
+        _, _, y, info = dgbsv(bandwidth, bandwidth, ab, y, overwrite_ab=True, overwrite_b=True)
+        if info != 0:
+            raise PDEError("bordered system is singular")
+    inner = border[:, 1:-1]
+    schur = border[:, [0, -1]] - inner @ y[:, 1:]
     try:
-        y = solve_banded((bandwidth, bandwidth), ab, np.column_stack([rhs_band, band[:, 0], band[:, -1]]))
-        inner = border[:, 1:-1]
-        schur = border[:, [0, -1]] - inner @ y[:, 1:]
         wings = np.linalg.solve(schur, rhs_border - inner @ y[:, 0])
     except np.linalg.LinAlgError as exc:
         raise PDEError("bordered system is singular") from exc
     return np.concatenate([wings[:1], y[:, 0] - y[:, 1:] @ wings, wings[1:]])
 
 
-def collocation_rows(problem: PDEProblem, t: float) -> tuple[np.ndarray, np.ndarray]:
+def collocation_rows(problem: PDEProblem, t: float, tables=None) -> tuple[np.ndarray, np.ndarray]:
     """Value rows and strong-form operator rows at the two boundary knots.
 
     These close the banded test system: the equation itself is imposed
-    pointwise where the integral conditions cannot yet see the wings.
+    pointwise where the integral conditions cannot yet see the wings.  The
+    basis and its derivatives at the knots come from ``tables`` (see
+    ``assemble``) when given, else from the basis.
     """
-    basis = problem.basis
-    g = basis.knots.knots
-    pts = np.array([g[0], g[-1]])
-    cb = basis.compiled()
-    d1 = cb.derivative()
-    B0 = cb.evaluate(pts)
-    B1 = d1.evaluate(pts)
-    B2 = d1.derivative().evaluate(pts)
+    if tables is None:
+        tables = _basis_tables(problem.basis.compiled())
+    pts, B0, B1, B2 = tables.pts, tables.B0, tables.B1, tables.B2
     v = np.asarray(problem.local_variance.value(t, pts), dtype=float)
     vx = np.asarray(problem.local_variance.dx(t, pts), dtype=float)
     vxx = np.asarray(problem.local_variance.dxx(t, pts), dtype=float)
@@ -289,6 +323,9 @@ class Trajectory:
     times: np.ndarray
     weights: np.ndarray  # (n_times, dim)
     problem: PDEProblem
+    # (n_times - 1,): per step, ||R w - [1, s0]|| of the mass/mean rows R
+    # before the projection, how far the collocation closure drifted
+    projection: np.ndarray
 
     def ratio(self, k: int, xs):
         from volspline.bspline import Spline
@@ -314,7 +351,10 @@ def evolve(
     ``rannacher`` steps run fully implicit to damp the stiff startup layer.
     The matrices are evaluated at each step's midpoint, which keeps the
     trapezoidal scheme second order and avoids the coefficient singularity
-    at t = 0.  Mass and mean are re-imposed exactly after every step.
+    at t = 0.  Mass and mean are re-imposed exactly after every step, and
+    the size of each correction is recorded in ``Trajectory.projection``.
+    The time-invariant basis tables are built once and shared by every
+    step's ``assemble``, ``collocation_rows`` and ``constrain``.
     """
     theta = {"explicit": 0.0, "implicit": 1.0, "cn": 0.5}.get(scheme)
     if theta is None:
@@ -334,6 +374,7 @@ def evolve(
     sys0 = assemble(problem, 0.5 * (times[0] + times[1]), tables=tables)
     A = sys0.mass
     W = np.empty((times.size, dim))
+    projection = np.empty(steps)
     W[0] = 1.0
     w = W[0].copy()
     for m in range(times.size - 1):
@@ -342,7 +383,7 @@ def evolve(
         dt = t1 - t0
         tm = 0.5 * (t0 + t1)
         B = assemble(problem, tm, tables=tables).stiffness
-        vals_rows, op_rows = collocation_rows(problem, tm)
+        vals_rows, op_rows = collocation_rows(problem, tm, tables=tables)
         lhs_band = A - th * dt * B
         rhs_band = (A + (1.0 - th) * dt * B) @ w
         lhs_bc = vals_rows - th * dt * op_rows
@@ -350,9 +391,10 @@ def evolve(
         w_new = solve_bordered_banded(lhs_band, lhs_bc, rhs_band, rhs_bc, sys0.bandwidth)
         # exact mass/mean projection: the integral conditions hold at every
         # accepted step by construction
-        mass_row, mean_row = constrain(problem, t1)
+        mass_row, mean_row = constrain(problem, t1, tables=tables)
         R = np.vstack([mass_row, mean_row])
         resid = R @ w_new - np.array([1.0, problem.s0])
+        projection[m] = np.linalg.norm(resid)
         w_new = w_new - R.T @ np.linalg.solve(R @ R.T, resid)
         if not np.all(np.isfinite(w_new)) or np.abs(w_new).max() > 1e6:
             msg = f"weights blew up at step {m + 1} (t={t1:g})"
@@ -361,4 +403,4 @@ def evolve(
             raise PDEError(msg)
         w = w_new
         W[m + 1] = w
-    return Trajectory(times=times, weights=W, problem=problem)
+    return Trajectory(times=times, weights=W, problem=problem, projection=projection)

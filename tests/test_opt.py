@@ -94,6 +94,16 @@ class TestSolveSOCP:
         sol = opt.solve_socp(prog, tol=1e-8)
         assert max(sol.kkt_residuals) <= 1e-8
 
+    def test_singular_kkt_matrix_ends_the_iteration(self):
+        # duplicate equality rows make the KKT matrix exactly singular: the
+        # iteration stops at its best iterate instead of stepping with inf/NaN
+        prog = opt.SOCProgram(
+            f=[1.0, 2.0], A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 1.0], G=-np.eye(2), h=np.zeros(2)
+        )
+        sol = opt.solve_socp(prog)
+        assert sol.status == "max_iter"
+        assert np.all(np.isfinite(sol.x))
+
 
 def equilibrate_row_by_row(G, h, A, b, f, P, ml, socs, sweeps=6):
     """``opt._equilibrate`` with one Python step per orthant row."""

@@ -135,6 +135,38 @@ class TestBorderedSolve:
         with pytest.raises(pde.PDEError, match="singular"):
             pde.solve_bordered_banded(*tiny, np.ones(1), np.ones(2), 1)
 
+    @pytest.mark.parametrize("bw", [1, 2, 3])
+    def test_matches_dense_for_each_bandwidth(self, bw):
+        rng = np.random.default_rng(10 + bw)
+        d = 12
+        band = np.zeros((d - 2, d))
+        for i in range(d - 2):
+            lo, hi = max(0, i + 1 - bw), min(d, i + 2 + bw)
+            band[i, lo:hi] = rng.standard_normal(hi - lo)
+            band[i, i + 1] += 4.0
+        border, rb, rbb = rng.standard_normal((2, d)), rng.standard_normal(d - 2), rng.standard_normal(2)
+        x1 = pde.solve_bordered_banded(band, border, rb, rbb, bw)
+        x2 = np.linalg.solve(np.vstack([band, border]), np.concatenate([rb, rbb]))
+        np.testing.assert_allclose(x1, x2, rtol=0.0, atol=1e-12 * np.abs(x2).max())
+
+    def test_singular_interior_blocks_raise(self):
+        # interior blocks [[0]] and [[1, 1], [2, 2]]; both full matrices are nonsingular
+        border1 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        band1 = np.array([[1.0, 0.0, 2.0]])
+        band2 = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 2.0, 2.0, 1.0]])
+        border2 = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        for band, border in ((band1, border1), (band2, border2)):
+            assert abs(np.linalg.det(np.vstack([band, border]))) > 0.5
+            r = band.shape[0]
+            with pytest.raises(pde.PDEError, match="singular"):
+                pde.solve_bordered_banded(band, border, np.ones(r), np.ones(2), 1)
+
+    def test_wings_only_system(self):
+        # a dimension-2 basis has no interior: only the 2 x 2 border rows remain
+        border = np.array([[2.0, 1.0], [1.0, 3.0]])
+        x = pde.solve_bordered_banded(np.zeros((0, 2)), border, np.zeros(0), np.array([3.0, 4.0]), 1)
+        np.testing.assert_allclose(x, np.linalg.solve(border, [3.0, 4.0]), rtol=1e-15)
+
     def test_rejects_entries_outside_the_band(self):
         prob = ratio_problem(0.9, n_knots=25, half_sigmas=5.0)
         sys_ = pde.assemble(prob, 0.55)
@@ -191,6 +223,48 @@ class TestEvolve:
         assert np.all(np.isfinite(traj.weights))
         mass_row, _ = pde.constrain(prob, 1.0)
         assert mass_row @ traj.weights[-1] == pytest.approx(1.0, abs=1e-8)
+
+
+    @pytest.mark.parametrize("scheme", ["cn", "implicit"])
+    @pytest.mark.parametrize(
+        "coef", [pde.ConstantVariance(0.9 * V0), pde.AffineVariance(V0 - 0.2 * S0, 0.2)], ids=["constant", "affine"]
+    )
+    def test_shared_tables_match_the_public_step(self, scheme, coef):
+        # evolve shares one set of basis tables across its steps; composing the
+        # public step functions, which build their own, must give the same bits
+        half = 5.0 * np.sqrt(V0)
+        basis = bs.make_basis(np.linspace(S0 - half, S0 + half, 25), 3, truncation=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prob = pde.PDEProblem(coef, V0, S0, basis, 1.0)
+        steps, rannacher = 12, 2
+        traj = pde.evolve(prob, steps, scheme=scheme, rannacher=rannacher)
+
+        times = np.linspace(0.0, 1.0, steps + 1)
+        A = pde.assemble(prob, 0.5 * (times[0] + times[1])).mass
+        w = np.ones(basis.dimension)
+        ref, proj = [w], []
+        for m in range(steps):
+            th = 1.0 if scheme == "implicit" or m < rannacher else 0.5
+            dt, tm = times[m + 1] - times[m], 0.5 * (times[m] + times[m + 1])
+            B = pde.assemble(prob, tm).stiffness
+            vals, op = pde.collocation_rows(prob, tm)
+            w = pde.solve_bordered_banded(
+                A - th * dt * B, vals - th * dt * op, (A + (1 - th) * dt * B) @ w, (vals + (1 - th) * dt * op) @ w, 3
+            )
+            R = np.vstack(pde.constrain(prob, times[m + 1]))
+            resid = R @ w - np.array([1.0, S0])
+            proj.append(np.linalg.norm(resid))
+            w = w - R.T @ np.linalg.solve(R @ R.T, resid)
+            ref.append(w)
+        assert np.array_equal(traj.weights, np.array(ref))
+        assert np.array_equal(traj.projection, np.array(proj))
+
+    def test_projection_sizes_recorded(self):
+        prob = ratio_problem(0.9, n_knots=25)
+        traj = pde.evolve(prob, 30)
+        assert traj.projection.shape == (30,)
+        assert np.all(np.isfinite(traj.projection)) and np.all(traj.projection >= 0.0)
 
 
 class TestConvergence:
