@@ -21,8 +21,8 @@ that compiled evaluation stays well conditioned for knots far from zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -446,10 +446,6 @@ class PiecewisePoly:
         object.__setattr__(self, "refs", rf)
         object.__setattr__(self, "coeffs", cf)
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[1] - 1
-
     def _interval(self, xs: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.breakpoints, xs, side="right")
 
@@ -485,22 +481,6 @@ class PiecewisePoly:
             acc = acc * u + c[d]
         return float(acc)
 
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": [float(repr_float(v)) for v in self.breakpoints],
-            "refs": [float(repr_float(v)) for v in self.refs],
-            "coeffs": [[float(repr_float(v)) for v in row] for row in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PiecewisePoly":
-        return cls(obj["breakpoints"], obj["refs"], obj["coeffs"])
-
-
-def repr_float(v: float) -> str:
-    """Shortest decimal string that round-trips the double exactly."""
-    return repr(float(v))
-
 
 def _poly_shift_mul(c: np.ndarray, a: float, b: float) -> np.ndarray:
     """Multiply a local polynomial by the affine factor ``a + b*u``."""
@@ -530,13 +510,18 @@ class CompiledBasis:
 
     ``coeffs[j, i, d]`` is the degree-d local coefficient of kept function
     j on interval i.  Shares breakpoints/refs across functions so products
-    and integrals can work interval by interval.
+    and integrals can work interval by interval.  Besides the pieces it
+    holds only the full-basis index of the first kept function and the
+    basis order (the ``order + 1`` functions active on an interval), not the
+    ``BasisSpec``: the spec caches its compiled form, and a reference back
+    would make a cycle that only the garbage collector frees.
     """
 
-    basis: BasisSpec
+    first_index: int
+    order: int  # of the basis; a derivative keeps it and loses a coefficient degree
     breakpoints: np.ndarray
     refs: np.ndarray
-    coeffs: np.ndarray  # (dim, n_intervals, order + 1)
+    coeffs: np.ndarray  # (dim, n_intervals, degree + 1)
 
     @property
     def edges(self) -> np.ndarray:
@@ -552,13 +537,13 @@ class CompiledBasis:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         idx = np.searchsorted(self.breakpoints, xs, side="right")
         u = xs - self.refs[idx]
-        n = self.basis.order
-        out = np.zeros((xs.size, self.coeffs.shape[0]))
-        lo = self.basis.first_index
+        dim = self.coeffs.shape[0]
+        out = np.zeros((xs.size, dim))
+        lo = self.first_index
         first = idx  # searchsorted-right on the knots is locate + 1: first active index
-        for s in range(n + 1):
+        for s in range(self.order + 1):
             j_full = first + s
-            keep = (j_full >= lo) & (j_full <= self.basis.last_index)
+            keep = (j_full >= lo) & (j_full < lo + dim)
             if not keep.any():
                 continue
             rows = np.nonzero(keep)[0]
@@ -577,7 +562,7 @@ class CompiledBasis:
             dc = np.zeros_like(c)
         else:
             dc = c[:, :, 1:] * np.arange(1, c.shape[2])
-        return CompiledBasis(basis=self.basis, breakpoints=self.breakpoints, refs=self.refs, coeffs=dc)
+        return replace(self, coeffs=dc)
 
     def spline_values(self, weights: np.ndarray, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -650,7 +635,7 @@ def compile_basis(basis: BasisSpec) -> CompiledBasis:
     bp.setflags(write=False)
     refs.setflags(write=False)
     kept.setflags(write=False)
-    return CompiledBasis(basis=basis, breakpoints=bp, refs=refs, coeffs=kept)
+    return CompiledBasis(first_index=lo, order=n, breakpoints=bp, refs=refs, coeffs=kept)
 
 
 def _acc(d: dict, j: int, c: np.ndarray) -> None:

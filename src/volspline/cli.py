@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 import warnings
@@ -26,12 +25,9 @@ import numpy as np
 from volspline import __version__, bspline as bs, opt, pde, priors as pr, slv, surface as sf
 from volspline import regression as rg
 from volspline.black import implied_vol
+from volspline.priors import ConfigError, require
 
 __all__ = ["main"]
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _fmt(v) -> str:
@@ -129,7 +125,7 @@ class Runner:
 
 
 def _grid(cfg, default_count=1000):
-    return np.linspace(float(cfg["start"]), float(cfg["stop"]), int(cfg.get("count", default_count)))
+    return np.linspace(float(require(cfg, "start")), float(require(cfg, "stop")), int(cfg.get("count", default_count)))
 
 
 def _knots_from_config(cfg) -> np.ndarray:
@@ -250,16 +246,9 @@ def cmd_slv_calibrate(r: Runner) -> None:
     cfg = r.config
     if r.seed is None:
         raise ConfigError("slv-calibrate requires --seed")
-    pcfg = cfg.get("params")
-    if pcfg is None:
-        raise ConfigError("config requires a 'params' block")
+    pcfg = require(cfg, "params")
     params = slv.ScottParams(
-        s0=float(pcfg["s0"]),
-        a0=float(pcfg["a0"]),
-        theta=float(pcfg["theta"]),
-        nu=float(pcfg["nu"]),
-        rho=float(pcfg["rho"]),
-        sigma_bs=float(pcfg["sigma_bs"]),
+        **{k: float(require(pcfg, k, "params")) for k in ("s0", "a0", "theta", "nu", "rho", "sigma_bs")}
     )
     horizon = float(cfg.get("horizon", 1.0))
     steps = int(cfg.get("steps", 40))
@@ -287,7 +276,8 @@ def cmd_slv_calibrate(r: Runner) -> None:
         strikes = np.asarray(strikes_cfg, dtype=float)
     else:
         logm = np.linspace(
-            float(strikes_cfg["logm_start"]), float(strikes_cfg["logm_stop"]), int(strikes_cfg["count"])
+            *(float(require(strikes_cfg, k, "reprice.strikes")) for k in ("logm_start", "logm_stop")),
+            int(require(strikes_cfg, "count", "reprice.strikes")),
         )
         strikes = params.s0 * np.exp(logm)
     with r.stage("reprice"):
@@ -349,21 +339,23 @@ def _forward_at(cfg, T: float) -> float:
 def _surface_config(sc: dict) -> sf.SurfaceConfig:
     """SurfaceConfig from a JSON object; absent fields keep their defaults."""
     defaults = sf.SurfaceConfig()
-    names = [f.name for f in dataclasses.fields(sf.SurfaceConfig) if f.name in sc]
-    return sf.SurfaceConfig(**{k: type(getattr(defaults, k))(sc[k]) for k in names})
+    unknown = sorted(set(sc) - {f.name for f in dataclasses.fields(sf.SurfaceConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config field {unknown[0]!r}")
+    return sf.SurfaceConfig(**{k: type(getattr(defaults, k))(v) for k, v in sc.items()})
 
 
 def cmd_surface_calibrate(r: Runner) -> None:
     cfg = r.config
-    prior = pr.prior_from_json(cfg["prior"])
+    prior = pr.prior_from_json(require(cfg, "prior"))
     if isinstance(cfg.get("quotes"), str):
         groups = _read_quotes_csv(Path(cfg["quotes"]))
     else:
         groups = {}
         for q in cfg.get("quotes", []):
-            groups.setdefault(float(q["maturity"]), []).append(
-                sf.Quote(float(q["strike"]), float(q["bid"]), float(q["ask"]),
-                         is_call=q.get("type", "call") == "call")
+            strike, bid, ask = (float(require(q, k, "quote")) for k in ("strike", "bid", "ask"))
+            groups.setdefault(float(require(q, "maturity", "quote")), []).append(
+                sf.Quote(strike, bid, ask, is_call=q.get("type", "call") == "call")
             )
     maturities = sorted(set(groups) | {float(t) for t in cfg.get("maturities", [])})
     if not maturities:
@@ -406,12 +398,14 @@ def cmd_surface_calibrate(r: Runner) -> None:
 
 def _rebuild_surface(doc) -> sf.SurfaceCalibration:
     """The calibration a surface.json describes (files without a config use the defaults)."""
-    prior = pr.prior_from_json(doc["prior"])
+    prior = pr.prior_from_json(require(doc, "prior", "surface"))
     slices = []
-    for s in doc["slices"]:
-        T, F = float(s["maturity"]), float(s["forward"])
-        basis = bs.make_basis(np.asarray(s["knots"], dtype=float), int(s["order"]), truncation=0)
-        slices.append(sf.RNSlice(basis, np.asarray(s["weights"], dtype=float), T, F, sf.slice_measure(prior, T, F)))
+    for s in require(doc, "slices", "surface"):
+        T, F = (float(require(s, k, "slice")) for k in ("maturity", "forward"))
+        knots = np.asarray(require(s, "knots", "slice"), dtype=float)
+        basis = bs.make_basis(knots, int(require(s, "order", "slice")), truncation=0)
+        weights = np.asarray(require(s, "weights", "slice"), dtype=float)
+        slices.append(sf.RNSlice(basis, weights, T, F, sf.slice_measure(prior, T, F)))
     config = _surface_config(doc.get("config", {}))
     rel = sf._relative_grid(slices[0].basis, [sl.measure for sl in slices], config)
     return sf.SurfaceCalibration(tuple(slices), rel, config)
@@ -419,7 +413,7 @@ def _rebuild_surface(doc) -> sf.SurfaceCalibration:
 
 def cmd_validate_surface(r: Runner) -> None:
     cfg = r.config
-    path = Path(cfg["surface"])
+    path = Path(require(cfg, "surface"))
     if not path.exists():
         raise ConfigError(f"surface file {path} does not exist")
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -449,16 +443,17 @@ def cmd_validate_surface(r: Runner) -> None:
 
 def cmd_pde_evolve(r: Runner) -> None:
     cfg = r.config
-    s0 = float(cfg["s0"])
-    v0 = float(cfg["base_variance"])
+    s0 = float(require(cfg, "s0"))
+    v0 = float(require(cfg, "base_variance"))
     horizon = float(cfg.get("horizon", 1.0))
     vcfg = cfg.get("local_variance", {"type": "constant", "value": v0})
-    if vcfg["type"] == "constant":
-        coef = pde.ConstantVariance(float(vcfg["value"]))
-    elif vcfg["type"] == "affine":
-        coef = pde.AffineVariance(float(vcfg["intercept"]), float(vcfg["slope"]))
+    kind = require(vcfg, "type", "local_variance")
+    if kind == "constant":
+        coef = pde.ConstantVariance(float(require(vcfg, "value", "local_variance")))
+    elif kind == "affine":
+        coef = pde.AffineVariance(*(float(require(vcfg, k, "local_variance")) for k in ("intercept", "slope")))
     else:
-        raise ConfigError(f"unknown local variance form {vcfg['type']!r}")
+        raise ConfigError(f"unknown local variance form {kind!r}")
     half = float(cfg.get("half_width_stds", 5.0)) * np.sqrt(v0 * horizon)
     basis = bs.make_basis(
         np.linspace(s0 - half, s0 + half, int(cfg.get("knots", 40))),

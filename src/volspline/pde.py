@@ -24,12 +24,12 @@ interior block and a 2 x 2 Schur complement for the wings solve it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from volspline.bspline import BasisSpec, CompiledBasis, gauss_legendre_rule, live_pieces, make_basis
+from volspline.bspline import BasisSpec, CompiledBasis, gauss_legendre_rule, live_pieces
 from volspline.priors import BachelierPrior
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "collocation_rows",
     "evolve",
     "solve_bordered_banded",
-    "default_basis",
 ]
 
 
@@ -124,12 +123,6 @@ class PDEProblem:
         return BachelierPrior(self.s0, self.base_variance * t)
 
 
-def default_basis(s0: float, base_variance: float, horizon: float, n_knots: int = 40, order: int = 3) -> BasisSpec:
-    """Knots spanning 5 standard deviations of the base law on each side."""
-    half = 5.0 * np.sqrt(base_variance * horizon)
-    return make_basis(np.linspace(s0 - half, s0 + half, n_knots), order, truncation=0)
-
-
 @dataclass(frozen=True)
 class GalerkinSystem:
     """Mass and stiffness blocks tested against the interior basis functions.
@@ -166,7 +159,7 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
     """Gauss-Legendre points and weights on the knot intervals with the
     basis values and derivatives there, the basis and its first two
     derivatives at the boundary knots, and the live polynomial pieces."""
-    g = cb.basis.knots.knots
+    g = cb.breakpoints
     xs_n, ws_n = gauss_legendre_rule(GL_POINTS)
     a, b = g[:-1], g[1:]
     live = b > a

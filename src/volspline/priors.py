@@ -5,10 +5,9 @@ deg)``: for arrays of interval edges and local reference points it returns
 the table of integrals of ``(x - ref)^d dQ`` over ``[lo_i, hi_i]`` for every
 interval i and every degree ``d <= deg``.  The B-spline Gram, moment and
 pricing rows are contractions of that table with the compiled piecewise
-polynomial coefficients.  ``partial_moment``, ``shifted_partial_moment``
-and ``piece_integral`` are scalar views of the same table.  Gaussian and
-lognormal tables are closed form; the SSVI slice integrates on one
-composite Gauss-Legendre grid in log-moneyness.
+polynomial coefficients.  Gaussian and lognormal tables are closed form;
+the SSVI slice integrates on one composite Gauss-Legendre grid in
+log-moneyness.  ``prior_from_json`` reads a prior from its JSON config.
 """
 
 from __future__ import annotations
@@ -28,11 +27,12 @@ __all__ = [
     "LogNormalPrior",
     "SSVIParams",
     "SSVISlice",
-    "partial_moment",
     "ssvi_total_variance",
     "ssvi_density",
     "validate_ssvi",
     "adaptive_quad",
+    "ConfigError",
+    "require",
     "prior_from_json",
 ]
 
@@ -81,25 +81,8 @@ def _gauss_power_moments(alpha, beta, shift, nmax: int) -> np.ndarray:
     return out
 
 
-class _MomentViews:
-    """Scalar views of ``moment_table`` shared by the prior models."""
-
-    def partial_moment(self, a: float, b: float, n: int) -> float:
-        """Integral of x^n dQ over [a, b]."""
-        return self.shifted_partial_moment(a, b, n, 0.0)
-
-    def shifted_partial_moment(self, a: float, b: float, n: int, center: float) -> float:
-        """Integral of (x - center)^n dQ over [a, b]."""
-        return float(self.moment_table(a, b, center, n)[n])
-
-    def piece_integral(self, a: float, b: float, coeffs, ref: float) -> float:
-        """Integral over [a, b] of the polynomial sum_d coeffs[d] (x - ref)^d."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        return float(self.moment_table(a, b, ref, coeffs.size - 1) @ coeffs)
-
-
 @dataclass(frozen=True)
-class BachelierPrior(_MomentViews):
+class BachelierPrior:
     """Normal law in price (or any linear) units."""
 
     mean: float
@@ -117,9 +100,6 @@ class BachelierPrior(_MomentViews):
         x = np.asarray(x, dtype=float)
         return _phi((x - self.mean) / self.sigma) / self.sigma
 
-    def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.mean) / self.sigma)
-
     def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
         """Integrals of (x - ref_i)^d over [lo_i, hi_i] for d <= deg."""
         lo, hi, ref = _table_args(lo, hi, ref, deg)
@@ -127,16 +107,15 @@ class BachelierPrior(_MomentViews):
         mom = _gauss_power_moments((lo - self.mean) / s, (hi - self.mean) / s, (self.mean - ref) / s, deg)
         return mom * s ** np.arange(deg + 1)
 
-    # defined on the class itself so that per-method tracers find it here
-    piece_integral = _MomentViews.piece_integral
+    def piece_integral(self, a: float, b: float, coeffs, ref: float) -> float:
+        """Integral over [a, b] of the polynomial sum_d coeffs[d] (x - ref)^d."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        return float(self.moment_table(a, b, ref, coeffs.size - 1) @ coeffs)
 
     def tilted(self, coef: float) -> tuple[float, "BachelierPrior"]:
         """Factor and law such that e^{coef x} dQ = factor dQ'."""
         factor = float(np.exp(coef * self.mean + 0.5 * coef**2 * self.variance))
         return factor, BachelierPrior(self.mean + coef * self.variance, self.variance)
-
-    def mean_value(self) -> float:
-        return self.mean
 
 
 def _shift_table(raw: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -150,7 +129,7 @@ def _shift_table(raw: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LogNormalPrior(_MomentViews):
+class LogNormalPrior:
     """Driftless lognormal with the stated forward: E[S] = forward exactly."""
 
     forward: float
@@ -190,9 +169,6 @@ class LogNormalPrior(_MomentViews):
             zb = (np.log(np.maximum(hi, 0.0) / F) + 0.5 * w) / sq
         raw = F**n * np.exp(0.5 * n * (n - 1) * w) * _ndtr_diff(za[..., None] - n * sq, zb[..., None] - n * sq)
         return _shift_table(raw, ref)
-
-    def mean_value(self) -> float:
-        return self.forward
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +363,7 @@ def _composite_table(edges, coord, weight, lo, hi, ref, deg: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SSVISlice(_MomentViews):
+class SSVISlice:
     """Fixed-maturity marginal of the SSVI surface.
 
     Tables integrate on one composite Gauss-Legendre grid of
@@ -453,14 +429,6 @@ class SSVISlice(_MomentViews):
         )
         return out.reshape(shape + (deg + 1,))
 
-    def mean_value(self) -> float:
-        return self.forward
-
-
-def partial_moment(prior, a: float, b: float, n: int) -> float:
-    """Integral of x^n dQ over [a, b] for any of the prior models."""
-    return prior.partial_moment(a, b, n)
-
 
 # ---------------------------------------------------------------------------
 # adaptive quadrature (embedded Gauss rules, vectorized integrand)
@@ -502,25 +470,31 @@ def adaptive_quad(f: Callable, a: float, b: float, tol: float, max_depth: int = 
 # JSON configuration
 # ---------------------------------------------------------------------------
 
+class ConfigError(ValueError):
+    """A JSON configuration lacks a required field or names an unknown one."""
+
+
+def require(obj, key: str, where: str = "config"):
+    """``obj[key]``, or a ``ConfigError`` naming the missing field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"{where} requires the field {key!r}")
+    return obj[key]
+
+
 def prior_from_json(obj: dict):
     """Build a prior from its JSON description (field names as documented)."""
-    kind = obj.get("type")
+    kind = require(obj, "type", "prior")
+
+    def num(key: str) -> float:
+        return float(require(obj, key, f"{kind} prior"))
+
     if kind == "bachelier":
-        return BachelierPrior(mean=float(obj["mean"]), variance=float(obj["variance"]))
+        return BachelierPrior(mean=num("mean"), variance=num("variance"))
     if kind == "lognormal":
-        return LogNormalPrior(
-            forward=float(obj["forward"]), total_variance=float(obj["total_variance"])
-        )
+        return LogNormalPrior(forward=num("forward"), total_variance=num("total_variance"))
     if kind == "ssvi":
         fc = obj.get("forward_curve", 1.0)
         if isinstance(fc, list):
             fc = np.asarray(fc, dtype=float)
-        return SSVIParams(
-            C=float(obj["C"]),
-            K=float(obj["K"]),
-            rho=float(obj["rho"]),
-            eta=float(obj["eta"]),
-            gamma=float(obj["gamma"]),
-            forward_curve=fc,
-        )
+        return SSVIParams(C=num("C"), K=num("K"), rho=num("rho"), eta=num("eta"), gamma=num("gamma"), forward_curve=fc)
     raise PriorError(f"unknown prior type {kind!r}")

@@ -12,20 +12,19 @@ local volatility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from volspline import regression as rg
 from volspline.black import implied_vol
-from volspline.bspline import PiecewisePoly, Spline, make_basis, moment_rows
+from volspline.bspline import PiecewisePoly, make_basis, moment_rows
 from volspline.priors import BachelierPrior
 
 __all__ = [
     "ScottParams",
     "ConstraintFlags",
-    "ParticleEnsemble",
     "LeverageSlice",
     "LeverageSurface",
     "dupire_flat",
@@ -61,25 +60,6 @@ class ConstraintFlags:
     forward_variance_eq: bool = True  # integral equality pinning E[a_t^2]
     nonnegative: bool = True
     quadratic_cap: bool = False  # second-moment cone row from E[a_t^4]
-
-
-@dataclass
-class ParticleEnsemble:
-    s: np.ndarray
-    u: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        self.s = np.asarray(self.s, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        if self.s.shape != self.u.shape:
-            raise ValueError("spot and volatility states must have equal shape")
-        if not (np.all(np.isfinite(self.s)) and np.all(np.isfinite(self.u))):
-            raise ValueError("ensemble contains non-finite states")
-
-    @property
-    def size(self) -> int:
-        return self.s.size
 
 
 def dupire_flat(sigma_bs: float):
@@ -161,9 +141,6 @@ class LeverageSurface:
     def __post_init__(self) -> None:
         if len(self.slices) != np.asarray(self.times).size:
             raise ValueError("one slice per time-grid point is required")
-
-    def slice_at(self, k: int) -> LeverageSlice:
-        return self.slices[k]
 
     def leverage(self, k: int, spots):
         return self.slices[k].leverage(spots)

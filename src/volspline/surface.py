@@ -16,12 +16,11 @@ Bachelier prior works directly in price space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from volspline import opt
-from volspline.black import black_call, implied_vol
 from volspline.bspline import BasisSpec, CompiledBasis, Spline, make_basis
 from volspline.priors import BachelierPrior, LogNormalPrior, SSVIParams, SSVISlice, ssvi_total_variance
 from volspline.regression import ConstraintSet
@@ -276,25 +275,12 @@ class RNSlice:
         forms = pricing_linear_forms(self.basis, self.measure, strikes)
         return forms["call_rows"] @ self.weights
 
-    def put_price(self, strikes):
-        forms = pricing_linear_forms(self.basis, self.measure, strikes)
-        return forms["put_rows"] @ self.weights
-
     def density(self, x):
         """Risk-neutral density of the spot."""
         x = np.asarray(x, dtype=float)
         u = np.log(x / self.forward) if self.measure.spot_map == "exp" else x
         f = self.spline(u, method="compiled")
         return f * self.measure.density_price(x)
-
-    def reweighting(self, u):
-        return self.spline(np.asarray(u, dtype=float), method="compiled")
-
-    def implied_total_variance(self, strikes):
-        strikes = np.atleast_1d(np.asarray(strikes, dtype=float))
-        prices = self.call_price(strikes)
-        vols = implied_vol(prices, self.forward, strikes, self.maturity)
-        return vols**2 * self.maturity
 
     def to_json(self) -> dict:
         return {
@@ -332,10 +318,6 @@ class SurfaceCalibration:
         mats = [s.maturity for s in self.slices]
         if any(b <= a for a, b in zip(mats, mats[1:])):
             raise ValueError("maturities must be strictly increasing")
-
-    @property
-    def maturities(self) -> np.ndarray:
-        return np.array([s.maturity for s in self.slices])
 
 
 def _knot_grid(market: list[MarketSlice], measures, cfg: SurfaceConfig) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Basis construction, evaluation routes, differentiation and inner products."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,21 @@ class TestEvaluation:
         D_cmp = basis.compiled().evaluate(xs)
         scale = np.abs(D_fwd).max()
         assert np.abs(D_fwd - D_cmp).max() <= 1e-12 * scale
+
+    def test_compiled_basis_dies_with_its_spec(self):
+        # the spec caches its compiled form, which holds no reference back,
+        # so reference counting frees both without the cycle collector
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            spec = bs.make_basis(np.linspace(0.0, 5.0, 6), 3)
+            compiled = weakref.ref(spec.compiled())
+            assert compiled() is spec.compiled()
+            del spec
+            assert compiled() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_compiled_order0_exact(self):
         basis = bs.make_basis([0.0, 1.0], 0)
@@ -331,12 +349,3 @@ def _simpson_gram(basis, p):
         core += vals_f.T @ (w_f[:, None] * vals_f)
     return dm.matrix.T @ core @ dm.matrix
 
-
-class TestPiecewisePolySerialization:
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(15)
-        basis = random_basis(rng, n_knots=7, order=2)
-        pp = bs.Spline(basis, rng.standard_normal(basis.dimension)).compiled()
-        clone = bs.PiecewisePoly.from_json(pp.to_json())
-        xs = rng.uniform(-5, 5, 100)
-        np.testing.assert_array_equal(pp(xs), clone(xs))

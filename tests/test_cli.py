@@ -1,11 +1,16 @@
-"""CSV number formatting and the import footprint of the command-line modules."""
+"""CSV number formatting, config errors, public names and the import
+footprint of the command-line modules."""
 
+import importlib
+import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import volspline
 from volspline import cli
@@ -45,3 +50,30 @@ def test_imports_leave_scipy_linalg_unloaded():
     code = "import sys, volspline.cli, volspline.pde, volspline.opt; print('scipy.linalg' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "command, config, missing",
+    [
+        ("validate-surface", {}, "surface"),
+        ("surface-calibrate", {"prior": {"type": "lognormal", "forward": 100.0}, "forward": 100.0,
+                               "maturities": [1.0]}, "total_variance"),
+        ("pde-evolve", {"base_variance": 400.0}, "s0"),
+        ("slv-calibrate", {"params": {"s0": 100.0, "theta": 1.0, "nu": 0.3, "rho": -0.8, "sigma_bs": 0.25}}, "a0"),
+    ],
+)
+def test_missing_config_field_exits_2(tmp_path, capsys, command, config, missing):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and repr(missing) in err
+
+
+def test_every_public_name_resolves():
+    names = [f"volspline.{m.name}" for m in pkgutil.iter_modules(volspline.__path__)]
+    modules = [volspline] + [importlib.import_module(name) for name in names]
+    assert "volspline.priors" in names
+    for mod in modules:
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"{mod.__name__}: {missing}"

@@ -1,4 +1,4 @@
-"""Partial moments, densities and arbitrage checks of the base models."""
+"""Moment tables, densities and arbitrage checks of the base models."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,11 @@ from volspline import priors as pr
 class TestBachelier:
     def test_total_mass(self):
         p = pr.BachelierPrior(0.3, 2.0)
-        assert p.partial_moment(-np.inf, np.inf, 0) == pytest.approx(1.0, abs=1e-12)
+        assert p.moment_table(-np.inf, np.inf, 0.0, 0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_halfline_first_moment(self):
         p = pr.BachelierPrior(0.0, 1.0)
-        assert p.partial_moment(0.0, np.inf, 1) == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
+        assert p.moment_table(0.0, np.inf, 0.0, 1)[1] == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(0)
@@ -23,43 +23,43 @@ class TestBachelier:
             a, b = np.sort(rng.uniform(-3, 4, 2))
             n = int(rng.integers(0, 5))
             ref = quad(lambda x: x**n * p.density(x), a, b, epsabs=1e-13)[0]
-            assert p.partial_moment(a, b, n) == pytest.approx(ref, abs=1e-9)
+            assert p.moment_table(a, b, 0.0, n)[n] == pytest.approx(ref, abs=1e-9)
 
     def test_additive_over_intervals(self):
         p = pr.BachelierPrior(0.0, 1.0)
         for n in range(5):
-            total = p.partial_moment(-1.0, 2.0, n)
-            split = p.partial_moment(-1.0, 0.3, n) + p.partial_moment(0.3, 2.0, n)
+            total = p.moment_table(-1.0, 2.0, 0.0, n)[n]
+            split = p.moment_table(-1.0, 0.3, 0.0, n)[n] + p.moment_table(0.3, 2.0, 0.0, n)[n]
             assert total == pytest.approx(split, abs=1e-12)
 
     def test_shifted_moment(self):
         p = pr.BachelierPrior(1.0, 0.5)
         direct = quad(lambda x: (x - 0.7) ** 3 * p.density(x), -3, 4, epsabs=1e-13)[0]
-        assert p.shifted_partial_moment(-3, 4, 3, 0.7) == pytest.approx(direct, abs=1e-10)
+        assert p.moment_table(-3, 4, 0.7, 3)[3] == pytest.approx(direct, abs=1e-10)
 
     def test_tilt_identity(self):
         p = pr.BachelierPrior(0.2, 0.8)
         factor, tilted = p.tilted(1.0)
         ref = quad(lambda x: np.exp(x) * x**2 * p.density(x), -8, 8, epsabs=1e-12)[0]
-        val = factor * tilted.partial_moment(-8, 8, 2)
+        val = factor * tilted.moment_table(-8, 8, 0.0, 2)[2]
         assert val == pytest.approx(ref, rel=1e-9)
 
     def test_rejects_bad_input(self):
         with pytest.raises(pr.PriorError):
             pr.BachelierPrior(0.0, -1.0)
         with pytest.raises(pr.PriorError):
-            pr.BachelierPrior(0.0, 1.0).partial_moment(2.0, 1.0, 0)
+            pr.BachelierPrior(0.0, 1.0).moment_table(2.0, 1.0, 0.0, 0)
 
 
 class TestLogNormal:
     def test_martingale_normalization(self):
         p = pr.LogNormalPrior(100.0, 0.09)
-        assert p.partial_moment(0, np.inf, 0) == pytest.approx(1.0, abs=1e-12)
-        assert p.partial_moment(0, np.inf, 1) == pytest.approx(100.0, rel=1e-12)
+        assert p.moment_table(0, np.inf, 0.0, 0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert p.moment_table(0, np.inf, 0.0, 1)[1] == pytest.approx(100.0, rel=1e-12)
 
     def test_second_moment(self):
         p = pr.LogNormalPrior(2.0, 0.2)
-        assert p.partial_moment(0, np.inf, 2) == pytest.approx(4.0 * np.exp(0.2), rel=1e-12)
+        assert p.moment_table(0, np.inf, 0.0, 2)[2] == pytest.approx(4.0 * np.exp(0.2), rel=1e-12)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(1)
@@ -68,12 +68,12 @@ class TestLogNormal:
             a, b = np.sort(rng.uniform(0.2, 4.0, 2))
             n = int(rng.integers(0, 5))
             ref = quad(lambda x: x**n * p.density(x), a, b, epsabs=1e-13)[0]
-            assert p.partial_moment(a, b, n) == pytest.approx(ref, abs=1e-9)
+            assert p.moment_table(a, b, 0.0, n)[n] == pytest.approx(ref, abs=1e-9)
 
     def test_degenerate_point_mass(self):
         p = pr.LogNormalPrior(3.0, 0.0)
-        assert p.partial_moment(0, np.inf, 1) == 3.0
-        assert p.partial_moment(0, 2.9, 1) == 0.0
+        assert p.moment_table(0, np.inf, 0.0, 1)[1] == 3.0
+        assert p.moment_table(0, 2.9, 0.0, 1)[1] == 0.0
 
 
 class TestSSVI:
@@ -109,8 +109,8 @@ class TestSSVI:
 
     def test_density_normalization_and_mean(self, fig_params):
         sl = pr.SSVISlice(fig_params, 1.0)
-        assert sl.partial_moment(0.0, np.inf, 0) == pytest.approx(1.0, abs=1e-6)
-        assert sl.partial_moment(0.0, np.inf, 1) == pytest.approx(100.0, rel=1e-6)
+        assert sl.moment_table(0.0, np.inf, 0.0, 0)[0] == pytest.approx(1.0, abs=1e-6)
+        assert sl.moment_table(0.0, np.inf, 0.0, 1)[1] == pytest.approx(100.0, rel=1e-6)
 
     def test_density_matches_price_curvature(self, fig_params):
         from volspline.black import black_call
@@ -140,8 +140,8 @@ class TestSSVI:
 
     def test_additivity(self, fig_params):
         sl = pr.SSVISlice(fig_params, 0.5)
-        whole = sl.partial_moment(80.0, 120.0, 1)
-        parts = sl.partial_moment(80.0, 97.0, 1) + sl.partial_moment(97.0, 120.0, 1)
+        whole = sl.moment_table(80.0, 120.0, 0.0, 1)[1]
+        parts = sl.moment_table(80.0, 97.0, 0.0, 1)[1] + sl.moment_table(97.0, 120.0, 0.0, 1)[1]
         assert whole == pytest.approx(parts, rel=1e-9)
 
 

@@ -159,6 +159,13 @@ class TestSurfaceCommands:
         assert code == 2
         assert "forward_curve" in capsys.readouterr().err
 
+    def test_unknown_config_field_is_a_config_error(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, {"type": "lognormal", "forward": 100.0, "total_variance": 0.04})
+        code = cli.main(["surface-calibrate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--set", "config.n_knot=5"])
+        assert code == 2
+        assert "'n_knot'" in capsys.readouterr().err
+
     def test_validation_uses_the_calibration_config(self, tmp_path):
         prior = {"type": "lognormal", "forward": 100.0, "total_variance": 0.04}
         cfg = self._config(tmp_path, prior, {"relative_grid_size": 41})
@@ -301,7 +308,7 @@ class TestJointSurface:
             law = pr.BachelierPrior(100.0, 15.0**2 * T)
             qs = []
             for K in Ks:
-                mid = law.shifted_partial_moment(K, np.inf, 1, K)
+                mid = law.moment_table(K, np.inf, K, 1)[1]
                 qs.append(sf.Quote(K, mid - 0.05, mid + 0.05))
             slices.append(sf.MarketSlice(T, 100.0, qs))
         calib = sf.calibrate_surface(slices, prior, sf.SurfaceConfig(n_knots=11))
