@@ -564,6 +564,27 @@ class CompiledBasis:
             dc = c[:, :, 1:] * np.arange(1, c.shape[2])
         return replace(self, coeffs=dc)
 
+    def affine_image(self, g0: float, h: float) -> "CompiledBasis":
+        """The basis of the knots ``g0 + h * breakpoints``, without a compile.
+
+        ``make_basis`` scales its wing constants with the knot spacing, so
+        the functions of the mapped knots are these functions composed with
+        ``x -> (x - g0) / h``: breakpoints and refs move by that map, and a
+        degree-d local coefficient is divided by ``h**d``.
+        """
+        if not h > 0.0:
+            raise SplineError("an affine image of a basis needs a positive scale")
+        bp, refs = g0 + h * self.breakpoints, g0 + h * self.refs
+        coeffs = self.coeffs / h ** np.arange(self.coeffs.shape[2])
+        for a in (bp, refs, coeffs):
+            a.setflags(write=False)
+        return replace(self, breakpoints=bp, refs=refs, coeffs=coeffs)
+
+    def combination(self, weights) -> PiecewisePoly:
+        """The spline with these weights on the kept functions, as one piecewise polynomial."""
+        wc = np.tensordot(np.asarray(weights, dtype=float), self.coeffs, axes=(0, 0))
+        return PiecewisePoly(self.breakpoints, self.refs, wc)
+
     def spline_values(self, weights: np.ndarray, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         idx = np.searchsorted(self.breakpoints, xs, side="right")
@@ -692,9 +713,7 @@ class Spline:
         return eval_spline(self, x, method=method)
 
     def compiled(self) -> PiecewisePoly:
-        cb = self.basis.compiled()
-        wc = np.tensordot(self.weights, cb.coeffs, axes=(0, 0))
-        return PiecewisePoly(cb.breakpoints, cb.refs, wc)
+        return self.basis.compiled().combination(self.weights)
 
     def derivative_spline(self, p: int = 1) -> "Spline":
         dm = derivative_decomposition(self.basis, p)

@@ -25,7 +25,7 @@ import numpy as np
 from volspline import __version__, bspline as bs, opt, pde, priors as pr, slv, surface as sf
 from volspline import regression as rg
 from volspline.black import implied_vol
-from volspline.priors import ConfigError, require
+from volspline.priors import ConfigError, config_value, float_array, require
 
 __all__ = ["main"]
 
@@ -75,9 +75,13 @@ class Runner:
                 parsed = val
             node = self.config
             parts = key.split(".")
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-            node[parts[-1]] = parsed
+            for i, part in enumerate(parts):
+                if not isinstance(node, dict):
+                    raise ConfigError(f"--set {key}: {'.'.join(parts[:i]) or 'the config'} is not an object")
+                if i == len(parts) - 1:
+                    node[part] = parsed
+                else:
+                    node = node.setdefault(part, {})
 
     def stage(self, name: str):
         runner = self
@@ -124,14 +128,19 @@ class Runner:
         _write_json(path, manifest)
 
 
-def _grid(cfg, default_count=1000):
-    return np.linspace(float(require(cfg, "start")), float(require(cfg, "stop")), int(cfg.get("count", default_count)))
+def _grid(cfg, default_count=1000, where="grid"):
+    return np.linspace(
+        config_value(cfg, "start", where),
+        config_value(cfg, "stop", where),
+        config_value(cfg, "count", where, int, default_count),
+    )
 
 
 def _knots_from_config(cfg) -> np.ndarray:
-    if isinstance(cfg, list):
-        return np.asarray(cfg, dtype=float)
-    return _grid(cfg, default_count=8)
+    spec = cfg.get("knots", {"start": 0.0, "stop": 7.0, "count": 8})
+    if isinstance(spec, list):
+        return config_value(cfg, "knots", kind=float_array)
+    return _grid(spec, default_count=8, where="knots")
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +149,13 @@ def _knots_from_config(cfg) -> np.ndarray:
 
 def cmd_basis(r: Runner) -> None:
     cfg = r.config
-    knots = _knots_from_config(cfg.get("knots", {"start": 0.0, "stop": 7.0, "count": 8}))
-    orders = cfg.get("orders", [0, 1, 2, 3])
+    knots = _knots_from_config(cfg)
+    orders = config_value(cfg, "orders", kind=lambda v: [int(o) for o in v], default=[0, 1, 2, 3])
     grid = _grid(cfg.get("grid", {"start": knots[0] - 1.0, "stop": knots[-1] + 1.0, "count": 1000}))
+    truncation = config_value(cfg, "truncation", kind=int, default=None)
     for order in orders:
         with r.stage(f"basis-order-{order}"):
-            basis = bs.make_basis(knots, int(order), cfg.get("truncation"))
+            basis = bs.make_basis(knots, order, truncation)
             values = basis.compiled().evaluate(grid)
             header = ["x"] + [f"b{j}" for j in range(basis.dimension)]
             rows = ([g, *vals] for g, vals in zip(grid, values))
@@ -206,18 +216,18 @@ def _load_sample(spec) -> rg.Sample:
 def cmd_regress(r: Runner) -> None:
     cfg = r.config
     sample = _load_sample(cfg.get("sample", "builtin:tanh-1600"))
-    order = int(cfg.get("order", 2))
-    n_knots = int(cfg.get("knots", 20))
-    truncation = int(cfg.get("truncation", 1))
-    halfwidth = float(cfg.get("knot_halfwidth_stds", 2.5))
+    order = config_value(cfg, "order", kind=int, default=2)
+    n_knots = config_value(cfg, "knots", kind=int, default=20)
+    truncation = config_value(cfg, "truncation", kind=int, default=1)
+    halfwidth = config_value(cfg, "knot_halfwidth_stds", default=2.5)
     with r.stage("fit"):
         knots = np.linspace(-halfwidth * sample.sigma_x, halfwidth * sample.sigma_x, n_knots)
         knots = knots + float(np.mean(sample.x)) if cfg.get("center_knots", True) else knots
         basis = bs.make_basis(knots, order, truncation)
         reg_cfg = rg.RegressionConfig(
             basis,
-            penalty_order=int(cfg.get("penalty_order", 2)),
-            tikhonov_constant=float(cfg.get("tikhonov_constant", 1.0)),
+            penalty_order=config_value(cfg, "penalty_order", kind=int, default=2),
+            tikhonov_constant=config_value(cfg, "tikhonov_constant", default=1.0),
         )
         lam = rg.tikhonov_factor(sample, reg_cfg)
         specs = cfg.get("constraints", [])
@@ -248,10 +258,10 @@ def cmd_slv_calibrate(r: Runner) -> None:
         raise ConfigError("slv-calibrate requires --seed")
     pcfg = require(cfg, "params")
     params = slv.ScottParams(
-        **{k: float(require(pcfg, k, "params")) for k in ("s0", "a0", "theta", "nu", "rho", "sigma_bs")}
+        **{k: config_value(pcfg, k, "params") for k in ("s0", "a0", "theta", "nu", "rho", "sigma_bs")}
     )
-    horizon = float(cfg.get("horizon", 1.0))
-    steps = int(cfg.get("steps", 40))
+    horizon = config_value(cfg, "horizon", default=1.0)
+    steps = config_value(cfg, "steps", kind=int, default=40)
     flags_cfg = cfg.get("constraints", {})
     flags = slv.ConstraintFlags(
         forward_variance_eq=bool(flags_cfg.get("forward_variance", True)),
@@ -262,27 +272,27 @@ def cmd_slv_calibrate(r: Runner) -> None:
         surf = slv.calibrate_leverage(
             params,
             np.linspace(0.0, horizon, steps + 1),
-            int(cfg.get("particles", 16000)),
+            config_value(cfg, "particles", kind=int, default=16000),
             seed=r.seed,
-            n_knots=int(cfg.get("knots", 20)),
-            order=int(cfg.get("order", 2)),
-            truncation=int(cfg.get("truncation", 1)),
-            penalty_order=int(cfg.get("penalty_order", 2)),
+            n_knots=config_value(cfg, "knots", kind=int, default=20),
+            order=config_value(cfg, "order", kind=int, default=2),
+            truncation=config_value(cfg, "truncation", kind=int, default=1),
+            penalty_order=config_value(cfg, "penalty_order", kind=int, default=2),
             flags=flags,
         )
     rep = cfg.get("reprice", {})
     strikes_cfg = rep.get("strikes", {"logm_start": -0.35, "logm_stop": 0.35, "count": 15})
     if isinstance(strikes_cfg, list):
-        strikes = np.asarray(strikes_cfg, dtype=float)
+        strikes = config_value(rep, "strikes", "reprice", float_array)
     else:
         logm = np.linspace(
-            *(float(require(strikes_cfg, k, "reprice.strikes")) for k in ("logm_start", "logm_stop")),
-            int(require(strikes_cfg, "count", "reprice.strikes")),
+            *(config_value(strikes_cfg, k, "reprice.strikes") for k in ("logm_start", "logm_stop")),
+            config_value(strikes_cfg, "count", "reprice.strikes", int),
         )
         strikes = params.s0 * np.exp(logm)
     with r.stage("reprice"):
         res = slv.reprice_and_implied(
-            surf, params, strikes, horizon, int(rep.get("paths", 131072)), seed=r.seed + 1
+            surf, params, strikes, horizon, config_value(rep, "paths", "reprice", int, 131072), seed=r.seed + 1
         )
     r.emit_csv(
         "smile.csv",
@@ -294,7 +304,7 @@ def cmd_slv_calibrate(r: Runner) -> None:
             )
         ),
     )
-    lev_grid = params.s0 * np.exp(np.linspace(-0.6, 0.6, int(cfg.get("leverage_grid", 61))))
+    lev_grid = params.s0 * np.exp(np.linspace(-0.6, 0.6, config_value(cfg, "leverage_grid", kind=int, default=61)))
     rows = []
     for k, t in enumerate(surf.times):
         lv = surf.leverage(k, lev_grid)
@@ -326,13 +336,11 @@ def _read_quotes_csv(path: Path):
 
 
 def _forward_at(cfg, T: float) -> float:
-    fwd = cfg.get("forward")
-    if fwd is not None:
-        return float(fwd)
-    curve = cfg.get("forwards")
-    if curve is None:
+    if cfg.get("forward") is not None:
+        return config_value(cfg, "forward")
+    if cfg.get("forwards") is None:
         raise ConfigError("config requires 'forward' or a 'forwards' curve")
-    pts = np.asarray(curve, dtype=float)
+    pts = config_value(cfg, "forwards", kind=float_array)
     return float(np.interp(T, pts[:, 0], pts[:, 1]))
 
 
@@ -342,7 +350,7 @@ def _surface_config(sc: dict) -> sf.SurfaceConfig:
     unknown = sorted(set(sc) - {f.name for f in dataclasses.fields(sf.SurfaceConfig)})
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
-    return sf.SurfaceConfig(**{k: type(getattr(defaults, k))(v) for k, v in sc.items()})
+    return sf.SurfaceConfig(**{k: config_value(sc, k, "config", type(getattr(defaults, k))) for k in sc})
 
 
 def cmd_surface_calibrate(r: Runner) -> None:
@@ -353,11 +361,11 @@ def cmd_surface_calibrate(r: Runner) -> None:
     else:
         groups = {}
         for q in cfg.get("quotes", []):
-            strike, bid, ask = (float(require(q, k, "quote")) for k in ("strike", "bid", "ask"))
-            groups.setdefault(float(require(q, "maturity", "quote")), []).append(
+            strike, bid, ask = (config_value(q, k, "quote") for k in ("strike", "bid", "ask"))
+            groups.setdefault(config_value(q, "maturity", "quote"), []).append(
                 sf.Quote(strike, bid, ask, is_call=q.get("type", "call") == "call")
             )
-    maturities = sorted(set(groups) | {float(t) for t in cfg.get("maturities", [])})
+    maturities = sorted(set(groups) | config_value(cfg, "maturities", kind=lambda v: {float(t) for t in v}, default=set()))
     if not maturities:
         raise ConfigError("no maturities given")
     market = [sf.MarketSlice(T, _forward_at(cfg, T), tuple(groups.get(T, ()))) for T in maturities]
@@ -379,12 +387,13 @@ def cmd_surface_calibrate(r: Runner) -> None:
         },
     )
     rows = []
+    grid_size = config_value(cfg, "grid_size", kind=int, default=101)
     for sl in calib.slices:
         g = sl.basis.knots.knots
         if sl.measure.spot_map == "exp":
-            strikes = sl.forward * np.exp(np.linspace(g[0], g[-1], int(cfg.get("grid_size", 101))))
+            strikes = sl.forward * np.exp(np.linspace(g[0], g[-1], grid_size))
         else:
-            strikes = np.linspace(g[0], g[-1], int(cfg.get("grid_size", 101)))
+            strikes = np.linspace(g[0], g[-1], grid_size)
         calls = sl.call_price(strikes)
         vols = implied_vol(calls, sl.forward, strikes, sl.maturity)
         dens = sl.density(strikes)
@@ -401,10 +410,10 @@ def _rebuild_surface(doc) -> sf.SurfaceCalibration:
     prior = pr.prior_from_json(require(doc, "prior", "surface"))
     slices = []
     for s in require(doc, "slices", "surface"):
-        T, F = (float(require(s, k, "slice")) for k in ("maturity", "forward"))
-        knots = np.asarray(require(s, "knots", "slice"), dtype=float)
-        basis = bs.make_basis(knots, int(require(s, "order", "slice")), truncation=0)
-        weights = np.asarray(require(s, "weights", "slice"), dtype=float)
+        T, F = (config_value(s, k, "slice") for k in ("maturity", "forward"))
+        knots = config_value(s, "knots", "slice", float_array)
+        basis = bs.make_basis(knots, config_value(s, "order", "slice", int), truncation=0)
+        weights = config_value(s, "weights", "slice", float_array)
         slices.append(sf.RNSlice(basis, weights, T, F, sf.slice_measure(prior, T, F)))
     config = _surface_config(doc.get("config", {}))
     rel = sf._relative_grid(slices[0].basis, [sl.measure for sl in slices], config)
@@ -422,8 +431,8 @@ def cmd_validate_surface(r: Runner) -> None:
     with r.stage("validate"):
         report = sf.validate(
             calib,
-            n_strikes=int(grids.get("n_strikes", 400)),
-            n_density=int(grids.get("n_density", 1000)),
+            n_strikes=config_value(grids, "n_strikes", "grids", int, 400),
+            n_density=config_value(grids, "n_density", "grids", int, 1000),
         )
     r.emit_json(
         "report.json",
@@ -443,29 +452,29 @@ def cmd_validate_surface(r: Runner) -> None:
 
 def cmd_pde_evolve(r: Runner) -> None:
     cfg = r.config
-    s0 = float(require(cfg, "s0"))
-    v0 = float(require(cfg, "base_variance"))
-    horizon = float(cfg.get("horizon", 1.0))
+    s0 = config_value(cfg, "s0")
+    v0 = config_value(cfg, "base_variance")
+    horizon = config_value(cfg, "horizon", default=1.0)
     vcfg = cfg.get("local_variance", {"type": "constant", "value": v0})
     kind = require(vcfg, "type", "local_variance")
     if kind == "constant":
-        coef = pde.ConstantVariance(float(require(vcfg, "value", "local_variance")))
+        coef = pde.ConstantVariance(config_value(vcfg, "value", "local_variance"))
     elif kind == "affine":
-        coef = pde.AffineVariance(*(float(require(vcfg, k, "local_variance")) for k in ("intercept", "slope")))
+        coef = pde.AffineVariance(*(config_value(vcfg, k, "local_variance") for k in ("intercept", "slope")))
     else:
         raise ConfigError(f"unknown local variance form {kind!r}")
-    half = float(cfg.get("half_width_stds", 5.0)) * np.sqrt(v0 * horizon)
+    half = config_value(cfg, "half_width_stds", default=5.0) * np.sqrt(v0 * horizon)
     basis = bs.make_basis(
-        np.linspace(s0 - half, s0 + half, int(cfg.get("knots", 40))),
-        int(cfg.get("order", 3)),
+        np.linspace(s0 - half, s0 + half, config_value(cfg, "knots", kind=int, default=40)),
+        config_value(cfg, "order", kind=int, default=3),
         truncation=0,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         problem = pde.PDEProblem(coef, v0, s0, basis, horizon)
     with r.stage("evolve"):
-        traj = pde.evolve(problem, int(cfg.get("steps", 100)), scheme=cfg.get("scheme", "cn"))
-    grid = np.linspace(basis.knots.knots[0], basis.knots.knots[-1], int(cfg.get("grid_size", 101)))
+        traj = pde.evolve(problem, config_value(cfg, "steps", kind=int, default=100), scheme=cfg.get("scheme", "cn"))
+    grid = np.linspace(basis.knots.knots[0], basis.knots.knots[-1], config_value(cfg, "grid_size", kind=int, default=101))
     rows = []
     for k, t in enumerate(traj.times):
         vals = traj.ratio(k, grid)

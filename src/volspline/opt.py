@@ -212,6 +212,8 @@ class _Cones:
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product u o v."""
+        if not self.socs:
+            return u * v
         out = np.empty(self.m)
         out[: self.ml] = u[: self.ml] * v[: self.ml]
         for st, q in zip(self.starts, self.socs):
@@ -222,6 +224,8 @@ class _Cones:
 
     def solve_arrow(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Solve lam o u = d for u."""
+        if not self.socs:
+            return d / lam
         out = np.empty(self.m)
         out[: self.ml] = d[: self.ml] / lam[: self.ml]
         for st, q in zip(self.starts, self.socs):
@@ -303,6 +307,8 @@ class _Scaling:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """W v."""
         c = self.cones
+        if not c.socs:
+            return self.w_lin * v
         out = np.empty(c.m)
         out[: c.ml] = self.w_lin * v[: c.ml]
         for (eta, wbar), st, q in zip(self.soc, c.starts, c.socs):
@@ -312,6 +318,8 @@ class _Scaling:
     def apply_inv(self, v: np.ndarray) -> np.ndarray:
         """W^{-1} v."""
         c = self.cones
+        if not c.socs:
+            return v / self.w_lin
         out = np.empty(c.m)
         out[: c.ml] = v[: c.ml] / self.w_lin
         for (eta, wbar), st, q in zip(self.soc, c.starts, c.socs):
@@ -323,6 +331,8 @@ class _Scaling:
     def apply_inv_mat(self, M: np.ndarray) -> np.ndarray:
         """W^{-1} M for a dense matrix with cone-ordered rows."""
         c = self.cones
+        if not c.socs:
+            return M / self.w_lin[:, None]
         out = np.empty_like(M)
         out[: c.ml] = M[: c.ml] / self.w_lin[:, None] if c.ml else M[: c.ml]
         for (eta, wbar), st, q in zip(self.soc, c.starts, c.socs):

@@ -33,6 +33,8 @@ __all__ = [
     "adaptive_quad",
     "ConfigError",
     "require",
+    "config_value",
+    "float_array",
     "prior_from_json",
 ]
 
@@ -481,12 +483,36 @@ def require(obj, key: str, where: str = "config"):
     return obj[key]
 
 
+_REQUIRED = object()
+
+
+def float_array(value) -> np.ndarray:
+    """A JSON number or (nested) list of numbers as a float array."""
+    return np.asarray(value, dtype=float)
+
+
+def config_value(obj, key: str, where: str = "config", kind=float, default=_REQUIRED):
+    """``kind(obj[key])``, or ``default`` when the field is absent and one is given.
+
+    A missing required field, or a value ``kind`` cannot convert (a string
+    where a number belongs), is a ``ConfigError`` naming the field.
+    """
+    if default is not _REQUIRED and not (isinstance(obj, dict) and key in obj):
+        return default
+    value = require(obj, key, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} field {key!r} has the invalid value {value!r} ({exc})") from exc
+
+
 def prior_from_json(obj: dict):
     """Build a prior from its JSON description (field names as documented)."""
     kind = require(obj, "type", "prior")
+    where = f"{kind} prior"
 
     def num(key: str) -> float:
-        return float(require(obj, key, f"{kind} prior"))
+        return config_value(obj, key, where)
 
     if kind == "bachelier":
         return BachelierPrior(mean=num("mean"), variance=num("variance"))
@@ -494,7 +520,6 @@ def prior_from_json(obj: dict):
         return LogNormalPrior(forward=num("forward"), total_variance=num("total_variance"))
     if kind == "ssvi":
         fc = obj.get("forward_curve", 1.0)
-        if isinstance(fc, list):
-            fc = np.asarray(fc, dtype=float)
+        fc = config_value(obj, "forward_curve", where, float_array if isinstance(fc, list) else float, 1.0)
         return SSVIParams(C=num("C"), K=num("K"), rho=num("rho"), eta=num("eta"), gamma=num("gamma"), forward_curve=fc)
     raise PriorError(f"unknown prior type {kind!r}")

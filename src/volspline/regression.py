@@ -4,8 +4,14 @@ The estimator minimizes mean squared error plus ``lambda`` times the
 integrated squared p-th derivative.  The penalty factor scales like
 ``K sigma_X^(2p-1) / N`` so the fit is invariant under affine maps of the
 abscissa (with the knots mapped along) and relaxes as the sample grows.
-Linear shape constraints and marginal-compatibility constraints turn the
-normal equations into a cone program handled by :mod:`volspline.opt`.
+
+The scatter plot enters the normal equations as a measure, like the
+marginal laws do: the sample is the empirical law ``(1/N) sum_n delta_{x_n}``,
+whose moment table over the basis pieces holds per-interval power sums.
+Its Gram is ``B^T B / N`` and its moment rows weighted by ``y`` are
+``B^T y / N``, without the dense design matrix ``B``.  Linear shape
+constraints and marginal-compatibility constraints turn the normal
+equations into a cone program handled by :mod:`volspline.opt`.
 """
 
 from __future__ import annotations
@@ -29,10 +35,15 @@ from volspline.bspline import (
 
 __all__ = [
     "Sample",
+    "EmpiricalMeasure",
     "RegressionConfig",
     "ConstraintSet",
     "LebesgueMeasure",
     "tikhonov_factor",
+    "design_system",
+    "penalty_matrix",
+    "solve_penalized",
+    "solve_constrained",
     "fit_penalized",
     "fit_constrained",
     "shape_constraints",
@@ -63,6 +74,57 @@ class Sample:
     @property
     def sigma_x(self) -> float:
         return float(np.std(self.x))
+
+
+class EmpiricalMeasure:
+    """The law ``(1/N) sum_n w_n delta_{x_n}`` of N points (``w_n = 1`` when
+    no weights are given), with the ``moment_table`` of the other measures.
+
+    A table over intervals ``[lo_i, hi_i)`` holds the power sums
+    ``(1/N) sum_{x_n in [lo_i, hi_i)} w_n (x_n - ref_i)^d``: one interval
+    index per point and one ``np.bincount`` per degree.  The intervals are
+    sorted and disjoint, as ``live_pieces`` gives them.  The index is found
+    once per set of intervals and shared with the measures ``weighted``
+    derives, so a Gram and moment rows over the same pieces locate the
+    points once.
+    """
+
+    def __init__(self, points, weights=None):
+        self.points = np.asarray(points, dtype=float).reshape(-1)
+        self.weights = None if weights is None else np.asarray(weights, dtype=float).reshape(-1)
+        if self.weights is not None and self.weights.size != self.points.size:
+            raise ValueError("one weight per point is required")
+        self._located: dict = {}
+
+    def weighted(self, weights) -> "EmpiricalMeasure":
+        """The same points with new weights, sharing the located indices."""
+        out = EmpiricalMeasure(self.points, weights)
+        out._located = self._located
+        return out
+
+    def _locate(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Interval of each point; ``lo.size`` for a point outside them all."""
+        key = (lo.tobytes(), hi.tobytes())
+        idx = self._located.get(key)
+        if idx is None:
+            idx = np.searchsorted(lo, self.points, side="right") - 1
+            inside = (idx >= 0) & (self.points < hi[np.maximum(idx, 0)])
+            idx[~inside] = lo.size
+            self._located[key] = idx
+        return idx
+
+    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        lo, hi, ref = (np.asarray(v, dtype=float).reshape(-1) for v in (lo, hi, ref))
+        idx = self._locate(lo, hi)
+        u = self.points - np.append(ref, 0.0)[idx]
+        term = np.ones_like(u) if self.weights is None else self.weights.copy()
+        table = np.empty((lo.size, deg + 1))
+        for d in range(deg + 1):
+            # the last bin collects the points outside every interval
+            table[:, d] = np.bincount(idx, weights=term, minlength=lo.size + 1)[:-1]
+            if d < deg:
+                term *= u
+        return table / self.points.size
 
 
 @dataclass(frozen=True)
@@ -199,28 +261,31 @@ class ConstraintSet:
 # fitting
 # ---------------------------------------------------------------------------
 
-def design_system(sample: Sample, basis: BasisSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normal-equation blocks: B, V = B^T B / N and c = B^T y / N."""
-    B = basis.compiled().evaluate(sample.x)
-    V = B.T @ B / sample.n
-    c = B.T @ sample.y / sample.n
-    return B, V, c
+def design_system(sample: Sample, cb: CompiledBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-equation blocks ``V = B^T B / N`` and ``c = B^T y / N``.
+
+    The scatter plot enters as the sample's empirical measure: ``V`` is its
+    ``weighted_gram`` and ``c`` its ``moment_rows`` weighted by ``y``, both
+    read from the per-interval power sums of one interval index.  The dense
+    design ``B`` is not formed.
+    """
+    law = EmpiricalMeasure(sample.x)
+    V = weighted_gram(cb, law)
+    c = moment_rows(cb, law.weighted(sample.y))
+    return V, c
 
 
 def penalty_matrix(cfg: RegressionConfig) -> np.ndarray:
     return gram_matrix(cfg.basis, cfg.penalty_order)
 
 
-def fit_penalized(sample: Sample, cfg: RegressionConfig, lam: float | None = None) -> Spline:
-    """Solve the penalized normal equations.
+def solve_penalized(V, c, R, lam: float, sample: Sample, cb: CompiledBasis) -> np.ndarray:
+    """Weights solving the penalized normal equations ``(V + lam R) w = c``.
 
     A rank-deficient system falls back to the smoothness-weighted
-    pseudoinverse: best data fit first, minimal penalty among the fits.
+    pseudoinverse of the design ``B`` of ``cb`` at the sample: best data
+    fit first, minimal penalty among the fits.
     """
-    if lam is None:
-        lam = tikhonov_factor(sample, cfg)
-    B, V, c = design_system(sample, cfg.basis)
-    R = penalty_matrix(cfg)
     lhs = V + lam * R
     ok = False
     try:
@@ -237,26 +302,21 @@ def fit_penalized(sample: Sample, cfg: RegressionConfig, lam: float | None = Non
     if not ok:
         eps = 1e-12 * max(np.trace(R) / max(R.shape[0], 1), 1.0)
         Q = R + eps * np.eye(R.shape[0])
+        B = cb.evaluate(sample.x)
         w = opt.pseudoinverse_lsq(B / np.sqrt(sample.n), sample.y / np.sqrt(sample.n), Q)
-    return Spline(cfg.basis, w)
+    return w
 
 
-def fit_constrained(
-    sample: Sample,
-    cfg: RegressionConfig,
-    lam: float | None = None,
-    constraints: ConstraintSet | None = None,
-    tol: float = 1e-8,
-) -> Spline:
-    """Penalized least squares under a constraint set, via the cone solver.
+def solve_constrained(V, c, R, lam: float, constraints: ConstraintSet | None, tol: float = 1e-8) -> np.ndarray:
+    """Weights minimizing ``w^T (V + lam R) w - 2 c^T w`` under the constraints.
 
-    A solve that stops short of ``optimal`` with KKT residuals at most 1e-6
-    is accepted with an ``opt.ConvergenceWarning``.
+    This decides what a cone solve's status means for a regression: an
+    ``infeasible`` solve raises ``opt.InfeasibleError`` naming the most
+    violated constraint family; one that stops short of ``optimal`` with
+    KKT residuals at most 1e-6 is accepted with an
+    ``opt.ConvergenceWarning``, and with larger residuals raises
+    ``opt.OptError``.
     """
-    if lam is None:
-        lam = tikhonov_factor(sample, cfg)
-    _, V, c = design_system(sample, cfg.basis)
-    R = penalty_matrix(cfg)
     quad = opt.QuadForm(2.0 * (V + lam * R), -2.0 * c)
     sol = opt.solve_qp(quad, constraints, tol=tol)
     if sol.status == "infeasible":
@@ -273,7 +333,31 @@ def fit_constrained(
                 f"constrained regression did not converge (residuals {sol.kkt_residuals})"
             )
         opt.warn_unconverged(sol, "constrained regression")
-    return Spline(cfg.basis, sol.x)
+    return sol.x
+
+
+def fit_penalized(sample: Sample, cfg: RegressionConfig, lam: float | None = None) -> Spline:
+    """Solve the penalized normal equations (see ``solve_penalized``)."""
+    if lam is None:
+        lam = tikhonov_factor(sample, cfg)
+    cb = cfg.basis.compiled()
+    V, c = design_system(sample, cb)
+    return Spline(cfg.basis, solve_penalized(V, c, penalty_matrix(cfg), lam, sample, cb))
+
+
+def fit_constrained(
+    sample: Sample,
+    cfg: RegressionConfig,
+    lam: float | None = None,
+    constraints: ConstraintSet | None = None,
+    tol: float = 1e-8,
+) -> Spline:
+    """Penalized least squares under a constraint set, via the cone solver
+    (see ``solve_constrained`` for the statuses it accepts)."""
+    if lam is None:
+        lam = tikhonov_factor(sample, cfg)
+    V, c = design_system(sample, cfg.basis.compiled())
+    return Spline(cfg.basis, solve_constrained(V, c, penalty_matrix(cfg), lam, constraints, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -200,12 +200,24 @@ def calibrate_leverage(
     both sides of the forward.  Each date moves the particles with the
     leverage of the previous date's slice, the step ``simulate_terminal``
     takes.
+
+    Evenly spaced knots are an affine image ``g0 + h * j`` of the unit
+    grid ``j = 0 .. n_knots - 1``, so one unit basis and its penalty Gram
+    are built once: each date maps the compiled basis
+    (``CompiledBasis.affine_image``) and scales the Gram by ``h^(1 - 2p)``.
+    The sample's normal equations come from its moment table
+    (``regression.design_system``).
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("time grid must start at 0 and increase")
     if n_particles < 100:
         raise ValueError("particle count too small")
+
+    unit = make_basis(np.arange(n_knots, dtype=float), order, truncation)
+    cfg = rg.RegressionConfig(unit, penalty_order=penalty_order, tikhonov_constant=tikhonov_constant)
+    unit_cb = unit.compiled()
+    unit_penalty = rg.penalty_matrix(cfg)
 
     s = np.full(n_particles, p.s0)
     u = np.zeros(n_particles)
@@ -219,33 +231,35 @@ def calibrate_leverage(
         a_sq = p.a0**2 * np.exp(2.0 * u)
         x = np.log(s)
         std = float(np.std(x))
+        # the knots np.linspace(g0, g1, n_knots), up to the rounding of the last
         center = np.log(p.s0)
-        knots = np.linspace(center - knot_halfwidth_stds * std, center + knot_halfwidth_stds * std, n_knots)
-        basis = make_basis(knots, order, truncation)
+        g0, g1 = center - knot_halfwidth_stds * std, center + knot_halfwidth_stds * std
+        h = (g1 - g0) / (n_knots - 1) if n_knots > 1 else 1.0
+        cb = unit_cb.affine_image(g0, h)
         sample = rg.Sample(x, a_sq)
-        cfg = rg.RegressionConfig(basis, penalty_order=penalty_order, tikhonov_constant=tikhonov_constant)
         lam = rg.tikhonov_factor(sample, cfg)
+        V, c = rg.design_system(sample, cb)
+        R = h ** (1 - 2 * penalty_order) * unit_penalty
 
-        cs = rg.ConstraintSet(basis.dimension)
+        cs = rg.ConstraintSet(unit.dimension)
         marginal = _spot_marginal_log(p, t1)
-        cb = basis.compiled()
         if flags.forward_variance_eq:
             cs.add_eq(moment_rows(cb, marginal), forward_variance(p, t1), "forward-variance")
         if flags.nonnegative:
-            cs.add_ineq_rows(np.eye(basis.dimension), 0.0, "nonnegative")
+            cs.add_ineq_rows(np.eye(unit.dimension), 0.0, "nonnegative")
         if flags.quadratic_cap:
             rg.add_second_moment_cap(cs, cb, marginal, fourth_moment(p, t1), "second-moment-cap")
 
         if cs.n_rows:
             try:
-                fit = rg.fit_constrained(sample, cfg, lam, cs)
+                w = rg.solve_constrained(V, c, R, lam, cs)
             except rg.opt.InfeasibleError as exc:
                 raise rg.opt.InfeasibleError(f"step {k + 1} (t={t1:g}): {exc}") from exc
         else:
-            fit = rg.fit_penalized(sample, cfg, lam)
+            w = rg.solve_penalized(V, c, R, lam, sample, cb)
 
         floor = 1e-10 * forward_variance(p, t1)
-        slices.append(LeverageSlice(t=float(t1), cond_var=fit.compiled(), floor=floor, sigma_bs=p.sigma_bs))
+        slices.append(LeverageSlice(t=float(t1), cond_var=cb.combination(w), floor=floor, sigma_bs=p.sigma_bs))
 
     return LeverageSurface(times=times, slices=tuple(slices), params=p)
 

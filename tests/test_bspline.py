@@ -185,6 +185,34 @@ class TestAffineEquivariance:
         D2 = bs.design_matrix(mapped, a * xs + b)
         assert np.abs(D1 - D2).max() <= 1e-12 * max(1.0, np.abs(D1).max())
 
+    @pytest.mark.parametrize("unit", [np.arange(6.0), np.array([0.0, 0.4, 1.5, 2.0, 3.7, 5.0])])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_affine_image_is_the_compile_of_the_mapped_knots(self, unit, order):
+        # the compiled basis and the penalty Gram of g0 + h * unit follow
+        # from those of the unit knots without a compile
+        for t in range(-1, order + 1):
+            basis = bs.make_basis(unit, order, t)
+            for g0, h in ((-3.2, 0.037), (4.6, 0.21), (100.0, 7.5)):
+                mapped = bs.make_basis(g0 + h * unit, order, t)
+                got, want = basis.compiled().affine_image(g0, h), bs.compile_basis(mapped)
+                assert (got.first_index, got.order) == (want.first_index, want.order)
+                for a, b in ((got.breakpoints, want.breakpoints), (got.refs, want.refs)):
+                    assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+                scale = np.abs(want.coeffs).max(axis=(0, 1))  # per degree: they scale as h^-d
+                assert np.all(np.abs(got.coeffs - want.coeffs) <= 1e-13 * scale)
+                for p in range(t + 1, order + 2):
+                    if p == 0:
+                        continue
+                    gram = h ** (1 - 2 * p) * bs.gram_matrix(basis, p)
+                    ref = bs.gram_matrix(mapped, p)
+                    assert np.abs(gram - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_affine_image_rejects_a_nonpositive_scale(self):
+        cb = bs.make_basis(np.arange(4.0), 2).compiled()
+        for h in (0.0, -1.0, np.nan):
+            with pytest.raises(bs.SplineError):
+                cb.affine_image(0.0, h)
+
 
 class TestSmoothness:
     @pytest.mark.parametrize("order", [1, 2, 3])

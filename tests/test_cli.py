@@ -2,6 +2,7 @@
 footprint of the command-line modules."""
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -68,6 +69,50 @@ def test_missing_config_field_exits_2(tmp_path, capsys, command, config, missing
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and repr(missing) in err
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("surface-calibrate", {"prior": {"type": "lognormal", "forward": "abc", "total_variance": 0.04},
+                               "forward": 100.0, "maturities": [1.0]}, "forward"),
+        ("surface-calibrate", {"prior": {"type": "lognormal", "forward": 100.0, "total_variance": 0.04},
+                               "forward": 100.0, "maturities": ["soon"]}, "maturities"),
+        ("pde-evolve", {"s0": 100.0, "base_variance": 400.0, "steps": None}, "steps"),
+        ("slv-calibrate", {"params": {"s0": 100.0, "a0": [0.2], "theta": 1.0, "nu": 0.3, "rho": -0.8,
+                                      "sigma_bs": 0.25}}, "a0"),
+    ],
+)
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, config, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and repr(field) in err
+
+
+@pytest.mark.parametrize("key, scalar", [("prior.type.x", "prior.type"), ("forward.x.y", "forward")])
+def test_set_through_a_non_object_exits_2(tmp_path, capsys, key, scalar):
+    config = REPO / "configs" / "surface_synthetic.json"
+    argv = ["surface-calibrate", "--config", str(config), "--out", str(tmp_path / "out"), "--set", f"{key}=1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and f"--set {key}: {scalar} is not an object" in err
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer finds each layer by name in the owning module's
+    # or class's __dict__; a renamed layer would crash only its traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for mod_name, path, _, _ in tracing.TRACED:
+        owner = importlib.import_module(mod_name)
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = vars(owner)[part]
+        assert attr in vars(owner), f"{mod_name}.{path}"
 
 
 def test_every_public_name_resolves():

@@ -105,6 +105,36 @@ class TestSolveSOCP:
         assert np.all(np.isfinite(sol.x))
 
 
+def test_orthant_only_cone_algebra_is_elementwise():
+    # without cone blocks the Jordan product, the arrow solve and the
+    # scaling are elementwise; with a block after the orthant rows, the
+    # orthant part of each is unchanged
+    rng = np.random.default_rng(13)
+    ml = 6
+    s, z, u, v = rng.uniform(0.1, 2.0, (4, ml))
+    M = rng.standard_normal((ml, 3))
+    orthant = opt._Cones(ml, [])
+    W = opt._Scaling(orthant, s, z)
+    w = np.sqrt(s / z)
+    np.testing.assert_array_equal(orthant.prod(u, v), u * v)
+    np.testing.assert_array_equal(orthant.solve_arrow(u, v), v / u)
+    np.testing.assert_array_equal(W.apply(v), w * v)
+    np.testing.assert_array_equal(W.apply_inv(v), v / w)
+    np.testing.assert_array_equal(W.apply_inv_mat(M), M / w[:, None])
+    np.testing.assert_array_equal(W.lam, w * z)
+
+    mixed = opt._Cones(ml, [3])
+    cone = np.array([2.0, 0.3, -0.4])
+    sm, zm, um, vm = (np.concatenate([a, cone]) for a in (s, z, u, v))
+    Wm = opt._Scaling(mixed, sm, zm)
+    np.testing.assert_array_equal(mixed.prod(um, vm)[:ml], orthant.prod(u, v))
+    np.testing.assert_array_equal(mixed.solve_arrow(um, vm)[:ml], orthant.solve_arrow(u, v))
+    np.testing.assert_array_equal(Wm.apply(vm)[:ml], W.apply(v))
+    np.testing.assert_array_equal(Wm.apply_inv(vm)[:ml], W.apply_inv(v))
+    Mm = np.vstack([M, rng.standard_normal((3, 3))])
+    np.testing.assert_array_equal(Wm.apply_inv_mat(Mm)[:ml], W.apply_inv_mat(M))
+
+
 def equilibrate_row_by_row(G, h, A, b, f, P, ml, socs, sweeps=6):
     """``opt._equilibrate`` with one Python step per orthant row."""
     d, e, a = np.ones(G.shape[1]), np.ones(G.shape[0]), np.ones(A.shape[0])

@@ -111,6 +111,25 @@ class TestFitPenalized:
         assert np.abs(f1(xs) - f2(a * xs + b)).max() <= 1e-8
 
 
+class TestDesignSystem:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_moment_table_matches_dense_design(self, order):
+        # V = B^T B / N and c = B^T y / N from the sample's power sums, with
+        # points on every knot, inside and in both wings
+        rng = np.random.default_rng(40 + order)
+        knots = np.linspace(-2.0, 2.0, 6)
+        x = np.concatenate([rng.uniform(-4.0, 4.0, 300), knots, [-7.0, 9.0]])
+        y = 1.0 + rng.standard_normal(x.size)
+        sample = rg.Sample(x, y)
+        for t in range(-1, order + 1):
+            basis = bs.make_basis(knots, order, t)
+            V, c = rg.design_system(sample, basis.compiled())
+            B = bs.design_matrix(basis, x)
+            V_ref, c_ref = B.T @ B / x.size, B.T @ y / x.size
+            assert np.abs(V - V_ref).max() <= 1e-12 * np.abs(V_ref).max()
+            assert np.abs(c - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+
+
 class TestConstraintSet:
     def test_block_assembly_equals_row_by_row(self):
         rng = np.random.default_rng(21)
@@ -253,7 +272,7 @@ class TestCompatibility:
         assert d - np.linalg.norm(A @ w) > 0.1
         assert np.abs(w - w_free).max() <= 1e-9 * np.abs(w_free).max()
 
-        _, V, c = rg.design_system(s, basis)
+        V, c = rg.design_system(s, basis.compiled())
         P = 2.0 * (V + rg.tikhonov_factor(s, cfg) * rg.penalty_matrix(cfg))
         for ey2 in (1.1, 1.05):
             cs = rg.compatibility_constraints(basis, prior, (1.0, ey2, None))
