@@ -22,6 +22,7 @@ that compiled evaluation stays well conditioned for knots far from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -68,22 +69,38 @@ def _as_sorted_knots(values: Iterable[float]) -> np.ndarray:
     return arr
 
 
-def _detect_equal_spacing(knots: np.ndarray) -> bool:
-    if knots.size < 3:
-        return knots.size == 2
-    d = np.diff(knots)
-    h = d[0]
-    if h <= 0.0:
-        return False
-    return bool(np.all(np.abs(d - h) <= 1e-12 * max(abs(knots[0]), abs(knots[-1]), h)))
+def _floor_step(knots: np.ndarray) -> float | None:
+    """The step ``h`` of the corrected-floor locate, or None where it is not exact.
+
+    The floor of ``(x - g0) / h`` is monotone in ``x``, so it lands within
+    one of the bisection index for every float ``x`` once it does so at
+    every knot: knot ``j`` must give ``j - 1`` or ``j``.  The spacing must
+    also be equal to 1e-12 of the knots' scale.
+    """
+    k = knots.size
+    if k < 2:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (knots[-1] - knots[0]) / (k - 1)
+        if not (np.isfinite(h) and h > 0.0):
+            return None
+        d = np.diff(knots)
+        if not np.all(np.abs(d - d[0]) <= 1e-12 * max(abs(knots[0]), abs(knots[-1]), d[0])):
+            return None
+        lag = np.arange(k) - np.floor((knots - knots[0]) / h)
+    return float(h) if bool(np.all((lag == 0.0) | (lag == 1.0))) else None
 
 
 @dataclass(frozen=True)
 class KnotVector:
     """Sorted knots, possibly with repeats.  Immutable after construction.
 
-    ``equal_spacing`` enables the O(1) integer-part locate; the flag is an
-    optimization only and locate results are identical to bisection.
+    ``equal_spacing`` enables the O(1) locate: the floor of
+    ``(x - knots[0]) / h``, then one comparison with a knot on each side.
+    Construction checks that the floor is off by at most one at every
+    knot, which makes locate identical to bisection for every float,
+    infinities and NaN included.  Knots that fail the check (or explicit
+    ``equal_spacing=False``) locate by bisection.
     """
 
     knots: np.ndarray
@@ -93,9 +110,16 @@ class KnotVector:
         arr = _as_sorted_knots(knots)
         arr.setflags(write=False)
         object.__setattr__(self, "knots", arr)
-        if equal_spacing is None:
-            equal_spacing = _detect_equal_spacing(arr)
-        object.__setattr__(self, "equal_spacing", bool(equal_spacing))
+        h = _floor_step(arr) if equal_spacing is not False else None
+        if equal_spacing and h is None:
+            raise SplineError("knots are not equally spaced")
+        object.__setattr__(self, "equal_spacing", h is not None)
+        object.__setattr__(self, "_step", h)
+        if h is not None:
+            # knot j at index j; index k and -1 read NaN, which no comparison passes
+            probe = np.append(arr, np.nan)
+            probe.setflags(write=False)
+            object.__setattr__(self, "_probe", probe)
 
     def __hash__(self) -> int:
         return hash((self.knots.tobytes(), self.equal_spacing))
@@ -129,30 +153,42 @@ class KnotVector:
 
 
 def locate(knots: KnotVector, x):
-    g = knots.knots
-    k = g.size
+    """``searchsorted(knots, x, "right") - 1``: -1 below the knots, k - 1 at
+    and above the last knot and for NaN."""
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if k == 0:
-        idx = np.full(xs.shape, -1, dtype=np.intp)
-        return int(idx[0]) if scalar else idx
+    idx = _piece_index(knots, np.atleast_1d(xs))
+    idx -= 1
+    return int(idx[0]) if xs.ndim == 0 else idx
 
-    if knots.equal_spacing and k >= 2:
-        h = (g[-1] - g[0]) / (k - 1)
-        raw = np.floor((xs - g[0]) / h).astype(np.intp)
-        idx = np.clip(raw, -1, k - 1)
-        # one corrective comparison on each side keeps the fast path
-        # bit-identical to bisection near representability boundaries
-        hi = np.clip(idx + 1, 0, k - 1)
-        bump = (idx < k - 1) & (xs >= g[hi])
-        idx = np.where(bump, idx + 1, idx)
-        lo = np.clip(idx, 0, k - 1)
-        drop = (idx >= 0) & (xs < g[lo])
-        idx = np.where(drop, idx - 1, idx)
-    else:
-        idx = np.searchsorted(g, xs, side="right").astype(np.intp) - 1
-    return int(idx[0]) if scalar else idx
+
+def _piece_index(knots: KnotVector, xs: np.ndarray) -> np.ndarray:
+    """``searchsorted(knots, xs, "right")``, the piece index of a piecewise
+    polynomial on these breakpoints, as a new intp array."""
+    if not knots.equal_spacing:
+        return np.searchsorted(knots.knots, xs, side="right")
+    g = knots._probe
+    k = g.size - 1
+    with np.errstate(over="ignore"):
+        t = xs - g[0]
+        t /= knots._step
+    np.floor(t, out=t)
+    # clip in float: -inf stays -1, +inf and NaN (fmin drops it) go to k - 1
+    np.maximum(t, -1.0, out=t)
+    np.fmin(t, k - 1.0, out=t)
+    idx = t.astype(np.intp)
+    # the floor is off by at most one (KnotVector checks it at every knot):
+    # one comparison on each side makes it exact.  The probe reads NaN at
+    # index k and, wrapped, at -1; t and mask are reused as buffers (take
+    # buffers its out= in the default "raise" mode, not in "wrap")
+    mask = np.empty(xs.shape, dtype=bool)
+    idx += 1
+    g.take(idx, out=t, mode="wrap")
+    idx += np.greater_equal(xs, t, out=mask)
+    idx -= 1
+    g.take(idx, out=t, mode="wrap")
+    idx -= np.less(xs, t, out=mask)
+    idx += 1
+    return idx
 
 
 @dataclass(frozen=True)
@@ -428,6 +464,14 @@ class PiecewisePoly:
     the two unbounded ones.  Interval membership is half-open on the right,
     matching the basis conventions.  Coefficients are stored lowest degree
     first.
+
+    Evaluation at many points costs O(1) per point: the breakpoints are
+    held as a ``KnotVector``, so evenly spaced ones (every slice of a
+    calibration is) are located by the corrected floor rather than by
+    bisection, and Horner's rule gathers each degree's coefficients from a
+    contiguous column.  Its values are those of bisection, row gathers and
+    ``acc = acc * u + c[:, d]``, bit for bit.  ``breakpoints`` may be given
+    as a ``KnotVector`` to reuse its spacing check.
     """
 
     breakpoints: np.ndarray
@@ -435,30 +479,33 @@ class PiecewisePoly:
     coeffs: np.ndarray  # (m + 1, degree + 1)
 
     def __init__(self, breakpoints, refs, coeffs):
-        bp = np.asarray(breakpoints, dtype=float).reshape(-1)
+        kv = breakpoints if isinstance(breakpoints, KnotVector) else KnotVector(np.reshape(breakpoints, -1))
         rf = np.asarray(refs, dtype=float).reshape(-1)
         cf = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        if rf.size != bp.size + 1 or cf.shape[0] != bp.size + 1:
+        if rf.size != kv.k + 1 or cf.shape[0] != kv.k + 1:
             raise SplineError("piecewise polynomial needs one ref and one coefficient row per interval")
-        for a in (bp, rf, cf):
+        columns = np.ascontiguousarray(cf.T)  # (degree + 1, m + 1): one row per degree
+        for a in (rf, cf, columns):
             a.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "breakpoints", kv.knots)
         object.__setattr__(self, "refs", rf)
         object.__setattr__(self, "coeffs", cf)
-
-    def _interval(self, xs: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.breakpoints, xs, side="right")
+        object.__setattr__(self, "_knots", kv)
+        object.__setattr__(self, "_columns", columns)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
-        idx = self._interval(xs)
-        u = xs - self.refs[idx]
-        c = self.coeffs[idx]
-        acc = c[:, -1].copy()
-        for d in range(self.coeffs.shape[1] - 2, -1, -1):
-            acc = acc * u + c[:, d]
+        idx = _piece_index(self._knots, xs)
+        u = self.refs.take(idx)
+        np.subtract(xs, u, out=u)
+        cols = self._columns
+        acc = cols[-1].take(idx)
+        column = np.empty_like(acc)
+        for d in range(cols.shape[0] - 2, -1, -1):
+            acc *= u
+            acc += cols[d].take(idx, out=column, mode="clip")  # clip: out= unbuffered
         return float(acc[0]) if scalar else acc
 
     def derivative(self) -> "PiecewisePoly":
@@ -467,7 +514,7 @@ class PiecewisePoly:
             dc = np.zeros((c.shape[0], 1))
         else:
             dc = c[:, 1:] * np.arange(1, c.shape[1])
-        return PiecewisePoly(self.breakpoints, self.refs, dc)
+        return PiecewisePoly(self._knots, self.refs, dc)
 
     def one_sided(self, x: float, p: int, side: str) -> float:
         """p-th derivative at ``x`` using the piece on the given side."""
@@ -523,6 +570,11 @@ class CompiledBasis:
     refs: np.ndarray
     coeffs: np.ndarray  # (dim, n_intervals, degree + 1)
 
+    @cached_property
+    def knot_vector(self) -> KnotVector:
+        """The breakpoints with their spacing check, for locating points."""
+        return KnotVector(self.breakpoints)
+
     @property
     def edges(self) -> np.ndarray:
         """Interval edges ``-inf, breakpoints..., +inf``; interval i is [edges[i], edges[i+1])."""
@@ -530,17 +582,17 @@ class CompiledBasis:
 
     @property
     def pieces(self) -> list[PiecewisePoly]:
-        return [PiecewisePoly(self.breakpoints, self.refs, self.coeffs[j]) for j in range(self.coeffs.shape[0])]
+        return [PiecewisePoly(self.knot_vector, self.refs, c) for c in self.coeffs]
 
     def evaluate(self, xs) -> np.ndarray:
         """Dense (points, dimension) matrix via Horner on local coordinates."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        idx = np.searchsorted(self.breakpoints, xs, side="right")
+        idx = _piece_index(self.knot_vector, xs)
         u = xs - self.refs[idx]
         dim = self.coeffs.shape[0]
         out = np.zeros((xs.size, dim))
         lo = self.first_index
-        first = idx  # searchsorted-right on the knots is locate + 1: first active index
+        first = idx  # the piece index is locate + 1: the first active function
         for s in range(self.order + 1):
             j_full = first + s
             keep = (j_full >= lo) & (j_full < lo + dim)
@@ -583,19 +635,10 @@ class CompiledBasis:
     def combination(self, weights) -> PiecewisePoly:
         """The spline with these weights on the kept functions, as one piecewise polynomial."""
         wc = np.tensordot(np.asarray(weights, dtype=float), self.coeffs, axes=(0, 0))
-        return PiecewisePoly(self.breakpoints, self.refs, wc)
+        return PiecewisePoly(self.knot_vector, self.refs, wc)
 
     def spline_values(self, weights: np.ndarray, xs) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        idx = np.searchsorted(self.breakpoints, xs, side="right")
-        u = xs - self.refs[idx]
-        # collapse weighted coefficients per interval, then Horner
-        wc = np.tensordot(np.asarray(weights, dtype=float), self.coeffs, axes=(0, 0))  # (intervals, order+1)
-        c = wc[idx]
-        acc = c[:, -1].copy()
-        for d in range(c.shape[1] - 2, -1, -1):
-            acc = acc * u + c[:, d]
-        return acc
+        return self.combination(weights)(np.atleast_1d(np.asarray(xs, dtype=float)))
 
 
 def compile_basis(basis: BasisSpec) -> CompiledBasis:

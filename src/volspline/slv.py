@@ -12,7 +12,7 @@ local volatility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -47,6 +47,9 @@ class ScottParams:
     sigma_bs: float
 
     def __post_init__(self) -> None:
+        # an integer s0 would make the particle spots an integer array
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         if min(self.s0, self.a0, self.theta, self.sigma_bs) <= 0.0 or self.nu < 0.0:
             raise ValueError("s0, a0, theta, sigma_bs must be positive and nu nonnegative")
         if not -1.0 <= self.rho <= 1.0:
@@ -125,11 +128,15 @@ class LeverageSlice:
 
     def conditional_variance(self, spots):
         vals = self.cond_var(np.log(np.asarray(spots, dtype=float)))
-        return np.maximum(vals, self.floor)
+        # the values are a fresh array (or a float): floor them in place
+        return np.maximum(vals, self.floor, out=vals if np.ndim(vals) else None)
 
     def leverage(self, spots):
         spots = np.asarray(spots, dtype=float)
-        return self.sigma_bs * spots / np.sqrt(self.conditional_variance(spots))
+        cv = self.conditional_variance(spots)
+        lev = self.sigma_bs * spots
+        lev /= np.sqrt(cv, out=cv if np.ndim(cv) else None)
+        return lev
 
 
 @dataclass(frozen=True)
@@ -313,12 +320,29 @@ def simulate_terminal(
     half = (n_paths + 1) // 2 if antithetic else n_paths
     s = np.full(2 * half if antithetic else n_paths, p.s0)
     u = np.zeros_like(s)
+    z = np.empty((2, s.size))  # the normals of each date, one buffer for all
     for k, dt in enumerate(np.diff(times)):
         rng = _step_rng(seed, "reprice", k)
         z_half = rng.standard_normal((2, half))
-        z = np.concatenate([z_half, -z_half], axis=1) if antithetic else z_half
+        z[:, :half] = z_half
+        if antithetic:
+            np.negative(z_half, out=z[:, half:])
         u = _particle_step(s, u, dt, p, z, surface.slices[k])
     return s[:n_paths]
+
+
+_PAIR_BLOCK = 8192  # antithetic pairs per block of repricing payoffs
+
+
+def _pair_payoffs(lo: np.ndarray, hi: np.ndarray, strikes: np.ndarray) -> np.ndarray:
+    """Call payoffs averaged over each antithetic pair, strikes by pairs."""
+    pay = lo - strikes[:, None]
+    np.maximum(pay, 0.0, out=pay)
+    other = hi - strikes[:, None]
+    np.maximum(other, 0.0, out=other)
+    pay += other
+    pay *= 0.5
+    return pay
 
 
 def reprice_and_implied(
@@ -339,17 +363,28 @@ def reprice_and_implied(
     normals with opposite signs, so an odd ``n_paths`` is rounded up to whole
     pairs.  Standard errors are taken over the pair averages, the
     independent draws, rather than over the correlated paths.
+
+    The pair-averaged payoffs are summed over ``_PAIR_BLOCK`` pairs at a
+    time, once for the prices and once more for the centred squares of the
+    standard errors, so the memory beyond the terminal spots is a strikes
+    by ``_PAIR_BLOCK`` array, not strikes by paths.
     """
     strikes = np.asarray(strikes, dtype=float)
     if abs(maturity - surface.times[-1]) > 1e-12:
         raise ValueError("repricing maturity must equal the calibration horizon")
     half = (n_paths + 1) // 2
     sT = simulate_terminal(surface, 2 * half, seed)
-    pair_sT = 0.5 * (sT[:half] + sT[half:])
-    payoffs = np.maximum(sT[None, :] - strikes[:, None], 0.0)
-    pair_payoffs = 0.5 * (payoffs[:, :half] + payoffs[:, half:])
-    prices = pair_payoffs.mean(axis=1)
-    stderr = pair_payoffs.std(axis=1, ddof=1) / np.sqrt(half)
+    lo, hi = sT[:half], sT[half:]
+    pair_sT = 0.5 * (lo + hi)
+    blocks = [slice(a, a + _PAIR_BLOCK) for a in range(0, half, _PAIR_BLOCK)]
+    prices = sum(_pair_payoffs(lo[b], hi[b], strikes).sum(axis=1) for b in blocks) / half
+    centred = 0.0
+    for b in blocks:
+        dev = _pair_payoffs(lo[b], hi[b], strikes)
+        dev -= prices[:, None]
+        dev *= dev
+        centred += dev.sum(axis=1)
+    stderr = np.sqrt(centred / (half - 1)) / np.sqrt(half)
     vols = implied_vol(prices, p.s0, strikes, maturity)
     intrinsic = np.maximum(p.s0 - strikes, 0.0)
     flags = np.where(prices <= intrinsic, "below-intrinsic", np.where(prices >= p.s0, "above-forward", "ok"))

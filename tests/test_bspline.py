@@ -79,6 +79,21 @@ class TestLocate:
         xs = np.concatenate([rng.uniform(-1, 4, 300), knots, knots - 1e-16, knots + 1e-16])
         np.testing.assert_array_equal(fast.locate(xs), slow.locate(xs))
 
+    def test_equal_spacing_off_the_float_range(self):
+        # the floor is clipped before the integer cast: +inf and 1e300 fall
+        # above the last knot and NaN sorts last, as in bisection
+        kv = bs.KnotVector(np.linspace(0.0, 1.0, 11))
+        assert kv.equal_spacing
+        xs = np.array([np.inf, 1e300, np.nan, -np.inf, -1e300])
+        np.testing.assert_array_equal(kv.locate(xs), [10, 10, 10, -1, -1])
+        assert kv.locate(np.nan) == 10 and kv.locate(np.inf) == 10
+
+    def test_spacing_flag_only_where_the_floor_is_exact(self):
+        assert not bs.KnotVector([1.0, 1.0]).equal_spacing
+        assert not bs.KnotVector([0.0, 1.0, 3.0]).equal_spacing
+        with pytest.raises(bs.SplineError):
+            bs.KnotVector([0.0, 1.0, 3.0], equal_spacing=True)
+
 
 class TestEvaluation:
     def test_hand_unrolled_order1(self):

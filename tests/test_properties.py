@@ -1,11 +1,12 @@
-"""Invariants of the basis, the moment tables, the pricing rows and the
-cone solver, on random inputs.
+"""Invariants of the basis, the interval lookup, the moment tables, the
+pricing rows and the cone solver, on random inputs.
 
 The oracles share no code with the parts under test: the constant one and
 the forward recursion for the basis, ``scipy.integrate.quad`` of the
 densities written out here, split at the knots and at multiples of the
 standard deviation, basis values from the recursive evaluation route, and
-scipy's SLSQP for the solver.
+scipy's SLSQP for the solver, bisection and a row-by-row Horner for
+piecewise evaluation.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from volspline import bspline as bs, opt, priors as pr, regression as rg, surface as sf
+from volspline import bspline as bs, opt, priors as pr, regression as rg, slv, surface as sf
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 SPLITS = np.array([-40.0, -20.0, -10.0, -6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0, 10.0, 20.0, 40.0])
@@ -122,6 +123,109 @@ def test_evaluation_routes_agree(data, order, extra, centre):
         slope = spline.derivative_spline(1)
         err = np.abs(slope(xs, method="forward") - spline.compiled().derivative()(xs))
         assert np.max(err / scale(slope)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# interval lookup and piecewise evaluation: exact against bisection
+# ---------------------------------------------------------------------------
+
+def _neighbours(g):
+    """Every knot and the floats just below and just above it."""
+    return np.concatenate([g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf)])
+
+
+def _even_knots(data):
+    """``g0 + h * arange(n)``, the affine image a calibration date maps its
+    unit basis to, or ``linspace(g0, g1, n)``, the knots it stands for."""
+    n = data.draw(st.integers(2, 40))
+    g0 = data.draw(st.floats(-1e6, 1e6))
+    h = data.draw(st.floats(1e-3, 1e3))
+    if data.draw(st.booleans()):
+        return g0 + h * np.arange(n)
+    return np.linspace(g0, g0 + h * (n - 1), n)
+
+
+any_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(data=st.data())
+def test_equal_spacing_locate_is_bisection(data):
+    """On evenly spaced knots the corrected floor is the bisection index for
+    every float: knots, their neighbours, points across the range, huge
+    values, infinities and NaN."""
+    g = _even_knots(data)
+    kv = bs.KnotVector(g)
+    assert kv.equal_spacing
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    span = g[-1] - g[0]
+    xs = np.concatenate([
+        _neighbours(g),
+        rng.uniform(g[0] - span, g[-1] + span, 50),
+        np.array(data.draw(st.lists(any_floats, max_size=20))),
+        [np.inf, -np.inf, np.nan],
+    ])
+    expected = np.searchsorted(g, xs, side="right") - 1
+    np.testing.assert_array_equal(kv.locate(xs), expected)
+    for x, e in list(zip(xs, expected))[::7]:
+        assert kv.locate(x) == e
+
+
+def horner_by_rows(pp, x):
+    """The piecewise polynomial by bisection, a row gather of its
+    coefficients and ``acc = acc * u + c[:, d]``."""
+    xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    xs = np.atleast_1d(xs)
+    idx = np.searchsorted(pp.breakpoints, xs, side="right")
+    u = xs - pp.refs[idx]
+    c = pp.coeffs[idx]
+    acc = c[:, -1].copy()
+    for d in range(c.shape[1] - 2, -1, -1):
+        acc = acc * u + c[:, d]
+    return float(acc[0]) if scalar else acc
+
+
+@settings(SETTINGS, max_examples=100)
+@given(data=st.data(), even=st.booleans(), degree=st.integers(0, 4))
+def test_piecewise_poly_is_horner_by_rows_bit_for_bit(data, even, degree):
+    """Evaluation equals the bisection-and-row-gather reference bit for bit,
+    on equal and unequal breakpoints (and none), for array and scalar
+    input, on the knots, next to them and in both wings."""
+    m = data.draw(st.integers(0, 12))
+    if even and m:
+        g = np.linspace(-2.0, 3.0, m) if m > 1 else np.array([0.5])
+    else:
+        g = np.cumsum(data.draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    refs = np.concatenate([[g[0] if m else 0.0], g]) + rng.uniform(-0.1, 0.1, m + 1)
+    pp = bs.PiecewisePoly(g, refs, rng.standard_normal((m + 1, degree + 1)))
+    if even and m > 1:
+        assert pp._knots.equal_spacing
+    lo, hi = (g[0], g[-1]) if m else (-1.0, 1.0)
+    xs = np.concatenate([_neighbours(g), rng.uniform(lo - 5.0, hi + 5.0, 40), [lo - 1e3, hi + 1e3]])
+    assert pp(xs).tobytes() == horner_by_rows(pp, xs).tobytes()
+    for x in xs[::7]:
+        value = pp(x)
+        assert isinstance(value, float) and np.float64(value).tobytes() == np.float64(horner_by_rows(pp, x)).tobytes()
+
+
+def test_slv_paths_are_those_of_horner_by_rows(monkeypatch):
+    """The particle calibration and the path simulation evaluate the
+    conditional variance at every particle: with the reference evaluator
+    patched in, coefficients and terminal spots come out bit for bit."""
+    p = slv.ScottParams(100.0, 0.2, 1.0, 0.3, -0.8, 0.25)
+    grid = np.linspace(0.0, 1.0, 11)
+
+    def run():
+        surface = slv.calibrate_leverage(p, grid, 2000, seed=3)
+        return [s.cond_var.coeffs for s in surface.slices], slv.simulate_terminal(surface, 2**12, 4)
+
+    coeffs, spots = run()
+    monkeypatch.setattr(bs.PiecewisePoly, "__call__", horner_by_rows)
+    ref_coeffs, ref_spots = run()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(coeffs, ref_coeffs))
+    assert spots.tobytes() == ref_spots.tobytes()
 
 
 # ---------------------------------------------------------------------------

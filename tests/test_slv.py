@@ -1,5 +1,7 @@
 """Exact volatility stepping and the particle calibration loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,17 @@ class TestClosedForms:
         assert lv(100.0) == pytest.approx(25.0)
         assert lv(0.0) == 0.0
         assert lv(200.0) == pytest.approx(50.0)
+
+    def test_integer_fields_are_floats(self, params):
+        # an integer s0 must not make the particle spots an integer array
+        whole = slv.ScottParams(100, 0.2, 1, 0.3, -0.8, 0.25)
+        assert whole == params and all(type(v) is float for v in vars(whole).values())
+        grid = np.linspace(0, 0.5, 6)
+        a = slv.calibrate_leverage(whole, grid, 1000, seed=5)
+        b = slv.calibrate_leverage(params, grid, 1000, seed=5)
+        for sa, sb in zip(a.slices, b.slices):
+            np.testing.assert_array_equal(sa.cond_var.coeffs, sb.cond_var.coeffs)
+        np.testing.assert_array_equal(slv.simulate_terminal(a, 512, 6), slv.simulate_terminal(b, 512, 6))
 
     def test_forward_variance(self, params):
         assert slv.forward_variance(params, 0.0) == pytest.approx(0.04)
@@ -226,6 +239,25 @@ class TestRepricing:
         assert implied_vol(0.0, 100.0, 110.0, 1.0) == 0.0
         assert implied_vol(5.0, 100.0, 95.0, 1.0) == 0.0  # at intrinsic
         assert np.isnan(implied_vol(101.0, 100.0, 95.0, 1.0))
+
+    def test_payoff_memory_is_bounded(self, params):
+        # the payoffs are summed in blocks: repricing may add less than a
+        # quarter of a strikes-by-paths matrix to the simulation's peak
+        surf = slv.calibrate_leverage(params, np.linspace(0, 0.5, 6), 2000, seed=25)
+        strikes = 100.0 * np.exp(np.linspace(-0.35, 0.35, 15))
+        n_paths = 2**15
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        simulated = peak(lambda: slv.simulate_terminal(surf, n_paths, 26))
+        repriced = peak(lambda: slv.reprice_and_implied(surf, params, strikes, 0.5, n_paths, seed=26))
+        assert repriced - simulated < strikes.size * n_paths * 8 / 4
 
     def test_price_flags(self, params):
         # at a near-zero strike the no-arbitrage band collapses, so noise puts
