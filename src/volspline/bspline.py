@@ -10,10 +10,13 @@ keeps the full basis.
 
 Three evaluation routes are provided and agree to machine precision:
 
-* per-point forward recursion over the active window of ``n + 1`` functions,
-* backward (de Boor style) collapse of the weight vector for full splines,
-* a compiled piecewise-polynomial representation evaluated by Horner's
-  rule, the fast path when many points are queried per interval.
+* the forward order recursion, one point at a time (``_eval_all``),
+* the backward (de Boor style) collapse of the weight vector, one point at
+  a time,
+* the compiled piecewise-polynomial form evaluated by Horner's rule.
+
+The two recursions are the per-point reference routes; the compiled form
+is the route every engine evaluates by.
 
 Polynomials are stored in local coordinates ``x - ref`` per interval so
 that compiled evaluation stays well conditioned for knots far from zero.
@@ -95,24 +98,21 @@ def _floor_step(knots: np.ndarray) -> float | None:
 class KnotVector:
     """Sorted knots, possibly with repeats.  Immutable after construction.
 
-    ``equal_spacing`` enables the O(1) locate: the floor of
+    ``equal_spacing`` marks knots that locate in O(1): the floor of
     ``(x - knots[0]) / h``, then one comparison with a knot on each side.
-    Construction checks that the floor is off by at most one at every
+    Construction sets it where the floor is off by at most one at every
     knot, which makes locate identical to bisection for every float,
-    infinities and NaN included.  Knots that fail the check (or explicit
-    ``equal_spacing=False``) locate by bisection.
+    infinities and NaN included.  Other knots locate by bisection.
     """
 
     knots: np.ndarray
-    equal_spacing: bool = field(default=False)
+    equal_spacing: bool = field(init=False)
 
-    def __init__(self, knots: Iterable[float], equal_spacing: bool | None = None):
+    def __init__(self, knots: Iterable[float]):
         arr = _as_sorted_knots(knots)
         arr.setflags(write=False)
         object.__setattr__(self, "knots", arr)
-        h = _floor_step(arr) if equal_spacing is not False else None
-        if equal_spacing and h is None:
-            raise SplineError("knots are not equally spaced")
+        h = _floor_step(arr)
         object.__setattr__(self, "equal_spacing", h is not None)
         object.__setattr__(self, "_step", h)
         if h is not None:
@@ -278,31 +278,32 @@ def make_basis(knots, order: int, truncation: int | None = None) -> BasisSpec:
 # forward evaluation
 # ---------------------------------------------------------------------------
 
-def _coef_pair(g: np.ndarray, k: int, m: int, c0: float, c1: float, j: int, x: float):
+def _affine_coefs(g, k, m, c0, c1, j, ref):
     """Recursion multipliers carrying order m-1 function j into order m.
 
-    Returns (down, up): ``down`` multiplies the contribution to function j,
-    ``up`` the contribution to function j + 1.  Zero denominators from
-    repeated knots follow the convention up -> 1, down -> 0.
+    Each multiplier is affine in the point x, ``a + b * (x - ref)``; returns
+    ``(down_a, down_b, up_a, up_b)``: ``down`` multiplies the contribution
+    to function j, ``up`` the contribution to function j + 1.  At
+    ``ref = x`` the ``a`` terms are the multipliers at x.  Zero denominators
+    from repeated knots follow the convention up -> 1, down -> 0.
     """
-    lo = min(m, k)
-    hi = max(m, k)
+    lo, hi = min(m, k), max(m, k)
     if j < lo:
-        return (g[j] - x) / c0, 1.0
+        return (g[j] - ref) / c0, -1.0 / c0, 1.0, 0.0
     if j < hi:
         den = g[j] - g[j - m]
         if den > 0.0:
-            return (g[j] - x) / den, (x - g[j - m]) / den
-        return 0.0, 1.0
-    return 1.0, (x - g[j - m]) / c1
+            return (g[j] - ref) / den, -1.0 / den, (ref - g[j - m]) / den, 1.0 / den
+        return 0.0, 0.0, 1.0, 0.0
+    return 1.0, 0.0, (ref - g[j - m]) / c1, 1.0 / c1
 
 
 def _eval_all(spec: BasisSpec, x: float) -> np.ndarray:
-    """All ``k + n + 1`` untruncated basis values at a point (slow path).
+    """All ``k + n + 1`` untruncated basis values at a point.
 
-    Direct transcription of the order recursion; used as the reference
-    implementation, and as the evaluation route for orders above the knot
-    count where the middle block is a polynomial basis.
+    Direct transcription of the order recursion, the forward reference
+    route; for orders above the knot count the middle block is a
+    polynomial basis.
     """
     g = spec.knots.knots
     k, n = spec.k, spec.order
@@ -325,7 +326,7 @@ def _eval_all(spec: BasisSpec, x: float) -> np.ndarray:
             v = vals[j] if j < vals.size else 0.0
             if v == 0.0:
                 continue
-            down, up = _coef_pair(g, k, m, c0, c1, j, x)
+            down, _, up, _ = _affine_coefs(g, k, m, c0, c1, j, x)
             new[j] += down * v
             new[j + 1] += up * v
         vals = new
@@ -348,75 +349,27 @@ def _eval_all(spec: BasisSpec, x: float) -> np.ndarray:
     return vals
 
 
-def _forward_window(spec: BasisSpec, xs: np.ndarray):
-    """Vectorized forward recursion over active windows (order <= k).
-
-    Returns (i, vals) where ``i`` is the locate index per point and
-    ``vals[p, s]`` is the value of untruncated function ``i[p] + 1 + s``.
-    """
-    g = spec.knots.knots
-    k, n = spec.k, spec.order
-    c0, c1 = spec.c0, spec.c1
-    i = locate(spec.knots, xs)
-    npts = xs.size
-    vals = np.zeros((npts, n + 1))
-    vals[:, 0] = 1.0
-    gpad = np.concatenate([g, [0.0]])  # index guard; guarded entries are masked off
-    for m in range(1, n + 1):
-        new = np.zeros((npts, n + 1))
-        for s in range(m):  # source slot s holds function j = i + 1 + s of order m-1
-            j = i + 1 + s
-            v = vals[:, s]
-            lo, hi = min(m, k), max(m, k)
-            left = j < lo
-            mid = (~left) & (j < hi)
-            right = j >= hi
-            down = np.zeros(npts)
-            up = np.zeros(npts)
-            if left.any():
-                down[left] = (g[np.minimum(j[left], k - 1)] - xs[left]) / c0
-                up[left] = 1.0
-            if mid.any():
-                jm = j[mid]
-                den = g[jm] - g[jm - m]
-                dm = np.zeros(jm.size)
-                um = np.ones(jm.size)
-                ok = den > 0.0
-                dm[ok] = (g[jm[ok]] - xs[mid][ok]) / den[ok]
-                um[ok] = (xs[mid][ok] - g[jm[ok] - m]) / den[ok]
-                down[mid] = dm
-                up[mid] = um
-            if right.any():
-                down[right] = 1.0
-                up[right] = (xs[right] - gpad[np.maximum(j[right] - m, 0)]) / c1
-            new[:, s] += down * v
-            new[:, s + 1] += up * v
-        vals = new
-    return i, vals
+def _forward_values(basis: BasisSpec, xs) -> np.ndarray:
+    """All ``k + n + 1`` untruncated basis values, one row per point."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise SplineError("evaluation points must be finite")
+    return np.array([_eval_all(basis, x) for x in xs.tolist()]).reshape(xs.size, basis.full_dimension)
 
 
 def eval_basis_many(basis: BasisSpec, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Active untruncated basis values at many points.
+    """Active untruncated basis values at many points, by the forward
+    recursion at each point (a reference route; engines use the compiled
+    form).
 
     Returns ``(first, vals)``: ``first[p] = locate(x_p) + 1`` is the full
     index of the first active function and ``vals`` has one column per
     active slot (n + 1 columns).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise SplineError("evaluation points must be finite")
-    n, k = basis.order, basis.k
-    if n <= k and k > 0:
-        i, vals = _forward_window(basis, xs)
-        return i + 1, vals
+    full = _forward_values(basis, xs)
     first = locate(basis.knots, xs) + 1
-    vals = np.zeros((xs.size, n + 1))
-    for p, x in enumerate(xs):
-        allv = _eval_all(basis, float(x))
-        f = first[p]
-        stop = min(f + n + 1, allv.size)
-        vals[p, : stop - f] = allv[f:stop]
-    return first, vals
+    return first, np.take_along_axis(full, first[:, None] + np.arange(basis.order + 1), axis=1)
 
 
 def eval_basis(basis: BasisSpec, x: float) -> tuple[int, np.ndarray]:
@@ -427,29 +380,19 @@ def eval_basis(basis: BasisSpec, x: float) -> tuple[int, np.ndarray]:
     and there are at most ``order + 1`` of them (fewer where the active
     window sticks out past a truncated wing).
     """
-    first, vals = eval_basis_many(basis, [float(x)])
-    f = int(first[0])
-    row = vals[0]
+    row = _forward_values(basis, x)[0]
+    f = locate(basis.knots, float(x)) + 1
     lo, hi = basis.first_index, basis.last_index
-    start = max(f, lo)
-    stop = min(f + basis.order, hi)
+    start, stop = max(f, lo), min(f + basis.order, hi)
     if stop < start:
         return 0, np.zeros(0)
-    return start - lo, row[start - f : stop - f + 1].copy()
+    return start - lo, row[start : stop + 1]
 
 
 def design_matrix(basis: BasisSpec, xs) -> np.ndarray:
-    """Dense matrix of kept basis values, one row per point."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    first, vals = eval_basis_many(basis, xs)
-    out = np.zeros((xs.size, basis.dimension))
-    lo, hi = basis.first_index, basis.last_index
-    for s in range(vals.shape[1]):
-        j = first + s
-        keep = (j >= lo) & (j <= hi)
-        if keep.any():
-            out[np.nonzero(keep)[0], j[keep] - lo] = vals[keep, s]
-    return out
+    """Dense matrix of kept basis values, one row per point, by the forward
+    recursion at each point."""
+    return _forward_values(basis, xs)[:, basis.first_index : basis.last_index + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -717,19 +660,6 @@ def _sum_poly(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _affine_coefs(g, k, m, c0, c1, j, ref):
-    """Local-coordinate affine multipliers (down, up) for source j at order m."""
-    lo, hi = min(m, k), max(m, k)
-    if j < lo:
-        return (g[j] - ref) / c0, -1.0 / c0, 1.0, 0.0
-    if j < hi:
-        den = g[j] - g[j - m]
-        if den > 0.0:
-            return (g[j] - ref) / den, -1.0 / den, (ref - g[j - m]) / den, 1.0 / den
-        return 0.0, 0.0, 1.0, 0.0
-    return 1.0, 0.0, (ref - g[j - m]) / c1, 1.0 / c1
-
-
 # ---------------------------------------------------------------------------
 # splines and backward evaluation
 # ---------------------------------------------------------------------------
@@ -752,7 +682,7 @@ class Spline:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "weights", w)
 
-    def __call__(self, x, method: str = "auto"):
+    def __call__(self, x, method: str = "compiled"):
         return eval_spline(self, x, method=method)
 
     def compiled(self) -> PiecewisePoly:
@@ -782,38 +712,29 @@ def _backward_point(basis: BasisSpec, wfull: np.ndarray, x: float) -> float:
         new = np.empty(m)
         for s in range(m):
             j = i + 1 + s
-            down, up = _coef_pair(g, k, m, basis.c0, basis.c1, j, x)
+            down, _, up, _ = _affine_coefs(g, k, m, basis.c0, basis.c1, j, x)
             new[s] = down * a[s] + up * a[s + 1]
         a = new
     return float(a[0])
 
 
-def eval_spline(spline: Spline, x, method: str = "auto"):
+def eval_spline(spline: Spline, x, method: str = "compiled"):
     """Evaluate the spline by the requested route.
 
-    ``backward`` collapses the weights through the order recursion per
-    point; ``compiled`` evaluates the piecewise-polynomial form by Horner;
-    ``forward`` sums weights against per-point basis values.  ``auto``
-    compiles once the number of queries exceeds roughly ``order`` per
-    interval, the break-even of the pre-processing cost.
+    ``compiled``, the engine route, evaluates the piecewise-polynomial form
+    of the basis (compiled once per ``BasisSpec``) by Horner.  The per-point
+    reference routes: ``backward`` collapses the weights through the order
+    recursion, ``forward`` sums weights against the recursion's basis
+    values.
     """
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     pts = np.atleast_1d(xs)
     basis = spline.basis
-    if method == "auto":
-        budget = max(1, basis.order) * (basis.k + 1)
-        method = "compiled" if pts.size > budget or getattr(basis, "_compiled", None) is not None else "backward"
     if method == "compiled":
         out = basis.compiled().spline_values(spline.weights, pts)
     elif method == "forward":
-        first, vals = eval_basis_many(basis, pts)
-        wfull = _full_weights(basis, spline.weights)
-        out = np.zeros(pts.size)
-        for s in range(vals.shape[1]):
-            j = first + s
-            ok = (j >= 0) & (j < wfull.size)
-            out[ok] += wfull[j[ok]] * vals[ok, s]
+        out = design_matrix(basis, pts) @ spline.weights
     elif method == "backward":
         if basis.order > basis.k:
             return eval_spline(spline, x, method="forward")

@@ -237,7 +237,7 @@ def cmd_regress(r: Runner) -> None:
         else:
             fit = rg.fit_penalized(sample, reg_cfg, lam)
     grid = _grid(cfg.get("grid", {"start": knots[0], "stop": knots[-1], "count": 400}))
-    r.emit_csv("fit.csv", ["x", "fitted"], ((g, v) for g, v in zip(grid, fit(grid, method="compiled"))))
+    r.emit_csv("fit.csv", ["x", "fitted"], ((g, v) for g, v in zip(grid, fit(grid))))
     r.emit_json(
         "fit.json",
         {
@@ -331,8 +331,15 @@ def _read_quotes_csv(path: Path):
         kind = parts[2].lower()
         if kind not in ("call", "put"):
             raise ConfigError(f"quotes CSV line {i}: type must be call or put, got {parts[2]!r}")
-        groups.setdefault(T, []).append(sf.Quote(K, bid, ask, is_call=kind == "call"))
+        groups.setdefault(T, []).append(_quote(K, bid, ask, kind == "call", f"quotes CSV line {i}"))
     return groups
+
+
+def _quote(strike: float, bid: float, ask: float, is_call: bool, where: str) -> sf.Quote:
+    try:
+        return sf.Quote(strike, bid, ask, is_call=is_call)
+    except ValueError as exc:  # bid above ask
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _forward_at(cfg, T: float) -> float:
@@ -360,20 +367,29 @@ def cmd_surface_calibrate(r: Runner) -> None:
         groups = _read_quotes_csv(Path(cfg["quotes"]))
     else:
         groups = {}
-        for q in cfg.get("quotes", []):
+        for j, q in enumerate(cfg.get("quotes", [])):
             strike, bid, ask = (config_value(q, k, "quote") for k in ("strike", "bid", "ask"))
             groups.setdefault(config_value(q, "maturity", "quote"), []).append(
-                sf.Quote(strike, bid, ask, is_call=q.get("type", "call") == "call")
+                _quote(strike, bid, ask, q.get("type", "call") == "call", f"quote {j}")
             )
     maturities = sorted(set(groups) | config_value(cfg, "maturities", kind=lambda v: {float(t) for t in v}, default=set()))
     if not maturities:
         raise ConfigError("no maturities given")
-    market = [sf.MarketSlice(T, _forward_at(cfg, T), tuple(groups.get(T, ()))) for T in maturities]
-    for sl in market:  # a prior that cannot serve a slice (an SSVI forward mismatch) is a config error
+    market = []
+    for T in maturities:
+        F = _forward_at(cfg, T)
+        # a nonpositive maturity or forward, or a prior that cannot serve the
+        # slice (an SSVI forward mismatch), is a config error
         try:
-            sf.slice_measure(prior, sl.maturity, sl.forward)
+            market.append(sf.MarketSlice(T, F, tuple(groups.get(T, ()))))
+            sf.slice_measure(prior, T, F)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"maturity {T!r}: {exc}") from exc
+    if isinstance(prior, pr.SSVIParams):  # a base model that admits arbitrage is a poor base
+        report = pr.validate_ssvi(prior, (maturities[0], maturities[-1]))
+        if not report.passed:
+            failed = ", ".join(repr(name) for name, ok, _ in report.checks if not ok)
+            raise ConfigError(f"SSVI prior fails {failed} over maturities [{maturities[0]!r}, {maturities[-1]!r}]")
     config = _surface_config(cfg.get("config", {}))
     with r.stage("calibrate"):
         calib = sf.calibrate_surface(market, prior, config, mode=cfg.get("mode", "bracket"))
@@ -381,7 +397,7 @@ def cmd_surface_calibrate(r: Runner) -> None:
         "surface.json",
         {
             "prior": cfg["prior"],
-            "coordinate": "log-moneyness" if calib.slices[0].measure.spot_map == "exp" else "price",
+            "coordinate": calib.slices[0].measure.coordinate,
             "config": dataclasses.asdict(config),
             "slices": [sl.to_json() for sl in calib.slices],
         },
@@ -390,10 +406,7 @@ def cmd_surface_calibrate(r: Runner) -> None:
     grid_size = config_value(cfg, "grid_size", kind=int, default=101)
     for sl in calib.slices:
         g = sl.basis.knots.knots
-        if sl.measure.spot_map == "exp":
-            strikes = sl.forward * np.exp(np.linspace(g[0], g[-1], grid_size))
-        else:
-            strikes = np.linspace(g[0], g[-1], grid_size)
+        strikes = sl.measure.spot_of_coord(np.linspace(g[0], g[-1], grid_size))
         calls = sl.call_price(strikes)
         vols = implied_vol(calls, sl.forward, strikes, sl.maturity)
         dens = sl.density(strikes)
@@ -413,11 +426,11 @@ def _rebuild_surface(doc) -> sf.SurfaceCalibration:
         T, F = (config_value(s, k, "slice") for k in ("maturity", "forward"))
         knots = config_value(s, "knots", "slice", float_array)
         basis = bs.make_basis(knots, config_value(s, "order", "slice", int), truncation=0)
+        if slices and slices[-1].basis == basis:  # one basis, compiled once, for a shared knot grid
+            basis = slices[-1].basis
         weights = config_value(s, "weights", "slice", float_array)
         slices.append(sf.RNSlice(basis, weights, T, F, sf.slice_measure(prior, T, F)))
-    config = _surface_config(doc.get("config", {}))
-    rel = sf._relative_grid(slices[0].basis, [sl.measure for sl in slices], config)
-    return sf.SurfaceCalibration(tuple(slices), rel, config)
+    return sf.SurfaceCalibration(tuple(slices), _surface_config(doc.get("config", {})))
 
 
 def cmd_validate_surface(r: Runner) -> None:
@@ -425,7 +438,10 @@ def cmd_validate_surface(r: Runner) -> None:
     path = Path(require(cfg, "surface"))
     if not path.exists():
         raise ConfigError(f"surface file {path} does not exist")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"surface file {path} is not valid JSON: {exc}") from exc
     calib = _rebuild_surface(doc)
     grids = cfg.get("grids", {})
     with r.stage("validate"):

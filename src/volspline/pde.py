@@ -181,6 +181,27 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
     )
 
 
+def _base_relative(problem: PDEProblem, t: float, x: np.ndarray):
+    """Coefficients at points x and time t, relative to the Gaussian base.
+
+    Returns the local variance ``v``, its slope ``vx``, the base density's
+    log-derivative ``g1 = dlog(phi0)/dx`` and the reaction coefficient
+    ``e``, which collects the second-derivative terms through
+    ``g2 = phi0''/phi0``.  The variance must be positive at every point.
+    """
+    v = np.asarray(problem.local_variance.value(t, x), dtype=float)
+    if np.any(v <= 0.0):
+        raise PDEError("local variance must be positive on the domain")
+    vx = np.asarray(problem.local_variance.dx(t, x), dtype=float)
+    vxx = np.asarray(problem.local_variance.dxx(t, x), dtype=float)
+    v0 = problem.base_variance
+    z = x - problem.s0
+    g1 = -z / (v0 * t)
+    g2 = (z**2 - v0 * t) / (v0 * t) ** 2
+    e = 0.5 * (vxx + 2.0 * vx * g1 + (v - v0) * g2)
+    return v, vx, g1, e
+
+
 def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
     """Weak-form matrices at time t.
 
@@ -198,17 +219,8 @@ def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
     if tables is None:
         tables = _basis_tables(basis.compiled())
     xs, ws, vals, dvals = tables.xs, tables.ws, tables.vals, tables.dvals
-    v = np.asarray(problem.local_variance.value(t, xs), dtype=float)
-    if np.any(v <= 0.0):
-        raise PDEError("local variance must be positive on the domain")
-    vx = np.asarray(problem.local_variance.dx(t, xs), dtype=float)
-    vxx = np.asarray(problem.local_variance.dxx(t, xs), dtype=float)
-    v0 = problem.base_variance
-    z = xs - problem.s0
-    g1 = -z / (v0 * t)  # dlog(phi0)/dx
-    g2 = (z**2 - v0 * t) / (v0 * t) ** 2  # phi0''/phi0
+    v, vx, g1, e = _base_relative(problem, t, xs)
     c = 0.5 * vx + v * g1
-    e = 0.5 * (vxx + 2.0 * vx * g1 + (v - v0) * g2)
 
     mass_full = vals.T @ (ws[:, None] * vals)
     diff = -0.5 * dvals.T @ ((ws * v)[:, None] * dvals)
@@ -298,15 +310,8 @@ def collocation_rows(problem: PDEProblem, t: float, tables=None) -> tuple[np.nda
     if tables is None:
         tables = _basis_tables(problem.basis.compiled())
     pts, B0, B1, B2 = tables.pts, tables.B0, tables.B1, tables.B2
-    v = np.asarray(problem.local_variance.value(t, pts), dtype=float)
-    vx = np.asarray(problem.local_variance.dx(t, pts), dtype=float)
-    vxx = np.asarray(problem.local_variance.dxx(t, pts), dtype=float)
-    v0 = problem.base_variance
-    z = pts - problem.s0
-    g1 = -z / (v0 * t)
-    g2 = (z**2 - v0 * t) / (v0 * t) ** 2
+    v, vx, g1, e = _base_relative(problem, t, pts)
     c_strong = vx + v * g1  # strong-form advection (no integration by parts)
-    e = 0.5 * (vxx + 2.0 * vx * g1 + (v - v0) * g2)
     L = 0.5 * v[:, None] * B2 + c_strong[:, None] * B1 + e[:, None] * B0
     return B0, L
 
@@ -323,7 +328,7 @@ class Trajectory:
     def ratio(self, k: int, xs):
         from volspline.bspline import Spline
 
-        return Spline(self.problem.basis, self.weights[k])(np.asarray(xs, dtype=float), method="compiled")
+        return Spline(self.problem.basis, self.weights[k])(np.asarray(xs, dtype=float))
 
     def density(self, k: int, xs):
         t = float(self.times[k])

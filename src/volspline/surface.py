@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from volspline import opt
-from volspline.bspline import BasisSpec, CompiledBasis, Spline, make_basis
+from volspline.bspline import BasisSpec, CompiledBasis, Spline, gram_matrix, make_basis
 from volspline.priors import BachelierPrior, LogNormalPrior, SSVIParams, SSVISlice, ssvi_total_variance
 from volspline.regression import ConstraintSet
 
@@ -80,13 +80,20 @@ class _CoordMeasure:
 
     ``spot_map='exp'`` means the underlying is ``F exp(u)`` (log-moneyness
     splines); ``'identity'`` means the coordinate is the price itself.
-    Subclasses supply ``moment_table`` and ``spot_moment_table``: integrals
-    of ``(u - ref)^d`` against the measure, and against spot times the
-    measure, for arrays of intervals.
+    Outside these classes the coordinate is read through ``coordinate``,
+    ``coord_of_strike`` and ``spot_of_coord``.  Subclasses supply
+    ``moment_table`` and ``spot_moment_table``: integrals of
+    ``(u - ref)^d`` against the measure, and against spot times the
+    measure, for arrays of intervals; and ``atm_variance``.
     """
 
     forward: float
     spot_map: str
+
+    @property
+    def coordinate(self) -> str:
+        """The spline coordinate's name: ``'log-moneyness'`` or ``'price'``."""
+        return "log-moneyness" if self.spot_map == "exp" else "price"
 
     def coord_of_strike(self, strikes):
         strikes = np.asarray(strikes, dtype=float)
@@ -128,6 +135,10 @@ class GaussianCoordMeasure(_CoordMeasure):
     def coord_density(self, u):
         return self.law.density(u)
 
+    def atm_variance(self) -> float:
+        """Total variance of log-moneyness; 0 in price space."""
+        return self.law.variance if self.spot_map == "exp" else 0.0
+
 
 class SSVICoordMeasure(_CoordMeasure):
     """SSVI prior at one maturity in log-moneyness (see ``priors.SSVISlice``)."""
@@ -148,6 +159,10 @@ class SSVICoordMeasure(_CoordMeasure):
 
     def coord_density(self, u):
         return self.slice.logm_density(np.asarray(u, dtype=float))
+
+    def atm_variance(self) -> float:
+        """Total implied variance at the money."""
+        return ssvi_total_variance(self.params, self.maturity, 0.0)
 
 
 def slice_measure(prior, maturity: float, forward: float | None = None):
@@ -278,9 +293,7 @@ class RNSlice:
     def density(self, x):
         """Risk-neutral density of the spot."""
         x = np.asarray(x, dtype=float)
-        u = np.log(x / self.forward) if self.measure.spot_map == "exp" else x
-        f = self.spline(u, method="compiled")
-        return f * self.measure.density_price(x)
+        return self.spline(self.measure.coord_of_strike(x)) * self.measure.density_price(x)
 
     def to_json(self) -> dict:
         return {
@@ -311,13 +324,17 @@ class SurfaceConfig:
 @dataclass(frozen=True)
 class SurfaceCalibration:
     slices: tuple[RNSlice, ...]
-    relative_strike_grid: np.ndarray
     config: SurfaceConfig
 
     def __post_init__(self) -> None:
         mats = [s.maturity for s in self.slices]
         if any(b <= a for a, b in zip(mats, mats[1:])):
             raise ValueError("maturities must be strictly increasing")
+
+    @property
+    def relative_strike_grid(self) -> np.ndarray:
+        """Relative strikes K / F of the calendar rows (see ``_relative_grid``)."""
+        return _relative_grid(self.slices[0].basis, [s.measure for s in self.slices], self.config)
 
 
 def _knot_grid(market: list[MarketSlice], measures, cfg: SurfaceConfig) -> np.ndarray:
@@ -336,53 +353,50 @@ def _knot_grid(market: list[MarketSlice], measures, cfg: SurfaceConfig) -> np.nd
     return np.linspace(lo, hi, cfg.n_knots)
 
 
-def _relative_grid(slices_basis: BasisSpec, measures, cfg: SurfaceConfig) -> np.ndarray:
+def _relative_grid(basis: BasisSpec, measures, cfg: SurfaceConfig) -> np.ndarray:
     """Relative strikes K / F for the calendar fine grid.
 
     Log-moneyness slices span four at-the-money standard deviations of the
     widest slice; price-space slices span the knots, taken relative to the
     first slice's forward.
     """
-    w_max = 0.0
-    for m in measures:
-        if isinstance(m, GaussianCoordMeasure) and m.spot_map == "exp":
-            w_max = max(w_max, m.law.variance)
-        elif isinstance(m, SSVICoordMeasure):
-            w_max = max(w_max, ssvi_total_variance(m.params, m.maturity, 0.0))
+    w_max = max([0.0] + [m.atm_variance() for m in measures])
     if w_max <= 0.0:
-        g = slices_basis.knots.knots
+        g = basis.knots.knots
         return np.linspace(g[0], g[-1], cfg.relative_grid_size) / measures[0].forward
     half = 4.0 * np.sqrt(w_max)
     return np.exp(np.linspace(-half, half, cfg.relative_grid_size))
 
 
 def calendar_constraints(
-    bases: list[BasisSpec],
+    basis: BasisSpec,
     measures: list,
     forwards: list[float],
     rel_grid: np.ndarray,
 ) -> ConstraintSet:
     """Maturity-monotonicity rows on the fine grid plus wing rows.
 
-    Per adjacent pair: a call row and a put row for each relative strike
-    (prices at constant moneyness K / F must be nondecreasing in maturity),
-    the two order-zero extrapolation-coefficient rows, and one price row
-    per far wing beyond the knot range; 2m + 4 rows per pair in total.
+    Every slice is a spline on ``basis``; slice i owns the weight block
+    ``i * dim : (i + 1) * dim``.  Per adjacent pair: a call row and a put
+    row for each relative strike (prices at constant moneyness K / F must
+    be nondecreasing in maturity), the two order-zero
+    extrapolation-coefficient rows, and one price row per far wing beyond
+    the knot range; 2m + 4 rows per pair in total.
     """
-    dims = [b.dimension for b in bases]
-    total = sum(dims)
-    offs = np.concatenate([[0], np.cumsum(dims)])
+    dim = basis.dimension
+    total = dim * len(measures)
+    offs = dim * np.arange(len(measures) + 1)
     cs = ConstraintSet(total)
     m = rel_grid.size
-    g = bases[0].knots.knots
+    g = basis.knots.knots
     span = g[-1] - g[0]
     far = np.array([g[0] - 0.25 * span, g[-1] + 0.25 * span])
     # one set of forms per slice: the fine grid, then the two far strikes
     forms = [
-        pricing_linear_forms(b, meas, np.concatenate([rel_grid * F, meas.spot_of_coord(far)]))
-        for b, meas, F in zip(bases, measures, forwards)
+        pricing_linear_forms(basis, meas, np.concatenate([rel_grid * F, meas.spot_of_coord(far)]))
+        for meas, F in zip(measures, forwards)
     ]
-    for i in range(len(bases) - 1):
+    for i in range(len(measures) - 1):
         lo, hi = slice(offs[i], offs[i + 1]), slice(offs[i + 1], offs[i + 2])
         f1, f2 = forms[i], forms[i + 1]
         fine = np.zeros((2 * m, total))
@@ -400,12 +414,6 @@ def calendar_constraints(
         farrows[1, lo], farrows[1, hi] = -f1["call_rows"][m + 1], f2["call_rows"][m + 1]
         cs.add_ineq_rows(farrows, 0.0, "calendar-wing")
     return cs
-
-
-def _curvature_gram(basis: BasisSpec) -> np.ndarray:
-    from volspline.bspline import gram_matrix
-
-    return gram_matrix(basis, 2)
 
 
 def calibrate_surface(
@@ -431,28 +439,28 @@ def calibrate_surface(
         raise ValueError(f"unknown calibration mode {mode!r}")
     market = sorted(market, key=lambda s: s.maturity)
     measures = [slice_measure(prior, sl.maturity, sl.forward) for sl in market]
-    knots = _knot_grid(market, measures, config)
-    bases = [make_basis(knots, config.order, truncation=0) for _ in market]
-    dims = [b.dimension for b in bases]
-    total = sum(dims)
-    offs = np.concatenate([[0], np.cumsum(dims)])
+    # one basis on one knot grid for every maturity: slice i owns the
+    # weight block i * dim : (i + 1) * dim
+    basis = make_basis(_knot_grid(market, measures, config), config.order, truncation=0)
+    dim = basis.dimension
+    total = dim * len(market)
 
     P = np.zeros((total, total))
     q = np.zeros(total)
     cs = ConstraintSet(total)
-    R1 = _curvature_gram(bases[0])
-    for i, (sl, b, m) in enumerate(zip(market, bases, measures)):
-        block = slice(offs[i], offs[i + 1])
+    R1 = gram_matrix(basis, 2)
+    for i, (sl, m) in enumerate(zip(market, measures)):
+        block = slice(i * dim, (i + 1) * dim)
         P[block, block] += 2.0 * config.curvature_weight * R1
-        forms = pricing_linear_forms(b, m, [qt.strike for qt in sl.quotes] or [sl.forward])
+        forms = pricing_linear_forms(basis, m, [qt.strike for qt in sl.quotes] or [sl.forward])
         row = np.zeros(total)
         row[block] = forms["mass_row"]
         cs.add_eq(row, 1.0, "mass")
         row = np.zeros(total)
         row[block] = forms["forward_row"]
         cs.add_eq(row, sl.forward, "forward")
-        rows = np.zeros((dims[i], total))
-        rows[:, block] = np.eye(dims[i])
+        rows = np.zeros((dim, total))
+        rows[:, block] = np.eye(dim)
         cs.add_ineq_rows(rows, 0.0, "nonnegative")
         if not sl.quotes:
             continue
@@ -479,15 +487,14 @@ def calibrate_surface(
                 c_prev, c_mid, c_next = 2 / (h0 * (h0 + h1)), -2 / (h0 * h1), 2 / (h1 * (h0 + h1))
             else:
                 c_prev, c_mid, c_next = 1.0, -2.0, 1.0
-            n = dims[kmid]
-            rows = np.zeros((n, total))
-            for off, c in ((offs[kmid - 1], c_prev), (offs[kmid], c_mid), (offs[kmid + 1], c_next)):
-                rows[:, off : off + n] += c * np.eye(n)
+            rows = np.zeros((dim, total))
+            for j, c in ((kmid - 1, c_prev), (kmid, c_mid), (kmid + 1, c_next)):
+                rows[:, j * dim : (j + 1) * dim] += c * np.eye(dim)
             P += 2.0 * config.time_smoothness_weight * rows.T @ rows
 
-    rel_grid = _relative_grid(bases[0], measures, config)
     if len(market) >= 2:
-        cs = cs.merge(calendar_constraints(bases, measures, [sl.forward for sl in market], rel_grid))
+        rel_grid = _relative_grid(basis, measures, config)
+        cs = cs.merge(calendar_constraints(basis, measures, [sl.forward for sl in market], rel_grid))
 
     sol = opt.solve_qp(opt.QuadForm(P, q), cs, tol=tol)
     if sol.status == "infeasible":
@@ -509,15 +516,15 @@ def calibrate_surface(
 
     slices = tuple(
         RNSlice(
-            basis=b,
-            weights=np.asarray(sol.x[offs[i] : offs[i + 1]]),
+            basis=basis,
+            weights=np.asarray(sol.x[i * dim : (i + 1) * dim]),
             maturity=sl.maturity,
             forward=sl.forward,
             measure=m,
         )
-        for i, (sl, b, m) in enumerate(zip(market, bases, measures))
+        for i, (sl, m) in enumerate(zip(market, measures))
     )
-    return SurfaceCalibration(slices=slices, relative_strike_grid=rel_grid, config=config)
+    return SurfaceCalibration(slices=slices, config=config)
 
 
 def calibrate_slice(
@@ -573,12 +580,8 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
     for sl in calib.slices:
         g = sl.basis.knots.knots
         span = g[-1] - g[0]
-        if sl.measure.spot_map == "exp":
-            strikes = sl.forward * np.exp(np.linspace(g[0] - 0.3 * span, g[-1] + 0.3 * span, n_strikes))
-            xs = sl.forward * np.exp(np.linspace(g[0], g[-1], n_density))
-        else:
-            strikes = np.linspace(g[0] - 0.3 * span, g[-1] + 0.3 * span, n_strikes)
-            xs = np.linspace(g[0], g[-1], n_density)
+        strikes = sl.measure.spot_of_coord(np.linspace(g[0] - 0.3 * span, g[-1] + 0.3 * span, n_strikes))
+        xs = sl.measure.spot_of_coord(np.linspace(g[0], g[-1], n_density))
         forms = pricing_linear_forms(sl.basis, sl.measure, strikes)
         calls = forms["call_rows"] @ sl.weights
         puts = forms["put_rows"] @ sl.weights
@@ -587,8 +590,8 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
         conv_worst = min(conv_worst, float(np.min(np.diff(slopes))))
         dens = sl.density(xs)
         dens_worst = min(dens_worst, float(np.min(dens)))
-        mass_worst = max(mass_worst, abs(sl.mass() - 1.0))
-        fwd_worst = max(fwd_worst, abs(sl.mean() - sl.forward) / sl.forward)
+        mass_worst = max(mass_worst, abs(float(forms["mass_row"] @ sl.weights) - 1.0))
+        fwd_worst = max(fwd_worst, abs(float(forms["forward_row"] @ sl.weights) - sl.forward) / sl.forward)
         parity_worst = max(
             parity_worst,
             float(np.max(np.abs(calls - puts - (sl.forward - strikes)))) / sl.forward,

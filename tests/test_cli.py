@@ -122,3 +122,49 @@ def test_every_public_name_resolves():
     for mod in modules:
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert not missing, f"{mod.__name__}: {missing}"
+
+
+def _surface_argv(tmp_path, config, quotes_csv=None):
+    if quotes_csv is not None:
+        (tmp_path / "quotes.csv").write_text(quotes_csv)
+        config = dict(config, quotes=str(tmp_path / "quotes.csv"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return ["surface-calibrate", "--config", str(path), "--out", str(tmp_path / "out")]
+
+
+LOGNORMAL = {"type": "lognormal", "forward": 100.0, "total_variance": 0.04}
+
+
+def test_quote_with_bid_above_ask_exits_2(tmp_path, capsys):
+    csv = "maturity,strike,type,bid,ask\n1.0,100.0,call,8.0,7.9\n"
+    assert cli.main(_surface_argv(tmp_path, {"prior": LOGNORMAL, "forward": 100.0}, csv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "line 2" in err and "bid exceeds ask" in err
+
+
+def test_nonpositive_maturity_exits_2(tmp_path, capsys):
+    config = {"prior": LOGNORMAL, "forward": 100.0, "maturities": [0.0, 1.0]}
+    assert cli.main(_surface_argv(tmp_path, config)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "maturity 0.0" in err
+
+
+def test_surface_file_that_is_not_json_exits_2(tmp_path, capsys):
+    (tmp_path / "surface.json").write_text("{not json")
+    path = tmp_path / "validate.json"
+    path.write_text(json.dumps({"surface": str(tmp_path / "surface.json")}))
+    assert cli.main(["validate-surface", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "not valid JSON" in err
+
+
+def test_ssvi_prior_with_butterfly_arbitrage_exits_2(tmp_path, capsys):
+    # theta phi^2 (1 + |rho|) = eta^2 (1 + |rho|) > 4 for gamma = 1/2
+    prior = {"type": "ssvi", "C": 0.0, "K": 0.04, "rho": -0.2, "eta": 3.0, "gamma": 0.5, "forward_curve": 100.0}
+    csv = "maturity,strike,type,bid,ask\n1.0,100.0,call,7.9,8.0\n"
+    config = {"prior": prior, "forward": 100.0, "maturities": [0.25]}
+    assert cli.main(_surface_argv(tmp_path, config, csv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "'butterfly: theta*phi^2*(1+|rho|) <= 4'" in err
+    assert "[0.25, 1.0]" in err

@@ -65,6 +65,15 @@ class TestAssembly:
         with pytest.raises(pde.PDEError):
             pde.assemble(prob, 0.5)
 
+    def test_collocation_rejects_nonpositive_variance_at_a_boundary_knot(self):
+        # v = x - 60 vanishes at the lower knot only: every quadrature point
+        # of the weak form lies inside an interval, the collocation point does not
+        basis = bs.make_basis(np.linspace(60.0, 140.0, 12), 3, truncation=0)
+        prob = pde.PDEProblem(pde.AffineVariance(-60.0, 1.0), 40.0, S0, basis, 1.0)
+        pde.assemble(prob, 0.5)
+        with pytest.raises(pde.PDEError, match="positive"):
+            pde.collocation_rows(prob, 0.5)
+
     def test_constraint_rows_on_constant(self):
         prob = ratio_problem(1.0, n_knots=20, half_sigmas=5.0)
         mass_row, mean_row = pde.constrain(prob, 0.7)

@@ -2,12 +2,13 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from volspline import cli, opt, priors as pr, surface as sf
+from volspline import bspline as bs, cli, opt, priors as pr, surface as sf
 from volspline.black import black_call
 from volspline.priors import ssvi_total_variance
 
@@ -32,6 +33,9 @@ def ssvi_market(params, mats_and_strikes, spread):
             qs.append(sf.Quote(K, mid - spread / 2, mid + spread / 2))
         out.append(sf.MarketSlice(T, F, qs))
     return out
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -179,6 +183,22 @@ class TestSurfaceCommands:
         val.write_text(json.dumps({"surface": str(tmp_path / "cal" / "surface.json")}))
         assert cli.main(["validate-surface", "--config", str(val), "--out", str(tmp_path / "val")]) == 0
 
+    def test_shipped_calibration_compiles_two_bases(self, tmp_path, monkeypatch):
+        # one basis for every maturity, and the lower-order basis of its
+        # curvature Gram; the outputs reuse the calibration's compiled form
+        calls = []
+        compile_basis = bs.compile_basis
+
+        def counting(basis):
+            calls.append(basis)
+            return compile_basis(basis)
+
+        monkeypatch.setattr(bs, "compile_basis", counting)
+        monkeypatch.chdir(REPO)
+        config = REPO / "configs" / "surface_synthetic.json"
+        assert cli.main(["surface-calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == 0
+        assert len(calls) == 2
+
 
 class TestSliceCalibration:
     def test_prior_recovery(self, lognormal_prior):
@@ -231,23 +251,23 @@ class TestSliceCalibration:
 class TestCalendar:
     def test_row_count(self, lognormal_prior):
         mats = [0.5, 1.0]
-        bases = [sf.make_basis(np.linspace(-0.5, 0.5, 9), 3, truncation=0) for _ in mats]
+        basis = sf.make_basis(np.linspace(-0.5, 0.5, 9), 3, truncation=0)
         measures = [
             sf.GaussianCoordMeasure(pr.BachelierPrior(-0.02 * t, 0.04 * t), 100.0, "exp") for t in mats
         ]
         rel = np.exp(np.linspace(-0.4, 0.4, 21))
-        cs = sf.calendar_constraints(bases, measures, [100.0, 100.0], rel)
+        cs = sf.calendar_constraints(basis, measures, [100.0, 100.0], rel)
         assert cs.ineq_rows.shape[0] == 2 * 21 + 4  # one maturity pair
 
     def test_identical_slices_satisfy_rows(self, lognormal_prior):
         mats = [0.5, 1.0]
-        bases = [sf.make_basis(np.linspace(-0.5, 0.5, 9), 3, truncation=0) for _ in mats]
+        basis = sf.make_basis(np.linspace(-0.5, 0.5, 9), 3, truncation=0)
         measures = [
             sf.GaussianCoordMeasure(pr.BachelierPrior(-0.02 * t, 0.04 * t), 100.0, "exp") for t in mats
         ]
         rel = np.exp(np.linspace(-0.4, 0.4, 21))
-        cs = sf.calendar_constraints(bases, measures, [100.0, 100.0], rel)
-        w = np.ones(sum(b.dimension for b in bases))
+        cs = sf.calendar_constraints(basis, measures, [100.0, 100.0], rel)
+        w = np.ones(len(mats) * basis.dimension)
         viol = cs.violations(w)
         assert all(v <= 1e-10 for v in viol.values())
 
@@ -288,6 +308,11 @@ class TestJointSurface:
                 assert q.bid - 1e-7 <= p <= q.ask + 1e-7
         report = sf.validate(calib)
         assert report.passed, str(report)
+
+    def test_slices_share_one_basis(self, lognormal_prior):
+        market = [prior_quotes(lognormal_prior, T, [85.0, 100.0, 115.0], spread=0.01) for T in (0.5, 0.75, 1.0)]
+        calib = sf.calibrate_surface(market, lognormal_prior, sf.SurfaceConfig(n_knots=9))
+        assert all(sl.basis is calib.slices[0].basis for sl in calib.slices)
 
     def test_ssvi_prior_roundtrip(self):
         market_params = pr.SSVIParams(C=0.001, K=0.042, rho=-0.5, eta=1.2, gamma=0.4, forward_curve=100.0)
@@ -331,7 +356,7 @@ class TestValidation:
         bad = sl.weights.copy()
         bad[4] = -1.0
         broken = sf.RNSlice(sl.basis, bad, sl.maturity, sl.forward, sl.measure)
-        calib = sf.SurfaceCalibration((broken,), np.exp(np.linspace(-0.5, 0.5, 11)), sf.SurfaceConfig(n_knots=9))
+        calib = sf.SurfaceCalibration((broken,), sf.SurfaceConfig(n_knots=9))
         report = sf.validate(calib)
         assert not report.passed
         failing = {name for name, ok, _, req in report.checks if req and not ok}
