@@ -1,12 +1,20 @@
 """Embedded cone solver for quadratic objectives, and its front ends.
 
-The solver is a dense primal-dual interior-point method with Nesterov-Todd
-scaling and a Mehrotra predictor-corrector step, sized for the problems
-this package produces (a few hundred variables, a few thousand constraint
-rows).  It minimizes ``0.5 x^T P x + f^T x`` over orthant rows,
-second-order cones and equalities; the PSD matrix P enters the Newton
-system directly, as in CVXOPT's ``coneqp``.  An equality-constrained
-hierarchy is available through a quadratic-form-weighted pseudoinverse.
+The solver minimizes ``0.5 x^T P x + f^T x`` over orthant rows,
+second-order cones and equalities, sized for the problems this package
+produces (a few hundred variables, a few thousand constraint rows).  It
+has two routes and one optimality check:
+
+- a dense primal-dual interior-point method with Nesterov-Todd scaling and
+  a Mehrotra predictor-corrector step; the PSD matrix P enters the Newton
+  system directly, as in CVXOPT's ``coneqp``;
+- for a program without cone blocks whose P is positive definite, the
+  exact dual active-set method of Goldfarb & Idnani, tried first.  Its
+  point is returned only if it passes the interior-point method's KKT
+  test; otherwise the interior-point iteration runs.
+
+An equality-constrained hierarchy is available through a
+quadratic-form-weighted pseudoinverse.
 """
 
 from __future__ import annotations
@@ -397,13 +405,124 @@ def _penalized_kkt_point(P, G, h, A, b, f):
     return xy[:n], xy[n:]
 
 
+def _strict_cholesky(P) -> np.ndarray | None:
+    """Lower Cholesky factor of P, or None unless P is numerically positive
+    definite: every squared pivot above 1e-12 of the largest."""
+    if not P.size:
+        return None
+    try:
+        L = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return None
+    piv = np.diag(L) ** 2
+    return L if piv.min() > 1e-12 * piv.max() else None
+
+
+def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
+    """Dual active-set solve of ``min 0.5 x^T P x + f^T x`` subject to
+    ``G x <= h`` and ``A x = b``, with P positive definite (``P = L L^T``).
+
+    The method of Goldfarb & Idnani (1983, Math. Programming 27), dense:
+    from the equality-constrained minimum, the most violated row ``q`` joins
+    the working set ``W`` by raising its multiplier ``t`` from 0.  The
+    point and the multipliers of ``W`` move along the KKT direction of
+    ``W`` until row q holds with equality (a full step: q joins W), or
+    until a multiplier of W falls to 0 first (a partial step: that row
+    leaves W and t keeps rising).  A normal ``n_q`` in the span of the
+    equality normals and those of W gives no primal direction; then only
+    the multipliers move, and with none falling the program is infeasible.
+    Each step solves the KKT system of W afresh; after a full step the
+    point and multipliers are re-solved from that system, so rounding does
+    not accumulate.
+
+    Returns ``(x, y, z, active, steps)`` once the norm of ``max(G x - h, 0)``
+    over the rows outside W is at most ``viol_tol`` (``z`` is 0 off W,
+    ``active`` marks W, ``steps`` counts the full and partial steps), or
+    None when the program looks infeasible, a KKT system is singular or
+    ``max_steps`` steps do not end the solve.
+    """
+    from scipy.linalg.lapack import dgetrf, dgetrs  # here, so that importing opt does not load scipy.linalg
+
+    n, p, m = P.shape[0], A.shape[0], G.shape[0]
+    W: list[int] = []
+    z = np.zeros(m)
+
+    def factor():
+        N = np.vstack([A, G[W]])
+        K = np.zeros((n + N.shape[0], n + N.shape[0]))
+        K[:n, :n] = P
+        K[:n, n:] = N.T
+        K[n:, :n] = N
+        lu, piv, info = dgetrf(K)
+        return None if info != 0 or not np.all(np.isfinite(lu)) else (K, lu, piv)
+
+    def solve(fac, rhs):
+        K, lu, piv = fac
+        sol = dgetrs(lu, piv, rhs)[0]
+        sol += dgetrs(lu, piv, rhs - K @ sol)[0]  # one refinement step
+        return sol[:n], sol[n : n + p], sol[n + p :]
+
+    fac = factor()
+    if fac is None:
+        return None
+    x, y, _ = solve(fac, np.concatenate([-f, b]))
+    steps = 0
+    while True:
+        viol = G @ x - h
+        viol[W] = 0.0
+        np.maximum(viol, 0.0, out=viol)
+        if np.linalg.norm(viol) <= viol_tol:
+            active = np.zeros(m, dtype=bool)
+            active[W] = True
+            return x, y, z, active, steps
+        q = int(np.argmax(viol))
+        nq = G[q]
+        # curvature along n_q with no row active: the scale of a zero step
+        curv0 = float(np.sum(np.linalg.solve(L, nq) ** 2))
+        while True:
+            steps += 1
+            if steps > max_steps:
+                return None
+            dx, _, dzw = solve(fac, np.concatenate([-nq, np.zeros(p + len(W))]))
+            curv = -float(nq @ dx)  # dx^T P dx
+            in_span = curv <= 1e-14 * curv0
+            falling = np.flatnonzero(dzw < 0.0)
+            if not falling.size:
+                if in_span:
+                    return None  # no multiplier falls: the rows cannot all hold
+                t_drop, j = np.inf, -1
+            else:
+                ratios = z[np.asarray(W)[falling]] / -dzw[falling]
+                j = int(falling[np.argmin(ratios)])
+                t_drop = max(float(ratios.min()), 0.0)
+            if not in_span and float(nq @ x - h[q]) / curv <= t_drop:
+                # full step: q joins W, and the point of W is solved afresh
+                W.append(q)
+                fac = factor()
+                if fac is None:
+                    return None
+                x, y, zw = solve(fac, np.concatenate([-f, b, h[W]]))
+                z[W] = np.maximum(zw, 0.0)
+                break
+            # partial step: the multiplier of row W[j] reaches 0 and it leaves
+            if not in_span:
+                x = x + t_drop * dx
+            z[W] += t_drop * dzw
+            z[W[j]] = 0.0
+            del W[j]
+            fac = factor()
+            if fac is None:
+                return None
+
+
 def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solution:
-    """Interior-point solve of ``min 0.5 x^T P x + f^T x`` over the orthant
-    rows, the second-order cone blocks and the equalities.
+    """Solve ``min 0.5 x^T P x + f^T x`` over the orthant rows, the
+    second-order cone blocks and the equalities.
 
     Returns a Solution whose status is ``optimal``, ``infeasible`` (a
     certificate was found or the iterates diverged) or ``max_iter``.
-    ``optimal`` means, on the internally equilibrated problem:
+    ``optimal`` means, on the internally equilibrated problem, whichever
+    route found the point:
 
     - primal residuals at or below ``tol``;
     - the dual residual at or below ``tol``, relative to the largest of 1,
@@ -419,7 +538,23 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
     ``s o z`` cancels to the rounding of ``s0 z0``, and rounding then puts
     the scaled point on the cone's boundary.  For a program with such a
     block the best iterate is therefore ``optimal`` at a gap of ``tol``
-    once the iteration ends.  A program without cone rows is one KKT solve.
+    once the iteration ends.
+
+    Routes, chosen by the program's structure:
+
+    - neither orthant nor cone rows: one KKT solve, ``iterations`` 0;
+    - no cone block and an equilibrated P whose Cholesky factor has every
+      squared pivot above 1e-12 of the largest: the dual active-set method
+      (``_dual_active_set``), whose point has the multipliers of its working
+      set as ``z`` and ``s = max(h - G x, 0)``, 0 on the working set, so the
+      gap is 0.  It is returned as ``optimal`` when it passes the test
+      above, with ``iterations`` counting working-set steps (rows added and
+      dropped);
+    - otherwise, and whenever the active-set route finds the program
+      infeasible, meets a singular KKT system, runs out of steps or fails
+      the test: the interior-point iteration, with ``iterations`` counting
+      its Newton iterations.  ``infeasible`` and ``max_iter`` come only
+      from it.
     """
     n = prog.n
     G, h, cones = _standard_form(prog)
@@ -444,13 +579,6 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
         x_o = d_scale * x_s
         return Solution(x_o, status, res, iters, prog.objective(x_o), slacks=s_s / e_scale)
 
-    # starting point as in CVXOPT's coneqp: s = h - G x and z = -s shifted
-    # into the cone interior.  A start whose x ignored P left some random
-    # quadratic programs with a cone cycling at a gap of 0.1 to 0.3.
-    x, y = _penalized_kkt_point(P, G, h, A, b, f)
-    s = cones.shift_into(h - G @ x)
-    z = cones.shift_into(G @ x - h)
-
     bnorm = max(1.0, np.linalg.norm(b))
     hnorm = max(1.0, np.linalg.norm(h))
     fnorm = max(1.0, np.linalg.norm(f))
@@ -469,6 +597,25 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
 
     def converged(pres, dres, relgap, gap_tol=gap_tol):
         return pres <= tol and dres <= tol and relgap <= gap_tol
+
+    L = None if cones.socs else _strict_cholesky(P)
+    if L is not None:
+        # the rows outside the working set may add at most tol / 100 to pres
+        point = _dual_active_set(L, P, G, h, A, b, f, 1e-2 * tol * hnorm, 4 * (m + p) + 10)
+        if point is not None:
+            x, y, z, active, steps = point
+            s = np.maximum(h - G @ x, 0.0)
+            s[active] = 0.0  # so s @ z, the gap, is exactly 0
+            res = residuals(x, y, z, s)[4]
+            if converged(*res):
+                return finish(x, s, "optimal", res, steps)
+
+    # starting point as in CVXOPT's coneqp: s = h - G x and z = -s shifted
+    # into the cone interior.  A start whose x ignored P left some random
+    # quadratic programs with a cone cycling at a gap of 0.1 to 0.3.
+    x, y = _penalized_kkt_point(P, G, h, A, b, f)
+    s = cones.shift_into(h - G @ x)
+    z = cones.shift_into(G @ x - h)
 
     status = "max_iter"
     iters = 0

@@ -24,11 +24,13 @@ from volspline import opt
 from volspline.bspline import (
     BasisSpec,
     CompiledBasis,
+    KnotVector,
     LebesgueMeasure,
     Spline,
     SplineError,
     derivative_decomposition,
     gram_matrix,
+    locate,
     moment_rows,
     weighted_gram,
 )
@@ -107,7 +109,10 @@ class EmpiricalMeasure:
         key = (lo.tobytes(), hi.tobytes())
         idx = self._located.get(key)
         if idx is None:
-            idx = np.searchsorted(lo, self.points, side="right") - 1
+            # searchsorted(lo, points, "right") - 1; past a leading -inf the
+            # edges are knots, which locate in O(1) when evenly spaced
+            wing = int(lo.size > 0 and lo[0] == -np.inf)
+            idx = locate(KnotVector(lo[wing:]), self.points) + wing
             inside = (idx >= 0) & (self.points < hi[np.maximum(idx, 0)])
             idx[~inside] = lo.size
             self._located[key] = idx

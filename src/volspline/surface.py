@@ -613,10 +613,11 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
         rel = calib.relative_strike_grid
         cal_worst = np.inf
         tangent_worst = np.inf
-        for s1, s2 in zip(calib.slices, calib.slices[1:]):
-            K1, K2 = rel * s1.forward, rel * s2.forward
-            c1 = s1.call_price(K1)
-            c2 = s2.call_price(K2)
+        # each slice priced once at its relative strikes: an interior slice
+        # is the later slice of one pair and the earlier of the next
+        rel_calls = [sl.call_price(rel * sl.forward) for sl in calib.slices]
+        for s2, c1, c2 in zip(calib.slices[1:], rel_calls, rel_calls[1:]):
+            K2 = rel * s2.forward
             cal_worst = min(cal_worst, float(np.min(c2 - c1)))
             slopes = call_slope_row(s2.basis, s2.measure, K2) @ s2.weights * s2.forward
             for i in range(rel.size - 1):

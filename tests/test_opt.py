@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from volspline import opt
 from volspline.regression import ConstraintSet
@@ -38,6 +39,28 @@ def solve_qp_oracle_box(P, q, lo, hi):
             if val < best[0]:
                 best = (val, x.copy())
     return best
+
+
+@pytest.fixture
+def ip_starts(monkeypatch):
+    """Count the starts of the interior-point iteration: a program with
+    orthant rows that the active-set route certifies makes none."""
+    starts = []
+    start = opt._penalized_kkt_point
+
+    def counting(*args):
+        starts.append(args)
+        return start(*args)
+
+    monkeypatch.setattr(opt, "_penalized_kkt_point", counting)
+    return starts
+
+
+def with_idle_cone(prog: opt.SOCProgram) -> opt.SOCProgram:
+    """The program with one cone block ``||0 x|| <= 1``, which never binds
+    but sends the solve through the interior-point iteration."""
+    idle = opt.ConeBlock(np.zeros((1, prog.n)), [0.0], np.zeros(prog.n), 1.0)
+    return opt.SOCProgram(prog.f, [idle], prog.A_eq, prog.b_eq, P=prog.P, G=prog.G, h=prog.h)
 
 
 class TestSolveSOCP:
@@ -103,6 +126,113 @@ class TestSolveSOCP:
         sol = opt.solve_socp(prog)
         assert sol.status == "max_iter"
         assert np.all(np.isfinite(sol.x))
+
+
+class TestDualActiveSet:
+    """The exact route of ``solve_socp`` for programs without cone blocks
+    whose P is positive definite."""
+
+    @staticmethod
+    def route(P, G, h, f, A=None, b=None):
+        """``opt._dual_active_set`` on the raw data, without equilibration."""
+        P, G, h, f = (np.asarray(v, dtype=float) for v in (P, G, h, f))
+        A = np.zeros((0, f.size)) if A is None else np.asarray(A, dtype=float)
+        b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
+        return opt._dual_active_set(np.linalg.cholesky(P), P, G, h, A, b, f, 1e-12, 100)
+
+    @staticmethod
+    def assert_route_matches_interior_point(prog, ip_starts, x_want):
+        sol = opt.solve_socp(prog)
+        assert sol.status == "optimal" and not ip_starts
+        np.testing.assert_allclose(sol.x, x_want, rtol=0.0, atol=1e-13)
+        ref = opt.solve_socp(with_idle_cone(prog))
+        assert ref.status == "optimal" and ip_starts
+        np.testing.assert_allclose(ref.x, x_want, rtol=0.0, atol=1e-7)
+
+    def test_dependent_rows_take_dual_steps(self, ip_starts):
+        # min |x - (3, 3, 0)|^2 / 2 under x0 <= 1, x1 <= 1, x1 <= 1 once more,
+        # 0.5 x0 <= 0.3 (parallel to row 0) and 0.1 (x0 + x1) <= 0.15.  Rows 0
+        # and 1 join; row 3 lies in their span, so only the multipliers move
+        # until row 0 leaves; row 3 joins; row 4 lies in the span of rows 1
+        # and 3, and row 1 leaves; row 4 joins.  The duplicate row 2 never
+        # reads violated.
+        G = [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0.5, 0, 0], [0.1, 0.1, 0]]
+        h = [1, 1, 1, 0.3, 0.15]
+        f = [-3.0, -3.0, 0.0]
+        x, y, z, active, steps = self.route(np.eye(3), G, h, f)
+        assert steps == 6
+        np.testing.assert_array_equal(active, [False, False, False, True, True])
+        np.testing.assert_allclose(x, [0.6, 0.9, 0.0], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(z, [0.0, 0.0, 0.0, 0.6, 21.0], rtol=1e-13)
+        self.assert_route_matches_interior_point(opt.SOCProgram(f, P=np.eye(3), G=G, h=h), ip_starts, x)
+
+    def test_dropped_row_joins_again(self, ip_starts):
+        # nine steps: rows 2, 0 and 4 join; row 1 lies in their span and row
+        # 2 leaves; row 1 joins; row 3 is in the span and row 0 leaves; row 3
+        # joins; row 2, violated again, is in the span and row 4 leaves; row
+        # 2 joins again
+        G = [[-2, -2, 0], [0, -2, 0], [1, -2, -2], [-1, 1, 0], [-1, 1, -2]]
+        h = [1.1, 0.7, 1.1, -0.9, -0.9]
+        f = [3.0, 6.0, 5.0]
+        x, y, z, active, steps = self.route(np.eye(3), G, h, f)
+        assert steps == 9
+        np.testing.assert_array_equal(active, [False, True, True, True, False])
+        np.testing.assert_allclose(x, [0.55, -0.35, 0.075], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(z, [0.0, 3.33125, 2.5375, 6.0875, 0.0], rtol=1e-13)
+        self.assert_route_matches_interior_point(opt.SOCProgram(f, P=np.eye(3), G=G, h=h), ip_starts, x)
+
+    def test_infeasible_program_is_left_to_the_interior_point(self, ip_starts):
+        # x0 + x1 = 1 with x0 >= 1 and x1 >= 0.5: the last row lies in the
+        # span of the equality and the first, and no multiplier falls
+        G, h, A, b = -np.eye(2), [-1.0, -0.5], [[1.0, 1.0]], [1.0]
+        assert self.route(np.eye(2), G, h, [0.0, 0.0], A, b) is None
+        sol = opt.solve_socp(opt.SOCProgram([0.0, 0.0], A_eq=A, b_eq=b, P=np.eye(2), G=G, h=h))
+        assert sol.status == "infeasible" and len(ip_starts) == 1
+
+    @pytest.mark.parametrize("P", [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([1.0, 1e-13])])
+    def test_lp_and_singular_p_take_the_interior_point(self, P, ip_starts):
+        assert opt._strict_cholesky(P) is None
+        # min 0.5 P00 x0^2 + x1 with x1 >= 0.5 and x0 >= -1
+        prog = opt.SOCProgram([0.0, 1.0], P=P, G=[[0.0, -1.0], [-1.0, 0.0]], h=[-0.5, 1.0])
+        sol = opt.solve_socp(prog)
+        assert sol.status == "optimal" and sol.iterations > 0 and len(ip_starts) == 1
+        assert sol.x[1] == pytest.approx(0.5, abs=1e-7)
+
+    def test_pivot_ratio_of_the_cholesky_test(self):
+        assert opt._strict_cholesky(np.diag([1.0, 1e-11])) is not None
+        assert opt._strict_cholesky(np.diag([1.0, 1e-12])) is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 12))
+def test_active_set_route_matches_interior_point(data, n, m, ip_starts):
+    """Random strictly convex QPs with orthant rows and equalities through a
+    feasible x0, some rows duplicated or in the span of two others: the
+    active-set route certifies the answer, and the interior-point iteration
+    on the same program with an idle cone block agrees with it."""
+    ip_starts.clear()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    B = rng.standard_normal((n, n))
+    P = 10.0 ** data.draw(st.floats(-3.0, 3.0)) * (B @ B.T + data.draw(st.floats(0.05, 1.0)) * np.eye(n))
+    x0 = rng.standard_normal(n)
+    G = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (m, 1))
+    h = G @ x0 + rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)  # about a third tight at x0
+    if m >= 3 and data.draw(st.booleans()):
+        G[-1], h[-1] = G[0], h[0]
+        c = rng.uniform(0.1, 2.0, 2)
+        G[-2] = c @ G[:2]
+        h[-2] = c @ h[:2] + rng.uniform(0.0, 0.5) * data.draw(st.booleans())
+    A = rng.standard_normal((data.draw(st.integers(0, n - 1)), n))
+    f = -P @ (x0 + 3.0 * rng.standard_normal(n))
+    prog = opt.SOCProgram(f, A_eq=A, b_eq=A @ x0, P=P, G=G, h=h)
+
+    sol = opt.solve_socp(prog)
+    assert sol.status == "optimal" and not ip_starts
+    ref = opt.solve_socp(with_idle_cone(prog))
+    assert ref.status == "optimal" and ip_starts
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-8, abs=1e-8)
+    np.testing.assert_allclose(sol.x, ref.x, rtol=0.0, atol=1e-7)
 
 
 def test_orthant_only_cone_algebra_is_elementwise():

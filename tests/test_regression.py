@@ -130,6 +130,27 @@ class TestDesignSystem:
             assert np.abs(c - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
 
 
+    @pytest.mark.parametrize("truncation", [-1, 0, 1])
+    @pytest.mark.parametrize("unit", [np.arange(20.0), np.array([0.0, 1.0, 1.5, 3.0, 3.25, 5.0])])
+    def test_interval_index_equals_bisection(self, truncation, unit):
+        # evenly spaced edges (an affine image of the unit grid) locate by
+        # the corrected floor, others by bisection; points on every edge, one
+        # ulp either side, beyond both ends, infinite and NaN
+        cb = bs.make_basis(unit, 2, truncation).compiled().affine_image(4.2, 0.031)
+        lo, hi, _, _ = bs.live_pieces(cb)
+        edges = np.union1d(lo, hi)
+        edges = edges[np.isfinite(edges)]
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [edges[0] - 1.0, edges[-1] + 1.0, -np.inf, np.inf, np.nan],
+        ])
+        want = np.searchsorted(lo, x, side="right") - 1
+        want[~((want >= 0) & (x < hi[np.maximum(want, 0)]))] = lo.size
+        np.testing.assert_array_equal(rg.EmpiricalMeasure(x)._locate(lo, hi), want)
+        wing = int(lo[0] == -np.inf)
+        assert bs.KnotVector(lo[wing:]).equal_spacing == (unit.size == 20)
+
+
 class TestConstraintSet:
     def test_block_assembly_equals_row_by_row(self):
         rng = np.random.default_rng(21)

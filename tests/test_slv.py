@@ -1,11 +1,14 @@
 """Exact volatility stepping and the particle calibration loop."""
 
+import dataclasses
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from volspline import slv
+from volspline import opt, slv
 from volspline.black import black_call, implied_vol
 
 
@@ -80,8 +83,46 @@ class TestOUStep:
         assert np.cov(integ, dw)[0, 1] == pytest.approx(v12, abs=3e-3)
         assert dw.var() == pytest.approx(0.5, rel=0.01)
 
+    @pytest.mark.parametrize("rho", [-0.8, 1.0])
+    def test_buffered_step_equals_the_plain_formula(self, params, rho):
+        # the same operations in the same order, written into fewer arrays;
+        # rho = 1 leaves no independent part in dw
+        p = dataclasses.replace(params, rho=rho)
+        rng = np.random.default_rng(3)
+        u, normals = rng.standard_normal(1001), rng.standard_normal((2, 1001))
+        u_in, normals_in = u.copy(), normals.copy()
+        for dt in (0.025, 0.5):
+            v11, v12 = slv._ou_cov(p, dt)
+            z0, z1 = normals
+            integ = np.sqrt(v11) * z0
+            resid = dt - v12**2 / v11
+            dw_want = v12 / np.sqrt(v11) * z0 + np.sqrt(max(resid, 0.0)) * z1
+            u_want = u * np.exp(-p.theta * dt) + p.nu * integ
+            u_new, dw = slv.ou_step_exact(u, dt, p, normals)
+            np.testing.assert_array_equal(u_new, u_want)
+            np.testing.assert_array_equal(dw, dw_want)
+        np.testing.assert_array_equal(u, u_in)
+        np.testing.assert_array_equal(normals, normals_in)
+
 
 class TestCalibration:
+    def test_shipped_calibration_solves_by_active_set(self, monkeypatch):
+        # each date's program has nonnegativity rows, the forward-variance
+        # equality and no cone block: the active-set route certifies all 40,
+        # so the interior-point iteration never starts
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "slv_flat_smile.json").read_text())
+        routes, starts = [], []
+        for name, calls in (("_dual_active_set", routes), ("_penalized_kkt_point", starts)):
+            monkeypatch.setattr(opt, name, lambda *a, f=getattr(opt, name), c=calls: c.append(1) or f(*a))
+        flags = cfg["constraints"]
+        slv.calibrate_leverage(
+            slv.ScottParams(**cfg["params"]), np.linspace(0.0, cfg["horizon"], cfg["steps"] + 1), cfg["particles"],
+            seed=5, n_knots=cfg["knots"], order=cfg["order"], truncation=cfg["truncation"],
+            penalty_order=cfg["penalty_order"],
+            flags=slv.ConstraintFlags(flags["forward_variance"], flags["nonnegative"], flags["quadratic_cap"]),
+        )
+        assert len(routes) == cfg["steps"] == 40 and not starts
+
     def test_degenerate_vol_recovers_ratio(self):
         p0 = slv.ScottParams(100.0, 0.2, 1.0, 0.0, 0.0, 0.25)
         surf = slv.calibrate_leverage(p0, np.linspace(0, 1, 11), 4000, seed=3)

@@ -200,6 +200,19 @@ class TestSurfaceCommands:
         assert len(calls) == 2
 
 
+    def test_shipped_calibration_keeps_the_interior_point_route(self, tmp_path, monkeypatch):
+        # the program has no cone block, but its curvature P is singular: it
+        # fails the Cholesky test and the interior-point iteration solves it
+        tests, routes, starts = [], [], []
+        for name, calls in (("_strict_cholesky", tests), ("_dual_active_set", routes),
+                            ("_penalized_kkt_point", starts)):
+            monkeypatch.setattr(opt, name, lambda *a, f=getattr(opt, name), c=calls: c.append(f(*a)) or c[-1])
+        monkeypatch.chdir(REPO)
+        config = REPO / "configs" / "surface_synthetic.json"
+        assert cli.main(["surface-calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == 0
+        assert tests == [None] and not routes and len(starts) == 1
+
+
 class TestSliceCalibration:
     def test_prior_recovery(self, lognormal_prior):
         ms = prior_quotes(lognormal_prior, 1.0, [80.0, 90.0, 100.0, 110.0, 125.0])
@@ -348,6 +361,17 @@ class TestValidation:
         calib = sf.calibrate_surface(mkt, lognormal_prior, sf.SurfaceConfig(n_knots=11))
         report = sf.validate(calib)
         assert report.passed, str(report)
+
+    def test_each_slice_priced_once_at_relative_strikes(self, lognormal_prior, monkeypatch):
+        # an interior slice is the later slice of one calendar pair and the
+        # earlier of the next; its prices at the relative strikes serve both
+        mkt = [prior_quotes(lognormal_prior, T, [80.0, 100.0, 125.0]) for T in (0.5, 1.0, 1.5)]
+        calib = sf.calibrate_surface(mkt, lognormal_prior, sf.SurfaceConfig(n_knots=9))
+        priced = []
+        call_price = sf.RNSlice.call_price
+        monkeypatch.setattr(sf.RNSlice, "call_price", lambda sl, k: priced.append(sl.maturity) or call_price(sl, k))
+        assert sf.validate(calib).passed
+        assert priced == [0.5, 1.0, 1.5]
 
     def test_violating_weights_flagged(self, lognormal_prior):
         ms = prior_quotes(lognormal_prior, 1.0, [90.0, 100.0, 110.0])
