@@ -6,8 +6,9 @@ the table of integrals of ``(x - ref)^d dQ`` over ``[lo_i, hi_i]`` for every
 interval i and every degree ``d <= deg``.  The B-spline Gram, moment and
 pricing rows are contractions of that table with the compiled piecewise
 polynomial coefficients.  Gaussian and lognormal tables are closed form;
-the SSVI slice integrates on one composite Gauss-Legendre grid in
-log-moneyness.  ``prior_from_json`` reads a prior from its JSON config.
+the SSVI slice has its table in log-moneyness only (``log_moment_table``),
+integrated on one composite Gauss-Legendre grid.  ``prior_from_json``
+reads a prior from its JSON config.
 """
 
 from __future__ import annotations
@@ -319,8 +320,8 @@ _SSVI_CELLS = 200
 _SSVI_NODES = 8
 
 
-def _composite_table(edges, coord, weight, lo, hi, ref, deg: int) -> np.ndarray:
-    """Integrals of (coord(k) - ref_i)^d weight(k) dk over [lo_i, hi_i] in k.
+def _composite_table(edges, weight, lo, hi, ref, deg: int) -> np.ndarray:
+    """Integrals of (k - ref_i)^d weight(k) dk over [lo_i, hi_i].
 
     ``edges`` are the cell edges of one composite Gauss-Legendre grid;
     bounds are clipped to it.  Whole cells enter through their moments
@@ -333,8 +334,7 @@ def _composite_table(edges, coord, weight, lo, hi, ref, deg: int) -> np.ndarray:
     hi = np.clip(hi, lo, edges[-1])
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     nodes = mid[:, None] + half[:, None] * xs
-    centre = coord(mid)
-    local = coord(nodes) - centre[:, None]
+    local = nodes - mid[:, None]
     mass = half[:, None] * ws * weight(nodes)
     cell_mom = np.stack([(mass * local**j).sum(axis=1) for j in range(deg + 1)], axis=1)
 
@@ -342,7 +342,7 @@ def _composite_table(edges, coord, weight, lo, hi, ref, deg: int) -> np.ndarray:
     last = np.searchsorted(edges, hi, side="right") - 1  # last edge <= hi
     cells = np.arange(edges.size - 1)
     whole = (cells >= first[:, None]) & (cells < last[:, None])
-    gap = np.where(whole, centre - ref[:, None], 0.0)  # (intervals, cells)
+    gap = np.where(whole, mid - ref[:, None], 0.0)  # (intervals, cells)
     # shifted[:, m, j] = sum over whole cells of (centre - ref)^m * cell_mom[:, j]
     shifted = np.empty(lo.shape + (deg + 1, deg + 1))
     power = whole.astype(float)
@@ -359,7 +359,7 @@ def _composite_table(edges, coord, weight, lo, hi, ref, deg: int) -> np.ndarray:
         pm, ph = 0.5 * (a + b), 0.5 * (b - a)
         k = pm[:, None] + ph[:, None] * xs
         pw = ph[:, None] * ws * weight(k)
-        u = coord(k) - ref[:, None]
+        u = k - ref[:, None]
         out += np.stack([(pw * u**d).sum(axis=1) for d in range(deg + 1)], axis=1)
     return out
 
@@ -416,19 +416,7 @@ class SSVISlice:
         F = self.forward
         weight = (lambda k: F * np.exp(k) * self.logm_density(k)) if spot else self.logm_density
         shape = lo.shape
-        out = _composite_table(self.grid(), lambda k: k, weight, lo.ravel(), hi.ravel(), ref.ravel(), deg)
-        return out.reshape(shape + (deg + 1,))
-
-    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
-        """Table in spot units: integrals of (x - ref_i)^d dQ over [lo_i, hi_i]."""
-        lo, hi, ref = _table_args(lo, hi, ref, deg)
-        F = self.forward
-        with np.errstate(divide="ignore"):
-            klo, khi = np.log(np.maximum(lo, 0.0) / F), np.log(np.maximum(hi, 0.0) / F)
-        shape = lo.shape
-        out = _composite_table(
-            self.grid(), lambda k: F * np.exp(k), self.logm_density, klo.ravel(), khi.ravel(), ref.ravel(), deg
-        )
+        out = _composite_table(self.grid(), weight, lo.ravel(), hi.ravel(), ref.ravel(), deg)
         return out.reshape(shape + (deg + 1,))
 
 

@@ -13,13 +13,13 @@ local volatility.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import comb
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from volspline import regression as rg
 from volspline.black import implied_vol
-from volspline.bspline import PiecewisePoly, make_basis, moment_rows
+from volspline.bspline import CompiledBasis, PiecewisePoly, make_basis, moment_rows, weighted_gram
 from volspline.priors import BachelierPrior
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ConstraintFlags",
     "LeverageSlice",
     "LeverageSurface",
-    "dupire_flat",
     "ou_step_exact",
     "forward_variance",
     "fourth_moment",
@@ -63,17 +62,6 @@ class ConstraintFlags:
     forward_variance_eq: bool = True  # integral equality pinning E[a_t^2]
     nonnegative: bool = True
     quadratic_cap: bool = False  # second-moment cone row from E[a_t^4]
-
-
-def dupire_flat(sigma_bs: float):
-    """Local volatility (normal units) reproducing a flat lognormal smile."""
-    if sigma_bs <= 0.0:
-        raise ValueError("sigma_bs must be positive")
-
-    def local_vol(x):
-        return sigma_bs * np.asarray(x, dtype=float)
-
-    return local_vol
 
 
 def forward_variance(p: ScottParams, t: float) -> float:
@@ -281,22 +269,29 @@ def calibrate_leverage(
 
 
 def _l2_distance_sq(f: PiecewisePoly, g: PiecewisePoly, law: BachelierPrior) -> float:
-    """Exact integral of (f - g)^2 dQ, piece by piece on the merged breakpoints."""
+    """Exact integral of (f - g)^2 dQ: the difference on the merged
+    breakpoints, in f's local coordinates, is one compiled function whose
+    ``weighted_gram`` against the law is this integral."""
     bp = np.union1d(f.breakpoints, g.breakpoints)
-    edges = np.concatenate([[-np.inf], bp, [np.inf]])
     # one point inside each merged interval selects the piece of f and of g
     inside = np.concatenate([[bp[0] - 1.0], 0.5 * (bp[:-1] + bp[1:]), [bp[-1] + 1.0]]) if bp.size else np.zeros(1)
     i_f = np.searchsorted(f.breakpoints, inside, side="right")
     i_g = np.searchsorted(g.breakpoints, inside, side="right")
-    total = 0.0
-    for a, b, i, j in zip(edges[:-1], edges[1:], i_f, i_g):
-        ref = f.refs[i]
-        # re-expand g's piece about f's reference point before subtracting
-        g_local = Polynomial(g.coeffs[j])(Polynomial([ref - g.refs[j], 1.0]))
-        diff = Polynomial(f.coeffs[i]) - g_local
-        total += law.piece_integral(a, b, (diff**2).coef, ref)
+    refs = f.refs[i_f]
+    deg = max(f.coeffs.shape[1], g.coeffs.shape[1]) - 1
+    diff = np.zeros((refs.size, deg + 1))
+    diff[:, : f.coeffs.shape[1]] = f.coeffs[i_f]
+    # g's piece about f's reference point: x - ref_g = u + delta with u = x - ref_f,
+    # so the degree-m coefficient is sum_{j >= m} C(j, m) delta^(j - m) c_j
+    # (C(j, m) = 0 for j < m); g's missing degrees are zeros
+    d = np.arange(g.coeffs.shape[1])
+    binom = np.array([[comb(j, m) for j in d] for m in d], dtype=float)  # [m, j]
+    delta = refs - g.refs[i_g]
+    shift = binom * delta[:, None, None] ** np.maximum(d[None, :] - d[:, None], 0)
+    diff[:, : d.size] -= np.einsum("imj,ij->im", shift, g.coeffs[i_g])
+    cb = CompiledBasis(first_index=0, order=deg, breakpoints=bp, refs=refs, coeffs=diff[None])
     # an integral of a square: surfaces that agree to rounding can sum below 0
-    return max(total, 0.0)
+    return max(float(weighted_gram(cb, law)[0, 0]), 0.0)
 
 
 def conditional_variance_distance(surface: LeverageSurface, reference: LeverageSurface) -> float:

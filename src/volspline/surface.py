@@ -34,7 +34,6 @@ __all__ = [
     "SurfaceReport",
     "slice_measure",
     "pricing_linear_forms",
-    "calibrate_slice",
     "calibrate_surface",
     "calendar_constraints",
     "validate",
@@ -280,12 +279,6 @@ class RNSlice:
     def spline(self) -> Spline:
         return Spline(self.basis, self.weights)
 
-    def mass(self) -> float:
-        return float(_piece_rows(self.basis.compiled(), self.measure)[0].sum(axis=1) @ self.weights)
-
-    def mean(self) -> float:
-        return float(_piece_rows(self.basis.compiled(), self.measure)[1].sum(axis=1) @ self.weights)
-
     def call_price(self, strikes):
         forms = pricing_linear_forms(self.basis, self.measure, strikes)
         return forms["call_rows"] @ self.weights
@@ -525,18 +518,6 @@ def calibrate_surface(
         for i, (sl, m) in enumerate(zip(market, measures))
     )
     return SurfaceCalibration(slices=slices, config=config)
-
-
-def calibrate_slice(
-    market_slice: MarketSlice,
-    prior,
-    config: SurfaceConfig = SurfaceConfig(),
-    mode: str = "bracket",
-    tol: float = 1e-8,
-) -> RNSlice:
-    """Single-maturity calibration (degenerate surface)."""
-    calib = calibrate_surface([market_slice], prior, config, mode, tol)
-    return calib.slices[0]
 
 
 # ---------------------------------------------------------------------------

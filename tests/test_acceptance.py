@@ -281,7 +281,7 @@ def test_criterion_6_surface_calibration():
     Ks = [80.0, 90.0, 100.0, 110.0, 125.0]
     mids = black_call(100.0, np.array(Ks), 0.04)
     ms = sf.MarketSlice(1.0, 100.0, [sf.Quote(k, m - 1e-7, m + 1e-7) for k, m in zip(Ks, mids)])
-    sl = sf.calibrate_slice(ms, prior, sf.SurfaceConfig(n_knots=11))
+    sl = sf.calibrate_surface([ms], prior, sf.SurfaceConfig(n_knots=11)).slices[0]
     self_dev = float(np.abs(sl.weights - 1.0).max())
 
     # synthetic sparse skewed quotes with bid-ask and an unquoted maturity
@@ -314,13 +314,13 @@ def test_criterion_6_surface_calibration():
             bracket_excess = max(
                 bracket_excess, max(max(q.bid - p, p - q.ask) for q, p in zip(msl.quotes, prices))
             )
-        mass_err = max(mass_err, abs(slc.mass() - 1.0))
-        fwd_err = max(fwd_err, abs(slc.mean() - msl.forward))
         g = slc.basis.knots.knots
-        xs = 100.0 * np.exp(np.linspace(g[0], g[-1], 1000))
-        dens_min = min(dens_min, float(slc.density(xs).min()))
         strikes = 100.0 * np.exp(np.linspace(g[0] - 0.1, g[-1] + 0.1, 200))
         forms = sf.pricing_linear_forms(slc.basis, slc.measure, strikes)
+        mass_err = max(mass_err, abs(forms["mass_row"] @ slc.weights - 1.0))
+        fwd_err = max(fwd_err, abs(forms["forward_row"] @ slc.weights - msl.forward))
+        xs = 100.0 * np.exp(np.linspace(g[0], g[-1], 1000))
+        dens_min = min(dens_min, float(slc.density(xs).min()))
         c = forms["call_rows"] @ slc.weights
         p_ = forms["put_rows"] @ slc.weights
         parity_worst = max(parity_worst, float(np.abs(c - p_ - (100.0 - strikes)).max()))

@@ -108,9 +108,10 @@ class TestSSVI:
         assert d == pytest.approx(fd, rel=1e-6)
 
     def test_density_normalization_and_mean(self, fig_params):
+        # in log-moneyness: mass 1 over the whole line, and the spot-weighted mass is the forward
         sl = pr.SSVISlice(fig_params, 1.0)
-        assert sl.moment_table(0.0, np.inf, 0.0, 0)[0] == pytest.approx(1.0, abs=1e-6)
-        assert sl.moment_table(0.0, np.inf, 0.0, 1)[1] == pytest.approx(100.0, rel=1e-6)
+        assert sl.log_moment_table(-np.inf, np.inf, 0.0, 0)[0] == pytest.approx(1.0, abs=1e-6)
+        assert sl.log_moment_table(-np.inf, np.inf, 0.0, 0, spot=True)[0] == pytest.approx(100.0, rel=1e-6)
 
     def test_density_matches_price_curvature(self, fig_params):
         from volspline.black import black_call
@@ -139,9 +140,11 @@ class TestSSVI:
             pr.SSVIParams(C=0.0, K=0.02, rho=0.0, eta=1.0, gamma=1.5)
 
     def test_additivity(self, fig_params):
+        # the spot-weighted mass over strikes [80, 120] = [80, 97] + [97, 120], in k = log(K / F)
         sl = pr.SSVISlice(fig_params, 0.5)
-        whole = sl.moment_table(80.0, 120.0, 0.0, 1)[1]
-        parts = sl.moment_table(80.0, 97.0, 0.0, 1)[1] + sl.moment_table(97.0, 120.0, 0.0, 1)[1]
+        k80, k97, k120 = np.log(np.array([80.0, 97.0, 120.0]) / sl.forward)
+        whole = sl.log_moment_table(k80, k120, 0.0, 0, spot=True)[0]
+        parts = sum(sl.log_moment_table(a, b, 0.0, 0, spot=True)[0] for a, b in ((k80, k97), (k97, k120)))
         assert whole == pytest.approx(parts, rel=1e-9)
 
 

@@ -282,7 +282,7 @@ def test_lognormal_tables_match_quad(T, vol, z, zref, deg):
 @SETTINGS
 @given(data=st.data(), T=maturities, z=st.tuples(ends, ends), zref=st.floats(-3.0, 3.0), deg=st.integers(0, 3))
 def test_ssvi_tables_match_quad(data, T, z, zref, deg):
-    """Log-moneyness tables to the degree the surface uses; spot moments up to the mean."""
+    """Log-moneyness tables, plain and spot-weighted, to the degree the surface uses."""
     params = _ssvi(data, T)
     slc = pr.SSVISlice(params, T)
     F = slc.forward
@@ -298,11 +298,6 @@ def test_ssvi_tables_match_quad(data, T, z, zref, deg):
         assert mass[d] == pytest.approx(want, rel=1e-8, abs=1e-12)
         want = _quad(lambda k: (k - kref) ** d * F * math.exp(k) * q(k), klo, khi, 0.0, sd, reach=reach)
         assert spot[d] == pytest.approx(want, rel=1e-8, abs=1e-12 * F)
-    xref = F * math.exp(kref)
-    price = slc.moment_table([F * math.exp(klo)], [F * math.exp(khi)], [xref], 1)[0]
-    for d in range(2):
-        want = _quad(lambda k: (F * math.exp(k) - xref) ** d * q(k), klo, khi, 0.0, sd, reach=reach)
-        assert price[d] == pytest.approx(want, rel=1e-8, abs=1e-12 * (F + xref) ** d)
 
 
 @SETTINGS
@@ -383,6 +378,61 @@ def test_moment_rows_and_gram_match_quad(data, kind, T, order, n_knots, centre):
     assert bs.moment_rows(cb, measure) @ w == pytest.approx(want_row, rel=1e-8, abs=1e-10)
     assert v @ gram @ w == pytest.approx(want_gram, rel=1e-8, abs=1e-10 * max(scale, 1.0))
     np.testing.assert_array_equal(gram, gram.T)
+
+
+# ---------------------------------------------------------------------------
+# the exact L2 distance of the SLV criterion
+# ---------------------------------------------------------------------------
+
+def _random_piecewise(data, centre, sd, rng):
+    """A piecewise polynomial of degree 0-3 with 0-4 breakpoints in a random
+    window of the law's range (windows of two draws may be disjoint), refs
+    within 2 sd of the centre and terms of size about 1 there."""
+    n = data.draw(st.integers(0, 4))
+    lo = data.draw(st.floats(-4.0, 3.0))
+    bp = centre + sd * np.unique(rng.uniform(lo, lo + data.draw(st.floats(0.1, 3.0)), n))
+    refs = centre + sd * rng.uniform(-2.0, 2.0, bp.size + 1)
+    deg = data.draw(st.integers(0, 3))
+    coeffs = rng.standard_normal((bp.size + 1, deg + 1)) / sd ** np.arange(deg + 1)
+    return bs.PiecewisePoly(bp, refs, coeffs)
+
+
+def _piece(pp, x):
+    """The piece of ``pp`` holding ``x``, as a function of one float (Horner on python floats)."""
+    i = int(np.searchsorted(pp.breakpoints, x, side="right"))
+    ref, coeffs = float(pp.refs[i]), [float(c) for c in pp.coeffs[i][::-1]]
+
+    def value(y):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * (y - ref) + c
+        return acc
+
+    return value
+
+
+@SETTINGS
+@given(data=st.data(), mean=st.floats(-5.0, 5.0), sd=st.floats(0.05, 3.0))
+def test_l2_distance_matches_quad(data, mean, sd):
+    """The integral of (f - g)^2 dQ for a Gaussian Q, in either order, against
+    quadrature on each interval between both sets of breakpoints: f and g of
+    unequal degrees and unrelated breakpoints (none, overlapping or disjoint)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    f, g = _random_piecewise(data, mean, sd, rng), _random_piecewise(data, mean, sd, rng)
+    law = pr.BachelierPrior(mean, sd * sd)
+    pdf = _gauss_pdf(mean, sd)
+    edges = np.concatenate([[-math.inf], np.union1d(f.breakpoints, g.breakpoints), [math.inf]])
+    want = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        inside = b - 1.0 if a == -math.inf else a + 1.0 if b == math.inf else 0.5 * (a + b)
+        fa, ga = _piece(f, inside), _piece(g, inside)
+        want += _quad(lambda x: (fa(x) - ga(x)) ** 2 * pdf(x), a, b, mean, sd)
+    # the scale of the terms, (|f| + |g|)^2 dQ, roughly: cancellation between f and g is not an error
+    xs = mean + sd * np.linspace(-12.0, 12.0, 4001)
+    size = np.trapezoid((np.abs(f(xs)) + np.abs(g(xs))) ** 2 * law.density(xs), xs)
+    got = slv._l2_distance_sq(f, g, law)
+    assert abs(got - want) <= 1e-10 * size
+    assert abs(slv._l2_distance_sq(g, f, law) - got) <= 1e-10 * size
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,6 @@ def params():
 
 
 class TestClosedForms:
-    def test_local_vol_is_linear(self):
-        lv = slv.dupire_flat(0.25)
-        assert lv(100.0) == pytest.approx(25.0)
-        assert lv(0.0) == 0.0
-        assert lv(200.0) == pytest.approx(50.0)
-
     def test_integer_fields_are_floats(self, params):
         # an integer s0 must not make the particle spots an integer array
         whole = slv.ScottParams(100, 0.2, 1, 0.3, -0.8, 0.25)

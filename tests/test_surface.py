@@ -35,6 +35,12 @@ def ssvi_market(params, mats_and_strikes, spread):
     return out
 
 
+def mass_and_forward(sl: sf.RNSlice) -> tuple[float, float]:
+    """The reweighted prior's mass and forward, from the slice's pricing forms."""
+    forms = sf.pricing_linear_forms(sl.basis, sl.measure, sl.forward)
+    return forms["mass_row"] @ sl.weights, forms["forward_row"] @ sl.weights
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -216,27 +222,30 @@ class TestSurfaceCommands:
 class TestSliceCalibration:
     def test_prior_recovery(self, lognormal_prior):
         ms = prior_quotes(lognormal_prior, 1.0, [80.0, 90.0, 100.0, 110.0, 125.0])
-        sl = sf.calibrate_slice(ms, lognormal_prior, sf.SurfaceConfig(n_knots=11))
+        sl = sf.calibrate_surface([ms], lognormal_prior, sf.SurfaceConfig(n_knots=11)).slices[0]
         assert np.abs(sl.weights - 1.0).max() <= 1e-6
-        assert sl.mass() == pytest.approx(1.0, abs=1e-8)
-        assert sl.mean() == pytest.approx(100.0, rel=1e-8)
+        mass, forward = mass_and_forward(sl)
+        assert mass == pytest.approx(1.0, abs=1e-8)
+        assert forward == pytest.approx(100.0, rel=1e-8)
 
     def test_lsq_mode_fits_mids(self, lognormal_prior):
         params = pr.SSVIParams(C=0.0, K=0.04, rho=-0.3, eta=0.8, gamma=0.45, forward_curve=100.0)
         (ms,) = ssvi_market(params, [(1.0, [80.0, 90.0, 100.0, 110.0, 125.0])], spread=0.0)
-        sl = sf.calibrate_slice(ms, lognormal_prior, sf.SurfaceConfig(n_knots=13, curvature_weight=1e-9), mode="lsq")
+        cfg = sf.SurfaceConfig(n_knots=13, curvature_weight=1e-9)
+        sl = sf.calibrate_surface([ms], lognormal_prior, cfg, mode="lsq").slices[0]
         prices = sl.call_price([q.strike for q in ms.quotes])
         mids = np.array([q.mid for q in ms.quotes])
         assert np.abs(prices - mids).max() <= 1e-3
         # a lighter curvature weight fits strictly better
-        loose = sf.calibrate_slice(ms, lognormal_prior, sf.SurfaceConfig(n_knots=13, curvature_weight=1e-6), mode="lsq")
+        loose_cfg = sf.SurfaceConfig(n_knots=13, curvature_weight=1e-6)
+        loose = sf.calibrate_surface([ms], lognormal_prior, loose_cfg, mode="lsq").slices[0]
         loose_fit = np.abs(loose.call_price([q.strike for q in ms.quotes]) - mids).max()
         assert np.abs(prices - mids).max() <= loose_fit + 1e-12
 
     def test_bracket_mode_within_bid_ask(self, lognormal_prior):
         params = pr.SSVIParams(C=0.0, K=0.04, rho=-0.3, eta=0.8, gamma=0.45, forward_curve=100.0)
         (ms,) = ssvi_market(params, [(1.0, [75.0, 90.0, 100.0, 112.0, 130.0])], spread=0.1)
-        sl = sf.calibrate_slice(ms, lognormal_prior, sf.SurfaceConfig(n_knots=13))
+        sl = sf.calibrate_surface([ms], lognormal_prior, sf.SurfaceConfig(n_knots=13)).slices[0]
         prices = sl.call_price([q.strike for q in ms.quotes])
         for q, p in zip(ms.quotes, prices):
             assert q.bid - 1e-7 <= p <= q.ask + 1e-7
@@ -247,10 +256,10 @@ class TestSliceCalibration:
         cfg = sf.SurfaceConfig(n_knots=11)
         with warnings.catch_warnings():
             warnings.simplefilter("error", opt.ConvergenceWarning)
-            w_optimal = sf.calibrate_slice(ms, lognormal_prior, cfg).weights
+            w_optimal = sf.calibrate_surface([ms], lognormal_prior, cfg).slices[0].weights
         stall_solver()
         with pytest.warns(opt.ConvergenceWarning, match="surface calibration accepted a max_iter solve"):
-            w_stalled = sf.calibrate_slice(ms, lognormal_prior, cfg).weights
+            w_stalled = sf.calibrate_surface([ms], lognormal_prior, cfg).slices[0].weights
         np.testing.assert_array_equal(w_stalled, w_optimal)
 
     def test_infeasible_brackets_reported(self, lognormal_prior):
@@ -258,7 +267,7 @@ class TestSliceCalibration:
         qs = [sf.Quote(90.0, 12.0, 12.01), sf.Quote(100.0, 2.0, 2.01), sf.Quote(110.0, 1.5, 1.6)]
         ms = sf.MarketSlice(1.0, 100.0, qs)
         with pytest.raises(opt.InfeasibleError):
-            sf.calibrate_slice(ms, lognormal_prior, sf.SurfaceConfig(n_knots=11))
+            sf.calibrate_surface([ms], lognormal_prior, sf.SurfaceConfig(n_knots=11)).slices[0]
 
 
 class TestCalendar:
@@ -299,7 +308,7 @@ class TestCalendar:
 class TestJointSurface:
     def test_single_slice_matches_dedicated_path(self, lognormal_prior):
         ms = prior_quotes(lognormal_prior, 1.0, [85.0, 100.0, 115.0], spread=0.01)
-        one = sf.calibrate_slice(ms, lognormal_prior, sf.SurfaceConfig(n_knots=9))
+        one = sf.calibrate_surface([ms], lognormal_prior, sf.SurfaceConfig(n_knots=9)).slices[0]
         joint = sf.calibrate_surface([ms], lognormal_prior, sf.SurfaceConfig(n_knots=9))
         np.testing.assert_allclose(one.weights, joint.slices[0].weights, atol=1e-8)
 
@@ -314,8 +323,9 @@ class TestJointSurface:
         market.insert(2, sf.MarketSlice(0.75, 100.0))
         calib = sf.calibrate_surface(market, lognormal_prior, sf.SurfaceConfig(n_knots=13, time_smoothness_weight=1e-3))
         for sl, msl in zip(calib.slices, market):
-            assert abs(sl.mass() - 1.0) <= 1e-8
-            assert abs(sl.mean() - msl.forward) / msl.forward <= 1e-8
+            mass, forward = mass_and_forward(sl)
+            assert abs(mass - 1.0) <= 1e-8
+            assert abs(forward - msl.forward) / msl.forward <= 1e-8
             prices = sl.call_price([q.strike for q in msl.quotes]) if msl.quotes else []
             for q, p in zip(msl.quotes, prices):
                 assert q.bid - 1e-7 <= p <= q.ask + 1e-7
@@ -351,7 +361,7 @@ class TestJointSurface:
             slices.append(sf.MarketSlice(T, 100.0, qs))
         calib = sf.calibrate_surface(slices, prior, sf.SurfaceConfig(n_knots=11))
         for sl in calib.slices:
-            assert abs(sl.mass() - 1.0) <= 1e-8
+            assert abs(mass_and_forward(sl)[0] - 1.0) <= 1e-8
             assert np.abs(sl.weights - 1.0).max() <= 1e-5  # the prior reprices itself
 
 
@@ -375,7 +385,7 @@ class TestValidation:
 
     def test_violating_weights_flagged(self, lognormal_prior):
         ms = prior_quotes(lognormal_prior, 1.0, [90.0, 100.0, 110.0])
-        sl = sf.calibrate_slice(ms, lognormal_prior, sf.SurfaceConfig(n_knots=9))
+        sl = sf.calibrate_surface([ms], lognormal_prior, sf.SurfaceConfig(n_knots=9)).slices[0]
         # corrupt the weights: a negative loading breaks convexity/density
         bad = sl.weights.copy()
         bad[4] = -1.0
