@@ -17,11 +17,16 @@ def black_call(forward, strike, total_variance):
     out = np.where(w <= 0.0, intrinsic, np.nan)
     pos = w > 0.0
     if np.any(pos):
-        sq = np.sqrt(np.where(pos, w, 1.0))
-        d1 = (np.log(F / K) + 0.5 * w) / sq
-        d2 = d1 - sq
-        out = np.where(pos, F * ndtr(d1) - K * ndtr(d2), out)
+        out = np.where(pos, _black_positive(F, K, np.log(F / K), np.where(pos, w, 1.0)), out)
     return float(out) if out.ndim == 0 else out
+
+
+def _black_positive(F, K, log_fk, w):
+    """The Black call price for positive total variance ``w``, given ``log(F / K)``."""
+    sq = np.sqrt(w)
+    d1 = (log_fk + 0.5 * w) / sq
+    d2 = d1 - sq
+    return F * ndtr(d1) - K * ndtr(d2)
 
 
 def black_put(forward, strike, total_variance):
@@ -46,15 +51,21 @@ def implied_vol(price, forward, strike, maturity, tol: float = 1e-10, max_iter: 
     intrinsic = np.maximum(F - K, 0.0)
     bad_low = price <= intrinsic + 0.0
     bad_high = price >= F
+    log_fk = np.log(F / K) if T > 0.0 else None  # once, for the steps with positive variances
+
+    def call_at(vol):
+        w = vol**2 * T
+        return _black_positive(F, K, log_fk, w) if T > 0.0 and np.all(w > 0.0) else black_call(F, K, w)
+
     # expand the bracket if needed
     for _ in range(60):
-        too_small = black_call(F, K, (hi**2) * T) < price
+        too_small = call_at(hi) < price
         if not np.any(too_small):
             break
         hi = np.where(too_small, hi * 2.0, hi)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        val = black_call(F, K, (mid**2) * T)
+        val = call_at(mid)
         lo = np.where(val < price, mid, lo)
         hi = np.where(val < price, hi, mid)
         if np.max(hi - lo) <= tol:

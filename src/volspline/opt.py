@@ -8,10 +8,10 @@ has two routes and one optimality check:
 - a dense primal-dual interior-point method with Nesterov-Todd scaling and
   a Mehrotra predictor-corrector step; the PSD matrix P enters the Newton
   system directly, as in CVXOPT's ``coneqp``;
-- for a program without cone blocks whose P is positive definite, the
-  exact dual active-set method of Goldfarb & Idnani, tried first.  Its
-  point is returned only if it passes the interior-point method's KKT
-  test; otherwise the interior-point iteration runs.
+- for a program without cone blocks whose P, or else ``P + A^T A``, is
+  positive definite, the exact dual active-set method of Goldfarb & Idnani,
+  tried first.  Its point is returned only if it passes the interior-point
+  method's KKT test; otherwise the interior-point iteration runs.
 
 An equality-constrained hierarchy is available through a
 quadratic-form-weighted pseudoinverse.
@@ -406,16 +406,16 @@ def _penalized_kkt_point(P, G, h, A, b, f):
 
 
 def _strict_cholesky(P) -> np.ndarray | None:
-    """Lower Cholesky factor of P, or None unless P is numerically positive
-    definite: every squared pivot above 1e-12 of the largest."""
+    """Lower Cholesky factor of P, or None unless every eigenvalue of P is
+    above 1e-12 of the largest (rounding can leave a singular P large pivots)."""
     if not P.size:
         return None
     try:
         L = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         return None
-    piv = np.diag(L) ** 2
-    return L if piv.min() > 1e-12 * piv.max() else None
+    eig = np.linalg.eigvalsh(P)
+    return L if eig[0] > 1e-12 * eig[-1] else None
 
 
 def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
@@ -543,13 +543,19 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
     Routes, chosen by the program's structure:
 
     - neither orthant nor cone rows: one KKT solve, ``iterations`` 0;
-    - no cone block and an equilibrated P whose Cholesky factor has every
-      squared pivot above 1e-12 of the largest: the dual active-set method
-      (``_dual_active_set``), whose point has the multipliers of its working
-      set as ``z`` and ``s = max(h - G x, 0)``, 0 on the working set, so the
-      gap is 0.  It is returned as ``optimal`` when it passes the test
-      above, with ``iterations`` counting working-set steps (rows added and
-      dropped);
+    - no cone block and an equilibrated P with every eigenvalue above
+      1e-12 of the largest (``_strict_cholesky``): the dual active-set
+      method (``_dual_active_set``), whose point has the multipliers of its
+      working set as ``z`` and ``s = max(h - G x, 0)``, 0 on the working
+      set, so the gap is 0.  It is returned as ``optimal`` when it passes
+      the test above, with ``iterations`` counting working-set steps (rows
+      added and dropped);
+    - no cone block, at least one equality, and a P that fails the test but
+      ``P + rho A^T A`` (``rho = 1``) passes: the same method on that matrix
+      and ``f - rho A^T b``, equal to the objective on ``A x = b`` (the
+      augmented Lagrangian at its exact penalty).  The equality multipliers
+      map back by ``y + rho (A x - b)``; the test on the original P and f
+      and ``iterations`` are as above;
     - otherwise, and whenever the active-set route finds the program
       infeasible, meets a singular KKT system, runs out of steps or fails
       the test: the interior-point iteration, with ``iterations`` counting
@@ -598,12 +604,18 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
     def converged(pres, dres, relgap, gap_tol=gap_tol):
         return pres <= tol and dres <= tol and relgap <= gap_tol
 
+    Pr, fr, rho = P, f, 0.0  # the objective the active-set route minimizes
     L = None if cones.socs else _strict_cholesky(P)
+    if L is None and not cones.socs and p:
+        rho = 1.0  # the equilibrated rows of A and columns of P are of order one
+        Pr, fr = P + rho * A.T @ A, f - rho * A.T @ b
+        L = _strict_cholesky(Pr)
     if L is not None:
         # the rows outside the working set may add at most tol / 100 to pres
-        point = _dual_active_set(L, P, G, h, A, b, f, 1e-2 * tol * hnorm, 4 * (m + p) + 10)
+        point = _dual_active_set(L, Pr, G, h, A, b, fr, 1e-2 * tol * hnorm, 4 * (m + p) + 10)
         if point is not None:
             x, y, z, active, steps = point
+            y = y + rho * (A @ x - b)  # the multipliers of the original objective
             s = np.maximum(h - G @ x, 0.0)
             s[active] = 0.0  # so s @ z, the gap, is exactly 0
             res = residuals(x, y, z, s)[4]

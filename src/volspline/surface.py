@@ -6,7 +6,7 @@ risk-neutral density is ``f_w * q0`` where ``f_w`` is a spline with flat
 the result a probability measure and the wings inherit the prior's decay.
 Prices, the forward and the mass are all linear in the weights, so both
 calibration objectives (least squares on mids, or minimal curvature
-within bid-ask) are cone programs, including the joint multi-maturity
+within bid-ask) are quadratic programs, including the joint multi-maturity
 problem with calendar constraints on a fine grid of relative strikes.
 
 Lognormal and SSVI priors parameterize the spline in log-moneyness, where
@@ -249,14 +249,6 @@ def pricing_linear_forms(basis: BasisSpec, measure, strikes) -> dict:
     }
 
 
-def call_slope_row(basis: BasisSpec, measure, strike) -> np.ndarray:
-    """Row for dC/dK = -integral of the reweighted density above the strike
-    (one row per strike for an array of strikes)."""
-    strikes = np.asarray(strike, dtype=float)
-    tails = _tail_rows(basis.compiled(), measure, np.atleast_1d(strikes))[2]
-    return -tails[0] if strikes.ndim == 0 else -tails
-
-
 # ---------------------------------------------------------------------------
 # calibrated slices and surfaces
 # ---------------------------------------------------------------------------
@@ -416,7 +408,7 @@ def calibrate_surface(
     mode: str = "bracket",
     tol: float = 1e-8,
 ) -> SurfaceCalibration:
-    """Joint cone-program calibration of every maturity slice.
+    """Joint quadratic-program calibration of every maturity slice.
 
     ``mode='lsq'`` fits mid prices in least squares under hard mass,
     forward and nonnegativity constraints; ``mode='bracket'`` minimizes
@@ -594,13 +586,16 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
         rel = calib.relative_strike_grid
         cal_worst = np.inf
         tangent_worst = np.inf
-        # each slice priced once at its relative strikes: an interior slice
-        # is the later slice of one pair and the earlier of the next
-        rel_calls = [sl.call_price(rel * sl.forward) for sl in calib.slices]
-        for s2, c1, c2 in zip(calib.slices[1:], rel_calls, rel_calls[1:]):
-            K2 = rel * s2.forward
+        # one tail build per slice at its relative strikes gives its calls and
+        # slopes dC/dK = -(mass above K) for both pairs the slice belongs to
+        rel_calls, rel_slopes = [], []
+        for sl in calib.slices:
+            K = rel * sl.forward
+            mass_tails, spot_tails = _tail_rows(sl.basis.compiled(), sl.measure, K)[2:]
+            rel_calls.append((spot_tails - K[:, None] * mass_tails) @ sl.weights)
+            rel_slopes.append(-mass_tails @ sl.weights * sl.forward)
+        for c1, c2, slopes in zip(rel_calls, rel_calls[1:], rel_slopes[1:]):
             cal_worst = min(cal_worst, float(np.min(c2 - c1)))
-            slopes = call_slope_row(s2.basis, s2.measure, K2) @ s2.weights * s2.forward
             for i in range(rel.size - 1):
                 x0, x1 = rel[i], rel[i + 1]
                 s_lo, s_hi = slopes[i], slopes[i + 1]

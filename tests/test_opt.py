@@ -203,38 +203,77 @@ class TestDualActiveSet:
         assert opt._strict_cholesky(np.diag([1.0, 1e-12])) is None
 
 
-@settings(derandomize=True, deadline=None, max_examples=100,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 12))
-def test_active_set_route_matches_interior_point(data, n, m, ip_starts):
-    """Random strictly convex QPs with orthant rows and equalities through a
-    feasible x0, some rows duplicated or in the span of two others: the
-    active-set route certifies the answer, and the interior-point iteration
-    on the same program with an idle cone block agrees with it."""
-    ip_starts.clear()
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-    B = rng.standard_normal((n, n))
-    P = 10.0 ** data.draw(st.floats(-3.0, 3.0)) * (B @ B.T + data.draw(st.floats(0.05, 1.0)) * np.eye(n))
+def random_program(data, rng, P, m: int, eq_rows) -> opt.SOCProgram:
+    """``m`` orthant rows, about a third tight at a feasible x0, some
+    duplicated or in the span of two others, and ``eq_rows`` (a strategy)
+    equalities through x0."""
+    n = P.shape[0]
     x0 = rng.standard_normal(n)
     G = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (m, 1))
-    h = G @ x0 + rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)  # about a third tight at x0
+    h = G @ x0 + rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
     if m >= 3 and data.draw(st.booleans()):
         G[-1], h[-1] = G[0], h[0]
         c = rng.uniform(0.1, 2.0, 2)
         G[-2] = c @ G[:2]
         h[-2] = c @ h[:2] + rng.uniform(0.0, 0.5) * data.draw(st.booleans())
-    A = rng.standard_normal((data.draw(st.integers(0, n - 1)), n))
+    A = rng.standard_normal((data.draw(eq_rows), n))
     f = -P @ (x0 + 3.0 * rng.standard_normal(n))
-    prog = opt.SOCProgram(f, A_eq=A, b_eq=A @ x0, P=P, G=G, h=h)
+    return opt.SOCProgram(f, A_eq=A, b_eq=A @ x0, P=P, G=G, h=h)
 
-    sol = opt.solve_socp(prog)
-    assert sol.status == "optimal" and not ip_starts
+
+def assert_matches_idle_cone(sol, prog):
     ref = opt.solve_socp(with_idle_cone(prog))
-    assert ref.status == "optimal" and ip_starts
+    assert ref.status == "optimal"
     assert sol.objective == pytest.approx(ref.objective, rel=1e-8, abs=1e-8)
     np.testing.assert_allclose(sol.x, ref.x, rtol=0.0, atol=1e-7)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 12))
+def test_active_set_route_matches_interior_point(data, n, m, ip_starts):
+    """Random strictly convex QPs with orthant rows and equalities through a
+    feasible x0: the active-set route certifies the answer, and the
+    interior-point iteration on the same program with an idle cone block
+    agrees with it."""
+    ip_starts.clear()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    B = rng.standard_normal((n, n))
+    P = 10.0 ** data.draw(st.floats(-3.0, 3.0)) * (B @ B.T + data.draw(st.floats(0.05, 1.0)) * np.eye(n))
+    prog = random_program(data, rng, P, m, st.integers(0, n - 1))
+
+    sol = opt.solve_socp(prog)
+    assert sol.status == "optimal" and not ip_starts
+    assert_matches_idle_cone(sol, prog)
+    assert ip_starts
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(2, 8), m=st.integers(1, 12))
+@pytest.mark.parametrize("pinned", [True, False])
+def test_shifted_route_for_singular_p(pinned, data, n, m, ip_starts):
+    """Random convex QPs whose P = B B^T has rank deficiency r >= 1.  When
+    the equalities pin the null space of P (r or more random rows, so
+    P + A^T A is definite), the active-set route on the shifted objective
+    certifies the answer, and the interior-point iteration with an idle
+    cone block agrees with it.  With fewer rows than r the shift stays
+    singular and the interior-point iteration starts once."""
+    ip_starts.clear()
+    if not pinned:
+        n = max(n, 3)
+    r = data.draw(st.integers(1, n - 1) if pinned else st.integers(2, n - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    B = rng.standard_normal((n, n - r))
+    P = 10.0 ** data.draw(st.floats(-3.0, 3.0)) * (B @ B.T)
+    prog = random_program(data, rng, P, m, st.integers(r, n - 1) if pinned else st.integers(1, r - 1))
+
+    sol = opt.solve_socp(prog)
+    if pinned:
+        assert sol.status == "optimal" and not ip_starts
+        assert_matches_idle_cone(sol, prog)
+    else:
+        assert len(ip_starts) == 1
 def test_orthant_only_cone_algebra_is_elementwise():
     # without cone blocks the Jordan product, the arrow solve and the
     # scaling are elementwise; with a block after the orthant rows, the

@@ -206,17 +206,22 @@ class TestSurfaceCommands:
         assert len(calls) == 2
 
 
-    def test_shipped_calibration_keeps_the_interior_point_route(self, tmp_path, monkeypatch):
-        # the program has no cone block, but its curvature P is singular: it
-        # fails the Cholesky test and the interior-point iteration solves it
-        tests, routes, starts = [], [], []
+    def test_shipped_calibration_takes_the_exact_route(self, tmp_path, monkeypatch):
+        # the program has no cone block and its curvature P is singular, but
+        # the mass and forward equalities pin its null space: P + rho A^T A
+        # passes the Cholesky test and the active-set route certifies it
+        tests, routes, starts, sols = [], [], [], []
         for name, calls in (("_strict_cholesky", tests), ("_dual_active_set", routes),
-                            ("_penalized_kkt_point", starts)):
-            monkeypatch.setattr(opt, name, lambda *a, f=getattr(opt, name), c=calls: c.append(f(*a)) or c[-1])
+                            ("_penalized_kkt_point", starts), ("solve_socp", sols)):
+            wrapped = getattr(opt, name)
+            monkeypatch.setattr(opt, name, lambda *a, f=wrapped, c=calls, **k: c.append(f(*a, **k)) or c[-1])
         monkeypatch.chdir(REPO)
         config = REPO / "configs" / "surface_synthetic.json"
         assert cli.main(["surface-calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == 0
-        assert tests == [None] and not routes and len(starts) == 1
+        assert len(tests) == 2 and tests[0] is None and tests[1] is not None
+        assert len(routes) == 1 and not starts
+        (sol,) = sols
+        assert sol.status == "optimal" and max(sol.kkt_residuals) <= 1e-8
 
 
 class TestSliceCalibration:
@@ -374,14 +379,23 @@ class TestValidation:
 
     def test_each_slice_priced_once_at_relative_strikes(self, lognormal_prior, monkeypatch):
         # an interior slice is the later slice of one calendar pair and the
-        # earlier of the next; its prices at the relative strikes serve both
+        # earlier of the next; one tail build at its relative strikes gives
+        # its prices for both pairs and its slopes
         mkt = [prior_quotes(lognormal_prior, T, [80.0, 100.0, 125.0]) for T in (0.5, 1.0, 1.5)]
         calib = sf.calibrate_surface(mkt, lognormal_prior, sf.SurfaceConfig(n_knots=9))
-        priced = []
-        call_price = sf.RNSlice.call_price
-        monkeypatch.setattr(sf.RNSlice, "call_price", lambda sl, k: priced.append(sl.maturity) or call_price(sl, k))
+        at_rel = {id(sl.measure): (sl.maturity, sl.forward * calib.relative_strike_grid) for sl in calib.slices}
+        built = []
+        tail_rows = sf._tail_rows
+
+        def counting(cb, measure, strikes):
+            T, rel_strikes = at_rel[id(measure)]
+            if np.array_equal(strikes, rel_strikes):
+                built.append(T)
+            return tail_rows(cb, measure, strikes)
+
+        monkeypatch.setattr(sf, "_tail_rows", counting)
         assert sf.validate(calib).passed
-        assert priced == [0.5, 1.0, 1.5]
+        assert built == [0.5, 1.0, 1.5]
 
     def test_violating_weights_flagged(self, lognormal_prior):
         ms = prior_quotes(lognormal_prior, 1.0, [90.0, 100.0, 110.0])
