@@ -36,11 +36,27 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _fmt_rows(*columns):
+    """Rows of the ``_fmt`` text of equally long columns of numbers."""
+    return zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns))
+
+
+def _grid_rows(times, grid, values):
+    """Rows ``t, x, values(k)[i]`` for each time ``times[k]`` and grid point
+    ``grid[i]``, produced one time at a time; each t and x is formatted once."""
+    xcells = [_fmt(x) for x in grid]
+    for k, t in enumerate(times):
+        tcell = _fmt(t)
+        for xcell, f in zip(xcells, values(k).tolist()):
+            yield tcell, xcell, repr(f)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows of text cells; numbers come formatted by ``_fmt``."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    lines.extend(map(",".join, rows))
+    lines.append("")
+    path.write_text("\n".join(lines), encoding="utf-8", newline="\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -58,7 +74,7 @@ class Runner:
         self.seed = args.seed
         self.profile = args.profile
         self.timings: dict[str, float] = {}
-        self.files: list[Path] = []
+        self.checksums: dict[str, str] = {}  # of each file written, taken as it is written
         raw = Path(args.config).read_text(encoding="utf-8")
         try:
             self.config = json.loads(raw)
@@ -98,13 +114,13 @@ class Runner:
     def emit_csv(self, name: str, header, rows) -> Path:
         path = self._target(name)
         _write_csv(path, header, rows)
-        self.files.append(path)
+        self.checksums[name] = _sha256(path)
         return path
 
     def emit_json(self, name: str, obj) -> Path:
         path = self._target(name)
         _write_json(path, obj)
-        self.files.append(path)
+        self.checksums[name] = _sha256(path)
         return path
 
     def _target(self, name: str) -> Path:
@@ -122,7 +138,7 @@ class Runner:
             "config_sha256": self.config_sha,
             "seed": self.seed,
             "version": __version__,
-            "files": {p.name: _sha256(p) for p in self.files},
+            "files": self.checksums,
         }
         path = self._target("manifest.json")
         _write_json(path, manifest)
@@ -158,8 +174,7 @@ def cmd_basis(r: Runner) -> None:
             basis = bs.make_basis(knots, order, truncation)
             values = basis.compiled().evaluate(grid)
             header = ["x"] + [f"b{j}" for j in range(basis.dimension)]
-            rows = ([g, *vals] for g, vals in zip(grid, values))
-            r.emit_csv(f"basis_order{order}.csv", header, rows)
+            r.emit_csv(f"basis_order{order}.csv", header, _fmt_rows(grid, *values.T))
     if r.profile:
         _profile_evaluation(r, knots, max(orders))
     r.finish("basis")
@@ -237,7 +252,7 @@ def cmd_regress(r: Runner) -> None:
         else:
             fit = rg.fit_penalized(sample, reg_cfg, lam)
     grid = _grid(cfg.get("grid", {"start": knots[0], "stop": knots[-1], "count": 400}))
-    r.emit_csv("fit.csv", ["x", "fitted"], ((g, v) for g, v in zip(grid, fit(grid))))
+    r.emit_csv("fit.csv", ["x", "fitted"], _fmt_rows(grid, fit(grid)))
     r.emit_json(
         "fit.json",
         {
@@ -298,17 +313,14 @@ def cmd_slv_calibrate(r: Runner) -> None:
         "smile.csv",
         ["strike", "price", "stderr", "implied_vol", "flag"],
         (
-            (k, p, se, iv, str(flag))
-            for k, p, se, iv, flag in zip(
-                res["strikes"], res["prices"], res["stderr"], res["implied_vols"], res["price_flags"]
+            (*cells, str(flag))
+            for cells, flag in zip(
+                _fmt_rows(res["strikes"], res["prices"], res["stderr"], res["implied_vols"]), res["price_flags"]
             )
         ),
     )
     lev_grid = params.s0 * np.exp(np.linspace(-0.6, 0.6, config_value(cfg, "leverage_grid", kind=int, default=61)))
-    rows = []
-    for k, t in enumerate(surf.times):
-        lv = surf.leverage(k, lev_grid)
-        rows.extend((t, x, v) for x, v in zip(lev_grid, lv))
+    rows = _grid_rows(surf.times, lev_grid, lambda k: surf.leverage(k, lev_grid))
     r.emit_csv("leverage.csv", ["t", "spot", "leverage"], rows)
     r.finish("slv-calibrate")
 
@@ -410,10 +422,8 @@ def cmd_surface_calibrate(r: Runner) -> None:
         calls = sl.call_price(strikes)
         vols = implied_vol(calls, sl.forward, strikes, sl.maturity)
         dens = sl.density(strikes)
-        rows.extend(
-            (sl.maturity, k, c, v * v * sl.maturity, d)
-            for k, c, v, d in zip(strikes, calls, vols, dens)
-        )
+        maturity = _fmt(sl.maturity)
+        rows.extend((maturity, *cells) for cells in _fmt_rows(strikes, calls, vols * vols * sl.maturity, dens))
     r.emit_csv("grids.csv", ["maturity", "strike", "call", "implied_total_variance", "density"], rows)
     r.finish("surface-calibrate")
 
@@ -491,11 +501,8 @@ def cmd_pde_evolve(r: Runner) -> None:
     with r.stage("evolve"):
         traj = pde.evolve(problem, config_value(cfg, "steps", kind=int, default=100), scheme=cfg.get("scheme", "cn"))
     grid = np.linspace(basis.knots.knots[0], basis.knots.knots[-1], config_value(cfg, "grid_size", kind=int, default=101))
-    rows = []
-    for k, t in enumerate(traj.times):
-        vals = traj.ratio(k, grid)
-        rows.extend((t, x, f) for x, f in zip(grid, vals))
-    r.emit_csv("trajectory.csv", ["t", "x", "ratio"], rows)
+    with r.stage("write"):  # the trajectory rows, the CSV and its checksum for the manifest
+        r.emit_csv("trajectory.csv", ["t", "x", "ratio"], _grid_rows(traj.times, grid, lambda k: traj.ratio(k, grid)))
     r.finish("pde-evolve")
 
 

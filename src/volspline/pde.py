@@ -144,10 +144,11 @@ GL_POINTS = 10  # Gauss-Legendre points per knot interval in the weak form
 class _StepTables(NamedTuple):
     """Time-invariant basis data that every step of ``evolve`` reuses."""
 
-    xs: np.ndarray  # Gauss-Legendre points on the knot intervals
+    xs: np.ndarray  # Gauss-Legendre points on the knot intervals, interval by interval
     ws: np.ndarray  # their weights
-    vals: np.ndarray  # basis values at xs, (points, dimension)
-    dvals: np.ndarray  # basis derivatives at xs
+    products: np.ndarray  # (intervals, 3 * GL_POINTS, (order + 1)**2) local products, see _basis_tables
+    scatter: np.ndarray  # flat index of each local mass, then stiffness, entry in two stacked dense matrices
+    dimension: int
     pts: np.ndarray  # the two boundary knots
     B0: np.ndarray  # basis values at pts, (2, dimension)
     B1: np.ndarray  # first derivatives there
@@ -157,22 +158,51 @@ class _StepTables(NamedTuple):
 
 def _basis_tables(cb: CompiledBasis) -> _StepTables:
     """Gauss-Legendre points and weights on the knot intervals with the
-    basis values and derivatives there, the basis and its first two
-    derivatives at the boundary knots, and the live polynomial pieces."""
+    local basis products there, the basis and its first two derivatives at
+    the boundary knots, and the live polynomial pieces.
+
+    On a knot interval only the ``order + 1`` functions that start at its
+    piece index are nonzero.  For each interval ``products`` holds, at each
+    of its Gauss points, the outer products ``b_a b_b``, ``b_a b_b'`` and
+    ``b_a' b_b'`` of those functions, stacked along the point axis in that
+    order; ``scatter`` places local entry ``(a, b)`` at the global
+    (test, trial) position of the mass and then of the stiffness, stacked.
+    A function the truncation drops has zero values and borrows column 0,
+    so its products add nothing.
+    """
     g = cb.breakpoints
     xs_n, ws_n = gauss_legendre_rule(GL_POINTS)
     a, b = g[:-1], g[1:]
-    live = b > a
+    live = np.nonzero(b > a)[0]
     mid, half = 0.5 * (a + b)[live, None], 0.5 * (b - a)[live, None]
     xs = (mid + half * xs_n).reshape(-1)
     ws = (half * ws_n).reshape(-1)
     pts = np.array([g[0], g[-1]])
     d1 = cb.derivative()
+    dim, size = cb.coeffs.shape[0], cb.order + 1
+    # interval [g[i], g[i+1]) is piece i + 1, whose first live function has full index i + 1
+    cols = live[:, None] + 1 - cb.first_index + np.arange(size)
+    kept = (cols >= 0) & (cols < dim)
+    cols = np.where(kept, cols, 0)
+
+    def local(values):  # (intervals, points, order + 1) values of the live functions
+        values = values.reshape(live.size, GL_POINTS, dim)
+        return np.take_along_axis(values, cols[:, None, :], axis=2) * kept[:, None, :]
+
+    V, D = local(cb.evaluate(xs)), local(d1.evaluate(xs))
+    products = np.concatenate(
+        [V[..., :, None] * V[..., None, :], V[..., :, None] * D[..., None, :], D[..., :, None] * D[..., None, :]], axis=1
+    ).reshape(live.size, 3 * GL_POINTS, size * size)
+    scatter = (cols[:, :, None] * dim + cols[:, None, :]).reshape(-1)
+    scatter = np.concatenate([scatter, scatter + dim * dim])
+    for arr in (xs, ws, products, scatter):
+        arr.setflags(write=False)
     return _StepTables(
         xs=xs,
         ws=ws,
-        vals=cb.evaluate(xs),
-        dvals=d1.evaluate(xs),
+        products=products,
+        scatter=scatter,
+        dimension=dim,
         pts=pts,
         B0=cb.evaluate(pts),
         B1=d1.evaluate(pts),
@@ -212,26 +242,37 @@ def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
     polynomial ratios for the Gaussian base.  ``tables`` are the
     time-invariant basis tables of ``_basis_tables``; ``evolve`` builds them
     once for all its steps, and without them they are built from the basis.
+
+    The integrals are formed one knot interval at a time: the quadrature
+    weights times the coefficients at the Gauss points contract the local
+    products of the ``order + 1`` live functions into one
+    ``(order + 1) x (order + 1)`` mass block and one stiffness block
+    (diffusion, advection and reaction together) per interval, and the
+    blocks are summed into the dense matrices.  This is the Gauss-Legendre
+    rule of ``GL_POINTS`` points per interval applied to the full basis,
+    without the products of functions that vanish there.
     """
     if t <= 0.0:
         raise PDEError("coefficients are defined for t > 0")
-    basis = problem.basis
     if tables is None:
-        tables = _basis_tables(basis.compiled())
-    xs, ws, vals, dvals = tables.xs, tables.ws, tables.vals, tables.dvals
+        tables = _basis_tables(problem.basis.compiled())
+    xs, ws, products, dim = tables.xs, tables.ws, tables.products, tables.dimension
     v, vx, g1, e = _base_relative(problem, t, xs)
     c = 0.5 * vx + v * g1
-
-    mass_full = vals.T @ (ws[:, None] * vals)
-    diff = -0.5 * dvals.T @ ((ws * v)[:, None] * dvals)
-    adv = vals.T @ ((ws * c)[:, None] * dvals)  # [i, j] = int c b_j' b_i
-    react = vals.T @ ((ws * e)[:, None] * vals)
-    stiff_full = diff + adv + react
+    # per interval and Gauss point, the factors of b_a b_b, b_a b_b' and b_a' b_b'
+    factors = np.zeros((2, 3, ws.size))
+    factors[0, 0] = ws
+    factors[1] = ws * e, ws * c, -0.5 * ws * v  # reaction, advection [a, b] = int c b_b' b_a, diffusion
+    n_int = products.shape[0]
+    factors = factors.reshape(2, 3, n_int, GL_POINTS).transpose(2, 0, 1, 3).reshape(n_int, 2, 3 * GL_POINTS)
+    blocks = factors @ products  # (intervals, 2, (order + 1)**2): mass and stiffness blocks
+    flat = np.bincount(tables.scatter, blocks.transpose(1, 0, 2).reshape(-1), minlength=2 * dim * dim)
+    mass_full, stiff_full = flat.reshape(2, dim, dim)
     return GalerkinSystem(
         mass=mass_full[1:-1, :],
         stiffness=stiff_full[1:-1, :],
         mass_full=mass_full,
-        bandwidth=basis.order,
+        bandwidth=problem.basis.order,
     )
 
 
@@ -247,6 +288,28 @@ def constrain(problem: PDEProblem, t: float, tables=None) -> tuple[np.ndarray, n
     mass_row = np.einsum("jid,id->j", coeffs, table[:, :-1])
     mean_row = np.einsum("jid,id->j", coeffs, table[:, 1:] + refs[:, None] * table[:, :-1])
     return mass_row, mean_row
+
+
+_BAND_LAYOUTS: dict = {}  # (size, bandwidth) -> _band_layout, kept for the few sizes in use
+
+
+def _band_layout(r: int, bandwidth: int):
+    """The outside-band mask of an ``r x r`` block, the (row, column)
+    indices of its in-band entries and their rows in LAPACK gbsv band
+    storage ``ab[2 bw + i - j, j]`` (the top ``bw`` rows take the LU
+    fill-in), built once per size and bandwidth and read-only."""
+    key = (r, bandwidth)
+    layout = _BAND_LAYOUTS.get(key)
+    if layout is None:
+        outside = np.abs(np.subtract.outer(np.arange(r), np.arange(r))) > bandwidth
+        i, j = np.nonzero(~outside)
+        layout = (outside, i, j, 2 * bandwidth + i - j)
+        for arr in layout:
+            arr.setflags(write=False)
+        if len(_BAND_LAYOUTS) >= 16:
+            _BAND_LAYOUTS.clear()
+        _BAND_LAYOUTS[key] = layout
+    return layout
 
 
 def solve_bordered_banded(
@@ -278,15 +341,13 @@ def solve_bordered_banded(
     if border.shape != (2, d) or r + 2 != d:
         raise PDEError("bordered system is not square")
     interior = band[:, 1:-1]
-    inside = np.abs(np.subtract.outer(np.arange(r), np.arange(r))) <= bandwidth
-    if np.any(interior[~inside]):
+    outside, i, j, ab_rows = _band_layout(r, bandwidth)
+    if np.any(interior[outside]):
         raise PDEError("interior block is wider than the bandwidth")
     y = np.column_stack([rhs_band, band[:, 0], band[:, -1]])
     if r:  # gbsv rejects an empty system; without an interior only the wings remain
-        i, j = np.nonzero(inside)
-        # LAPACK gbsv band storage ab[2 bw + i - j, j]; the top bw rows take the LU fill-in
         ab = np.zeros((3 * bandwidth + 1, r))
-        ab[2 * bandwidth + i - j, j] = interior[i, j]
+        ab[ab_rows, j] = interior[i, j]
         _, _, y, info = dgbsv(bandwidth, bandwidth, ab, y, overwrite_ab=True, overwrite_b=True)
         if info != 0:
             raise PDEError("bordered system is singular")

@@ -1,6 +1,7 @@
-"""CSV number formatting, config errors, public names and the import
+"""CSV number formatting and bytes, config errors, public names and the import
 footprint of the command-line modules."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -41,6 +42,55 @@ def test_trajectory_csv_round_trips(tmp_path, monkeypatch):
     assert lines[0] == "t,x,ratio" and len(lines) == len(rows) + 1
     cells = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
     assert np.array_equal(cells.view(np.uint64), np.array(rows, dtype=float).view(np.uint64))
+
+
+def test_csv_bytes_are_the_cells_rendered_by_fmt(tmp_path, monkeypatch):
+    # the writers format repeated cells once and the rest with repr of Python
+    # floats; the bytes must be those of _fmt applied to every cell
+    from volspline.black import implied_vol
+
+    kept = {}
+    evolve, calibrate = cli.pde.evolve, cli.sf.calibrate_surface
+    monkeypatch.setattr(cli.pde, "evolve", lambda *a, **k: kept.setdefault("traj", evolve(*a, **k)))
+    monkeypatch.setattr(cli.sf, "calibrate_surface", lambda *a, **k: kept.setdefault("calib", calibrate(*a, **k)))
+
+    def expected(header, rows):
+        return "".join(",".join(cells) + "\n" for cells in [header, *([cli._fmt(c) for c in row] for row in rows)])
+
+    out = tmp_path / "evolve"
+    assert cli.main(["pde-evolve", "--config", str(REPO / "configs" / "pde_ratio.json"), "--out", str(out)]) == 0
+    traj = kept["traj"]
+    g = traj.problem.basis.knots.knots
+    grid = np.linspace(g[0], g[-1], 101)
+    rows = [(t, x, f) for k, t in enumerate(traj.times) for x, f in zip(grid, traj.ratio(k, grid))]
+    assert (out / "trajectory.csv").read_bytes() == expected(["t", "x", "ratio"], rows).encode()
+
+    out = tmp_path / "surface"
+    assert cli.main(["surface-calibrate", "--config", str(REPO / "configs" / "surface_synthetic.json"), "--out", str(out)]) == 0
+    rows = []
+    for sl in kept["calib"].slices:
+        g = sl.basis.knots.knots
+        strikes = sl.measure.spot_of_coord(np.linspace(g[0], g[-1], 101))
+        calls = sl.call_price(strikes)
+        vols = implied_vol(calls, sl.forward, strikes, sl.maturity)
+        rows.extend(
+            (sl.maturity, k, c, v * v * sl.maturity, d) for k, c, v, d in zip(strikes, calls, vols, sl.density(strikes))
+        )
+    header = ["maturity", "strike", "call", "implied_total_variance", "density"]
+    assert (out / "grids.csv").read_bytes() == expected(header, rows).encode()
+
+
+def test_pde_evolve_profile_splits_evolve_and_write(tmp_path):
+    out = tmp_path / "evolve"
+    argv = ["pde-evolve", "--config", str(REPO / "configs" / "pde_ratio.json"), "--out", str(out), "--profile"]
+    assert cli.main(argv) == 0
+    profile = json.loads((out / "profile.json").read_text(encoding="utf-8"))
+    assert set(profile) == {"evolve", "write"} and all(v > 0.0 for v in profile.values())
+    # checksums are taken as each file is written, the profile's after the stages
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["files"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("trajectory.csv", "profile.json")
+    }
 
 
 def test_imports_leave_scipy_linalg_unloaded():

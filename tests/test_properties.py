@@ -1,15 +1,18 @@
 """Invariants of the basis, the interval lookup, the moment tables, the
-pricing rows and the cone solver, on random inputs.
+pricing rows, the cone solver and the PDE step, on random inputs.
 
 The oracles share no code with the parts under test: the constant one and
 the forward recursion for the basis, ``scipy.integrate.quad`` of the
 densities written out here, split at the knots and at multiples of the
 standard deviation, basis values from the recursive evaluation route, and
 scipy's SLSQP for the solver, bisection and a row-by-row Horner for
-piecewise evaluation.
+piecewise evaluation, dense Gauss-Legendre products of the whole basis
+for the PDE's weak form, and Gauss-Legendre sums with closed-form
+Gaussian tails for its mass and mean.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize
 
-from volspline import bspline as bs, opt, priors as pr, regression as rg, slv, surface as sf
+from volspline import bspline as bs, opt, pde, priors as pr, regression as rg, slv, surface as sf
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 SPLITS = np.array([-40.0, -20.0, -10.0, -6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0, 10.0, 20.0, 40.0])
@@ -547,3 +550,98 @@ def test_qp_solutions_are_feasible_and_match_slsqp(data, n, m, with_soc):
     assert sol.objective <= ref_value + atol
     if not with_soc:
         assert sol.objective >= ref_value - atol
+
+
+# ---------------------------------------------------------------------------
+# the PDE step
+# ---------------------------------------------------------------------------
+
+PDE_S0, PDE_V0 = 100.0, 400.0
+
+
+def _pde_problem(data, order, affine, uniform):
+    """A ratio problem on knots over five base deviations, evenly spaced or not."""
+    n_knots = data.draw(st.integers(order + 6, 18))
+    half = 5.0 * math.sqrt(PDE_V0)
+    if uniform:
+        g = np.linspace(PDE_S0 - half, PDE_S0 + half, n_knots)
+    else:
+        gaps = np.array(data.draw(st.lists(st.floats(0.3, 3.0), min_size=n_knots - 1, max_size=n_knots - 1)))
+        g = PDE_S0 - half + 2.0 * half * np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum()
+    if affine:  # equal to the base variance at s0 and positive on the knot span
+        slope = data.draw(st.floats(-0.3, 0.3))
+        coef = pde.AffineVariance(PDE_V0 - slope * PDE_S0, slope)
+    else:
+        coef = pde.ConstantVariance(PDE_V0 * data.draw(st.floats(0.85, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return pde.PDEProblem(coef, PDE_V0, PDE_S0, bs.make_basis(g, order, truncation=0), 1.0)
+
+
+def _dense_weak_form(problem, t):
+    """Mass and stiffness as Gauss-Legendre products of the dense basis
+    values at every point of every knot interval, with the coefficients of
+    constant or affine variance written out."""
+    cb = problem.basis.compiled()
+    g = cb.breakpoints
+    nodes, weights = np.polynomial.legendre.leggauss(pde.GL_POINTS)
+    half = 0.5 * np.diff(g)[:, None]
+    xs = ((0.5 * (g[:-1] + g[1:]))[:, None] + half * nodes).ravel()
+    ws = (half * weights).ravel()
+    coef = problem.local_variance
+    slope = coef.slope if isinstance(coef, pde.AffineVariance) else 0.0
+    v = coef.intercept + slope * xs if isinstance(coef, pde.AffineVariance) else np.full_like(xs, coef.v)
+    z, s = xs - problem.s0, problem.base_variance * t
+    g1, g2 = -z / s, (z * z - s) / (s * s)
+    react = 0.5 * (2.0 * slope * g1 + (v - problem.base_variance) * g2)
+    adv = 0.5 * slope + v * g1
+    vals, dvals = cb.evaluate(xs), cb.derivative().evaluate(xs)
+    mass = vals.T @ (ws[:, None] * vals)
+    stiffness = (
+        -0.5 * dvals.T @ ((ws * v)[:, None] * dvals)
+        + vals.T @ ((ws * adv)[:, None] * dvals)
+        + vals.T @ ((ws * react)[:, None] * vals)
+    )
+    return mass, stiffness
+
+
+def _ratio_mass_and_mean(traj, k):
+    """Integrals of the ratio against the base density N(s0, v0 t) and of x
+    times it: Gauss-Legendre between the knots and multiples of the
+    deviation, and the flat wings against closed-form Gaussian tails."""
+    problem = traj.problem
+    s0, sd = problem.s0, math.sqrt(problem.base_variance * traj.times[k])
+    g = problem.basis.knots.knots
+    cuts = np.unique(np.concatenate([g, np.clip(s0 + SPLITS * sd, g[0], g[-1])]))
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * np.diff(cuts)[:, None]
+    xs = ((0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half * nodes).ravel()
+    ws = (half * weights).ravel()
+    f = ws * traj.ratio(k, xs) * np.exp(-0.5 * ((xs - s0) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+    left, right = traj.ratio(k, [g[0] - 1.0, g[-1] + 1.0])
+    zl, zr = (g[0] - s0) / sd, (g[-1] - s0) / sd
+    cdf = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))  # noqa: E731
+    pdf = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)  # noqa: E731
+    mass = f.sum() + left * cdf(zl) + right * cdf(-zr)
+    mean = (xs * f).sum() + left * (s0 * cdf(zl) - sd * pdf(zl)) + right * (s0 * cdf(-zr) + sd * pdf(zr))
+    return mass, mean
+
+
+@settings(SETTINGS, max_examples=30)
+@given(data=st.data(), order=st.integers(1, 3), affine=st.booleans(), uniform=st.booleans(),
+       t=st.floats(1e-3, 1.0))
+def test_pde_weak_form_is_the_dense_rule_and_evolve_keeps_mass_and_mean(data, order, affine, uniform, t):
+    """The interval-by-interval assembly equals the dense products of the
+    whole basis, and every step of a short evolve keeps unit mass and the
+    mean s0."""
+    problem = _pde_problem(data, order, affine, uniform)
+    mass, stiffness = _dense_weak_form(problem, t)
+    system = pde.assemble(problem, t)
+    assert np.abs(system.mass_full - mass).max() <= 1e-13 * np.abs(mass).max()
+    assert np.array_equal(system.mass, system.mass_full[1:-1])
+    assert np.abs(system.stiffness - stiffness[1:-1]).max() <= 1e-13 * np.abs(stiffness[1:-1]).max()
+
+    traj = pde.evolve(problem, 6)
+    for k in range(1, traj.times.size):
+        m, mu = _ratio_mass_and_mean(traj, k)
+        assert abs(m - 1.0) <= 1e-8 and abs(mu - problem.s0) <= 1e-8 * problem.s0
