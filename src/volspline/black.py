@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = ["black_call", "black_put", "implied_vol"]
+__all__ = ["black_call", "implied_vol"]
 
 
 def black_call(forward, strike, total_variance):
@@ -27,12 +27,6 @@ def _black_positive(F, K, log_fk, w):
     d1 = (log_fk + 0.5 * w) / sq
     d2 = d1 - sq
     return F * ndtr(d1) - K * ndtr(d2)
-
-
-def black_put(forward, strike, total_variance):
-    return black_call(forward, strike, total_variance) - (
-        np.asarray(forward, dtype=float) - np.asarray(strike, dtype=float)
-    )
 
 
 def implied_vol(price, forward, strike, maturity, tol: float = 1e-10, max_iter: int = 200):

@@ -247,7 +247,10 @@ def cmd_regress(r: Runner) -> None:
         lam = rg.tikhonov_factor(sample, reg_cfg)
         specs = cfg.get("constraints", [])
         if specs:
-            cs = rg.shape_constraints(basis, specs)
+            try:
+                cs = rg.shape_constraints(basis, specs)
+            except bs.SplineError as exc:  # a kind this basis cannot carry, or none known
+                raise ConfigError(f"constraints: {exc}") from exc
             fit = rg.fit_constrained(sample, reg_cfg, lam, cs)
         else:
             fit = rg.fit_penalized(sample, reg_cfg, lam)

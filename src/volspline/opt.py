@@ -13,28 +13,30 @@ has two routes and one optimality check:
   tried first.  Its point is returned only if it passes the interior-point
   method's KKT test; otherwise the interior-point iteration runs.
 
+Both routes solve their KKT systems through one LU factorization
+(``_kkt``).  ``solve_socp`` reports a status and accepts nothing: what a
+status means for a fit is the front end's decision, and the front ends
+raise on every status but ``optimal``.
+
 An equality-constrained hierarchy is available through a
 quadratic-form-weighted pseudoinverse.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "OptError",
     "InfeasibleError",
-    "ConvergenceWarning",
     "ConeBlock",
     "SOCProgram",
     "QuadForm",
     "Solution",
     "solve_socp",
     "solve_qp",
-    "warn_unconverged",
     "pseudoinverse_lsq",
 ]
 
@@ -45,10 +47,6 @@ class OptError(ValueError):
 
 class InfeasibleError(OptError):
     """Raised by front ends when the solver certifies infeasibility."""
-
-
-class ConvergenceWarning(UserWarning):
-    """A front end accepted a solve whose status is not ``optimal``."""
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,6 @@ class Solution:
     kkt_residuals: tuple[float, float, float]  # primal, dual, gap
     iterations: int
     objective: float
-    slacks: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +213,6 @@ class _Cones:
 
     def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product u o v."""
-        if not self.socs:
-            return u * v
         out = np.empty(self.m)
         out[: self.ml] = u[: self.ml] * v[: self.ml]
         for st, q in zip(self.starts, self.socs):
@@ -232,8 +223,6 @@ class _Cones:
 
     def solve_arrow(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Solve lam o u = d for u."""
-        if not self.socs:
-            return d / lam
         out = np.empty(self.m)
         out[: self.ml] = d[: self.ml] / lam[: self.ml]
         for st, q in zip(self.starts, self.socs):
@@ -315,8 +304,6 @@ class _Scaling:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """W v."""
         c = self.cones
-        if not c.socs:
-            return self.w_lin * v
         out = np.empty(c.m)
         out[: c.ml] = self.w_lin * v[: c.ml]
         for (eta, wbar), st, q in zip(self.soc, c.starts, c.socs):
@@ -326,8 +313,6 @@ class _Scaling:
     def apply_inv(self, v: np.ndarray) -> np.ndarray:
         """W^{-1} v."""
         c = self.cones
-        if not c.socs:
-            return v / self.w_lin
         out = np.empty(c.m)
         out[: c.ml] = v[: c.ml] / self.w_lin
         for (eta, wbar), st, q in zip(self.soc, c.starts, c.socs):
@@ -339,8 +324,6 @@ class _Scaling:
     def apply_inv_mat(self, M: np.ndarray) -> np.ndarray:
         """W^{-1} M for a dense matrix with cone-ordered rows."""
         c = self.cones
-        if not c.socs:
-            return M / self.w_lin[:, None]
         out = np.empty_like(M)
         out[: c.ml] = M[: c.ml] / self.w_lin[:, None] if c.ml else M[: c.ml]
         for (eta, wbar), st, q in zip(self.soc, c.starts, c.socs):
@@ -405,6 +388,32 @@ def _penalized_kkt_point(P, G, h, A, b, f):
     return xy[:n], xy[n:]
 
 
+def _kkt(H, N):
+    """Solver of the KKT system ``[[H, N^T], [N, 0]] v = rhs``: an LU
+    factorization (``dgetrf``), then ``dgetrs`` plus one refinement step
+    per right-hand side.  None when a pivot is exactly zero or the factors
+    are not finite, as they are whenever the matrix is not: each entry
+    ends in the factors through subtractions and divisions, which keep a
+    NaN or an infinity non-finite."""
+    from scipy.linalg.lapack import dgetrf, dgetrs  # here, so that importing opt does not load scipy.linalg
+
+    n, k = H.shape[0], N.shape[0]
+    K = np.zeros((n + k, n + k))
+    K[:n, :n] = H
+    K[:n, n:] = N.T
+    K[n:, :n] = N
+    lu, piv, info = dgetrf(K)
+    if info != 0 or not np.isfinite(lu).all():
+        return None
+
+    def solve(rhs):
+        sol = dgetrs(lu, piv, rhs)[0]
+        sol += dgetrs(lu, piv, rhs - K @ sol)[0]  # one refinement step
+        return sol
+
+    return solve
+
+
 def _strict_cholesky(P) -> np.ndarray | None:
     """Lower Cholesky factor of P, or None unless every eigenvalue of P is
     above 1e-12 of the largest (rounding can leave a singular P large pivots)."""
@@ -441,31 +450,20 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
     None when the program looks infeasible, a KKT system is singular or
     ``max_steps`` steps do not end the solve.
     """
-    from scipy.linalg.lapack import dgetrf, dgetrs  # here, so that importing opt does not load scipy.linalg
-
     n, p, m = P.shape[0], A.shape[0], G.shape[0]
     W: list[int] = []
     z = np.zeros(m)
 
-    def factor():
-        N = np.vstack([A, G[W]])
-        K = np.zeros((n + N.shape[0], n + N.shape[0]))
-        K[:n, :n] = P
-        K[:n, n:] = N.T
-        K[n:, :n] = N
-        lu, piv, info = dgetrf(K)
-        return None if info != 0 or not np.all(np.isfinite(lu)) else (K, lu, piv)
+    def factor():  # the KKT system of the equalities and W
+        return _kkt(P, np.vstack([A, G[W]]))
 
-    def solve(fac, rhs):
-        K, lu, piv = fac
-        sol = dgetrs(lu, piv, rhs)[0]
-        sol += dgetrs(lu, piv, rhs - K @ sol)[0]  # one refinement step
+    def split(sol):  # the point (or direction), y and the multipliers of W
         return sol[:n], sol[n : n + p], sol[n + p :]
 
-    fac = factor()
-    if fac is None:
+    kkt = factor()
+    if kkt is None:
         return None
-    x, y, _ = solve(fac, np.concatenate([-f, b]))
+    x, y, _ = split(kkt(np.concatenate([-f, b])))
     steps = 0
     while True:
         viol = G @ x - h
@@ -483,7 +481,7 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
             steps += 1
             if steps > max_steps:
                 return None
-            dx, _, dzw = solve(fac, np.concatenate([-nq, np.zeros(p + len(W))]))
+            dx, _, dzw = split(kkt(np.concatenate([-nq, np.zeros(p + len(W))])))
             curv = -float(nq @ dx)  # dx^T P dx
             in_span = curv <= 1e-14 * curv0
             falling = np.flatnonzero(dzw < 0.0)
@@ -498,10 +496,10 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
             if not in_span and float(nq @ x - h[q]) / curv <= t_drop:
                 # full step: q joins W, and the point of W is solved afresh
                 W.append(q)
-                fac = factor()
-                if fac is None:
+                kkt = factor()
+                if kkt is None:
                     return None
-                x, y, zw = solve(fac, np.concatenate([-f, b, h[W]]))
+                x, y, zw = split(kkt(np.concatenate([-f, b, h[W]])))
                 z[W] = np.maximum(zw, 0.0)
                 break
             # partial step: the multiplier of row W[j] reaches 0 and it leaves
@@ -510,8 +508,8 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
             z[W] += t_drop * dzw
             z[W[j]] = 0.0
             del W[j]
-            fac = factor()
-            if fac is None:
+            kkt = factor()
+            if kkt is None:
                 return None
 
 
@@ -561,6 +559,10 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
       the test: the interior-point iteration, with ``iterations`` counting
       its Newton iterations.  ``infeasible`` and ``max_iter`` come only
       from it.
+
+    A status other than ``optimal`` is a report, not an answer: its ``x``
+    is the last or best iterate, for diagnostics only.  The front ends
+    raise on it (``regression.solution_weights``).
     """
     n = prog.n
     G, h, cones = _standard_form(prog)
@@ -578,12 +580,12 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
         status = "optimal" if max(pres, dres) <= tol else "infeasible"
         return Solution(x, status, (pres, dres, 0.0), 0, prog.objective(x))
 
-    G, h, A, b, f, P, d_scale, e_scale = _equilibrate(G, h, A, b, f, P, cones)
+    G, h, A, b, f, P, d_scale, _ = _equilibrate(G, h, A, b, f, P, cones)
     gap_tol = tol**2 if P.any() else tol
 
-    def finish(x_s, s_s, status, res, iters):
+    def finish(x_s, status, res, iters):
         x_o = d_scale * x_s
-        return Solution(x_o, status, res, iters, prog.objective(x_o), slacks=s_s / e_scale)
+        return Solution(x_o, status, res, iters, prog.objective(x_o))
 
     bnorm = max(1.0, np.linalg.norm(b))
     hnorm = max(1.0, np.linalg.norm(h))
@@ -620,7 +622,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
             s[active] = 0.0  # so s @ z, the gap, is exactly 0
             res = residuals(x, y, z, s)[4]
             if converged(*res):
-                return finish(x, s, "optimal", res, steps)
+                return finish(x, "optimal", res, steps)
 
     # starting point as in CVXOPT's coneqp: s = h - G x and z = -s shifted
     # into the cone interior.  A start whose x ignored P left some random
@@ -633,8 +635,6 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
     iters = 0
     best = None
     infeas_hits = 0
-    from scipy.linalg.lapack import dgetrf, dgetrs  # here, so that importing opt does not load scipy.linalg
-
     for it in range(1, max_iter + 1):
         iters = it
         rx, ry, rz, gap, res, Px = residuals(x, y, z, s)
@@ -642,7 +642,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
         mu = gap / cones.degree
         merit = max(pres, dres, relgap)
         if np.isfinite(merit) and (best is None or merit < best[0]):
-            best = (merit, x.copy(), s.copy(), res)
+            best = (merit, x.copy(), res)
         if converged(*res):
             status = "optimal"
             break
@@ -674,29 +674,17 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
         lam = W.lam
         Gs = W.apply_inv_mat(G)
         H = P + Gs.T @ Gs
-        KKT = np.zeros((n + p, n + p))
-        KKT[:n, :n] = H
-        KKT[:n, n:] = A.T
-        KKT[n:, :n] = A
         reg = 1e-13 * max(1.0, np.trace(H) / max(n, 1))
-        KKT[:n, :n] += reg * np.eye(n)
-        if not np.all(np.isfinite(KKT)):
+        kkt = _kkt(H + reg * np.eye(n), A)
+        if kkt is None:  # the step would be inf/NaN
             break
-        lu, piv, info = dgetrf(KKT)
-        if info != 0:  # an exactly zero pivot: the step would be inf/NaN
-            break
-
-        def kkt_solve(r1, r2):
-            rhs = np.concatenate([r1, r2])
-            sol = dgetrs(lu, piv, rhs)[0]
-            sol += dgetrs(lu, piv, rhs - KKT @ sol)[0]  # one refinement step
-            return sol[:n], sol[n:]
 
         def newton_raw(bx, by, bz, blam):
             u = cones.solve_arrow(lam, blam)
             rhs3 = bz - W.apply(u)
             r1 = bx + Gs.T @ W.apply_inv(rhs3)
-            dx, dy = kkt_solve(r1, by)
+            sol = kkt(np.concatenate([r1, by]))
+            dx, dy = sol[:n], sol[n:]
             dz = W.apply_inv(W.apply_inv(G @ dx - rhs3))
             ds = bz - G @ dx  # enforce the cone-row equation exactly
             return dx, dy, dz, ds
@@ -742,14 +730,14 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
         y = y + alpha * dy
 
     if status == "infeasible":
-        return finish(x, s, "infeasible", (np.inf, np.inf, np.inf), iters)
+        return finish(x, "infeasible", (np.inf, np.inf, np.inf), iters)
     if status == "optimal":
-        return finish(x, s, "optimal", residuals(x, y, z, s)[4], iters)
+        return finish(x, "optimal", residuals(x, y, z, s)[4], iters)
     if best is not None:
-        _, xb, sb, res = best
+        _, xb, res = best
         ok = converged(*res) or (cones.socs and converged(*res, gap_tol=tol))
-        return finish(xb, sb, "optimal" if ok else "max_iter", res, iters)
-    return finish(x, s, "max_iter", (np.inf,) * 3, iters)
+        return finish(xb, "optimal" if ok else "max_iter", res, iters)
+    return finish(x, "max_iter", (np.inf,) * 3, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -769,17 +757,6 @@ def solve_qp(quad: QuadForm, constraints=None, tol: float = 1e-8, max_iter: int 
     cones = [ConeBlock(*soc) for soc in socs]
     prog = SOCProgram(quad.q, cones, A_eq, b_eq, P=quad.P, G=-ineq_rows, h=-ineq_rhs)
     return solve_socp(prog, tol=tol, max_iter=max_iter)
-
-
-def warn_unconverged(sol: Solution, what: str) -> None:
-    """Warn that ``what`` accepts a solve whose status is not ``optimal``."""
-    pres, dres, gap = sol.kkt_residuals
-    warnings.warn(
-        f"{what} accepted a {sol.status} solve after {sol.iterations} iterations "
-        f"(primal residual {pres:.3e}, dual residual {dres:.3e}, gap {gap:.3e})",
-        ConvergenceWarning,
-        stacklevel=3,
-    )
 
 
 def pseudoinverse_lsq(A, b, Q) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from volspline.bspline import BasisSpec, CompiledBasis, gauss_legendre_rule, live_pieces
-from volspline.priors import BachelierPrior
+from volspline.priors import BachelierPrior, ConfigError
 
 __all__ = [
     "PDEError",
@@ -413,11 +413,12 @@ def evolve(
     at t = 0.  Mass and mean are re-imposed exactly after every step, and
     the size of each correction is recorded in ``Trajectory.projection``.
     The time-invariant basis tables are built once and shared by every
-    step's ``assemble``, ``collocation_rows`` and ``constrain``.
+    step's ``assemble``, ``collocation_rows`` and ``constrain``.  An
+    unknown ``scheme`` is a ``ConfigError``.
     """
     theta = {"explicit": 0.0, "implicit": 1.0, "cn": 0.5}.get(scheme)
     if theta is None:
-        raise PDEError(f"unknown scheme {scheme!r}")
+        raise ConfigError(f"unknown scheme {scheme!r}; expected 'explicit', 'implicit' or 'cn'")
     basis = problem.basis
     dim = basis.dimension
     times = np.linspace(0.0, problem.horizon, steps + 1)

@@ -5,7 +5,8 @@ deg)``: for arrays of interval edges and local reference points it returns
 the table of integrals of ``(x - ref)^d dQ`` over ``[lo_i, hi_i]`` for every
 interval i and every degree ``d <= deg``.  The B-spline Gram, moment and
 pricing rows are contractions of that table with the compiled piecewise
-polynomial coefficients.  Gaussian and lognormal tables are closed form;
+polynomial coefficients.  Gaussian tables are closed form, and a
+lognormal enters through the Gaussian law of its logarithm (``log_law``);
 the SSVI slice has its table in log-moneyness only (``log_moment_table``),
 integrated on one composite Gauss-Legendre grid.  ``prior_from_json``
 reads a prior from its JSON config.
@@ -121,16 +122,6 @@ class BachelierPrior:
         return factor, BachelierPrior(self.mean + coef * self.variance, self.variance)
 
 
-def _shift_table(raw: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Moments about ``ref`` from moments about zero: binomial expansion per interval."""
-    deg = raw.shape[-1] - 1
-    d = np.arange(deg + 1)
-    binom = np.array([[comb(i, j) for j in d] for i in d], dtype=float)
-    gap = np.clip(d[:, None] - d[None, :], 0, None)
-    powers = (-ref)[..., None, None] ** gap * (d[:, None] >= d[None, :])
-    return np.einsum("dj,...dj,...j->...d", binom, powers, raw)
-
-
 @dataclass(frozen=True)
 class LogNormalPrior:
     """Driftless lognormal with the stated forward: E[S] = forward exactly."""
@@ -156,22 +147,6 @@ class LogNormalPrior:
             raise PriorError("degenerate lognormal has no density")
         z = (np.log(x / self.forward) + 0.5 * w) / np.sqrt(w)
         return _phi(z) / (x * np.sqrt(w))
-
-    def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
-        """Integrals of (x - ref_i)^d over [lo_i, hi_i], from the closed-form
-        partial moments F^n exp(n(n-1)w/2) [Phi(z_b - n sqrt(w)) - Phi(z_a - n sqrt(w))]."""
-        lo, hi, ref = _table_args(lo, hi, ref, deg)
-        w, F = self.total_variance, self.forward
-        n = np.arange(deg + 1)
-        if w == 0.0:
-            atom = (lo <= F) & (F <= hi)
-            return np.where(atom[..., None], (F - ref)[..., None] ** n, 0.0)
-        sq = np.sqrt(w)
-        with np.errstate(divide="ignore"):
-            za = (np.log(np.maximum(lo, 0.0) / F) + 0.5 * w) / sq
-            zb = (np.log(np.maximum(hi, 0.0) / F) + 0.5 * w) / sq
-        raw = F**n * np.exp(0.5 * n * (n - 1) * w) * _ndtr_diff(za[..., None] - n * sq, zb[..., None] - n * sq)
-        return _shift_table(raw, ref)
 
 
 # ---------------------------------------------------------------------------

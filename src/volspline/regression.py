@@ -29,17 +29,20 @@ from volspline.bspline import (
     Spline,
     SplineError,
     derivative_decomposition,
+    design_matrix,
     gram_matrix,
     locate,
     moment_rows,
     weighted_gram,
 )
+from volspline.priors import ConfigError, config_value, require
 
 __all__ = [
     "Sample",
     "EmpiricalMeasure",
     "RegressionConfig",
     "ConstraintSet",
+    "solution_weights",
     "LebesgueMeasure",
     "tikhonov_factor",
     "design_system",
@@ -262,6 +265,32 @@ class ConstraintSet:
         return out
 
 
+def solution_weights(sol: opt.Solution, constraints: ConstraintSet | None, what: str) -> np.ndarray:
+    """The weights of a cone solve of ``what``, or the error that says why
+    there are none.  Every front end of the solver decides through here.
+
+    - ``optimal``: the point ``sol.x``;
+    - ``infeasible``: ``opt.InfeasibleError`` naming the constraint family
+      most violated at the solver's last iterate;
+    - any other status: ``opt.OptError`` naming the status, the iteration
+      count and the KKT residuals.
+    """
+    if sol.status == "optimal":
+        return sol.x
+    if sol.status == "infeasible":
+        viols = constraints.violations(sol.x) if constraints is not None else {}
+        detail = ""
+        if viols:
+            fam = max(viols, key=viols.get)
+            detail = f"; most violated family: {fam} ({viols[fam]:.3e})"
+        raise opt.InfeasibleError(f"{what} is infeasible{detail}")
+    pres, dres, gap = sol.kkt_residuals
+    raise opt.OptError(
+        f"{what} did not converge: {sol.status} after {sol.iterations} iterations "
+        f"(primal residual {pres:.3e}, dual residual {dres:.3e}, gap {gap:.3e})"
+    )
+
+
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
@@ -315,30 +344,11 @@ def solve_penalized(V, c, R, lam: float, sample: Sample, cb: CompiledBasis) -> n
 def solve_constrained(V, c, R, lam: float, constraints: ConstraintSet | None, tol: float = 1e-8) -> np.ndarray:
     """Weights minimizing ``w^T (V + lam R) w - 2 c^T w`` under the constraints.
 
-    This decides what a cone solve's status means for a regression: an
-    ``infeasible`` solve raises ``opt.InfeasibleError`` naming the most
-    violated constraint family; one that stops short of ``optimal`` with
-    KKT residuals at most 1e-6 is accepted with an
-    ``opt.ConvergenceWarning``, and with larger residuals raises
-    ``opt.OptError``.
+    Only an ``optimal`` solve gives weights; ``solution_weights`` raises
+    ``opt.InfeasibleError`` or ``opt.OptError`` on any other status.
     """
     quad = opt.QuadForm(2.0 * (V + lam * R), -2.0 * c)
-    sol = opt.solve_qp(quad, constraints, tol=tol)
-    if sol.status == "infeasible":
-        detail = ""
-        if constraints is not None:
-            viols = constraints.violations(sol.x)
-            if viols:
-                fam = max(viols, key=viols.get)
-                detail = f"; most violated family: {fam} ({viols[fam]:.3e})"
-        raise opt.InfeasibleError("constrained regression is infeasible" + detail)
-    if sol.status != "optimal":
-        if max(sol.kkt_residuals) > 1e-6:
-            raise opt.OptError(
-                f"constrained regression did not converge (residuals {sol.kkt_residuals})"
-            )
-        opt.warn_unconverged(sol, "constrained regression")
-    return sol.x
+    return solution_weights(opt.solve_qp(quad, constraints, tol=tol), constraints, "constrained regression")
 
 
 def fit_penalized(sample: Sample, cfg: RegressionConfig, lam: float | None = None) -> Spline:
@@ -357,8 +367,8 @@ def fit_constrained(
     constraints: ConstraintSet | None = None,
     tol: float = 1e-8,
 ) -> Spline:
-    """Penalized least squares under a constraint set, via the cone solver
-    (see ``solve_constrained`` for the statuses it accepts)."""
+    """Penalized least squares under a constraint set, via the cone solver;
+    a solve that does not end ``optimal`` raises (see ``solution_weights``)."""
     if lam is None:
         lam = tikhonov_factor(sample, cfg)
     V, c = design_system(sample, cfg.basis.compiled())
@@ -404,14 +414,17 @@ def shape_constraints(basis: BasisSpec, specs) -> ConstraintSet:
     ``{"kind": "limit_eq|limit_ge|limit_le", "side": "-inf"|"+inf", ...}`` and
     ``{"kind": "integral_eq|integral_ge|integral_le", "measure": m, "value": v}``.
     Sign constraints use the sufficient condition of nonnegative loadings
-    on the (nonnegative) basis of the corresponding derivative order.
+    on the (nonnegative) basis of the corresponding derivative order.  A
+    missing or malformed field is a ``ConfigError`` naming it; a kind the
+    basis cannot carry, or an unknown one, is a ``SplineError``.
     """
     if isinstance(specs, (str, dict)):
         specs = [specs]
     cs = ConstraintSet(basis.dimension)
     n = basis.order
     for spec in specs:
-        kind = spec if isinstance(spec, str) else spec["kind"]
+        kind = spec if isinstance(spec, str) else config_value(spec, "kind", "shape constraint", str)
+        where = f"shape constraint {kind!r}"
         if kind == "nonnegative":
             cs.add_ineq_rows(np.eye(basis.dimension), 0.0, "nonnegative")
         elif kind in ("nondecreasing", "nonincreasing"):
@@ -423,33 +436,34 @@ def shape_constraints(basis: BasisSpec, specs) -> ConstraintSet:
                 raise SplineError("convexity constraints need order >= 1")
             _derivative_sign_rows(basis, 2, 1.0 if kind == "convex" else -1.0, cs, kind)
         elif kind.startswith("value_"):
-            p = int(spec.get("deriv", 0))
+            p = config_value(spec, "deriv", where, int, 0)
             if p > n + 1:
                 raise SplineError("derivative order beyond the atomic level")
-            x0 = float(spec["x"])
+            x0 = config_value(spec, "x", where)
             if p == 0:
-                from volspline.bspline import design_matrix
-
                 row = design_matrix(basis, [x0])[0]
             else:
                 dm = derivative_decomposition(basis, p)
                 if dm.basis is None:
                     raise SplineError("pointwise values of the atomic derivative are not defined")
-                from volspline.bspline import design_matrix
-
-                row = design_matrix(dm.basis, [x0]) @ dm.matrix
-                row = row[0]
-            _add_relation(cs, row, float(spec["value"]), kind, f"value[{x0}]")
+                row = (design_matrix(dm.basis, [x0]) @ dm.matrix)[0]
+            _add_relation(cs, row, config_value(spec, "value", where), kind, f"value[{x0}]")
         elif kind.startswith("limit_"):
-            p = int(spec.get("deriv", 0))
+            p = config_value(spec, "deriv", where, int, 0)
             if p > n:
                 raise SplineError("wing limits beyond the spline order are not defined")
-            row = _limit_row(basis, p, spec["side"])
-            _add_relation(cs, row, float(spec["value"]), kind, f"limit[{spec['side']}]")
+            side = require(spec, "side", where)
+            if side not in ("-inf", "+inf"):
+                raise ConfigError(f"{where} field 'side' must be '-inf' or '+inf', got {side!r}")
+            row = _limit_row(basis, p, side)
+            _add_relation(cs, row, config_value(spec, "value", where), kind, f"limit[{side}]")
         elif kind.startswith("integral_"):
-            measure = spec["measure"]
+            measure = require(spec, "measure", where)
+            if not hasattr(measure, "moment_table"):
+                # a JSON config holds numbers, strings and lists, never a measure
+                raise ConfigError(f"{where} field 'measure' must be a measure object, got {measure!r}")
             row = moment_rows(basis.compiled(), measure)
-            _add_relation(cs, row, float(spec["value"]), kind, "integral")
+            _add_relation(cs, row, config_value(spec, "value", where), kind, "integral")
         else:
             raise SplineError(f"unknown shape constraint {kind!r}")
     return cs

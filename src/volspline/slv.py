@@ -257,8 +257,8 @@ def calibrate_leverage(
         if cs.n_rows:
             try:
                 w = rg.solve_constrained(V, c, R, lam, cs)
-            except rg.opt.InfeasibleError as exc:
-                raise rg.opt.InfeasibleError(f"step {k + 1} (t={t1:g}): {exc}") from exc
+            except rg.opt.OptError as exc:  # infeasible or unconverged: say which step
+                raise type(exc)(f"step {k + 1} (t={t1:g}): {exc}") from exc
         else:
             w = rg.solve_penalized(V, c, R, lam, sample, cb)
 

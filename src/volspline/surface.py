@@ -22,8 +22,8 @@ import numpy as np
 
 from volspline import opt
 from volspline.bspline import BasisSpec, CompiledBasis, Spline, gram_matrix, make_basis
-from volspline.priors import BachelierPrior, LogNormalPrior, SSVIParams, SSVISlice, ssvi_total_variance
-from volspline.regression import ConstraintSet
+from volspline.priors import BachelierPrior, ConfigError, LogNormalPrior, SSVIParams, SSVISlice, ssvi_total_variance
+from volspline.regression import ConstraintSet, solution_weights
 
 __all__ = [
     "Quote",
@@ -299,7 +299,6 @@ class SurfaceConfig:
     lsq_weight: float = 1.0
     relative_grid_size: int = 81
     knot_pad_gaps: float = 1.0
-    nonuniform_time_differences: bool = False
 
     def __post_init__(self) -> None:
         if self.n_knots < self.order + 2:
@@ -415,13 +414,14 @@ def calibrate_surface(
     curvature (plus the time-smoothness coupling) subject to every quote
     repricing inside its bid-ask bracket.  Maturities without quotes are
     legitimate: they are shaped by the penalties and the calendar rows.
-    A solve that stops short of ``optimal`` is accepted, with an
-    ``opt.ConvergenceWarning``, only if its point satisfies every constraint.
+    Only an ``optimal`` solve gives a surface; ``solution_weights`` raises
+    ``opt.InfeasibleError`` or ``opt.OptError`` on any other status.  An
+    unknown ``mode`` is a ``ConfigError``.
     """
     if not market:
         raise ValueError("no market slices supplied")
     if mode not in ("bracket", "lsq"):
-        raise ValueError(f"unknown calibration mode {mode!r}")
+        raise ConfigError(f"unknown calibration mode {mode!r}; expected 'bracket' or 'lsq'")
     market = sorted(market, key=lambda s: s.maturity)
     measures = [slice_measure(prior, sl.maturity, sl.forward) for sl in market]
     # one basis on one knot grid for every maturity: slice i owns the
@@ -464,16 +464,9 @@ def calibrate_surface(
 
     # second time-difference of each loading index across the maturity grid
     if len(market) >= 3 and config.time_smoothness_weight > 0.0:
-        mats = np.array([sl.maturity for sl in market])
         for kmid in range(1, len(market) - 1):
-            if config.nonuniform_time_differences:
-                h0 = mats[kmid] - mats[kmid - 1]
-                h1 = mats[kmid + 1] - mats[kmid]
-                c_prev, c_mid, c_next = 2 / (h0 * (h0 + h1)), -2 / (h0 * h1), 2 / (h1 * (h0 + h1))
-            else:
-                c_prev, c_mid, c_next = 1.0, -2.0, 1.0
             rows = np.zeros((dim, total))
-            for j, c in ((kmid - 1, c_prev), (kmid, c_mid), (kmid + 1, c_next)):
+            for j, c in ((kmid - 1, 1.0), (kmid, -2.0), (kmid + 1, 1.0)):
                 rows[:, j * dim : (j + 1) * dim] += c * np.eye(dim)
             P += 2.0 * config.time_smoothness_weight * rows.T @ rows
 
@@ -481,28 +474,12 @@ def calibrate_surface(
         rel_grid = _relative_grid(basis, measures, config)
         cs = cs.merge(calendar_constraints(basis, measures, [sl.forward for sl in market], rel_grid))
 
-    sol = opt.solve_qp(opt.QuadForm(P, q), cs, tol=tol)
-    if sol.status == "infeasible":
-        viols = cs.violations(sol.x)
-        fam = max(viols, key=viols.get) if viols else "unknown"
-        raise opt.InfeasibleError(
-            f"surface calibration infeasible; most violated family: {fam} ({viols.get(fam, 0.0):.3e})"
-        )
-    if sol.status != "optimal":
-        # a stalled dual is tolerable if the iterate actually satisfies the
-        # constraints; those are the product guarantees
-        viols = cs.violations(sol.x)
-        worst = max(viols.values()) if viols else 0.0
-        if max(sol.kkt_residuals) > 1e-5 or worst > 1e-8:
-            raise opt.OptError(
-                f"surface calibration did not converge: residuals {sol.kkt_residuals}"
-            )
-        opt.warn_unconverged(sol, "surface calibration")
+    x = solution_weights(opt.solve_qp(opt.QuadForm(P, q), cs, tol=tol), cs, "surface calibration")
 
     slices = tuple(
         RNSlice(
             basis=basis,
-            weights=np.asarray(sol.x[i * dim : (i + 1) * dim]),
+            weights=np.asarray(x[i * dim : (i + 1) * dim]),
             maturity=sl.maturity,
             forward=sl.forward,
             measure=m,

@@ -218,3 +218,23 @@ def test_ssvi_prior_with_butterfly_arbitrage_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and "'butterfly: theta*phi^2*(1+|rho|) <= 4'" in err
     assert "[0.25, 1.0]" in err
+
+
+@pytest.mark.parametrize(
+    "command, config, setting, named",
+    [
+        ("regress", "regress_demo.json", 'constraints=[{"kind": "value_ge", "x": 0}]', "'value'"),
+        ("regress", "regress_demo.json", 'constraints=[{"kind": "integral_eq", "value": 1}]', "'measure'"),
+        ("regress", "regress_demo.json", 'constraints=[{"kind": "integral_eq", "measure": {"type": "lebesgue"}, '
+                                         '"value": 1}]', "'measure' must be a measure object"),
+        ("regress", "regress_demo.json", 'constraints=["convexx"]', "'convexx'"),
+        ("surface-calibrate", "surface_synthetic.json", "mode=lsqq", "'lsqq'"),
+        ("pde-evolve", "pde_ratio.json", "scheme=crank", "'crank'"),
+    ],
+)
+def test_unknown_or_incomplete_option_exits_2(tmp_path, capsys, monkeypatch, command, config, setting, named):
+    monkeypatch.chdir(REPO)  # the shipped surface config names its quotes file relative to the root
+    argv = [command, "--config", str(REPO / "configs" / config), "--out", str(tmp_path / "out"), "--set", setting]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and named in err

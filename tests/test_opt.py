@@ -127,6 +127,22 @@ class TestSolveSOCP:
         assert sol.status == "max_iter"
         assert np.all(np.isfinite(sol.x))
 
+    def test_kkt_solver_of_both_routes(self):
+        # one factorization serves the active-set and the interior-point
+        # systems: a regular system is solved to rounding; a singular or
+        # non-finite one gives no solver
+        rng = np.random.default_rng(5)
+        B = rng.standard_normal((4, 4))
+        H, N = B @ B.T + np.eye(4), rng.standard_normal((2, 4))
+        rhs = rng.standard_normal(6)
+        K = np.block([[H, N.T], [N, np.zeros((2, 2))]])
+        np.testing.assert_allclose(opt._kkt(H, N)(rhs), np.linalg.solve(K, rhs), rtol=1e-12, atol=1e-12)
+        assert opt._kkt(2.0 * np.eye(2), np.ones((2, 2))) is None  # an exactly zero pivot
+        for bad in (np.nan, np.inf):
+            H_bad = H.copy()
+            H_bad[1, 2] = bad
+            assert opt._kkt(H_bad, N) is None
+
 
 class TestDualActiveSet:
     """The exact route of ``solve_socp`` for programs without cone blocks

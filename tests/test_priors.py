@@ -52,14 +52,19 @@ class TestBachelier:
 
 
 class TestLogNormal:
+    """Through the Gaussian law of k = log(S / F), as surfaces integrate it:
+    S^n = F^n e^(n k), the law's tilt by n."""
+
     def test_martingale_normalization(self):
-        p = pr.LogNormalPrior(100.0, 0.09)
-        assert p.moment_table(0, np.inf, 0.0, 0)[0] == pytest.approx(1.0, abs=1e-12)
-        assert p.moment_table(0, np.inf, 0.0, 1)[1] == pytest.approx(100.0, rel=1e-12)
+        law = pr.LogNormalPrior(100.0, 0.09).log_law()
+        assert law.moment_table(-np.inf, np.inf, 0.0, 0)[0] == pytest.approx(1.0, abs=1e-12)
+        factor, tilted = law.tilted(1.0)
+        assert 100.0 * factor * tilted.moment_table(-np.inf, np.inf, 0.0, 0)[0] == pytest.approx(100.0, rel=1e-12)
 
     def test_second_moment(self):
-        p = pr.LogNormalPrior(2.0, 0.2)
-        assert p.moment_table(0, np.inf, 0.0, 2)[2] == pytest.approx(4.0 * np.exp(0.2), rel=1e-12)
+        factor, tilted = pr.LogNormalPrior(2.0, 0.2).log_law().tilted(2.0)
+        second = 4.0 * factor * tilted.moment_table(-np.inf, np.inf, 0.0, 0)[0]
+        assert second == pytest.approx(4.0 * np.exp(0.2), rel=1e-12)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(1)
@@ -68,12 +73,17 @@ class TestLogNormal:
             a, b = np.sort(rng.uniform(0.2, 4.0, 2))
             n = int(rng.integers(0, 5))
             ref = quad(lambda x: x**n * p.density(x), a, b, epsabs=1e-13)[0]
-            assert p.moment_table(a, b, 0.0, n)[n] == pytest.approx(ref, abs=1e-9)
+            factor, tilted = p.log_law().tilted(float(n))
+            mass = tilted.moment_table(np.log(a / p.forward), np.log(b / p.forward), 0.0, 0)[0]
+            assert p.forward**n * factor * mass == pytest.approx(ref, abs=1e-9)
 
     def test_degenerate_point_mass(self):
         p = pr.LogNormalPrior(3.0, 0.0)
-        assert p.moment_table(0, np.inf, 0.0, 1)[1] == 3.0
-        assert p.moment_table(0, 2.9, 0.0, 1)[1] == 0.0
+        law = p.log_law()  # an atom at k = 0, that is at S = F
+        assert law.moment_table(-np.inf, np.inf, 0.0, 1).tolist() == [1.0, 0.0]
+        assert law.moment_table(-np.inf, np.log(2.9 / 3.0), 0.0, 0)[0] == 0.0
+        with pytest.raises(pr.PriorError):
+            p.density(3.0)
 
 
 class TestSSVI:

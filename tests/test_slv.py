@@ -124,6 +124,12 @@ class TestCalibration:
         for k in (3, 10):
             np.testing.assert_allclose(surf.leverage(k, xs), 0.25 * xs / 0.2, rtol=1e-6)
 
+    def test_stalled_step_raises_naming_it(self, params, stall_solver):
+        stalled = stall_solver()
+        with pytest.raises(opt.OptError, match=r"^step 1 \(t=0\.1\): constrained regression " + stalled) as exc:
+            slv.calibrate_leverage(params, np.linspace(0, 0.5, 6), 1000, seed=5)
+        assert exc.type is opt.OptError
+
     def test_seed_determinism(self, params):
         grid = np.linspace(0, 0.5, 6)
         s1 = slv.calibrate_leverage(params, grid, 2000, seed=7)

@@ -1,7 +1,6 @@
 """Linear pricing forms, slice calibration and the joint surface program."""
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,16 +255,14 @@ class TestSliceCalibration:
             assert q.bid - 1e-7 <= p <= q.ask + 1e-7
         assert min(sl.weights) >= -1e-9
 
-    def test_accepted_unconverged_calibration_warns(self, lognormal_prior, stall_solver):
+    def test_stalled_calibration_raises(self, lognormal_prior, stall_solver):
         ms = prior_quotes(lognormal_prior, 1.0, [80.0, 90.0, 100.0, 110.0, 125.0], spread=0.05)
         cfg = sf.SurfaceConfig(n_knots=11)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", opt.ConvergenceWarning)
-            w_optimal = sf.calibrate_surface([ms], lognormal_prior, cfg).slices[0].weights
-        stall_solver()
-        with pytest.warns(opt.ConvergenceWarning, match="surface calibration accepted a max_iter solve"):
-            w_stalled = sf.calibrate_surface([ms], lognormal_prior, cfg).slices[0].weights
-        np.testing.assert_array_equal(w_stalled, w_optimal)
+        sf.calibrate_surface([ms], lognormal_prior, cfg)  # optimal before the stall
+        stalled = stall_solver()
+        with pytest.raises(opt.OptError, match=stalled) as exc:
+            sf.calibrate_surface([ms], lognormal_prior, cfg)
+        assert exc.type is opt.OptError
 
     def test_infeasible_brackets_reported(self, lognormal_prior):
         # quotes violating convexity cannot be matched by any density
@@ -306,7 +303,8 @@ class TestCalendar:
             Ks = [85.0, 100.0, 115.0]
             qs = [sf.Quote(k, black_call(100.0, k, wv) - 1e-4, black_call(100.0, k, wv) + 1e-4) for k in Ks]
             slices.append(sf.MarketSlice(T, 100.0, qs))
-        with pytest.raises(opt.InfeasibleError):
+        families = "|".join(("bid-ask", "calendar-fine-grid", "calendar-wing"))
+        with pytest.raises(opt.InfeasibleError, match=rf"most violated family: ({families}) \(\d"):
             sf.calibrate_surface(slices, ln1, sf.SurfaceConfig(n_knots=9))
 
 
