@@ -441,14 +441,7 @@ class PiecewisePoly:
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
         idx = _piece_index(self._knots, xs)
-        u = self.refs.take(idx)
-        np.subtract(xs, u, out=u)
-        cols = self._columns
-        acc = cols[-1].take(idx)
-        column = np.empty_like(acc)
-        for d in range(cols.shape[0] - 2, -1, -1):
-            acc *= u
-            acc += cols[d].take(idx, out=column, mode="clip")  # clip: out= unbuffered
+        acc = _horner(self._columns, idx, _local_coordinates(self.refs, idx, xs))
         return float(acc[0]) if scalar else acc
 
     def derivative(self) -> "PiecewisePoly":
@@ -470,6 +463,24 @@ class PiecewisePoly:
         for d in range(c.size - 1, -1, -1):
             acc = acc * u + c[d]
         return float(acc)
+
+
+def _local_coordinates(refs: np.ndarray, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``xs - refs[idx]``, each point relative to its piece's reference."""
+    u = refs.take(idx)
+    np.subtract(xs, u, out=u)
+    return u
+
+
+def _horner(columns: np.ndarray, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Values at local coordinates ``u`` in pieces ``idx`` of the polynomial
+    whose degree-d coefficients are ``columns[d]``, by Horner's rule."""
+    acc = columns[-1].take(idx)
+    column = np.empty_like(acc)
+    for d in range(columns.shape[0] - 2, -1, -1):
+        acc *= u
+        acc += columns[d].take(idx, out=column, mode="clip")  # clip: out= unbuffered
+    return acc
 
 
 def _poly_shift_mul(c: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -582,6 +593,17 @@ class CompiledBasis:
 
     def spline_values(self, weights: np.ndarray, xs) -> np.ndarray:
         return self.combination(weights)(np.atleast_1d(np.asarray(xs, dtype=float)))
+
+    def spline_rows(self, weights, xs) -> np.ndarray:
+        """``spline_values(w, xs)`` for each row w of ``weights``, one row of
+        values each, bit for bit; the points are located once for all rows."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        idx = _piece_index(self.knot_vector, xs)
+        u = _local_coordinates(self.refs, idx, xs)
+        out = np.empty((len(weights), xs.size))
+        for row, w in zip(out, np.asarray(weights, dtype=float)):
+            row[:] = _horner(np.ascontiguousarray(np.tensordot(w, self.coeffs, axes=(0, 0)).T), idx, u)
+        return out
 
 
 def compile_basis(basis: BasisSpec) -> CompiledBasis:

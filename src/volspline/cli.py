@@ -235,15 +235,16 @@ def cmd_regress(r: Runner) -> None:
     n_knots = config_value(cfg, "knots", kind=int, default=20)
     truncation = config_value(cfg, "truncation", kind=int, default=1)
     halfwidth = config_value(cfg, "knot_halfwidth_stds", default=2.5)
+    penalty_order = config_value(cfg, "penalty_order", kind=int, default=2)
+    tikhonov_constant = config_value(cfg, "tikhonov_constant", default=1.0)
     with r.stage("fit"):
         knots = np.linspace(-halfwidth * sample.sigma_x, halfwidth * sample.sigma_x, n_knots)
         knots = knots + float(np.mean(sample.x)) if cfg.get("center_knots", True) else knots
-        basis = bs.make_basis(knots, order, truncation)
-        reg_cfg = rg.RegressionConfig(
-            basis,
-            penalty_order=config_value(cfg, "penalty_order", kind=int, default=2),
-            tikhonov_constant=config_value(cfg, "tikhonov_constant", default=1.0),
-        )
+        try:  # an order, truncation or penalty out of range
+            basis = bs.make_basis(knots, order, truncation)
+            reg_cfg = rg.RegressionConfig(basis, penalty_order=penalty_order, tikhonov_constant=tikhonov_constant)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         lam = rg.tikhonov_factor(sample, reg_cfg)
         specs = cfg.get("constraints", [])
         if specs:
@@ -372,7 +373,11 @@ def _surface_config(sc: dict) -> sf.SurfaceConfig:
     unknown = sorted(set(sc) - {f.name for f in dataclasses.fields(sf.SurfaceConfig)})
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
-    return sf.SurfaceConfig(**{k: config_value(sc, k, "config", type(getattr(defaults, k))) for k in sc})
+    values = {k: config_value(sc, k, "config", type(getattr(defaults, k))) for k in sc}
+    try:
+        return sf.SurfaceConfig(**values)
+    except ValueError as exc:  # a field out of range
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_surface_calibrate(r: Runner) -> None:
@@ -484,6 +489,20 @@ def cmd_pde_evolve(r: Runner) -> None:
     s0 = config_value(cfg, "s0")
     v0 = config_value(cfg, "base_variance")
     horizon = config_value(cfg, "horizon", default=1.0)
+    half_width = config_value(cfg, "half_width_stds", default=5.0)
+    order = config_value(cfg, "order", kind=int, default=3)
+    n_knots = config_value(cfg, "knots", kind=int, default=40)
+    grid_size = config_value(cfg, "grid_size", kind=int, default=101)
+    for key, value, ok, need in (
+        ("base_variance", v0, v0 > 0.0, "positive"),
+        ("horizon", horizon, horizon > 0.0, "positive"),
+        ("half_width_stds", half_width, half_width > 0.0, "positive"),
+        ("order", order, order >= 1, "at least 1"),
+        ("knots", n_knots, n_knots >= order + 1, f"at least order + 1 = {order + 1}"),
+        ("grid_size", grid_size, grid_size >= 0, "nonnegative"),
+    ):
+        if not ok:
+            raise ConfigError(f"config field {key!r} must be {need}, got {value!r}")
     vcfg = cfg.get("local_variance", {"type": "constant", "value": v0})
     kind = require(vcfg, "type", "local_variance")
     if kind == "constant":
@@ -492,20 +511,17 @@ def cmd_pde_evolve(r: Runner) -> None:
         coef = pde.AffineVariance(*(config_value(vcfg, k, "local_variance") for k in ("intercept", "slope")))
     else:
         raise ConfigError(f"unknown local variance form {kind!r}")
-    half = config_value(cfg, "half_width_stds", default=5.0) * np.sqrt(v0 * horizon)
-    basis = bs.make_basis(
-        np.linspace(s0 - half, s0 + half, config_value(cfg, "knots", kind=int, default=40)),
-        config_value(cfg, "order", kind=int, default=3),
-        truncation=0,
-    )
+    half = half_width * np.sqrt(v0 * horizon)
+    basis = bs.make_basis(np.linspace(s0 - half, s0 + half, n_knots), order, truncation=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         problem = pde.PDEProblem(coef, v0, s0, basis, horizon)
     with r.stage("evolve"):
         traj = pde.evolve(problem, config_value(cfg, "steps", kind=int, default=100), scheme=cfg.get("scheme", "cn"))
-    grid = np.linspace(basis.knots.knots[0], basis.knots.knots[-1], config_value(cfg, "grid_size", kind=int, default=101))
+    grid = np.linspace(basis.knots.knots[0], basis.knots.knots[-1], grid_size)
     with r.stage("write"):  # the trajectory rows, the CSV and its checksum for the manifest
-        r.emit_csv("trajectory.csv", ["t", "x", "ratio"], _grid_rows(traj.times, grid, lambda k: traj.ratio(k, grid)))
+        ratios = traj.ratios(grid)
+        r.emit_csv("trajectory.csv", ["t", "x", "ratio"], _grid_rows(traj.times, grid, ratios.__getitem__))
     r.finish("pde-evolve")
 
 

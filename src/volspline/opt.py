@@ -349,7 +349,8 @@ def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
     of a second-order cone block share one; a zero row keeps its scale.
 
     Columns are scaled by their largest entry in ``[d P d; G; A]``, as in
-    OSQP; a column with no entry at all keeps its scale.
+    OSQP; a column with no entry at all keeps its scale.  Returns the scaled
+    ``G, h, A, b, f, P`` and the column scales ``d``.
     """
     m, n = G.shape
     d = np.ones(n)
@@ -376,7 +377,7 @@ def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
     Ps = (d[:, None] * P) * d[None, :]
     # OSQP's cost scaling: the larger of |f| and the mean column size of P
     obj_scale = max(np.abs(fs).max(), np.abs(Ps).max(axis=0).mean(), 1e-12)
-    return Gs, e * h, As, a * b, fs / obj_scale, Ps / obj_scale, d, e
+    return Gs, e * h, As, a * b, fs / obj_scale, Ps / obj_scale, d
 
 
 def _penalized_kkt_point(P, G, h, A, b, f):
@@ -580,7 +581,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
         status = "optimal" if max(pres, dres) <= tol else "infeasible"
         return Solution(x, status, (pres, dres, 0.0), 0, prog.objective(x))
 
-    G, h, A, b, f, P, d_scale, _ = _equilibrate(G, h, A, b, f, P, cones)
+    G, h, A, b, f, P, d_scale = _equilibrate(G, h, A, b, f, P, cones)
     gap_tol = tol**2 if P.any() else tol
 
     def finish(x_s, status, res, iters):

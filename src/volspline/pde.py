@@ -19,10 +19,17 @@ constraint manifold, so the integral conditions hold at every step by
 construction.  Each step system is banded in the interior trial functions
 plus two flat-wing columns and two collocation rows; one banded LU of the
 interior block and a 2 x 2 Schur complement for the wings solve it.
+
+Nothing of a step but its right-hand side depends on the weights.  The
+weak form, the collocation rows and the mass/mean rows are therefore
+computed for a block of steps at once, as kernels over a vector of times
+(``assemble``, ``collocation_rows`` and ``constrain`` are their one-time
+case), and each step system is factored before the block is marched.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from volspline.bspline import BasisSpec, CompiledBasis, gauss_legendre_rule, live_pieces
-from volspline.priors import BachelierPrior, ConfigError
+from volspline.priors import BachelierPrior, ConfigError, normal_moment_table
 
 __all__ = [
     "PDEError",
@@ -53,15 +60,21 @@ class PDEError(ValueError):
 
 
 class VarianceCoef:
-    """Local variance surface v(t, x) with the two spatial derivatives."""
+    """Local variance surface v(t, x) with the two spatial derivatives.
 
-    def value(self, t: float, x):  # pragma: no cover - interface
+    ``value``, ``dx`` and ``dxx`` take a float ``t`` or a column of times
+    (shape ``(n, 1)``) with a vector ``x``, and return arrays that broadcast
+    to ``(n, x.size)``: row i at time ``t[i]``.  A surface that does not
+    depend on t may return the shape of ``x``.
+    """
+
+    def value(self, t, x):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def dx(self, t: float, x):
+    def dx(self, t, x):
         raise NotImplementedError
 
-    def dxx(self, t: float, x):
+    def dxx(self, t, x):
         raise NotImplementedError
 
 
@@ -139,6 +152,8 @@ class GalerkinSystem:
 
 
 GL_POINTS = 10  # Gauss-Legendre points per knot interval in the weak form
+_BLOCK_STEPS = 10  # steps whose operators evolve holds at once
+_BLOWUP = 1e6  # largest |weight| evolve accepts
 
 
 class _StepTables(NamedTuple):
@@ -147,7 +162,7 @@ class _StepTables(NamedTuple):
     xs: np.ndarray  # Gauss-Legendre points on the knot intervals, interval by interval
     ws: np.ndarray  # their weights
     products: np.ndarray  # (intervals, 3 * GL_POINTS, (order + 1)**2) local products, see _basis_tables
-    scatter: np.ndarray  # flat index of each local mass, then stiffness, entry in two stacked dense matrices
+    scatter: np.ndarray  # flat index of each local entry in a dense (dimension x dimension) matrix
     dimension: int
     pts: np.ndarray  # the two boundary knots
     B0: np.ndarray  # basis values at pts, (2, dimension)
@@ -165,10 +180,9 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
     piece index are nonzero.  For each interval ``products`` holds, at each
     of its Gauss points, the outer products ``b_a b_b``, ``b_a b_b'`` and
     ``b_a' b_b'`` of those functions, stacked along the point axis in that
-    order; ``scatter`` places local entry ``(a, b)`` at the global
-    (test, trial) position of the mass and then of the stiffness, stacked.
-    A function the truncation drops has zero values and borrows column 0,
-    so its products add nothing.
+    order; ``scatter`` places local entry ``(a, b)`` at its global
+    (test, trial) position.  A function the truncation drops has zero
+    values and borrows column 0, so its products add nothing.
     """
     g = cb.breakpoints
     xs_n, ws_n = gauss_legendre_rule(GL_POINTS)
@@ -194,7 +208,6 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
         [V[..., :, None] * V[..., None, :], V[..., :, None] * D[..., None, :], D[..., :, None] * D[..., None, :]], axis=1
     ).reshape(live.size, 3 * GL_POINTS, size * size)
     scatter = (cols[:, :, None] * dim + cols[:, None, :]).reshape(-1)
-    scatter = np.concatenate([scatter, scatter + dim * dim])
     for arr in (xs, ws, products, scatter):
         arr.setflags(write=False)
     return _StepTables(
@@ -211,14 +224,23 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
     )
 
 
-def _base_relative(problem: PDEProblem, t: float, x: np.ndarray):
-    """Coefficients at points x and time t, relative to the Gaussian base.
+def _tables_of(problem: PDEProblem, tables) -> _StepTables:
+    return _basis_tables(problem.basis.compiled()) if tables is None else tables
+
+
+def _base_relative(problem: PDEProblem, ts: np.ndarray, x: np.ndarray):
+    """Coefficients at points x and times ts, relative to the Gaussian base.
 
     Returns the local variance ``v``, its slope ``vx``, the base density's
     log-derivative ``g1 = dlog(phi0)/dx`` and the reaction coefficient
     ``e``, which collects the second-derivative terms through
-    ``g2 = phi0''/phi0``.  The variance must be positive at every point.
+    ``g2 = phi0''/phi0``; each broadcasts to ``(ts.size, x.size)``, row i
+    at time ``ts[i]``.  Every time must be positive and the variance
+    positive at every point.
     """
+    if not np.all(ts > 0.0):
+        raise PDEError("coefficients are defined for t > 0")
+    t = ts[:, None]
     v = np.asarray(problem.local_variance.value(t, x), dtype=float)
     if np.any(v <= 0.0):
         raise PDEError("local variance must be positive on the domain")
@@ -232,6 +254,38 @@ def _base_relative(problem: PDEProblem, t: float, x: np.ndarray):
     return v, vx, g1, e
 
 
+def _weak_forms(problem: PDEProblem, ts: np.ndarray, tables: _StepTables):
+    """The full (trial x trial) mass matrix and the stack of stiffness
+    matrices at the times ``ts``, one per time (see ``assemble``).
+
+    For every time and interval one ``(2, 3 GL_POINTS)`` matrix of factors
+    (the mass row, then the stiffness row) contracts the local products, in
+    one stacked matmul for all of them, and one ``bincount`` sums the blocks
+    into the mass and each time's stiffness.  Each contraction is the
+    one-time case's own small product, so every time's matrices are those
+    of ``assemble`` bit for bit: a product of all the times' rows at once
+    may round differently with the row count.
+    """
+    xs, ws, products, dim = tables.xs, tables.ws, tables.products, tables.dimension
+    v, vx, g1, e = _base_relative(problem, ts, xs)
+    c = 0.5 * vx + v * g1
+    # per time, row, interval and Gauss point, the factors of b_a b_b, b_a b_b' and b_a' b_b'
+    factors = np.zeros((ts.size, 2, 3, ws.size))
+    factors[:, 0, 0] = ws
+    factors[:, 1, 0] = ws * e  # reaction
+    factors[:, 1, 1] = ws * c  # advection: [a, b] = int c b_b' b_a
+    factors[:, 1, 2] = -0.5 * ws * v  # diffusion
+    n_int = products.shape[0]
+    factors = factors.reshape(ts.size, 2, 3, n_int, GL_POINTS).transpose(0, 3, 1, 2, 4)
+    blocks = factors.reshape(ts.size, n_int, 2, 3 * GL_POINTS) @ products  # (times, intervals, 2, (order + 1)**2)
+    # the mass from the first time, then each time's stiffness
+    blocks = np.concatenate([blocks[:1, :, 0], blocks[:, :, 1]])
+    index = (np.arange(1 + ts.size)[:, None] * (dim * dim) + tables.scatter).reshape(-1)
+    flat = np.bincount(index, blocks.reshape(-1), minlength=(1 + ts.size) * dim * dim)
+    full = flat.reshape(1 + ts.size, dim, dim)
+    return full[0], full[1:]
+
+
 def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
     """Weak-form matrices at time t.
 
@@ -240,8 +294,8 @@ def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
     coefficient is ``v dlog(phi0)/dx + v_x / 2`` and the reaction term
     collects the base-relative second-derivative terms; both involve only
     polynomial ratios for the Gaussian base.  ``tables`` are the
-    time-invariant basis tables of ``_basis_tables``; ``evolve`` builds them
-    once for all its steps, and without them they are built from the basis.
+    time-invariant basis tables of ``_basis_tables``; without them they are
+    built from the basis.
 
     The integrals are formed one knot interval at a time: the quadrature
     weights times the coefficients at the Gauss points contract the local
@@ -250,30 +304,27 @@ def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
     (diffusion, advection and reaction together) per interval, and the
     blocks are summed into the dense matrices.  This is the Gauss-Legendre
     rule of ``GL_POINTS`` points per interval applied to the full basis,
-    without the products of functions that vanish there.
+    without the products of functions that vanish there.  ``evolve``
+    computes the same matrices for a block of times at once.
     """
-    if t <= 0.0:
-        raise PDEError("coefficients are defined for t > 0")
-    if tables is None:
-        tables = _basis_tables(problem.basis.compiled())
-    xs, ws, products, dim = tables.xs, tables.ws, tables.products, tables.dimension
-    v, vx, g1, e = _base_relative(problem, t, xs)
-    c = 0.5 * vx + v * g1
-    # per interval and Gauss point, the factors of b_a b_b, b_a b_b' and b_a' b_b'
-    factors = np.zeros((2, 3, ws.size))
-    factors[0, 0] = ws
-    factors[1] = ws * e, ws * c, -0.5 * ws * v  # reaction, advection [a, b] = int c b_b' b_a, diffusion
-    n_int = products.shape[0]
-    factors = factors.reshape(2, 3, n_int, GL_POINTS).transpose(2, 0, 1, 3).reshape(n_int, 2, 3 * GL_POINTS)
-    blocks = factors @ products  # (intervals, 2, (order + 1)**2): mass and stiffness blocks
-    flat = np.bincount(tables.scatter, blocks.transpose(1, 0, 2).reshape(-1), minlength=2 * dim * dim)
-    mass_full, stiff_full = flat.reshape(2, dim, dim)
+    mass_full, stiffness = _weak_forms(problem, np.array([t], dtype=float), _tables_of(problem, tables))
     return GalerkinSystem(
         mass=mass_full[1:-1, :],
-        stiffness=stiff_full[1:-1, :],
+        stiffness=stiffness[0, 1:-1, :],
         mass_full=mass_full,
         bandwidth=problem.basis.order,
     )
+
+
+def _integral_rows(problem: PDEProblem, ts: np.ndarray, tables: _StepTables) -> np.ndarray:
+    """The unit-mass and mean rows at each time of ``ts``, ``(ts.size, 2,
+    dimension)``, from one Gaussian moment table over all the base
+    variances (see ``constrain``)."""
+    lo, hi, refs, coeffs = tables.pieces
+    table = normal_moment_table(problem.s0, problem.base_variance * ts[:, None], lo, hi, refs, coeffs.shape[2])
+    mass = np.einsum("jid,sid->sj", coeffs, table[..., :-1])
+    mean = np.einsum("jid,sid->sj", coeffs, table[..., 1:] + refs[:, None] * table[..., :-1])
+    return np.stack([mass, mean], axis=1)
 
 
 def constrain(problem: PDEProblem, t: float, tables=None) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +334,29 @@ def constrain(problem: PDEProblem, t: float, tables=None) -> tuple[np.ndarray, n
     integrates x b_j = ((x - ref) + ref) b_j piece by piece.  The pieces
     come from ``tables`` (see ``assemble``) when given, else from the basis.
     """
-    lo, hi, refs, coeffs = tables.pieces if tables is not None else live_pieces(problem.basis.compiled())
-    table = problem.base_density(t).moment_table(lo, hi, refs, coeffs.shape[2])
-    mass_row = np.einsum("jid,id->j", coeffs, table[:, :-1])
-    mean_row = np.einsum("jid,id->j", coeffs, table[:, 1:] + refs[:, None] * table[:, :-1])
+    mass_row, mean_row = _integral_rows(problem, np.array([t], dtype=float), _tables_of(problem, tables))[0]
     return mass_row, mean_row
+
+
+def _boundary_operators(problem: PDEProblem, ts: np.ndarray, tables: _StepTables) -> np.ndarray:
+    """The strong-form operator rows at the two boundary knots at each time
+    of ``ts``, ``(ts.size, 2, dimension)`` (see ``collocation_rows``)."""
+    B0, B1, B2 = tables.B0, tables.B1, tables.B2
+    v, vx, g1, e = _base_relative(problem, ts, tables.pts)
+    c_strong = vx + v * g1  # strong-form advection (no integration by parts)
+    return 0.5 * v[..., None] * B2 + c_strong[..., None] * B1 + e[..., None] * B0
+
+
+def collocation_rows(problem: PDEProblem, t: float, tables=None) -> tuple[np.ndarray, np.ndarray]:
+    """Value rows and strong-form operator rows at the two boundary knots.
+
+    These close the banded test system: the equation itself is imposed
+    pointwise where the integral conditions cannot yet see the wings.  The
+    basis and its derivatives at the knots come from ``tables`` (see
+    ``assemble``) when given, else from the basis.
+    """
+    tables = _tables_of(problem, tables)
+    return tables.B0, _boundary_operators(problem, np.array([t], dtype=float), tables)[0]
 
 
 _BAND_LAYOUTS: dict = {}  # (size, bandwidth) -> _band_layout, kept for the few sizes in use
@@ -295,7 +364,7 @@ _BAND_LAYOUTS: dict = {}  # (size, bandwidth) -> _band_layout, kept for the few 
 
 def _band_layout(r: int, bandwidth: int):
     """The outside-band mask of an ``r x r`` block, the (row, column)
-    indices of its in-band entries and their rows in LAPACK gbsv band
+    indices of its in-band entries and their rows in LAPACK gbtrf band
     storage ``ab[2 bw + i - j, j]`` (the top ``bw`` rows take the LU
     fill-in), built once per size and bandwidth and read-only."""
     key = (r, bandwidth)
@@ -312,6 +381,72 @@ def _band_layout(r: int, bandwidth: int):
     return layout
 
 
+class _BorderedLU(NamedTuple):
+    """A stack of factored bordered systems (see ``solve_bordered_banded``);
+    entry s of each field belongs to system s."""
+
+    bandwidth: int
+    lu: list  # the gbtrf band factors of each interior block (empty without an interior)
+    piv: list  # their pivots
+    inner: np.ndarray  # (n, 2, r): the border rows on the interior columns
+    wings: np.ndarray  # (n, r, 2): each interior block solved against its two wing columns
+    schur: np.ndarray  # (n, 2, 2): the Schur complement of the wing unknowns
+
+
+def _factor_bordered(band: np.ndarray, border: np.ndarray, bandwidth: int) -> _BorderedLU:
+    """Factor the systems ``[band[s]; border[s]]`` of a stack: the banded
+    LU of each interior block (LAPACK ``dgbtrf``), its solves against the
+    two wing columns (``dgbtrs``) and the 2 x 2 Schur complement.  A zero
+    pivot raises ``PDEError``, and so does an interior entry outside the
+    bandwidth or a stack of the wrong shape."""
+    from scipy.linalg.lapack import dgbtrf, dgbtrs  # here, so that importing pde does not load scipy.linalg
+
+    n, r, d = band.shape
+    if border.shape != (n, 2, d) or r + 2 != d:
+        raise PDEError("bordered system is not square")
+    outside, i, j, ab_rows = _band_layout(r, bandwidth)
+    if np.any(band[:, :, 1:-1][:, outside]):
+        raise PDEError("interior block is wider than the bandwidth")
+    lus, pivs = [], []
+    # wings[s].T, Fortran-ordered, holds system s's two wing columns and then
+    # their interior solves
+    wings = np.empty((n, 2, r))
+    wings[:, 0], wings[:, 1] = band[:, :, 0], band[:, :, -1]
+    if r:  # gbtrf rejects an empty system; without an interior only the wings remain
+        # ab[s].T is the Fortran-ordered band storage of system s, which gbtrf overwrites
+        ab = np.zeros((n, r, 3 * bandwidth + 1))
+        ab[:, j, ab_rows] = band[:, i, j + 1]
+        for s in range(n):
+            lu, piv, info = dgbtrf(ab[s].T, bandwidth, bandwidth, overwrite_ab=True)
+            if info != 0:
+                raise PDEError("bordered system is singular")
+            y, _ = dgbtrs(lu, bandwidth, bandwidth, wings[s].T, piv, overwrite_b=True)
+            wings[s] = y.T
+            lus.append(lu)
+            pivs.append(piv)
+    wings = wings.transpose(0, 2, 1)
+    inner = border[:, :, 1:-1]
+    schur = border[:, :, [0, -1]] - inner @ wings
+    return _BorderedLU(bandwidth, lus, pivs, inner, wings, schur)
+
+
+def _solve_factored(f: _BorderedLU, s: int, rhs_band: np.ndarray, rhs_border: np.ndarray) -> np.ndarray:
+    """Solve system s of a factored stack for one right-hand side: the
+    interior block by ``dgbtrs``, the wings by the Schur complement, then
+    the interior by back-substitution."""
+    y = rhs_band
+    if f.lu:
+        from scipy.linalg.lapack import dgbtrs
+
+        y, _ = dgbtrs(f.lu[s], f.bandwidth, f.bandwidth, rhs_band[:, None], f.piv[s])
+        y = y[:, 0]
+    try:
+        wings = np.linalg.solve(f.schur[s], rhs_border - f.inner[s] @ y)
+    except np.linalg.LinAlgError as exc:
+        raise PDEError("bordered system is singular") from exc
+    return np.concatenate([wings[:1], y - f.wings[s] @ wings, wings[1:]])
+
+
 def solve_bordered_banded(
     band: np.ndarray,
     border: np.ndarray,
@@ -324,57 +459,19 @@ def solve_bordered_banded(
 
     The unknowns split into the interior block ``x[1:-1]`` and the two wing
     columns.  The square interior block ``band[:, 1:-1]``, with ``bandwidth``
-    sub- and super-diagonals, takes one banded LU (LAPACK ``dgbsv``, called
-    directly) for three right-hand sides: ``rhs_band`` and the two wing
-    columns.  The border rows then reduce to a 2 x 2 Schur complement for
-    the wing weights, and the interior follows by back-substitution.  The
-    interior block must be nonsingular, since the LU pivots only inside it
-    and never across the border rows; in ``evolve`` it is the symmetric
+    sub- and super-diagonals, takes one banded LU (LAPACK ``dgbtrf``, called
+    directly), which solves the two wing columns and ``rhs_band``
+    (``dgbtrs``).  The border rows then reduce to a 2 x 2 Schur complement
+    for the wing weights, and the interior follows by back-substitution.
+    The interior block must be nonsingular, since the LU pivots only inside
+    it and never across the border rows; in ``evolve`` it is the symmetric
     positive definite interior mass block minus ``theta dt`` times the
     stiffness.  A zero pivot in either solve raises ``PDEError``, and so
     does an interior entry outside the bandwidth.  The inputs are not
     checked for finiteness: a non-finite entry gives a non-finite answer.
+    ``evolve`` factors its step systems ahead and solves each once.
     """
-    from scipy.linalg.lapack import dgbsv  # here, so that importing pde does not load scipy.linalg
-
-    r, d = band.shape
-    if border.shape != (2, d) or r + 2 != d:
-        raise PDEError("bordered system is not square")
-    interior = band[:, 1:-1]
-    outside, i, j, ab_rows = _band_layout(r, bandwidth)
-    if np.any(interior[outside]):
-        raise PDEError("interior block is wider than the bandwidth")
-    y = np.column_stack([rhs_band, band[:, 0], band[:, -1]])
-    if r:  # gbsv rejects an empty system; without an interior only the wings remain
-        ab = np.zeros((3 * bandwidth + 1, r))
-        ab[ab_rows, j] = interior[i, j]
-        _, _, y, info = dgbsv(bandwidth, bandwidth, ab, y, overwrite_ab=True, overwrite_b=True)
-        if info != 0:
-            raise PDEError("bordered system is singular")
-    inner = border[:, 1:-1]
-    schur = border[:, [0, -1]] - inner @ y[:, 1:]
-    try:
-        wings = np.linalg.solve(schur, rhs_border - inner @ y[:, 0])
-    except np.linalg.LinAlgError as exc:
-        raise PDEError("bordered system is singular") from exc
-    return np.concatenate([wings[:1], y[:, 0] - y[:, 1:] @ wings, wings[1:]])
-
-
-def collocation_rows(problem: PDEProblem, t: float, tables=None) -> tuple[np.ndarray, np.ndarray]:
-    """Value rows and strong-form operator rows at the two boundary knots.
-
-    These close the banded test system: the equation itself is imposed
-    pointwise where the integral conditions cannot yet see the wings.  The
-    basis and its derivatives at the knots come from ``tables`` (see
-    ``assemble``) when given, else from the basis.
-    """
-    if tables is None:
-        tables = _basis_tables(problem.basis.compiled())
-    pts, B0, B1, B2 = tables.pts, tables.B0, tables.B1, tables.B2
-    v, vx, g1, e = _base_relative(problem, t, pts)
-    c_strong = vx + v * g1  # strong-form advection (no integration by parts)
-    L = 0.5 * v[:, None] * B2 + c_strong[:, None] * B1 + e[:, None] * B0
-    return B0, L
+    return _solve_factored(_factor_bordered(band[None], border[None], bandwidth), 0, rhs_band, rhs_border)
 
 
 @dataclass(frozen=True)
@@ -385,17 +482,52 @@ class Trajectory:
     # (n_times - 1,): per step, ||R w - [1, s0]|| of the mass/mean rows R
     # before the projection, how far the collocation closure drifted
     projection: np.ndarray
+    # (n_times - 1,): per step, max |w| of the accepted weights, which the
+    # blow-up guard holds at or below 1e6
+    max_abs_weight: np.ndarray
 
     def ratio(self, k: int, xs):
         from volspline.bspline import Spline
 
         return Spline(self.problem.basis, self.weights[k])(np.asarray(xs, dtype=float))
 
+    def ratios(self, xs) -> np.ndarray:
+        """``ratio(k, xs)`` of every time k, one row each; the points are
+        located once for all the times."""
+        return self.problem.basis.compiled().spline_rows(self.weights, xs)
+
     def density(self, k: int, xs):
         t = float(self.times[k])
         if t <= 0.0:
             raise PDEError("density at t = 0 is the initial Dirac mass")
         return self.ratio(k, xs) * self.problem.base_density(t).density(xs)
+
+
+class _StepOperators(NamedTuple):
+    """What a block of steps needs that does not depend on the weights."""
+
+    rhs_band: np.ndarray  # (n, r, d): A + (1 - theta) dt B, applied to the weights
+    rhs_border: np.ndarray  # (n, 2, d): the collocation rows' explicit part
+    lhs: _BorderedLU  # the factored implicit part
+    rows: np.ndarray  # (n, 2, d): the mass and mean rows at each step's end
+    gram: np.ndarray  # (n, 2, 2): rows @ rows.T
+
+
+def _step_operators(problem: PDEProblem, tables: _StepTables, times: np.ndarray, theta: np.ndarray) -> _StepOperators:
+    """The operators of the steps ``times[m] -> times[m + 1]``, step m with
+    implicitness ``theta[m]``, every coefficient at the step's midpoint and
+    the mass/mean rows at its end."""
+    t0, t1 = times[:-1], times[1:]
+    dt = t1 - t0
+    tm = 0.5 * (t0 + t1)
+    mass_full, stiffness = _weak_forms(problem, tm, tables)
+    A, B = mass_full[1:-1, :], stiffness[:, 1:-1, :]
+    vals, op = tables.B0, _boundary_operators(problem, tm, tables)
+    implicit = (theta * dt)[:, None, None]
+    explicit = ((1.0 - theta) * dt)[:, None, None]
+    lhs = _factor_bordered(A - implicit * B, vals - implicit * op, problem.basis.order)
+    rows = _integral_rows(problem, t1, tables)
+    return _StepOperators(A + explicit * B, vals + explicit * op, lhs, rows, rows @ rows.transpose(0, 2, 1))
 
 
 def evolve(
@@ -411,17 +543,30 @@ def evolve(
     The matrices are evaluated at each step's midpoint, which keeps the
     trapezoidal scheme second order and avoids the coefficient singularity
     at t = 0.  Mass and mean are re-imposed exactly after every step, and
-    the size of each correction is recorded in ``Trajectory.projection``.
-    The time-invariant basis tables are built once and shared by every
-    step's ``assemble``, ``collocation_rows`` and ``constrain``.  An
-    unknown ``scheme`` is a ``ConfigError``.
+    the size of each correction is recorded in ``Trajectory.projection``;
+    ``Trajectory.max_abs_weight`` records the largest weight of each step,
+    which must stay below ``1e6``.
+
+    The time-invariant basis tables are built once.  The steps are taken in
+    blocks of 10: a block's operators (weak form, collocation
+    rows, mass/mean rows) are computed for all its times at once and its
+    step systems factored before it is marched, so a block that cannot be
+    formed fails before its first step.  Each step's weights are those of
+    composing ``assemble``, ``collocation_rows``, ``solve_bordered_banded``
+    and ``constrain``, bit for bit.  An unknown ``scheme`` or fewer than
+    one step is a ``ConfigError``.
     """
     theta = {"explicit": 0.0, "implicit": 1.0, "cn": 0.5}.get(scheme)
     if theta is None:
         raise ConfigError(f"unknown scheme {scheme!r}; expected 'explicit', 'implicit' or 'cn'")
+    if not steps >= 1:
+        raise ConfigError(f"steps must be at least 1, got {steps!r}")
     basis = problem.basis
     dim = basis.dimension
     times = np.linspace(0.0, problem.horizon, steps + 1)
+    thetas = np.full(steps, theta)
+    if scheme == "cn":
+        thetas[: max(rannacher, 0)] = 1.0
 
     # startup check: the truncated basis must reproduce the constant 1
     g = basis.knots.knots
@@ -431,36 +576,29 @@ def evolve(
         raise PDEError("basis does not represent the constant initial ratio exactly")
 
     tables = _basis_tables(basis.compiled())
-    sys0 = assemble(problem, 0.5 * (times[0] + times[1]), tables=tables)
-    A = sys0.mass
+    target = np.array([1.0, problem.s0])
     W = np.empty((times.size, dim))
     projection = np.empty(steps)
+    max_abs = np.empty(steps)
     W[0] = 1.0
     w = W[0].copy()
-    for m in range(times.size - 1):
-        th = 1.0 if m < rannacher and scheme == "cn" else theta
-        t0, t1 = times[m], times[m + 1]
-        dt = t1 - t0
-        tm = 0.5 * (t0 + t1)
-        B = assemble(problem, tm, tables=tables).stiffness
-        vals_rows, op_rows = collocation_rows(problem, tm, tables=tables)
-        lhs_band = A - th * dt * B
-        rhs_band = (A + (1.0 - th) * dt * B) @ w
-        lhs_bc = vals_rows - th * dt * op_rows
-        rhs_bc = (vals_rows + (1.0 - th) * dt * op_rows) @ w
-        w_new = solve_bordered_banded(lhs_band, lhs_bc, rhs_band, rhs_bc, sys0.bandwidth)
-        # exact mass/mean projection: the integral conditions hold at every
-        # accepted step by construction
-        mass_row, mean_row = constrain(problem, t1, tables=tables)
-        R = np.vstack([mass_row, mean_row])
-        resid = R @ w_new - np.array([1.0, problem.s0])
-        projection[m] = np.linalg.norm(resid)
-        w_new = w_new - R.T @ np.linalg.solve(R @ R.T, resid)
-        if not np.all(np.isfinite(w_new)) or np.abs(w_new).max() > 1e6:
-            msg = f"weights blew up at step {m + 1} (t={t1:g})"
-            if th == 0.0:
-                msg += "; the explicit scheme violates its stability bound"
-            raise PDEError(msg)
-        w = w_new
-        W[m + 1] = w
-    return Trajectory(times=times, weights=W, problem=problem, projection=projection)
+    for start in range(0, steps, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, steps)
+        ops = _step_operators(problem, tables, times[start : stop + 1], thetas[start:stop])
+        for s, m in enumerate(range(start, stop)):
+            w_new = _solve_factored(ops.lhs, s, ops.rhs_band[s] @ w, ops.rhs_border[s] @ w)
+            # exact mass/mean projection: the integral conditions hold at every
+            # accepted step by construction
+            R = ops.rows[s]
+            resid = R @ w_new - target
+            projection[m] = math.sqrt(resid.dot(resid))
+            w_new = w_new - R.T @ np.linalg.solve(ops.gram[s], resid)
+            max_abs[m] = peak = np.abs(w_new).max()
+            if not peak <= _BLOWUP:  # also NaN
+                msg = f"weights blew up at step {m + 1} (t={times[m + 1]:g}, max |w| = {peak:.3g})"
+                if thetas[m] == 0.0:
+                    msg += "; the explicit scheme violates its stability bound"
+                raise PDEError(msg)
+            w = w_new
+            W[m + 1] = w
+    return Trajectory(times=times, weights=W, problem=problem, projection=projection, max_abs_weight=max_abs)

@@ -26,6 +26,7 @@ from volspline.bspline import gauss_legendre_rule
 __all__ = [
     "PriorError",
     "BachelierPrior",
+    "normal_moment_table",
     "LogNormalPrior",
     "SSVIParams",
     "SSVISlice",
@@ -85,6 +86,20 @@ def _gauss_power_moments(alpha, beta, shift, nmax: int) -> np.ndarray:
     return out
 
 
+def normal_moment_table(mean: float, variance, lo, hi, ref, deg: int) -> np.ndarray:
+    """``BachelierPrior(mean, variance).moment_table(lo, hi, ref, deg)`` for
+    one variance or for many at once: an array of variances broadcasts
+    against the intervals, so a column of n variances gives n stacked
+    tables, each equal bit for bit to the table of its variance alone."""
+    variance = np.asarray(variance, dtype=float)
+    if np.any(variance <= 0.0):
+        raise PriorError("variance must be positive")
+    lo, hi, ref = _table_args(lo, hi, ref, deg)
+    s = np.sqrt(variance)
+    mom = _gauss_power_moments((lo - mean) / s, (hi - mean) / s, (mean - ref) / s, deg)
+    return mom * s[..., None] ** np.arange(deg + 1)
+
+
 @dataclass(frozen=True)
 class BachelierPrior:
     """Normal law in price (or any linear) units."""
@@ -106,10 +121,7 @@ class BachelierPrior:
 
     def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
         """Integrals of (x - ref_i)^d over [lo_i, hi_i] for d <= deg."""
-        lo, hi, ref = _table_args(lo, hi, ref, deg)
-        s = self.sigma
-        mom = _gauss_power_moments((lo - self.mean) / s, (hi - self.mean) / s, (self.mean - ref) / s, deg)
-        return mom * s ** np.arange(deg + 1)
+        return normal_moment_table(self.mean, self.variance, lo, hi, ref, deg)
 
     def piece_integral(self, a: float, b: float, coeffs, ref: float) -> float:
         """Integral over [a, b] of the polynomial sum_d coeffs[d] (x - ref)^d."""

@@ -143,9 +143,9 @@ class RegressionConfig:
 
     def __post_init__(self) -> None:
         if self.penalty_order < 1:
-            raise ValueError("penalty order must be at least 1")
+            raise ValueError(f"penalty_order must be at least 1, got {self.penalty_order!r}")
         if self.tikhonov_constant <= 0.0:
-            raise ValueError("Tikhonov constant must be positive")
+            raise ValueError(f"tikhonov_constant must be positive, got {self.tikhonov_constant!r}")
         if self.basis.truncation >= self.penalty_order:
             raise SplineError(
                 "penalty diverges: basis truncation must be below the penalty order"

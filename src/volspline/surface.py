@@ -302,7 +302,10 @@ class SurfaceConfig:
 
     def __post_init__(self) -> None:
         if self.n_knots < self.order + 2:
-            raise ValueError("need at least order + 2 knots for a nonempty truncated basis")
+            raise ValueError(
+                f"n_knots must be at least order + 2 = {self.order + 2} for a nonempty truncated basis, "
+                f"got {self.n_knots!r}"
+            )
 
 
 @dataclass(frozen=True)

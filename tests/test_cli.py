@@ -238,3 +238,27 @@ def test_unknown_or_incomplete_option_exits_2(tmp_path, capsys, monkeypatch, com
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "command, config, setting, named",
+    [
+        ("pde-evolve", "pde_ratio.json", "steps=0", "steps"),
+        ("pde-evolve", "pde_ratio.json", "steps=-3", "steps"),
+        ("pde-evolve", "pde_ratio.json", "horizon=0", "'horizon'"),
+        ("pde-evolve", "pde_ratio.json", "base_variance=-1", "'base_variance'"),
+        ("pde-evolve", "pde_ratio.json", "knots=3", "'knots'"),
+        ("pde-evolve", "pde_ratio.json", "order=0", "'order'"),
+        ("pde-evolve", "pde_ratio.json", "half_width_stds=0", "'half_width_stds'"),
+        ("pde-evolve", "pde_ratio.json", "grid_size=-1", "'grid_size'"),
+        ("surface-calibrate", "surface_synthetic.json", "config.n_knots=3", "n_knots"),
+        ("regress", "regress_demo.json", "penalty_order=0", "penalty_order"),
+        ("regress", "regress_demo.json", "truncation=5", "truncation"),
+    ],
+)
+def test_config_value_out_of_range_exits_2(tmp_path, capsys, monkeypatch, command, config, setting, named):
+    monkeypatch.chdir(REPO)  # the shipped surface config names its quotes file relative to the root
+    argv = [command, "--config", str(REPO / "configs" / config), "--out", str(tmp_path / "out"), "--set", setting]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and named in err

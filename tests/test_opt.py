@@ -336,7 +336,7 @@ def equilibrate_row_by_row(G, h, A, b, f, P, ml, socs, sweeps=6):
         a /= np.sqrt(np.maximum(np.abs((a[:, None] * A) * d).max(axis=1, initial=0.0), 1e-12))
     fs, Ps = d * f, (d[:, None] * P) * d
     obj_scale = max(np.abs(fs).max(), np.abs(Ps).max(axis=0).mean(), 1e-12)
-    return (e[:, None] * G) * d, e * h, (a[:, None] * A) * d, a * b, fs / obj_scale, Ps / obj_scale, d, e
+    return (e[:, None] * G) * d, e * h, (a[:, None] * A) * d, a * b, fs / obj_scale, Ps / obj_scale, d
 
 
 def test_orthant_rows_scale_as_one_block():
@@ -349,7 +349,9 @@ def test_orthant_rows_scale_as_one_block():
     B = rng.standard_normal((n, n))
     P = B @ B.T
     got = opt._equilibrate(G, h, A, b, f, P, opt._Cones(ml, socs))
-    for x, y in zip(got, equilibrate_row_by_row(G, h, A, b, f, P, ml, socs)):
+    want = equilibrate_row_by_row(G, h, A, b, f, P, ml, socs)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
         np.testing.assert_array_equal(x, y)
 
 

@@ -276,6 +276,101 @@ class TestEvolve:
         assert np.all(np.isfinite(traj.projection)) and np.all(traj.projection >= 0.0)
 
 
+class FadingVariance(pde.VarianceCoef):
+    """v(t, x) = V0 (1 - t / t_zero): equal to the base variance at t = 0 and
+    nonpositive from t_zero on; t may be a float or a column of times."""
+
+    def __init__(self, t_zero: float):
+        self.t_zero = t_zero
+
+    def value(self, t, x):
+        return V0 * (1.0 - np.asarray(t, dtype=float) / self.t_zero) + np.zeros_like(np.asarray(x, dtype=float))
+
+    def dx(self, t, x):
+        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
+
+    dxx = dx
+
+
+def public_march(prob, steps, scheme="cn", rannacher=2):
+    """Weights and projection sizes of ``steps`` steps composed from the
+    public step functions, each building its own tables."""
+    times = np.linspace(0.0, prob.horizon, steps + 1)
+    A = pde.assemble(prob, 0.5 * (times[0] + times[1])).mass
+    w = np.ones(prob.basis.dimension)
+    weights, proj = [w], []
+    for m in range(steps):
+        th = {"explicit": 0.0, "implicit": 1.0, "cn": 0.5}[scheme]
+        th = 1.0 if scheme == "cn" and m < rannacher else th
+        dt, tm = times[m + 1] - times[m], 0.5 * (times[m] + times[m + 1])
+        B = pde.assemble(prob, tm).stiffness
+        vals, op = pde.collocation_rows(prob, tm)
+        w = pde.solve_bordered_banded(
+            A - th * dt * B, vals - th * dt * op, (A + (1 - th) * dt * B) @ w, (vals + (1 - th) * dt * op) @ w,
+            prob.basis.order,
+        )
+        R = np.vstack(pde.constrain(prob, times[m + 1]))
+        resid = R @ w - np.array([1.0, prob.s0])
+        proj.append(np.linalg.norm(resid))
+        w = w - R.T @ np.linalg.solve(R @ R.T, resid)
+        weights.append(w)
+    return np.array(weights), np.array(proj)
+
+
+class TestBatchedEvolve:
+    def _problem(self, coef, n_knots=25, horizon=1.0):
+        half = 5.0 * np.sqrt(V0 * horizon)
+        basis = bs.make_basis(np.linspace(S0 - half, S0 + half, n_knots), 3, truncation=0)
+        return pde.PDEProblem(coef, V0, S0, basis, horizon)
+
+    def test_time_dependent_variance_matches_the_public_step(self):
+        # positive over the whole horizon; evolve asks for every block's times at once
+        prob = self._problem(FadingVariance(4.0))
+        traj = pde.evolve(prob, 23)
+        weights, proj = public_march(prob, 23)
+        assert np.array_equal(traj.weights, weights) and np.array_equal(traj.projection, proj)
+
+    def test_variance_turning_nonpositive_mid_march_raises(self):
+        # the midpoint of step 6 of 10 is t = 0.55, past the variance's zero at 0.5
+        prob = self._problem(FadingVariance(0.5))
+        with pytest.raises(pde.PDEError, match="local variance must be positive"):
+            pde.evolve(prob, 10)
+        with pytest.raises(pde.PDEError, match="local variance must be positive"):
+            pde.evolve(prob, 25)  # at step 13, in the second block of steps
+
+    def test_one_step(self):
+        prob = ratio_problem(0.9, n_knots=25)
+        traj = pde.evolve(prob, 1)
+        assert traj.weights.shape == (2, prob.basis.dimension)
+        assert traj.projection.shape == traj.max_abs_weight.shape == (1,)
+        weights, proj = public_march(prob, 1)
+        assert np.array_equal(traj.weights, weights) and np.array_equal(traj.projection, proj)
+        mass_row, mean_row = pde.constrain(prob, 1.0)
+        assert abs(mass_row @ traj.weights[1] - 1.0) <= 1e-8
+        assert abs(mean_row @ traj.weights[1] - S0) <= 1e-8 * S0
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_fewer_than_one_step(self, steps):
+        with pytest.raises(pde.ConfigError, match="steps must be at least 1"):
+            pde.evolve(ratio_problem(0.9, n_knots=25), steps)
+
+    def test_max_abs_weight_is_the_guarded_value(self):
+        prob = ratio_problem(0.9, n_knots=25)
+        traj = pde.evolve(prob, 30)
+        assert np.array_equal(traj.max_abs_weight, np.abs(traj.weights[1:]).max(axis=1))
+        assert np.all(traj.max_abs_weight < 1e6)
+
+    def test_ratios_are_ratio_at_every_time(self):
+        prob = ratio_problem(0.9, n_knots=25)
+        traj = pde.evolve(prob, 12)
+        g = prob.basis.knots.knots
+        xs = np.concatenate([np.linspace(g[0] - 30.0, g[-1] + 30.0, 77), g])
+        rows = traj.ratios(xs)
+        assert rows.shape == (traj.times.size, xs.size)
+        for k in range(traj.times.size):
+            assert np.array_equal(rows[k], traj.ratio(k, xs))
+
+
 class TestConvergence:
     def test_spatial_halving(self):
         xs = np.linspace(S0 - 3 * np.sqrt(V0), S0 + 3 * np.sqrt(V0), 101)

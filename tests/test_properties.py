@@ -636,3 +636,41 @@ def test_pde_weak_form_is_the_dense_rule_and_evolve_keeps_mass_and_mean(data, or
     for k in range(1, traj.times.size):
         m, mu = _ratio_mass_and_mean(traj, k)
         assert abs(m - 1.0) <= 1e-8 and abs(mu - problem.s0) <= 1e-8 * problem.s0
+
+
+@settings(SETTINGS)
+@given(data=st.data(), order=st.integers(1, 3), affine=st.booleans(), uniform=st.booleans(),
+       scheme=st.sampled_from(["explicit", "implicit", "cn"]), steps=st.integers(1, 30))
+def test_pde_batched_step_tables_are_the_public_functions_bit_for_bit(data, order, affine, uniform, scheme, steps):
+    """evolve builds the weak form, collocation rows, mass/mean rows and
+    factored step systems for many times at once; on a random time grid
+    each step's share equals the public single-time functions, bit for bit."""
+    problem = _pde_problem(data, order, affine, uniform)
+    gaps = data.draw(st.lists(st.floats(1e-3, 0.2), min_size=steps, max_size=steps))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    thetas = np.full(steps, {"explicit": 0.0, "implicit": 1.0, "cn": 0.5}[scheme])
+    if scheme == "cn":
+        thetas[: data.draw(st.integers(0, 3))] = 1.0
+    tables = pde._basis_tables(problem.basis.compiled())
+    mids = 0.5 * (times[:-1] + times[1:])
+    mass_full, stiffness = pde._weak_forms(problem, mids, tables)
+    operators = pde._boundary_operators(problem, mids, tables)
+    rows = pde._integral_rows(problem, times[1:], tables)
+    ops = pde._step_operators(problem, tables, times, thetas)
+    rng = np.random.default_rng(steps)
+    for m in range(steps):
+        th, dt, tm = thetas[m], times[m + 1] - times[m], mids[m]
+        system = pde.assemble(problem, tm)
+        vals, op = pde.collocation_rows(problem, tm)
+        R = np.vstack(pde.constrain(problem, times[m + 1]))
+        assert np.array_equal(mass_full, system.mass_full)
+        assert np.array_equal(stiffness[m, 1:-1], system.stiffness)
+        assert np.array_equal(operators[m], op)
+        assert np.array_equal(rows[m], R)
+        A, B = system.mass, system.stiffness
+        assert np.array_equal(ops.rhs_band[m], A + (1.0 - th) * dt * B)
+        assert np.array_equal(ops.rhs_border[m], vals + (1.0 - th) * dt * op)
+        assert np.array_equal(ops.rows[m], R) and np.array_equal(ops.gram[m], R @ R.T)
+        rb, rbb = rng.standard_normal(A.shape[0]), rng.standard_normal(2)
+        x = pde.solve_bordered_banded(A - th * dt * B, vals - th * dt * op, rb, rbb, problem.basis.order)
+        assert np.array_equal(pde._solve_factored(ops.lhs, m, rb, rbb), x)
