@@ -330,10 +330,11 @@ def cmd_slv_calibrate(r: Runner) -> None:
 
 
 def _read_quotes_csv(path: Path):
-    """maturity,strike,type,bid,ask rows grouped into per-maturity slices."""
+    """maturity,strike,type,bid,ask rows grouped into per-maturity slices,
+    each quote with the CSV line it came from (see ``_quote``)."""
     if not path.exists():
         raise ConfigError(f"quotes file {path} does not exist")
-    groups: dict[float, list[sf.Quote]] = {}
+    groups: dict[float, list[tuple[str, sf.Quote]]] = {}
     for i, line in enumerate(path.read_text(encoding="utf-8").strip().splitlines(), start=1):
         if i == 1 and line.lower().replace(" ", "").startswith("maturity"):
             continue
@@ -351,10 +352,11 @@ def _read_quotes_csv(path: Path):
     return groups
 
 
-def _quote(strike: float, bid: float, ask: float, is_call: bool, where: str) -> sf.Quote:
+def _quote(strike: float, bid: float, ask: float, is_call: bool, where: str) -> tuple[str, sf.Quote]:
+    """``(where, quote)``: a quote and the place that named it, for later errors."""
     try:
-        return sf.Quote(strike, bid, ask, is_call=is_call)
-    except ValueError as exc:  # bid above ask
+        return where, sf.Quote(strike, bid, ask, is_call=is_call)
+    except ValueError as exc:  # a non-finite or negative value, or bid above ask
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -398,13 +400,17 @@ def cmd_surface_calibrate(r: Runner) -> None:
     market = []
     for T in maturities:
         F = _forward_at(cfg, T)
+        quoted = groups.get(T, [])
         # a nonpositive maturity or forward, or a prior that cannot serve the
         # slice (an SSVI forward mismatch), is a config error
         try:
-            market.append(sf.MarketSlice(T, F, tuple(groups.get(T, ()))))
-            sf.slice_measure(prior, T, F)
+            market.append(sf.MarketSlice(T, F, tuple(q for _, q in quoted)))
+            coordinate = sf.slice_measure(prior, T, F).coordinate
         except ValueError as exc:
             raise ConfigError(f"maturity {T!r}: {exc}") from exc
+        for where, q in quoted:
+            if coordinate == "log-moneyness" and q.strike <= 0.0:
+                raise ConfigError(f"{where}: strike {q.strike!r} has no log-moneyness; it must be positive")
     if isinstance(prior, pr.SSVIParams):  # a base model that admits arbitrage is a poor base
         report = pr.validate_ssvi(prior, (maturities[0], maturities[-1]))
         if not report.passed:

@@ -561,6 +561,10 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
       its Newton iterations.  ``infeasible`` and ``max_iter`` come only
       from it.
 
+    Non-finite data (in ``P``, ``f``, ``A``, ``b``, or in ``G`` and ``h``
+    with the cone blocks stacked below the orthant rows) is an
+    ``OptError`` naming the array, raised before any route runs.
+
     A status other than ``optimal`` is a report, not an answer: its ``x``
     is the last or best iterate, for diagnostics only.  The front ends
     raise on it (``regression.solution_weights``).
@@ -568,6 +572,9 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
     n = prog.n
     G, h, cones = _standard_form(prog)
     A, b, f, P = prog.A_eq, prog.b_eq, prog.f, prog.P
+    for name, data in (("P", P), ("f", f), ("G", G), ("h", h), ("A", A), ("b", b)):
+        if not np.isfinite(data).all():
+            raise OptError(f"solver data {name} has non-finite entries")
     p = A.shape[0]
     m = cones.m
 

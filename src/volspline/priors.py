@@ -8,13 +8,18 @@ pricing rows are contractions of that table with the compiled piecewise
 polynomial coefficients.  Gaussian tables are closed form, and a
 lognormal enters through the Gaussian law of its logarithm (``log_law``);
 the SSVI slice has its table in log-moneyness only (``log_moment_table``),
-integrated on one composite Gauss-Legendre grid.  ``prior_from_json``
-reads a prior from its JSON config.
+integrated on one composite Gauss-Legendre grid.  An ``SSVISlice`` builds
+that grid, and the moments of its whole cells for each weight, once, and
+keeps them for as long as the slice object lives; every table after the
+first of a weight integrates only its own partial cells.  No cache is
+shared between slices or kept at module level.  ``prior_from_json`` reads
+a prior from its JSON config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Callable
 
@@ -307,28 +312,52 @@ _SSVI_CELLS = 200
 _SSVI_NODES = 8
 
 
-def _composite_table(edges, weight, lo, hi, ref, deg: int) -> np.ndarray:
+class _CompositeCells:
+    """What a composite Gauss-Legendre table needs of its whole cells.
+
+    One weight on the cells of ``edges``: the node offsets from each cell
+    centre and the node masses ``half * w_i * weight(node)``, from one
+    evaluation of ``weight`` on every node, and the cell moments about the
+    centres, each degree summed once when first asked for.  Nothing here
+    depends on a query's intervals.
+    """
+
+    def __init__(self, edges: np.ndarray, weight: Callable):
+        xs, ws = gauss_legendre_rule(_SSVI_NODES)
+        self.edges = edges
+        self.mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        nodes = self.mid[:, None] + half[:, None] * xs
+        self._local = nodes - self.mid[:, None]
+        self._mass = half[:, None] * ws * weight(nodes)
+        self._moments: list[np.ndarray] = []  # degree j: one value per cell
+
+    def moments(self, deg: int) -> np.ndarray:
+        """Moments of degree 0..deg of every cell about its centre, (cells, deg + 1)."""
+        for j in range(len(self._moments), deg + 1):
+            self._moments.append((self._mass * self._local**j).sum(axis=1))
+        return np.stack(self._moments[: deg + 1], axis=1)
+
+
+def _composite_table(cells: _CompositeCells, weight: Callable, lo, hi, ref, deg: int) -> np.ndarray:
     """Integrals of (k - ref_i)^d weight(k) dk over [lo_i, hi_i].
 
-    ``edges`` are the cell edges of one composite Gauss-Legendre grid;
-    bounds are clipped to it.  Whole cells enter through their moments
-    about the cell centre, re-expanded about each ``ref`` (no cancellation:
-    the expansion point lies inside the cell); the at most two partial
-    cells of an interval get their own Gauss-Legendre rule.
+    ``cells`` holds the whole cells of one composite Gauss-Legendre grid
+    for the same ``weight``; bounds are clipped to the grid.  Whole cells
+    enter through their moments about the cell centre, re-expanded about
+    each ``ref`` (no cancellation: the expansion point lies inside the
+    cell); the at most two partial cells of an interval get their own
+    Gauss-Legendre rule, evaluating ``weight`` there.
     """
     xs, ws = gauss_legendre_rule(_SSVI_NODES)
+    edges, mid = cells.edges, cells.mid
     lo = np.clip(lo, edges[0], edges[-1])
     hi = np.clip(hi, lo, edges[-1])
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    nodes = mid[:, None] + half[:, None] * xs
-    local = nodes - mid[:, None]
-    mass = half[:, None] * ws * weight(nodes)
-    cell_mom = np.stack([(mass * local**j).sum(axis=1) for j in range(deg + 1)], axis=1)
+    cell_mom = cells.moments(deg)
 
     first = np.searchsorted(edges, lo, side="left")  # first edge >= lo
     last = np.searchsorted(edges, hi, side="right") - 1  # last edge <= hi
-    cells = np.arange(edges.size - 1)
-    whole = (cells >= first[:, None]) & (cells < last[:, None])
+    cell_ids = np.arange(edges.size - 1)
+    whole = (cell_ids >= first[:, None]) & (cell_ids < last[:, None])
     gap = np.where(whole, mid - ref[:, None], 0.0)  # (intervals, cells)
     # shifted[:, m, j] = sum over whole cells of (centre - ref)^m * cell_mom[:, j]
     shifted = np.empty(lo.shape + (deg + 1, deg + 1))
@@ -356,7 +385,11 @@ class SSVISlice:
     """Fixed-maturity marginal of the SSVI surface.
 
     Tables integrate on one composite Gauss-Legendre grid of
-    ``_SSVI_CELLS`` cells in log-moneyness (see ``grid``).
+    ``_SSVI_CELLS`` cells in log-moneyness (see ``grid``).  The slice
+    builds that grid, and the whole-cell part of the table of each weight
+    (the density, and spot times the density), on its first table of that
+    weight and keeps them for as long as it lives; every later table only
+    adds its own partial cells.  Nothing is shared between slices.
     """
 
     params: SSVIParams
@@ -390,20 +423,35 @@ class SSVISlice:
         a = np.arcsinh(cut / s)
         return s * np.sinh(np.linspace(-a, a, _SSVI_CELLS + 1))
 
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        return self.grid()
+
+    @cached_property
+    def _mass_cells(self) -> _CompositeCells:
+        return _CompositeCells(self._edges, self.logm_density)
+
+    @cached_property
+    def _spot_cells(self) -> _CompositeCells:
+        return _CompositeCells(self._edges, self._spot_density)
+
     def density(self, x):
         return ssvi_density(self.params, self.maturity, x)
 
     def logm_density(self, k):
         return ssvi_logm_density(self.params, self.maturity, k)
 
+    def _spot_density(self, k):
+        """Spot S = F e^k times the log-moneyness density."""
+        return self.forward * np.exp(k) * self.logm_density(k)
+
     def log_moment_table(self, lo, hi, ref, deg: int, spot: bool = False) -> np.ndarray:
         """Table in log-moneyness k: integrals of (k - ref_i)^d dQ over
         [lo_i, hi_i], or of (k - ref_i)^d S dQ with S = F e^k when ``spot``."""
         lo, hi, ref = _table_args(lo, hi, ref, deg)
-        F = self.forward
-        weight = (lambda k: F * np.exp(k) * self.logm_density(k)) if spot else self.logm_density
+        cells, weight = (self._spot_cells, self._spot_density) if spot else (self._mass_cells, self.logm_density)
         shape = lo.shape
-        out = _composite_table(self.grid(), weight, lo.ravel(), hi.ravel(), ref.ravel(), deg)
+        out = _composite_table(cells, weight, lo.ravel(), hi.ravel(), ref.ravel(), deg)
         return out.reshape(shape + (deg + 1,))
 
 

@@ -48,6 +48,10 @@ class Quote:
     is_call: bool = True
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite([self.strike, self.bid, self.ask])):
+            raise ValueError(f"strike, bid and ask must be finite, got {self.strike!r}, {self.bid!r}, {self.ask!r}")
+        if self.bid < 0.0:
+            raise ValueError(f"bid must be nonnegative, got {self.bid!r}")
         if self.bid > self.ask:
             raise ValueError("bid exceeds ask")
 
@@ -84,10 +88,24 @@ class _CoordMeasure:
     ``moment_table`` and ``spot_moment_table``: integrals of
     ``(u - ref)^d`` against the measure, and against spot times the
     measure, for arrays of intervals; and ``atm_variance``.
+
+    ``piece_rows`` keeps the per-interval mass and spot rows of the last
+    compiled basis it was asked for, so the quote, calendar, grid and
+    validation rows of one slice share one build.
     """
 
     forward: float
     spot_map: str
+    _pieces: tuple | None = None  # (compiled basis, its mass rows, its spot rows)
+
+    def piece_rows(self, cb: CompiledBasis) -> tuple[np.ndarray, np.ndarray]:
+        """``_piece_rows(cb, self)``, built on the first call with ``cb`` and
+        kept on the measure until it is asked for another compiled basis."""
+        if self._pieces is None or self._pieces[0] is not cb:
+            mass, spot = _piece_rows(cb, self)
+            mass.flags.writeable = spot.flags.writeable = False
+            self._pieces = (cb, mass, spot)
+        return self._pieces[1:]
 
     @property
     def coordinate(self) -> str:
@@ -213,7 +231,7 @@ def _tail_rows(cb: CompiledBasis, measure, strikes: np.ndarray):
     piece.  Returns (mass_row, spot_row, mass_tails, spot_tails), the tails
     with one row per strike.
     """
-    mass, spot = _piece_rows(cb, measure)
+    mass, spot = measure.piece_rows(cb)
     uk = measure.coord_of_strike(strikes)
     idx = np.searchsorted(cb.breakpoints, uk, side="right")
     hi, ref, coeffs = cb.edges[idx + 1], cb.refs[idx], cb.coeffs[:, idx, :]
@@ -574,20 +592,20 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
             mass_tails, spot_tails = _tail_rows(sl.basis.compiled(), sl.measure, K)[2:]
             rel_calls.append((spot_tails - K[:, None] * mass_tails) @ sl.weights)
             rel_slopes.append(-mass_tails @ sl.weights * sl.forward)
+        x0, x1 = rel[:-1], rel[1:]
         for c1, c2, slopes in zip(rel_calls, rel_calls[1:], rel_slopes[1:]):
             cal_worst = min(cal_worst, float(np.min(c2 - c1)))
-            for i in range(rel.size - 1):
-                x0, x1 = rel[i], rel[i + 1]
-                s_lo, s_hi = slopes[i], slopes[i + 1]
-                if s_hi - s_lo <= 1e-14 * max(abs(s_lo), 1.0):
-                    xstar = 0.5 * (x0 + x1)
-                    cu = c2[i] + s_lo * (xstar - x0)
-                else:
-                    xstar = (c2[i + 1] - c2[i] + s_lo * x0 - s_hi * x1) / (s_lo - s_hi)
-                    xstar = min(max(xstar, x0), x1)
-                    cu = c2[i] + s_lo * (xstar - x0)
-                cd = c1[i] + (c1[i + 1] - c1[i]) * (xstar - x0) / (x1 - x0)
-                tangent_worst = min(tangent_worst, float(cu - cd))
+            # per bracket: where the later slice's tangents at both ends meet
+            # (the midpoint where the slopes agree), against the earlier
+            # slice's chord there
+            s_lo, s_hi = slopes[:-1], slopes[1:]
+            flat = s_hi - s_lo <= 1e-14 * np.maximum(np.abs(s_lo), 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                meet = (c2[1:] - c2[:-1] + s_lo * x0 - s_hi * x1) / (s_lo - s_hi)
+            xstar = np.where(flat, 0.5 * (x0 + x1), np.minimum(np.maximum(meet, x0), x1))
+            cu = c2[:-1] + s_lo * (xstar - x0)
+            cd = c1[:-1] + (c1[1:] - c1[:-1]) * (xstar - x0) / (x1 - x0)
+            tangent_worst = min(tangent_worst, float(np.fmin.reduce(cu - cd, initial=np.inf)))  # skips NaN
         checks.append(("calendar monotonicity on fine grid", cal_worst >= -tol, cal_worst, True))
         # sufficient condition between grid points, stronger than what the
         # calibration enforces; may fail without invalidating the fit

@@ -193,6 +193,65 @@ def test_quote_with_bid_above_ask_exits_2(tmp_path, capsys):
     assert err.startswith("error: config: ") and "line 2" in err and "bid exceeds ask" in err
 
 
+@pytest.mark.parametrize(
+    "row, named",
+    [
+        ("1.0,100.0,call,nan,8.0", "must be finite"),  # reached the active set as an IndexError
+        ("1.0,100.0,call,7.9,nan", "must be finite"),
+        ("1.0,inf,call,7.9,8.0", "must be finite"),
+        ("1.0,130.0,call,-0.1,0.2", "bid must be nonnegative"),
+        ("1.0,-5.0,call,104.9,105.1", "strike -5.0 has no log-moneyness"),  # was exit 4, "knots must be finite"
+        ("1.0,0.0,call,99.9,100.1", "strike 0.0 has no log-moneyness"),
+    ],
+)
+def test_bad_quote_exits_2_naming_its_line(tmp_path, capsys, row, named):
+    csv = f"maturity,strike,type,bid,ask\n1.0,90.0,call,11.9,12.1\n{row}\n1.0,110.0,call,3.0,3.2\n"
+    assert cli.main(_surface_argv(tmp_path, {"prior": LOGNORMAL, "forward": 100.0}, csv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: quotes CSV line 3: ") and named in err
+
+
+def test_bad_config_quote_exits_2_naming_it(tmp_path, capsys):
+    quotes = [{"maturity": 1.0, "strike": 100.0, "bid": 7.9, "ask": 8.0},
+              {"maturity": 1.0, "strike": -1.0, "bid": 100.9, "ask": 101.1}]
+    assert cli.main(_surface_argv(tmp_path, {"prior": LOGNORMAL, "forward": 100.0, "quotes": quotes})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: quote 1: ") and "no log-moneyness" in err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
+def test_nonpositive_strike_is_a_price_coordinate_quote(tmp_path):
+    # in price space a strike at or below zero is a quote like any other:
+    # the deep in-the-money call is worth F - K under the Bachelier prior.
+    # (grids.csv's Black implied variance at the grid's negative strikes is
+    # NaN, and implied_vol warns on their log.)
+    prior = {"type": "bachelier", "mean": 100.0, "variance": 400.0}
+    csv = "maturity,strike,type,bid,ask\n1.0,-5.0,call,104.9,105.1\n1.0,100.0,call,7.9,8.1\n"
+    assert cli.main(_surface_argv(tmp_path, {"prior": prior, "forward": 100.0}, csv)) == 0
+
+
+def test_calibrations_in_one_process_write_the_bytes_of_each_alone(tmp_path, monkeypatch):
+    # slice data is kept on each calibration's own measures: calibrating
+    # under SSVI, then the lognormal prior, then SSVI again in one process
+    # writes what each writes alone in a fresh process
+    monkeypatch.chdir(REPO)  # the shipped surface config names its quotes file relative to the root
+    ssvi = {"type": "ssvi", "C": 0.0, "K": 0.04, "rho": -0.2, "eta": 0.5, "gamma": 0.5, "forward_curve": 100.0}
+    base = json.loads((REPO / "configs" / "surface_synthetic.json").read_text(encoding="utf-8"))
+    configs = {}
+    for name, prior in (("lognormal", base["prior"]), ("ssvi", ssvi)):
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps(dict(base, prior=prior)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    for name, config in configs.items():
+        argv = ["surface-calibrate", "--config", str(config), "--out", str(tmp_path / f"alone_{name}")]
+        subprocess.run([sys.executable, "-m", "volspline.cli", *argv], env=env, cwd=REPO, check=True, capture_output=True)
+    for run, name in enumerate(("ssvi", "lognormal", "ssvi")):
+        out = tmp_path / f"run{run}"
+        assert cli.main(["surface-calibrate", "--config", str(configs[name]), "--out", str(out)]) == 0
+        for file in ("surface.json", "grids.csv"):
+            assert (out / file).read_bytes() == (tmp_path / f"alone_{name}" / file).read_bytes(), (run, file)
+
+
 def test_nonpositive_maturity_exits_2(tmp_path, capsys):
     config = {"prior": LOGNORMAL, "forward": 100.0, "maturities": [0.0, 1.0]}
     assert cli.main(_surface_argv(tmp_path, config)) == 2

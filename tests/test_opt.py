@@ -108,6 +108,23 @@ class TestSolveSOCP:
         with pytest.raises(opt.OptError, match="orthant block"):
             opt.SOCProgram(f, h=[1.0])  # a right-hand side without rows
 
+    @pytest.mark.parametrize("name", ["P", "f", "G", "h", "A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, name, bad):
+        # caught before any route runs, not as an IndexError in the active set
+        data = {"P": np.eye(2), "f": np.ones(2), "G": -np.eye(2), "h": np.zeros(2), "A": np.ones((1, 2)), "b": [1.0]}
+        data[name] = np.array(data[name], dtype=float)
+        data[name].flat[0] = bad
+        prog = opt.SOCProgram(data["f"], A_eq=data["A"], b_eq=data["b"], P=data["P"], G=data["G"], h=data["h"])
+        with pytest.raises(opt.OptError, match=f"solver data {name} has non-finite entries"):
+            opt.solve_socp(prog)
+
+    def test_rejects_non_finite_cone_block(self):
+        # a cone block's data is stacked below the orthant rows of G and h
+        cone = opt.ConeBlock(np.eye(2), np.zeros(2), np.zeros(2), np.inf)
+        with pytest.raises(opt.OptError, match="solver data h has non-finite entries"):
+            opt.solve_socp(opt.SOCProgram(np.ones(2), [cone]))
+
     def test_cone_block_is_a_second_order_cone(self):
         with pytest.raises(opt.OptError, match="no rows"):
             opt.ConeBlock(np.zeros((0, 1)), [], [1.0], -1.0)

@@ -294,6 +294,40 @@ def test_ssvi_tables_match_quad(data, T, z, zref, deg):
         assert spot[d] == pytest.approx(want, rel=1e-8, abs=1e-12 * F)
 
 
+def _intervals(data, sd, n):
+    """n random intervals and reference points, in standard deviations sd about 0."""
+    bounds = [_bounds(*data.draw(st.tuples(ends, ends)), 0.0, sd) for _ in range(n)]
+    refs = [data.draw(st.floats(-3.0, 3.0)) * sd for _ in range(n)]
+    return np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds]), np.array(refs)
+
+
+@SETTINGS
+@given(data=st.data(), T=maturities, deg=st.integers(0, 4), spot=st.booleans(), n=st.integers(1, 5))
+def test_ssvi_kept_cells_give_the_fresh_grid_tables(data, T, deg, spot, n):
+    """A slice's table from the cells it keeps equals, bit for bit, the table
+    on cells built from a freshly computed grid, before and after the slice
+    has served other queries: other intervals, other degrees, the other
+    weight."""
+    params = _ssvi(data, T)
+    slc = pr.SSVISlice(params, T)
+    sd = math.sqrt(pr.ssvi_total_variance(params, T, 0.0))
+    lo, hi, ref = _intervals(data, sd, n)
+
+    def fresh(lo, hi, ref, deg, spot):
+        other = pr.SSVISlice(params, T)
+        weight = other._spot_density if spot else other.logm_density
+        return pr._composite_table(pr._CompositeCells(other.grid(), weight), weight, lo, hi, ref, deg)
+
+    want = fresh(lo, hi, ref, deg, spot).tobytes()
+    assert slc.log_moment_table(lo, hi, ref, deg, spot=spot).tobytes() == want
+    for _ in range(data.draw(st.integers(1, 3))):
+        lo2, hi2, ref2 = _intervals(data, sd, data.draw(st.integers(1, 5)))
+        deg2, spot2 = data.draw(st.integers(0, 5)), data.draw(st.booleans())
+        got = slc.log_moment_table(lo2, hi2, ref2, deg2, spot=spot2)
+        assert got.tobytes() == fresh(lo2, hi2, ref2, deg2, spot2).tobytes()
+    assert slc.log_moment_table(lo, hi, ref, deg, spot=spot).tobytes() == want
+
+
 @SETTINGS
 @given(support=st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 10.0)), z=st.tuples(ends, ends),
        ref=st.floats(-5.0, 5.0), deg=st.integers(0, 6))

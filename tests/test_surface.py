@@ -108,6 +108,19 @@ class TestPricingForms:
         ref = quad(integrand, K, 2000.0, epsabs=1e-12, limit=400, points=breakpoints)[0]
         assert forms["call_rows"][0] @ w == pytest.approx(ref, abs=1e-8)
 
+    def test_piece_rows_follow_the_basis(self, lognormal_prior):
+        # a measure keeps the rows of the last compiled basis it priced with,
+        # and builds them again for another
+        measure = sf.slice_measure(lognormal_prior, 1.0)
+        b1 = sf.make_basis(np.linspace(-0.6, 0.6, 11), 3, truncation=0)
+        b2 = sf.make_basis(np.linspace(-0.5, 0.7, 9), 3, truncation=0)
+        for basis in (b1, b2, b1):
+            kept = measure.piece_rows(basis.compiled())
+            fresh = sf._piece_rows(basis.compiled(), measure)
+            assert all(np.array_equal(a, b) for a, b in zip(kept, fresh))
+            assert measure.piece_rows(basis.compiled())[0] is kept[0]
+            assert not kept[0].flags.writeable
+
 
 class TestSliceMeasure:
     """``slice_measure`` at maturities other than 1: variance scales with T."""
@@ -394,6 +407,63 @@ class TestValidation:
         monkeypatch.setattr(sf, "_tail_rows", counting)
         assert sf.validate(calib).passed
         assert built == [0.5, 1.0, 1.5]
+
+    def test_each_slice_integrated_once(self, monkeypatch):
+        # the composite grid's full node set is weighted once per slice and
+        # weight (density, spot times density), and the whole-line piece rows
+        # are built once per basis and measure, for the calibration, its
+        # grid pricing and validate together
+        params = pr.SSVIParams(C=0.0, K=0.04, rho=-0.2, eta=0.5, gamma=0.5, forward_curve=100.0)
+        mats = (0.25, 0.5, 0.75, 1.0)
+        mkt = ssvi_market(params, [(T, [85.0, 100.0, 115.0]) for T in mats], spread=0.05)
+        full_grids, pieces = [], []
+        density, piece_rows = pr.ssvi_logm_density, sf._piece_rows
+
+        def counting_density(p, t, k):
+            if np.shape(k) == (pr._SSVI_CELLS, pr._SSVI_NODES):
+                full_grids.append(t)
+            return density(p, t, k)
+
+        def counting_pieces(cb, measure):
+            pieces.append((id(cb), id(measure)))
+            return piece_rows(cb, measure)
+
+        monkeypatch.setattr(pr, "ssvi_logm_density", counting_density)
+        monkeypatch.setattr(sf, "_piece_rows", counting_pieces)
+        calib = sf.calibrate_surface(mkt, params, sf.SurfaceConfig(n_knots=9))
+        for sl in calib.slices:
+            g = sl.basis.knots.knots
+            sl.call_price(sl.measure.spot_of_coord(np.linspace(g[0], g[-1], 101)))
+        assert sf.validate(calib).passed
+        assert sorted(full_grids) == sorted(2 * mats)
+        cb = calib.slices[0].basis.compiled()
+        assert sorted(pieces) == sorted((id(cb), id(sl.measure)) for sl in calib.slices)
+
+    def test_tangent_chord_margin_is_the_bracket_loop(self, lognormal_prior):
+        # the vectorized tangent-chord margin equals, bit for bit, the
+        # scalar loop over brackets it replaced
+        mkt = [prior_quotes(lognormal_prior, T, [80.0, 100.0, 125.0], spread=0.02) for T in (0.5, 0.75, 1.0)]
+        calib = sf.calibrate_surface(mkt, lognormal_prior, sf.SurfaceConfig(n_knots=9))
+        rel = calib.relative_strike_grid
+        calls, slopes = [], []
+        for sl in calib.slices:
+            K = rel * sl.forward
+            mass_tails, spot_tails = sf._tail_rows(sl.basis.compiled(), sl.measure, K)[2:]
+            calls.append((spot_tails - K[:, None] * mass_tails) @ sl.weights)
+            slopes.append(-mass_tails @ sl.weights * sl.forward)
+        worst = np.inf
+        for c1, c2, s in zip(calls, calls[1:], slopes[1:]):
+            for i in range(rel.size - 1):
+                x0, x1, s_lo, s_hi = rel[i], rel[i + 1], s[i], s[i + 1]
+                if s_hi - s_lo <= 1e-14 * max(abs(s_lo), 1.0):
+                    xstar = 0.5 * (x0 + x1)
+                else:
+                    xstar = min(max((c2[i + 1] - c2[i] + s_lo * x0 - s_hi * x1) / (s_lo - s_hi), x0), x1)
+                cu = c2[i] + s_lo * (xstar - x0)
+                cd = c1[i] + (c1[i + 1] - c1[i]) * (xstar - x0) / (x1 - x0)
+                worst = min(worst, float(cu - cd))
+        (margin,) = [m for name, _, m, _ in sf.validate(calib).checks if name == "tangent-chord calendar condition"]
+        assert np.isfinite(worst) and margin == worst
 
     def test_violating_weights_flagged(self, lognormal_prior):
         ms = prior_quotes(lognormal_prior, 1.0, [90.0, 100.0, 110.0])
