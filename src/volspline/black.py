@@ -33,8 +33,9 @@ def implied_vol(price, forward, strike, maturity, tol: float = 1e-10, max_iter: 
     """Volatility solving the call-price equation, by safeguarded bisection.
 
     Prices at or below intrinsic return 0; prices at or above the forward
-    return NaN (no-arbitrage bound violated).  Accuracy is ``tol`` in
-    volatility units.
+    return NaN (no-arbitrage bound violated).  Strikes at or below zero
+    return NaN without taking their log: the lognormal call there is worth
+    ``F - K`` at every volatility.  Accuracy is ``tol`` in volatility units.
     """
     price = np.asarray(price, dtype=float)
     scalar = price.ndim == 0
@@ -45,7 +46,9 @@ def implied_vol(price, forward, strike, maturity, tol: float = 1e-10, max_iter: 
     intrinsic = np.maximum(F - K, 0.0)
     bad_low = price <= intrinsic + 0.0
     bad_high = price >= F
-    log_fk = np.log(F / K) if T > 0.0 else None  # once, for the steps with positive variances
+    positive = K > 0.0
+    # once, for the steps with positive variances; NaN at strikes <= 0, whose prices never widen the bracket
+    log_fk = np.where(positive, np.log(F / np.where(positive, K, F)), np.nan) if T > 0.0 else None
 
     def call_at(vol):
         w = vol**2 * T
@@ -66,5 +69,5 @@ def implied_vol(price, forward, strike, maturity, tol: float = 1e-10, max_iter: 
             break
     out = 0.5 * (lo + hi)
     out = np.where(bad_low, 0.0, out)
-    out = np.where(bad_high, np.nan, out)
+    out = np.where(bad_high | ~positive, np.nan, out)
     return float(out[0]) if scalar else out

@@ -20,15 +20,16 @@ construction.  Each step system is banded in the interior trial functions
 plus two flat-wing columns and two collocation rows; one banded LU of the
 interior block and a 2 x 2 Schur complement for the wings solve it.
 
-Nothing of a step but its right-hand side depends on the weights.  The
-weak form, the collocation rows and the mass/mean rows are therefore
-computed for a block of steps at once, as kernels over a vector of times
-(``assemble``, ``collocation_rows`` and ``constrain`` are their one-time
-case), and each step system is factored before the block is marched.
+Nothing of a step but its right-hand side depends on the weights.
+``assemble``, ``collocation_rows`` and ``constrain`` therefore take one
+time or a vector of times: ``evolve`` computes the weak form, the
+collocation rows and the mass/mean rows of a block of steps in one call of
+each, and factors each step system before the block is marched.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -143,12 +144,12 @@ class GalerkinSystem:
     ``mass_full`` is the square (trial x trial) Gram, symmetric positive
     definite and banded; ``mass`` and ``stiffness`` keep only the rows of
     the compact-support test functions (two fewer than the trial count).
+    Assembled for a vector of times, ``stiffness`` stacks one per time.
     """
 
     mass: np.ndarray
     stiffness: np.ndarray
     mass_full: np.ndarray
-    bandwidth: int
 
 
 GL_POINTS = 10  # Gauss-Legendre points per knot interval in the weak form
@@ -224,10 +225,6 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
     )
 
 
-def _tables_of(problem: PDEProblem, tables) -> _StepTables:
-    return _basis_tables(problem.basis.compiled()) if tables is None else tables
-
-
 def _base_relative(problem: PDEProblem, ts: np.ndarray, x: np.ndarray):
     """Coefficients at points x and times ts, relative to the Gaussian base.
 
@@ -235,9 +232,11 @@ def _base_relative(problem: PDEProblem, ts: np.ndarray, x: np.ndarray):
     log-derivative ``g1 = dlog(phi0)/dx`` and the reaction coefficient
     ``e``, which collects the second-derivative terms through
     ``g2 = phi0''/phi0``; each broadcasts to ``(ts.size, x.size)``, row i
-    at time ``ts[i]``.  Every time must be positive and the variance
-    positive at every point.
+    at time ``ts[i]``.  ``ts`` must be a nonempty vector, every time
+    positive and the variance positive at every point.
     """
+    if ts.ndim != 1 or not ts.size:
+        raise PDEError(f"times must be a float or a nonempty 1-D array, got shape {ts.shape}")
     if not np.all(ts > 0.0):
         raise PDEError("coefficients are defined for t > 0")
     t = ts[:, None]
@@ -254,18 +253,31 @@ def _base_relative(problem: PDEProblem, ts: np.ndarray, x: np.ndarray):
     return v, vx, g1, e
 
 
-def _weak_forms(problem: PDEProblem, ts: np.ndarray, tables: _StepTables):
-    """The full (trial x trial) mass matrix and the stack of stiffness
-    matrices at the times ``ts``, one per time (see ``assemble``).
+def assemble(problem: PDEProblem, t, tables=None) -> GalerkinSystem:
+    """Weak-form matrices at time t, a float or a 1-D array of times.
 
-    For every time and interval one ``(2, 3 GL_POINTS)`` matrix of factors
-    (the mass row, then the stiffness row) contracts the local products, in
-    one stacked matmul for all of them, and one ``bincount`` sums the blocks
-    into the mass and each time's stiffness.  Each contraction is the
-    one-time case's own small product, so every time's matrices are those
-    of ``assemble`` bit for bit: a product of all the times' rows at once
-    may round differently with the row count.
+    Rows correspond to the compact-support test functions; columns to the
+    full trial basis including the two constant wings.  The advection
+    coefficient is ``v dlog(phi0)/dx + v_x / 2`` and the reaction term
+    collects the base-relative second-derivative terms; both involve only
+    polynomial ratios for the Gaussian base.  ``tables`` are the
+    time-invariant basis tables of ``_basis_tables``; without them they are
+    built from the basis.
+
+    The integrals are the Gauss-Legendre rule of ``GL_POINTS`` points per
+    knot interval, formed one interval at a time.  For every time and
+    interval one ``(2, 3 GL_POINTS)`` matrix of factors, the quadrature
+    weights times the coefficients, contracts the local products of the
+    ``order + 1`` live functions into one mass block and one stiffness block
+    (diffusion, advection and reaction together), in one stacked matmul for
+    all of them, and one ``bincount`` sums the blocks into the dense
+    matrices.  Each contraction is one time's own small product, so every
+    time's matrices are those of a call at that time alone, bit for bit: a
+    product of all the times' rows at once may round differently with the
+    row count.
     """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    tables = _basis_tables(problem.basis.compiled()) if tables is None else tables
     xs, ws, products, dim = tables.xs, tables.ws, tables.products, tables.dimension
     v, vx, g1, e = _base_relative(problem, ts, xs)
     c = 0.5 * vx + v * g1
@@ -283,101 +295,58 @@ def _weak_forms(problem: PDEProblem, ts: np.ndarray, tables: _StepTables):
     index = (np.arange(1 + ts.size)[:, None] * (dim * dim) + tables.scatter).reshape(-1)
     flat = np.bincount(index, blocks.reshape(-1), minlength=(1 + ts.size) * dim * dim)
     full = flat.reshape(1 + ts.size, dim, dim)
-    return full[0], full[1:]
-
-
-def assemble(problem: PDEProblem, t: float, tables=None) -> GalerkinSystem:
-    """Weak-form matrices at time t.
-
-    Rows correspond to the compact-support test functions; columns to the
-    full trial basis including the two constant wings.  The advection
-    coefficient is ``v dlog(phi0)/dx + v_x / 2`` and the reaction term
-    collects the base-relative second-derivative terms; both involve only
-    polynomial ratios for the Gaussian base.  ``tables`` are the
-    time-invariant basis tables of ``_basis_tables``; without them they are
-    built from the basis.
-
-    The integrals are formed one knot interval at a time: the quadrature
-    weights times the coefficients at the Gauss points contract the local
-    products of the ``order + 1`` live functions into one
-    ``(order + 1) x (order + 1)`` mass block and one stiffness block
-    (diffusion, advection and reaction together) per interval, and the
-    blocks are summed into the dense matrices.  This is the Gauss-Legendre
-    rule of ``GL_POINTS`` points per interval applied to the full basis,
-    without the products of functions that vanish there.  ``evolve``
-    computes the same matrices for a block of times at once.
-    """
-    mass_full, stiffness = _weak_forms(problem, np.array([t], dtype=float), _tables_of(problem, tables))
+    stiffness = full[1:, 1:-1, :]
     return GalerkinSystem(
-        mass=mass_full[1:-1, :],
-        stiffness=stiffness[0, 1:-1, :],
-        mass_full=mass_full,
-        bandwidth=problem.basis.order,
+        mass=full[0, 1:-1, :], stiffness=stiffness[0] if np.ndim(t) == 0 else stiffness, mass_full=full[0]
     )
 
 
-def _integral_rows(problem: PDEProblem, ts: np.ndarray, tables: _StepTables) -> np.ndarray:
-    """The unit-mass and mean rows at each time of ``ts``, ``(ts.size, 2,
-    dimension)``, from one Gaussian moment table over all the base
-    variances (see ``constrain``)."""
-    lo, hi, refs, coeffs = tables.pieces
+def constrain(problem: PDEProblem, t, tables=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-mass and mean integral rows against the base density at time t,
+    a float or a 1-D array of times; for a vector each row stacks one row
+    per time.
+
+    One Gaussian moment table of degree order + 1 over all the base
+    variances serves both rows: the mean row integrates
+    x b_j = ((x - ref) + ref) b_j piece by piece.  The pieces come from
+    ``tables`` (see ``assemble``) when given, else from the basis.
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    lo, hi, refs, coeffs = live_pieces(problem.basis.compiled()) if tables is None else tables.pieces
     table = normal_moment_table(problem.s0, problem.base_variance * ts[:, None], lo, hi, refs, coeffs.shape[2])
     mass = np.einsum("jid,sid->sj", coeffs, table[..., :-1])
     mean = np.einsum("jid,sid->sj", coeffs, table[..., 1:] + refs[:, None] * table[..., :-1])
-    return np.stack([mass, mean], axis=1)
+    return (mass[0], mean[0]) if np.ndim(t) == 0 else (mass, mean)
 
 
-def constrain(problem: PDEProblem, t: float, tables=None) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-mass and mean integral rows against the base density at time t.
-
-    One moment table of degree order + 1 serves both rows: the mean row
-    integrates x b_j = ((x - ref) + ref) b_j piece by piece.  The pieces
-    come from ``tables`` (see ``assemble``) when given, else from the basis.
-    """
-    mass_row, mean_row = _integral_rows(problem, np.array([t], dtype=float), _tables_of(problem, tables))[0]
-    return mass_row, mean_row
-
-
-def _boundary_operators(problem: PDEProblem, ts: np.ndarray, tables: _StepTables) -> np.ndarray:
-    """The strong-form operator rows at the two boundary knots at each time
-    of ``ts``, ``(ts.size, 2, dimension)`` (see ``collocation_rows``)."""
-    B0, B1, B2 = tables.B0, tables.B1, tables.B2
-    v, vx, g1, e = _base_relative(problem, ts, tables.pts)
-    c_strong = vx + v * g1  # strong-form advection (no integration by parts)
-    return 0.5 * v[..., None] * B2 + c_strong[..., None] * B1 + e[..., None] * B0
-
-
-def collocation_rows(problem: PDEProblem, t: float, tables=None) -> tuple[np.ndarray, np.ndarray]:
-    """Value rows and strong-form operator rows at the two boundary knots.
+def collocation_rows(problem: PDEProblem, t, tables=None) -> tuple[np.ndarray, np.ndarray]:
+    """Value rows and strong-form operator rows at the two boundary knots
+    at time t, a float or a 1-D array of times; for a vector the operator
+    rows stack one ``(2, dimension)`` block per time.
 
     These close the banded test system: the equation itself is imposed
     pointwise where the integral conditions cannot yet see the wings.  The
     basis and its derivatives at the knots come from ``tables`` (see
     ``assemble``) when given, else from the basis.
     """
-    tables = _tables_of(problem, tables)
-    return tables.B0, _boundary_operators(problem, np.array([t], dtype=float), tables)[0]
+    tables = _basis_tables(problem.basis.compiled()) if tables is None else tables
+    v, vx, g1, e = _base_relative(problem, np.atleast_1d(np.asarray(t, dtype=float)), tables.pts)
+    c_strong = vx + v * g1  # strong-form advection (no integration by parts)
+    op = 0.5 * v[..., None] * tables.B2 + c_strong[..., None] * tables.B1 + e[..., None] * tables.B0
+    return tables.B0, op[0] if np.ndim(t) == 0 else op
 
 
-_BAND_LAYOUTS: dict = {}  # (size, bandwidth) -> _band_layout, kept for the few sizes in use
-
-
+@functools.lru_cache(maxsize=16)  # evolve asks for the same layout once per block of steps
 def _band_layout(r: int, bandwidth: int):
     """The outside-band mask of an ``r x r`` block, the (row, column)
     indices of its in-band entries and their rows in LAPACK gbtrf band
     storage ``ab[2 bw + i - j, j]`` (the top ``bw`` rows take the LU
     fill-in), built once per size and bandwidth and read-only."""
-    key = (r, bandwidth)
-    layout = _BAND_LAYOUTS.get(key)
-    if layout is None:
-        outside = np.abs(np.subtract.outer(np.arange(r), np.arange(r))) > bandwidth
-        i, j = np.nonzero(~outside)
-        layout = (outside, i, j, 2 * bandwidth + i - j)
-        for arr in layout:
-            arr.setflags(write=False)
-        if len(_BAND_LAYOUTS) >= 16:
-            _BAND_LAYOUTS.clear()
-        _BAND_LAYOUTS[key] = layout
+    outside = np.abs(np.subtract.outer(np.arange(r), np.arange(r))) > bandwidth
+    i, j = np.nonzero(~outside)
+    layout = (outside, i, j, 2 * bandwidth + i - j)
+    for arr in layout:
+        arr.setflags(write=False)
     return layout
 
 
@@ -520,13 +489,13 @@ def _step_operators(problem: PDEProblem, tables: _StepTables, times: np.ndarray,
     t0, t1 = times[:-1], times[1:]
     dt = t1 - t0
     tm = 0.5 * (t0 + t1)
-    mass_full, stiffness = _weak_forms(problem, tm, tables)
-    A, B = mass_full[1:-1, :], stiffness[:, 1:-1, :]
-    vals, op = tables.B0, _boundary_operators(problem, tm, tables)
+    system = assemble(problem, tm, tables)
+    A, B = system.mass, system.stiffness
+    vals, op = collocation_rows(problem, tm, tables)
     implicit = (theta * dt)[:, None, None]
     explicit = ((1.0 - theta) * dt)[:, None, None]
     lhs = _factor_bordered(A - implicit * B, vals - implicit * op, problem.basis.order)
-    rows = _integral_rows(problem, t1, tables)
+    rows = np.stack(constrain(problem, t1, tables), axis=1)
     return _StepOperators(A + explicit * B, vals + explicit * op, lhs, rows, rows @ rows.transpose(0, 2, 1))
 
 
@@ -548,13 +517,13 @@ def evolve(
     which must stay below ``1e6``.
 
     The time-invariant basis tables are built once.  The steps are taken in
-    blocks of 10: a block's operators (weak form, collocation
-    rows, mass/mean rows) are computed for all its times at once and its
-    step systems factored before it is marched, so a block that cannot be
+    blocks of 10: one call each of ``assemble``, ``collocation_rows`` and
+    ``constrain`` with the block's times gives its operators, and its step
+    systems are factored before it is marched, so a block that cannot be
     formed fails before its first step.  Each step's weights are those of
-    composing ``assemble``, ``collocation_rows``, ``solve_bordered_banded``
-    and ``constrain``, bit for bit.  An unknown ``scheme`` or fewer than
-    one step is a ``ConfigError``.
+    composing the single-time calls of those functions with
+    ``solve_bordered_banded``, bit for bit.  An unknown ``scheme`` or fewer
+    than one step is a ``ConfigError``.
     """
     theta = {"explicit": 0.0, "implicit": 1.0, "cn": 0.5}.get(scheme)
     if theta is None:

@@ -312,25 +312,20 @@ def conditional_variance_distance(surface: LeverageSurface, reference: LeverageS
     return float(np.sqrt(np.mean(sq)))
 
 
-def simulate_terminal(
-    surface: LeverageSurface,
-    n_paths: int,
-    seed: int,
-    antithetic: bool = True,
-) -> np.ndarray:
-    """Terminal spots under the calibrated dynamics, fresh random stream."""
+def simulate_terminal(surface: LeverageSurface, n_paths: int, seed: int) -> np.ndarray:
+    """Terminal spots under the calibrated dynamics, fresh random stream.
+
+    The paths are antithetic: path ``i + half`` (``half = (n_paths + 1) //
+    2``) takes the negated normals of path ``i``.
+    """
     p = surface.params
-    times = surface.times
-    half = (n_paths + 1) // 2 if antithetic else n_paths
-    s = np.full(2 * half if antithetic else n_paths, p.s0)
+    half = (n_paths + 1) // 2
+    s = np.full(2 * half, p.s0)
     u = np.zeros_like(s)
     z = np.empty((2, s.size))  # the normals of each date, one buffer for all
-    for k, dt in enumerate(np.diff(times)):
-        rng = _step_rng(seed, "reprice", k)
-        z_half = rng.standard_normal((2, half))
-        z[:, :half] = z_half
-        if antithetic:
-            np.negative(z_half, out=z[:, half:])
+    for k, dt in enumerate(np.diff(surface.times)):
+        z[:, :half] = _step_rng(seed, "reprice", k).standard_normal((2, half))
+        np.negative(z[:, :half], out=z[:, half:])
         u = _particle_step(s, u, dt, p, z, surface.slices[k])
     return s[:n_paths]
 

@@ -219,12 +219,11 @@ def test_bad_config_quote_exits_2_naming_it(tmp_path, capsys):
     assert err.startswith("error: config: quote 1: ") and "no log-moneyness" in err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in log:RuntimeWarning")
 def test_nonpositive_strike_is_a_price_coordinate_quote(tmp_path):
     # in price space a strike at or below zero is a quote like any other:
     # the deep in-the-money call is worth F - K under the Bachelier prior.
     # (grids.csv's Black implied variance at the grid's negative strikes is
-    # NaN, and implied_vol warns on their log.)
+    # NaN.)
     prior = {"type": "bachelier", "mean": 100.0, "variance": 400.0}
     csv = "maturity,strike,type,bid,ask\n1.0,-5.0,call,104.9,105.1\n1.0,100.0,call,7.9,8.1\n"
     assert cli.main(_surface_argv(tmp_path, {"prior": prior, "forward": 100.0}, csv)) == 0

@@ -1,6 +1,8 @@
 """Galerkin assembly, bordered solves and the ratio evolution."""
 
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,13 @@ class TestAssembly:
         pde.assemble(prob, 0.5)
         with pytest.raises(pde.PDEError, match="positive"):
             pde.collocation_rows(prob, 0.5)
+
+    @pytest.mark.parametrize("t", [np.array([]), np.array([[0.5, 0.6]])])
+    def test_rejects_times_that_are_not_a_nonempty_vector(self, t):
+        prob = ratio_problem(0.9, n_knots=12)
+        for step_function in (pde.assemble, pde.collocation_rows):
+            with pytest.raises(pde.PDEError, match="nonempty 1-D array"):
+                step_function(prob, t)
 
     def test_constraint_rows_on_constant(self):
         prob = ratio_problem(1.0, n_knots=20, half_sigmas=5.0)
@@ -369,6 +378,25 @@ class TestBatchedEvolve:
         assert rows.shape == (traj.times.size, xs.size)
         for k in range(traj.times.size):
             assert np.array_equal(rows[k], traj.ratio(k, xs))
+
+    def test_the_tracer_sees_each_block_of_steps(self):
+        # the benchmark's tracer patches the step functions by name: evolve
+        # must reach them, one call each per block of 10 steps
+        from volspline import cli, slv, surface  # noqa: F401 - Tracer.install looks them up in sys.modules
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.start_round()
+            pde.evolve(ratio_problem(0.9, n_knots=25), 100)
+        finally:
+            tracer.uninstall()
+        calls = tracer.rounds[0]["calls"]
+        assert [calls[f"pde.{name}"] for name in ("assemble", "collocation_rows", "constrain")] == [10, 10, 10]
 
 
 class TestConvergence:

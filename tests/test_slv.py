@@ -281,6 +281,12 @@ class TestRepricing:
         assert implied_vol(5.0, 100.0, 95.0, 1.0) == 0.0  # at intrinsic
         assert np.isnan(implied_vol(101.0, 100.0, 95.0, 1.0))
 
+    def test_nonpositive_strikes_are_nan_without_warnings(self):
+        # a call at a strike <= 0 is worth F - K at every volatility; the
+        # suite turns the warnings of a log there into errors
+        vols = implied_vol(np.array([106.0, 100.5, 8.0]), 100.0, np.array([-5.0, 0.0, 100.0]), 1.0)
+        assert np.isnan(vols[:2]).all() and np.isfinite(vols[2])
+
     def test_payoff_memory_is_bounded(self, params):
         # the payoffs are summed in blocks: repricing may add less than a
         # quarter of a strikes-by-paths matrix to the simulation's peak
