@@ -116,10 +116,13 @@ class KnotVector:
         object.__setattr__(self, "equal_spacing", h is not None)
         object.__setattr__(self, "_step", h)
         if h is not None:
-            # knot j at index j; index k and -1 read NaN, which no comparison passes
-            probe = np.append(arr, np.nan)
-            probe.setflags(write=False)
-            object.__setattr__(self, "_probe", probe)
+            # for the piece index i in [0, k]: the knot above piece i and the
+            # one below it, NaN (which no comparison passes) past either end
+            above, below = np.concatenate((arr, [np.nan])), np.concatenate(([np.nan], arr))
+            for a in (above, below):
+                a.setflags(write=False)
+            object.__setattr__(self, "_above", above)
+            object.__setattr__(self, "_below", below)
 
     def __hash__(self) -> int:
         return hash((self.knots.tobytes(), self.equal_spacing))
@@ -166,28 +169,27 @@ def _piece_index(knots: KnotVector, xs: np.ndarray) -> np.ndarray:
     polynomial on these breakpoints, as a new intp array."""
     if not knots.equal_spacing:
         return np.searchsorted(knots.knots, xs, side="right")
-    g = knots._probe
-    k = g.size - 1
+    above, below = knots._above, knots._below
+    k = above.size - 1
     with np.errstate(over="ignore"):
-        t = xs - g[0]
+        t = xs - above[0]
         t /= knots._step
     np.floor(t, out=t)
-    # clip in float: -inf stays -1, +inf and NaN (fmin drops it) go to k - 1
-    np.maximum(t, -1.0, out=t)
-    np.fmin(t, k - 1.0, out=t)
+    # the floor plus one, clipped in float: -inf goes to 0, +inf and NaN
+    # (fmin drops it) to k
+    t += 1.0
+    np.maximum(t, 0.0, out=t)
+    np.fmin(t, float(k), out=t)
     idx = t.astype(np.intp)
     # the floor is off by at most one (KnotVector checks it at every knot):
-    # one comparison on each side makes it exact.  The probe reads NaN at
-    # index k and, wrapped, at -1; t and mask are reused as buffers (take
-    # buffers its out= in the default "raise" mode, not in "wrap")
+    # one comparison with the knot on each side makes it exact.  t and mask
+    # are reused as buffers (take buffers its out= in the default "raise"
+    # mode, not in "clip")
     mask = np.empty(xs.shape, dtype=bool)
-    idx += 1
-    g.take(idx, out=t, mode="wrap")
+    above.take(idx, out=t, mode="clip")
     idx += np.greater_equal(xs, t, out=mask)
-    idx -= 1
-    g.take(idx, out=t, mode="wrap")
+    below.take(idx, out=t, mode="clip")
     idx -= np.less(xs, t, out=mask)
-    idx += 1
     return idx
 
 

@@ -276,11 +276,46 @@ def cmd_slv_calibrate(r: Runner) -> None:
     if r.seed is None:
         raise ConfigError("slv-calibrate requires --seed")
     pcfg = require(cfg, "params")
-    params = slv.ScottParams(
-        **{k: config_value(pcfg, k, "params") for k in ("s0", "a0", "theta", "nu", "rho", "sigma_bs")}
-    )
+    try:  # a parameter out of range
+        params = slv.ScottParams(
+            **{k: config_value(pcfg, k, "params") for k in ("s0", "a0", "theta", "nu", "rho", "sigma_bs")}
+        )
+    except ValueError as exc:
+        raise ConfigError(f"params: {exc}") from exc
     horizon = config_value(cfg, "horizon", default=1.0)
     steps = config_value(cfg, "steps", kind=int, default=40)
+    particles = config_value(cfg, "particles", kind=int, default=16000)
+    n_knots = config_value(cfg, "knots", kind=int, default=20)
+    order = config_value(cfg, "order", kind=int, default=2)
+    truncation = config_value(cfg, "truncation", kind=int, default=1)
+    penalty_order = config_value(cfg, "penalty_order", kind=int, default=2)
+    rep = cfg.get("reprice", {})
+    paths = config_value(rep, "paths", "reprice", int, 131072)
+    strikes_cfg = rep.get("strikes", {"logm_start": -0.35, "logm_stop": 0.35, "count": 15})
+    if isinstance(strikes_cfg, list):
+        strikes = config_value(rep, "strikes", "reprice", float_array)
+    else:
+        logm = np.linspace(
+            *(config_value(strikes_cfg, k, "reprice.strikes") for k in ("logm_start", "logm_stop")),
+            max(config_value(strikes_cfg, "count", "reprice.strikes", int), 0),  # a negative count: no strikes
+        )
+        strikes = params.s0 * np.exp(logm)
+    lev_points = config_value(cfg, "leverage_grid", kind=int, default=61)
+    for key, value, ok, need in (
+        ("horizon", horizon, horizon > 0.0, "positive"),
+        ("steps", steps, steps >= 1, "at least 1"),
+        ("particles", particles, particles >= 100, "at least 100"),
+        ("knots", n_knots, n_knots >= 2, "at least 2"),
+        ("reprice.paths", paths, paths >= 3, "at least 3, two antithetic pairs"),
+        ("reprice.strikes", strikes_cfg, strikes.ndim == 1 and strikes.size >= 1, "one or more strikes"),
+        ("leverage_grid", lev_points, lev_points >= 1, "at least 1"),
+    ):
+        if not ok:
+            raise ConfigError(f"config field {key!r} must be {need}, got {value!r}")
+    try:  # an order, truncation or penalty out of range
+        rg.RegressionConfig(bs.make_basis(np.arange(n_knots, dtype=float), order, truncation), penalty_order)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     flags_cfg = cfg.get("constraints", {})
     flags = slv.ConstraintFlags(
         forward_variance_eq=bool(flags_cfg.get("forward_variance", True)),
@@ -291,28 +326,16 @@ def cmd_slv_calibrate(r: Runner) -> None:
         surf = slv.calibrate_leverage(
             params,
             np.linspace(0.0, horizon, steps + 1),
-            config_value(cfg, "particles", kind=int, default=16000),
+            particles,
             seed=r.seed,
-            n_knots=config_value(cfg, "knots", kind=int, default=20),
-            order=config_value(cfg, "order", kind=int, default=2),
-            truncation=config_value(cfg, "truncation", kind=int, default=1),
-            penalty_order=config_value(cfg, "penalty_order", kind=int, default=2),
+            n_knots=n_knots,
+            order=order,
+            truncation=truncation,
+            penalty_order=penalty_order,
             flags=flags,
         )
-    rep = cfg.get("reprice", {})
-    strikes_cfg = rep.get("strikes", {"logm_start": -0.35, "logm_stop": 0.35, "count": 15})
-    if isinstance(strikes_cfg, list):
-        strikes = config_value(rep, "strikes", "reprice", float_array)
-    else:
-        logm = np.linspace(
-            *(config_value(strikes_cfg, k, "reprice.strikes") for k in ("logm_start", "logm_stop")),
-            config_value(strikes_cfg, "count", "reprice.strikes", int),
-        )
-        strikes = params.s0 * np.exp(logm)
     with r.stage("reprice"):
-        res = slv.reprice_and_implied(
-            surf, params, strikes, horizon, config_value(rep, "paths", "reprice", int, 131072), seed=r.seed + 1
-        )
+        res = slv.reprice_and_implied(surf, params, strikes, horizon, paths, seed=r.seed + 1)
     r.emit_csv(
         "smile.csv",
         ["strike", "price", "stderr", "implied_vol", "flag"],
@@ -323,7 +346,7 @@ def cmd_slv_calibrate(r: Runner) -> None:
             )
         ),
     )
-    lev_grid = params.s0 * np.exp(np.linspace(-0.6, 0.6, config_value(cfg, "leverage_grid", kind=int, default=61)))
+    lev_grid = params.s0 * np.exp(np.linspace(-0.6, 0.6, lev_points))
     rows = _grid_rows(surf.times, lev_grid, lambda k: surf.leverage(k, lev_grid))
     r.emit_csv("leverage.csv", ["t", "spot", "leverage"], rows)
     r.finish("slv-calibrate")

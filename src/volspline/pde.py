@@ -225,6 +225,17 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
     )
 
 
+def _step_times(t) -> np.ndarray:
+    """The times of a step function's call as a nonempty 1-D float array,
+    every one positive: the base density is degenerate at t = 0."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1 or not ts.size:
+        raise PDEError(f"times must be a float or a nonempty 1-D array, got shape {ts.shape}")
+    if not np.all(ts > 0.0):
+        raise PDEError("coefficients are defined for t > 0")
+    return ts
+
+
 def _base_relative(problem: PDEProblem, ts: np.ndarray, x: np.ndarray):
     """Coefficients at points x and times ts, relative to the Gaussian base.
 
@@ -232,13 +243,9 @@ def _base_relative(problem: PDEProblem, ts: np.ndarray, x: np.ndarray):
     log-derivative ``g1 = dlog(phi0)/dx`` and the reaction coefficient
     ``e``, which collects the second-derivative terms through
     ``g2 = phi0''/phi0``; each broadcasts to ``(ts.size, x.size)``, row i
-    at time ``ts[i]``.  ``ts`` must be a nonempty vector, every time
-    positive and the variance positive at every point.
+    at time ``ts[i]``.  ``ts`` comes from ``_step_times``; the variance
+    must be positive at every point.
     """
-    if ts.ndim != 1 or not ts.size:
-        raise PDEError(f"times must be a float or a nonempty 1-D array, got shape {ts.shape}")
-    if not np.all(ts > 0.0):
-        raise PDEError("coefficients are defined for t > 0")
     t = ts[:, None]
     v = np.asarray(problem.local_variance.value(t, x), dtype=float)
     if np.any(v <= 0.0):
@@ -276,7 +283,7 @@ def assemble(problem: PDEProblem, t, tables=None) -> GalerkinSystem:
     product of all the times' rows at once may round differently with the
     row count.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = _step_times(t)
     tables = _basis_tables(problem.basis.compiled()) if tables is None else tables
     xs, ws, products, dim = tables.xs, tables.ws, tables.products, tables.dimension
     v, vx, g1, e = _base_relative(problem, ts, xs)
@@ -311,7 +318,7 @@ def constrain(problem: PDEProblem, t, tables=None) -> tuple[np.ndarray, np.ndarr
     x b_j = ((x - ref) + ref) b_j piece by piece.  The pieces come from
     ``tables`` (see ``assemble``) when given, else from the basis.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = _step_times(t)
     lo, hi, refs, coeffs = live_pieces(problem.basis.compiled()) if tables is None else tables.pieces
     table = normal_moment_table(problem.s0, problem.base_variance * ts[:, None], lo, hi, refs, coeffs.shape[2])
     mass = np.einsum("jid,sid->sj", coeffs, table[..., :-1])
@@ -330,7 +337,7 @@ def collocation_rows(problem: PDEProblem, t, tables=None) -> tuple[np.ndarray, n
     ``assemble``) when given, else from the basis.
     """
     tables = _basis_tables(problem.basis.compiled()) if tables is None else tables
-    v, vx, g1, e = _base_relative(problem, np.atleast_1d(np.asarray(t, dtype=float)), tables.pts)
+    v, vx, g1, e = _base_relative(problem, _step_times(t), tables.pts)
     c_strong = vx + v * g1  # strong-form advection (no integration by parts)
     op = 0.5 * v[..., None] * tables.B2 + c_strong[..., None] * tables.B1 + e[..., None] * tables.B0
     return tables.B0, op[0] if np.ndim(t) == 0 else op

@@ -86,31 +86,40 @@ def _ou_cov(p: ScottParams, dt: float) -> tuple[float, float]:
     return float(v11), float(v12)
 
 
+def _increments(z0: np.ndarray, z1: np.ndarray, dt: float, p: ScottParams):
+    """The Brownian increment ``dw`` and the OU innovation ``nu * integ`` of
+    one date from the independent standard normal rows ``z0`` and ``z1``.
+
+    The pair (stochastic integral, Brownian increment) is Gaussian with
+    covariance [[(1-e^{-2 theta dt})/(2 theta), rho (1-e^{-theta dt})/theta],
+    [ ..., dt]], so a step with these increments has the exact transition
+    law for any dt.  Both are odd in the normals: the negated normals of an
+    antithetic path give exactly ``-dw`` and ``-nu * integ``.
+    """
+    v11, v12 = _ou_cov(p, dt)
+    resid = dt - v12**2 / v11
+    # two arrays the size of the rows: dw, and one buffer for the second
+    # term of dw and then the innovation
+    dw = np.multiply(z0, v12 / np.sqrt(v11))
+    innov = np.multiply(z1, np.sqrt(max(resid, 0.0)))
+    dw += innov
+    np.multiply(z0, np.sqrt(v11), out=innov)
+    innov *= p.nu
+    return dw, innov
+
+
 def ou_step_exact(u: np.ndarray, dt: float, p: ScottParams, normals: np.ndarray):
     """Advance the OU state exactly and return the correlated spot increment.
 
-    ``normals`` holds two independent standard normal rows.  The pair
-    (stochastic integral, Brownian increment) is Gaussian with covariance
-    [[(1-e^{-2 theta dt})/(2 theta), rho (1-e^{-theta dt})/theta],
-     [ ..., dt]], so the update has the exact transition law for any dt.
+    ``normals`` holds two independent standard normal rows; the increments
+    are those of ``_increments``, and ``u`` is left as it is.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    v11, v12 = _ou_cov(p, dt)
     z0, z1 = normals
-    # three path-sized arrays: dw, one buffer for the second term of dw and
-    # then nu * integ, and u_new.  u_new, which outlives the call, is made
-    # last: glibc hands free memory at the top of the heap back to the
-    # system, so a buffer freed above it would be faulted in again on every
-    # date (about 12x the minor page faults of a 2^17-path simulate_terminal)
-    resid = dt - v12**2 / v11
-    dw = np.multiply(z0, v12 / np.sqrt(v11))
-    term = np.multiply(z1, np.sqrt(max(resid, 0.0)))
-    dw += term
-    integ = np.multiply(z0, np.sqrt(v11), out=term)
-    integ *= p.nu
+    dw, innov = _increments(z0, z1, dt, p)
     u_new = u * np.exp(-p.theta * dt)
-    u_new += integ
+    u_new += innov
     return u_new, dw
 
 
@@ -163,19 +172,29 @@ def _step_rng(seed: int, stream: str, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _particle_step(s, u, dt: float, p: ScottParams, normals, leverage: LeverageSlice):
-    """Move the spots ``s`` one date in place, by an Euler step with the
-    slice's leverage, and floor them at ``1e-8 s0``; return the OU state
-    advanced exactly."""
-    # in place, one particle-sized array at a time: the caller still holds
-    # the old u, and each extra array raises the repricing's peak memory
-    step = p.a0 * np.exp(u)
-    step *= leverage.leverage(s)
-    u, dw = ou_step_exact(u, dt, p, normals)
+def _particle_step(s, u, dt: float, p: ScottParams, dw, innov, leverage: LeverageSlice, antithetic: bool = False):
+    """Move one block of particles one date in place: the spots ``s`` by an
+    Euler step with the slice's leverage, floored at ``1e-8 s0``, and the
+    OU states ``u`` exactly.
+
+    ``dw`` and ``innov`` are the date's increments (``_increments``) for
+    the block; an antithetic block, whose normals are their negation,
+    subtracts them.  IEEE negation is exact, so ``u - innov`` and
+    ``s - step * dw`` are bit for bit the step taken with the negated
+    increments.
+    """
+    move = np.subtract if antithetic else np.add
+    # the leverage before step: its temporaries are freed before step is
+    # made, not above it at the top of the heap (see calibrate_leverage)
+    lev = leverage.leverage(s)
+    step = np.exp(u)
+    step *= p.a0  # the volatility at the start of the date
+    step *= lev
     step *= dw
-    s += step
+    u *= np.exp(-p.theta * dt)
+    move(u, innov, out=u)
+    move(s, step, out=s)
     np.maximum(s, 1e-8 * p.s0, out=s)
-    return u
 
 
 def _spot_marginal_log(p: ScottParams, t: float) -> BachelierPrior:
@@ -229,8 +248,14 @@ def calibrate_leverage(
 
     for k in range(times.size - 1):
         t0, t1 = times[k], times[k + 1]
-        rng = _step_rng(seed, "calibrate", k)
-        u = _particle_step(s, u, t1 - t0, p, rng.standard_normal((2, n_particles)), slices[-1])
+        z0, z1 = _step_rng(seed, "calibrate", k).standard_normal((2, n_particles))
+        # the particles move as one block (the shipped 16000 fit in L2).
+        # dw and innov live until the next date's are made: freed at the top
+        # of the heap, glibc would hand their memory back to the system and
+        # fault it in again on every date (7600 minor page faults in a
+        # shipped calibration instead of 240, with the order of _particle_step)
+        dw, innov = _increments(z0, z1, t1 - t0, p)
+        _particle_step(s, u, t1 - t0, p, dw, innov, slices[-1])
 
         a_sq = p.a0**2 * np.exp(2.0 * u)
         x = np.log(s)
@@ -312,34 +337,49 @@ def conditional_variance_distance(surface: LeverageSurface, reference: LeverageS
     return float(np.sqrt(np.mean(sq)))
 
 
+_MARCH_BLOCK = 16384  # antithetic pairs per block of the path march: a block's arrays stay in L2
+_PAIR_BLOCK = 8192  # antithetic pairs per block of repricing payoffs
+
+
 def simulate_terminal(surface: LeverageSurface, n_paths: int, seed: int) -> np.ndarray:
     """Terminal spots under the calibrated dynamics, fresh random stream.
 
     The paths are antithetic: path ``i + half`` (``half = (n_paths + 1) //
-    2``) takes the negated normals of path ``i``.
+    2``) takes the negated normals of path ``i``.  Each date draws the
+    normals of the ``half`` pairs into one ``(2, half)`` buffer, then
+    marches the pairs ``_MARCH_BLOCK`` at a time: a block's increments are
+    computed once, path ``i`` adds them and path ``i + half`` subtracts
+    them (``_particle_step``).  The memory is the spots, the OU states and
+    the normals, three path-sized arrays, plus a few block-sized ones.
     """
     p = surface.params
     half = (n_paths + 1) // 2
     s = np.full(2 * half, p.s0)
     u = np.zeros_like(s)
-    z = np.empty((2, s.size))  # the normals of each date, one buffer for all
-    for k, dt in enumerate(np.diff(surface.times)):
-        z[:, :half] = _step_rng(seed, "reprice", k).standard_normal((2, half))
-        np.negative(z[:, :half], out=z[:, half:])
-        u = _particle_step(s, u, dt, p, z, surface.slices[k])
+    z = np.empty((2, half))  # the normals of each date, one buffer for all
+    for k, (dt, leverage) in enumerate(zip(np.diff(surface.times), surface.slices)):
+        rng = _step_rng(seed, "reprice", k)
+        rng.standard_normal(out=z[0])  # the stream and order of standard_normal((2, half))
+        rng.standard_normal(out=z[1])
+        for a in range(0, half, _MARCH_BLOCK):
+            b = min(a + _MARCH_BLOCK, half)
+            dw, innov = _increments(z[0, a:b], z[1, a:b], dt, p)
+            _particle_step(s[a:b], u[a:b], dt, p, dw, innov, leverage)
+            _particle_step(s[half + a : half + b], u[half + a : half + b], dt, p, dw, innov, leverage, antithetic=True)
     return s[:n_paths]
 
 
-_PAIR_BLOCK = 8192  # antithetic pairs per block of repricing payoffs
-
-
 def _pair_payoffs(lo: np.ndarray, hi: np.ndarray, strikes: np.ndarray) -> np.ndarray:
-    """Call payoffs averaged over each antithetic pair, strikes by pairs."""
+    """Call payoffs averaged over each antithetic pair, strikes by pairs.
+
+    ``hi``'s payoffs are folded in strike by strike through one buffer the
+    size of ``hi``, so the memory is one strikes-by-pairs array."""
     pay = lo - strikes[:, None]
     np.maximum(pay, 0.0, out=pay)
-    other = hi - strikes[:, None]
-    np.maximum(other, 0.0, out=other)
-    pay += other
+    other = np.empty_like(hi)
+    for row, strike in zip(pay, strikes):
+        np.subtract(hi, strike, out=other)
+        row += np.maximum(other, 0.0, out=other)
     pay *= 0.5
     return pay
 
@@ -360,8 +400,11 @@ def reprice_and_implied(
 
     The paths are antithetic: path ``i`` and path ``i + half`` share their
     normals with opposite signs, so an odd ``n_paths`` is rounded up to whole
-    pairs.  Standard errors are taken over the pair averages, the
-    independent draws, rather than over the correlated paths.
+    pairs.  ``simulate_terminal`` marches them in blocks of pairs, each
+    block's increments computed once and added to one path of each pair,
+    subtracted from the other.  Standard errors are taken over the pair
+    averages, the independent draws, rather than over the correlated paths,
+    so at least two pairs (``n_paths >= 3``) are needed.
 
     The pair-averaged payoffs are summed over ``_PAIR_BLOCK`` pairs at a
     time, once for the prices and once more for the centred squares of the
@@ -371,6 +414,8 @@ def reprice_and_implied(
     strikes = np.asarray(strikes, dtype=float)
     if abs(maturity - surface.times[-1]) > 1e-12:
         raise ValueError("repricing maturity must equal the calibration horizon")
+    if n_paths < 3:
+        raise ValueError(f"repricing needs at least 3 paths, two antithetic pairs, got {n_paths!r}")
     half = (n_paths + 1) // 2
     sT = simulate_terminal(surface, 2 * half, seed)
     lo, hi = sT[:half], sT[half:]

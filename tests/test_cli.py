@@ -320,3 +320,31 @@ def test_config_value_out_of_range_exits_2(tmp_path, capsys, monkeypatch, comman
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "setting, named",
+    [
+        ("particles=50", "'particles'"),
+        ("steps=0", "'steps'"),
+        ("horizon=-1", "'horizon'"),
+        ("knots=1", "'knots'"),
+        ("reprice.paths=0", "'reprice.paths'"),
+        ("reprice.paths=2", "'reprice.paths'"),
+        ("reprice.paths=-5", "'reprice.paths'"),
+        ("truncation=5", "truncation"),
+        ("penalty_order=0", "penalty_order"),
+        ("params.rho=2", "rho must lie in [-1, 1]"),
+        ("reprice.strikes.count=0", "'reprice.strikes'"),
+        ("reprice.strikes.count=-2", "'reprice.strikes'"),
+        ("reprice.strikes=[]", "'reprice.strikes'"),
+        ("leverage_grid=-1", "'leverage_grid'"),
+    ],
+)
+def test_slv_config_value_out_of_range_exits_2(tmp_path, capsys, setting, named):
+    argv = ["slv-calibrate", "--config", str(REPO / "configs" / "slv_flat_smile.json"), "--out", str(tmp_path / "out"),
+            "--seed", "1", "--set", setting]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and named in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

@@ -83,6 +83,17 @@ class TestAssembly:
             with pytest.raises(pde.PDEError, match="nonempty 1-D array"):
                 step_function(prob, t)
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [(np.array([]), "nonempty 1-D array"), (np.array([[0.5, 0.6]]), "nonempty 1-D array"),
+         (0.0, "t > 0"), (np.array([0.5, -0.1]), "t > 0")],
+    )
+    def test_constrain_checks_its_times_as_the_other_step_functions_do(self, t, message):
+        prob = ratio_problem(0.9, n_knots=12)
+        for step_function in (pde.assemble, pde.collocation_rows, pde.constrain):
+            with pytest.raises(pde.PDEError, match=message):
+                step_function(prob, t)
+
     def test_constraint_rows_on_constant(self):
         prob = ratio_problem(1.0, n_knots=20, half_sigmas=5.0)
         mass_row, mean_row = pde.constrain(prob, 0.7)

@@ -99,6 +99,105 @@ class TestOUStep:
         np.testing.assert_array_equal(normals, normals_in)
 
 
+def _full_array_ou_step(u, dt, p, normals):
+    # the OU step of the full-array march: all paths at once, dw and the
+    # innovation from each path's own normals
+    v11, v12 = slv._ou_cov(p, dt)
+    z0, z1 = normals
+    resid = dt - v12**2 / v11
+    dw = np.multiply(z0, v12 / np.sqrt(v11))
+    term = np.multiply(z1, np.sqrt(max(resid, 0.0)))
+    dw += term
+    integ = np.multiply(z0, np.sqrt(v11), out=term)
+    integ *= p.nu
+    u_new = u * np.exp(-p.theta * dt)
+    u_new += integ
+    return u_new, dw
+
+
+def _full_array_particle_step(s, u, dt, p, normals, leverage):
+    step = p.a0 * np.exp(u)
+    step *= leverage.leverage(s)
+    u, dw = _full_array_ou_step(u, dt, p, normals)
+    step *= dw
+    s += step
+    np.maximum(s, 1e-8 * p.s0, out=s)
+    return u
+
+
+def _full_array_march(surface, n_paths, seed):
+    """The path march as one step of every path per date: a (2, half)
+    block of normals, its negated copy for the antithetic paths."""
+    p = surface.params
+    half = (n_paths + 1) // 2
+    s = np.full(2 * half, p.s0)
+    u = np.zeros_like(s)
+    z = np.empty((2, s.size))
+    for k, dt in enumerate(np.diff(surface.times)):
+        z[:, :half] = slv._step_rng(seed, "reprice", k).standard_normal((2, half))
+        np.negative(z[:, :half], out=z[:, half:])
+        u = _full_array_particle_step(s, u, dt, p, z, surface.slices[k])
+    return s[:n_paths]
+
+
+@pytest.fixture(scope="module")
+def march_surfaces():
+    p = slv.ScottParams(s0=100.0, a0=0.2, theta=1.0, nu=0.3, rho=-0.8, sigma_bs=0.25)
+    grid = np.linspace(0.0, 0.5, 6)
+    capped = slv.ConstraintFlags(forward_variance_eq=True, nonnegative=True, quadratic_cap=True)
+    return {
+        "shipped": slv.calibrate_leverage(p, grid, 2000, seed=41),
+        "quadratic_cap": slv.calibrate_leverage(p, grid, 2000, seed=42, flags=capped),
+    }
+
+
+_B = slv._MARCH_BLOCK  # antithetic pairs per block of the march
+
+
+class TestPathMarch:
+    @pytest.mark.parametrize(
+        "kind, n_paths",
+        [("shipped", n) for n in (1, 2, 3, _B - 1, _B + 1, 2 * _B + 5, 2 * _B - 2, 2 * _B + 1, 4 * _B + 9)]
+        + [("quadratic_cap", 2 * _B + 3)],
+    )
+    def test_block_march_is_the_full_array_march_bit_for_bit(self, march_surfaces, kind, n_paths):
+        # whole blocks, a part block and pair counts on either side of a
+        # block boundary (_B - 1, _B + 1 and 2 _B + 5 pairs), odd and even
+        surface = march_surfaces[kind]
+        got = slv.simulate_terminal(surface, n_paths, 43)
+        want = _full_array_march(surface, n_paths, 43)
+        assert got.shape == (n_paths,) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("flags", [slv.ConstraintFlags(), slv.ConstraintFlags(quadratic_cap=True)])
+    def test_calibration_is_that_of_the_full_array_step(self, monkeypatch, params, flags):
+        # calibration moves all its particles as one block: with the
+        # full-array step patched in for the block kernel, every slice's
+        # coefficients come out byte for byte
+        grid = np.linspace(0.0, 0.5, 6)
+        surface = slv.calibrate_leverage(params, grid, 3000, seed=44, flags=flags)
+
+        def full_array_step(s, u, dt, p, z0, z1, leverage):
+            u[...] = _full_array_particle_step(s, u, dt, p, np.stack([z0, z1]), leverage)
+
+        monkeypatch.setattr(slv, "_increments", lambda z0, z1, dt, p: (z0, z1))
+        monkeypatch.setattr(slv, "_particle_step", full_array_step)
+        reference = slv.calibrate_leverage(params, grid, 3000, seed=44, flags=flags)
+        for a, b in zip(surface.slices, reference.slices):
+            assert a.cond_var.coeffs.tobytes() == b.cond_var.coeffs.tobytes()
+
+    def test_march_memory_is_under_five_path_arrays(self, march_surfaces):
+        # the spots, the OU states and the normals are three path-sized
+        # arrays; the rest of a step is block-sized
+        n_paths = 2**17
+        tracemalloc.start()
+        try:
+            slv.simulate_terminal(march_surfaces["shipped"], n_paths, 45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n_paths * 8
+
+
 class TestCalibration:
     def test_shipped_calibration_solves_by_active_set(self, monkeypatch):
         # each date's program has nonnegativity rows, the forward-variance
@@ -305,6 +404,15 @@ class TestRepricing:
         simulated = peak(lambda: slv.simulate_terminal(surf, n_paths, 26))
         repriced = peak(lambda: slv.reprice_and_implied(surf, params, strikes, 0.5, n_paths, seed=26))
         assert repriced - simulated < strikes.size * n_paths * 8 / 4
+
+    @pytest.mark.parametrize("n_paths", [-5, 0, 1, 2])
+    def test_fewer_than_two_pairs_is_an_error(self, march_surfaces, params, n_paths):
+        # the pair standard error needs two pairs
+        surface = march_surfaces["shipped"]
+        with pytest.raises(ValueError, match="at least 3 paths"):
+            slv.reprice_and_implied(surface, params, np.array([100.0]), 0.5, n_paths, seed=46)
+        res = slv.reprice_and_implied(surface, params, np.array([100.0]), 0.5, 3, seed=46)
+        assert np.isfinite(res["stderr"]).all() and np.isfinite(res["se_terminal"])
 
     def test_price_flags(self, params):
         # at a near-zero strike the no-arbitrage band collapses, so noise puts
