@@ -536,10 +536,6 @@ class CompiledBasis:
         """Interval edges ``-inf, breakpoints..., +inf``; interval i is [edges[i], edges[i+1])."""
         return np.concatenate([[-np.inf], self.breakpoints, [np.inf]])
 
-    @property
-    def pieces(self) -> list[PiecewisePoly]:
-        return [PiecewisePoly(self.knot_vector, self.refs, c) for c in self.coeffs]
-
     def evaluate(self, xs) -> np.ndarray:
         """Dense (points, dimension) matrix via Horner on local coordinates."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))

@@ -145,11 +145,19 @@ class Runner:
 
 
 def _grid(cfg, default_count=1000, where="grid"):
-    return np.linspace(
-        config_value(cfg, "start", where),
-        config_value(cfg, "stop", where),
-        config_value(cfg, "count", where, int, default_count),
-    )
+    start, stop = config_value(cfg, "start", where), config_value(cfg, "stop", where)
+    count = config_value(cfg, "count", where, int, default_count)
+    if count < 0:
+        raise ConfigError(f"{where} field 'count' must be nonnegative, got {count!r}")
+    return np.linspace(start, stop, count)
+
+
+def _boolean(value) -> bool:
+    """A JSON ``true`` or ``false``, as a ``config_value`` kind: a string
+    such as "False" or a number is not a flag."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
 
 
 def _knots_from_config(cfg) -> np.ndarray:
@@ -237,9 +245,11 @@ def cmd_regress(r: Runner) -> None:
     halfwidth = config_value(cfg, "knot_halfwidth_stds", default=2.5)
     penalty_order = config_value(cfg, "penalty_order", kind=int, default=2)
     tikhonov_constant = config_value(cfg, "tikhonov_constant", default=1.0)
+    center_knots = config_value(cfg, "center_knots", kind=_boolean, default=True)
     with r.stage("fit"):
         knots = np.linspace(-halfwidth * sample.sigma_x, halfwidth * sample.sigma_x, n_knots)
-        knots = knots + float(np.mean(sample.x)) if cfg.get("center_knots", True) else knots
+        if center_knots:
+            knots = knots + float(np.mean(sample.x))
         try:  # an order, truncation or penalty out of range
             basis = bs.make_basis(knots, order, truncation)
             reg_cfg = rg.RegressionConfig(basis, penalty_order=penalty_order, tikhonov_constant=tikhonov_constant)
@@ -317,10 +327,12 @@ def cmd_slv_calibrate(r: Runner) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     flags_cfg = cfg.get("constraints", {})
+    if not isinstance(flags_cfg, dict):
+        raise ConfigError(f"config field 'constraints' must be an object, got {flags_cfg!r}")
     flags = slv.ConstraintFlags(
-        forward_variance_eq=bool(flags_cfg.get("forward_variance", True)),
-        nonnegative=bool(flags_cfg.get("nonnegative", True)),
-        quadratic_cap=bool(flags_cfg.get("quadratic_cap", False)),
+        forward_variance_eq=config_value(flags_cfg, "forward_variance", "constraints", _boolean, True),
+        nonnegative=config_value(flags_cfg, "nonnegative", "constraints", _boolean, True),
+        quadratic_cap=config_value(flags_cfg, "quadratic_cap", "constraints", _boolean, False),
     )
     with r.stage("calibrate"):
         surf = slv.calibrate_leverage(

@@ -16,20 +16,20 @@ growing boundary-layer modes.  The stepping therefore closes the system
 with strong-form collocation of the equation at the two boundary knots,
 and then projects each accepted step exactly onto the mass/mean
 constraint manifold, so the integral conditions hold at every step by
-construction.  Each step system is banded in the interior trial functions
-plus two flat-wing columns and two collocation rows; one banded LU of the
-interior block and a 2 x 2 Schur complement for the wings solve it.
+construction.  Each step system is square: the banded Galerkin rows plus
+the two collocation rows, over the interior trial functions and the two
+flat-wing columns.  ``solve_bordered_banded`` solves it as one dense
+system.
 
 Nothing of a step but its right-hand side depends on the weights.
 ``assemble``, ``collocation_rows`` and ``constrain`` therefore take one
 time or a vector of times: ``evolve`` computes the weak form, the
 collocation rows and the mass/mean rows of a block of steps in one call of
-each, and factors each step system before the block is marched.
+each, then solves the block's steps one by one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -155,6 +155,7 @@ class GalerkinSystem:
 GL_POINTS = 10  # Gauss-Legendre points per knot interval in the weak form
 _BLOCK_STEPS = 10  # steps whose operators evolve holds at once
 _BLOWUP = 1e6  # largest |weight| evolve accepts
+_SINGULAR = 1.0 / np.finfo(float).eps  # condition number past which a step system counts as singular
 
 
 class _StepTables(NamedTuple):
@@ -343,111 +344,43 @@ def collocation_rows(problem: PDEProblem, t, tables=None) -> tuple[np.ndarray, n
     return tables.B0, op[0] if np.ndim(t) == 0 else op
 
 
-@functools.lru_cache(maxsize=16)  # evolve asks for the same layout once per block of steps
-def _band_layout(r: int, bandwidth: int):
-    """The outside-band mask of an ``r x r`` block, the (row, column)
-    indices of its in-band entries and their rows in LAPACK gbtrf band
-    storage ``ab[2 bw + i - j, j]`` (the top ``bw`` rows take the LU
-    fill-in), built once per size and bandwidth and read-only."""
-    outside = np.abs(np.subtract.outer(np.arange(r), np.arange(r))) > bandwidth
-    i, j = np.nonzero(~outside)
-    layout = (outside, i, j, 2 * bandwidth + i - j)
-    for arr in layout:
-        arr.setflags(write=False)
-    return layout
-
-
-class _BorderedLU(NamedTuple):
-    """A stack of factored bordered systems (see ``solve_bordered_banded``);
-    entry s of each field belongs to system s."""
-
-    bandwidth: int
-    lu: list  # the gbtrf band factors of each interior block (empty without an interior)
-    piv: list  # their pivots
-    inner: np.ndarray  # (n, 2, r): the border rows on the interior columns
-    wings: np.ndarray  # (n, r, 2): each interior block solved against its two wing columns
-    schur: np.ndarray  # (n, 2, 2): the Schur complement of the wing unknowns
-
-
-def _factor_bordered(band: np.ndarray, border: np.ndarray, bandwidth: int) -> _BorderedLU:
-    """Factor the systems ``[band[s]; border[s]]`` of a stack: the banded
-    LU of each interior block (LAPACK ``dgbtrf``), its solves against the
-    two wing columns (``dgbtrs``) and the 2 x 2 Schur complement.  A zero
-    pivot raises ``PDEError``, and so does an interior entry outside the
-    bandwidth or a stack of the wrong shape."""
-    from scipy.linalg.lapack import dgbtrf, dgbtrs  # here, so that importing pde does not load scipy.linalg
-
-    n, r, d = band.shape
-    if border.shape != (n, 2, d) or r + 2 != d:
-        raise PDEError("bordered system is not square")
-    outside, i, j, ab_rows = _band_layout(r, bandwidth)
-    if np.any(band[:, :, 1:-1][:, outside]):
-        raise PDEError("interior block is wider than the bandwidth")
-    lus, pivs = [], []
-    # wings[s].T, Fortran-ordered, holds system s's two wing columns and then
-    # their interior solves
-    wings = np.empty((n, 2, r))
-    wings[:, 0], wings[:, 1] = band[:, :, 0], band[:, :, -1]
-    if r:  # gbtrf rejects an empty system; without an interior only the wings remain
-        # ab[s].T is the Fortran-ordered band storage of system s, which gbtrf overwrites
-        ab = np.zeros((n, r, 3 * bandwidth + 1))
-        ab[:, j, ab_rows] = band[:, i, j + 1]
-        for s in range(n):
-            lu, piv, info = dgbtrf(ab[s].T, bandwidth, bandwidth, overwrite_ab=True)
-            if info != 0:
-                raise PDEError("bordered system is singular")
-            y, _ = dgbtrs(lu, bandwidth, bandwidth, wings[s].T, piv, overwrite_b=True)
-            wings[s] = y.T
-            lus.append(lu)
-            pivs.append(piv)
-    wings = wings.transpose(0, 2, 1)
-    inner = border[:, :, 1:-1]
-    schur = border[:, :, [0, -1]] - inner @ wings
-    return _BorderedLU(bandwidth, lus, pivs, inner, wings, schur)
-
-
-def _solve_factored(f: _BorderedLU, s: int, rhs_band: np.ndarray, rhs_border: np.ndarray) -> np.ndarray:
-    """Solve system s of a factored stack for one right-hand side: the
-    interior block by ``dgbtrs``, the wings by the Schur complement, then
-    the interior by back-substitution."""
-    y = rhs_band
-    if f.lu:
-        from scipy.linalg.lapack import dgbtrs
-
-        y, _ = dgbtrs(f.lu[s], f.bandwidth, f.bandwidth, rhs_band[:, None], f.piv[s])
-        y = y[:, 0]
-    try:
-        wings = np.linalg.solve(f.schur[s], rhs_border - f.inner[s] @ y)
-    except np.linalg.LinAlgError as exc:
-        raise PDEError("bordered system is singular") from exc
-    return np.concatenate([wings[:1], y - f.wings[s] @ wings, wings[1:]])
-
-
 def solve_bordered_banded(
     band: np.ndarray,
     border: np.ndarray,
     rhs_band: np.ndarray,
     rhs_border: np.ndarray,
-    bandwidth: int,
 ) -> np.ndarray:
     """Solve ``[band; border] x = [rhs_band; rhs_border]`` for banded rows
     plus two dense border rows.
 
-    The unknowns split into the interior block ``x[1:-1]`` and the two wing
-    columns.  The square interior block ``band[:, 1:-1]``, with ``bandwidth``
-    sub- and super-diagonals, takes one banded LU (LAPACK ``dgbtrf``, called
-    directly), which solves the two wing columns and ``rhs_band``
-    (``dgbtrs``).  The border rows then reduce to a 2 x 2 Schur complement
-    for the wing weights, and the interior follows by back-substitution.
-    The interior block must be nonsingular, since the LU pivots only inside
-    it and never across the border rows; in ``evolve`` it is the symmetric
-    positive definite interior mass block minus ``theta dt`` times the
-    stiffness.  A zero pivot in either solve raises ``PDEError``, and so
-    does an interior entry outside the bandwidth.  The inputs are not
-    checked for finiteness: a non-finite entry gives a non-finite answer.
-    ``evolve`` factors its step systems ahead and solves each once.
+    In a step of ``evolve`` the ``band`` rows are the Galerkin rows of the
+    compact-support test functions and the ``border`` rows the boundary
+    collocation rows; together they make one square system, which is
+    stacked and solved densely (LAPACK ``gesv`` through
+    ``np.linalg.solve``, pivoting over all the rows).  A stack that is not
+    square raises ``PDEError``, and so does a singular one: one whose LU
+    meets a zero pivot, or whose condition number is past
+    ``1 / machine epsilon``, where a pivot is zero but for rounding.  The
+    condition test solves the fixed probe ``p = cos(0, 1, ..., d - 1)``
+    along with the right-hand side, and ``max |lhs| max |lhs^-1 p|`` bounds
+    the condition number from below.  The inputs are not checked for
+    finiteness: a non-finite entry gives a non-finite answer, or the
+    singular-system ``PDEError`` when LAPACK's arithmetic on it signals.
     """
-    return _solve_factored(_factor_bordered(band[None], border[None], bandwidth), 0, rhs_band, rhs_border)
+    band, border = np.asarray(band, dtype=float), np.asarray(border, dtype=float)
+    r, d = band.shape if band.ndim == 2 else (-1, -1)
+    if border.shape != (2, d) or r + 2 != d:
+        raise PDEError("bordered system is not square")
+    lhs = np.vstack([band, border])
+    rhs = np.empty((d, 2))
+    rhs[:r, 0], rhs[r:, 0], rhs[:, 1] = rhs_band, rhs_border, np.cos(np.arange(d))
+    try:
+        x = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise PDEError("bordered system is singular") from exc
+    if np.abs(lhs).max() * np.abs(x[:, 1]).max() > _SINGULAR:
+        raise PDEError("bordered system is singular")
+    return x[:, 0]
 
 
 @dataclass(frozen=True)
@@ -480,11 +413,13 @@ class Trajectory:
 
 
 class _StepOperators(NamedTuple):
-    """What a block of steps needs that does not depend on the weights."""
+    """What a block of steps needs that does not depend on the weights:
+    entry s of each field belongs to the block's step s."""
 
+    lhs_band: np.ndarray  # (n, r, d): A - theta dt B, the implicit part
+    lhs_border: np.ndarray  # (n, 2, d): the collocation rows' implicit part
     rhs_band: np.ndarray  # (n, r, d): A + (1 - theta) dt B, applied to the weights
     rhs_border: np.ndarray  # (n, 2, d): the collocation rows' explicit part
-    lhs: _BorderedLU  # the factored implicit part
     rows: np.ndarray  # (n, 2, d): the mass and mean rows at each step's end
     gram: np.ndarray  # (n, 2, 2): rows @ rows.T
 
@@ -501,9 +436,10 @@ def _step_operators(problem: PDEProblem, tables: _StepTables, times: np.ndarray,
     vals, op = collocation_rows(problem, tm, tables)
     implicit = (theta * dt)[:, None, None]
     explicit = ((1.0 - theta) * dt)[:, None, None]
-    lhs = _factor_bordered(A - implicit * B, vals - implicit * op, problem.basis.order)
     rows = np.stack(constrain(problem, t1, tables), axis=1)
-    return _StepOperators(A + explicit * B, vals + explicit * op, lhs, rows, rows @ rows.transpose(0, 2, 1))
+    return _StepOperators(
+        A - implicit * B, vals - implicit * op, A + explicit * B, vals + explicit * op, rows, rows @ rows.transpose(0, 2, 1)
+    )
 
 
 def evolve(
@@ -525,12 +461,11 @@ def evolve(
 
     The time-invariant basis tables are built once.  The steps are taken in
     blocks of 10: one call each of ``assemble``, ``collocation_rows`` and
-    ``constrain`` with the block's times gives its operators, and its step
-    systems are factored before it is marched, so a block that cannot be
-    formed fails before its first step.  Each step's weights are those of
-    composing the single-time calls of those functions with
-    ``solve_bordered_banded``, bit for bit.  An unknown ``scheme`` or fewer
-    than one step is a ``ConfigError``.
+    ``constrain`` with the block's times gives the block's step matrices,
+    and each step is one call of ``solve_bordered_banded``.  ``evolve`` is
+    thus the composition of the four public step functions: each step's
+    weights are those of their single-time calls, bit for bit.  An unknown
+    ``scheme`` or fewer than one step is a ``ConfigError``.
     """
     theta = {"explicit": 0.0, "implicit": 1.0, "cn": 0.5}.get(scheme)
     if theta is None:
@@ -562,7 +497,8 @@ def evolve(
         stop = min(start + _BLOCK_STEPS, steps)
         ops = _step_operators(problem, tables, times[start : stop + 1], thetas[start:stop])
         for s, m in enumerate(range(start, stop)):
-            w_new = _solve_factored(ops.lhs, s, ops.rhs_band[s] @ w, ops.rhs_border[s] @ w)
+            rhs_band, rhs_border = ops.rhs_band[s] @ w, ops.rhs_border[s] @ w
+            w_new = solve_bordered_banded(ops.lhs_band[s], ops.lhs_border[s], rhs_band, rhs_border)
             # exact mass/mean projection: the integral conditions hold at every
             # accepted step by construction
             R = ops.rows[s]

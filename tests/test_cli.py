@@ -93,14 +93,25 @@ def test_pde_evolve_profile_splits_evolve_and_write(tmp_path):
     }
 
 
-def test_imports_leave_scipy_linalg_unloaded():
-    # the LAPACK calls import scipy.linalg inside the functions that use it,
-    # which keeps it out of every command's start-up
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this checkout's volspline."""
     src = str(Path(volspline.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_imports_leave_scipy_linalg_unloaded():
+    # opt and regression import scipy.linalg inside the functions that call
+    # LAPACK through it, which keeps it out of every command's start-up
     code = "import sys, volspline.cli, volspline.pde, volspline.opt; print('scipy.linalg' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_pde_evolve_runs_without_scipy_linalg(tmp_path):
+    # the PDE engine solves its steps with numpy alone
+    argv = ["pde-evolve", "--config", str(REPO / "configs" / "pde_ratio.json"), "--out", str(tmp_path / "out")]
+    code = f"import sys; from volspline import cli; print(cli.main({argv!r}), 'scipy.linalg' in sys.modules)"
+    assert _fresh_python(code).split() == ["0", "False"]
 
 
 @pytest.mark.parametrize(
@@ -312,6 +323,12 @@ def test_unknown_or_incomplete_option_exits_2(tmp_path, capsys, monkeypatch, com
         ("surface-calibrate", "surface_synthetic.json", "config.n_knots=3", "n_knots"),
         ("regress", "regress_demo.json", "penalty_order=0", "penalty_order"),
         ("regress", "regress_demo.json", "truncation=5", "truncation"),
+        # --set keeps a value that is not JSON as a string: "False" is not the flag false
+        ("regress", "regress_demo.json", "center_knots=False", "'center_knots'"),
+        ("regress", "regress_demo.json", "center_knots=0", "'center_knots'"),
+        ("regress", "regress_demo.json", 'grid={"start": -1, "stop": 1, "count": -1}', "grid field 'count'"),
+        ("basis", "basis_fig.json", "grid.count=-1", "grid field 'count'"),
+        ("basis", "basis_fig.json", "knots.count=-2", "knots field 'count'"),
     ],
 )
 def test_config_value_out_of_range_exits_2(tmp_path, capsys, monkeypatch, command, config, setting, named):
@@ -339,6 +356,13 @@ def test_config_value_out_of_range_exits_2(tmp_path, capsys, monkeypatch, comman
         ("reprice.strikes.count=-2", "'reprice.strikes'"),
         ("reprice.strikes=[]", "'reprice.strikes'"),
         ("leverage_grid=-1", "'leverage_grid'"),
+        ("constraints.forward_variance=False", "'forward_variance'"),
+        ("constraints.forward_variance=0", "'forward_variance'"),
+        ("constraints.nonnegative=False", "'nonnegative'"),
+        ("constraints.nonnegative=0", "'nonnegative'"),
+        ("constraints.quadratic_cap=False", "'quadratic_cap'"),
+        ("constraints.quadratic_cap=0", "'quadratic_cap'"),
+        ("constraints=5", "'constraints'"),
     ],
 )
 def test_slv_config_value_out_of_range_exits_2(tmp_path, capsys, setting, named):
@@ -348,3 +372,18 @@ def test_slv_config_value_out_of_range_exits_2(tmp_path, capsys, setting, named)
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and named in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_center_knots_false_leaves_the_knots_symmetric(tmp_path):
+    argv = ["regress", "--config", str(REPO / "configs" / "regress_demo.json"), "--out", str(tmp_path / "out"),
+            "--set", "center_knots=false"]
+    assert cli.main(argv) == 0
+    knots = json.loads((tmp_path / "out" / "fit.json").read_text(encoding="utf-8"))["knots"]
+    assert knots[0] == -knots[-1] != 0.0
+
+
+def test_constraint_flags_set_false_run(tmp_path):
+    argv = ["slv-calibrate", "--config", str(REPO / "configs" / "slv_flat_smile.json"), "--out", str(tmp_path / "out"),
+            "--seed", "1", "--set", "particles=2000", "--set", "steps=5", "--set", "reprice.paths=4096",
+            "--set", "constraints.forward_variance=false", "--set", "constraints.nonnegative=false"]
+    assert cli.main(argv) == 0

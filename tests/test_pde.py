@@ -122,7 +122,7 @@ class TestBorderedSolve:
             border = rng.standard_normal((2, d))
             rb = rng.standard_normal(d - 2)
             rbb = rng.standard_normal(2)
-            x1 = pde.solve_bordered_banded(band, border, rb, rbb, bw)
+            x1 = pde.solve_bordered_banded(band, border, rb, rbb)
             x2 = np.linalg.solve(np.vstack([band, border]), np.concatenate([rb, rbb]))
             worst = max(worst, np.abs(x1 - x2).max() / max(1.0, np.abs(x2).max()))
         assert worst <= 1e-10
@@ -140,7 +140,7 @@ class TestBorderedSolve:
                 border = vals - 0.5 * dt * op
                 rb = rng.standard_normal(band.shape[0])
                 rbb = rng.standard_normal(2)
-                x1 = pde.solve_bordered_banded(band, border, rb, rbb, prob.basis.order)
+                x1 = pde.solve_bordered_banded(band, border, rb, rbb)
                 x2 = np.linalg.solve(np.vstack([band, border]), np.concatenate([rb, rbb]))
                 assert np.abs(x1 - x2).max() <= 1e-10 * max(1.0, np.abs(x2).max()), (n_knots, t)
 
@@ -154,15 +154,18 @@ class TestBorderedSolve:
         rbb = np.ones(2)
         equal_borders = np.vstack([border[0], border[0]])
         with pytest.raises(pde.PDEError, match="singular"):
-            pde.solve_bordered_banded(band, equal_borders, rb, rbb, prob.basis.order)
+            pde.solve_bordered_banded(band, equal_borders, rb, rbb)
         zero_row = band.copy()
         zero_row[band.shape[0] // 2] = 0.0
         with pytest.raises(pde.PDEError, match="singular"):
-            pde.solve_bordered_banded(zero_row, border, rb, rbb, prob.basis.order)
-        # a 1 x 1 interior block: the full matrix is nonsingular (determinant 3), its interior is not
-        tiny = np.array([[1.0, 0.0, 2.0]]), np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-        with pytest.raises(pde.PDEError, match="singular"):
-            pde.solve_bordered_banded(*tiny, np.ones(1), np.ones(2), 1)
+            pde.solve_bordered_banded(zero_row, border, rb, rbb)
+
+    @pytest.mark.parametrize(
+        "band_shape, border_shape", [((3, 4), (2, 4)), ((2, 4), (3, 4)), ((2, 4), (2, 5)), ((4,), (2, 4))]
+    )
+    def test_rejects_a_stack_that_is_not_square(self, band_shape, border_shape):
+        with pytest.raises(pde.PDEError, match="not square"):
+            pde.solve_bordered_banded(np.ones(band_shape), np.ones(border_shape), np.ones(2), np.ones(2))
 
     @pytest.mark.parametrize("bw", [1, 2, 3])
     def test_matches_dense_for_each_bandwidth(self, bw):
@@ -174,35 +177,27 @@ class TestBorderedSolve:
             band[i, lo:hi] = rng.standard_normal(hi - lo)
             band[i, i + 1] += 4.0
         border, rb, rbb = rng.standard_normal((2, d)), rng.standard_normal(d - 2), rng.standard_normal(2)
-        x1 = pde.solve_bordered_banded(band, border, rb, rbb, bw)
+        x1 = pde.solve_bordered_banded(band, border, rb, rbb)
         x2 = np.linalg.solve(np.vstack([band, border]), np.concatenate([rb, rbb]))
         np.testing.assert_allclose(x1, x2, rtol=0.0, atol=1e-12 * np.abs(x2).max())
 
-    def test_singular_interior_blocks_raise(self):
-        # interior blocks [[0]] and [[1, 1], [2, 2]]; both full matrices are nonsingular
+    def test_singular_interior_blocks_are_solved(self):
+        # interior blocks [[0]] and [[1, 1], [2, 2]]; both full matrices are nonsingular,
+        # and the dense solve pivots across the border rows
         border1 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         band1 = np.array([[1.0, 0.0, 2.0]])
         band2 = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 2.0, 2.0, 1.0]])
         border2 = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-        for band, border in ((band1, border1), (band2, border2)):
+        for band, border, exact in ((band1, border1, [1 / 3, 2 / 3, 1 / 3]), (band2, border2, [1.0, 0.0, 0.0, 1.0])):
             assert abs(np.linalg.det(np.vstack([band, border]))) > 0.5
-            r = band.shape[0]
-            with pytest.raises(pde.PDEError, match="singular"):
-                pde.solve_bordered_banded(band, border, np.ones(r), np.ones(2), 1)
+            x = pde.solve_bordered_banded(band, border, np.ones(band.shape[0]), np.ones(2))
+            np.testing.assert_allclose(x, exact, rtol=0.0, atol=1e-15)
 
     def test_wings_only_system(self):
         # a dimension-2 basis has no interior: only the 2 x 2 border rows remain
         border = np.array([[2.0, 1.0], [1.0, 3.0]])
-        x = pde.solve_bordered_banded(np.zeros((0, 2)), border, np.zeros(0), np.array([3.0, 4.0]), 1)
+        x = pde.solve_bordered_banded(np.zeros((0, 2)), border, np.zeros(0), np.array([3.0, 4.0]))
         np.testing.assert_allclose(x, np.linalg.solve(border, [3.0, 4.0]), rtol=1e-15)
-
-    def test_rejects_entries_outside_the_band(self):
-        prob = ratio_problem(0.9, n_knots=25, half_sigmas=5.0)
-        sys_ = pde.assemble(prob, 0.55)
-        vals, _ = pde.collocation_rows(prob, 0.55)
-        rb = np.ones(sys_.mass.shape[0])
-        with pytest.raises(pde.PDEError, match="bandwidth"):
-            pde.solve_bordered_banded(sys_.mass, vals, rb, np.ones(2), prob.basis.order - 1)
 
 
 class TestEvolve:
@@ -279,7 +274,7 @@ class TestEvolve:
             B = pde.assemble(prob, tm).stiffness
             vals, op = pde.collocation_rows(prob, tm)
             w = pde.solve_bordered_banded(
-                A - th * dt * B, vals - th * dt * op, (A + (1 - th) * dt * B) @ w, (vals + (1 - th) * dt * op) @ w, 3
+                A - th * dt * B, vals - th * dt * op, (A + (1 - th) * dt * B) @ w, (vals + (1 - th) * dt * op) @ w
             )
             R = np.vstack(pde.constrain(prob, times[m + 1]))
             resid = R @ w - np.array([1.0, S0])
@@ -326,8 +321,7 @@ def public_march(prob, steps, scheme="cn", rannacher=2):
         B = pde.assemble(prob, tm).stiffness
         vals, op = pde.collocation_rows(prob, tm)
         w = pde.solve_bordered_banded(
-            A - th * dt * B, vals - th * dt * op, (A + (1 - th) * dt * B) @ w, (vals + (1 - th) * dt * op) @ w,
-            prob.basis.order,
+            A - th * dt * B, vals - th * dt * op, (A + (1 - th) * dt * B) @ w, (vals + (1 - th) * dt * op) @ w
         )
         R = np.vstack(pde.constrain(prob, times[m + 1]))
         resid = R @ w - np.array([1.0, prob.s0])
@@ -392,7 +386,8 @@ class TestBatchedEvolve:
 
     def test_the_tracer_sees_each_block_of_steps(self):
         # the benchmark's tracer patches the step functions by name: evolve
-        # must reach them, one call each per block of 10 steps
+        # must reach them, one call each of the first three per block of 10
+        # steps and one solve per step
         from volspline import cli, slv, surface  # noqa: F401 - Tracer.install looks them up in sys.modules
 
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -408,6 +403,7 @@ class TestBatchedEvolve:
             tracer.uninstall()
         calls = tracer.rounds[0]["calls"]
         assert [calls[f"pde.{name}"] for name in ("assemble", "collocation_rows", "constrain")] == [10, 10, 10]
+        assert calls["pde.solve_bordered_banded"] == 100
 
 
 class TestConvergence:
