@@ -51,6 +51,7 @@ __all__ = [
     "gram_matrix",
     "weighted_gram",
     "moment_rows",
+    "piece_integrals",
     "live_pieces",
     "gauss_legendre_rule",
 ]
@@ -983,6 +984,14 @@ def live_pieces(cb: CompiledBasis):
     return lo[live], hi[live], cb.refs[live], cb.coeffs[:, live, :]
 
 
+def piece_integrals(coeffs: np.ndarray, table: np.ndarray, total: bool = False) -> np.ndarray:
+    """Integrals ``(..., dim, pieces)`` of the functions of ``coeffs`` (as in
+    ``CompiledBasis.coeffs``) over each piece against a moment table, or a
+    stack of them, ``table[..., piece, d]``; with ``total``, summed over the
+    pieces, ``(..., dim)``."""
+    return np.einsum("jid,...id->...j" if total else "jid,...id->...ji", coeffs, table)
+
+
 def weighted_gram(cb: CompiledBasis, weight) -> np.ndarray:
     """Inner products of compiled functions against a measure.
 
@@ -1003,5 +1012,4 @@ def moment_rows(cb: CompiledBasis, weight) -> np.ndarray:
     """Vector of integrals of each compiled function against a measure
     (``weight.moment_table`` as in ``weighted_gram``)."""
     lo, hi, refs, coeffs = live_pieces(cb)
-    table = weight.moment_table(lo, hi, refs, coeffs.shape[2] - 1)
-    return np.einsum("jid,id->j", coeffs, table)
+    return piece_integrals(coeffs, weight.moment_table(lo, hi, refs, coeffs.shape[2] - 1), total=True)

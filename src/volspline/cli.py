@@ -25,7 +25,7 @@ import numpy as np
 from volspline import __version__, bspline as bs, opt, pde, priors as pr, slv, surface as sf
 from volspline import regression as rg
 from volspline.black import implied_vol
-from volspline.priors import ConfigError, config_value, float_array, require
+from volspline.priors import ConfigError, config_object, config_value, float_array, require
 
 __all__ = ["main"]
 
@@ -158,6 +158,13 @@ def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError("expected true or false")
     return value
+
+
+def _check_ranges(*checks) -> None:
+    """A ``ConfigError`` for the first ``(key, value, ok, need)`` that is not ``ok``."""
+    for key, value, ok, need in checks:
+        if not ok:
+            raise ConfigError(f"config field {key!r} must be {need}, got {value!r}")
 
 
 def _knots_from_config(cfg) -> np.ndarray:
@@ -311,7 +318,7 @@ def cmd_slv_calibrate(r: Runner) -> None:
         )
         strikes = params.s0 * np.exp(logm)
     lev_points = config_value(cfg, "leverage_grid", kind=int, default=61)
-    for key, value, ok, need in (
+    _check_ranges(
         ("horizon", horizon, horizon > 0.0, "positive"),
         ("steps", steps, steps >= 1, "at least 1"),
         ("particles", particles, particles >= 100, "at least 100"),
@@ -319,16 +326,12 @@ def cmd_slv_calibrate(r: Runner) -> None:
         ("reprice.paths", paths, paths >= 3, "at least 3, two antithetic pairs"),
         ("reprice.strikes", strikes_cfg, strikes.ndim == 1 and strikes.size >= 1, "one or more strikes"),
         ("leverage_grid", lev_points, lev_points >= 1, "at least 1"),
-    ):
-        if not ok:
-            raise ConfigError(f"config field {key!r} must be {need}, got {value!r}")
+    )
     try:  # an order, truncation or penalty out of range
         rg.RegressionConfig(bs.make_basis(np.arange(n_knots, dtype=float), order, truncation), penalty_order)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     flags_cfg = cfg.get("constraints", {})
-    if not isinstance(flags_cfg, dict):
-        raise ConfigError(f"config field 'constraints' must be an object, got {flags_cfg!r}")
     flags = slv.ConstraintFlags(
         forward_variance_eq=config_value(flags_cfg, "forward_variance", "constraints", _boolean, True),
         nonnegative=config_value(flags_cfg, "nonnegative", "constraints", _boolean, True),
@@ -407,7 +410,7 @@ def _forward_at(cfg, T: float) -> float:
 def _surface_config(sc: dict) -> sf.SurfaceConfig:
     """SurfaceConfig from a JSON object; absent fields keep their defaults."""
     defaults = sf.SurfaceConfig()
-    unknown = sorted(set(sc) - {f.name for f in dataclasses.fields(sf.SurfaceConfig)})
+    unknown = sorted(set(config_object(sc, "config")) - {f.name for f in dataclasses.fields(sf.SurfaceConfig)})
     if unknown:
         raise ConfigError(f"unknown config field {unknown[0]!r}")
     values = {k: config_value(sc, k, "config", type(getattr(defaults, k))) for k in sc}
@@ -534,16 +537,14 @@ def cmd_pde_evolve(r: Runner) -> None:
     order = config_value(cfg, "order", kind=int, default=3)
     n_knots = config_value(cfg, "knots", kind=int, default=40)
     grid_size = config_value(cfg, "grid_size", kind=int, default=101)
-    for key, value, ok, need in (
+    _check_ranges(
         ("base_variance", v0, v0 > 0.0, "positive"),
         ("horizon", horizon, horizon > 0.0, "positive"),
         ("half_width_stds", half_width, half_width > 0.0, "positive"),
         ("order", order, order >= 1, "at least 1"),
         ("knots", n_knots, n_knots >= order + 1, f"at least order + 1 = {order + 1}"),
         ("grid_size", grid_size, grid_size >= 0, "nonnegative"),
-    ):
-        if not ok:
-            raise ConfigError(f"config field {key!r} must be {need}, got {value!r}")
+    )
     vcfg = cfg.get("local_variance", {"type": "constant", "value": v0})
     kind = require(vcfg, "type", "local_variance")
     if kind == "constant":

@@ -16,10 +16,12 @@ growing boundary-layer modes.  The stepping therefore closes the system
 with strong-form collocation of the equation at the two boundary knots,
 and then projects each accepted step exactly onto the mass/mean
 constraint manifold, so the integral conditions hold at every step by
-construction.  Each step system is square: the banded Galerkin rows plus
-the two collocation rows, over the interior trial functions and the two
-flat-wing columns.  ``solve_bordered_banded`` solves it as one dense
-system.
+construction.  The base law at time t is the surface's Bachelier slice
+measure (``PDEProblem.base_measure``): the mass/mean rows are its mass and
+forward rows, and ``Trajectory.slice`` is the law at a step.  Each step
+system is square: the banded Galerkin rows plus the two collocation rows,
+over the interior trial functions and the two flat-wing columns.
+``solve_bordered_banded`` solves it as one dense system.
 
 Nothing of a step but its right-hand side depends on the weights.
 ``assemble``, ``collocation_rows`` and ``constrain`` therefore take one
@@ -37,8 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from volspline.bspline import BasisSpec, CompiledBasis, gauss_legendre_rule, live_pieces
-from volspline.priors import BachelierPrior, ConfigError, normal_moment_table
+from volspline.bspline import BasisSpec, CompiledBasis, Spline, gauss_legendre_rule, live_pieces, piece_integrals
+from volspline.priors import BachelierPrior, ConfigError
+from volspline.surface import RNSlice, slice_measure
 
 __all__ = [
     "PDEError",
@@ -133,8 +136,9 @@ class PDEProblem:
                 stacklevel=2,
             )
 
-    def base_density(self, t: float) -> BachelierPrior:
-        return BachelierPrior(self.s0, self.base_variance * t)
+    def base_measure(self, t):
+        """The base law N(s0, v0 t), ``slice_measure(BachelierPrior(s0, v0), t, s0)``; ``t`` may be a column."""
+        return slice_measure(BachelierPrior(self.s0, self.base_variance), t, self.s0)
 
 
 @dataclass(frozen=True)
@@ -310,20 +314,18 @@ def assemble(problem: PDEProblem, t, tables=None) -> GalerkinSystem:
 
 
 def constrain(problem: PDEProblem, t, tables=None) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-mass and mean integral rows against the base density at time t,
-    a float or a 1-D array of times; for a vector each row stacks one row
-    per time.
+    """Unit-mass and mean integral rows at time t, a float or a 1-D array of
+    times; for a vector each row stacks one row per time.
 
-    One Gaussian moment table of degree order + 1 over all the base
-    variances serves both rows: the mean row integrates
-    x b_j = ((x - ref) + ref) b_j piece by piece.  The pieces come from
-    ``tables`` (see ``assemble``) when given, else from the basis.
+    The rows are the mass and forward rows of the base slice measure
+    (``PDEProblem.base_measure``) over the live pieces, from one stacked
+    Gaussian table of degree order + 1 for all the times.  The pieces come
+    from ``tables`` (see ``assemble``) when given, else from the basis.
     """
     ts = _step_times(t)
     lo, hi, refs, coeffs = live_pieces(problem.basis.compiled()) if tables is None else tables.pieces
-    table = normal_moment_table(problem.s0, problem.base_variance * ts[:, None], lo, hi, refs, coeffs.shape[2])
-    mass = np.einsum("jid,sid->sj", coeffs, table[..., :-1])
-    mean = np.einsum("jid,sid->sj", coeffs, table[..., 1:] + refs[:, None] * table[..., :-1])
+    mass_table, spot_table = problem.base_measure(ts[:, None]).moment_tables(lo, hi, refs, coeffs.shape[2] - 1)
+    mass, mean = piece_integrals(coeffs, mass_table, total=True), piece_integrals(coeffs, spot_table, total=True)
     return (mass[0], mean[0]) if np.ndim(t) == 0 else (mass, mean)
 
 
@@ -396,8 +398,6 @@ class Trajectory:
     max_abs_weight: np.ndarray
 
     def ratio(self, k: int, xs):
-        from volspline.bspline import Spline
-
         return Spline(self.problem.basis, self.weights[k])(np.asarray(xs, dtype=float))
 
     def ratios(self, xs) -> np.ndarray:
@@ -405,11 +405,13 @@ class Trajectory:
         located once for all the times."""
         return self.problem.basis.compiled().spline_rows(self.weights, xs)
 
-    def density(self, k: int, xs):
+    def slice(self, k: int) -> RNSlice:
+        """The law at ``times[k]``: the surface slice of weights k on the base
+        measure, with the surface's ``density`` and ``call_price``."""
         t = float(self.times[k])
         if t <= 0.0:
-            raise PDEError("density at t = 0 is the initial Dirac mass")
-        return self.ratio(k, xs) * self.problem.base_density(t).density(xs)
+            raise PDEError("the law at t = 0 is the initial Dirac mass")
+        return RNSlice(self.problem.basis, self.weights[k], t, self.problem.s0, self.problem.base_measure(t))
 
 
 class _StepOperators(NamedTuple):

@@ -5,8 +5,8 @@ deg)``: for arrays of interval edges and local reference points it returns
 the table of integrals of ``(x - ref)^d dQ`` over ``[lo_i, hi_i]`` for every
 interval i and every degree ``d <= deg``.  The B-spline Gram, moment and
 pricing rows are contractions of that table with the compiled piecewise
-polynomial coefficients.  Gaussian tables are closed form, and a
-lognormal enters through the Gaussian law of its logarithm (``log_law``);
+polynomial coefficients (``bspline.piece_integrals``); Gaussian tables are
+closed form, a lognormal entering through the law of its log (``log_law``);
 the SSVI slice has its table in log-moneyness only (``log_moment_table``),
 integrated on one composite Gauss-Legendre grid.  An ``SSVISlice`` builds
 that grid, and the moments of its whole cells for each weight, once, and
@@ -31,7 +31,6 @@ from volspline.bspline import gauss_legendre_rule
 __all__ = [
     "PriorError",
     "BachelierPrior",
-    "normal_moment_table",
     "LogNormalPrior",
     "SSVIParams",
     "SSVISlice",
@@ -40,6 +39,7 @@ __all__ = [
     "validate_ssvi",
     "adaptive_quad",
     "ConfigError",
+    "config_object",
     "require",
     "config_value",
     "float_array",
@@ -91,29 +91,17 @@ def _gauss_power_moments(alpha, beta, shift, nmax: int) -> np.ndarray:
     return out
 
 
-def normal_moment_table(mean: float, variance, lo, hi, ref, deg: int) -> np.ndarray:
-    """``BachelierPrior(mean, variance).moment_table(lo, hi, ref, deg)`` for
-    one variance or for many at once: an array of variances broadcasts
-    against the intervals, so a column of n variances gives n stacked
-    tables, each equal bit for bit to the table of its variance alone."""
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance <= 0.0):
-        raise PriorError("variance must be positive")
-    lo, hi, ref = _table_args(lo, hi, ref, deg)
-    s = np.sqrt(variance)
-    mom = _gauss_power_moments((lo - mean) / s, (hi - mean) / s, (mean - ref) / s, deg)
-    return mom * s[..., None] ** np.arange(deg + 1)
-
-
 @dataclass(frozen=True)
 class BachelierPrior:
-    """Normal law in price (or any linear) units."""
+    """Normal law in price (or any linear) units.  For ``moment_table`` only,
+    ``variance`` may be a column of n variances, shape ``(n, 1)``: it returns
+    n stacked tables, each equal bit for bit to its variance's own table."""
 
     mean: float
     variance: float
 
     def __post_init__(self) -> None:
-        if self.variance <= 0.0:
+        if np.any(self.variance <= 0.0):
             raise PriorError("variance must be positive")
 
     @property
@@ -126,7 +114,10 @@ class BachelierPrior:
 
     def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
         """Integrals of (x - ref_i)^d over [lo_i, hi_i] for d <= deg."""
-        return normal_moment_table(self.mean, self.variance, lo, hi, ref, deg)
+        lo, hi, ref = _table_args(lo, hi, ref, deg)
+        s = np.sqrt(self.variance)
+        mom = _gauss_power_moments((lo - self.mean) / s, (hi - self.mean) / s, (self.mean - ref) / s, deg)
+        return mom * s[..., None] ** np.arange(deg + 1)
 
     def piece_integral(self, a: float, b: float, coeffs, ref: float) -> float:
         """Integral over [a, b] of the polynomial sum_d coeffs[d] (x - ref)^d."""
@@ -170,22 +161,13 @@ class LogNormalPrior:
 # SSVI total-variance surface
 # ---------------------------------------------------------------------------
 
-def _interp_curve(curve, t: float) -> float:
-    if callable(curve):
-        return float(curve(t))
-    if np.isscalar(curve):
-        return float(curve)
-    pts = np.asarray(curve, dtype=float)
-    return float(np.interp(t, pts[:, 0], pts[:, 1]))
-
-
 @dataclass(frozen=True)
 class SSVIParams:
     """Five-parameter global total-variance surface.
 
     Time dependence is linear, ``theta(t) = K t`` and ``delta(t) = C t``,
     and the skew function is the power law ``phi(theta) = eta theta^-gamma``.
-    ``forward_curve`` maps maturity to forward; a scalar means a flat curve.
+    ``forward_curve`` is a flat forward or rows (maturity, forward), interpolated.
     """
 
     C: float
@@ -213,7 +195,10 @@ class SSVIParams:
         return self.eta * theta ** (-self.gamma)
 
     def forward(self, t: float) -> float:
-        return _interp_curve(self.forward_curve, t)
+        if np.isscalar(self.forward_curve):
+            return float(self.forward_curve)
+        pts = np.asarray(self.forward_curve, dtype=float)
+        return float(np.interp(t, pts[:, 0], pts[:, 1]))
 
 
 def ssvi_total_variance(p: SSVIParams, t: float, k):
@@ -276,17 +261,17 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_ssvi(p: SSVIParams, t_range: tuple[float, float], n_grid: int = 200) -> ValidationReport:
+def validate_ssvi(p: SSVIParams, t_range: tuple[float, float]) -> ValidationReport:
     """Static-arbitrage report over a maturity range.
 
-    Butterfly conditions are evaluated on a theta grid covering twice the
-    range implied by the maturities; calendar conditions follow from the
-    linear time parameterization and the power-law skew.
+    Butterfly conditions are evaluated on a theta grid of 200 points
+    covering twice the range implied by the maturities; calendar conditions
+    follow from the linear time parameterization and the power-law skew.
     """
     t0, t1 = t_range
     if not (0.0 < t0 <= t1):
         raise PriorError("maturity range must be positive and ordered")
-    thetas = np.linspace(p.theta(t0) * 0.5, p.theta(t1) * 2.0, n_grid)
+    thetas = np.linspace(p.theta(t0) * 0.5, p.theta(t1) * 2.0, 200)
     thetas = thetas[thetas > 0.0]
     phi = p.eta * thetas ** (-p.gamma)
     b1 = 4.0 - thetas * phi * (1.0 + abs(p.rho))
@@ -499,9 +484,16 @@ class ConfigError(ValueError):
     """A JSON configuration lacks a required field or names an unknown one."""
 
 
+def config_object(obj, where: str = "config") -> dict:
+    """``obj`` when it is a JSON object, else a ``ConfigError`` naming ``where``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config field {where!r} must be an object, got {obj!r}")
+    return obj
+
+
 def require(obj, key: str, where: str = "config"):
-    """``obj[key]``, or a ``ConfigError`` naming the missing field."""
-    if not isinstance(obj, dict) or key not in obj:
+    """``obj[key]``, or a ``ConfigError`` naming the missing field (see ``config_object``)."""
+    if key not in config_object(obj, where):
         raise ConfigError(f"{where} requires the field {key!r}")
     return obj[key]
 
@@ -520,7 +512,7 @@ def config_value(obj, key: str, where: str = "config", kind=float, default=_REQU
     A missing required field, or a value ``kind`` cannot convert (a string
     where a number belongs), is a ``ConfigError`` naming the field.
     """
-    if default is not _REQUIRED and not (isinstance(obj, dict) and key in obj):
+    if default is not _REQUIRED and key not in config_object(obj, where):
         return default
     value = require(obj, key, where)
     try:

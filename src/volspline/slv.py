@@ -212,7 +212,6 @@ def calibrate_leverage(
     order: int = 2,
     truncation: int = 1,
     penalty_order: int = 2,
-    tikhonov_constant: float = 1.0,
     flags: ConstraintFlags = ConstraintFlags(),
     knot_halfwidth_stds: float = 2.5,
 ) -> LeverageSurface:
@@ -238,7 +237,7 @@ def calibrate_leverage(
         raise ValueError("particle count too small")
 
     unit = make_basis(np.arange(n_knots, dtype=float), order, truncation)
-    cfg = rg.RegressionConfig(unit, penalty_order=penalty_order, tikhonov_constant=tikhonov_constant)
+    cfg = rg.RegressionConfig(unit, penalty_order=penalty_order)
     unit_cb = unit.compiled()
     unit_penalty = rg.penalty_matrix(cfg)
 

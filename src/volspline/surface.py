@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from volspline import opt
-from volspline.bspline import BasisSpec, CompiledBasis, Spline, gram_matrix, make_basis
+from volspline.bspline import BasisSpec, CompiledBasis, Spline, gram_matrix, make_basis, piece_integrals
 from volspline.priors import BachelierPrior, ConfigError, LogNormalPrior, SSVIParams, SSVISlice, ssvi_total_variance
 from volspline.regression import ConstraintSet, solution_weights
 
@@ -85,9 +85,9 @@ class _CoordMeasure:
     splines); ``'identity'`` means the coordinate is the price itself.
     Outside these classes the coordinate is read through ``coordinate``,
     ``coord_of_strike`` and ``spot_of_coord``.  Subclasses supply
-    ``moment_table`` and ``spot_moment_table``: integrals of
-    ``(u - ref)^d`` against the measure, and against spot times the
-    measure, for arrays of intervals; and ``atm_variance``.
+    ``moment_table`` (integrals of ``(u - ref)^d`` against the measure for
+    arrays of intervals), ``moment_tables`` (that mass table and the spot
+    table, against spot times the measure) and ``atm_variance``.
 
     ``piece_rows`` keeps the per-interval mass and spot rows of the last
     compiled basis it was asked for, so the quote, calendar, grid and
@@ -141,13 +141,14 @@ class GaussianCoordMeasure(_CoordMeasure):
     def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
         return self.law.moment_table(lo, hi, ref, deg)
 
-    def spot_moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+    def moment_tables(self, lo, hi, ref, deg: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mass and spot tables; in price space one table of degree deg + 1
+        serves both: u (u - ref)^d = (u - ref)^(d+1) + ref (u - ref)^d."""
         if self.spot_map == "exp":
             factor, tilted = self.law.tilted(1.0)
-            return self.forward * factor * tilted.moment_table(lo, hi, ref, deg)
-        # u (u - ref)^d = (u - ref)^(d+1) + ref (u - ref)^d
+            return self.moment_table(lo, hi, ref, deg), self.forward * factor * tilted.moment_table(lo, hi, ref, deg)
         table = self.law.moment_table(lo, hi, ref, deg + 1)
-        return table[..., 1:] + np.asarray(ref, dtype=float)[..., None] * table[..., :-1]
+        return table[..., :-1], table[..., 1:] + np.asarray(ref, dtype=float)[..., None] * table[..., :-1]
 
     def coord_density(self, u):
         return self.law.density(u)
@@ -171,8 +172,8 @@ class SSVICoordMeasure(_CoordMeasure):
     def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
         return self.slice.log_moment_table(lo, hi, ref, deg)
 
-    def spot_moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
-        return self.slice.log_moment_table(lo, hi, ref, deg, spot=True)
+    def moment_tables(self, lo, hi, ref, deg: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.moment_table(lo, hi, ref, deg), self.slice.log_moment_table(lo, hi, ref, deg, spot=True)
 
     def coord_density(self, u):
         return self.slice.logm_density(np.asarray(u, dtype=float))
@@ -191,8 +192,9 @@ def slice_measure(prior, maturity: float, forward: float | None = None):
     has variance ``variance * maturity`` and is centred on the forward.
     ``forward`` defaults to the prior's own; an SSVI prior must agree with
     it, since its forward curve fixes the log-moneyness of every strike.
+    A Bachelier prior also takes a column of maturities: stacked tables.
     """
-    if maturity <= 0.0:
+    if np.any(maturity <= 0.0):
         raise ValueError("maturity must be positive")
     if isinstance(prior, SSVIParams):
         measure = SSVICoordMeasure(prior, maturity)
@@ -217,10 +219,8 @@ def slice_measure(prior, maturity: float, forward: float | None = None):
 
 def _piece_rows(cb: CompiledBasis, measure) -> tuple[np.ndarray, np.ndarray]:
     """Mass and spot integrals of every function on every interval, (dim, intervals) each."""
-    lo, hi, deg = cb.edges[:-1], cb.edges[1:], cb.coeffs.shape[2] - 1
-    mass = np.einsum("jid,id->ji", cb.coeffs, measure.moment_table(lo, hi, cb.refs, deg))
-    spot = np.einsum("jid,id->ji", cb.coeffs, measure.spot_moment_table(lo, hi, cb.refs, deg))
-    return mass, spot
+    tables = measure.moment_tables(cb.edges[:-1], cb.edges[1:], cb.refs, cb.coeffs.shape[2] - 1)
+    return tuple(piece_integrals(cb.coeffs, table) for table in tables)
 
 
 def _tail_rows(cb: CompiledBasis, measure, strikes: np.ndarray):
@@ -235,14 +235,12 @@ def _tail_rows(cb: CompiledBasis, measure, strikes: np.ndarray):
     uk = measure.coord_of_strike(strikes)
     idx = np.searchsorted(cb.breakpoints, uk, side="right")
     hi, ref, coeffs = cb.edges[idx + 1], cb.refs[idx], cb.coeffs[:, idx, :]
-    deg = coeffs.shape[2] - 1
 
     def tails(rows, table):
         above = np.concatenate([np.cumsum(rows[:, ::-1], axis=1)[:, ::-1], np.zeros((rows.shape[0], 1))], axis=1)
-        return above[:, idx + 1].T + np.einsum("jkd,kd->kj", coeffs, table)
+        return above[:, idx + 1].T + piece_integrals(coeffs, table).T
 
-    mass_tails = tails(mass, measure.moment_table(uk, hi, ref, deg))
-    spot_tails = tails(spot, measure.spot_moment_table(uk, hi, ref, deg))
+    mass_tails, spot_tails = map(tails, (mass, spot), measure.moment_tables(uk, hi, ref, coeffs.shape[2] - 1))
     return mass.sum(axis=1), spot.sum(axis=1), mass_tails, spot_tails
 
 

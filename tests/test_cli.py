@@ -152,6 +152,31 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, confi
     assert err.startswith("error: config: ") and repr(field) in err
 
 
+@pytest.mark.parametrize(
+    "command, config, setting",
+    [
+        ("slv-calibrate", "slv_flat_smile.json", "reprice=5"),
+        ("slv-calibrate", "slv_flat_smile.json", "constraints=5"),
+        ("surface-calibrate", "surface_synthetic.json", "config=5"),
+        ("validate-surface", None, "grids=3"),
+    ],
+)
+def test_config_section_not_an_object_exits_2(tmp_path, capsys, monkeypatch, command, config, setting):
+    # a section that is present but not an object is named, not read as absent
+    monkeypatch.chdir(REPO)  # the shipped surface config names its quotes file relative to the root
+    path = REPO / "configs" / config if config else tmp_path / "config.json"
+    if config is None:  # validate-surface of a surface with no slices
+        surface = tmp_path / "surface.json"
+        prior = {"type": "lognormal", "forward": 100.0, "total_variance": 0.04}
+        surface.write_text(json.dumps({"prior": prior, "slices": []}))
+        path.write_text(json.dumps({"surface": str(surface)}))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "1", "--set", setting]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    section = setting.split("=")[0]
+    assert err.startswith("error: config: ") and f"{section!r} must be an object" in err
+
+
 @pytest.mark.parametrize("key, scalar", [("prior.type.x", "prior.type"), ("forward.x.y", "forward")])
 def test_set_through_a_non_object_exits_2(tmp_path, capsys, key, scalar):
     config = REPO / "configs" / "surface_synthetic.json"

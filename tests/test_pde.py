@@ -1,13 +1,16 @@
 """Galerkin assembly, bordered solves and the ratio evolution."""
 
 import importlib.util
+import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from volspline import bspline as bs, pde
+from scipy.special import ndtr
+
+from volspline import bspline as bs, pde, surface as sf
 
 V0 = 0.04 * 100.0**2  # 20% lognormal-equivalent at spot 100, price units
 S0 = 100.0
@@ -231,7 +234,7 @@ class TestEvolve:
         prob = ratio_problem(0.9, n_knots=30)
         traj = pde.evolve(prob, 60)
         xs = np.linspace(S0 - 80, S0 + 80, 400)
-        dens = traj.density(-1, xs)
+        dens = traj.slice(-1).density(xs)
         assert dens.min() >= -1e-8
         # trapezoid over a wide window captures nearly all mass
         total = np.trapezoid(dens, xs)
@@ -404,6 +407,39 @@ class TestBatchedEvolve:
         calls = tracer.rounds[0]["calls"]
         assert [calls[f"pde.{name}"] for name in ("assemble", "collocation_rows", "constrain")] == [10, 10, 10]
         assert calls["pde.solve_bordered_banded"] == 100
+
+
+class TestBaseSlices:
+    """The law at each step is a surface slice on the base slice measure."""
+
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "pde_ratio.json").read_text())
+        assert (cfg["s0"], cfg["base_variance"], cfg["order"], cfg["scheme"]) == (S0, V0, 3, "cn")
+        v = cfg["local_variance"]["value"]
+        prob = ratio_problem(v / V0, cfg["knots"], cfg["half_width_stds"], cfg["horizon"])
+        return prob, v, pde.evolve(prob, cfg["steps"])
+
+    def test_calls_match_the_bachelier_law_and_rise_in_t(self, shipped):
+        prob, v, traj = shipped
+        strikes = np.linspace(40.0, 160.0, 121)
+        calls = np.array([traj.slice(k).call_price(strikes) for k in range(1, traj.times.size)])
+        for t in (0.1, 0.5, 1.0):
+            k = int(np.argmin(np.abs(traj.times - t)))
+            sd = np.sqrt(v * traj.times[k])
+            d = (S0 - strikes) / sd
+            exact = (S0 - strikes) * ndtr(d) + sd * np.exp(-0.5 * d * d) / np.sqrt(2.0 * np.pi)
+            assert np.abs(calls[k - 1] - exact).max() <= 2e-3
+        assert np.diff(calls, axis=0).min() >= -1e-12
+
+    def test_constraint_rows_are_the_base_measures_mass_and_forward_rows(self, shipped):
+        prob, _, traj = shipped
+        ts = traj.times[[1, 10, 50, 100]]
+        mass, mean = pde.constrain(prob, ts)
+        for t, mass_row, mean_row in zip(ts, mass, mean):
+            forms = sf.pricing_linear_forms(prob.basis, prob.base_measure(t), [S0])
+            for row, want in ((mass_row, forms["mass_row"]), (mean_row, forms["forward_row"])):
+                assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestConvergence:

@@ -264,8 +264,7 @@ def test_lognormal_tables_match_quad(T, vol, z, zref, deg):
     pdf = _gauss_pdf(m, sd)
     measure = sf.slice_measure(pr.LogNormalPrior(F, vol * vol), T, F)
     kref = m + zref * sd
-    mass = measure.moment_table([klo], [khi], [kref], deg)[0]
-    spot = measure.spot_moment_table([klo], [khi], [kref], deg)[0]
+    mass, spot = (table[0] for table in measure.moment_tables([klo], [khi], [kref], deg))
     for d in range(deg + 1):
         want = _quad(lambda k: (k - kref) ** d * pdf(k), klo, khi, m, sd)
         assert mass[d] == pytest.approx(want, rel=1e-9, abs=1e-13 * (4.0 * sd) ** d)
