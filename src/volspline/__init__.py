@@ -2,7 +2,11 @@
 
 import os as _os
 
-# honor the worker cap before any numerical library spins up its pools
+# honor the worker cap before any numerical library spins up its pools.
+# VOLSPLINE_THREADS caps the BLAS and OpenMP thread pools only.  It does not
+# govern the one helper thread with which slv.simulate_terminal draws the
+# next date's normals while the paths march; that thread lives for one call,
+# and no output depends on the cap or on the helper.
 _cap = _os.environ.get("VOLSPLINE_THREADS")
 if _cap:
     for _var in (

@@ -17,7 +17,6 @@ import hashlib
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -555,9 +554,10 @@ def cmd_pde_evolve(r: Runner) -> None:
         raise ConfigError(f"unknown local variance form {kind!r}")
     half = half_width * np.sqrt(v0 * horizon)
     basis = bs.make_basis(np.linspace(s0 - half, s0 + half, n_knots), order, truncation=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    try:
         problem = pde.PDEProblem(coef, v0, s0, basis, horizon)
+    except pde.PDEError as exc:  # the ranges above are checked: what is left is the base's dominance
+        raise ConfigError(f"config field 'base_variance': {exc}") from exc
     with r.stage("evolve"):
         traj = pde.evolve(problem, config_value(cfg, "steps", kind=int, default=100), scheme=cfg.get("scheme", "cn"))
     grid = np.linspace(basis.knots.knots[0], basis.knots.knots[-1], grid_size)

@@ -33,7 +33,6 @@ each, then solves the block's steps one by one.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,12 +127,32 @@ class PDEProblem:
                 "only flat (order-0) extrapolation is supported; higher-order "
                 "extrapolation needs extra side conditions that are not implemented"
             )
-        v00 = float(np.asarray(self.local_variance.value(0.0, np.array([self.s0]))).reshape(-1)[0])
-        if abs(v00 - self.base_variance) > 1e-10 * self.base_variance:
-            warnings.warn(
-                "local variance at (0, s0) differs from the base variance; the "
-                "ratio develops a stiff early transient",
-                stacklevel=2,
+        self._check_base_dominates()
+
+    def _check_base_dominates(self) -> None:
+        """A ``PDEError`` unless ``base_variance`` is at least the local
+        variance on the knot span over ``[0, horizon]``.
+
+        Where the local variance exceeds the base variance the ratio to the
+        base law grows like ``exp(z**2 (1/v0 - 1/v) / 2t)`` toward the
+        boundary knots, which the flat wings cannot follow.  The variance is
+        taken where the steps evaluate it, at the breakpoints and the
+        Gauss-Legendre points of the knot intervals, at ``_CHECK_TIMES``
+        evenly spaced times from 0 to the horizon, which is exact for the
+        constant and affine variances.
+        """
+        g = self.basis.compiled().breakpoints
+        xs = np.concatenate([g, _interval_rule(g)[0]])
+        ts = np.linspace(0.0, self.horizon, _CHECK_TIMES)[:, None]
+        v = np.broadcast_to(np.asarray(self.local_variance.value(ts, xs), dtype=float), (ts.size, xs.size))
+        worst = np.unravel_index(np.argmax(v), v.shape)
+        v_max = float(v[worst])
+        if v_max > self.base_variance:
+            raise PDEError(
+                f"base_variance {self.base_variance!r} is below the local variance {v_max!r} at "
+                f"t = {float(ts[worst[0], 0])!r}, x = {float(xs[worst[1]])!r}; the base must dominate the "
+                f"local variance on the knot span [{float(g[0])!r}, {float(g[-1])!r}] over "
+                f"[0, {self.horizon!r}], so base_variance must be at least {v_max!r}"
             )
 
     def base_measure(self, t):
@@ -157,6 +176,7 @@ class GalerkinSystem:
 
 
 GL_POINTS = 10  # Gauss-Legendre points per knot interval in the weak form
+_CHECK_TIMES = 17  # times on [0, horizon] at which PDEProblem checks that the base dominates
 _BLOCK_STEPS = 10  # steps whose operators evolve holds at once
 _BLOWUP = 1e6  # largest |weight| evolve accepts
 _SINGULAR = 1.0 / np.finfo(float).eps  # condition number past which a step system counts as singular
@@ -177,6 +197,16 @@ class _StepTables(NamedTuple):
     pieces: tuple  # live_pieces of the compiled basis
 
 
+def _interval_rule(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the ``GL_POINTS`` Gauss-Legendre rule on each
+    nonempty interval between the breakpoints ``g``, interval by interval."""
+    xs_n, ws_n = gauss_legendre_rule(GL_POINTS)
+    a, b = g[:-1], g[1:]
+    live = b > a
+    mid, half = 0.5 * (a + b)[live, None], 0.5 * (b - a)[live, None]
+    return (mid + half * xs_n).reshape(-1), (half * ws_n).reshape(-1)
+
+
 def _basis_tables(cb: CompiledBasis) -> _StepTables:
     """Gauss-Legendre points and weights on the knot intervals with the
     local basis products there, the basis and its first two derivatives at
@@ -191,12 +221,8 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
     values and borrows column 0, so its products add nothing.
     """
     g = cb.breakpoints
-    xs_n, ws_n = gauss_legendre_rule(GL_POINTS)
-    a, b = g[:-1], g[1:]
-    live = np.nonzero(b > a)[0]
-    mid, half = 0.5 * (a + b)[live, None], 0.5 * (b - a)[live, None]
-    xs = (mid + half * xs_n).reshape(-1)
-    ws = (half * ws_n).reshape(-1)
+    live = np.nonzero(g[1:] > g[:-1])[0]
+    xs, ws = _interval_rule(g)
     pts = np.array([g[0], g[-1]])
     d1 = cb.derivative()
     dim, size = cb.coeffs.shape[0], cb.order + 1

@@ -12,6 +12,7 @@ local volatility.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, fields
 from math import comb
 
@@ -340,31 +341,84 @@ _MARCH_BLOCK = 16384  # antithetic pairs per block of the path march: a block's 
 _PAIR_BLOCK = 8192  # antithetic pairs per block of repricing payoffs
 
 
+def _reprice_normals(seed: int, n_dates: int, half: int):
+    """Yield the ``(2, half)`` normals of each repricing date in turn.
+
+    Date ``k`` draws from its own stream, ``_step_rng(seed, "reprice", k)``,
+    all of row 0 and then all of row 1, the stream and order of
+    ``standard_normal((2, half))``.  One helper thread draws date ``k + 1``
+    into the second of two buffers while the caller uses date ``k``'s:
+    ``Generator.standard_normal`` releases the GIL, so the draws overlap the
+    caller's numpy work, and each buffer holds the bits a serial loop would
+    draw.  A buffer is valid until the next ``next()``.  Exhausting or
+    closing the generator stops and joins the helper; an error in the
+    helper is raised here.
+    """
+    buffers = np.empty((2, 2, half))
+    free = threading.Semaphore(2)  # buffers the helper may fill
+    filled = threading.Semaphore(0)  # buffers the caller may read
+    failed: list[BaseException] = []
+    stop = False
+
+    def draw() -> None:
+        try:
+            for k in range(n_dates):
+                free.acquire()
+                if stop:
+                    return
+                rng, z = _step_rng(seed, "reprice", k), buffers[k % 2]
+                rng.standard_normal(out=z[0])
+                rng.standard_normal(out=z[1])
+                filled.release()
+        except BaseException as exc:  # handed to the caller, which raises it
+            failed.append(exc)
+            filled.release()
+
+    helper = threading.Thread(target=draw, name="volspline-reprice-normals", daemon=True)
+    helper.start()
+    try:
+        for k in range(n_dates):
+            filled.acquire()
+            if failed:
+                raise failed[0]
+            yield buffers[k % 2]
+            free.release()
+    finally:
+        stop = True
+        free.release()  # wakes a helper that waits for a buffer
+        helper.join()
+
+
 def simulate_terminal(surface: LeverageSurface, n_paths: int, seed: int) -> np.ndarray:
     """Terminal spots under the calibrated dynamics, fresh random stream.
 
     The paths are antithetic: path ``i + half`` (``half = (n_paths + 1) //
-    2``) takes the negated normals of path ``i``.  Each date draws the
-    normals of the ``half`` pairs into one ``(2, half)`` buffer, then
-    marches the pairs ``_MARCH_BLOCK`` at a time: a block's increments are
+    2``) takes the negated normals of path ``i``.  Each date's normals for
+    the ``half`` pairs come in one ``(2, half)`` buffer (``_reprice_normals``:
+    one helper thread draws the next date's while this one marches), and
+    the pairs march ``_MARCH_BLOCK`` at a time: a block's increments are
     computed once, path ``i`` adds them and path ``i + half`` subtracts
     them (``_particle_step``).  The memory is the spots, the OU states and
-    the normals, three path-sized arrays, plus a few block-sized ones.
+    two buffers of normals, four path-sized arrays, plus a few block-sized
+    ones.  The helper lives for this call only and is joined before it
+    returns or raises.
     """
     p = surface.params
     half = (n_paths + 1) // 2
     s = np.full(2 * half, p.s0)
     u = np.zeros_like(s)
-    z = np.empty((2, half))  # the normals of each date, one buffer for all
-    for k, (dt, leverage) in enumerate(zip(np.diff(surface.times), surface.slices)):
-        rng = _step_rng(seed, "reprice", k)
-        rng.standard_normal(out=z[0])  # the stream and order of standard_normal((2, half))
-        rng.standard_normal(out=z[1])
-        for a in range(0, half, _MARCH_BLOCK):
-            b = min(a + _MARCH_BLOCK, half)
-            dw, innov = _increments(z[0, a:b], z[1, a:b], dt, p)
-            _particle_step(s[a:b], u[a:b], dt, p, dw, innov, leverage)
-            _particle_step(s[half + a : half + b], u[half + a : half + b], dt, p, dw, innov, leverage, antithetic=True)
+    dates = list(zip(np.diff(surface.times), surface.slices))
+    normals = _reprice_normals(seed, len(dates), half)
+    try:
+        for (dt, leverage), z in zip(dates, normals):
+            for a in range(0, half, _MARCH_BLOCK):
+                b = min(a + _MARCH_BLOCK, half)
+                dw, innov = _increments(z[0, a:b], z[1, a:b], dt, p)
+                _particle_step(s[a:b], u[a:b], dt, p, dw, innov, leverage)
+                lo, hi = half + a, half + b
+                _particle_step(s[lo:hi], u[lo:hi], dt, p, dw, innov, leverage, antithetic=True)
+    finally:
+        normals.close()
     return s[:n_paths]
 
 
@@ -401,9 +455,11 @@ def reprice_and_implied(
     normals with opposite signs, so an odd ``n_paths`` is rounded up to whole
     pairs.  ``simulate_terminal`` marches them in blocks of pairs, each
     block's increments computed once and added to one path of each pair,
-    subtracted from the other.  Standard errors are taken over the pair
-    averages, the independent draws, rather than over the correlated paths,
-    so at least two pairs (``n_paths >= 3``) are needed.
+    subtracted from the other, while one helper thread draws the next
+    date's normals; its memory is four path-sized arrays (the spots, the OU
+    states and two buffers of normals).  Standard errors are taken over the
+    pair averages, the independent draws, rather than over the correlated
+    paths, so at least two pairs (``n_paths >= 3``) are needed.
 
     The pair-averaged payoffs are summed over ``_PAIR_BLOCK`` pairs at a
     time, once for the prices and once more for the centred squares of the

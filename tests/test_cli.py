@@ -364,6 +364,17 @@ def test_config_value_out_of_range_exits_2(tmp_path, capsys, monkeypatch, comman
     assert err.startswith("error: config: ") and named in err
 
 
+def test_a_base_variance_below_the_local_variance_exits_2(tmp_path, capsys):
+    # the shipped knot span is [-40, 240]: 380 + 0.2 x reaches 428 there, above the base's 400
+    affine = 'local_variance={"type": "affine", "intercept": 380.0, "slope": 0.2}'
+    argv = ["pde-evolve", "--config", str(REPO / "configs" / "pde_ratio.json"), "--out", str(tmp_path / "out")]
+    assert cli.main([*argv, "--set", affine]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: config field 'base_variance'") and "at least 428.0" in err
+    # the span widens with the base: 440 dominates 380 + 0.2 x on [-46.8, 246.8]
+    assert cli.main([*argv, "--set", affine, "--set", "base_variance=440"]) == 0
+
+
 @pytest.mark.parametrize(
     "setting, named",
     [

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scipy.special import ndtr
+from scipy.special import ive, ndtr
 
 from volspline import bspline as bs, pde, surface as sf
 
@@ -74,7 +74,7 @@ class TestAssembly:
         # v = x - 60 vanishes at the lower knot only: every quadrature point
         # of the weak form lies inside an interval, the collocation point does not
         basis = bs.make_basis(np.linspace(60.0, 140.0, 12), 3, truncation=0)
-        prob = pde.PDEProblem(pde.AffineVariance(-60.0, 1.0), 40.0, S0, basis, 1.0)
+        prob = pde.PDEProblem(pde.AffineVariance(-60.0, 1.0), 80.0, S0, basis, 1.0)  # v <= 80 on the span
         pde.assemble(prob, 0.5)
         with pytest.raises(pde.PDEError, match="positive"):
             pde.collocation_rows(prob, 0.5)
@@ -245,11 +245,37 @@ class TestEvolve:
         half = 5.0 * np.sqrt(V0)
         basis = bs.make_basis(np.linspace(S0 - half, S0 + half, 30), 3, truncation=0)
         coef = pde.AffineVariance(V0 - 0.2 * S0, 0.2)  # equals V0 at S0
-        prob = pde.PDEProblem(coef, V0, S0, basis, 1.0)
+        prob = pde.PDEProblem(coef, V0 + 0.2 * half, S0, basis, 1.0)  # the variance at the upper knot
         traj = pde.evolve(prob, 60)
         assert np.all(np.isfinite(traj.weights))
         mass_row, _ = pde.constrain(prob, 1.0)
         assert mass_row @ traj.weights[-1] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("slope", [0.2, -0.2])
+    def test_affine_variance_matches_the_squared_bessel_density(self, slope):
+        # v = a + b x makes Z = 4 v(X) / b**2 a squared Bessel process of
+        # dimension 0, whose density for z > 0 is
+        # (1/2t) sqrt(z0/z) exp(-(z0 + z)/2t) I_1(sqrt(z0 z)/t), and dz/dx = 4/b
+        half = 5.0 * np.sqrt(V0)
+        basis = bs.make_basis(np.linspace(S0 - half, S0 + half, 40), 3, truncation=0)
+        coef = pde.AffineVariance(V0 - slope * S0, slope)  # equals V0 at S0, 420 at one boundary knot
+        traj = pde.evolve(pde.PDEProblem(coef, 440.0, S0, basis, 1.0), 100)
+        z0 = 4.0 * V0 / slope**2
+        for k in (10, 50, 100):
+            t = traj.times[k]
+            xs = np.linspace(S0 - 3.0 * np.sqrt(V0 * t), S0 + 3.0 * np.sqrt(V0 * t), 201)
+            z = 4.0 * coef.value(t, xs) / slope**2
+            exact = np.sqrt(z0 / z) * np.exp(-((np.sqrt(z0) - np.sqrt(z)) ** 2) / (2.0 * t)) / (2.0 * t)
+            exact *= ive(1, np.sqrt(z0 * z) / t) * 4.0 / abs(slope)
+            assert np.abs(traj.slice(k).density(xs) - exact).max() <= 1e-3 * exact.max()
+
+    def test_a_base_below_the_local_variance_is_rejected(self):
+        # v0 = v(s0) for a sloped variance: v exceeds v0 on one side of s0
+        half = 5.0 * np.sqrt(V0)
+        basis = bs.make_basis(np.linspace(S0 - half, S0 + half, 30), 3, truncation=0)
+        with pytest.raises(pde.PDEError, match=r"420\.0 at t = 0\.0, x = 200\.0.*must be at least 420\.0"):
+            pde.PDEProblem(pde.AffineVariance(V0 - 0.2 * S0, 0.2), V0, S0, basis, 1.0)
+        pde.PDEProblem(pde.AffineVariance(V0 - 0.2 * S0, 0.2), 420.0, S0, basis, 1.0)
 
 
     @pytest.mark.parametrize("scheme", ["cn", "implicit"])
@@ -261,9 +287,8 @@ class TestEvolve:
         # public step functions, which build their own, must give the same bits
         half = 5.0 * np.sqrt(V0)
         basis = bs.make_basis(np.linspace(S0 - half, S0 + half, 25), 3, truncation=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prob = pde.PDEProblem(coef, V0, S0, basis, 1.0)
+        base = max(V0, float(coef.value(0.0, basis.knots.knots).max()))  # dominates the variance on the span
+        prob = pde.PDEProblem(coef, base, S0, basis, 1.0)
         steps, rannacher = 12, 2
         traj = pde.evolve(prob, steps, scheme=scheme, rannacher=rannacher)
 

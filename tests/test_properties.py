@@ -12,7 +12,6 @@ Gaussian tails for its mass and mean.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -584,7 +583,8 @@ PDE_S0, PDE_V0 = 100.0, 400.0
 
 
 def _pde_problem(data, order, affine, uniform):
-    """A ratio problem on knots over five base deviations, evenly spaced or not."""
+    """A ratio problem on knots over five deviations of N(s0, PDE_V0), evenly
+    spaced or not, under a base that dominates its local variance there."""
     n_knots = data.draw(st.integers(order + 6, 18))
     half = 5.0 * math.sqrt(PDE_V0)
     if uniform:
@@ -592,14 +592,14 @@ def _pde_problem(data, order, affine, uniform):
     else:
         gaps = np.array(data.draw(st.lists(st.floats(0.3, 3.0), min_size=n_knots - 1, max_size=n_knots - 1)))
         g = PDE_S0 - half + 2.0 * half * np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum()
-    if affine:  # equal to the base variance at s0 and positive on the knot span
+    base = PDE_V0
+    if affine:  # equal to PDE_V0 at s0 and positive on the knot span
         slope = data.draw(st.floats(-0.3, 0.3))
         coef = pde.AffineVariance(PDE_V0 - slope * PDE_S0, slope)
+        base = float(coef.value(0.0, g).max())  # the largest variance on the span, at a boundary knot
     else:
         coef = pde.ConstantVariance(PDE_V0 * data.draw(st.floats(0.85, 1.0)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return pde.PDEProblem(coef, PDE_V0, PDE_S0, bs.make_basis(g, order, truncation=0), 1.0)
+    return pde.PDEProblem(coef, base, PDE_S0, bs.make_basis(g, order, truncation=0), 1.0)
 
 
 def _dense_weak_form(problem, t):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -186,8 +188,8 @@ class TestPathMarch:
             assert a.cond_var.coeffs.tobytes() == b.cond_var.coeffs.tobytes()
 
     def test_march_memory_is_under_five_path_arrays(self, march_surfaces):
-        # the spots, the OU states and the normals are three path-sized
-        # arrays; the rest of a step is block-sized
+        # the spots, the OU states and the two buffers of normals are four
+        # path-sized arrays; the rest of a step is block-sized
         n_paths = 2**17
         tracemalloc.start()
         try:
@@ -196,6 +198,80 @@ class TestPathMarch:
         finally:
             tracemalloc.stop()
         assert peak < 5 * n_paths * 8
+
+
+    def test_normals_are_each_dates_stream_and_closing_early_joins_the_helper(self):
+        before = threading.active_count()
+        normals = slv._reprice_normals(51, 4, 1000)
+        for k, z in zip(range(2), normals):
+            assert z.tobytes() == slv._step_rng(51, "reprice", k).standard_normal((2, 1000)).tobytes()
+        normals.close()
+        assert threading.active_count() == before
+
+    def test_an_error_drawing_normals_is_raised_by_the_march(self, monkeypatch, march_surfaces):
+        step_rng = slv._step_rng
+
+        def failing_rng(seed, stream, step):
+            if step == 2:
+                raise MemoryError("date 2")
+            return step_rng(seed, stream, step)
+
+        monkeypatch.setattr(slv, "_step_rng", failing_rng)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="date 2"):
+            slv.simulate_terminal(march_surfaces["shipped"], 2 * _B + 5, 47)
+        assert threading.active_count() == before
+
+    def test_the_normals_helper_is_joined_when_the_march_returns(self, march_surfaces):
+        before = threading.active_count()
+        slv.simulate_terminal(march_surfaces["shipped"], 2 * _B + 5, 47)
+        assert threading.active_count() == before
+
+    def test_an_error_mid_march_joins_the_helper_and_propagates_unchanged(self, monkeypatch, march_surfaces):
+        surface, n_paths = march_surfaces["shipped"], 2 * _B + 5
+        assert sum(sl is surface.slices[3] for sl in surface.slices) == 1
+        boom = RuntimeError("date 3")
+        step = slv._particle_step
+
+        def failing_step(s, u, dt, p, dw, innov, leverage, antithetic=False):
+            if leverage is surface.slices[3]:
+                raise boom
+            step(s, u, dt, p, dw, innov, leverage, antithetic)
+
+        monkeypatch.setattr(slv, "_particle_step", failing_step)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            slv.simulate_terminal(surface, n_paths, 48)
+        assert info.value is boom
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        got = slv.simulate_terminal(surface, n_paths, 48)
+        assert got.tobytes() == _full_array_march(surface, n_paths, 48).tobytes()
+
+    @pytest.mark.parametrize("n_paths, seeds", [(4 * _B + 9, (49, 50)), (2 * _B + 5, (51, 52, 53, 54))])
+    def test_concurrent_marches_share_no_state(self, march_surfaces, n_paths, seeds):
+        # calls at once, more of them than cores, with frequent thread
+        # switches: each gives the bytes of the same call run alone
+        surface = march_surfaces["quadratic_cap"]
+        alone = {seed: slv.simulate_terminal(surface, n_paths, seed).tobytes() for seed in seeds}
+        together, start = {}, threading.Barrier(len(seeds))
+
+        def march(seed):
+            start.wait()
+            together[seed] = slv.simulate_terminal(surface, n_paths, seed).tobytes()
+
+        threads = [threading.Thread(target=march, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert together == alone
 
 
 class TestCalibration:
