@@ -1,6 +1,10 @@
 """Command-line front door: run each engine from a JSON config.
 
-Every command writes plot-ready CSV/JSON artifacts plus a manifest with
+Each command declares its config once (``COMMANDS``), and the whole config,
+``--set`` entries included, is read against that declaration before any
+work begins: a missing, mistyped, out-of-range or unknown field is a config
+error that names the field (see ``volspline.config``).  Every command
+writes plot-ready CSV/JSON artifacts plus a manifest with
 the config hash and per-file checksums.  Outputs are deterministic for a
 fixed seed; numbers are serialized as shortest round-trip decimals, CSV
 uses '.' decimals, ',' delimiters, UTF-8 and LF line endings.
@@ -12,6 +16,7 @@ arbitrage validation), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -24,7 +29,10 @@ import numpy as np
 from volspline import __version__, bspline as bs, opt, pde, priors as pr, slv, surface as sf
 from volspline import regression as rg
 from volspline.black import implied_vol
-from volspline.priors import ConfigError, config_object, config_value, float_array, require
+from volspline.config import (
+    BOOLEAN, INTEGER, NUMBER, POSITIVE, STRING, Check, ConfigError, Field, Kind, array, at_least, either, enum, list_of,
+    obj, read, tagged,
+)
 
 __all__ = ["main"]
 
@@ -66,20 +74,25 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_json(path: Path, what: str):
+    """The text of a JSON file and its value; a missing file is a ``FileNotFoundError``."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        return text, json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 class Runner:
-    def __init__(self, args):
+    def __init__(self, args, declaration):
         self.args = args
         self.out = Path(args.out)
         self.seed = args.seed
         self.profile = args.profile
         self.timings: dict[str, float] = {}
         self.checksums: dict[str, str] = {}  # of each file written, taken as it is written
-        raw = Path(args.config).read_text(encoding="utf-8")
-        try:
-            self.config = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        self.config_sha = hashlib.sha256(raw.encode()).hexdigest()
+        text, self.raw = _read_json(Path(args.config), "config")  # raw: as written, with the --set entries
+        self.config_sha = hashlib.sha256(text.encode()).hexdigest()
         for item in args.set or []:
             if "=" not in item:
                 raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -88,7 +101,7 @@ class Runner:
                 parsed = json.loads(val)
             except json.JSONDecodeError:
                 parsed = val
-            node = self.config
+            node = self.raw
             parts = key.split(".")
             for i, part in enumerate(parts):
                 if not isinstance(node, dict):
@@ -97,30 +110,23 @@ class Runner:
                     node[part] = parsed
                 else:
                     node = node.setdefault(part, {})
+        self.config = read(self.raw, declaration)  # the whole config, before any work begins
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        runner = self
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0
 
-        class _Stage:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
+    def emit_csv(self, name: str, header, rows) -> None:
+        _write_csv(self._target(name), header, rows)
+        self.checksums[name] = _sha256(self.out / name)
 
-            def __exit__(self, *exc):
-                runner.timings[name] = runner.timings.get(name, 0.0) + time.perf_counter() - self.t0
-
-        return _Stage()
-
-    def emit_csv(self, name: str, header, rows) -> Path:
-        path = self._target(name)
-        _write_csv(path, header, rows)
-        self.checksums[name] = _sha256(path)
-        return path
-
-    def emit_json(self, name: str, obj) -> Path:
-        path = self._target(name)
-        _write_json(path, obj)
-        self.checksums[name] = _sha256(path)
-        return path
+    def emit_json(self, name: str, obj) -> None:
+        _write_json(self._target(name), obj)
+        self.checksums[name] = _sha256(self.out / name)
 
     def _target(self, name: str) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -132,65 +138,43 @@ class Runner:
     def finish(self, command: str) -> None:
         if self.profile:
             self.emit_json("profile.json", {k: round(v, 6) for k, v in sorted(self.timings.items())})
-        manifest = {
-            "command": command,
-            "config_sha256": self.config_sha,
-            "seed": self.seed,
-            "version": __version__,
-            "files": self.checksums,
-        }
-        path = self._target("manifest.json")
-        _write_json(path, manifest)
+        manifest = {"command": command, "config_sha256": self.config_sha, "seed": self.seed, "version": __version__}
+        _write_json(self._target("manifest.json"), {**manifest, "files": self.checksums})
 
 
-def _grid(cfg, default_count=1000, where="grid"):
-    start, stop = config_value(cfg, "start", where), config_value(cfg, "stop", where)
-    count = config_value(cfg, "count", where, int, default_count)
-    if count < 0:
-        raise ConfigError(f"{where} field 'count' must be nonnegative, got {count!r}")
-    return np.linspace(start, stop, count)
+def _linspace(grid) -> np.ndarray:
+    return np.linspace(grid["start"], grid["stop"], grid["count"])
 
 
-def _boolean(value) -> bool:
-    """A JSON ``true`` or ``false``, as a ``config_value`` kind: a string
-    such as "False" or a number is not a flag."""
-    if not isinstance(value, bool):
-        raise TypeError("expected true or false")
-    return value
-
-
-def _check_ranges(*checks) -> None:
-    """A ``ConfigError`` for the first ``(key, value, ok, need)`` that is not ``ok``."""
-    for key, value, ok, need in checks:
-        if not ok:
-            raise ConfigError(f"config field {key!r} must be {need}, got {value!r}")
-
-
-def _knots_from_config(cfg) -> np.ndarray:
-    spec = cfg.get("knots", {"start": 0.0, "stop": 7.0, "count": 8})
-    if isinstance(spec, list):
-        return config_value(cfg, "knots", kind=float_array)
-    return _grid(spec, default_count=8, where="knots")
+def _grid_decl(count: int) -> Kind:
+    """A grid of ``count`` points unless it gives its own count."""
+    return obj({"start": Field(NUMBER), "stop": Field(NUMBER), "count": Field(INTEGER, count, at_least(0))})
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands, each after the declaration of its config
 # ---------------------------------------------------------------------------
+
+BASIS = obj({
+    "knots": Field(either(array(), _grid_decl(8)), {"start": 0.0, "stop": 7.0, "count": 8}),
+    "orders": Field(list_of(INTEGER), [0, 1, 2, 3], Check(lambda v, s: v and min(v) >= 0, "be nonempty and >= 0")),
+    "grid": Field(_grid_decl(1000), None),  # absent: the command's own grid
+    "truncation": Field(INTEGER, None, Check(lambda v, s: -1 <= v <= min(s["orders"]), "lie in [-1, lowest order]")),
+})
+
 
 def cmd_basis(r: Runner) -> None:
     cfg = r.config
-    knots = _knots_from_config(cfg)
-    orders = config_value(cfg, "orders", kind=lambda v: [int(o) for o in v], default=[0, 1, 2, 3])
-    grid = _grid(cfg.get("grid", {"start": knots[0] - 1.0, "stop": knots[-1] + 1.0, "count": 1000}))
-    truncation = config_value(cfg, "truncation", kind=int, default=None)
-    for order in orders:
+    knots = cfg["knots"] if isinstance(cfg["knots"], np.ndarray) else _linspace(cfg["knots"])
+    grid = _linspace(cfg["grid"] or {"start": knots[0] - 1.0, "stop": knots[-1] + 1.0, "count": 1000})
+    for order in cfg["orders"]:
         with r.stage(f"basis-order-{order}"):
-            basis = bs.make_basis(knots, order, truncation)
+            basis = bs.make_basis(knots, order, cfg["truncation"])
             values = basis.compiled().evaluate(grid)
             header = ["x"] + [f"b{j}" for j in range(basis.dimension)]
             r.emit_csv(f"basis_order{order}.csv", header, _fmt_rows(grid, *values.T))
     if r.profile:
-        _profile_evaluation(r, knots, max(orders))
+        _profile_evaluation(r, knots, max(cfg["orders"]))
     r.finish("basis")
 
 
@@ -214,164 +198,137 @@ def _profile_evaluation(r: Runner, knots, order: int) -> None:
     r.timings["compiled_speedup_at_10n_per_interval"] = t_rec / max(t_cmp, 1e-12)
 
 
-def _load_sample(spec) -> rg.Sample:
-    if isinstance(spec, str) and spec.startswith("builtin:"):
+def _load_sample(spec: str) -> rg.Sample:
+    if spec.startswith("builtin:"):
         from importlib.resources import files
 
-        name = {"builtin:tanh-1600": "tanh_sample_1600.csv"}.get(spec)
-        if name is None:
+        if spec != "builtin:tanh-1600":
             raise ConfigError(f"unknown builtin sample {spec!r}")
-        text = files("volspline").joinpath("data").joinpath(name).read_text()
+        text = files("volspline").joinpath("data", "tanh_sample_1600.csv").read_text()
     else:
-        path = Path(spec)
-        if not path.exists():
-            raise ConfigError(f"sample file {spec!r} does not exist")
-        text = path.read_text(encoding="utf-8")
+        text = Path(spec).read_text(encoding="utf-8")
     xs, ys = [], []
     for i, line in enumerate(text.strip().splitlines(), start=1):
-        if i == 1 and any(c.isalpha() for c in line):
-            continue  # optional header
         parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"sample CSV line {i}: expected two columns, got {len(parts)}")
         try:
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
+            if len(parts) != 2:
+                raise ValueError(f"expected two columns, got {len(parts)}")
+            x, y = float(parts[0]), float(parts[1])
         except ValueError as exc:
+            if i == 1:
+                continue  # a header: line 1 is data when it reads as two numbers
             raise ConfigError(f"sample CSV line {i}: {exc}") from exc
+        xs.append(x)
+        ys.append(y)
     return rg.Sample(xs, ys)
+
+
+# the spline of a regression and of the SLV leverage fit
+_FIT = {
+    "order": Field(INTEGER, 2, at_least(0)),
+    "truncation": Field(INTEGER, 1, Check(lambda v, s: -1 <= v <= s["order"], "lie in [-1, order] (order is {order})")),
+    "knots": Field(INTEGER, 20, Check(
+        lambda v, s: v >= max(2, s["order"], s["order"] - 2 * s["truncation"]),
+        "be at least 2, order and order - 2 truncation (order {order}, truncation {truncation})",
+    )),
+    "penalty_order": Field(INTEGER, 2, Check(
+        lambda v, s: v >= max(1, s["truncation"] + 1), "be at least 1 and above truncation {truncation}"
+    )),
+}
+
+REGRESS = obj({
+    "sample": Field(STRING, "builtin:tanh-1600"),
+    **_FIT,
+    "knot_halfwidth_stds": Field(NUMBER, 2.5, POSITIVE),
+    "tikhonov_constant": Field(NUMBER, 1.0, POSITIVE),
+    "center_knots": Field(BOOLEAN, True),
+    "constraints": Field(either(list_of(rg.SHAPE_CONSTRAINT), rg.SHAPE_CONSTRAINT), []),
+    "grid": Field(_grid_decl(1000), None),  # absent: the command's own grid
+})
 
 
 def cmd_regress(r: Runner) -> None:
     cfg = r.config
-    sample = _load_sample(cfg.get("sample", "builtin:tanh-1600"))
-    order = config_value(cfg, "order", kind=int, default=2)
-    n_knots = config_value(cfg, "knots", kind=int, default=20)
-    truncation = config_value(cfg, "truncation", kind=int, default=1)
-    halfwidth = config_value(cfg, "knot_halfwidth_stds", default=2.5)
-    penalty_order = config_value(cfg, "penalty_order", kind=int, default=2)
-    tikhonov_constant = config_value(cfg, "tikhonov_constant", default=1.0)
-    center_knots = config_value(cfg, "center_knots", kind=_boolean, default=True)
+    sample = _load_sample(cfg["sample"])
     with r.stage("fit"):
-        knots = np.linspace(-halfwidth * sample.sigma_x, halfwidth * sample.sigma_x, n_knots)
-        if center_knots:
+        halfwidth = cfg["knot_halfwidth_stds"]
+        knots = np.linspace(-halfwidth * sample.sigma_x, halfwidth * sample.sigma_x, cfg["knots"])
+        if cfg["center_knots"]:
             knots = knots + float(np.mean(sample.x))
-        try:  # an order, truncation or penalty out of range
-            basis = bs.make_basis(knots, order, truncation)
-            reg_cfg = rg.RegressionConfig(basis, penalty_order=penalty_order, tikhonov_constant=tikhonov_constant)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        basis = bs.make_basis(knots, cfg["order"], cfg["truncation"])
+        reg_cfg = rg.RegressionConfig(basis, cfg["penalty_order"], cfg["tikhonov_constant"])
         lam = rg.tikhonov_factor(sample, reg_cfg)
-        specs = cfg.get("constraints", [])
-        if specs:
+        if cfg["constraints"]:
             try:
-                cs = rg.shape_constraints(basis, specs)
-            except bs.SplineError as exc:  # a kind this basis cannot carry, or none known
+                cs = rg.shape_constraints(basis, cfg["constraints"])
+            except bs.SplineError as exc:  # a constraint this basis cannot carry
                 raise ConfigError(f"constraints: {exc}") from exc
             fit = rg.fit_constrained(sample, reg_cfg, lam, cs)
         else:
             fit = rg.fit_penalized(sample, reg_cfg, lam)
-    grid = _grid(cfg.get("grid", {"start": knots[0], "stop": knots[-1], "count": 400}))
+    grid = _linspace(cfg["grid"] or {"start": knots[0], "stop": knots[-1], "count": 400})
     r.emit_csv("fit.csv", ["x", "fitted"], _fmt_rows(grid, fit(grid)))
-    r.emit_json(
-        "fit.json",
-        {
-            "knots": [float(v) for v in knots],
-            "order": order,
-            "truncation": truncation,
-            "penalty_order": reg_cfg.penalty_order,
-            "tikhonov_factor": lam,
-            "weights": [float(v) for v in fit.weights],
-        },
-    )
+    fitted = {"knots": [float(v) for v in knots], "weights": [float(v) for v in fit.weights], "tikhonov_factor": lam}
+    r.emit_json("fit.json", {**fitted, **{k: cfg[k] for k in ("order", "truncation", "penalty_order")}})
     r.finish("regress")
+
+
+SLV_CALIBRATE = obj({
+    "params": Field(obj({  # slv.ScottParams
+        **{k: Field(NUMBER, check=POSITIVE) for k in ("s0", "a0", "theta", "sigma_bs")},
+        "nu": Field(NUMBER, check=at_least(0)),
+        "rho": Field(NUMBER, check=Check(lambda v, s: -1.0 <= v <= 1.0, "lie in [-1, 1]")),
+    })),
+    "horizon": Field(NUMBER, 1.0, POSITIVE),
+    "steps": Field(INTEGER, 40, at_least(1)),
+    "particles": Field(INTEGER, 16000, at_least(100)),
+    **_FIT,
+    "constraints": Field(obj({  # slv.ConstraintFlags
+        "forward_variance": Field(BOOLEAN, True),
+        "nonnegative": Field(BOOLEAN, True),
+        "quadratic_cap": Field(BOOLEAN, False),
+    }), {}),
+    "reprice": Field(obj({
+        "paths": Field(INTEGER, 131072, Check(lambda v, s: v >= 3, "be at least 3, two antithetic pairs")),
+        "strikes": Field(
+            either(array(), obj({"logm_start": Field(NUMBER), "logm_stop": Field(NUMBER), "count": Field(INTEGER)})),
+            {"logm_start": -0.35, "logm_stop": 0.35, "count": 15},
+            Check(lambda v, s: (v["count"] if isinstance(v, dict) else v.size) >= 1, "be one or more strikes"),
+        ),
+    }), {}),
+    "leverage_grid": Field(INTEGER, 61, at_least(1)),
+})
 
 
 def cmd_slv_calibrate(r: Runner) -> None:
     cfg = r.config
     if r.seed is None:
         raise ConfigError("slv-calibrate requires --seed")
-    pcfg = require(cfg, "params")
-    try:  # a parameter out of range
-        params = slv.ScottParams(
-            **{k: config_value(pcfg, k, "params") for k in ("s0", "a0", "theta", "nu", "rho", "sigma_bs")}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
-    horizon = config_value(cfg, "horizon", default=1.0)
-    steps = config_value(cfg, "steps", kind=int, default=40)
-    particles = config_value(cfg, "particles", kind=int, default=16000)
-    n_knots = config_value(cfg, "knots", kind=int, default=20)
-    order = config_value(cfg, "order", kind=int, default=2)
-    truncation = config_value(cfg, "truncation", kind=int, default=1)
-    penalty_order = config_value(cfg, "penalty_order", kind=int, default=2)
-    rep = cfg.get("reprice", {})
-    paths = config_value(rep, "paths", "reprice", int, 131072)
-    strikes_cfg = rep.get("strikes", {"logm_start": -0.35, "logm_stop": 0.35, "count": 15})
-    if isinstance(strikes_cfg, list):
-        strikes = config_value(rep, "strikes", "reprice", float_array)
-    else:
-        logm = np.linspace(
-            *(config_value(strikes_cfg, k, "reprice.strikes") for k in ("logm_start", "logm_stop")),
-            max(config_value(strikes_cfg, "count", "reprice.strikes", int), 0),  # a negative count: no strikes
-        )
-        strikes = params.s0 * np.exp(logm)
-    lev_points = config_value(cfg, "leverage_grid", kind=int, default=61)
-    _check_ranges(
-        ("horizon", horizon, horizon > 0.0, "positive"),
-        ("steps", steps, steps >= 1, "at least 1"),
-        ("particles", particles, particles >= 100, "at least 100"),
-        ("knots", n_knots, n_knots >= 2, "at least 2"),
-        ("reprice.paths", paths, paths >= 3, "at least 3, two antithetic pairs"),
-        ("reprice.strikes", strikes_cfg, strikes.ndim == 1 and strikes.size >= 1, "one or more strikes"),
-        ("leverage_grid", lev_points, lev_points >= 1, "at least 1"),
-    )
-    try:  # an order, truncation or penalty out of range
-        rg.RegressionConfig(bs.make_basis(np.arange(n_knots, dtype=float), order, truncation), penalty_order)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    flags_cfg = cfg.get("constraints", {})
-    flags = slv.ConstraintFlags(
-        forward_variance_eq=config_value(flags_cfg, "forward_variance", "constraints", _boolean, True),
-        nonnegative=config_value(flags_cfg, "nonnegative", "constraints", _boolean, True),
-        quadratic_cap=config_value(flags_cfg, "quadratic_cap", "constraints", _boolean, False),
-    )
+    params = slv.ScottParams(**cfg["params"])
+    horizon, paths, strikes = cfg["horizon"], cfg["reprice"]["paths"], cfg["reprice"]["strikes"]
+    if isinstance(strikes, dict):
+        strikes = params.s0 * np.exp(np.linspace(strikes["logm_start"], strikes["logm_stop"], strikes["count"]))
+    flags = cfg["constraints"]
+    flags = slv.ConstraintFlags(flags["forward_variance"], flags["nonnegative"], flags["quadratic_cap"])
     with r.stage("calibrate"):
+        times = np.linspace(0.0, horizon, cfg["steps"] + 1)
+        fit = {k: cfg[k] for k in ("order", "truncation", "penalty_order")}
         surf = slv.calibrate_leverage(
-            params,
-            np.linspace(0.0, horizon, steps + 1),
-            particles,
-            seed=r.seed,
-            n_knots=n_knots,
-            order=order,
-            truncation=truncation,
-            penalty_order=penalty_order,
-            flags=flags,
+            params, times, cfg["particles"], seed=r.seed, n_knots=cfg["knots"], flags=flags, **fit
         )
     with r.stage("reprice"):
         res = slv.reprice_and_implied(surf, params, strikes, horizon, paths, seed=r.seed + 1)
-    r.emit_csv(
-        "smile.csv",
-        ["strike", "price", "stderr", "implied_vol", "flag"],
-        (
-            (*cells, str(flag))
-            for cells, flag in zip(
-                _fmt_rows(res["strikes"], res["prices"], res["stderr"], res["implied_vols"]), res["price_flags"]
-            )
-        ),
-    )
-    lev_grid = params.s0 * np.exp(np.linspace(-0.6, 0.6, lev_points))
+    cells = _fmt_rows(res["strikes"], res["prices"], res["stderr"], res["implied_vols"])
+    rows = ((*row, str(flag)) for row, flag in zip(cells, res["price_flags"]))
+    r.emit_csv("smile.csv", ["strike", "price", "stderr", "implied_vol", "flag"], rows)
+    lev_grid = params.s0 * np.exp(np.linspace(-0.6, 0.6, cfg["leverage_grid"]))
     rows = _grid_rows(surf.times, lev_grid, lambda k: surf.leverage(k, lev_grid))
     r.emit_csv("leverage.csv", ["t", "spot", "leverage"], rows)
     r.finish("slv-calibrate")
 
 
-def _read_quotes_csv(path: Path):
-    """maturity,strike,type,bid,ask rows grouped into per-maturity slices,
-    each quote with the CSV line it came from (see ``_quote``)."""
-    if not path.exists():
-        raise ConfigError(f"quotes file {path} does not exist")
-    groups: dict[float, list[tuple[str, sf.Quote]]] = {}
+def _csv_quotes(path: Path):
+    """``(where, fields)`` of each maturity,strike,type,bid,ask row of a CSV file, named by its line."""
     for i, line in enumerate(path.read_text(encoding="utf-8").strip().splitlines(), start=1):
         if i == 1 and line.lower().replace(" ", "").startswith("maturity"):
             continue
@@ -382,69 +339,64 @@ def _read_quotes_csv(path: Path):
             T, K, bid, ask = float(parts[0]), float(parts[1]), float(parts[3]), float(parts[4])
         except ValueError as exc:
             raise ConfigError(f"quotes CSV line {i}: {exc}") from exc
-        kind = parts[2].lower()
-        if kind not in ("call", "put"):
+        if parts[2].lower() not in ("call", "put"):
             raise ConfigError(f"quotes CSV line {i}: type must be call or put, got {parts[2]!r}")
-        groups.setdefault(T, []).append(_quote(K, bid, ask, kind == "call", f"quotes CSV line {i}"))
+        if not T > 0.0:
+            raise ConfigError(f"quotes CSV line {i}: maturity must be positive, got {T!r}")
+        yield f"quotes CSV line {i}", {"maturity": T, "strike": K, "type": parts[2].lower(), "bid": bid, "ask": ask}
+
+
+def _quotes(spec) -> dict[float, list[tuple[str, sf.Quote]]]:
+    """Quotes by maturity, each with the place that named it, for later errors: the
+    config's quote objects, or the rows of the CSV file it names."""
+    named = _csv_quotes(Path(spec)) if isinstance(spec, str) else ((f"quote {j}", q) for j, q in enumerate(spec))
+    groups: dict[float, list[tuple[str, sf.Quote]]] = {}
+    for where, q in named:
+        try:
+            quote = sf.Quote(q["strike"], q["bid"], q["ask"], is_call=q["type"] == "call")
+        except ValueError as exc:  # a non-finite or negative value, or bid above ask
+            raise ConfigError(f"{where}: {exc}") from exc
+        groups.setdefault(q["maturity"], []).append((where, quote))
     return groups
 
 
-def _quote(strike: float, bid: float, ask: float, is_call: bool, where: str) -> tuple[str, sf.Quote]:
-    """``(where, quote)``: a quote and the place that named it, for later errors."""
-    try:
-        return where, sf.Quote(strike, bid, ask, is_call=is_call)
-    except ValueError as exc:  # a non-finite or negative value, or bid above ask
-        raise ConfigError(f"{where}: {exc}") from exc
+_SURFACE_CHECKS = {"n_knots": Check(lambda v, s: v >= s["order"] + 2, "be at least order + 2 (order is {order})")}
+_SURFACE_CONFIG = obj({  # surface.SurfaceConfig
+    f.name: Field(INTEGER if isinstance(f.default, int) else NUMBER, f.default, _SURFACE_CHECKS.get(f.name))
+    for f in dataclasses.fields(sf.SurfaceConfig)
+})
 
-
-def _forward_at(cfg, T: float) -> float:
-    if cfg.get("forward") is not None:
-        return config_value(cfg, "forward")
-    if cfg.get("forwards") is None:
-        raise ConfigError("config requires 'forward' or a 'forwards' curve")
-    pts = config_value(cfg, "forwards", kind=float_array)
-    return float(np.interp(T, pts[:, 0], pts[:, 1]))
-
-
-def _surface_config(sc: dict) -> sf.SurfaceConfig:
-    """SurfaceConfig from a JSON object; absent fields keep their defaults."""
-    defaults = sf.SurfaceConfig()
-    unknown = sorted(set(config_object(sc, "config")) - {f.name for f in dataclasses.fields(sf.SurfaceConfig)})
-    if unknown:
-        raise ConfigError(f"unknown config field {unknown[0]!r}")
-    values = {k: config_value(sc, k, "config", type(getattr(defaults, k))) for k in sc}
-    try:
-        return sf.SurfaceConfig(**values)
-    except ValueError as exc:  # a field out of range
-        raise ConfigError(str(exc)) from exc
+SURFACE_CALIBRATE = obj({
+    "prior": Field(pr.PRIOR),
+    "forward": Field(NUMBER, None, POSITIVE),
+    "forwards": Field(array(2), None, pr.FORWARD_CURVE),
+    "quotes": Field(either(STRING, list_of(obj({
+        "maturity": Field(NUMBER, check=POSITIVE),
+        **{k: Field(NUMBER) for k in ("strike", "bid", "ask")},
+        "type": Field(enum("call", "put"), "call"),
+    }))), []),
+    "maturities": Field(array(), [], POSITIVE),
+    "mode": Field(enum("bracket", "lsq"), "bracket"),
+    "config": Field(_SURFACE_CONFIG, {}),
+    "grid_size": Field(INTEGER, 101, at_least(0)),
+})
 
 
 def cmd_surface_calibrate(r: Runner) -> None:
     cfg = r.config
-    prior = pr.prior_from_json(require(cfg, "prior"))
-    if isinstance(cfg.get("quotes"), str):
-        groups = _read_quotes_csv(Path(cfg["quotes"]))
-    else:
-        groups = {}
-        for j, q in enumerate(cfg.get("quotes", [])):
-            strike, bid, ask = (config_value(q, k, "quote") for k in ("strike", "bid", "ask"))
-            groups.setdefault(config_value(q, "maturity", "quote"), []).append(
-                _quote(strike, bid, ask, q.get("type", "call") == "call", f"quote {j}")
-            )
-    maturities = sorted(set(groups) | config_value(cfg, "maturities", kind=lambda v: {float(t) for t in v}, default=set()))
+    prior = pr.prior_from_json(cfg["prior"])
+    groups = _quotes(cfg["quotes"])
+    maturities = sorted(set(groups) | {float(t) for t in cfg["maturities"]})
     if not maturities:
         raise ConfigError("no maturities given")
+    if cfg["forward"] is None and cfg["forwards"] is None:
+        raise ConfigError("config requires 'forward' or a 'forwards' curve")
     market = []
     for T in maturities:
-        F = _forward_at(cfg, T)
+        F = cfg["forward"] if cfg["forward"] is not None else float(np.interp(T, *cfg["forwards"].T))
         quoted = groups.get(T, [])
-        # a nonpositive maturity or forward, or a prior that cannot serve the
-        # slice (an SSVI forward mismatch), is a config error
-        try:
-            market.append(sf.MarketSlice(T, F, tuple(q for _, q in quoted)))
-            coordinate = sf.slice_measure(prior, T, F).coordinate
-        except ValueError as exc:
-            raise ConfigError(f"maturity {T!r}: {exc}") from exc
+        market.append(sf.MarketSlice(T, F, tuple(q for _, q in quoted)))
+        coordinate = sf.slice_measure(prior, T, F).coordinate  # an SSVI forward mismatch is a ConfigError
         for where, q in quoted:
             if coordinate == "log-moneyness" and q.strike <= 0.0:
                 raise ConfigError(f"{where}: strike {q.strike!r} has no log-moneyness; it must be positive")
@@ -453,23 +405,15 @@ def cmd_surface_calibrate(r: Runner) -> None:
         if not report.passed:
             failed = ", ".join(repr(name) for name, ok, _ in report.checks if not ok)
             raise ConfigError(f"SSVI prior fails {failed} over maturities [{maturities[0]!r}, {maturities[-1]!r}]")
-    config = _surface_config(cfg.get("config", {}))
+    config = sf.SurfaceConfig(**cfg["config"])
     with r.stage("calibrate"):
-        calib = sf.calibrate_surface(market, prior, config, mode=cfg.get("mode", "bracket"))
-    r.emit_json(
-        "surface.json",
-        {
-            "prior": cfg["prior"],
-            "coordinate": calib.slices[0].measure.coordinate,
-            "config": dataclasses.asdict(config),
-            "slices": [sl.to_json() for sl in calib.slices],
-        },
-    )
+        calib = sf.calibrate_surface(market, prior, config, mode=cfg["mode"])
+    doc = {"prior": r.raw["prior"], "config": dataclasses.asdict(config), "slices": [s.to_json() for s in calib.slices]}
+    r.emit_json("surface.json", {**doc, "coordinate": calib.slices[0].measure.coordinate})
     rows = []
-    grid_size = config_value(cfg, "grid_size", kind=int, default=101)
     for sl in calib.slices:
         g = sl.basis.knots.knots
-        strikes = sl.measure.spot_of_coord(np.linspace(g[0], g[-1], grid_size))
+        strikes = sl.measure.spot_of_coord(np.linspace(g[0], g[-1], cfg["grid_size"]))
         calls = sl.call_price(strikes)
         vols = implied_vol(calls, sl.forward, strikes, sl.maturity)
         dens = sl.density(strikes)
@@ -479,101 +423,121 @@ def cmd_surface_calibrate(r: Runner) -> None:
     r.finish("surface-calibrate")
 
 
+# the surface.json that surface-calibrate writes
+SURFACE_FILE = obj({
+    "prior": Field(pr.PRIOR),
+    "coordinate": Field(enum("log-moneyness", "price"), None),
+    "config": Field(_SURFACE_CONFIG, {}),
+    "slices": Field(list_of(obj({
+        "maturity": Field(NUMBER, check=POSITIVE),
+        "forward": Field(NUMBER, check=POSITIVE),
+        "knots": Field(array()),
+        "order": Field(INTEGER, check=at_least(0)),
+        "weights": Field(array()),
+    }))),
+})
+
+
 def _rebuild_surface(doc) -> sf.SurfaceCalibration:
     """The calibration a surface.json describes (files without a config use the defaults)."""
-    prior = pr.prior_from_json(require(doc, "prior", "surface"))
+    doc = read(doc, SURFACE_FILE, "surface")
+    prior = pr.prior_from_json(doc["prior"])
     slices = []
-    for s in require(doc, "slices", "surface"):
-        T, F = (config_value(s, k, "slice") for k in ("maturity", "forward"))
-        knots = config_value(s, "knots", "slice", float_array)
-        basis = bs.make_basis(knots, config_value(s, "order", "slice", int), truncation=0)
+    for s in doc["slices"]:
+        basis = bs.make_basis(s["knots"], s["order"], truncation=0)
         if slices and slices[-1].basis == basis:  # one basis, compiled once, for a shared knot grid
             basis = slices[-1].basis
-        weights = config_value(s, "weights", "slice", float_array)
-        slices.append(sf.RNSlice(basis, weights, T, F, sf.slice_measure(prior, T, F)))
-    return sf.SurfaceCalibration(tuple(slices), _surface_config(doc.get("config", {})))
+        T, F = s["maturity"], s["forward"]
+        slices.append(sf.RNSlice(basis, s["weights"], T, F, sf.slice_measure(prior, T, F)))
+    return sf.SurfaceCalibration(tuple(slices), sf.SurfaceConfig(**doc["config"]))
+
+
+VALIDATE_SURFACE = obj({
+    "surface": Field(STRING),
+    "grids": Field(obj({"n_strikes": Field(INTEGER, 400), "n_density": Field(INTEGER, 1000)}), {}),
+})
 
 
 def cmd_validate_surface(r: Runner) -> None:
     cfg = r.config
-    path = Path(require(cfg, "surface"))
-    if not path.exists():
-        raise ConfigError(f"surface file {path} does not exist")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"surface file {path} is not valid JSON: {exc}") from exc
-    calib = _rebuild_surface(doc)
-    grids = cfg.get("grids", {})
+    calib = _rebuild_surface(_read_json(Path(cfg["surface"]), f"surface file {cfg['surface']}")[1])
     with r.stage("validate"):
-        report = sf.validate(
-            calib,
-            n_strikes=config_value(grids, "n_strikes", "grids", int, 400),
-            n_density=config_value(grids, "n_density", "grids", int, 1000),
-        )
-    r.emit_json(
-        "report.json",
-        {
-            "passed": report.passed,
-            "checks": [
-                {"name": name, "ok": ok, "worst_margin": margin, "required": req}
-                for name, ok, margin, req in report.checks
-            ],
-        },
-    )
+        report = sf.validate(calib, **cfg["grids"])
+    checks = [dict(zip(("name", "ok", "worst_margin", "required"), check)) for check in report.checks]
+    r.emit_json("report.json", {"passed": report.passed, "checks": checks})
     r.finish("validate-surface")
     print(report)
     if not report.passed:
         raise opt.InfeasibleError("surface fails required static-arbitrage checks")
 
 
+PDE_EVOLVE = obj({
+    "s0": Field(NUMBER),
+    "base_variance": Field(NUMBER, check=POSITIVE),
+    "local_variance": Field(tagged("type", {  # absent: the constant base_variance
+        "constant": {"value": Field(NUMBER, check=POSITIVE)},
+        "affine": {"intercept": Field(NUMBER), "slope": Field(NUMBER)},
+    }), None),
+    "horizon": Field(NUMBER, 1.0, POSITIVE),
+    "steps": Field(INTEGER, 100, at_least(1)),
+    "order": Field(INTEGER, 3, at_least(1)),
+    "knots": Field(INTEGER, 40, Check(lambda v, s: v >= s["order"] + 1, "be at least order + 1 (order is {order})")),
+    "scheme": Field(enum("explicit", "implicit", "cn"), "cn"),
+    "half_width_stds": Field(NUMBER, 5.0, POSITIVE),
+    "grid_size": Field(INTEGER, 101, at_least(0)),
+})
+
+
+def _span_basis(cfg, v0: float) -> bs.BasisSpec:
+    """The basis on ``half_width_stds`` base standard deviations at the horizon around s0."""
+    half = cfg["half_width_stds"] * np.sqrt(v0 * cfg["horizon"])
+    return bs.make_basis(np.linspace(cfg["s0"] - half, cfg["s0"] + half, cfg["knots"]), cfg["order"], truncation=0)
+
+
+def _dominating_base(cfg, coef, peak: float, iterations: int = 50) -> float:
+    """The smallest base above ``peak`` at least the local variance on its
+    own knot span, which widens as the base rises: the fixed point of
+    v -> the peak local variance on v's span, reached from below.  For the
+    constant and affine forms the peak grows like sqrt(v), and a few steps
+    reach it."""
+    for _ in range(iterations):
+        v, peak = peak, pde.peak_local_variance(coef, _span_basis(cfg, peak), cfg["horizon"])[0]
+        if peak <= v:
+            return v
+    return peak
+
+
 def cmd_pde_evolve(r: Runner) -> None:
     cfg = r.config
-    s0 = config_value(cfg, "s0")
-    v0 = config_value(cfg, "base_variance")
-    horizon = config_value(cfg, "horizon", default=1.0)
-    half_width = config_value(cfg, "half_width_stds", default=5.0)
-    order = config_value(cfg, "order", kind=int, default=3)
-    n_knots = config_value(cfg, "knots", kind=int, default=40)
-    grid_size = config_value(cfg, "grid_size", kind=int, default=101)
-    _check_ranges(
-        ("base_variance", v0, v0 > 0.0, "positive"),
-        ("horizon", horizon, horizon > 0.0, "positive"),
-        ("half_width_stds", half_width, half_width > 0.0, "positive"),
-        ("order", order, order >= 1, "at least 1"),
-        ("knots", n_knots, n_knots >= order + 1, f"at least order + 1 = {order + 1}"),
-        ("grid_size", grid_size, grid_size >= 0, "nonnegative"),
-    )
-    vcfg = cfg.get("local_variance", {"type": "constant", "value": v0})
-    kind = require(vcfg, "type", "local_variance")
-    if kind == "constant":
-        coef = pde.ConstantVariance(config_value(vcfg, "value", "local_variance"))
-    elif kind == "affine":
-        coef = pde.AffineVariance(*(config_value(vcfg, k, "local_variance") for k in ("intercept", "slope")))
-    else:
-        raise ConfigError(f"unknown local variance form {kind!r}")
-    half = half_width * np.sqrt(v0 * horizon)
-    basis = bs.make_basis(np.linspace(s0 - half, s0 + half, n_knots), order, truncation=0)
-    try:
-        problem = pde.PDEProblem(coef, v0, s0, basis, horizon)
-    except pde.PDEError as exc:  # the ranges above are checked: what is left is the base's dominance
-        raise ConfigError(f"config field 'base_variance': {exc}") from exc
+    v0, lv = cfg["base_variance"], cfg["local_variance"] or {"type": "constant", "value": cfg["base_variance"]}
+    constant = lv["type"] == "constant"
+    coef = pde.ConstantVariance(lv["value"]) if constant else pde.AffineVariance(lv["intercept"], lv["slope"])
+    basis = _span_basis(cfg, v0)
+    peak, t, x = pde.peak_local_variance(coef, basis, cfg["horizon"])
+    if peak > v0:
+        g = basis.knots.knots
+        raise ConfigError(
+            f"config field 'base_variance' must be at least {_dominating_base(cfg, coef, peak)!r}, the smallest "
+            f"base that dominates the local variance on its own knot span, got {v0!r}: the local variance "
+            f"reaches {peak!r} at t = {t!r}, x = {x!r} on the span [{float(g[0])!r}, {float(g[-1])!r}]"
+        )
+    problem = pde.PDEProblem(coef, v0, cfg["s0"], basis, cfg["horizon"])
     with r.stage("evolve"):
-        traj = pde.evolve(problem, config_value(cfg, "steps", kind=int, default=100), scheme=cfg.get("scheme", "cn"))
-    grid = np.linspace(basis.knots.knots[0], basis.knots.knots[-1], grid_size)
+        traj = pde.evolve(problem, cfg["steps"], scheme=cfg["scheme"])
+    grid = np.linspace(basis.knots.knots[0], basis.knots.knots[-1], cfg["grid_size"])
     with r.stage("write"):  # the trajectory rows, the CSV and its checksum for the manifest
         ratios = traj.ratios(grid)
         r.emit_csv("trajectory.csv", ["t", "x", "ratio"], _grid_rows(traj.times, grid, ratios.__getitem__))
     r.finish("pde-evolve")
 
 
-COMMANDS = {
-    "basis": cmd_basis,
-    "regress": cmd_regress,
-    "slv-calibrate": cmd_slv_calibrate,
-    "surface-calibrate": cmd_surface_calibrate,
-    "pde-evolve": cmd_pde_evolve,
-    "validate-surface": cmd_validate_surface,
+COMMANDS = {  # each command and the declaration of its config
+    "basis": (cmd_basis, BASIS),
+    "regress": (cmd_regress, REGRESS),
+    "slv-calibrate": (cmd_slv_calibrate, SLV_CALIBRATE),
+    "surface-calibrate": (cmd_surface_calibrate, SURFACE_CALIBRATE),
+    "pde-evolve": (cmd_pde_evolve, PDE_EVOLVE),
+    "validate-surface": (cmd_validate_surface, VALIDATE_SURFACE),
 }
 
 
@@ -589,12 +553,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        runner = Runner(args)
-        COMMANDS[args.command](runner)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        command, declaration = COMMANDS[args.command]
+        command(Runner(args, declaration))
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except opt.InfeasibleError as exc:

@@ -39,22 +39,13 @@ from typing import NamedTuple
 import numpy as np
 
 from volspline.bspline import BasisSpec, CompiledBasis, Spline, gauss_legendre_rule, live_pieces, piece_integrals
-from volspline.priors import BachelierPrior, ConfigError
+from volspline.config import ConfigError
+from volspline.priors import BachelierPrior
 from volspline.surface import RNSlice, slice_measure
 
 __all__ = [
-    "PDEError",
-    "VarianceCoef",
-    "ConstantVariance",
-    "AffineVariance",
-    "PDEProblem",
-    "GalerkinSystem",
-    "Trajectory",
-    "assemble",
-    "constrain",
-    "collocation_rows",
-    "evolve",
-    "solve_bordered_banded",
+    "PDEError", "VarianceCoef", "ConstantVariance", "AffineVariance", "PDEProblem", "GalerkinSystem", "Trajectory",
+    "assemble", "constrain", "collocation_rows", "evolve", "peak_local_variance", "solve_bordered_banded",
 ]
 
 
@@ -127,37 +118,33 @@ class PDEProblem:
                 "only flat (order-0) extrapolation is supported; higher-order "
                 "extrapolation needs extra side conditions that are not implemented"
             )
-        self._check_base_dominates()
-
-    def _check_base_dominates(self) -> None:
-        """A ``PDEError`` unless ``base_variance`` is at least the local
-        variance on the knot span over ``[0, horizon]``.
-
-        Where the local variance exceeds the base variance the ratio to the
-        base law grows like ``exp(z**2 (1/v0 - 1/v) / 2t)`` toward the
-        boundary knots, which the flat wings cannot follow.  The variance is
-        taken where the steps evaluate it, at the breakpoints and the
-        Gauss-Legendre points of the knot intervals, at ``_CHECK_TIMES``
-        evenly spaced times from 0 to the horizon, which is exact for the
-        constant and affine variances.
-        """
-        g = self.basis.compiled().breakpoints
-        xs = np.concatenate([g, _interval_rule(g)[0]])
-        ts = np.linspace(0.0, self.horizon, _CHECK_TIMES)[:, None]
-        v = np.broadcast_to(np.asarray(self.local_variance.value(ts, xs), dtype=float), (ts.size, xs.size))
-        worst = np.unravel_index(np.argmax(v), v.shape)
-        v_max = float(v[worst])
+        # the base must dominate the local variance on the knot span over [0, horizon]: where the local
+        # variance exceeds it, the ratio to the base law grows like exp(z**2 (1/v0 - 1/v) / 2t) toward the
+        # boundary knots, which the flat wings cannot follow
+        v_max, t, x = peak_local_variance(self.local_variance, self.basis, self.horizon)
         if v_max > self.base_variance:
+            g = self.basis.knots.knots
             raise PDEError(
-                f"base_variance {self.base_variance!r} is below the local variance {v_max!r} at "
-                f"t = {float(ts[worst[0], 0])!r}, x = {float(xs[worst[1]])!r}; the base must dominate the "
-                f"local variance on the knot span [{float(g[0])!r}, {float(g[-1])!r}] over "
-                f"[0, {self.horizon!r}], so base_variance must be at least {v_max!r}"
+                f"base_variance {self.base_variance!r} is below the local variance {v_max!r} at t = {t!r}, "
+                f"x = {x!r}; the base must dominate the local variance on the knot span [{float(g[0])!r}, "
+                f"{float(g[-1])!r}] over [0, {self.horizon!r}], so base_variance must be at least {v_max!r}"
             )
 
     def base_measure(self, t):
         """The base law N(s0, v0 t), ``slice_measure(BachelierPrior(s0, v0), t, s0)``; ``t`` may be a column."""
         return slice_measure(BachelierPrior(self.s0, self.base_variance), t, self.s0)
+
+
+def peak_local_variance(local_variance: VarianceCoef, basis: BasisSpec, horizon: float) -> tuple[float, float, float]:
+    """The largest local variance where the steps evaluate it, and its t and x: at the breakpoints and the
+    Gauss-Legendre points of the knot intervals, at ``_CHECK_TIMES`` evenly spaced times from 0 to
+    ``horizon``, which is exact for the constant and affine variances."""
+    g = basis.compiled().breakpoints
+    xs = np.concatenate([g, _interval_rule(g)[0]])
+    ts = np.linspace(0.0, horizon, _CHECK_TIMES)[:, None]
+    v = np.broadcast_to(np.asarray(local_variance.value(ts, xs), dtype=float), (ts.size, xs.size))
+    worst = np.unravel_index(np.argmax(v), v.shape)
+    return float(v[worst]), float(ts[worst[0], 0]), float(xs[worst[1]])
 
 
 @dataclass(frozen=True)

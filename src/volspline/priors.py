@@ -12,8 +12,8 @@ integrated on one composite Gauss-Legendre grid.  An ``SSVISlice`` builds
 that grid, and the moments of its whole cells for each weight, once, and
 keeps them for as long as the slice object lives; every table after the
 first of a weight integrates only its own partial cells.  No cache is
-shared between slices or kept at module level.  ``prior_from_json`` reads
-a prior from its JSON config.
+shared between slices or kept at module level.  ``PRIOR`` declares a
+prior's JSON config, and ``prior_from_json`` reads one.
 """
 
 from __future__ import annotations
@@ -27,23 +27,11 @@ import numpy as np
 from scipy.special import ndtr
 
 from volspline.bspline import gauss_legendre_rule
+from volspline.config import NUMBER, POSITIVE, Check, Field, array, at_least, either, read, tagged
 
 __all__ = [
-    "PriorError",
-    "BachelierPrior",
-    "LogNormalPrior",
-    "SSVIParams",
-    "SSVISlice",
-    "ssvi_total_variance",
-    "ssvi_density",
-    "validate_ssvi",
-    "adaptive_quad",
-    "ConfigError",
-    "config_object",
-    "require",
-    "config_value",
-    "float_array",
-    "prior_from_json",
+    "PriorError", "BachelierPrior", "LogNormalPrior", "SSVIParams", "SSVISlice", "ssvi_total_variance",
+    "ssvi_density", "validate_ssvi", "adaptive_quad", "FORWARD_CURVE", "PRIOR", "prior_from_json",
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -480,61 +468,31 @@ def adaptive_quad(f: Callable, a: float, b: float, tol: float, max_depth: int = 
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-class ConfigError(ValueError):
-    """A JSON configuration lacks a required field or names an unknown one."""
+def _forward_curve_ok(curve, section) -> bool:
+    rows = np.atleast_2d(curve)  # a flat forward is one row of one column
+    return rows.size > 0 and bool(np.all(rows[:, -1] > 0.0) and np.all(np.diff(rows[:, 0]) > 0.0))
 
 
-def config_object(obj, where: str = "config") -> dict:
-    """``obj`` when it is a JSON object, else a ``ConfigError`` naming ``where``."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config field {where!r} must be an object, got {obj!r}")
-    return obj
+FORWARD_CURVE = Check(_forward_curve_ok, "be a positive forward or [maturity, forward > 0] rows of rising maturity")
 
-
-def require(obj, key: str, where: str = "config"):
-    """``obj[key]``, or a ``ConfigError`` naming the missing field (see ``config_object``)."""
-    if key not in config_object(obj, where):
-        raise ConfigError(f"{where} requires the field {key!r}")
-    return obj[key]
-
-
-_REQUIRED = object()
-
-
-def float_array(value) -> np.ndarray:
-    """A JSON number or (nested) list of numbers as a float array."""
-    return np.asarray(value, dtype=float)
-
-
-def config_value(obj, key: str, where: str = "config", kind=float, default=_REQUIRED):
-    """``kind(obj[key])``, or ``default`` when the field is absent and one is given.
-
-    A missing required field, or a value ``kind`` cannot convert (a string
-    where a number belongs), is a ``ConfigError`` naming the field.
-    """
-    if default is not _REQUIRED and key not in config_object(obj, where):
-        return default
-    value = require(obj, key, where)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} field {key!r} has the invalid value {value!r} ({exc})") from exc
+# one declaration per prior type; the fields are the prior classes' own
+PRIOR = tagged("type", {
+    "bachelier": {"mean": Field(NUMBER), "variance": Field(NUMBER, check=POSITIVE)},
+    "lognormal": {"forward": Field(NUMBER, check=POSITIVE), "total_variance": Field(NUMBER, check=at_least(0))},
+    "ssvi": {
+        "C": Field(NUMBER, check=at_least(0)),
+        "K": Field(NUMBER, check=POSITIVE),
+        "rho": Field(NUMBER, check=Check(lambda v, s: -1.0 < v < 1.0, "lie in (-1, 1)")),
+        "eta": Field(NUMBER, check=POSITIVE),
+        "gamma": Field(NUMBER, check=Check(lambda v, s: 0.0 < v < 1.0, "lie in (0, 1)")),
+        "forward_curve": Field(either(NUMBER, array(2)), 1.0, FORWARD_CURVE),
+    },
+})
 
 
 def prior_from_json(obj: dict):
-    """Build a prior from its JSON description (field names as documented)."""
-    kind = require(obj, "type", "prior")
-    where = f"{kind} prior"
-
-    def num(key: str) -> float:
-        return config_value(obj, key, where)
-
-    if kind == "bachelier":
-        return BachelierPrior(mean=num("mean"), variance=num("variance"))
-    if kind == "lognormal":
-        return LogNormalPrior(forward=num("forward"), total_variance=num("total_variance"))
-    if kind == "ssvi":
-        fc = obj.get("forward_curve", 1.0)
-        fc = config_value(obj, "forward_curve", where, float_array if isinstance(fc, list) else float, 1.0)
-        return SSVIParams(C=num("C"), K=num("K"), rho=num("rho"), eta=num("eta"), gamma=num("gamma"), forward_curve=fc)
-    raise PriorError(f"unknown prior type {kind!r}")
+    """The prior a JSON description declares (``PRIOR``); a description that
+    does not match it is a ``PriorError`` naming the field."""
+    fields = read(obj, PRIOR, "prior", PriorError)
+    kind = fields.pop("type")
+    return {"bachelier": BachelierPrior, "lognormal": LogNormalPrior, "ssvi": SSVIParams}[kind](**fields)

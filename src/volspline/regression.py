@@ -22,38 +22,15 @@ import numpy as np
 
 from volspline import opt
 from volspline.bspline import (
-    BasisSpec,
-    CompiledBasis,
-    KnotVector,
-    LebesgueMeasure,
-    Spline,
-    SplineError,
-    derivative_decomposition,
-    design_matrix,
-    gram_matrix,
-    locate,
-    moment_rows,
-    weighted_gram,
+    BasisSpec, CompiledBasis, KnotVector, LebesgueMeasure, Spline, SplineError, derivative_decomposition, design_matrix,
+    gram_matrix, locate, moment_rows, weighted_gram,
 )
-from volspline.priors import ConfigError, config_value, require
+from volspline.config import INTEGER, NUMBER, Field, Kind, at_least, either, enum, read, tagged
 
 __all__ = [
-    "Sample",
-    "EmpiricalMeasure",
-    "RegressionConfig",
-    "ConstraintSet",
-    "solution_weights",
-    "LebesgueMeasure",
-    "tikhonov_factor",
-    "design_system",
-    "penalty_matrix",
-    "solve_penalized",
-    "solve_constrained",
-    "fit_penalized",
-    "fit_constrained",
-    "shape_constraints",
-    "compatibility_constraints",
-    "add_second_moment_cap",
+    "Sample", "EmpiricalMeasure", "RegressionConfig", "ConstraintSet", "solution_weights", "LebesgueMeasure",
+    "tikhonov_factor", "design_system", "penalty_matrix", "solve_penalized", "solve_constrained", "fit_penalized",
+    "fit_constrained", "SHAPE_CONSTRAINT", "shape_constraints", "compatibility_constraints", "add_second_moment_cap",
 ]
 
 
@@ -405,41 +382,51 @@ def _limit_row(basis: BasisSpec, p: int, side: str) -> np.ndarray:
     return mat[pick] if p > 0 else np.eye(dim)[pick]
 
 
+_RELATIONS = ("eq", "ge", "le")
+_DERIV = Field(INTEGER, 0, at_least(0))
+
+# one entry of a shape-constraint list: a sign constraint's name, or an
+# object tagged by its kind
+SHAPE_CONSTRAINT = either(
+    enum("nonnegative", "nondecreasing", "nonincreasing", "convex", "concave"),
+    tagged("kind", {
+        **{f"value_{r}": {"x": Field(NUMBER), "value": Field(NUMBER), "deriv": _DERIV} for r in _RELATIONS},
+        **{f"limit_{r}": {"side": Field(enum("-inf", "+inf")), "value": Field(NUMBER), "deriv": _DERIV}
+           for r in _RELATIONS},
+        **{f"integral_{r}": {"measure": Field(Kind("a measure object", lambda v: hasattr(v, "moment_table"))),
+                             "value": Field(NUMBER)} for r in _RELATIONS},
+    }),
+)
+
+
 def shape_constraints(basis: BasisSpec, specs) -> ConstraintSet:
     """Constraint rows for the listed shape requirements.
 
-    Accepted entries: the strings ``nonnegative``, ``nondecreasing``,
-    ``nonincreasing``, ``convex``, ``concave``, or dicts
+    Accepted entries (``SHAPE_CONSTRAINT``): the strings ``nonnegative``,
+    ``nondecreasing``, ``nonincreasing``, ``convex``, ``concave``, or dicts
     ``{"kind": "value_eq|value_ge|value_le", "x": x0, "value": v, "deriv": p}``,
     ``{"kind": "limit_eq|limit_ge|limit_le", "side": "-inf"|"+inf", ...}`` and
     ``{"kind": "integral_eq|integral_ge|integral_le", "measure": m, "value": v}``.
     Sign constraints use the sufficient condition of nonnegative loadings
-    on the (nonnegative) basis of the corresponding derivative order.  A
-    missing or malformed field is a ``ConfigError`` naming it; a kind the
-    basis cannot carry, or an unknown one, is a ``SplineError``.
+    on the (nonnegative) basis of the corresponding derivative order.  An
+    entry that does not match its declaration, or that the basis cannot
+    carry, is a ``SplineError``; the former names the field.
     """
     if isinstance(specs, (str, dict)):
         specs = [specs]
     cs = ConstraintSet(basis.dimension)
-    n = basis.order
-    for spec in specs:
-        kind = spec if isinstance(spec, str) else config_value(spec, "kind", "shape constraint", str)
-        where = f"shape constraint {kind!r}"
+    for i, spec in enumerate(specs):
+        spec = read(spec, SHAPE_CONSTRAINT, f"constraints[{i}]", SplineError)
+        kind = spec if isinstance(spec, str) else spec["kind"]
+        # derivative_decomposition rejects a derivative order the basis cannot carry
         if kind == "nonnegative":
             cs.add_ineq_rows(np.eye(basis.dimension), 0.0, "nonnegative")
         elif kind in ("nondecreasing", "nonincreasing"):
-            if n + 1 < 1:
-                raise SplineError("monotonicity needs order >= 0")
             _derivative_sign_rows(basis, 1, 1.0 if kind == "nondecreasing" else -1.0, cs, kind)
         elif kind in ("convex", "concave"):
-            if 2 > n + 1:
-                raise SplineError("convexity constraints need order >= 1")
             _derivative_sign_rows(basis, 2, 1.0 if kind == "convex" else -1.0, cs, kind)
         elif kind.startswith("value_"):
-            p = config_value(spec, "deriv", where, int, 0)
-            if p > n + 1:
-                raise SplineError("derivative order beyond the atomic level")
-            x0 = config_value(spec, "x", where)
+            p, x0 = spec["deriv"], spec["x"]
             if p == 0:
                 row = design_matrix(basis, [x0])[0]
             else:
@@ -447,25 +434,12 @@ def shape_constraints(basis: BasisSpec, specs) -> ConstraintSet:
                 if dm.basis is None:
                     raise SplineError("pointwise values of the atomic derivative are not defined")
                 row = (design_matrix(dm.basis, [x0]) @ dm.matrix)[0]
-            _add_relation(cs, row, config_value(spec, "value", where), kind, f"value[{x0}]")
+            _add_relation(cs, row, spec["value"], kind, f"value[{x0}]")
         elif kind.startswith("limit_"):
-            p = config_value(spec, "deriv", where, int, 0)
-            if p > n:
-                raise SplineError("wing limits beyond the spline order are not defined")
-            side = require(spec, "side", where)
-            if side not in ("-inf", "+inf"):
-                raise ConfigError(f"{where} field 'side' must be '-inf' or '+inf', got {side!r}")
-            row = _limit_row(basis, p, side)
-            _add_relation(cs, row, config_value(spec, "value", where), kind, f"limit[{side}]")
-        elif kind.startswith("integral_"):
-            measure = require(spec, "measure", where)
-            if not hasattr(measure, "moment_table"):
-                # a JSON config holds numbers, strings and lists, never a measure
-                raise ConfigError(f"{where} field 'measure' must be a measure object, got {measure!r}")
-            row = moment_rows(basis.compiled(), measure)
-            _add_relation(cs, row, config_value(spec, "value", where), kind, "integral")
+            row = _limit_row(basis, spec["deriv"], spec["side"])
+            _add_relation(cs, row, spec["value"], kind, f"limit[{spec['side']}]")
         else:
-            raise SplineError(f"unknown shape constraint {kind!r}")
+            _add_relation(cs, moment_rows(basis.compiled(), spec["measure"]), spec["value"], kind, "integral")
     return cs
 
 
@@ -474,10 +448,8 @@ def _add_relation(cs: ConstraintSet, row, value: float, kind: str, family: str) 
         cs.add_eq(row, value, family)
     elif kind.endswith("_ge"):
         cs.add_ineq(row, value, family)
-    elif kind.endswith("_le"):
+    else:  # _le
         cs.add_ineq(-np.asarray(row, dtype=float), -value, family)
-    else:
-        raise SplineError(f"unknown relation in {kind!r}")
 
 
 def compatibility_constraints(

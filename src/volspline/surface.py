@@ -22,7 +22,8 @@ import numpy as np
 
 from volspline import opt
 from volspline.bspline import BasisSpec, CompiledBasis, Spline, gram_matrix, make_basis, piece_integrals
-from volspline.priors import BachelierPrior, ConfigError, LogNormalPrior, SSVIParams, SSVISlice, ssvi_total_variance
+from volspline.config import ConfigError
+from volspline.priors import BachelierPrior, LogNormalPrior, SSVIParams, SSVISlice, ssvi_total_variance
 from volspline.regression import ConstraintSet, solution_weights
 
 __all__ = [
@@ -191,7 +192,8 @@ def slice_measure(prior, maturity: float, forward: float | None = None):
     total variance ``total_variance * maturity``, the Bachelier law of S
     has variance ``variance * maturity`` and is centred on the forward.
     ``forward`` defaults to the prior's own; an SSVI prior must agree with
-    it, since its forward curve fixes the log-moneyness of every strike.
+    it, since its forward curve fixes the log-moneyness of every strike: a
+    mismatch is a ``ConfigError``.
     A Bachelier prior also takes a column of maturities: stacked tables.
     """
     if np.any(maturity <= 0.0):
@@ -199,7 +201,7 @@ def slice_measure(prior, maturity: float, forward: float | None = None):
     if isinstance(prior, SSVIParams):
         measure = SSVICoordMeasure(prior, maturity)
         if forward is not None and abs(measure.forward - forward) > 1e-12 * forward:
-            raise ValueError(
+            raise ConfigError(
                 f"SSVI forward curve gives {measure.forward!r} at T={maturity!r}, "
                 f"the slice forward is {forward!r}; set the prior's forward_curve"
             )

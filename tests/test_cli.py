@@ -291,7 +291,7 @@ def test_nonpositive_maturity_exits_2(tmp_path, capsys):
     config = {"prior": LOGNORMAL, "forward": 100.0, "maturities": [0.0, 1.0]}
     assert cli.main(_surface_argv(tmp_path, config)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config: ") and "maturity 0.0" in err
+    assert err.startswith("error: config: ") and "'maturities' must be positive" in err
 
 
 def test_surface_file_that_is_not_json_exits_2(tmp_path, capsys):
@@ -365,14 +365,18 @@ def test_config_value_out_of_range_exits_2(tmp_path, capsys, monkeypatch, comman
 
 
 def test_a_base_variance_below_the_local_variance_exits_2(tmp_path, capsys):
-    # the shipped knot span is [-40, 240]: 380 + 0.2 x reaches 428 there, above the base's 400
+    # the shipped knot span is [-40, 240]: 380 + 0.2 x reaches 428 there, above the base's 400.
+    # The span widens with the base, so the base named is the smallest that dominates on its own
+    # span, the root of v = 400 + 1.4 sqrt(v): passed back, it runs
     affine = 'local_variance={"type": "affine", "intercept": 380.0, "slope": 0.2}'
     argv = ["pde-evolve", "--config", str(REPO / "configs" / "pde_ratio.json"), "--out", str(tmp_path / "out")]
     assert cli.main([*argv, "--set", affine]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config: config field 'base_variance'") and "at least 428.0" in err
-    # the span widens with the base: 440 dominates 380 + 0.2 x on [-46.8, 246.8]
-    assert cli.main([*argv, "--set", affine, "--set", "base_variance=440"]) == 0
+    assert err.startswith("error: config: config field 'base_variance' must be at least ")
+    named = float(err.split("must be at least ")[1].split(",")[0])
+    assert named == pytest.approx(((1.4 + np.sqrt(1.4**2 + 1600.0)) / 2.0) ** 2, rel=1e-12)
+    assert cli.main([*argv, "--set", affine, "--set", f"base_variance={named - 1e-9!r}"]) == 2
+    assert cli.main([*argv, "--set", affine, "--set", f"base_variance={named!r}"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -387,7 +391,7 @@ def test_a_base_variance_below_the_local_variance_exits_2(tmp_path, capsys):
         ("reprice.paths=-5", "'reprice.paths'"),
         ("truncation=5", "truncation"),
         ("penalty_order=0", "penalty_order"),
-        ("params.rho=2", "rho must lie in [-1, 1]"),
+        ("params.rho=2", "'rho' must lie in [-1, 1]"),
         ("reprice.strikes.count=0", "'reprice.strikes'"),
         ("reprice.strikes.count=-2", "'reprice.strikes'"),
         ("reprice.strikes=[]", "'reprice.strikes'"),
