@@ -25,7 +25,7 @@ that compiled evaluation stays well conditioned for knots far from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -992,6 +992,18 @@ def piece_integrals(coeffs: np.ndarray, table: np.ndarray, total: bool = False) 
     return np.einsum("jid,...id->...j" if total else "jid,...id->...ji", coeffs, table)
 
 
+_GRAM = "jia,iab,lib->jl"
+
+
+@lru_cache(maxsize=64)
+def _gram_path(coeffs_shape: tuple, hankel_shape: tuple) -> tuple:
+    """The contraction path ``optimize=True`` finds for ``_GRAM`` on operands
+    of these shapes: it depends on the shapes alone, so each is searched once.
+    A tuple, so that no caller can change the cached path."""
+    coeffs, hankel = np.empty(coeffs_shape), np.empty(hankel_shape)
+    return tuple(np.einsum_path(_GRAM, coeffs, hankel, coeffs, optimize=True)[0])
+
+
 def weighted_gram(cb: CompiledBasis, weight) -> np.ndarray:
     """Inner products of compiled functions against a measure.
 
@@ -1004,7 +1016,7 @@ def weighted_gram(cb: CompiledBasis, weight) -> np.ndarray:
     deg = coeffs.shape[2] - 1
     table = weight.moment_table(lo, hi, refs, 2 * deg)
     hankel = table[:, np.add.outer(np.arange(deg + 1), np.arange(deg + 1))]
-    gram = np.einsum("jia,iab,lib->jl", coeffs, hankel, coeffs, optimize=True)
+    gram = np.einsum(_GRAM, coeffs, hankel, coeffs, optimize=_gram_path(coeffs.shape, hankel.shape))
     return 0.5 * (gram + gram.T)
 
 

@@ -156,16 +156,24 @@ def _grid_decl(count: int) -> Kind:
 # ---------------------------------------------------------------------------
 
 BASIS = obj({
-    "knots": Field(either(array(), _grid_decl(8)), {"start": 0.0, "stop": 7.0, "count": 8}),
+    "knots": Field(either(array(), _grid_decl(8)), {"start": 0.0, "stop": 7.0, "count": 8}, Check(
+        lambda v, s: np.unique(_knots(v), return_counts=True)[1].max(initial=0) <= min(s["orders"], default=np.inf) + 1,
+        "repeat no knot more than lowest order + 1 times (orders {orders})",
+    )),
     "orders": Field(list_of(INTEGER), [0, 1, 2, 3], Check(lambda v, s: v and min(v) >= 0, "be nonempty and >= 0")),
     "grid": Field(_grid_decl(1000), None),  # absent: the command's own grid
     "truncation": Field(INTEGER, None, Check(lambda v, s: -1 <= v <= min(s["orders"]), "lie in [-1, lowest order]")),
 })
 
 
+def _knots(knots) -> np.ndarray:
+    """The knots of a list or of a grid."""
+    return knots if isinstance(knots, np.ndarray) else _linspace(knots)
+
+
 def cmd_basis(r: Runner) -> None:
     cfg = r.config
-    knots = cfg["knots"] if isinstance(cfg["knots"], np.ndarray) else _linspace(cfg["knots"])
+    knots = _knots(cfg["knots"])
     grid = _linspace(cfg["grid"] or {"start": knots[0] - 1.0, "stop": knots[-1] + 1.0, "count": 1000})
     for order in cfg["orders"]:
         with r.stage(f"basis-order-{order}"):
@@ -220,6 +228,8 @@ def _load_sample(spec: str) -> rg.Sample:
             raise ConfigError(f"sample CSV line {i}: {exc}") from exc
         xs.append(x)
         ys.append(y)
+    if not xs:
+        raise ConfigError(f"config field 'sample' must hold at least one x,y row, got none in {spec!r}")
     return rg.Sample(xs, ys)
 
 
@@ -501,7 +511,7 @@ def _dominating_base(cfg, coef, peak: float, iterations: int = 50) -> float:
     constant and affine forms the peak grows like sqrt(v), and a few steps
     reach it."""
     for _ in range(iterations):
-        v, peak = peak, pde.peak_local_variance(coef, _span_basis(cfg, peak), cfg["horizon"])[0]
+        v, peak = peak, pde.local_variance_range(coef, _span_basis(cfg, peak), cfg["horizon"])[1][0]
         if peak <= v:
             return v
     return peak
@@ -513,13 +523,20 @@ def cmd_pde_evolve(r: Runner) -> None:
     constant = lv["type"] == "constant"
     coef = pde.ConstantVariance(lv["value"]) if constant else pde.AffineVariance(lv["intercept"], lv["slope"])
     basis = _span_basis(cfg, v0)
-    peak, t, x = pde.peak_local_variance(coef, basis, cfg["horizon"])
-    if peak > v0:
-        g = basis.knots.knots
+    g = basis.knots.knots
+    low, peak = pde.local_variance_range(coef, basis, cfg["horizon"])
+    if low[0] <= 0.0:  # an affine variance that turns nonpositive on the span the base sets
+        v, t, x = low
         raise ConfigError(
-            f"config field 'base_variance' must be at least {_dominating_base(cfg, coef, peak)!r}, the smallest "
+            f"config field 'local_variance' must be positive on the knot span [{float(g[0])!r}, "
+            f"{float(g[-1])!r}] over [0, {cfg['horizon']!r}], got {v!r} at t = {t!r}, x = {x!r}"
+        )
+    if peak[0] > v0:
+        v, t, x = peak
+        raise ConfigError(
+            f"config field 'base_variance' must be at least {_dominating_base(cfg, coef, v)!r}, the smallest "
             f"base that dominates the local variance on its own knot span, got {v0!r}: the local variance "
-            f"reaches {peak!r} at t = {t!r}, x = {x!r} on the span [{float(g[0])!r}, {float(g[-1])!r}]"
+            f"reaches {v!r} at t = {t!r}, x = {x!r} on the span [{float(g[0])!r}, {float(g[-1])!r}]"
         )
     problem = pde.PDEProblem(coef, v0, cfg["s0"], basis, cfg["horizon"])
     with r.stage("evolve"):

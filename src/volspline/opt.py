@@ -351,26 +351,31 @@ def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
     Columns are scaled by their largest entry in ``[d P d; G; A]``, as in
     OSQP; a column with no entry at all keeps its scale.  Returns the scaled
     ``G, h, A, b, f, P`` and the column scales ``d``.
+
+    The sweeps read only magnitudes, and rounding is symmetric, so
+    ``|(s P) t| = (s |P|) t`` for positive scales: ``|P|``, ``|G|`` and
+    ``|A|`` are taken once, and a column's largest entry is the largest of
+    its three blocks' maxima.
     """
     m, n = G.shape
     d = np.ones(n)
     e = np.ones(m)
     a = np.ones(A.shape[0])
+    absP, absG, absA = np.abs(P), np.abs(G), np.abs(A)
     for _ in range(sweeps):
-        Ps = (d[:, None] * P) * d[None, :]
-        Gs = (e[:, None] * G) * d[None, :]
-        As = (a[:, None] * A) * d[None, :]
-        col = np.abs(np.vstack([Ps, Gs, As])).max(axis=0)
+        col = ((d[:, None] * absP) * d[None, :]).max(axis=0)
+        np.maximum(col, ((e[:, None] * absG) * d[None, :]).max(axis=0, initial=0.0), out=col)
+        np.maximum(col, ((a[:, None] * absA) * d[None, :]).max(axis=0, initial=0.0), out=col)
         d /= np.sqrt(np.where(col > 0.0, col, 1.0))
-        Gs = (e[:, None] * G) * d[None, :]
-        row = np.abs(Gs[: cones.ml]).max(axis=1, initial=0.0)
+        Gs = (e[:, None] * absG) * d[None, :]
+        row = Gs[: cones.ml].max(axis=1, initial=0.0)
         e[: cones.ml] /= np.sqrt(np.where(row > 0.0, row, 1.0))
         for st, q in zip(cones.starts, cones.socs):
-            r = np.abs(Gs[st : st + q]).max()
+            r = Gs[st : st + q].max()
             if r > 0.0:
                 e[st : st + q] /= np.sqrt(r)
-        As = (a[:, None] * A) * d[None, :]
-        a /= np.sqrt(np.maximum(np.abs(As).max(axis=1, initial=0.0), 1e-12))
+        As = (a[:, None] * absA) * d[None, :]
+        a /= np.sqrt(np.maximum(As.max(axis=1, initial=0.0), 1e-12))
     Gs = (e[:, None] * G) * d[None, :]
     As = (a[:, None] * A) * d[None, :]
     fs = d * f

@@ -45,7 +45,7 @@ from volspline.surface import RNSlice, slice_measure
 
 __all__ = [
     "PDEError", "VarianceCoef", "ConstantVariance", "AffineVariance", "PDEProblem", "GalerkinSystem", "Trajectory",
-    "assemble", "constrain", "collocation_rows", "evolve", "peak_local_variance", "solve_bordered_banded",
+    "assemble", "constrain", "collocation_rows", "evolve", "local_variance_range", "solve_bordered_banded",
 ]
 
 
@@ -87,7 +87,7 @@ class ConstantVariance(VarianceCoef):
 
 @dataclass(frozen=True)
 class AffineVariance(VarianceCoef):
-    """v(t, x) = intercept + slope * x; must stay positive on the domain."""
+    """v(t, x) = intercept + slope * x; must stay positive on the knot span."""
 
     intercept: float
     slope: float
@@ -118,16 +118,25 @@ class PDEProblem:
                 "only flat (order-0) extrapolation is supported; higher-order "
                 "extrapolation needs extra side conditions that are not implemented"
             )
+        low, peak = local_variance_range(self.local_variance, self.basis, self.horizon)
+        g = self.basis.knots.knots
+        # the check points hold the smallest constant or affine variance on the span; other forms
+        # meet the step functions' own check at every point where they are evaluated
+        if isinstance(self.local_variance, (ConstantVariance, AffineVariance)) and low[0] <= 0.0:
+            v, t, x = low
+            raise PDEError(
+                f"the local variance must be positive on the knot span [{float(g[0])!r}, {float(g[-1])!r}] "
+                f"over [0, {self.horizon!r}]; it reaches {v!r} at t = {t!r}, x = {x!r}"
+            )
         # the base must dominate the local variance on the knot span over [0, horizon]: where the local
         # variance exceeds it, the ratio to the base law grows like exp(z**2 (1/v0 - 1/v) / 2t) toward the
         # boundary knots, which the flat wings cannot follow
-        v_max, t, x = peak_local_variance(self.local_variance, self.basis, self.horizon)
-        if v_max > self.base_variance:
-            g = self.basis.knots.knots
+        if peak[0] > self.base_variance:
+            v, t, x = peak
             raise PDEError(
-                f"base_variance {self.base_variance!r} is below the local variance {v_max!r} at t = {t!r}, "
+                f"base_variance {self.base_variance!r} is below the local variance {v!r} at t = {t!r}, "
                 f"x = {x!r}; the base must dominate the local variance on the knot span [{float(g[0])!r}, "
-                f"{float(g[-1])!r}] over [0, {self.horizon!r}], so base_variance must be at least {v_max!r}"
+                f"{float(g[-1])!r}] over [0, {self.horizon!r}], so base_variance must be at least {v!r}"
             )
 
     def base_measure(self, t):
@@ -135,16 +144,20 @@ class PDEProblem:
         return slice_measure(BachelierPrior(self.s0, self.base_variance), t, self.s0)
 
 
-def peak_local_variance(local_variance: VarianceCoef, basis: BasisSpec, horizon: float) -> tuple[float, float, float]:
-    """The largest local variance where the steps evaluate it, and its t and x: at the breakpoints and the
-    Gauss-Legendre points of the knot intervals, at ``_CHECK_TIMES`` evenly spaced times from 0 to
-    ``horizon``, which is exact for the constant and affine variances."""
+def local_variance_range(local_variance: VarianceCoef, basis: BasisSpec, horizon: float):
+    """The smallest and the largest local variance where the steps evaluate it, each as ``(v, t, x)``: at
+    the breakpoints and the Gauss-Legendre points of the knot intervals, at ``_CHECK_TIMES`` evenly spaced
+    times from 0 to ``horizon``, which is exact for the constant and affine variances."""
     g = basis.compiled().breakpoints
     xs = np.concatenate([g, _interval_rule(g)[0]])
-    ts = np.linspace(0.0, horizon, _CHECK_TIMES)[:, None]
-    v = np.broadcast_to(np.asarray(local_variance.value(ts, xs), dtype=float), (ts.size, xs.size))
-    worst = np.unravel_index(np.argmax(v), v.shape)
-    return float(v[worst]), float(ts[worst[0], 0]), float(xs[worst[1]])
+    ts = np.linspace(0.0, horizon, _CHECK_TIMES)
+    v = np.broadcast_to(np.asarray(local_variance.value(ts[:, None], xs), dtype=float), (ts.size, xs.size))
+
+    def at(flat: int) -> tuple[float, float, float]:
+        i, j = np.unravel_index(flat, v.shape)
+        return float(v[i, j]), float(ts[i]), float(xs[j])
+
+    return at(np.argmin(v)), at(np.argmax(v))
 
 
 @dataclass(frozen=True)
@@ -163,7 +176,7 @@ class GalerkinSystem:
 
 
 GL_POINTS = 10  # Gauss-Legendre points per knot interval in the weak form
-_CHECK_TIMES = 17  # times on [0, horizon] at which PDEProblem checks that the base dominates
+_CHECK_TIMES = 17  # times on [0, horizon] at which PDEProblem checks the local variance
 _BLOCK_STEPS = 10  # steps whose operators evolve holds at once
 _BLOWUP = 1e6  # largest |weight| evolve accepts
 _SINGULAR = 1.0 / np.finfo(float).eps  # condition number past which a step system counts as singular

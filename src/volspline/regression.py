@@ -17,6 +17,7 @@ equations into a cone program handled by :mod:`volspline.opt`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class Sample:
     def n(self) -> int:
         return self.x.size
 
-    @property
+    @cached_property
     def sigma_x(self) -> float:
         return float(np.std(self.x))
 

@@ -8,11 +8,19 @@ target smile is flat lognormal, so the local volatility is ``sigma_bs x``
 closed form.  Each time step regresses the squared volatility on log-spot
 with a penalized, optionally constrained B-spline and divides it into the
 local volatility.
+
+Both marches, the calibration's particles and the repricing paths, take
+each date's normals from ``_date_normals``: one helper thread per call
+draws the next date's normals from that date's own stream while the
+calling thread steps the current one, and is joined before the call
+returns or raises.  The draws are the bits of a serial loop, so results
+do not depend on the thread.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import closing
 from dataclasses import dataclass, fields
 from math import comb
 
@@ -230,6 +238,13 @@ def calibrate_leverage(
     (``CompiledBasis.affine_image``) and scales the Gram by ``h^(1 - 2p)``.
     The sample's normal equations come from its moment table
     (``regression.design_system``).
+
+    Each date's ``(2, n_particles)`` normals come from its own stream,
+    ``_step_rng(seed, "calibrate", k)``, through ``_date_normals``: one
+    helper thread draws date ``k + 1``'s while this one steps and regresses
+    date ``k``, and the bits are those of a serial draw.  The particle step
+    and the regression stay on this thread.  The helper lives for this call
+    only and is joined before it returns or raises.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -246,49 +261,47 @@ def calibrate_leverage(
     u = np.zeros(n_particles)
     slices: list[LeverageSlice] = [_constant_slice(0.0, p.a0**2, p.sigma_bs)]
 
-    for k in range(times.size - 1):
-        t0, t1 = times[k], times[k + 1]
-        z0, z1 = _step_rng(seed, "calibrate", k).standard_normal((2, n_particles))
-        # the particles move as one block (the shipped 16000 fit in L2).
-        # dw and innov live until the next date's are made: freed at the top
-        # of the heap, glibc would hand their memory back to the system and
-        # fault it in again on every date (7600 minor page faults in a
-        # shipped calibration instead of 240, with the order of _particle_step)
-        dw, innov = _increments(z0, z1, t1 - t0, p)
-        _particle_step(s, u, t1 - t0, p, dw, innov, slices[-1])
+    with closing(_date_normals(seed, "calibrate", times.size - 1, n_particles)) as normals:
+        for k, (z0, z1) in enumerate(normals):
+            t0, t1 = times[k], times[k + 1]
+            # the particles move as one block (the shipped 16000 fit in L2).
+            # dw and innov live until the next date's are made: freed at the top
+            # of the heap, glibc would hand their memory back to the system and
+            # fault it in again on every date (7600 minor page faults in a
+            # shipped calibration instead of 240, with the order of _particle_step)
+            dw, innov = _increments(z0, z1, t1 - t0, p)
+            _particle_step(s, u, t1 - t0, p, dw, innov, slices[-1])
 
-        a_sq = p.a0**2 * np.exp(2.0 * u)
-        x = np.log(s)
-        std = float(np.std(x))
-        # the knots np.linspace(g0, g1, n_knots), up to the rounding of the last
-        center = np.log(p.s0)
-        g0, g1 = center - knot_halfwidth_stds * std, center + knot_halfwidth_stds * std
-        h = (g1 - g0) / (n_knots - 1) if n_knots > 1 else 1.0
-        cb = unit_cb.affine_image(g0, h)
-        sample = rg.Sample(x, a_sq)
-        lam = rg.tikhonov_factor(sample, cfg)
-        V, c = rg.design_system(sample, cb)
-        R = h ** (1 - 2 * penalty_order) * unit_penalty
+            sample = rg.Sample(np.log(s), p.a0**2 * np.exp(2.0 * u))
+            std = sample.sigma_x
+            # the knots np.linspace(g0, g1, n_knots), up to the rounding of the last
+            center = np.log(p.s0)
+            g0, g1 = center - knot_halfwidth_stds * std, center + knot_halfwidth_stds * std
+            h = (g1 - g0) / (n_knots - 1) if n_knots > 1 else 1.0
+            cb = unit_cb.affine_image(g0, h)
+            lam = rg.tikhonov_factor(sample, cfg)
+            V, c = rg.design_system(sample, cb)
+            R = h ** (1 - 2 * penalty_order) * unit_penalty
 
-        cs = rg.ConstraintSet(unit.dimension)
-        marginal = _spot_marginal_log(p, t1)
-        if flags.forward_variance_eq:
-            cs.add_eq(moment_rows(cb, marginal), forward_variance(p, t1), "forward-variance")
-        if flags.nonnegative:
-            cs.add_ineq_rows(np.eye(unit.dimension), 0.0, "nonnegative")
-        if flags.quadratic_cap:
-            rg.add_second_moment_cap(cs, cb, marginal, fourth_moment(p, t1), "second-moment-cap")
+            cs = rg.ConstraintSet(unit.dimension)
+            marginal = _spot_marginal_log(p, t1)
+            if flags.forward_variance_eq:
+                cs.add_eq(moment_rows(cb, marginal), forward_variance(p, t1), "forward-variance")
+            if flags.nonnegative:
+                cs.add_ineq_rows(np.eye(unit.dimension), 0.0, "nonnegative")
+            if flags.quadratic_cap:
+                rg.add_second_moment_cap(cs, cb, marginal, fourth_moment(p, t1), "second-moment-cap")
 
-        if cs.n_rows:
-            try:
-                w = rg.solve_constrained(V, c, R, lam, cs)
-            except rg.opt.OptError as exc:  # infeasible or unconverged: say which step
-                raise type(exc)(f"step {k + 1} (t={t1:g}): {exc}") from exc
-        else:
-            w = rg.solve_penalized(V, c, R, lam, sample, cb)
+            if cs.n_rows:
+                try:
+                    w = rg.solve_constrained(V, c, R, lam, cs)
+                except rg.opt.OptError as exc:  # infeasible or unconverged: say which step
+                    raise type(exc)(f"step {k + 1} (t={t1:g}): {exc}") from exc
+            else:
+                w = rg.solve_penalized(V, c, R, lam, sample, cb)
 
-        floor = 1e-10 * forward_variance(p, t1)
-        slices.append(LeverageSlice(t=float(t1), cond_var=cb.combination(w), floor=floor, sigma_bs=p.sigma_bs))
+            floor = 1e-10 * forward_variance(p, t1)
+            slices.append(LeverageSlice(t=float(t1), cond_var=cb.combination(w), floor=floor, sigma_bs=p.sigma_bs))
 
     return LeverageSurface(times=times, slices=tuple(slices), params=p)
 
@@ -341,20 +354,20 @@ _MARCH_BLOCK = 16384  # antithetic pairs per block of the path march: a block's 
 _PAIR_BLOCK = 8192  # antithetic pairs per block of repricing payoffs
 
 
-def _reprice_normals(seed: int, n_dates: int, half: int):
-    """Yield the ``(2, half)`` normals of each repricing date in turn.
+def _date_normals(seed: int, stream: str, n_dates: int, n: int):
+    """Yield the ``(2, n)`` normals of each date of a march in turn.
 
-    Date ``k`` draws from its own stream, ``_step_rng(seed, "reprice", k)``,
+    Date ``k`` draws from its own stream, ``_step_rng(seed, stream, k)``,
     all of row 0 and then all of row 1, the stream and order of
-    ``standard_normal((2, half))``.  One helper thread draws date ``k + 1``
+    ``standard_normal((2, n))``.  One helper thread draws date ``k + 1``
     into the second of two buffers while the caller uses date ``k``'s:
     ``Generator.standard_normal`` releases the GIL, so the draws overlap the
     caller's numpy work, and each buffer holds the bits a serial loop would
-    draw.  A buffer is valid until the next ``next()``.  Exhausting or
-    closing the generator stops and joins the helper; an error in the
-    helper is raised here.
+    draw.  The helper calls ``_step_rng`` and the generator only.  A buffer
+    is valid until the next ``next()``.  Exhausting or closing the generator
+    stops and joins the helper; an error in the helper is raised here.
     """
-    buffers = np.empty((2, 2, half))
+    buffers = np.empty((2, 2, n))
     free = threading.Semaphore(2)  # buffers the helper may fill
     filled = threading.Semaphore(0)  # buffers the caller may read
     failed: list[BaseException] = []
@@ -366,7 +379,7 @@ def _reprice_normals(seed: int, n_dates: int, half: int):
                 free.acquire()
                 if stop:
                     return
-                rng, z = _step_rng(seed, "reprice", k), buffers[k % 2]
+                rng, z = _step_rng(seed, stream, k), buffers[k % 2]
                 rng.standard_normal(out=z[0])
                 rng.standard_normal(out=z[1])
                 filled.release()
@@ -374,7 +387,7 @@ def _reprice_normals(seed: int, n_dates: int, half: int):
             failed.append(exc)
             filled.release()
 
-    helper = threading.Thread(target=draw, name="volspline-reprice-normals", daemon=True)
+    helper = threading.Thread(target=draw, name=f"volspline-{stream}-normals", daemon=True)
     helper.start()
     try:
         for k in range(n_dates):
@@ -394,7 +407,7 @@ def simulate_terminal(surface: LeverageSurface, n_paths: int, seed: int) -> np.n
 
     The paths are antithetic: path ``i + half`` (``half = (n_paths + 1) //
     2``) takes the negated normals of path ``i``.  Each date's normals for
-    the ``half`` pairs come in one ``(2, half)`` buffer (``_reprice_normals``:
+    the ``half`` pairs come in one ``(2, half)`` buffer (``_date_normals``:
     one helper thread draws the next date's while this one marches), and
     the pairs march ``_MARCH_BLOCK`` at a time: a block's increments are
     computed once, path ``i`` adds them and path ``i + half`` subtracts
@@ -408,8 +421,7 @@ def simulate_terminal(surface: LeverageSurface, n_paths: int, seed: int) -> np.n
     s = np.full(2 * half, p.s0)
     u = np.zeros_like(s)
     dates = list(zip(np.diff(surface.times), surface.slices))
-    normals = _reprice_normals(seed, len(dates), half)
-    try:
+    with closing(_date_normals(seed, "reprice", len(dates), half)) as normals:
         for (dt, leverage), z in zip(dates, normals):
             for a in range(0, half, _MARCH_BLOCK):
                 b = min(a + _MARCH_BLOCK, half)
@@ -417,8 +429,6 @@ def simulate_terminal(surface: LeverageSurface, n_paths: int, seed: int) -> np.n
                 _particle_step(s[a:b], u[a:b], dt, p, dw, innov, leverage)
                 lo, hi = half + a, half + b
                 _particle_step(s[lo:hi], u[lo:hi], dt, p, dw, innov, leverage, antithetic=True)
-    finally:
-        normals.close()
     return s[:n_paths]
 
 

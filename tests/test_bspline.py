@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from volspline import bspline as bs
+from volspline.priors import BachelierPrior
 
 
 def function_pieces(basis):
@@ -396,3 +397,17 @@ def _simpson_gram(basis, p):
         core += vals_f.T @ (w_f[:, None] * vals_f)
     return dm.matrix.T @ core @ dm.matrix
 
+
+
+@pytest.mark.parametrize("order, truncation, n_knots", [(0, 0, 5), (1, -1, 6), (2, 1, 20), (3, 0, 9), (3, 3, 4)])
+def test_weighted_gram_is_the_optimized_einsum_bit_for_bit(order, truncation, n_knots):
+    # the contraction path searched once per operand shape gives the bytes of a search on every call
+    law = BachelierPrior(0.3, 0.8)
+    for shift in (0.0, 0.7):
+        cb = bs.make_basis(np.linspace(-2.0, 2.0, n_knots) + shift, order, truncation).compiled()
+        lo, hi, refs, coeffs = bs.live_pieces(cb)
+        deg = coeffs.shape[2] - 1
+        table = law.moment_table(lo, hi, refs, 2 * deg)
+        hankel = table[:, np.add.outer(np.arange(deg + 1), np.arange(deg + 1))]
+        gram = np.einsum("jia,iab,lib->jl", coeffs, hankel, coeffs, optimize=True)
+        assert bs.weighted_gram(cb, law).tobytes() == (0.5 * (gram + gram.T)).tobytes()

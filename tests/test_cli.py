@@ -379,6 +379,19 @@ def test_a_base_variance_below_the_local_variance_exits_2(tmp_path, capsys):
     assert cli.main([*argv, "--set", affine, "--set", f"base_variance={named!r}"]) == 0
 
 
+def test_a_local_variance_nonpositive_on_the_knot_span_exits_2(tmp_path, capsys):
+    # -100 + 3 x is negative below x = 100/3; base 2000 dominates it on its span [-213.05, 413.05],
+    # so the variance passed the base check and failed inside the evolve (exit 4)
+    out = tmp_path / "out"
+    argv = ["pde-evolve", "--config", str(REPO / "configs" / "pde_ratio.json"), "--out", str(out),
+            "--set", 'local_variance={"type": "affine", "intercept": -100, "slope": 3}', "--set", "base_variance=2000"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: config field 'local_variance' must be positive on the knot span [-213.04")
+    assert "at t = 0.0, x = -213.04" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "setting, named",
     [

@@ -103,6 +103,9 @@ def test_a_written_surface_file_reads_against_its_declaration(surface_file):
         # a truncation above an order exited 4, and no orders wrote nothing and exited 0
         ("basis", "basis_fig.json", "truncation=9", "truncation"),
         ("basis", "basis_fig.json", "orders=[]", "orders"),
+        # a knot repeated more often than the lowest order allows exited 4
+        ("basis", "basis_fig.json", "knots=[0,1,1,1,1,1,2]", "knots"),
+        ("basis", "basis_fig.json", 'knots={"start": 1.0, "stop": 1.0, "count": 3}', "knots"),
     ],
 )
 def test_a_config_defect_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, command, config, setting, path):
@@ -145,6 +148,18 @@ def test_a_sample_csv_header_is_a_first_line_that_is_not_two_numbers(tmp_path, h
     path.write_text(header + rows, encoding="utf-8")
     sample = cli._load_sample(str(path))
     assert sample.n == 8 and sample.x[0] == 1e-3 and sample.y[0] == 0.5
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "x,y\n"])
+def test_a_sample_without_rows_exits_2_naming_it(tmp_path, capsys, text):
+    # an empty or header-only file reached rg.Sample and exited 4
+    path, out = tmp_path / "sample.csv", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    argv = ["regress", "--config", str(REPO / "configs" / "regress_demo.json"), "--out", str(out), "--set", f"sample={path}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: config field 'sample' must hold at least one x,y row, got none in ")
+    assert not out.exists()
 
 
 def test_reader_kinds():

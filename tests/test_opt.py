@@ -372,6 +372,60 @@ def test_orthant_rows_scale_as_one_block():
         np.testing.assert_array_equal(x, y)
 
 
+def equilibrate_stacked(G, h, A, b, f, P, cones, sweeps=6):
+    """``opt._equilibrate`` by the stacked formula: each sweep scales the
+    signed blocks, stacks them and takes magnitudes of the stack."""
+    m, n = G.shape
+    d, e, a = np.ones(n), np.ones(m), np.ones(A.shape[0])
+    for _ in range(sweeps):
+        Ps = (d[:, None] * P) * d[None, :]
+        Gs = (e[:, None] * G) * d[None, :]
+        As = (a[:, None] * A) * d[None, :]
+        col = np.abs(np.vstack([Ps, Gs, As])).max(axis=0)
+        d /= np.sqrt(np.where(col > 0.0, col, 1.0))
+        Gs = (e[:, None] * G) * d[None, :]
+        row = np.abs(Gs[: cones.ml]).max(axis=1, initial=0.0)
+        e[: cones.ml] /= np.sqrt(np.where(row > 0.0, row, 1.0))
+        for st, q in zip(cones.starts, cones.socs):
+            r = np.abs(Gs[st : st + q]).max()
+            if r > 0.0:
+                e[st : st + q] /= np.sqrt(r)
+        As = (a[:, None] * A) * d[None, :]
+        a /= np.sqrt(np.maximum(np.abs(As).max(axis=1, initial=0.0), 1e-12))
+    Gs, As, fs, Ps = (e[:, None] * G) * d[None, :], (a[:, None] * A) * d[None, :], d * f, (d[:, None] * P) * d[None, :]
+    obj_scale = max(np.abs(fs).max(), np.abs(Ps).max(axis=0).mean(), 1e-12)
+    return Gs, e * h, As, a * b, fs / obj_scale, Ps / obj_scale, d
+
+
+@pytest.mark.parametrize(
+    "ml, socs, p",
+    [(7, [3, 2], 2), (0, [3, 4], 2), (6, [3], 0), (0, [2], 0), (5, [], 1), (0, [], 2)],
+    ids=["cones", "no-orthant-rows", "no-equalities", "cone-only", "orthant-only", "no-inequalities"],
+)
+def test_equilibrate_is_the_stacked_formula_bit_for_bit(ml, socs, p):
+    # signed entries over eight decades, zero rows and a zero column
+    rng = np.random.default_rng(ml * 100 + len(socs) * 10 + p)
+    cones = opt._Cones(ml, socs)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        m = ml + sum(socs)
+        G = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-4, 4, (m, 1))
+        A = rng.standard_normal((p, n)) * 10.0 ** rng.uniform(-4, 4, (p, 1))
+        B = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, n)
+        P = B @ B.T
+        if m:
+            G[rng.integers(m)] = 0.0
+        if rng.random() < 0.5:
+            col = rng.integers(n)
+            G[:, col], A[:, col], P[:, col], P[col] = 0.0, 0.0, 0.0, 0.0
+        h, b, f = rng.standard_normal(m), rng.standard_normal(p), rng.standard_normal(n)
+        got = opt._equilibrate(G, h, A, b, f, P, cones)
+        want = equilibrate_stacked(G, h, A, b, f, P, cones)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 class TestQPRecast:
     def test_unconstrained_parabola(self):
         sol = opt.solve_qp(opt.QuadForm(np.array([[2.0]]), np.array([0.0])))

@@ -63,18 +63,23 @@ class TestAssembly:
                     assert A[i, j] == 0.0
 
     def test_rejects_nonpositive_variance(self):
+        # an affine variance is checked on the knot span when the problem is built;
+        # a general one by the step functions, where they evaluate it
         basis = bs.make_basis(np.linspace(0, 200, 12), 3, truncation=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prob = pde.PDEProblem(pde.AffineVariance(1.0, -1.0), V0, S0, basis, 1.0)
-        with pytest.raises(pde.PDEError):
+        with pytest.raises(pde.PDEError, match=r"positive on the knot span \[0\.0, 200\.0\].*reaches -199\.0 at t = 0\.0"):
+            pde.PDEProblem(pde.AffineVariance(1.0, -1.0), V0, S0, basis, 1.0)
+        prob = pde.PDEProblem(FadingVariance(0.4), V0, S0, basis, 1.0)
+        with pytest.raises(pde.PDEError, match="local variance must be positive"):
             pde.assemble(prob, 0.5)
 
     def test_collocation_rejects_nonpositive_variance_at_a_boundary_knot(self):
         # v = x - 60 vanishes at the lower knot only: every quadrature point
-        # of the weak form lies inside an interval, the collocation point does not
+        # of the weak form lies inside an interval, the collocation point does not.
+        # As an AffineVariance it is rejected where the problem is built
         basis = bs.make_basis(np.linspace(60.0, 140.0, 12), 3, truncation=0)
-        prob = pde.PDEProblem(pde.AffineVariance(-60.0, 1.0), 80.0, S0, basis, 1.0)  # v <= 80 on the span
+        with pytest.raises(pde.PDEError, match=r"reaches 0\.0 at t = 0\.0, x = 60\.0"):
+            pde.PDEProblem(pde.AffineVariance(-60.0, 1.0), 80.0, S0, basis, 1.0)
+        prob = pde.PDEProblem(RampVariance(60.0), 80.0, S0, basis, 1.0)  # v <= 80 on the span
         pde.assemble(prob, 0.5)
         with pytest.raises(pde.PDEError, match="positive"):
             pde.collocation_rows(prob, 0.5)
@@ -333,6 +338,24 @@ class FadingVariance(pde.VarianceCoef):
         return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
 
     dxx = dx
+
+
+class RampVariance(pde.VarianceCoef):
+    """v(t, x) = x - x_zero as a general coefficient: ``PDEProblem`` checks the
+    positivity of the constant and affine forms only, so the step functions'
+    own checks meet this one."""
+
+    def __init__(self, x_zero: float):
+        self.x_zero = x_zero
+
+    def value(self, t, x):
+        return np.asarray(x, dtype=float) - self.x_zero
+
+    def dx(self, t, x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    def dxx(self, t, x):
+        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def public_march(prob, steps, scheme="cn", rannacher=2):

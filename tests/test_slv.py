@@ -202,7 +202,7 @@ class TestPathMarch:
 
     def test_normals_are_each_dates_stream_and_closing_early_joins_the_helper(self):
         before = threading.active_count()
-        normals = slv._reprice_normals(51, 4, 1000)
+        normals = slv._date_normals(51, "reprice", 4, 1000)
         for k, z in zip(range(2), normals):
             assert z.tobytes() == slv._step_rng(51, "reprice", k).standard_normal((2, 1000)).tobytes()
         normals.close()
@@ -261,6 +261,79 @@ class TestPathMarch:
             together[seed] = slv.simulate_terminal(surface, n_paths, seed).tobytes()
 
         threads = [threading.Thread(target=march, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert together == alone
+
+
+def _serial_normals(seed, stream, n_dates, n):
+    # each date's normals drawn inline, as a calibration without the helper draws them
+    for k in range(n_dates):
+        yield slv._step_rng(seed, "calibrate", k).standard_normal((2, n))
+
+
+def _coefficient_bytes(surface):
+    return [sl.cond_var.coeffs.tobytes() for sl in surface.slices]
+
+
+class TestCalibrationNormals:
+    """Calibration draws each date's normals on the helper of ``_date_normals``."""
+
+    @pytest.mark.parametrize("flags", [slv.ConstraintFlags(), slv.ConstraintFlags(quadratic_cap=True)])
+    def test_calibration_is_that_of_a_serial_draw(self, monkeypatch, params, flags):
+        grid = np.linspace(0.0, 0.5, 6)
+        got = slv.calibrate_leverage(params, grid, 3000, seed=61, flags=flags)
+        monkeypatch.setattr(slv, "_date_normals", _serial_normals)
+        want = slv.calibrate_leverage(params, grid, 3000, seed=61, flags=flags)
+        assert _coefficient_bytes(got) == _coefficient_bytes(want)
+
+    def test_the_helper_is_joined_when_calibration_returns(self, params):
+        before = threading.active_count()
+        slv.calibrate_leverage(params, np.linspace(0.0, 0.5, 6), 1000, seed=62)
+        assert threading.active_count() == before
+
+    def test_a_stalled_step_joins_the_helper(self, params, stall_solver):
+        stalled = stall_solver()
+        before = threading.active_count()
+        with pytest.raises(opt.OptError, match=r"^step 1 \(t=0\.1\): constrained regression " + stalled):
+            slv.calibrate_leverage(params, np.linspace(0.0, 0.5, 6), 1000, seed=63)
+        assert threading.active_count() == before
+
+    def test_an_error_drawing_normals_is_raised_by_the_calibration(self, monkeypatch, params):
+        step_rng = slv._step_rng
+
+        def failing_rng(seed, stream, step):
+            if (stream, step) == ("calibrate", 2):
+                raise MemoryError("date 2")
+            return step_rng(seed, stream, step)
+
+        monkeypatch.setattr(slv, "_step_rng", failing_rng)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="date 2"):
+            slv.calibrate_leverage(params, np.linspace(0.0, 0.5, 6), 1000, seed=64)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("seeds", [(65, 66), (67, 68, 69, 70)])
+    def test_concurrent_calibrations_share_no_state(self, params, seeds):
+        # calls at once, more of them than cores, with frequent thread
+        # switches: each gives the bytes of the same call run alone
+        grid, flags = np.linspace(0.0, 0.5, 6), slv.ConstraintFlags(quadratic_cap=True)
+        alone = {seed: _coefficient_bytes(slv.calibrate_leverage(params, grid, 2000, seed, flags=flags)) for seed in seeds}
+        together, start = {}, threading.Barrier(len(seeds))
+
+        def calibrate(seed):
+            start.wait()
+            together[seed] = _coefficient_bytes(slv.calibrate_leverage(params, grid, 2000, seed, flags=flags))
+
+        threads = [threading.Thread(target=calibrate, args=(seed,)) for seed in seeds]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
