@@ -4,9 +4,10 @@ import os as _os
 
 # honor the worker cap before any numerical library spins up its pools.
 # VOLSPLINE_THREADS caps the BLAS and OpenMP thread pools only.  It does not
-# govern the one helper thread with which slv.simulate_terminal draws the
-# next date's normals while the paths march; that thread lives for one call,
-# and no output depends on the cap or on the helper.
+# govern the helper thread with which slv.calibrate_leverage and
+# slv.simulate_terminal each draw the next date's normals while the
+# particles or paths march (slv._date_normals); each such thread lives for
+# one call, and no output depends on the cap or on the helper.
 _cap = _os.environ.get("VOLSPLINE_THREADS")
 if _cap:
     for _var in (

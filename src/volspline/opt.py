@@ -355,7 +355,10 @@ def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
     The sweeps read only magnitudes, and rounding is symmetric, so
     ``|(s P) t| = (s |P|) t`` for positive scales: ``|P|``, ``|G|`` and
     ``|A|`` are taken once, and a column's largest entry is the largest of
-    its three blocks' maxima.
+    its three blocks' maxima.  Rounding is also monotone, so for a positive
+    column scale ``max_i fl(x_i d) = fl(max_i x_i * d)``: each block's
+    column maxima are taken before the column scale is applied, and each
+    sweep scales one copy of ``|G|`` and of ``|A|`` in place.
     """
     m, n = G.shape
     d = np.ones(n)
@@ -363,18 +366,19 @@ def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
     a = np.ones(A.shape[0])
     absP, absG, absA = np.abs(P), np.abs(G), np.abs(A)
     for _ in range(sweeps):
-        col = ((d[:, None] * absP) * d[None, :]).max(axis=0)
-        np.maximum(col, ((e[:, None] * absG) * d[None, :]).max(axis=0, initial=0.0), out=col)
-        np.maximum(col, ((a[:, None] * absA) * d[None, :]).max(axis=0, initial=0.0), out=col)
+        Gs, As = e[:, None] * absG, a[:, None] * absA  # column-scaled once d is updated
+        col = (d[:, None] * absP).max(axis=0) * d
+        np.maximum(col, Gs.max(axis=0, initial=0.0) * d, out=col)
+        np.maximum(col, As.max(axis=0, initial=0.0) * d, out=col)
         d /= np.sqrt(np.where(col > 0.0, col, 1.0))
-        Gs = (e[:, None] * absG) * d[None, :]
+        Gs *= d
         row = Gs[: cones.ml].max(axis=1, initial=0.0)
         e[: cones.ml] /= np.sqrt(np.where(row > 0.0, row, 1.0))
         for st, q in zip(cones.starts, cones.socs):
             r = Gs[st : st + q].max()
             if r > 0.0:
                 e[st : st + q] /= np.sqrt(r)
-        As = (a[:, None] * absA) * d[None, :]
+        As *= d
         a /= np.sqrt(np.maximum(As.max(axis=1, initial=0.0), 1e-12))
     Gs = (e[:, None] * G) * d[None, :]
     As = (a[:, None] * A) * d[None, :]

@@ -9,11 +9,13 @@ polynomial coefficients (``bspline.piece_integrals``); Gaussian tables are
 closed form, a lognormal entering through the law of its log (``log_law``);
 the SSVI slice has its table in log-moneyness only (``log_moment_table``),
 integrated on one composite Gauss-Legendre grid.  An ``SSVISlice`` builds
-that grid, and the moments of its whole cells for each weight, once, and
-keeps them for as long as the slice object lives; every table after the
-first of a weight integrates only its own partial cells.  No cache is
-shared between slices or kept at module level.  ``PRIOR`` declares a
-prior's JSON config, and ``prior_from_json`` reads one.
+that grid, and the moments of its whole cells for both weights (density,
+spot times density) from one density evaluation, once, and keeps them for
+as long as the slice object lives; every later table integrates only its
+own partial cells, and a query for both tables evaluates the density once
+on those.  No cache is shared between slices or kept at module level.
+``PRIOR`` declares a prior's JSON config, and ``prior_from_json`` reads
+one.
 """
 
 from __future__ import annotations
@@ -286,22 +288,15 @@ _SSVI_NODES = 8
 
 
 class _CompositeCells:
-    """What a composite Gauss-Legendre table needs of its whole cells.
-
-    One weight on the cells of ``edges``: the node offsets from each cell
-    centre and the node masses ``half * w_i * weight(node)``, from one
-    evaluation of ``weight`` on every node, and the cell moments about the
-    centres, each degree summed once when first asked for.  Nothing here
+    """What a composite Gauss-Legendre table needs of the whole cells of one
+    weight: the cell edges and centres, the node offsets from each centre,
+    the node masses ``half * w_i * weight(node)`` and the cell moments about
+    the centres, each degree summed once when first asked for.  Nothing here
     depends on a query's intervals.
     """
 
-    def __init__(self, edges: np.ndarray, weight: Callable):
-        xs, ws = gauss_legendre_rule(_SSVI_NODES)
-        self.edges = edges
-        self.mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-        nodes = self.mid[:, None] + half[:, None] * xs
-        self._local = nodes - self.mid[:, None]
-        self._mass = half[:, None] * ws * weight(nodes)
+    def __init__(self, edges: np.ndarray, mid: np.ndarray, local: np.ndarray, mass: np.ndarray):
+        self.edges, self.mid, self._local, self._mass = edges, mid, local, mass
         self._moments: list[np.ndarray] = []  # degree j: one value per cell
 
     def moments(self, deg: int) -> np.ndarray:
@@ -311,46 +306,72 @@ class _CompositeCells:
         return np.stack(self._moments[: deg + 1], axis=1)
 
 
-def _composite_table(cells: _CompositeCells, weight: Callable, lo, hi, ref, deg: int) -> np.ndarray:
-    """Integrals of (k - ref_i)^d weight(k) dk over [lo_i, hi_i].
+def _composite_cells(edges: np.ndarray, weights: Callable) -> tuple[_CompositeCells, ...]:
+    """The whole cells of ``edges``, one ``_CompositeCells`` per weight of
+    ``weights`` (nodes -> tuple of weights), from one call on every node."""
+    xs, ws = gauss_legendre_rule(_SSVI_NODES)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    nodes = mid[:, None] + half[:, None] * xs
+    local = nodes - mid[:, None]
+    return tuple(_CompositeCells(edges, mid, local, half[:, None] * ws * w) for w in weights(nodes))
 
-    ``cells`` holds the whole cells of one composite Gauss-Legendre grid
-    for the same ``weight``; bounds are clipped to the grid.  Whole cells
-    enter through their moments about the cell centre, re-expanded about
-    each ``ref`` (no cancellation: the expansion point lies inside the
-    cell); the at most two partial cells of an interval get their own
-    Gauss-Legendre rule, evaluating ``weight`` there.
+
+def _composite_table(cells: tuple[_CompositeCells, ...], weights: Callable, lo, hi, ref, deg: int) -> list[np.ndarray]:
+    """Integrals of (k - ref_i)^d w(k) dk over [lo_i, hi_i], one table per
+    weight w of one query: ``weights`` maps nodes to the tuple of weights,
+    ``(density,)`` or ``(density, spot density)``, and ``cells`` holds the
+    whole cells of each, in the same order, on one composite Gauss-Legendre
+    grid; bounds are clipped to the grid.
+
+    Whole cells enter through their moments about the cell centre,
+    re-expanded about each ``ref`` (no cancellation: the expansion point
+    lies inside the cell); the at most two partial cells of an interval get
+    their own Gauss-Legendre rule.  The whole-cell mask, the powers of the
+    centre gaps and the partial-cell nodes are built once for all weights,
+    and ``weights`` is called once, on the nodes of both partial cells.
     """
     xs, ws = gauss_legendre_rule(_SSVI_NODES)
-    edges, mid = cells.edges, cells.mid
+    edges, mid = cells[0].edges, cells[0].mid
     lo = np.clip(lo, edges[0], edges[-1])
     hi = np.clip(hi, lo, edges[-1])
-    cell_mom = cells.moments(deg)
 
     first = np.searchsorted(edges, lo, side="left")  # first edge >= lo
     last = np.searchsorted(edges, hi, side="right") - 1  # last edge <= hi
     cell_ids = np.arange(edges.size - 1)
     whole = (cell_ids >= first[:, None]) & (cell_ids < last[:, None])
     gap = np.where(whole, mid - ref[:, None], 0.0)  # (intervals, cells)
-    # shifted[:, m, j] = sum over whole cells of (centre - ref)^m * cell_mom[:, j]
-    shifted = np.empty(lo.shape + (deg + 1, deg + 1))
+    # shifted[i][:, m, j] = sum over whole cells of (centre - ref)^m * weight i's cell moment j
+    moments = [c.moments(deg) for c in cells]
+    shifted = [np.empty(lo.shape + (deg + 1, deg + 1)) for _ in cells]
     power = whole.astype(float)
     for m in range(deg + 1):
-        shifted[:, m, :] = power @ cell_mom
+        for table, cell_mom in zip(shifted, moments):
+            table[:, m, :] = power @ cell_mom
         power = power * gap
-    out = np.zeros(lo.shape + (deg + 1,))
-    for d in range(deg + 1):
-        for j in range(d + 1):
-            out[:, d] += comb(d, j) * shifted[:, d - j, j]
 
     split = np.minimum(edges[np.minimum(first, edges.size - 1)], hi)
+    rules = []  # per partial cell: node weights and the powers of the node offsets from ref
+    nodes = []
     for a, b in ((lo, split), (np.maximum(edges[np.maximum(last, 0)], split), hi)):
         pm, ph = 0.5 * (a + b), 0.5 * (b - a)
         k = pm[:, None] + ph[:, None] * xs
-        pw = ph[:, None] * ws * weight(k)
+        nodes.append(k)
         u = k - ref[:, None]
-        out += np.stack([(pw * u**d).sum(axis=1) for d in range(deg + 1)], axis=1)
-    return out
+        rules.append((ph[:, None] * ws, [u**d for d in range(deg + 1)]))
+    values = weights(np.concatenate(nodes))
+    n = lo.size
+
+    tables = []
+    for sh, value in zip(shifted, values):
+        out = np.zeros(lo.shape + (deg + 1,))
+        for d in range(deg + 1):
+            for j in range(d + 1):
+                out[:, d] += comb(d, j) * sh[:, d - j, j]
+        for side, (scaled, u_powers) in enumerate(rules):
+            pw = scaled * value[side * n : (side + 1) * n]
+            out += np.stack([(pw * ud).sum(axis=1) for ud in u_powers], axis=1)
+        tables.append(out)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -358,11 +379,13 @@ class SSVISlice:
     """Fixed-maturity marginal of the SSVI surface.
 
     Tables integrate on one composite Gauss-Legendre grid of
-    ``_SSVI_CELLS`` cells in log-moneyness (see ``grid``).  The slice
-    builds that grid, and the whole-cell part of the table of each weight
-    (the density, and spot times the density), on its first table of that
-    weight and keeps them for as long as it lives; every later table only
-    adds its own partial cells.  Nothing is shared between slices.
+    ``_SSVI_CELLS`` cells in log-moneyness (see ``grid``), against two
+    weights: the density, and spot times the density.  On its first table
+    the slice builds that grid and the whole cells of both weights, from one
+    density evaluation on every node, and keeps them for as long as it
+    lives; every later table only adds its own partial cells, and a query
+    for both tables (``log_moment_tables``) evaluates the density once on
+    those.  Nothing is shared between slices.
     """
 
     params: SSVIParams
@@ -397,16 +420,8 @@ class SSVISlice:
         return s * np.sinh(np.linspace(-a, a, _SSVI_CELLS + 1))
 
     @cached_property
-    def _edges(self) -> np.ndarray:
-        return self.grid()
-
-    @cached_property
-    def _mass_cells(self) -> _CompositeCells:
-        return _CompositeCells(self._edges, self.logm_density)
-
-    @cached_property
-    def _spot_cells(self) -> _CompositeCells:
-        return _CompositeCells(self._edges, self._spot_density)
+    def _cells(self) -> tuple[_CompositeCells, _CompositeCells]:
+        return _composite_cells(self.grid(), self._weights)
 
     def density(self, x):
         return ssvi_density(self.params, self.maturity, x)
@@ -414,18 +429,27 @@ class SSVISlice:
     def logm_density(self, k):
         return ssvi_logm_density(self.params, self.maturity, k)
 
-    def _spot_density(self, k):
-        """Spot S = F e^k times the log-moneyness density."""
-        return self.forward * np.exp(k) * self.logm_density(k)
+    def _weights(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """The log-moneyness density and spot S = F e^k times it, at ``k``."""
+        q = self.logm_density(k)
+        return q, self.forward * np.exp(k) * q
 
     def log_moment_table(self, lo, hi, ref, deg: int, spot: bool = False) -> np.ndarray:
         """Table in log-moneyness k: integrals of (k - ref_i)^d dQ over
         [lo_i, hi_i], or of (k - ref_i)^d S dQ with S = F e^k when ``spot``."""
+        if spot:
+            return self._tables(self._cells[1:], lambda k: self._weights(k)[1:], lo, hi, ref, deg)[0]
+        return self._tables(self._cells[:1], lambda k: (self.logm_density(k),), lo, hi, ref, deg)[0]
+
+    def log_moment_tables(self, lo, hi, ref, deg: int) -> tuple[np.ndarray, np.ndarray]:
+        """Both tables of ``log_moment_table`` for the same intervals, bit for
+        bit, from one density evaluation on their partial cells."""
+        return tuple(self._tables(self._cells, self._weights, lo, hi, ref, deg))
+
+    def _tables(self, cells, weights, lo, hi, ref, deg: int) -> list[np.ndarray]:
         lo, hi, ref = _table_args(lo, hi, ref, deg)
-        cells, weight = (self._spot_cells, self._spot_density) if spot else (self._mass_cells, self.logm_density)
-        shape = lo.shape
-        out = _composite_table(cells, weight, lo.ravel(), hi.ravel(), ref.ravel(), deg)
-        return out.reshape(shape + (deg + 1,))
+        tables = _composite_table(cells, weights, lo.ravel(), hi.ravel(), ref.ravel(), deg)
+        return [table.reshape(lo.shape + (deg + 1,)) for table in tables]
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ class SSVICoordMeasure(_CoordMeasure):
         return self.slice.log_moment_table(lo, hi, ref, deg)
 
     def moment_tables(self, lo, hi, ref, deg: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.moment_table(lo, hi, ref, deg), self.slice.log_moment_table(lo, hi, ref, deg, spot=True)
+        return self.slice.log_moment_tables(lo, hi, ref, deg)
 
     def coord_density(self, u):
         return self.slice.logm_density(np.asarray(u, dtype=float))

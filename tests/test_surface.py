@@ -409,8 +409,9 @@ class TestValidation:
         assert built == [0.5, 1.0, 1.5]
 
     def test_each_slice_integrated_once(self, monkeypatch):
-        # the composite grid's full node set is weighted once per slice and
-        # weight (density, spot times density), and the whole-line piece rows
+        # the composite grid's full node set is weighted once per slice, one
+        # density evaluation for both weights (density, spot times density),
+        # and the whole-line piece rows
         # are built once per basis and measure, for the calibration, its
         # grid pricing and validate together
         params = pr.SSVIParams(C=0.0, K=0.04, rho=-0.2, eta=0.5, gamma=0.5, forward_curve=100.0)
@@ -435,7 +436,7 @@ class TestValidation:
             g = sl.basis.knots.knots
             sl.call_price(sl.measure.spot_of_coord(np.linspace(g[0], g[-1], 101)))
         assert sf.validate(calib).passed
-        assert sorted(full_grids) == sorted(2 * mats)
+        assert sorted(full_grids) == sorted(mats)
         cb = calib.slices[0].basis.compiled()
         assert sorted(pieces) == sorted((id(cb), id(sl.measure)) for sl in calib.slices)
 
