@@ -44,9 +44,9 @@ def implied_vol(price, forward, strike, maturity, tol: float = 1e-10, max_iter: 
     unknown it doubles ``lo``, starting from volatility 5.  Each step aims
     ``tol / 4`` past the root it predicts, so that the bracket closes once
     the steps are below ``tol``.  A strike stops once its bracket is no
-    wider than ``tol`` and returns its last Newton point, clipped to the
-    bracket, so accuracy is ``tol`` in volatility units.  A call makes at
-    most ``60 + max_iter`` price evaluations.
+    wider than ``tol`` and returns the bracket's midpoint, so accuracy is
+    ``tol`` in volatility units.  A call makes at most ``60 + max_iter``
+    price evaluations.
 
     Prices at or below intrinsic return 0; prices at or above the forward
     return NaN (no-arbitrage bound violated), as do NaN prices and, at
@@ -92,9 +92,9 @@ def _newton_vol(p, F, K, T, tol, max_iter):
             np.copyto(lo, s, where=f <= 0.0)
             np.copyto(hi, s, where=f >= 0.0)
             live = hi - lo > tol_s
-            step = f / (vega_scale * np.exp(-0.5 * (d1 * d1)))
             if not live.any():
                 break
+            step = f / (vega_scale * np.exp(-0.5 * (d1 * d1)))
             # each step aims tol / 4 past the root it predicts, so that the bracket closes
             nxt = s - (step + np.copysign(0.25 * tol_s, step))
             bisect = live & ~((lo < nxt) & (nxt < hi) & (np.abs(step) <= 0.5 * before))
@@ -103,6 +103,4 @@ def _newton_vol(p, F, K, T, tol, max_iter):
                 np.copyto(nxt, np.where(hi < np.inf, 0.5 * (lo + hi), np.maximum(2.0 * lo, 5.0 * root_t)), where=bisect)
             before, last = last, np.abs(nxt - s)
             np.copyto(s, nxt, where=live)
-        # fmax keeps lo where a step is NaN
-        est = np.where(live, 0.5 * (lo + hi), np.fmin(np.fmax(s - step, lo), hi))
-    return est / root_t
+    return 0.5 * (lo + hi) / root_t

@@ -434,16 +434,14 @@ class SSVISlice:
         q = self.logm_density(k)
         return q, self.forward * np.exp(k) * q
 
-    def log_moment_table(self, lo, hi, ref, deg: int, spot: bool = False) -> np.ndarray:
-        """Table in log-moneyness k: integrals of (k - ref_i)^d dQ over
-        [lo_i, hi_i], or of (k - ref_i)^d S dQ with S = F e^k when ``spot``."""
-        if spot:
-            return self._tables(self._cells[1:], lambda k: self._weights(k)[1:], lo, hi, ref, deg)[0]
+    def log_moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
+        """Table in log-moneyness k: integrals of (k - ref_i)^d dQ over [lo_i, hi_i]."""
         return self._tables(self._cells[:1], lambda k: (self.logm_density(k),), lo, hi, ref, deg)[0]
 
     def log_moment_tables(self, lo, hi, ref, deg: int) -> tuple[np.ndarray, np.ndarray]:
-        """Both tables of ``log_moment_table`` for the same intervals, bit for
-        bit, from one density evaluation on their partial cells."""
+        """The table of ``log_moment_table``, bit for bit, and that of
+        (k - ref_i)^d S dQ with S = F e^k, for the same intervals, from one
+        density evaluation on their partial cells."""
         return tuple(self._tables(self._cells, self._weights, lo, hi, ref, deg))
 
     def _tables(self, cells, weights, lo, hi, ref, deg: int) -> list[np.ndarray]:

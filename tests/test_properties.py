@@ -12,12 +12,11 @@ Gaussian tails for its mass and mean.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.optimize import minimize
 
 from volspline import bspline as bs, opt, pde, priors as pr, regression as rg, slv, surface as sf
@@ -30,17 +29,14 @@ maturities = st.floats(0.1, 2.0)
 ends = st.one_of(st.none(), st.floats(-14.0, 14.0))
 
 
-def _quad(f, lo, hi, centre, sd, points=(), reach=45.0):
+def _quad(f, lo, hi, centre, sd, points=(), reach=45.0, epsabs=0.0):
     """Integral of f over [lo, hi] clipped to centre -+ reach * sd, split at
-    centre + SPLITS * sd and at ``points``."""
+    centre + SPLITS * sd and at ``points``, to ``epsabs`` or a relative
+    1e-12 on each piece."""
     lo, hi = max(lo, centre - reach * sd), min(hi, centre + reach * sd)
     cuts = np.unique(np.concatenate([[lo, hi], centre + SPLITS * sd, np.asarray(points, dtype=float)]))
     cuts = cuts[(cuts >= lo) & (cuts <= hi)]
-    with warnings.catch_warnings():
-        # a piece whose integral nearly cancels cannot reach epsrel 1e-12; the
-        # callers compare with absolute tolerances far above quad's error there
-        warnings.filterwarnings("ignore", "The occurrence of roundoff error", IntegrationWarning)
-        return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0] for a, b in zip(cuts[:-1], cuts[1:]))
+    return sum(quad(f, a, b, epsabs=epsabs, epsrel=1e-12, limit=200)[0] for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 def _gauss_pdf(mean, sd):
@@ -288,8 +284,7 @@ def test_ssvi_tables_match_quad(data, T, z, zref, deg):
     kref = zref * sd
     q = lambda k: float(pr.ssvi_logm_density(params, T, k))  # noqa: E731
     reach = 60.0 / sd  # SSVI wings are linear in k: exponential, wide tails
-    mass = slc.log_moment_table([klo], [khi], [kref], deg)[0]
-    spot = slc.log_moment_table([klo], [khi], [kref], deg, spot=True)[0]
+    mass, spot = (table[0] for table in slc.log_moment_tables([klo], [khi], [kref], deg))
     for d in range(deg + 1):
         want = _quad(lambda k: (k - kref) ** d * q(k), klo, khi, 0.0, sd, reach=reach)
         assert mass[d] == pytest.approx(want, rel=1e-8, abs=1e-12)
@@ -304,6 +299,14 @@ def _intervals(data, sd, n):
     return np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds]), np.array(refs)
 
 
+def _fresh_table(params, T, lo, hi, ref, deg, spot):
+    """One weight's table (the density, or spot times it when ``spot``) on
+    cells built from a freshly computed grid of a new slice."""
+    other = pr.SSVISlice(params, T)
+    cells = pr._composite_cells(other.grid(), other._weights)[spot:][:1]
+    return pr._composite_table(cells, lambda k: other._weights(k)[spot:][:1], lo, hi, ref, deg)[0]
+
+
 @SETTINGS
 @given(data=st.data(), T=maturities, deg=st.integers(0, 4), spot=st.booleans(), n=st.integers(1, 5))
 def test_ssvi_kept_cells_give_the_fresh_grid_tables(data, T, deg, spot, n):
@@ -315,20 +318,14 @@ def test_ssvi_kept_cells_give_the_fresh_grid_tables(data, T, deg, spot, n):
     slc = pr.SSVISlice(params, T)
     sd = math.sqrt(pr.ssvi_total_variance(params, T, 0.0))
     lo, hi, ref = _intervals(data, sd, n)
-
-    def fresh(lo, hi, ref, deg, spot):
-        other = pr.SSVISlice(params, T)
-        cells = pr._composite_cells(other.grid(), other._weights)[spot:][:1]
-        return pr._composite_table(cells, lambda k: other._weights(k)[spot:][:1], lo, hi, ref, deg)[0]
-
-    want = fresh(lo, hi, ref, deg, spot).tobytes()
-    assert slc.log_moment_table(lo, hi, ref, deg, spot=spot).tobytes() == want
+    want = _fresh_table(params, T, lo, hi, ref, deg, spot).tobytes()
+    assert slc.log_moment_tables(lo, hi, ref, deg)[spot].tobytes() == want
     for _ in range(data.draw(st.integers(1, 3))):
         lo2, hi2, ref2 = _intervals(data, sd, data.draw(st.integers(1, 5)))
         deg2, spot2 = data.draw(st.integers(0, 5)), data.draw(st.booleans())
-        got = slc.log_moment_table(lo2, hi2, ref2, deg2, spot=spot2)
-        assert got.tobytes() == fresh(lo2, hi2, ref2, deg2, spot2).tobytes()
-    assert slc.log_moment_table(lo, hi, ref, deg, spot=spot).tobytes() == want
+        got = slc.log_moment_tables(lo2, hi2, ref2, deg2)[spot2]
+        assert got.tobytes() == _fresh_table(params, T, lo2, hi2, ref2, deg2, spot2).tobytes()
+    assert slc.log_moment_tables(lo, hi, ref, deg)[spot].tobytes() == want
 
 
 @SETTINGS
@@ -352,10 +349,10 @@ def test_ssvi_paired_tables_are_the_one_weight_tables(data, T, deg, n):
     for served in (False, True):
         pair = (slc if served else pr.SSVISlice(params, T)).log_moment_tables(lo, hi, ref, deg)
         for spot, table in enumerate(pair):
-            alone = pr.SSVISlice(params, T).log_moment_table(lo, hi, ref, deg, spot=bool(spot))
             assert table.shape == (lo.size, deg + 1)
-            assert table.tobytes() == alone.tobytes()
-            assert table.tobytes() == slc.log_moment_table(lo, hi, ref, deg, spot=bool(spot)).tobytes()
+            assert table.tobytes() == _fresh_table(params, T, lo, hi, ref, deg, spot).tobytes()
+        assert pair[0].tobytes() == pr.SSVISlice(params, T).log_moment_table(lo, hi, ref, deg).tobytes()
+        assert pair[0].tobytes() == slc.log_moment_table(lo, hi, ref, deg).tobytes()
     assert np.all(pair[0][n : n + 2] == 0.0) and np.all(pair[0][n + 3] == 0.0)
 
 
@@ -422,18 +419,24 @@ def _horner(coef, x):
 def test_moment_rows_and_gram_match_quad(data, kind, T, order, n_knots, centre):
     gaps = data.draw(st.lists(st.floats(0.1, 1.0), min_size=n_knots - 1, max_size=n_knots - 1))
     knots = centre - 0.5 * sum(gaps) + np.concatenate([[0.0], np.cumsum(gaps)])
-    truncation = data.draw(st.integers(-1, order)) if kind == "lebesgue" else 0
-    try:
-        basis = bs.make_basis(knots, order, truncation)
-    except bs.SplineError:  # no basis on these knots (order above the knot count, or nothing left)
-        assume(False)
+    if order > n_knots:  # orders above the knot count take only the full basis
+        truncation = order
+    elif kind == "lebesgue":  # at least one function left: n_knots + 2 truncation - order >= 0
+        truncation = data.draw(st.integers(max(-1, -((n_knots - order) // 2)), order))
+    else:
+        truncation = 0
+    basis = bs.make_basis(knots, order, truncation)
     measure, pdf, mid, sd, reach, kinks = _measure_and_pdf(data, kind, T, centre)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     v, w = rng.standard_normal((2, basis.dimension))
     want_row = want_gram = scale = 0.0
+    # a signed integral that nearly cancels cannot reach a relative 1e-12 (scipy
+    # warns of roundoff); 1e-14 absolute on each of at most 10 x 16 quad calls
+    # stays 60 times inside the absolute tolerances asserted below
     for (a, b, pv), (_, _, pw) in zip(_spline_pieces(basis, v), _spline_pieces(basis, w)):
-        want_row += _quad(lambda x: _horner(pw, x) * pdf(x), a, b, mid, sd, kinks, reach)
-        want_gram += _quad(lambda x: _horner(pv, x) * _horner(pw, x) * pdf(x), a, b, mid, sd, kinks, reach)
+        want_row += _quad(lambda x: _horner(pw, x) * pdf(x), a, b, mid, sd, kinks, reach, epsabs=1e-14)
+        want_gram += _quad(lambda x: _horner(pv, x) * _horner(pw, x) * pdf(x), a, b, mid, sd, kinks, reach,
+                           epsabs=1e-14)
         scale += _quad(lambda x: abs(_horner(pv, x) * _horner(pw, x)) * pdf(x), a, b, mid, sd, kinks, reach)
     cb = basis.compiled()
     gram = bs.weighted_gram(cb, measure)
