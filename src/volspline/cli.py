@@ -58,20 +58,24 @@ def _grid_rows(times, grid, values):
             yield tcell, xcell, repr(f)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows of text cells; numbers come formatted by ``_fmt``."""
+def _write_csv(path: Path, header: list[str], rows) -> str:
+    """Write rows of text cells; numbers come formatted by ``_fmt``.
+    Returns the SHA-256 of the bytes written."""
     lines = [",".join(header)]
     lines.extend(map(",".join, rows))
     lines.append("")
-    path.write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    return _write_text(path, "\n".join(lines))
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+def _write_json(path: Path, obj) -> str:
+    """Write ``obj`` as indented JSON; returns the SHA-256 of the bytes written."""
+    return _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_text(path: Path, text: str) -> str:
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _read_json(path: Path, what: str):
@@ -121,12 +125,10 @@ class Runner:
             self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0
 
     def emit_csv(self, name: str, header, rows) -> None:
-        _write_csv(self._target(name), header, rows)
-        self.checksums[name] = _sha256(self.out / name)
+        self.checksums[name] = _write_csv(self._target(name), header, rows)
 
     def emit_json(self, name: str, obj) -> None:
-        _write_json(self._target(name), obj)
-        self.checksums[name] = _sha256(self.out / name)
+        self.checksums[name] = _write_json(self._target(name), obj)
 
     def _target(self, name: str) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)

@@ -14,9 +14,11 @@ has two routes and one optimality check:
   method's KKT test; otherwise the interior-point iteration runs.
 
 Both routes solve their KKT systems through one LU factorization
-(``_kkt``).  ``solve_socp`` reports a status and accepts nothing: what a
-status means for a fit is the front end's decision, and the front ends
-raise on every status but ``optimal``.
+(``_kkt``): the interior point at each iteration, the active set for its
+final working set, its steps in between running on kept Cholesky factors
+(``_WorkingSetFactors``).  ``solve_socp`` reports a status and accepts
+nothing: what a status means for a fit is the front end's decision, and
+the front ends raise on every status but ``optimal``.
 
 An equality-constrained hierarchy is available through a
 quadratic-form-weighted pseudoinverse.
@@ -24,6 +26,7 @@ quadratic-form-weighted pseudoinverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,28 +361,30 @@ def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
     its three blocks' maxima.  Rounding is also monotone, so for a positive
     column scale ``max_i fl(x_i d) = fl(max_i x_i * d)``: each block's
     column maxima are taken before the column scale is applied, and each
-    sweep scales one copy of ``|G|`` and of ``|A|`` in place.
+    sweep scales one copy of ``|G|`` and of ``|A|`` in place.  Those are
+    kept transposed, one row per column of G, so that both reductions run
+    along contiguous memory; ``max`` is exact, so the order changes no bit.
     """
     m, n = G.shape
     d = np.ones(n)
     e = np.ones(m)
     a = np.ones(A.shape[0])
-    absP, absG, absA = np.abs(P), np.abs(G), np.abs(A)
+    absP, absGT, absAT = np.abs(P), np.abs(G.T, order="C"), np.abs(A.T, order="C")
     for _ in range(sweeps):
-        Gs, As = e[:, None] * absG, a[:, None] * absA  # column-scaled once d is updated
+        GsT, AsT = absGT * e, absAT * a  # column-scaled once d is updated
         col = (d[:, None] * absP).max(axis=0) * d
-        np.maximum(col, Gs.max(axis=0, initial=0.0) * d, out=col)
-        np.maximum(col, As.max(axis=0, initial=0.0) * d, out=col)
+        np.maximum(col, GsT.max(axis=1, initial=0.0) * d, out=col)
+        np.maximum(col, AsT.max(axis=1, initial=0.0) * d, out=col)
         d /= np.sqrt(np.where(col > 0.0, col, 1.0))
-        Gs *= d
-        row = Gs[: cones.ml].max(axis=1, initial=0.0)
+        GsT *= d[:, None]
+        row = GsT[:, : cones.ml].max(axis=0, initial=0.0)
         e[: cones.ml] /= np.sqrt(np.where(row > 0.0, row, 1.0))
         for st, q in zip(cones.starts, cones.socs):
-            r = Gs[st : st + q].max()
+            r = GsT[:, st : st + q].max()
             if r > 0.0:
                 e[st : st + q] /= np.sqrt(r)
-        As *= d
-        a /= np.sqrt(np.maximum(As.max(axis=1, initial=0.0), 1e-12))
+        AsT *= d[:, None]
+        a /= np.sqrt(np.maximum(AsT.max(axis=0, initial=0.0), 1e-12))
     Gs = (e[:, None] * G) * d[None, :]
     As = (a[:, None] * A) * d[None, :]
     fs = d * f
@@ -437,6 +442,87 @@ def _strict_cholesky(P) -> np.ndarray | None:
     return L if eig[0] > 1e-12 * eig[-1] else None
 
 
+class _WorkingSetFactors:
+    """The KKT system of the equalities and a working set W, kept factored
+    across the steps of ``_dual_active_set``.
+
+    With ``P = L L^T`` and ``N`` the normals of the equalities and then of
+    W in order, it keeps ``M = L^{-1} N^T``, the lower Cholesky factor
+    ``R`` of ``M^T M = N P^{-1} N^T`` and ``M^T g`` with ``g = L^{-1} f``.
+    A row joins by one new column of M and one new row of R; a row that
+    leaves refactors only the block of R after it.  Solving with these
+    factors costs triangular solves and matrix-vector products, and no
+    factorization of the KKT matrix.
+    """
+
+    def __init__(self, L, A, f):
+        from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs  # as in _kkt
+
+        self._potrf, self._potrs, self._trtrs = dpotrf, dpotrs, dtrtrs
+        self.L = np.asfortranarray(L)
+        self.g = self.lower(f)
+        self.M = self.lower(A.T)
+        self.R = self.cholesky(self.M.T @ self.M)
+        self.Mg = self.M.T @ self.g
+
+    def lower(self, rhs, trans: int = 0):
+        """``L^{-1} rhs``, or ``L^{-T} rhs`` with ``trans=1``."""
+        return self._trtrs(self.L, rhs, lower=1, trans=trans)[0]
+
+    def cholesky(self, S):
+        """Lower Cholesky factor of S (Fortran order), or None."""
+        c, info = self._potrf(S, lower=1, clean=1)
+        return c if info == 0 else None
+
+    def solve(self, rhs):
+        """``(M^T M)^{-1} rhs``."""
+        return self._potrs(self.R, rhs, lower=1)[0] if rhs.size else rhs
+
+    def point(self, c):
+        """The KKT point of the equalities and W for the objective and the
+        right-hand sides c of the rows of N: ``x``, and ``-r`` as the
+        multipliers of those rows."""
+        r = self.solve(self.Mg + c)
+        return self.lower(self.M @ r - self.g, trans=1), r
+
+    def direction(self, v):
+        """For ``v = L^{-1} n_q``: ``w = v - M s``, the part of v outside
+        the span of M, and ``s = (M^T M)^{-1} M^T v``.  The KKT direction
+        of W for ``-n_q`` is ``dx = -L^{-T} w`` with multipliers ``-s``, and
+        its curvature ``dx^T P dx`` is ``|w|^2``."""
+        s = self.solve(self.M.T @ v)
+        return v - self.M @ s, s
+
+    def join(self, v, s, curv: float) -> None:
+        """Append the row of ``v = L^{-1} n_q``.  The new row of R is
+        ``R^{-1} M^T v = R^T s``, and its pivot ``sqrt(|v|^2 - |R^T s|^2)``
+        is ``sqrt(curv)``, the step's own curvature."""
+        k = self.R.shape[0]
+        R = np.zeros((k + 1, k + 1), order="F")
+        R[:k, :k] = self.R
+        R[k, :k] = self.R.T @ s
+        R[k, k] = np.sqrt(curv)
+        self.R = R
+        self.M = np.column_stack([self.M, v])
+        self.Mg = np.append(self.Mg, v @ self.g)
+
+    def drop(self, i: int) -> bool:
+        """Remove the row at position i of N.  The rows of R after it lose
+        column i; their block ``T`` is refactored as ``chol(T T^T)``.
+        False when that block is not numerically positive definite."""
+        T = self.R[i + 1 :, i:]
+        keep = np.r_[0:i, i + 1 : self.R.shape[0]]
+        R = np.asfortranarray(self.R[np.ix_(keep, keep)])
+        tail = self.cholesky(T @ T.T)
+        if tail is None:
+            return False
+        R[i:, i:] = tail
+        self.R = R
+        self.M = self.M[:, keep]
+        self.Mg = self.Mg[keep]
+        return True
+
+
 def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
     """Dual active-set solve of ``min 0.5 x^T P x + f^T x`` subject to
     ``G x <= h`` and ``A x = b``, with P positive definite (``P = L L^T``).
@@ -450,9 +536,14 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
     leaves W and t keeps rising).  A normal ``n_q`` in the span of the
     equality normals and those of W gives no primal direction; then only
     the multipliers move, and with none falling the program is infeasible.
-    Each step solves the KKT system of W afresh; after a full step the
-    point and multipliers are re-solved from that system, so rounding does
-    not accumulate.
+
+    The KKT system of W stays factored across the steps
+    (``_WorkingSetFactors``): a step's direction, and the point and
+    multipliers re-solved after a full step, cost triangular solves and
+    matrix-vector products.  Once no row outside W is violated, the point
+    and multipliers are solved from W's KKT system itself (``_kkt``: one LU
+    factorization and one refinement) and the rows are checked again, so
+    the result depends on the kept factors only through W and its order.
 
     Returns ``(x, y, z, active, steps)`` once the norm of ``max(G x - h, 0)``
     over the rows outside W is at most ``viol_tol`` (``z`` is 0 off W,
@@ -463,36 +554,42 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
     n, p, m = P.shape[0], A.shape[0], G.shape[0]
     W: list[int] = []
     z = np.zeros(m)
-
-    def factor():  # the KKT system of the equalities and W
-        return _kkt(P, np.vstack([A, G[W]]))
-
-    def split(sol):  # the point (or direction), y and the multipliers of W
-        return sol[:n], sol[n : n + p], sol[n + p :]
-
-    kkt = factor()
-    if kkt is None:
+    fac = _WorkingSetFactors(L, A, f)
+    if fac.R is None:
         return None
-    x, y, _ = split(kkt(np.concatenate([-f, b])))
+    x, r = fac.point(b)
+    y = -r[:p]
     steps = 0
+    exact = False  # whether x, y and z were solved from W's KKT system
     while True:
         viol = G @ x - h
         viol[W] = 0.0
         np.maximum(viol, 0.0, out=viol)
-        if np.linalg.norm(viol) <= viol_tol:
-            active = np.zeros(m, dtype=bool)
-            active[W] = True
-            return x, y, z, active, steps
+        if math.sqrt(viol @ viol) <= viol_tol:  # np.linalg.norm(viol), without its checks
+            if exact:
+                active = np.zeros(m, dtype=bool)
+                active[W] = True
+                return x, y, z, active, steps
+            kkt = _kkt(P, np.vstack([A, G[W]]))
+            if kkt is None:
+                return None
+            sol = kkt(np.concatenate([-f, b, h[W]]))
+            x, y = sol[:n], sol[n : n + p]
+            z[W] = np.maximum(sol[n + p :], 0.0)
+            exact = True
+            continue
+        exact = False
         q = int(np.argmax(viol))
         nq = G[q]
-        # curvature along n_q with no row active: the scale of a zero step
-        curv0 = float(np.sum(np.linalg.solve(L, nq) ** 2))
+        v = fac.lower(nq)
+        curv0 = float(v @ v)  # curvature along n_q with no row active: the scale of a zero step
         while True:
             steps += 1
             if steps > max_steps:
                 return None
-            dx, _, dzw = split(kkt(np.concatenate([-nq, np.zeros(p + len(W))])))
-            curv = -float(nq @ dx)  # dx^T P dx
+            w, s = fac.direction(v)
+            dzw = -s[p:]
+            curv = float(w @ w)  # dx^T P dx
             in_span = curv <= 1e-14 * curv0
             falling = np.flatnonzero(dzw < 0.0)
             if not falling.size:
@@ -506,20 +603,18 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
             if not in_span and float(nq @ x - h[q]) / curv <= t_drop:
                 # full step: q joins W, and the point of W is solved afresh
                 W.append(q)
-                kkt = factor()
-                if kkt is None:
-                    return None
-                x, y, zw = split(kkt(np.concatenate([-f, b, h[W]])))
-                z[W] = np.maximum(zw, 0.0)
+                fac.join(v, s, curv)
+                x, r = fac.point(np.concatenate([b, h[W]]))
+                y = -r[:p]
+                z[W] = np.maximum(-r[p:], 0.0)
                 break
             # partial step: the multiplier of row W[j] reaches 0 and it leaves
             if not in_span:
-                x = x + t_drop * dx
+                x = x - t_drop * fac.lower(w, trans=1)
             z[W] += t_drop * dzw
             z[W[j]] = 0.0
             del W[j]
-            kkt = factor()
-            if kkt is None:
+            if not fac.drop(p + j):
                 return None
 
 
@@ -555,9 +650,12 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solu
       1e-12 of the largest (``_strict_cholesky``): the dual active-set
       method (``_dual_active_set``), whose point has the multipliers of its
       working set as ``z`` and ``s = max(h - G x, 0)``, 0 on the working
-      set, so the gap is 0.  It is returned as ``optimal`` when it passes
-      the test above, with ``iterations`` counting working-set steps (rows
-      added and dropped);
+      set, so the gap is 0.  Its steps update one factorization of the
+      working set's KKT system as rows join and leave; the point it returns
+      is solved from the final working set's KKT system, one LU
+      factorization per solve unless a row reads violated again there.  It
+      is returned as ``optimal`` when it passes the test above, with
+      ``iterations`` counting working-set steps (rows added and dropped);
     - no cone block, at least one equality, and a P that fails the test but
       ``P + rho A^T A`` (``rho = 1``) passes: the same method on that matrix
       and ``f - rho A^T b``, equal to the objective on ``A x = b`` (the

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from volspline import opt
 from volspline.regression import ConstraintSet
@@ -307,6 +307,118 @@ def test_shifted_route_for_singular_p(pinned, data, n, m, ip_starts):
         assert_matches_idle_cone(sol, prog)
     else:
         assert len(ip_starts) == 1
+
+
+def refactoring_dual_active_set(L, P, G, h, A, b, f, viol_tol, max_steps):
+    """``opt._dual_active_set`` as it was before it kept its factors: every
+    step LU-factors the KKT system of the working set afresh, and each row's
+    zero-step curvature comes from a general solve with L."""
+    n, p, m = P.shape[0], A.shape[0], G.shape[0]
+    W = []
+    z = np.zeros(m)
+
+    def factor():
+        return opt._kkt(P, np.vstack([A, G[W]]))
+
+    def split(sol):
+        return sol[:n], sol[n : n + p], sol[n + p :]
+
+    kkt = factor()
+    if kkt is None:
+        return None
+    x, y, _ = split(kkt(np.concatenate([-f, b])))
+    steps = 0
+    while True:
+        viol = G @ x - h
+        viol[W] = 0.0
+        np.maximum(viol, 0.0, out=viol)
+        if np.linalg.norm(viol) <= viol_tol:
+            active = np.zeros(m, dtype=bool)
+            active[W] = True
+            return x, y, z, active, steps
+        q = int(np.argmax(viol))
+        nq = G[q]
+        curv0 = float(np.sum(np.linalg.solve(L, nq) ** 2))
+        while True:
+            steps += 1
+            if steps > max_steps:
+                return None
+            dx, _, dzw = split(kkt(np.concatenate([-nq, np.zeros(p + len(W))])))
+            curv = -float(nq @ dx)
+            in_span = curv <= 1e-14 * curv0
+            falling = np.flatnonzero(dzw < 0.0)
+            if not falling.size:
+                if in_span:
+                    return None
+                t_drop, j = np.inf, -1
+            else:
+                ratios = z[np.asarray(W)[falling]] / -dzw[falling]
+                j = int(falling[np.argmin(ratios)])
+                t_drop = max(float(ratios.min()), 0.0)
+            if not in_span and float(nq @ x - h[q]) / curv <= t_drop:
+                W.append(q)
+                kkt = factor()
+                if kkt is None:
+                    return None
+                x, y, zw = split(kkt(np.concatenate([-f, b, h[W]])))
+                z[W] = np.maximum(zw, 0.0)
+                break
+            if not in_span:
+                x = x + t_drop * dx
+            z[W] += t_drop * dzw
+            z[W[j]] = 0.0
+            del W[j]
+            kkt = factor()
+            if kkt is None:
+                return None
+
+
+def passes_optimality_test(route_args, point, tol=1e-8):
+    """``solve_socp``'s test of an active-set point, on the data the route saw."""
+    _, P, G, h, A, b, f, *_ = route_args
+    x, y, z, active, _ = point
+    s = np.maximum(h - G @ x, 0.0)
+    s[active] = 0.0
+    Px, Ay, Gz = P @ x, A.T @ y, G.T @ z
+    pres = max(np.linalg.norm(G @ x + s - h) / max(1.0, np.linalg.norm(h)),
+               np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b)))
+    dres = np.linalg.norm(Px + Ay + Gz + f) / max(max(1.0, np.linalg.norm(f)), *map(np.linalg.norm, (Px, Ay, Gz)))
+    return pres <= tol and dres <= tol and float(s @ z) == 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 12))
+def test_kept_factors_follow_the_refactoring_route(data, n, m):
+    """The route on kept factors against the route that refactors at every
+    step, on the equilibrated data ``solve_socp`` hands it.  Both give up
+    together.  When they take as many steps and end on the same working
+    set, they took the same path, and their points are the same bytes: the
+    kept factors enter the result only through that path.  Otherwise
+    rounding moved a choice, such as which of two duplicated rows joins,
+    and both points pass the optimality test at one objective."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    B = rng.standard_normal((n, n))
+    P = 10.0 ** data.draw(st.floats(-3.0, 3.0)) * (B @ B.T + data.draw(st.floats(0.05, 1.0)) * np.eye(n))
+    prog = random_program(data, rng, P, m, st.integers(0, min(2, n - 1)))
+    G, h, cones = opt._standard_form(prog)
+    G, h, A, b, f, P, _ = opt._equilibrate(G, h, prog.A_eq, prog.b_eq, prog.f, prog.P, cones)
+    L = opt._strict_cholesky(P)
+    assume(L is not None)
+    args = (L, P, G, h, A, b, f, 1e-10 * max(1.0, np.linalg.norm(h)), 4 * (G.shape[0] + A.shape[0]) + 10)
+
+    kept, ref = opt._dual_active_set(*args), refactoring_dual_active_set(*args)
+    assert (kept is None) == (ref is None)
+    if kept is None:
+        return
+    if kept[4] == ref[4] and np.array_equal(kept[3], ref[3]):
+        for got, want in zip(kept[:3], ref[:3]):
+            assert got.tobytes() == want.tobytes()
+    else:
+        assert passes_optimality_test(args, kept) and passes_optimality_test(args, ref)
+        obj_kept, obj_ref = (0.5 * x @ P @ x + f @ x for x in (kept[0], ref[0]))
+        assert obj_kept == pytest.approx(obj_ref, rel=1e-12, abs=0.0)
+
+
 def test_orthant_only_cone_algebra_is_elementwise():
     # without cone blocks the Jordan product, the arrow solve and the
     # scaling are elementwise; with a block after the orthant rows, the

@@ -235,6 +235,31 @@ class TestSurfaceCommands:
         (sol,) = sols
         assert sol.status == "optimal" and max(sol.kkt_residuals) <= 1e-8
 
+    @pytest.mark.parametrize("prior, steps", [
+        (None, 35),
+        ({"type": "ssvi", "C": 0.0, "K": 0.04, "rho": -0.2, "eta": 0.5, "gamma": 0.5, "forward_curve": 100.0}, 27),
+        ({"type": "bachelier", "mean": 100.0, "variance": 400.0}, 21),
+    ], ids=["lognormal", "ssvi", "bachelier"])
+    def test_shipped_programs_keep_their_working_set_path(self, prior, steps, tmp_path, monkeypatch):
+        # the shipped config, and the same quotes under an SSVI and a
+        # Bachelier base model: the active-set route takes its known number
+        # of working-set steps on kept factors, and LU-factors the KKT
+        # system once, for the final working set
+        lus, sols = [], []
+        for name, calls in (("_kkt", lus), ("solve_socp", sols)):
+            wrapped = getattr(opt, name)
+            monkeypatch.setattr(opt, name, lambda *a, f=wrapped, c=calls, **k: c.append(f(*a, **k)) or c[-1])
+        monkeypatch.chdir(REPO)
+        config = REPO / "configs" / "surface_synthetic.json"
+        if prior is not None:
+            doc = json.loads(config.read_text(encoding="utf-8"))
+            config = tmp_path / "surface.json"
+            config.write_text(json.dumps(dict(doc, prior=prior)), encoding="utf-8")
+        assert cli.main(["surface-calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == 0
+        (sol,) = sols
+        assert sol.status == "optimal" and sol.iterations == steps
+        assert len(lus) == 1
+
 
 class TestSliceCalibration:
     def test_prior_recovery(self, lognormal_prior):
