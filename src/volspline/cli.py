@@ -73,9 +73,11 @@ def _write_json(path: Path, obj) -> str:
 
 
 def _write_text(path: Path, text: str) -> str:
-    data = text.encode("utf-8")
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    """Write ``text`` as UTF-8 and return the SHA-256 of those bytes.  The
+    text layer writes an ASCII string without an encoded copy, which keeps
+    peak memory below that of writing the encoded bytes themselves."""
+    path.write_text(text, encoding="utf-8", newline="\n")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _read_json(path: Path, what: str):
