@@ -310,9 +310,9 @@ def test_shifted_route_for_singular_p(pinned, data, n, m, ip_starts):
 
 
 def refactoring_dual_active_set(L, P, G, h, A, b, f, viol_tol, max_steps):
-    """``opt._dual_active_set`` as it was before it kept its factors: every
-    step LU-factors the KKT system of the working set afresh, and each row's
-    zero-step curvature comes from a general solve with L."""
+    """The reference for ``opt._dual_active_set``: the same method, but
+    every step LU-factors the KKT system of the working set afresh, and
+    each row's zero-step curvature comes from a general solve with L."""
     n, p, m = P.shape[0], A.shape[0], G.shape[0]
     W = []
     z = np.zeros(m)
