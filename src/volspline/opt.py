@@ -26,7 +26,6 @@ quadratic-form-weighted pseudoinverse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -565,7 +564,7 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
         viol = G @ x - h
         viol[W] = 0.0
         np.maximum(viol, 0.0, out=viol)
-        if math.sqrt(viol @ viol) <= viol_tol:  # np.linalg.norm(viol), without its checks
+        if np.linalg.norm(viol) <= viol_tol:
             if exact:
                 active = np.zeros(m, dtype=bool)
                 active[W] = True

@@ -351,11 +351,14 @@ class TestCalibration:
     def test_shipped_calibration_solves_by_active_set(self, monkeypatch):
         # each date's program has nonnegativity rows, the forward-variance
         # equality and no cone block: the active-set route certifies all 40,
-        # so the interior-point iteration never starts
+        # so the interior-point iteration never starts; one row joins the
+        # working set on the kept factors, and the KKT system of the final
+        # working set is LU-factored once per date
         cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "slv_flat_smile.json").read_text())
-        routes, starts = [], []
-        for name, calls in (("_dual_active_set", routes), ("_penalized_kkt_point", starts)):
-            monkeypatch.setattr(opt, name, lambda *a, f=getattr(opt, name), c=calls: c.append(1) or f(*a))
+        routes, starts, lus, sols = [], [], [], []
+        for name, calls in (("_dual_active_set", routes), ("_penalized_kkt_point", starts),
+                            ("_kkt", lus), ("solve_socp", sols)):
+            monkeypatch.setattr(opt, name, lambda *a, f=getattr(opt, name), c=calls, **k: c.append(f(*a, **k)) or c[-1])
         flags = cfg["constraints"]
         slv.calibrate_leverage(
             slv.ScottParams(**cfg["params"]), np.linspace(0.0, cfg["horizon"], cfg["steps"] + 1), cfg["particles"],
@@ -364,21 +367,6 @@ class TestCalibration:
             flags=slv.ConstraintFlags(flags["forward_variance"], flags["nonnegative"], flags["quadratic_cap"]),
         )
         assert len(routes) == cfg["steps"] == 40 and not starts
-
-    def test_each_shipped_date_takes_one_step_and_one_kkt_factorization(self, monkeypatch):
-        # one row joins the working set on the kept factors, and the KKT
-        # system of the final working set is LU-factored once per date
-        cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "slv_flat_smile.json").read_text())
-        lus, sols = [], []
-        for name, calls in (("_kkt", lus), ("solve_socp", sols)):
-            monkeypatch.setattr(opt, name, lambda *a, f=getattr(opt, name), c=calls, **k: c.append(f(*a, **k)) or c[-1])
-        flags = cfg["constraints"]
-        slv.calibrate_leverage(
-            slv.ScottParams(**cfg["params"]), np.linspace(0.0, cfg["horizon"], cfg["steps"] + 1), cfg["particles"],
-            seed=1, n_knots=cfg["knots"], order=cfg["order"], truncation=cfg["truncation"],
-            penalty_order=cfg["penalty_order"],
-            flags=slv.ConstraintFlags(flags["forward_variance"], flags["nonnegative"], flags["quadratic_cap"]),
-        )
         assert [sol.iterations for sol in sols] == [1] * 40
         assert all(sol.status == "optimal" for sol in sols) and len(lus) == 40
 

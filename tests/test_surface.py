@@ -221,10 +221,12 @@ class TestSurfaceCommands:
     def test_shipped_calibration_takes_the_exact_route(self, tmp_path, monkeypatch):
         # the program has no cone block and its curvature P is singular, but
         # the mass and forward equalities pin its null space: P + rho A^T A
-        # passes the Cholesky test and the active-set route certifies it
-        tests, routes, starts, sols = [], [], [], []
+        # passes the Cholesky test and the active-set route certifies it,
+        # in its known 35 working-set steps on kept factors and one LU
+        # factorization of the final working set's KKT system
+        tests, routes, starts, sols, lus = [], [], [], [], []
         for name, calls in (("_strict_cholesky", tests), ("_dual_active_set", routes),
-                            ("_penalized_kkt_point", starts), ("solve_socp", sols)):
+                            ("_penalized_kkt_point", starts), ("solve_socp", sols), ("_kkt", lus)):
             wrapped = getattr(opt, name)
             monkeypatch.setattr(opt, name, lambda *a, f=wrapped, c=calls, **k: c.append(f(*a, **k)) or c[-1])
         monkeypatch.chdir(REPO)
@@ -234,27 +236,25 @@ class TestSurfaceCommands:
         assert len(routes) == 1 and not starts
         (sol,) = sols
         assert sol.status == "optimal" and max(sol.kkt_residuals) <= 1e-8
+        assert sol.iterations == 35 and len(lus) == 1
 
     @pytest.mark.parametrize("prior, steps", [
-        (None, 35),
         ({"type": "ssvi", "C": 0.0, "K": 0.04, "rho": -0.2, "eta": 0.5, "gamma": 0.5, "forward_curve": 100.0}, 27),
         ({"type": "bachelier", "mean": 100.0, "variance": 400.0}, 21),
-    ], ids=["lognormal", "ssvi", "bachelier"])
+    ], ids=["ssvi", "bachelier"])
     def test_shipped_programs_keep_their_working_set_path(self, prior, steps, tmp_path, monkeypatch):
-        # the shipped config, and the same quotes under an SSVI and a
-        # Bachelier base model: the active-set route takes its known number
-        # of working-set steps on kept factors, and LU-factors the KKT
-        # system once, for the final working set
+        # the shipped quotes under an SSVI and a Bachelier base model: the
+        # active-set route takes its known number of working-set steps on
+        # kept factors, and LU-factors the KKT system once, for the final
+        # working set
         lus, sols = [], []
         for name, calls in (("_kkt", lus), ("solve_socp", sols)):
             wrapped = getattr(opt, name)
             monkeypatch.setattr(opt, name, lambda *a, f=wrapped, c=calls, **k: c.append(f(*a, **k)) or c[-1])
         monkeypatch.chdir(REPO)
-        config = REPO / "configs" / "surface_synthetic.json"
-        if prior is not None:
-            doc = json.loads(config.read_text(encoding="utf-8"))
-            config = tmp_path / "surface.json"
-            config.write_text(json.dumps(dict(doc, prior=prior)), encoding="utf-8")
+        doc = json.loads((REPO / "configs" / "surface_synthetic.json").read_text(encoding="utf-8"))
+        config = tmp_path / "surface.json"
+        config.write_text(json.dumps(dict(doc, prior=prior)), encoding="utf-8")
         assert cli.main(["surface-calibrate", "--config", str(config), "--out", str(tmp_path / "cal")]) == 0
         (sol,) = sols
         assert sol.status == "optimal" and sol.iterations == steps

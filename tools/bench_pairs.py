@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs between two checkouts of volspline.
 
-    python3 tools/bench_pairs.py --workload surface --base ../parent --head . \\
-        [--pairs 10] [--first-seed 201] [--seconds 14]
+    python3 tools/bench_pairs.py --workload surface --base ../parent --head .
 
-Pair i runs ``perfbench/run.py --workload W --seed first_seed + i --seconds S
---trace 0`` once in each checkout, the base first on even i and the head
+Ten pairs, as ROADMAP's "How a perf PR reports" fixes them: pair i runs
+``perfbench/run.py --workload W --seed 201 + i --seconds 14 --trace 0`` once
+in each checkout, the base first on even i and the head
 first on odd i, one benchmark process at a time.  The base is typically a
 ``git archive`` copy or a ``git worktree`` of the parent commit.  Each run's
 JSON line is kept; a run that prints none, or reads ``correct: false`` or a
@@ -30,16 +30,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
+FIRST_SEED = 201
+SECONDS = 14.0
+
 
 def _parse(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=("surface", "pde", "slv"))
     ap.add_argument("--base", required=True, type=Path, help="checkout measured as the parent")
     ap.add_argument("--head", required=True, type=Path, help="checkout measured as the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=201)
-    ap.add_argument("--seconds", type=float, default=14.0)
-    ap.add_argument("--json", type=Path, help="also write every run and the summary here")
     return ap.parse_args(argv)
 
 
@@ -97,11 +97,11 @@ def main(argv=None) -> int:
     bench = json.loads((args.head / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
-    for i in range(args.pairs):
-        seed = args.first_seed + i
+    for i in range(PAIRS):
+        seed = FIRST_SEED + i
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for side in order:
-            out = run_once(sides[side], args.workload, seed, args.seconds)
+            out = run_once(sides[side], args.workload, seed, SECONDS)
             runs[side].append(out)
             status = out.get("error") or f"correct={out['correct']} failed={out['failed']}/{out['attempted']}"
             print(f"pair {i + 1} seed {seed} {side}: {status}", file=sys.stderr, flush=True)
@@ -109,8 +109,8 @@ def main(argv=None) -> int:
     bad = [f"{side} pair {i + 1}" for side, outs in runs.items() for i, out in enumerate(outs)
            if "error" in out or not out["correct"] or out["failed"]]
     rows = summarize(bench["end_to_end"], runs)
-    print(f"workload {args.workload}: {args.pairs} pairs, seeds {args.first_seed}-{args.first_seed + args.pairs - 1}, "
-          f"{args.seconds:g} s per run; median [quartiles]")
+    print(f"workload {args.workload}: {PAIRS} pairs, seeds {FIRST_SEED}-{FIRST_SEED + PAIRS - 1}, "
+          f"{SECONDS:g} s per run; median [quartiles]")
     print(f"{'metric':14s} {'base':32s} {'head':32s} {'change':>8s} {'head won':>9s} {'base won':>9s}  verdict")
     for row in rows:
         if "base" not in row:
@@ -121,9 +121,6 @@ def main(argv=None) -> int:
               f"{row['head_wins']:>9d} {row['base_wins']:>9d}  {verdict}")
     if bad:
         print("runs with errors, incorrect outputs or failed operations: " + ", ".join(bad))
-    if args.json:
-        args.json.write_text(json.dumps({"args": {k: str(v) for k, v in vars(args).items()},
-                                         "runs": runs, "summary": rows}, indent=2), encoding="utf-8")
     return 1 if bad else 0
 
 
