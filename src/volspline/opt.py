@@ -1,24 +1,20 @@
-"""Embedded cone solver for quadratic objectives, and its front ends.
+"""Exact solver for the quadratic programs of this package, and its front ends.
 
-The solver minimizes ``0.5 x^T P x + f^T x`` over orthant rows,
-second-order cones and equalities, sized for the problems this package
-produces (a few hundred variables, a few thousand constraint rows).  It
-has two routes and one optimality check:
+The solver minimizes ``0.5 x^T P x + f^T x`` over orthant rows, equalities
+and at most one second-moment cap ``||A x|| <= d``, sized for the programs
+the engines build (a few hundred variables, a few thousand rows).  It has
+one method, the dual active-set method of Goldfarb & Idnani (1983) on kept
+factors (``_dual_active_set``), and one optimality check.  The method runs
+on a positive definite curvature:
 
-- a dense primal-dual interior-point method with Nesterov-Todd scaling and
-  a Mehrotra predictor-corrector step; the PSD matrix P enters the Newton
-  system directly, as in CVXOPT's ``coneqp``;
-- for a program without cone blocks whose P, or else ``P + A^T A``, is
-  positive definite, the exact dual active-set method of Goldfarb & Idnani,
-  tried first.  Its point is returned only if it passes the interior-point
-  method's KKT test; otherwise the interior-point iteration runs.
+- P itself, or else ``P + A^T A`` over the equalities ``A x = b``;
+- for a flat program (an LP, or a P that not even the equalities make
+  definite), ``P + sigma I`` in proximal-point rounds (Rockafellar 1976);
+- with a cap, ``P + mu A^T A`` of the cap's matrix, the multiplier mu
+  found by a safeguarded scalar root search (More & Sorensen 1983).
 
-Both routes solve their KKT systems through one LU factorization
-(``_kkt``): the interior point at each iteration, the active set for its
-final working set, its steps in between running on kept Cholesky factors
-(``_WorkingSetFactors``).  ``solve_socp`` reports a status and accepts
-nothing: what a status means for a fit is the front end's decision, and
-the front ends raise on every status but ``optimal``.
+``solve_socp`` reports a status, and why a route stopped short, and
+accepts nothing: the front ends raise on every status but ``optimal``.
 
 An equality-constrained hierarchy is available through a
 quadratic-form-weighted pseudoinverse.
@@ -54,8 +50,9 @@ class InfeasibleError(OptError):
 @dataclass(frozen=True)
 class ConeBlock:
     """One second-order cone ``||A x + b|| <= c^T x + d``; ``A`` has at
-    least one row.  Linear inequalities are the orthant rows ``G x <= h``
-    of ``SOCProgram``."""
+    least one row.  ``solve_socp`` takes one block, a cap with ``b = 0``,
+    ``c = 0`` and ``d > 0``.  Linear inequalities are the orthant rows
+    ``G x <= h`` of ``SOCProgram``."""
 
     A: np.ndarray
     b: np.ndarray
@@ -171,184 +168,25 @@ class Solution:
     x: np.ndarray
     status: str  # optimal | infeasible | max_iter
     kkt_residuals: tuple[float, float, float]  # primal, dual, gap
-    iterations: int
+    iterations: int  # working-set steps, over every solve of the route
     objective: float
+    exit: str = ""  # why the route stopped short of an answer; "" when it did not
 
 
-# ---------------------------------------------------------------------------
-# cone algebra on the concatenated slack vector
-# ---------------------------------------------------------------------------
+# why a route stopped short of an answer (``Solution.exit``)
+OUT_OF_STEPS = "out of working-set steps"
+SINGULAR = "singular KKT system"
+NO_BRACKET = "cap search did not bracket"
+CAP_UNCONVERGED = "cap search did not converge"
+PROX_EXHAUSTED = "proximal rounds exhausted"
 
-class _Cones:
-    """Orthant of size ml followed by SOC blocks of the given sizes."""
-
-    def __init__(self, ml: int, socs: list[int]):
-        self.ml = ml
-        self.socs = socs
-        self.m = ml + sum(socs)
-        self.degree = ml + len(socs)
-        self.starts = [ml + sum(socs[:k]) for k in range(len(socs))]
-
-    def blocks(self, v: np.ndarray):
-        for st, q in zip(self.starts, self.socs):
-            yield v[st : st + q]
-
-    def e(self) -> np.ndarray:
-        out = np.zeros(self.m)
-        out[: self.ml] = 1.0
-        out[self.starts] = 1.0
-        return out
-
-    def min_margin(self, v: np.ndarray) -> float:
-        vals = []
-        if self.ml:
-            vals.append(v[: self.ml].min())
-        for blk in self.blocks(v):
-            vals.append(blk[0] - np.linalg.norm(blk[1:]))
-        return min(vals) if vals else np.inf
-
-    def shift_into(self, v: np.ndarray) -> np.ndarray:
-        a = -self.min_margin(v)
-        if a < 0.0:
-            a = 0.0
-        return v + (1.0 + a) * self.e()
-
-    def prod(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Jordan product u o v."""
-        out = np.empty(self.m)
-        out[: self.ml] = u[: self.ml] * v[: self.ml]
-        for st, q in zip(self.starts, self.socs):
-            ub, vb = u[st : st + q], v[st : st + q]
-            out[st] = ub @ vb
-            out[st + 1 : st + q] = ub[0] * vb[1:] + vb[0] * ub[1:]
-        return out
-
-    def solve_arrow(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Solve lam o u = d for u."""
-        out = np.empty(self.m)
-        out[: self.ml] = d[: self.ml] / lam[: self.ml]
-        for st, q in zip(self.starts, self.socs):
-            lb, db = lam[st : st + q], d[st : st + q]
-            delta = lb[0] ** 2 - lb[1:] @ lb[1:]
-            v0 = (lb[0] * db[0] - lb[1:] @ db[1:]) / delta
-            out[st] = v0
-            out[st + 1 : st + q] = (db[1:] - v0 * lb[1:]) / lb[0]
-        return out
-
-    def step_to_boundary(self, v: np.ndarray, dv: np.ndarray) -> float:
-        alpha = np.inf
-        if self.ml:
-            neg = dv[: self.ml] < 0.0
-            if neg.any():
-                alpha = min(alpha, float(np.min(-v[: self.ml][neg] / dv[: self.ml][neg])))
-        for st, q in zip(self.starts, self.socs):
-            vb, db = v[st : st + q], dv[st : st + q]
-            a = db[0] ** 2 - db[1:] @ db[1:]
-            b = 2.0 * (vb[0] * db[0] - vb[1:] @ db[1:])
-            c = vb[0] ** 2 - vb[1:] @ vb[1:]
-            roots = []
-            if abs(a) > 1e-300:
-                disc = b * b - 4.0 * a * c
-                if disc >= 0.0:
-                    sq = np.sqrt(disc)
-                    # numerically stable pairing avoids cancellation
-                    qq = -0.5 * (b + np.copysign(sq, b)) if b != 0.0 else 0.5 * sq
-                    roots.append(qq / a)
-                    if qq != 0.0:
-                        roots.append(c / qq)
-            elif abs(b) > 1e-300:
-                roots.append(-c / b)
-            if db[0] < 0.0:
-                roots.append(-vb[0] / db[0])
-            pos = [r for r in roots if r > 0.0]
-            if pos:
-                # first positive crossing of the cone boundary
-                alpha = min(alpha, min(pos))
-        return alpha
+_CAP_ROUNDS = 60  # solves of the cap's multiplier search, doublings and secant steps, at most
+_PROX_ROUNDS = 200  # proximal-point rounds of a flat program, at most
 
 
-class _Scaling:
-    """Nesterov-Todd scaling W with lambda = W z = W^{-1} s."""
-
-    def __init__(self, cones: _Cones, s: np.ndarray, z: np.ndarray):
-        self.cones = cones
-        ml = cones.ml
-        self.w_lin = np.sqrt(s[:ml] / z[:ml]) if ml else np.zeros(0)
-        self.soc = []
-        # ok is False once rounding has put s, z or lambda on a cone boundary
-        self.ok = False
-        for st, q in zip(cones.starts, cones.socs):
-            sb, zb = s[st : st + q], z[st : st + q]
-            # floor protects against iterates rounding onto the boundary
-            rs = np.sqrt(max(sb[0] ** 2 - sb[1:] @ sb[1:], 1e-28 * max(sb[0] ** 2, 1e-300)))
-            rz = np.sqrt(max(zb[0] ** 2 - zb[1:] @ zb[1:], 1e-28 * max(zb[0] ** 2, 1e-300)))
-            sbar, zbar = sb / rs, zb / rz
-            gamma2 = 0.5 * (1.0 + sbar @ zbar)
-            if not gamma2 > 0.0:
-                return
-            gamma = np.sqrt(gamma2)
-            wbar = np.empty(q)
-            wbar[0] = (sbar[0] + zbar[0]) / (2.0 * gamma)
-            wbar[1:] = (sbar[1:] - zbar[1:]) / (2.0 * gamma)
-            eta = np.sqrt(rs / rz)
-            self.soc.append((eta, wbar))
-        self.lam = self.apply(z)
-        self.ok = cones.min_margin(self.lam) > 0.0
-
-    @staticmethod
-    def _wbar_apply(wbar: np.ndarray, v: np.ndarray) -> np.ndarray:
-        t = wbar[1:] @ v[1:]
-        out = np.empty_like(v)
-        out[0] = wbar[0] * v[0] + t
-        out[1:] = v[1:] + (v[0] + t / (1.0 + wbar[0])) * wbar[1:]
-        return out
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """W v."""
-        c = self.cones
-        out = np.empty(c.m)
-        out[: c.ml] = self.w_lin * v[: c.ml]
-        for (eta, wbar), st, q in zip(self.soc, c.starts, c.socs):
-            out[st : st + q] = eta * self._wbar_apply(wbar, v[st : st + q])
-        return out
-
-    def apply_inv(self, v: np.ndarray) -> np.ndarray:
-        """W^{-1} v."""
-        c = self.cones
-        out = np.empty(c.m)
-        out[: c.ml] = v[: c.ml] / self.w_lin
-        for (eta, wbar), st, q in zip(self.soc, c.starts, c.socs):
-            flipped = wbar.copy()
-            flipped[1:] = -flipped[1:]
-            out[st : st + q] = self._wbar_apply(flipped, v[st : st + q]) / eta
-        return out
-
-    def apply_inv_mat(self, M: np.ndarray) -> np.ndarray:
-        """W^{-1} M for a dense matrix with cone-ordered rows."""
-        c = self.cones
-        out = np.empty_like(M)
-        out[: c.ml] = M[: c.ml] / self.w_lin[:, None] if c.ml else M[: c.ml]
-        for (eta, wbar), st, q in zip(self.soc, c.starts, c.socs):
-            blk = M[st : st + q]
-            v1 = wbar[1:]
-            t = v1 @ blk[1:]
-            top = wbar[0] * blk[0] - t
-            rest = blk[1:] - np.outer(v1, blk[0] - t / (1.0 + wbar[0]))
-            out[st] = top / eta
-            out[st + 1 : st + q] = rest / eta
-        return out
-
-
-def _standard_form(prog: SOCProgram):
-    """``G x + s = h`` with s in the orthant rows, then in each cone block."""
-    G = np.vstack([prog.G] + [np.vstack([-blk.c, -blk.A]) for blk in prog.cones])
-    h = np.concatenate([prog.h] + [np.concatenate([[blk.d], blk.b]) for blk in prog.cones])
-    return G, h, _Cones(prog.G.shape[0], [blk.A.shape[0] + 1 for blk in prog.cones])
-
-
-def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
-    """Ruiz-style scaling: each orthant row has its own scalar, and the rows
-    of a second-order cone block share one; a zero row keeps its scale.
+def _equilibrate(G, h, A, b, f, P, sweeps: int = 6):
+    """Ruiz-style scaling: each row of G and of A has its own scalar, and
+    a zero row of G keeps its scale.
 
     Columns are scaled by their largest entry in ``[d P d; G; A]``, as in
     OSQP; a column with no entry at all keeps its scale.  Returns the scaled
@@ -376,12 +214,8 @@ def _equilibrate(G, h, A, b, f, P, cones: _Cones, sweeps: int = 6):
         np.maximum(col, AsT.max(axis=1, initial=0.0) * d, out=col)
         d /= np.sqrt(np.where(col > 0.0, col, 1.0))
         GsT *= d[:, None]
-        row = GsT[:, : cones.ml].max(axis=0, initial=0.0)
-        e[: cones.ml] /= np.sqrt(np.where(row > 0.0, row, 1.0))
-        for st, q in zip(cones.starts, cones.socs):
-            r = GsT[:, st : st + q].max()
-            if r > 0.0:
-                e[st : st + q] /= np.sqrt(r)
+        row = GsT.max(axis=0, initial=0.0)
+        e /= np.sqrt(np.where(row > 0.0, row, 1.0))
         AsT *= d[:, None]
         a /= np.sqrt(np.maximum(AsT.max(axis=0, initial=0.0), 1e-12))
     Gs = (e[:, None] * G) * d[None, :]
@@ -544,21 +378,29 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
     factorization and one refinement) and the rows are checked again, so
     the result depends on the kept factors only through W and its order.
 
-    Returns ``(x, y, z, active, steps)`` once the norm of ``max(G x - h, 0)``
-    over the rows outside W is at most ``viol_tol`` (``z`` is 0 off W,
-    ``active`` marks W, ``steps`` counts the full and partial steps), or
-    None when the program looks infeasible, a KKT system is singular or
-    ``max_steps`` steps do not end the solve.
+    Returns ``(x, y, z, active, steps, stop)``: the point, the multipliers
+    (``z`` is 0 off W), ``active`` marking W, the full and partial steps
+    taken, and ``stop``.  That is None once the norm of ``max(G x - h, 0)``
+    over the rows outside W is at most ``viol_tol``; ``"infeasible"`` when
+    row q lies in the span and no multiplier falls, with ``x`` the point
+    where q is violated; ``SINGULAR`` on a singular KKT system; and
+    ``OUT_OF_STEPS`` after ``max_steps`` steps.
     """
     n, p, m = P.shape[0], A.shape[0], G.shape[0]
     W: list[int] = []
-    z = np.zeros(m)
+    x, y, z = np.zeros(n), np.zeros(p), np.zeros(m)
+    steps = 0
+
+    def stop(why):
+        active = np.zeros(m, dtype=bool)
+        active[W] = True
+        return x, y, z, active, steps, why
+
     fac = _WorkingSetFactors(L, A, f)
     if fac.R is None:
-        return None
+        return stop(SINGULAR)
     x, r = fac.point(b)
     y = -r[:p]
-    steps = 0
     exact = False  # whether x, y and z were solved from W's KKT system
     while True:
         viol = G @ x - h
@@ -566,12 +408,10 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
         np.maximum(viol, 0.0, out=viol)
         if np.linalg.norm(viol) <= viol_tol:
             if exact:
-                active = np.zeros(m, dtype=bool)
-                active[W] = True
-                return x, y, z, active, steps
+                return stop(None)
             kkt = _kkt(P, np.vstack([A, G[W]]))
             if kkt is None:
-                return None
+                return stop(SINGULAR)
             sol = kkt(np.concatenate([-f, b, h[W]]))
             x, y = sol[:n], sol[n : n + p]
             z[W] = np.maximum(sol[n + p :], 0.0)
@@ -585,7 +425,7 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
         while True:
             steps += 1
             if steps > max_steps:
-                return None
+                return stop(OUT_OF_STEPS)
             w, s = fac.direction(v)
             dzw = -s[p:]
             curv = float(w @ w)  # dx^T P dx
@@ -593,7 +433,7 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
             falling = np.flatnonzero(dzw < 0.0)
             if not falling.size:
                 if in_span:
-                    return None  # no multiplier falls: the rows cannot all hold
+                    return stop("infeasible")  # no multiplier falls: the rows cannot all hold
                 t_drop, j = np.inf, -1
             else:
                 ratios = z[np.asarray(W)[falling]] / -dzw[falling]
@@ -614,251 +454,241 @@ def _dual_active_set(L, P, G, h, A, b, f, viol_tol: float, max_steps: int):
             z[W[j]] = 0.0
             del W[j]
             if not fac.drop(p + j):
-                return None
+                return stop(SINGULAR)
 
 
-def solve_socp(prog: SOCProgram, tol: float = 1e-8, max_iter: int = 100) -> Solution:
+def _least_violation(x, G, h, A, b, viol_tol: float, max_steps: int):
+    """For rows ``G x <= h`` that cannot all hold: the point of ``A x = b``
+    whose violations have the least sum of squares, ``x`` of the minimum of
+    ``0.5 |t|^2 + 0.5e-6 |x|^2`` subject to ``G x - t <= h`` and ``A x = b``,
+    so that the family it violates most is the one to blame.  The route's
+    own point ``x`` when that solve fails."""
+    m, n = G.shape
+    Pe = np.diag(np.r_[np.full(n, 1e-6), np.ones(m)])
+    Ge, Ae = np.hstack([G, -np.eye(m)]), np.hstack([A, np.zeros((A.shape[0], m))])
+    out = _dual_active_set(np.sqrt(Pe), Pe, Ge, h, Ae, b, np.zeros(n + m), viol_tol, max_steps)
+    return x if out[5] else out[0][:n]
+
+
+def _cap(prog: SOCProgram):
+    """``(A, d)`` of the program's cap ``||A x|| <= d``, or None; any other
+    cone block, or a second one, is an ``OptError``."""
+    if len(prog.cones) > 1:
+        raise OptError(f"the program has {len(prog.cones)} cone blocks; the solver takes at most one, a cap ||A x|| <= d")
+    for blk in prog.cones:
+        if blk.b.any() or blk.c.any():
+            raise OptError("cone block ||A x + b|| <= c^T x + d has a nonzero b or c; the solver takes only a cap ||A x|| <= d")
+        if not blk.d > 0.0:
+            raise OptError(f"cone block ||A x|| <= d has d = {blk.d!r}; a cap needs d > 0")
+        return blk.A, blk.d
+    return None
+
+
+def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
     """Solve ``min 0.5 x^T P x + f^T x`` over the orthant rows, the
-    second-order cone blocks and the equalities.
+    equalities and at most one cap ``||A x|| <= d`` (a ``ConeBlock`` with
+    ``b = 0``, ``c = 0`` and ``d > 0``).
 
-    Returns a Solution whose status is ``optimal``, ``infeasible`` (a
-    certificate was found or the iterates diverged) or ``max_iter``.
-    ``optimal`` means, on the internally equilibrated problem, whichever
-    route found the point:
+    Returns a Solution whose status is ``optimal``, ``infeasible`` or
+    ``max_iter``, and whose ``exit`` says why a route stopped short.
+    ``optimal`` means, on the internally equilibrated problem:
 
     - primal residuals at or below ``tol``;
     - the dual residual at or below ``tol``, relative to the largest of 1,
       ``|f|``, ``|P x|``, ``|A^T y|`` and ``|G^T z|``;
-    - the duality gap, relative to ``max(1, |objective|)``, at or below
-      ``tol**2`` for a quadratic objective and at or below ``tol`` for a
-      linear one.
-
-    The gap of a quadratic objective bounds the error in x along a
-    direction of small curvature only through its square root: a gap of
-    ``tol`` would leave errors of about ``sqrt(tol)`` there.  An active
-    second-order cone can stop the iteration short of ``tol**2``: its
-    ``s o z`` cancels to the rounding of ``s0 z0``, and rounding then puts
-    the scaled point on the cone's boundary.  For a program with such a
-    block the best iterate is therefore ``optimal`` at a gap of ``tol``
-    once the iteration ends.
+    - the gap at or below ``tol``.  It is exactly 0 for a point of the
+      active-set route (``s = max(h - G x, 0)`` is 0 on the working set,
+      off which ``z`` is 0); with a cap that binds it is the cap's relative
+      slack ``1 - ||A x|| / d``.
 
     Routes, chosen by the program's structure:
 
-    - neither orthant nor cone rows: one KKT solve, ``iterations`` 0;
-    - no cone block and an equilibrated P with every eigenvalue above
-      1e-12 of the largest (``_strict_cholesky``): the dual active-set
-      method (``_dual_active_set``), whose point has the multipliers of its
-      working set as ``z`` and ``s = max(h - G x, 0)``, 0 on the working
-      set, so the gap is 0.  Its steps update one factorization of the
-      working set's KKT system as rows join and leave; the point it returns
-      is solved from the final working set's KKT system, one LU
-      factorization per solve unless a row reads violated again there.  It
-      is returned as ``optimal`` when it passes the test above, with
-      ``iterations`` counting working-set steps (rows added and dropped);
-    - no cone block, at least one equality, and a P that fails the test but
-      ``P + rho A^T A`` (``rho = 1``) passes: the same method on that matrix
-      and ``f - rho A^T b``, equal to the objective on ``A x = b`` (the
-      augmented Lagrangian at its exact penalty).  The equality multipliers
-      map back by ``y + rho (A x - b)``; the test on the original P and f
-      and ``iterations`` are as above;
-    - otherwise, and whenever the active-set route finds the program
-      infeasible, meets a singular KKT system, runs out of steps or fails
-      the test: the interior-point iteration, with ``iterations`` counting
-      its Newton iterations.  ``infeasible`` and ``max_iter`` come only
-      from it.
+    - no orthant rows: one KKT solve (``_penalized_kkt_point``),
+      ``iterations`` 0; a dual residual it cannot remove means the
+      objective is unbounded, reported ``infeasible``;
+    - an equilibrated P with every eigenvalue above 1e-12 of the largest
+      (``_strict_cholesky``): the dual active-set method
+      (``_dual_active_set``), one LU factorization per solve unless a row
+      reads violated again at the final working set's KKT point;
+    - a P that fails the test but ``P + rho A^T A`` (``rho = 1``) passes:
+      the same method on that matrix and ``f - rho A^T b``, equal to the
+      objective on ``A x = b`` (the augmented Lagrangian at its exact
+      penalty).  The equality multipliers map back by ``y + rho (A x - b)``;
+    - a flat program, where neither passes (an LP, or a singular P whose
+      null space the equalities do not pin): proximal-point rounds
+      (Rockafellar 1976).  Round k minimizes the objective plus
+      ``0.5 sigma_k |x - x_k|^2`` under the rows, the same method on
+      ``P + sigma_k I`` and ``f - sigma_k x_k``, from ``x_0 = 0``, with
+      ``sigma_k = max(10^-k, 1e-6)``: a shrinking weight lengthens the
+      steps.  After each round the KKT system of P on the round's working
+      set is solved as well, OSQP's polishing (Stellato et al. 2020).
+      The answer is the first polished point that passes the test on P
+      and f, or round point that passes it at ``tol / 100``.  On an LP
+      the rounds end after finitely many (Ferris 1991); after
+      ``_PROX_ROUNDS`` the status is ``max_iter``.
+
+    ``iterations`` counts working-set steps (rows added and dropped) over
+    every solve.  The route returns ``infeasible`` itself when a violated
+    row lies in the span of the working set and no multiplier falls.  Its
+    ``x`` is then the point of the equalities whose violations of the
+    rows have the least sum of squares (``_least_violation``), where the
+    family a front end names as most violated is the one to blame.  Out
+    of steps (``4 (m + p) + 10``) or on a singular KKT system the route
+    stops with ``max_iter``.
+
+    A cap is solved by its multiplier mu, as the cap-free program with
+    ``P + mu A^T A``.  The solve at mu = 0 comes first, and it is the
+    answer, bit for bit, when it is optimal and meets the cap.  Otherwise
+    mu doubles until the cap holds, and then a safeguarded secant on
+    ``1 / ||A x_mu|| - 1 / d``, nearly linear in mu (More & Sorensen
+    1983), finds the mu where the cap binds to a relative slack of
+    ``tol / 100``; ``_CAP_ROUNDS`` solves in all.  A cap that never holds
+    is ``infeasible``.
 
     Non-finite data (in ``P``, ``f``, ``A``, ``b``, or in ``G`` and ``h``
     with the cone blocks stacked below the orthant rows) is an
     ``OptError`` naming the array, raised before any route runs.
 
     A status other than ``optimal`` is a report, not an answer: its ``x``
-    is the last or best iterate, for diagnostics only.  The front ends
+    is the route's last point, for diagnostics only.  The front ends
     raise on it (``regression.solution_weights``).
     """
-    n = prog.n
-    G, h, cones = _standard_form(prog)
-    A, b, f, P = prog.A_eq, prog.b_eq, prog.f, prog.P
-    for name, data in (("P", P), ("f", f), ("G", G), ("h", h), ("A", A), ("b", b)):
+    G = np.vstack([prog.G] + [np.vstack([blk.c, blk.A]) for blk in prog.cones])
+    h = np.concatenate([prog.h] + [np.append(blk.d, blk.b) for blk in prog.cones])
+    for name, data in (("P", prog.P), ("f", prog.f), ("G", G), ("h", h), ("A", prog.A_eq), ("b", prog.b_eq)):
         if not np.isfinite(data).all():
             raise OptError(f"solver data {name} has non-finite entries")
-    p = A.shape[0]
-    m = cones.m
-
-    if m == 0:
-        # equalities only: the optimality conditions are one linear system
-        x, y = _penalized_kkt_point(P, G, h, A, b, f)
-        pres = np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b))
-        Px, Ay = P @ x, A.T @ y
-        dres = np.linalg.norm(Px + Ay + f) / max(1.0, *map(np.linalg.norm, (f, Px, Ay)))
-        # an unbounded objective leaves a dual residual no x can remove
-        status = "optimal" if max(pres, dres) <= tol else "infeasible"
-        return Solution(x, status, (pres, dres, 0.0), 0, prog.objective(x))
-
-    G, h, A, b, f, P, d_scale = _equilibrate(G, h, A, b, f, P, cones)
-    gap_tol = tol**2 if P.any() else tol
-
-    def finish(x_s, status, res, iters):
-        x_o = d_scale * x_s
-        return Solution(x_o, status, res, iters, prog.objective(x_o))
-
+    cap = _cap(prog)
+    G, h, A, b, f, P, d_scale = _equilibrate(prog.G, prog.h, prog.A_eq, prog.b_eq, prog.f, prog.P)
+    n, p, m = prog.n, A.shape[0], G.shape[0]
     bnorm = max(1.0, np.linalg.norm(b))
     hnorm = max(1.0, np.linalg.norm(h))
     fnorm = max(1.0, np.linalg.norm(f))
+    # the rows outside the working set may add at most tol / 100 to pres
+    viol_tol, max_steps = 1e-2 * tol * hnorm, 4 * (m + p) + 10
 
-    def residuals(x, y, z, s):
-        Px, Ay, Gz = P @ x, A.T @ y, G.T @ z
-        rx = Px + Ay + Gz + f
-        ry = A @ x - b
-        rz = G @ x + s - h
-        gap = float(s @ z)
-        pres = max(np.linalg.norm(rz) / hnorm, np.linalg.norm(ry) / bnorm)
+    def residuals(Pq, x, y, z, active):
+        """Primal and dual residuals and gap of a point on the curvature Pq."""
+        s = np.maximum(h - G @ x, 0.0)
+        s[active] = 0.0
+        Px, Ay, Gz = Pq @ x, A.T @ y, G.T @ z
+        pres = max(np.linalg.norm(G @ x + s - h) / hnorm, np.linalg.norm(A @ x - b) / bnorm)
         # relative to the largest term: the terms cancel, their rounding errors do not
-        dres = np.linalg.norm(rx) / max(fnorm, *map(np.linalg.norm, (Px, Ay, Gz)))
-        relgap = gap / max(1.0, abs(float(0.5 * x @ Px + f @ x)))
-        return rx, ry, rz, gap, (pres, dres, relgap), Px
+        dres = np.linalg.norm(Px + Ay + Gz + f) / max(fnorm, *map(np.linalg.norm, (Px, Ay, Gz)))
+        return pres, dres, 0.0
 
-    def converged(pres, dres, relgap, gap_tol=gap_tol):
-        return pres <= tol and dres <= tol and relgap <= gap_tol
+    def verdict(Pq, route, steps):
+        """``(x, status, residuals, steps, exit)`` of an active-set point."""
+        x, y, z, active, _, why = route
+        if why == "infeasible":
+            return _least_violation(x, G, h, A, b, viol_tol, max_steps), why, (np.inf,) * 3, steps, ""
+        res = residuals(Pq, x, y, z, active)
+        return x, "optimal" if not why and max(res) <= tol else "max_iter", res, steps, why or ""
 
-    Pr, fr, rho = P, f, 0.0  # the objective the active-set route minimizes
-    L = None if cones.socs else _strict_cholesky(P)
-    if L is None and not cones.socs and p:
-        rho = 1.0  # the equilibrated rows of A and columns of P are of order one
-        Pr, fr = P + rho * A.T @ A, f - rho * A.T @ b
-        L = _strict_cholesky(Pr)
-    if L is not None:
-        # the rows outside the working set may add at most tol / 100 to pres
-        point = _dual_active_set(L, Pr, G, h, A, b, fr, 1e-2 * tol * hnorm, 4 * (m + p) + 10)
-        if point is not None:
-            x, y, z, active, steps = point
-            y = y + rho * (A @ x - b)  # the multipliers of the original objective
-            s = np.maximum(h - G @ x, 0.0)
-            s[active] = 0.0  # so s @ z, the gap, is exactly 0
-            res = residuals(x, y, z, s)[4]
-            if converged(*res):
-                return finish(x, "optimal", res, steps)
+    def proximal(Pq):
+        """Proximal-point rounds on the flat curvature Pq."""
+        x, steps = np.zeros(n), 0
+        for k in range(_PROX_ROUNDS):
+            if k <= 6:  # the weight shrinks from 1 to 1e-6, which lengthens the steps
+                sigma = 0.1**k
+                Pp = Pq + sigma * np.eye(n)
+                L = _strict_cholesky(Pp)
+                if L is None:
+                    raise OptError("P is not positive semidefinite")
+            route = _dual_active_set(L, Pp, G, h, A, b, f - sigma * x, viol_tol, max_steps)
+            steps += route[4]
+            out = verdict(Pq, route, steps)
+            # the round's own point is off by sigma (x_k - x): take it well within tol
+            if out[1] == "infeasible" or out[4] or max(out[2]) <= 1e-2 * tol:
+                return out
+            x, active = out[0], route[3]
+            # polish, as OSQP does: a KKT point of Pq itself on the round's working
+            # set, by least squares, since that system is singular along flat directions
+            xp, yp = _penalized_kkt_point(Pq, G[:0], h[:0], np.vstack([A, G[active]]), np.r_[b, h[active]], f)
+            z = np.zeros(m)
+            z[active] = np.maximum(yp[p:], 0.0)
+            polished = verdict(Pq, (xp, yp[:p], z, active, 0, None), steps)
+            if polished[1] == "optimal":
+                return polished
+        return out if out[1] == "optimal" else (x, "max_iter", out[2], steps, PROX_EXHAUSTED)
 
-    # starting point as in CVXOPT's coneqp: s = h - G x and z = -s shifted
-    # into the cone interior.  A start whose x ignored P left some random
-    # quadratic programs with a cone cycling at a gap of 0.1 to 0.3.
-    x, y = _penalized_kkt_point(P, G, h, A, b, f)
-    s = cones.shift_into(h - G @ x)
-    z = cones.shift_into(G @ x - h)
+    def solve(Pq):
+        """``(x, status, residuals, steps, exit)`` of the program on the
+        curvature Pq, in equilibrated units."""
+        if not m:
+            # equalities only: the optimality conditions are one linear system
+            x, y = _penalized_kkt_point(Pq, G, h, A, b, f)
+            res = residuals(Pq, x, y, np.zeros(0), np.zeros(0, dtype=bool))
+            # an unbounded objective leaves a dual residual no x can remove
+            return x, "optimal" if max(res) <= tol else "infeasible", res, 0, ""
+        Pr, fr, rho = Pq, f, 0.0  # the objective the active-set route minimizes
+        L = _strict_cholesky(Pq)
+        if L is None and p:
+            rho = 1.0  # the equilibrated rows of A and columns of P are of order one
+            Pr, fr = Pq + rho * A.T @ A, f - rho * A.T @ b
+            L = _strict_cholesky(Pr)
+        if L is None:
+            return proximal(Pq)
+        x, y, z, active, steps, why = _dual_active_set(L, Pr, G, h, A, b, fr, viol_tol, max_steps)
+        y = y + rho * (A @ x - b)  # the multipliers of the original objective
+        return verdict(Pq, (x, y, z, active, steps, why), steps)
 
-    status = "max_iter"
-    iters = 0
-    best = None
-    infeas_hits = 0
-    for it in range(1, max_iter + 1):
-        iters = it
-        rx, ry, rz, gap, res, Px = residuals(x, y, z, s)
-        pres, dres, relgap = res
-        mu = gap / cones.degree
-        merit = max(pres, dres, relgap)
-        if np.isfinite(merit) and (best is None or merit < best[0]):
-            best = (merit, x.copy(), res)
-        if converged(*res):
-            status = "optimal"
-            break
-        if best is not None and np.isfinite(merit) and merit > 1e4 * best[0] and best[0] < 1e-6:
-            break  # numerically stalled well past the best iterate
+    def capped(Ac, dc):
+        """The solve under the cap ``||Ac x|| <= dc``, by its multiplier."""
+        scale = np.abs(Ac).max() or 1.0  # then mu = 1 weighs the cap as the equilibrated P
+        Ac, dc = Ac / scale, dc / scale
+        AtA = Ac.T @ Ac
+        steps = 0
 
-        # primal infeasibility certificate: A^T y + G^T z ~ 0, h^T z + b^T y < 0,
-        # judged on the normalized ray and only without a near-feasible iterate
-        near_feasible = best is not None and best[0] <= 1e3 * tol
-        ray_scale = float(np.linalg.norm(z)) + float(np.linalg.norm(y))
-        cert = float(h @ z) + float(b @ y)
-        if cert < 0.0 and ray_scale > 0.0 and not near_feasible:
-            lhs = np.linalg.norm(A.T @ y + G.T @ z)
-            if lhs <= 1e-7 * (-cert) and -cert > 1e-6 * ray_scale * max(1.0, hnorm + bnorm):
-                infeas_hits += 1
-                if infeas_hits >= 5:
-                    status = "infeasible"
-                    break
-        dobj = -0.5 * float(x @ Px) - float(h @ z) - float(b @ y)
-        if (abs(dobj) > 1.0 / tol and not near_feasible) or not np.isfinite(mu):
-            status = "infeasible"
-            break
-        if not np.isfinite(merit):
-            break
+        def at(mu):
+            nonlocal steps
+            out = solve(P + mu * AtA) if mu else solve(P)
+            steps += out[3]
+            r = float(np.linalg.norm(Ac @ out[0]))
+            return out[:3] + (steps,) + out[4:], r, (1.0 / r if r > 0.0 else np.inf) - 1.0 / dc
 
-        W = _Scaling(cones, s, z)
-        if not W.ok:
-            break
-        lam = W.lam
-        Gs = W.apply_inv_mat(G)
-        H = P + Gs.T @ Gs
-        reg = 1e-13 * max(1.0, np.trace(H) / max(n, 1))
-        kkt = _kkt(H + reg * np.eye(n), A)
-        if kkt is None:  # the step would be inf/NaN
-            break
+        out, r, phi = at(0.0)
+        if out[1] == "optimal" and r <= dc:
+            return out
+        lo, hi, seen = 0.0, None, [(0.0, phi)] if out[1] == "optimal" else []
+        for _ in range(_CAP_ROUNDS):
+            if hi is None:
+                mu = max(2.0 * lo, 1.0)  # double mu until the cap holds
+            elif dc - hi[2] <= 1e-2 * tol * dc:
+                break
+            else:  # phi increases with mu: the secant through its last two values, kept in (lo, hi)
+                mu = np.nan
+                if len(seen) >= 2 and seen[-1][1] != seen[-2][1]:
+                    (m0, f0), (m1, f1) = seen[-2:]
+                    mu = m1 - f1 * (m1 - m0) / (f1 - f0)
+                if not lo < mu < hi[0]:  # also a NaN
+                    mu = 0.5 * (lo + hi[0])
+            out, r, phi = at(mu)
+            if out[1] != "optimal":
+                return out
+            if np.isfinite(phi):
+                seen.append((mu, phi))
+            if r <= dc:
+                hi = (mu, out, r)
+            else:
+                lo = mu
+        if hi is None:
+            return out[0], "infeasible", (np.inf,) * 3, steps, NO_BRACKET
+        _, out, r = hi
+        res = out[2][:2] + ((dc - r) / dc,)  # the cap's complementarity: it binds
+        ok = max(res) <= tol
+        return out[0], "optimal" if ok else "max_iter", res, steps, "" if ok else CAP_UNCONVERGED
 
-        def newton_raw(bx, by, bz, blam):
-            u = cones.solve_arrow(lam, blam)
-            rhs3 = bz - W.apply(u)
-            r1 = bx + Gs.T @ W.apply_inv(rhs3)
-            sol = kkt(np.concatenate([r1, by]))
-            dx, dy = sol[:n], sol[n:]
-            dz = W.apply_inv(W.apply_inv(G @ dx - rhs3))
-            ds = bz - G @ dx  # enforce the cone-row equation exactly
-            return dx, dy, dz, ds
-
-        def newton(ds_rhs):
-            bx, by, bz, blam = -rx, -ry, -rz, ds_rhs
-            dx, dy, dz, ds = newton_raw(bx, by, bz, blam)
-            for _ in range(2):  # full-system refinement keeps residuals near
-                # machine precision as the scaling degenerates
-                e1 = bx - (P @ dx + A.T @ dy + G.T @ dz)
-                e2 = by - A @ dx
-                e3 = bz - (G @ dx + ds)
-                e4 = blam - cones.prod(lam, W.apply(dz) + W.apply_inv(ds))
-                cx, cy, cz, cs = newton_raw(e1, e2, e3, e4)
-                dx, dy, dz, ds = dx + cx, dy + cy, dz + cz, ds + cs
-            dz_sc = W.apply(dz)
-            ds_sc = W.apply_inv(ds)
-            return dx, dy, dz, ds, dz_sc, ds_sc
-
-        # predictor; step lengths are measured in scaled space where the
-        # boundary quadratic is well conditioned
-        lam2 = cones.prod(lam, lam)
-        dxa, dya, dza, dsa, dza_sc, dsa_sc = newton(-lam2)
-        ap = cones.step_to_boundary(lam, dsa_sc)
-        ad = cones.step_to_boundary(lam, dza_sc)
-        alpha_aff = min(1.0, ap, ad)
-        mu_aff = float((s + alpha_aff * dsa) @ (z + alpha_aff * dza)) / cones.degree
-        sigma = max(0.0, min(1.0, (mu_aff / mu))) ** 3
-
-        # corrector
-        corr = cones.prod(dsa_sc, dza_sc)
-        ds_rhs = -lam2 - corr + sigma * mu * cones.e()
-        dx, dy, dz, ds, dz_sc, ds_sc = newton(ds_rhs)
-        ap = cones.step_to_boundary(lam, ds_sc)
-        ad = cones.step_to_boundary(lam, dz_sc)
-        alpha = min(1.0, 0.99 * min(ap, ad))
-        if not np.isfinite(alpha) or alpha <= 1e-14:
-            break
-
-        x = x + alpha * dx
-        s = s + alpha * ds
-        z = z + alpha * dz
-        y = y + alpha * dy
-
-    if status == "infeasible":
-        return finish(x, "infeasible", (np.inf, np.inf, np.inf), iters)
-    if status == "optimal":
-        return finish(x, "optimal", residuals(x, y, z, s)[4], iters)
-    if best is not None:
-        _, xb, res = best
-        ok = converged(*res) or (cones.socs and converged(*res, gap_tol=tol))
-        return finish(xb, "optimal" if ok else "max_iter", res, iters)
-    return finish(x, "max_iter", (np.inf,) * 3, iters)
+    x, status, res, steps, why = solve(P) if cap is None else capped(cap[0] * d_scale, cap[1])
+    x = d_scale * x
+    return Solution(x, status, res, steps, prog.objective(x), why)
 
 
 # ---------------------------------------------------------------------------
 # quadratic programs and weighted pseudoinverse
 # ---------------------------------------------------------------------------
 
-def solve_qp(quad: QuadForm, constraints=None, tol: float = 1e-8, max_iter: int = 100) -> Solution:
+def solve_qp(quad: QuadForm, constraints=None, tol: float = 1e-8) -> Solution:
     """Minimize the quadratic form under a ``ConstraintSet`` (or none).
 
     The inequality rows ``rows @ x >= rhs`` become the orthant block
@@ -866,11 +696,11 @@ def solve_qp(quad: QuadForm, constraints=None, tol: float = 1e-8, max_iter: int 
     one ``ConeBlock``.
     """
     if constraints is None:
-        return solve_socp(SOCProgram(quad.q, P=quad.P), tol=tol, max_iter=max_iter)
+        return solve_socp(SOCProgram(quad.q, P=quad.P), tol=tol)
     A_eq, b_eq, ineq_rows, ineq_rhs, socs = constraints.as_blocks()
     cones = [ConeBlock(*soc) for soc in socs]
     prog = SOCProgram(quad.q, cones, A_eq, b_eq, P=quad.P, G=-ineq_rows, h=-ineq_rhs)
-    return solve_socp(prog, tol=tol, max_iter=max_iter)
+    return solve_socp(prog, tol=tol)
 
 
 def pseudoinverse_lsq(A, b, Q) -> np.ndarray:

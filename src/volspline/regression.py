@@ -249,9 +249,9 @@ def solution_weights(sol: opt.Solution, constraints: ConstraintSet | None, what:
 
     - ``optimal``: the point ``sol.x``;
     - ``infeasible``: ``opt.InfeasibleError`` naming the constraint family
-      most violated at the solver's last iterate;
+      most violated at the solver's point, the one of least violation;
     - any other status: ``opt.OptError`` naming the status, the iteration
-      count and the KKT residuals.
+      count, the KKT residuals and why the solver stopped (``sol.exit``).
     """
     if sol.status == "optimal":
         return sol.x
@@ -265,7 +265,7 @@ def solution_weights(sol: opt.Solution, constraints: ConstraintSet | None, what:
     pres, dres, gap = sol.kkt_residuals
     raise opt.OptError(
         f"{what} did not converge: {sol.status} after {sol.iterations} iterations "
-        f"(primal residual {pres:.3e}, dual residual {dres:.3e}, gap {gap:.3e})"
+        f"(primal residual {pres:.3e}, dual residual {dres:.3e}, gap {gap:.3e})" + (f"; {sol.exit}" if sol.exit else "")
     )
 
 

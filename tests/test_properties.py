@@ -568,9 +568,9 @@ def test_calls_nonincreasing_and_convex_for_nonnegative_weights(data, kind, T):
 @settings(SETTINGS, max_examples=150)
 @given(data=st.data(), n=st.integers(2, 6), m=st.integers(0, 8), with_soc=st.booleans())
 def test_qp_solutions_are_feasible_and_match_slsqp(data, n, m, with_soc):
-    """Random strictly feasible QPs: inequality rows and an optional cone
-    around an interior point x0, equalities through x0.  Some variables may
-    have no entry in the inequality rows."""
+    """Random strictly feasible QPs: inequality rows and an optional cap
+    ``||A x|| <= d`` around an interior point x0, equalities through x0.
+    Some variables may have no entry in the inequality rows."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     B = rng.standard_normal((n, n))
     scale = 10.0 ** data.draw(st.floats(-3.0, 3.0))
@@ -586,7 +586,7 @@ def test_qp_solutions_are_feasible_and_match_slsqp(data, n, m, with_soc):
     cs.add_eq_rows(A, A @ x0, "eq")
     if with_soc:
         k = data.draw(st.integers(1, n))
-        As, bs_, cs_ = rng.standard_normal((k, n)), rng.standard_normal(k), rng.standard_normal(n)
+        As, bs_, cs_ = rng.standard_normal((k, n)), np.zeros(k), np.zeros(n)
         ds = np.linalg.norm(As @ x0 + bs_) - cs_ @ x0 + rng.uniform(0.1, 1.0)
         cs.add_soc(As, bs_, cs_, ds, "soc")
 

@@ -377,3 +377,9 @@ def test_stalled_fit_raises(stall_solver):
     with pytest.raises(opt.OptError, match=stalled) as exc:
         rg.fit_constrained(s, cfg, 1e-4, cs)
     assert exc.type is opt.OptError
+
+
+def test_unconverged_solve_says_why_it_stopped():
+    sol = opt.Solution(np.zeros(2), "max_iter", (1.0, 2.0, 0.0), 7, 0.0, opt.OUT_OF_STEPS)
+    with pytest.raises(opt.OptError, match=r"max_iter after 7 iterations \(.*gap 0\.000e\+00\); out of working-set steps$"):
+        rg.solution_weights(sol, None, "fit")
