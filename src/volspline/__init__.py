@@ -1,4 +1,4 @@
-"""Infinite-support B-splines, cone programming, and volatility engines."""
+"""Infinite-support B-splines, a constrained quadratic-program solver, and volatility engines."""
 
 import os as _os
 

@@ -270,6 +270,9 @@ def cmd_regress(r: Runner) -> None:
         knots = np.linspace(-halfwidth * sample.sigma_x, halfwidth * sample.sigma_x, cfg["knots"])
         if cfg["center_knots"]:
             knots = knots + float(np.mean(sample.x))
+        if np.any(np.diff(knots) <= 0.0):
+            raise ConfigError(f"config field 'sample' must spread its x values over distinct knots, "
+                              f"got standard deviation {sample.sigma_x!r} in {cfg['sample']!r}")
         basis = bs.make_basis(knots, cfg["order"], cfg["truncation"])
         reg_cfg = rg.RegressionConfig(basis, cfg["penalty_order"], cfg["tikhonov_constant"])
         lam = rg.tikhonov_factor(sample, reg_cfg)
@@ -375,7 +378,10 @@ def _quotes(spec) -> dict[float, list[tuple[str, sf.Quote]]]:
     return groups
 
 
-_SURFACE_CHECKS = {"n_knots": Check(lambda v, s: v >= s["order"] + 2, "be at least order + 2 (order is {order})")}
+_SURFACE_CHECKS = {
+    "n_knots": Check(lambda v, s: v >= s["order"] + 2, "be at least order + 2 (order is {order})"),
+    **{name: at_least(low) for name, low in sf.SurfaceConfig.LOWS.items()},
+}
 _SURFACE_CONFIG = obj({  # surface.SurfaceConfig
     f.name: Field(INTEGER if isinstance(f.default, int) else NUMBER, f.default, _SURFACE_CHECKS.get(f.name))
     for f in dataclasses.fields(sf.SurfaceConfig)
@@ -469,7 +475,10 @@ def _rebuild_surface(doc) -> sf.SurfaceCalibration:
 
 VALIDATE_SURFACE = obj({
     "surface": Field(STRING),
-    "grids": Field(obj({"n_strikes": Field(INTEGER, 400), "n_density": Field(INTEGER, 1000)}), {}),
+    "grids": Field(obj({
+        "n_strikes": Field(INTEGER, 400, at_least(3)),  # convexity needs three strikes
+        "n_density": Field(INTEGER, 1000, at_least(1)),
+    }), {}),
 })
 
 

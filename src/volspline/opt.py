@@ -1,16 +1,17 @@
 """Exact solver for the quadratic programs of this package, and its front ends.
 
 The solver minimizes ``0.5 x^T P x + f^T x`` over orthant rows, equalities
-and at most one second-moment cap ``||A x|| <= d``, sized for the programs
-the engines build (a few hundred variables, a few thousand rows).  It has
-one method, the dual active-set method of Goldfarb & Idnani (1983) on kept
-factors (``_dual_active_set``), and one optimality check.  The method runs
-on a positive definite curvature:
+and at most one second-moment cap ``||C x|| <= d`` (``SOCProgram.cap``, the
+convex-order constraint of a regression and the only cone of the package),
+sized for the programs the engines build (a few hundred variables, a few
+thousand rows).  It has one method, the dual active-set method of
+Goldfarb & Idnani (1983) on kept factors (``_dual_active_set``), and one
+optimality check.  The method runs on a positive definite curvature:
 
 - P itself, or else ``P + A^T A`` over the equalities ``A x = b``;
 - for a flat program (an LP, or a P that not even the equalities make
   definite), ``P + sigma I`` in proximal-point rounds (Rockafellar 1976);
-- with a cap, ``P + mu A^T A`` of the cap's matrix, the multiplier mu
+- with a cap, ``P + mu C^T C`` of the cap's matrix, the multiplier mu
   found by a safeguarded scalar root search (More & Sorensen 1983).
 
 ``solve_socp`` reports a status, and why a route stopped short, and
@@ -29,7 +30,6 @@ import numpy as np
 __all__ = [
     "OptError",
     "InfeasibleError",
-    "ConeBlock",
     "SOCProgram",
     "QuadForm",
     "Solution",
@@ -48,71 +48,47 @@ class InfeasibleError(OptError):
 
 
 @dataclass(frozen=True)
-class ConeBlock:
-    """One second-order cone ``||A x + b|| <= c^T x + d``; ``A`` has at
-    least one row.  ``solve_socp`` takes one block, a cap with ``b = 0``,
-    ``c = 0`` and ``d > 0``.  Linear inequalities are the orthant rows
-    ``G x <= h`` of ``SOCProgram``."""
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: float
-
-    def __init__(self, A, b, c, d):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.asarray(b, dtype=float).reshape(-1)
-        c = np.asarray(c, dtype=float).reshape(-1)
-        if A.shape[0] == 0:
-            raise OptError("cone block A has no rows")
-        if A.shape[0] != b.size:
-            raise OptError("cone block A and b row counts differ")
-        if A.shape[1] != c.size:
-            raise OptError("cone block A column count differs from c")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", float(d))
-
-
-@dataclass(frozen=True)
 class SOCProgram:
     """minimize ``0.5 x^T P x + f^T x`` subject to
 
+    - the equalities ``A_eq x = b_eq``;
     - the orthant rows ``G x <= h``, one matrix block;
-    - one second-order cone per ``ConeBlock`` in ``cones``;
-    - the equalities ``A_eq x = b_eq``.
+    - with ``cap = (C, d)``, the second-moment cap ``||C x|| <= d``: C has
+      at least one row and a column per variable, and ``d > 0``.
 
     P is symmetric PSD and zero when omitted; an omitted block has no rows.
     """
 
     f: np.ndarray
-    cones: tuple[ConeBlock, ...]
     A_eq: np.ndarray
     b_eq: np.ndarray
     P: np.ndarray
     G: np.ndarray
     h: np.ndarray
+    cap: tuple[np.ndarray, float] | None
 
-    def __init__(self, f, cones=(), A_eq=None, b_eq=None, P=None, G=None, h=None):
+    def __init__(self, f, A_eq=None, b_eq=None, P=None, G=None, h=None, cap=None):
         f = np.asarray(f, dtype=float).reshape(-1)
         n = f.size
-        cones = tuple(cones)
-        for blk in cones:
-            if blk.c.size != n:
-                raise OptError("cone block dimension does not match objective length")
         A_eq, b_eq = self._rows(A_eq, b_eq, n, "equality")
         G, h = self._rows(G, h, n, "orthant")
         P = np.zeros((n, n)) if P is None else np.asarray(P, dtype=float)
         if P.shape != (n, n):
             raise OptError("P must be square and match the objective length")
+        if cap is not None:
+            C, d = np.atleast_2d(np.asarray(cap[0], dtype=float)), float(cap[1])
+            if C.shape[0] == 0 or C.shape[1] != n:
+                raise OptError(f"cap matrix C must have rows and {n} columns, got shape {C.shape}")
+            if d <= 0.0:
+                raise OptError(f"cap ||C x|| <= d has d = {d!r}; a cap needs d > 0")
+            cap = (C, d)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "cones", cones)
         object.__setattr__(self, "A_eq", A_eq)
         object.__setattr__(self, "b_eq", b_eq)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "cap", cap)
 
     @staticmethod
     def _rows(M, v, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -470,24 +446,9 @@ def _least_violation(x, G, h, A, b, viol_tol: float, max_steps: int):
     return x if out[5] else out[0][:n]
 
 
-def _cap(prog: SOCProgram):
-    """``(A, d)`` of the program's cap ``||A x|| <= d``, or None; any other
-    cone block, or a second one, is an ``OptError``."""
-    if len(prog.cones) > 1:
-        raise OptError(f"the program has {len(prog.cones)} cone blocks; the solver takes at most one, a cap ||A x|| <= d")
-    for blk in prog.cones:
-        if blk.b.any() or blk.c.any():
-            raise OptError("cone block ||A x + b|| <= c^T x + d has a nonzero b or c; the solver takes only a cap ||A x|| <= d")
-        if not blk.d > 0.0:
-            raise OptError(f"cone block ||A x|| <= d has d = {blk.d!r}; a cap needs d > 0")
-        return blk.A, blk.d
-    return None
-
-
 def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
     """Solve ``min 0.5 x^T P x + f^T x`` over the orthant rows, the
-    equalities and at most one cap ``||A x|| <= d`` (a ``ConeBlock`` with
-    ``b = 0``, ``c = 0`` and ``d > 0``).
+    equalities and at most one second-moment cap ``||C x|| <= d``.
 
     Returns a Solution whose status is ``optimal``, ``infeasible`` or
     ``max_iter``, and whose ``exit`` says why a route stopped short.
@@ -499,7 +460,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
     - the gap at or below ``tol``.  It is exactly 0 for a point of the
       active-set route (``s = max(h - G x, 0)`` is 0 on the working set,
       off which ``z`` is 0); with a cap that binds it is the cap's relative
-      slack ``1 - ||A x|| / d``.
+      slack ``1 - ||C x|| / d``.
 
     Routes, chosen by the program's structure:
 
@@ -537,28 +498,28 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
     stops with ``max_iter``.
 
     A cap is solved by its multiplier mu, as the cap-free program with
-    ``P + mu A^T A``.  The solve at mu = 0 comes first, and it is the
+    ``P + mu C^T C``.  The solve at mu = 0 comes first, and it is the
     answer, bit for bit, when it is optimal and meets the cap.  Otherwise
     mu doubles until the cap holds, and then a safeguarded secant on
-    ``1 / ||A x_mu|| - 1 / d``, nearly linear in mu (More & Sorensen
+    ``1 / ||C x_mu|| - 1 / d``, nearly linear in mu (More & Sorensen
     1983), finds the mu where the cap binds to a relative slack of
     ``tol / 100``; ``_CAP_ROUNDS`` solves in all.  A cap that never holds
     is ``infeasible``.
 
-    Non-finite data (in ``P``, ``f``, ``A``, ``b``, or in ``G`` and ``h``
-    with the cone blocks stacked below the orthant rows) is an
-    ``OptError`` naming the array, raised before any route runs.
+    Non-finite data (in ``P``, ``f``, ``G``, ``h``, ``A``, ``b``, or the
+    cap's ``C`` and ``d``) is an ``OptError`` naming the array, raised
+    before any route runs.
 
     A status other than ``optimal`` is a report, not an answer: its ``x``
     is the route's last point, for diagnostics only.  The front ends
     raise on it (``regression.solution_weights``).
     """
-    G = np.vstack([prog.G] + [np.vstack([blk.c, blk.A]) for blk in prog.cones])
-    h = np.concatenate([prog.h] + [np.append(blk.d, blk.b) for blk in prog.cones])
-    for name, data in (("P", prog.P), ("f", prog.f), ("G", G), ("h", h), ("A", prog.A_eq), ("b", prog.b_eq)):
+    arrays = {"P": prog.P, "f": prog.f, "G": prog.G, "h": prog.h, "A": prog.A_eq, "b": prog.b_eq}
+    if prog.cap is not None:
+        arrays.update(C=prog.cap[0], d=prog.cap[1])
+    for name, data in arrays.items():
         if not np.isfinite(data).all():
             raise OptError(f"solver data {name} has non-finite entries")
-    cap = _cap(prog)
     G, h, A, b, f, P, d_scale = _equilibrate(prog.G, prog.h, prog.A_eq, prog.b_eq, prog.f, prog.P)
     n, p, m = prog.n, A.shape[0], G.shape[0]
     bnorm = max(1.0, np.linalg.norm(b))
@@ -679,7 +640,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
         ok = max(res) <= tol
         return out[0], "optimal" if ok else "max_iter", res, steps, "" if ok else CAP_UNCONVERGED
 
-    x, status, res, steps, why = solve(P) if cap is None else capped(cap[0] * d_scale, cap[1])
+    x, status, res, steps, why = solve(P) if prog.cap is None else capped(prog.cap[0] * d_scale, prog.cap[1])
     x = d_scale * x
     return Solution(x, status, res, steps, prog.objective(x), why)
 
@@ -692,15 +653,12 @@ def solve_qp(quad: QuadForm, constraints=None, tol: float = 1e-8) -> Solution:
     """Minimize the quadratic form under a ``ConstraintSet`` (or none).
 
     The inequality rows ``rows @ x >= rhs`` become the orthant block
-    ``G = -rows``, ``h = -rhs``; each second-order cone of the set becomes
-    one ``ConeBlock``.
+    ``G = -rows``, ``h = -rhs``, and the set's cap the program's ``cap``.
     """
     if constraints is None:
         return solve_socp(SOCProgram(quad.q, P=quad.P), tol=tol)
-    A_eq, b_eq, ineq_rows, ineq_rhs, socs = constraints.as_blocks()
-    cones = [ConeBlock(*soc) for soc in socs]
-    prog = SOCProgram(quad.q, cones, A_eq, b_eq, P=quad.P, G=-ineq_rows, h=-ineq_rhs)
-    return solve_socp(prog, tol=tol)
+    A_eq, b_eq, ineq_rows, ineq_rhs, cap = constraints.as_blocks()
+    return solve_socp(SOCProgram(quad.q, A_eq, b_eq, quad.P, -ineq_rows, -ineq_rhs, cap), tol=tol)
 
 
 def pseudoinverse_lsq(A, b, Q) -> np.ndarray:

@@ -10,8 +10,9 @@ marginal laws do: the sample is the empirical law ``(1/N) sum_n delta_{x_n}``,
 whose moment table over the basis pieces holds per-interval power sums.
 Its Gram is ``B^T B / N`` and its moment rows weighted by ``y`` are
 ``B^T y / N``, without the dense design matrix ``B``.  Linear shape
-constraints and marginal-compatibility constraints turn the normal
-equations into a cone program handled by :mod:`volspline.opt`.
+constraints and the compatibility constraints of a conditional expectation
+with its marginals turn the normal equations into a quadratic program
+under linear rows and at most one cap, solved by :mod:`volspline.opt`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from volspline.config import INTEGER, NUMBER, Field, Kind, at_least, either, enu
 __all__ = [
     "Sample", "EmpiricalMeasure", "RegressionConfig", "ConstraintSet", "solution_weights", "LebesgueMeasure",
     "tikhonov_factor", "design_system", "penalty_matrix", "solve_penalized", "solve_constrained", "fit_penalized",
-    "fit_constrained", "SHAPE_CONSTRAINT", "shape_constraints", "compatibility_constraints", "add_second_moment_cap",
+    "fit_constrained", "SHAPE_CONSTRAINT", "shape_constraints", "compatibility_constraints",
 ]
 
 
@@ -137,10 +138,11 @@ def tikhonov_factor(sample: Sample, cfg: RegressionConfig) -> float:
 
 
 class ConstraintSet:
-    """Linear equalities/inequalities plus second-order cone blocks.
+    """Linear equalities and inequalities, and at most one second-moment cap.
 
-    Inequality rows mean ``row . w >= rhs``.  ``families`` labels each row
-    or block for infeasibility diagnostics.  Rows are collected in blocks
+    Inequality rows mean ``row . w >= rhs`` and the cap ``(C, d)`` means
+    ``||C w|| <= d``.  ``eq_families``, ``ineq_families`` and ``cap_family``
+    name them in infeasibility diagnostics.  Rows are collected in blocks
     and stacked once, when ``eq_rows``/``ineq_rows`` are read.
     """
 
@@ -148,10 +150,10 @@ class ConstraintSet:
         self.dim = dim
         self._eq: list[tuple[np.ndarray, np.ndarray]] = []
         self._ineq: list[tuple[np.ndarray, np.ndarray]] = []
-        self.socs: list = []  # (A, b, c, d)
+        self.cap: tuple[np.ndarray, float] | None = None
         self.eq_families: list[str] = []
         self.ineq_families: list[str] = []
-        self.soc_families: list[str] = []
+        self.cap_family: str | None = None
 
     def _block(self, rows, rhs) -> tuple[np.ndarray, np.ndarray]:
         rows = np.array(rows, dtype=float, ndmin=2)
@@ -200,16 +202,12 @@ class ConstraintSet:
     def ineq_rhs(self) -> np.ndarray:
         return self._stacked(self._ineq)[1]
 
-    def add_soc(self, A, b, c, d, family: str) -> None:
-        self.socs.append(
-            (
-                np.atleast_2d(np.asarray(A, dtype=float)),
-                np.asarray(b, dtype=float).reshape(-1),
-                np.asarray(c, dtype=float).reshape(-1),
-                float(d),
-            )
-        )
-        self.soc_families.append(family)
+    def add_cap(self, C, d: float, family: str) -> None:
+        """The cap ``||C w|| <= d``; a set holds one at most."""
+        if self.cap is not None:
+            raise ValueError(f"constraint set already holds a cap, of family {self.cap_family!r}; it takes one")
+        self.cap = (np.atleast_2d(np.asarray(C, dtype=float)), float(d))
+        self.cap_family = family
 
     def merge(self, other: "ConstraintSet") -> "ConstraintSet":
         if other.dim != self.dim:
@@ -217,18 +215,19 @@ class ConstraintSet:
         out = ConstraintSet(self.dim)
         out._eq = [self._stacked(self._eq), other._stacked(other._eq)]
         out._ineq = [self._stacked(self._ineq), other._stacked(other._ineq)]
-        out.socs = list(self.socs) + list(other.socs)
         out.eq_families = self.eq_families + other.eq_families
         out.ineq_families = self.ineq_families + other.ineq_families
-        out.soc_families = self.soc_families + other.soc_families
+        for part in (self, other):
+            if part.cap is not None:
+                out.add_cap(*part.cap, part.cap_family)
         return out
 
     @property
     def n_rows(self) -> int:
-        return len(self.eq_families) + len(self.ineq_families) + len(self.socs)
+        return len(self.eq_families) + len(self.ineq_families) + (self.cap is not None)
 
     def as_blocks(self):
-        return self.eq_rows, self.eq_rhs, self.ineq_rows, self.ineq_rhs, self.socs
+        return self.eq_rows, self.eq_rhs, self.ineq_rows, self.ineq_rhs, self.cap
 
     def violations(self, w: np.ndarray) -> dict[str, float]:
         """Worst violation per family at a candidate point."""
@@ -237,14 +236,14 @@ class ConstraintSet:
             out[fam] = max(out.get(fam, 0.0), abs(float(row @ w - rhs)))
         for row, rhs, fam in zip(self.ineq_rows, self.ineq_rhs, self.ineq_families):
             out[fam] = max(out.get(fam, 0.0), max(0.0, float(rhs - row @ w)))
-        for (A, b, c, d), fam in zip(self.socs, self.soc_families):
-            gap = float(np.linalg.norm(A @ w + b) - (c @ w + d))
-            out[fam] = max(out.get(fam, 0.0), max(0.0, gap))
+        if self.cap is not None:
+            C, d = self.cap
+            out[self.cap_family] = max(out.get(self.cap_family, 0.0), max(0.0, float(np.linalg.norm(C @ w) - d)))
         return out
 
 
 def solution_weights(sol: opt.Solution, constraints: ConstraintSet | None, what: str) -> np.ndarray:
-    """The weights of a cone solve of ``what``, or the error that says why
+    """The weights of a solve of ``what``, or the error that says why
     there are none.  Every front end of the solver decides through here.
 
     - ``optimal``: the point ``sol.x``;
@@ -345,7 +344,7 @@ def fit_constrained(
     constraints: ConstraintSet | None = None,
     tol: float = 1e-8,
 ) -> Spline:
-    """Penalized least squares under a constraint set, via the cone solver;
+    """Penalized least squares under a constraint set, via ``opt.solve_qp``;
     a solve that does not end ``optimal`` raises (see ``solution_weights``)."""
     if lam is None:
         lam = tikhonov_factor(sample, cfg)
@@ -369,18 +368,15 @@ def _limit_row(basis: BasisSpec, p: int, side: str) -> np.ndarray:
         raise SplineError(
             "limit does not exist: truncation leaves growing wings at that derivative order"
         )
-    if p == 0:
-        mat = np.eye(dim)
-        low = basis
-    else:
+    mat = np.eye(dim)
+    if p > 0:
         dm = derivative_decomposition(basis, p)
         if dm.basis is None:
             raise SplineError("limits of the atomic derivative are not defined")
-        mat, low = dm.matrix, dm.basis
+        mat = dm.matrix
     if t_eff < 0:
         return np.zeros(dim)  # wings vanish at that order
-    pick = 0 if side == "-inf" else mat.shape[0] - 1
-    return mat[pick] if p > 0 else np.eye(dim)[pick]
+    return mat[0 if side == "-inf" else -1]
 
 
 _RELATIONS = ("eq", "ge", "le")
@@ -454,27 +450,33 @@ def _add_relation(cs: ConstraintSet, row, value: float, kind: str, family: str) 
 
 
 def compatibility_constraints(
-    basis: BasisSpec,
+    cb: CompiledBasis,
     marginal_x,
-    y_moments: tuple[float, float, tuple[float, float] | None],
+    y_moments: tuple[float | None, float | None, tuple[float, float] | None],
 ) -> ConstraintSet:
-    """Marginal-law constraints for a conditional-expectation estimate.
+    """The compatibility constraints of an estimate ``sum_j w_j b_j(x)`` of
+    ``E[Y | X = x]`` over the compiled basis ``cb``, with the law
+    ``marginal_x`` of X and ``y_moments = (ey, ey2, hull)`` of Y, each
+    ``None`` to leave its family out.  In this order:
 
-    ``y_moments = (ey, ey2, hull)``: the mean pins an integral equality
-    against the abscissa marginal; the hull bounds the coefficients (a
-    sufficient box condition); the second moment caps the weighted
-    quadratic form of the fit, a second-order cone row.
+    - ``mean-compatibility``: the fit integrates to ``ey = E[Y]`` against X;
+    - ``hull``: each weight lies in ``hull = (lo, hi)``, on its finite
+      sides, which bounds the fit where the basis is a partition of unity;
+    - ``convex-order``: ``w^T M w``, the integral of the squared fit with
+      ``M`` the Gram of ``cb`` against X, is at most ``ey2 = E[Y^2]``: the
+      cap ``||L^T w|| <= sqrt(ey2)``, ``M = L L^T`` by Cholesky with a
+      jitter of ``1e-14 max(trace M, 1)``.
     """
     ey, ey2, hull = y_moments
-    cs = ConstraintSet(basis.dimension)
-    cb = basis.compiled()
-    mrow = moment_rows(cb, marginal_x)
-    cs.add_eq(mrow, ey, "mean-compatibility")
+    dim = cb.coeffs.shape[0]
+    cs = ConstraintSet(dim)
+    if ey is not None:
+        cs.add_eq(moment_rows(cb, marginal_x), ey, "mean-compatibility")
     if hull is not None:
         lo, hi = hull
         if lo > hi:
             raise ValueError("hull lower bound exceeds upper bound")
-        eye = np.eye(basis.dimension)
+        eye = np.eye(dim)
         if np.isfinite(lo):
             cs.add_ineq_rows(eye, lo, "hull")
         if np.isfinite(hi):
@@ -482,17 +484,7 @@ def compatibility_constraints(
     if ey2 is not None:
         if ey2 < 0.0:
             raise ValueError("second moment must be nonnegative")
-        add_second_moment_cap(cs, cb, marginal_x, ey2, "convex-order")
+        M = weighted_gram(cb, marginal_x)
+        L = np.linalg.cholesky(M + 1e-14 * max(np.trace(M), 1.0) * np.eye(dim))
+        cs.add_cap(L.T, np.sqrt(ey2), "convex-order")
     return cs
-
-
-def add_second_moment_cap(cs: ConstraintSet, cb: CompiledBasis, measure, bound: float, family: str) -> None:
-    """Cone row capping the second moment of the fit against ``measure``.
-
-    With the Gram ``M = L L^T`` of ``cb`` against the measure (Cholesky,
-    with a jitter of ``1e-14 max(trace M, 1)``), ``|L^T w| <= sqrt(bound)``
-    says ``w^T M w``, the integral of the squared fit, is at most ``bound``.
-    """
-    M = weighted_gram(cb, measure)
-    L = np.linalg.cholesky(M + 1e-14 * max(np.trace(M), 1.0) * np.eye(M.shape[0]))
-    cs.add_soc(L.T, np.zeros(cs.dim), np.zeros(cs.dim), np.sqrt(bound), family)

@@ -28,7 +28,7 @@ import numpy as np
 
 from volspline import regression as rg
 from volspline.black import implied_vol
-from volspline.bspline import CompiledBasis, PiecewisePoly, make_basis, moment_rows, weighted_gram
+from volspline.bspline import CompiledBasis, PiecewisePoly, make_basis, weighted_gram
 from volspline.priors import BachelierPrior
 
 __all__ = [
@@ -66,11 +66,11 @@ class ScottParams:
 
 @dataclass(frozen=True)
 class ConstraintFlags:
-    """Which marginal-compatibility constraints enter each regression."""
+    """Which compatibility constraints (``regression.compatibility_constraints``) enter each regression."""
 
-    forward_variance_eq: bool = True  # integral equality pinning E[a_t^2]
-    nonnegative: bool = True
-    quadratic_cap: bool = False  # second-moment cone row from E[a_t^4]
+    forward_variance_eq: bool = True  # mean-compatibility: the integral equality pinning E[a_t^2]
+    nonnegative: bool = True  # hull: the weights are nonnegative
+    quadratic_cap: bool = False  # convex-order: the second-moment cap from E[a_t^4]
 
 
 def forward_variance(p: ScottParams, t: float) -> float:
@@ -237,7 +237,9 @@ def calibrate_leverage(
     are built once: each date maps the compiled basis
     (``CompiledBasis.affine_image``) and scales the Gram by ``h^(1 - 2p)``.
     The sample's normal equations come from its moment table
-    (``regression.design_system``).
+    (``regression.design_system``), its constraints from
+    ``regression.compatibility_constraints`` for ``E[a_t^2 | log S_t]`` with
+    the exact law of log S_t, as ``flags`` selects them.
 
     Each date's ``(2, n_particles)`` normals come from its own stream,
     ``_step_rng(seed, "calibrate", k)``, through ``_date_normals``: one
@@ -283,14 +285,12 @@ def calibrate_leverage(
             V, c = rg.design_system(sample, cb)
             R = h ** (1 - 2 * penalty_order) * unit_penalty
 
-            cs = rg.ConstraintSet(unit.dimension)
-            marginal = _spot_marginal_log(p, t1)
-            if flags.forward_variance_eq:
-                cs.add_eq(moment_rows(cb, marginal), forward_variance(p, t1), "forward-variance")
-            if flags.nonnegative:
-                cs.add_ineq_rows(np.eye(unit.dimension), 0.0, "nonnegative")
-            if flags.quadratic_cap:
-                rg.add_second_moment_cap(cs, cb, marginal, fourth_moment(p, t1), "second-moment-cap")
+            # Y = a_t^2 given log S_t: E[Y], E[Y^2] and the hull [0, inf) of Y, as the flags ask
+            cs = rg.compatibility_constraints(cb, _spot_marginal_log(p, t1), (
+                forward_variance(p, t1) if flags.forward_variance_eq else None,
+                fourth_moment(p, t1) if flags.quadratic_cap else None,
+                (0.0, np.inf) if flags.nonnegative else None,
+            ))
 
             if cs.n_rows:
                 try:

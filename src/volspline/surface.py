@@ -318,12 +318,18 @@ class SurfaceConfig:
     relative_grid_size: int = 81
     knot_pad_gaps: float = 1.0
 
+    # the least value of each bounded field, which the CLI's config declaration reads too
+    LOWS = {"relative_grid_size": 1, "curvature_weight": 0, "time_smoothness_weight": 0, "lsq_weight": 0}
+
     def __post_init__(self) -> None:
         if self.n_knots < self.order + 2:
             raise ValueError(
                 f"n_knots must be at least order + 2 = {self.order + 2} for a nonempty truncated basis, "
                 f"got {self.n_knots!r}"
             )
+        for name, low in self.LOWS.items():
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

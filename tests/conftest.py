@@ -9,7 +9,7 @@ from volspline import opt
 
 @pytest.fixture
 def stall_solver(monkeypatch):
-    """Call it to make every later cone solve report ``max_iter`` with
+    """Call it to make every later solve report ``max_iter`` with
     residuals of 1e-9 while keeping the solver's point; it returns the
     pattern of the error a front end raises on such a solve."""
     solve = opt.solve_socp

@@ -244,7 +244,7 @@ def test_criterion_5_slv_calibration():
     wins = {n: int(np.sum(r[:, 0] <= r[:, 1])) for n, r in rel.items()}
     avg_max_dev = float(np.mean(max_devs))
 
-    # the second-moment cone must be slack at the optimum
+    # the convex-order cap must be slack at the optimum
     flags_c = slv.ConstraintFlags(forward_variance_eq=True, nonnegative=True, quadratic_cap=True)
     surf = slv.calibrate_leverage(params, np.linspace(0, 1, 11), 8000, seed=5, flags=flags_c)
     slack_ok = True

@@ -346,6 +346,13 @@ def test_unknown_or_incomplete_option_exits_2(tmp_path, capsys, monkeypatch, com
         ("pde-evolve", "pde_ratio.json", "half_width_stds=0", "'half_width_stds'"),
         ("pde-evolve", "pde_ratio.json", "grid_size=-1", "'grid_size'"),
         ("surface-calibrate", "surface_synthetic.json", "config.n_knots=3", "n_knots"),
+        # a grid of no strikes wrote a surface that validate-surface could not check; a negative
+        # weight made the program nonconvex, or was dropped unread for time_smoothness_weight
+        ("surface-calibrate", "surface_synthetic.json", "config.relative_grid_size=0", "'relative_grid_size'"),
+        ("surface-calibrate", "surface_synthetic.json", "config.relative_grid_size=-1", "'relative_grid_size'"),
+        ("surface-calibrate", "surface_synthetic.json", "config.curvature_weight=-1", "'curvature_weight'"),
+        ("surface-calibrate", "surface_synthetic.json", "config.time_smoothness_weight=-5", "'time_smoothness_weight'"),
+        ("surface-calibrate", "surface_synthetic.json", "config.lsq_weight=-1", "'lsq_weight'"),
         ("regress", "regress_demo.json", "penalty_order=0", "penalty_order"),
         ("regress", "regress_demo.json", "truncation=5", "truncation"),
         # --set keeps a value that is not JSON as a string: "False" is not the flag false
@@ -362,6 +369,24 @@ def test_config_value_out_of_range_exits_2(tmp_path, capsys, monkeypatch, comman
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and named in err
+
+
+def test_validate_grids_out_of_range_exit_2(tmp_path, capsys, monkeypatch):
+    # too few strikes for a convexity check, or no density points, exited 4 on a zero-size array
+    monkeypatch.chdir(REPO)
+    surface = tmp_path / "cal"
+    assert cli.main(["surface-calibrate", "--config", str(REPO / "configs" / "surface_synthetic.json"),
+                     "--out", str(surface)]) == 0
+    path = tmp_path / "validate.json"
+    path.write_text(json.dumps({"surface": str(surface / "surface.json")}))
+    capsys.readouterr()
+    for setting, named in [("grids.n_strikes=2", "'n_strikes' must be at least 3"),
+                           ("grids.n_strikes=0", "'n_strikes' must be at least 3"),
+                           ("grids.n_density=0", "'n_density' must be at least 1")]:
+        argv = ["validate-surface", "--config", str(path), "--out", str(tmp_path / "out"), "--set", setting]
+        assert cli.main(argv) == 2, setting
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: grids field ") and named in err
 
 
 def test_a_base_variance_below_the_local_variance_exits_2(tmp_path, capsys):

@@ -162,6 +162,18 @@ def test_a_sample_without_rows_exits_2_naming_it(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["1.0,2.0\n1.0,3.0\n", "x,y\n1.0,2.0\n"])
+def test_a_sample_without_spread_exits_2_naming_it(tmp_path, capsys, text):
+    # x values that are all equal put every knot at one point: make_basis refused it and exited 4
+    path, out = tmp_path / "sample.csv", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    argv = ["regress", "--config", str(REPO / "configs" / "regress_demo.json"), "--out", str(out), "--set", f"sample={path}"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: config field 'sample' must spread its x values over distinct knots, ")
+    assert not out.exists()
+
+
 def test_reader_kinds():
     assert cf.read(40.0, cf.INTEGER) == 40 and type(cf.read(40.0, cf.INTEGER)) is int
     assert cf.read(3, cf.NUMBER) == 3.0 and type(cf.read(3, cf.NUMBER)) is float

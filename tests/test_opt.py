@@ -43,7 +43,7 @@ def solve_qp_oracle_box(P, q, lo, hi):
 
 
 def assert_kkt_certificate(prog: opt.SOCProgram, x, tol: float = 1e-8) -> None:
-    """x solves a program without cone blocks, by its KKT conditions: it is
+    """x solves a program without a cap, by its KKT conditions: it is
     primal feasible, and with the rows within tol of equality as active,
     multipliers ``z >= 0`` on them and ``y`` free on the equalities, fitted
     by ``scipy.optimize.lsq_linear``, leave a stationarity residual
@@ -68,24 +68,21 @@ def assert_kkt_certificate(prog: opt.SOCProgram, x, tol: float = 1e-8) -> None:
 
 class TestSolveSOCP:
     def test_1d_cone(self):
-        prog = opt.SOCProgram(np.array([1.0]), [opt.ConeBlock(np.array([[1.0]]), [0.0], [0.0], 1.0)])
+        prog = opt.SOCProgram(np.array([1.0]), cap=(np.array([[1.0]]), 1.0))
         sol = opt.solve_socp(prog)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(-1.0, abs=1e-7)
 
     def test_2d_cone_lagrange(self):
-        prog = opt.SOCProgram(
-            np.array([1.0, 1.0]),
-            [opt.ConeBlock(np.eye(2), np.zeros(2), np.zeros(2), np.sqrt(2.0))],
-        )
+        prog = opt.SOCProgram(np.array([1.0, 1.0]), cap=(np.eye(2), np.sqrt(2.0)))
         sol = opt.solve_socp(prog)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, [-1.0, -1.0], atol=1e-7)
 
     def test_objective_scaling_invariance(self):
-        blocks = [opt.ConeBlock(np.eye(2), np.zeros(2), np.zeros(2), np.sqrt(2.0))]
-        x1 = opt.solve_socp(opt.SOCProgram(np.array([1.0, 1.0]), blocks)).x
-        x2 = opt.solve_socp(opt.SOCProgram(np.array([7.0, 7.0]), blocks)).x
+        cap = (np.eye(2), np.sqrt(2.0))
+        x1 = opt.solve_socp(opt.SOCProgram(np.array([1.0, 1.0]), cap=cap)).x
+        x2 = opt.solve_socp(opt.SOCProgram(np.array([7.0, 7.0]), cap=cap)).x
         np.testing.assert_allclose(x1, x2, atol=1e-7)
 
     def test_infeasible_detected(self):
@@ -96,7 +93,7 @@ class TestSolveSOCP:
         assert sol.status == "infeasible"
 
     def test_orthant_only_lp(self):
-        # min x s.t. x >= 1: orthant rows and no second-order cone
+        # min x s.t. x >= 1: orthant rows and no cap
         prog = opt.SOCProgram(np.array([1.0]), G=[[-1.0]], h=[-1.0])
         sol = opt.solve_socp(prog)
         assert sol.status == "optimal"
@@ -122,18 +119,18 @@ class TestSolveSOCP:
         with pytest.raises(opt.OptError, match=f"solver data {name} has non-finite entries"):
             opt.solve_socp(prog)
 
-    def test_rejects_non_finite_cone_block(self):
-        # a cone block's data is stacked below the orthant rows of G and h
-        cone = opt.ConeBlock(np.eye(2), np.zeros(2), np.zeros(2), np.inf)
-        with pytest.raises(opt.OptError, match="solver data h has non-finite entries"):
-            opt.solve_socp(opt.SOCProgram(np.ones(2), [cone]))
+    @pytest.mark.parametrize("C, d, name", [(np.eye(2), np.inf, "d"), ([[1.0, np.nan]], 1.0, "C")], ids=["d", "C"])
+    def test_rejects_non_finite_cap(self, C, d, name):
+        with pytest.raises(opt.OptError, match=f"solver data {name} has non-finite entries"):
+            opt.solve_socp(opt.SOCProgram(np.ones(2), cap=(C, d)))
 
-    def test_cone_block_is_a_second_order_cone(self):
-        with pytest.raises(opt.OptError, match="no rows"):
-            opt.ConeBlock(np.zeros((0, 1)), [], [1.0], -1.0)
+    @pytest.mark.parametrize("C", [np.zeros((0, 1)), np.ones((1, 2))], ids=["no-rows", "two-columns"])
+    def test_cap_has_rows_and_a_column_per_variable(self, C):
+        with pytest.raises(opt.OptError, match=r"cap matrix C must have rows and 1 columns"):
+            opt.SOCProgram([1.0], cap=(C, 1.0))
 
     def test_kkt_residuals_reported(self):
-        prog = opt.SOCProgram(np.array([1.0]), [opt.ConeBlock(np.array([[1.0]]), [0.0], [0.0], 1.0)])
+        prog = opt.SOCProgram(np.array([1.0]), cap=(np.array([[1.0]]), 1.0))
         sol = opt.solve_socp(prog, tol=1e-8)
         assert max(sol.kkt_residuals) <= 1e-8
 
@@ -164,41 +161,30 @@ class TestSolveSOCP:
 
 
 class TestCap:
-    """A cone block is a cap ``||A x|| <= d``, solved by its multiplier."""
+    """The program's cap ``||C x|| <= d``, solved by its multiplier."""
 
-    @pytest.mark.parametrize("b, c, d, what", [
-        ([1.0], [0.0], 1.0, "nonzero b or c"), ([0.0], [1.0], 1.0, "nonzero b or c"), ([0.0], [0.0], 0.0, "d > 0"),
-    ])
-    def test_rejects_a_block_that_is_not_a_cap(self, b, c, d, what):
-        prog = opt.SOCProgram([1.0], [opt.ConeBlock([[1.0]], b, c, d)])
-        with pytest.raises(opt.OptError, match=what):
-            opt.solve_socp(prog)
-
-    def test_rejects_a_second_cap(self):
-        cap = opt.ConeBlock([[1.0]], [0.0], [0.0], 1.0)
-        with pytest.raises(opt.OptError, match="2 cone blocks"):
-            opt.solve_socp(opt.SOCProgram([1.0], [cap, cap]))
+    @pytest.mark.parametrize("d", [0.0, -1.0])
+    def test_rejects_a_cap_with_no_room(self, d):
+        with pytest.raises(opt.OptError, match="d > 0"):
+            opt.SOCProgram([1.0], cap=([[1.0]], d))
 
     def test_slack_cap_is_the_cap_free_solve_bit_for_bit(self):
         prog = opt.SOCProgram([1.0, -2.0], P=[[2.0, 0.5], [0.5, 1.0]], G=[[1.0, 1.0]], h=[1.0])
-        cap = opt.ConeBlock(np.eye(2), np.zeros(2), np.zeros(2), 10.0)
         free = opt.solve_socp(prog)
-        capped = opt.solve_socp(opt.SOCProgram(prog.f, [cap], P=prog.P, G=prog.G, h=prog.h))
+        capped = opt.solve_socp(opt.SOCProgram(prog.f, P=prog.P, G=prog.G, h=prog.h, cap=(np.eye(2), 10.0)))
         assert capped.x.tobytes() == free.x.tobytes() and capped.iterations == free.iterations
 
     def test_binding_cap_matches_its_multiplier(self):
         # min |x - (3, 4)|^2 / 2 with x0 <= 2.5 under |x| <= 1: the cap binds
         # and the row does not, so x = (3, 4) / 5
-        prog = opt.SOCProgram([-3.0, -4.0], [opt.ConeBlock(np.eye(2), np.zeros(2), np.zeros(2), 1.0)],
-                              P=np.eye(2), G=[[1.0, 0.0]], h=[2.5])
+        prog = opt.SOCProgram([-3.0, -4.0], P=np.eye(2), G=[[1.0, 0.0]], h=[2.5], cap=(np.eye(2), 1.0))
         sol = opt.solve_socp(prog)
         assert sol.status == "optimal" and max(sol.kkt_residuals) <= 1e-8
         np.testing.assert_allclose(sol.x, [0.6, 0.8], rtol=1e-9)
 
     def test_cap_that_cannot_hold_is_infeasible(self):
         # x0 >= 2 under |x| <= 1
-        prog = opt.SOCProgram([0.0, 0.0], [opt.ConeBlock(np.eye(2), np.zeros(2), np.zeros(2), 1.0)],
-                              P=np.eye(2), G=[[-1.0, 0.0]], h=[-2.0])
+        prog = opt.SOCProgram([0.0, 0.0], P=np.eye(2), G=[[-1.0, 0.0]], h=[-2.0], cap=(np.eye(2), 1.0))
         sol = opt.solve_socp(prog)
         assert sol.status == "infeasible" and sol.exit == opt.NO_BRACKET
 
@@ -207,8 +193,7 @@ class TestCap:
         # orthant rows alone, where row 2 binds at x = -0.5233 / 0.286
         G = [[-0.068], [0.0253], [-0.286], [0.0022], [-0.0002]]
         h = [0.1927, 0.8063, 0.5233, 0.6145, 1.1864]
-        idle = opt.ConeBlock(np.zeros((1, 1)), [0.0], [0.0], 1.0)
-        sol = opt.solve_socp(opt.SOCProgram([2264.1], [idle], P=[[423.27]], G=G, h=h))
+        sol = opt.solve_socp(opt.SOCProgram([2264.1], P=[[423.27]], G=G, h=h, cap=(np.zeros((1, 1)), 1.0)))
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(-1.82972028, abs=1e-8)
 

@@ -1,5 +1,5 @@
 """Invariants of the basis, the interval lookup, the moment tables, the
-pricing rows, the cone solver and the PDE step, on random inputs.
+pricing rows, the solver and the PDE step, on random inputs.
 
 The oracles share no code with the parts under test: the constant one and
 the forward recursion for the basis, ``scipy.integrate.quad`` of the
@@ -562,7 +562,7 @@ def test_calls_nonincreasing_and_convex_for_nonnegative_weights(data, kind, T):
 
 
 # ---------------------------------------------------------------------------
-# cone solver
+# the quadratic-program solver
 # ---------------------------------------------------------------------------
 
 @settings(SETTINGS, max_examples=150)
@@ -586,9 +586,9 @@ def test_qp_solutions_are_feasible_and_match_slsqp(data, n, m, with_soc):
     cs.add_eq_rows(A, A @ x0, "eq")
     if with_soc:
         k = data.draw(st.integers(1, n))
-        As, bs_, cs_ = rng.standard_normal((k, n)), np.zeros(k), np.zeros(n)
-        ds = np.linalg.norm(As @ x0 + bs_) - cs_ @ x0 + rng.uniform(0.1, 1.0)
-        cs.add_soc(As, bs_, cs_, ds, "soc")
+        As = rng.standard_normal((k, n))
+        ds = np.linalg.norm(As @ x0) + rng.uniform(0.1, 1.0)
+        cs.add_cap(As, ds, "cap")
 
     quad_form = opt.QuadForm(P, q)
     sol = opt.solve_qp(quad_form, cs)
@@ -599,7 +599,7 @@ def test_qp_solutions_are_feasible_and_match_slsqp(data, n, m, with_soc):
     if me:
         cons.append({"type": "eq", "fun": lambda x: A @ x - A @ x0, "jac": lambda x: A})
     if with_soc:
-        cons.append({"type": "ineq", "fun": lambda x: cs_ @ x + ds - np.linalg.norm(As @ x + bs_)})
+        cons.append({"type": "ineq", "fun": lambda x: ds - np.linalg.norm(As @ x)})
     # SLSQP's stopping test is absolute: hand it the objective in units of scale
     ref = minimize(lambda x: quad_form.value(x) / scale, x0, jac=lambda x: (P @ x + q) / scale,
                    constraints=cons, method="SLSQP", options={"ftol": 1e-14, "maxiter": 500})
@@ -607,7 +607,7 @@ def test_qp_solutions_are_feasible_and_match_slsqp(data, n, m, with_soc):
     ref_value = quad_form.value(ref.x)
     atol = 1e-6 * max(abs(ref_value), scale)
     # SLSQP's point is feasible, so it bounds the optimum from above.  Without
-    # a cone it is the optimum too; with one it can stop short near the apex,
+    # a cap it is the optimum too; with one it can stop short near the apex,
     # where the norm has no gradient
     assert sol.objective <= ref_value + atol
     if not with_soc:

@@ -180,6 +180,20 @@ class TestConstraintSet:
         with pytest.raises(ValueError):
             rg.ConstraintSet(3).add_ineq_rows(np.eye(2), 0.0, "x")
 
+    def test_holds_one_cap(self):
+        # a second cap, added or merged in, names the family of the first
+        capped = rg.ConstraintSet(2)
+        capped.add_cap(np.eye(2), 1.0, "first")
+        assert capped.n_rows == 1 and capped.violations(np.array([3.0, 4.0])) == {"first": 4.0}
+        with pytest.raises(ValueError, match="already holds a cap, of family 'first'"):
+            capped.add_cap(np.eye(2), 2.0, "second")
+        other = rg.ConstraintSet(2)
+        other.add_cap(np.eye(2), 2.0, "second")
+        with pytest.raises(ValueError, match="already holds a cap, of family 'first'"):
+            capped.merge(other)
+        merged = capped.merge(rg.ConstraintSet(2))
+        assert merged.cap_family == "first" and merged.cap[1] == 1.0
+
 
 class TestShapeConstraints:
     def test_nonnegative_rows(self):
@@ -234,19 +248,29 @@ class TestCompatibility:
     def test_rows_and_shapes(self):
         basis = bs.make_basis(np.linspace(-2, 2, 8), 2, truncation=1)
         prior = pr.BachelierPrior(0.0, 1.0)
-        cs = rg.compatibility_constraints(basis, prior, (1.0, 3.0, (0.0, 1.0)))
+        cs = rg.compatibility_constraints(basis.compiled(), prior, (1.0, 3.0, (0.0, 1.0)))
         d = basis.dimension
         assert cs.eq_rows.shape == (1, d)
         assert cs.ineq_rows.shape == (2 * d, d)  # both hull sides
-        assert len(cs.socs) == 1
+        assert cs.cap[0].shape == (d, d) and cs.cap_family == "convex-order"
+        assert cs.eq_families == ["mean-compatibility"] and set(cs.ineq_families) == {"hull"}
+
+    def test_no_mean_adds_no_equality(self):
+        basis = bs.make_basis(np.linspace(-2, 2, 8), 2, truncation=1)
+        prior = pr.BachelierPrior(0.0, 1.0)
+        cs = rg.compatibility_constraints(basis.compiled(), prior, (None, 3.0, (0.0, np.inf)))
+        assert cs.eq_rows.shape == (0, basis.dimension) and not cs.eq_families
+        assert cs.ineq_rows.shape[0] == basis.dimension and cs.cap is not None
+        assert cs.n_rows == basis.dimension + 1
+        assert rg.compatibility_constraints(basis.compiled(), prior, (None, None, None)).n_rows == 0
 
     def test_hull_bounds_only_finite_sides(self):
         basis = bs.make_basis(np.linspace(-2, 2, 8), 2, truncation=1)
         prior = pr.BachelierPrior(0.0, 1.0)
-        cs = rg.compatibility_constraints(basis, prior, (1.0, None, (0.0, np.inf)))
+        cs = rg.compatibility_constraints(basis.compiled(), prior, (1.0, None, (0.0, np.inf)))
         assert cs.ineq_rows.shape[0] == basis.dimension
         with pytest.raises(ValueError):
-            rg.compatibility_constraints(basis, prior, (1.0, None, (1.0, 0.0)))
+            rg.compatibility_constraints(basis.compiled(), prior, (1.0, None, (1.0, 0.0)))
 
     def test_constant_fit_forced_to_mean(self):
         # with only the mean-compatibility row, fitting constant data c != ey
@@ -258,7 +282,7 @@ class TestCompatibility:
         x = rng.standard_normal(500)
         y = np.full(500, 2.0)
         ey = 1.5
-        cs = rg.compatibility_constraints(basis, prior, (ey, None, None))
+        cs = rg.compatibility_constraints(basis.compiled(), prior, (ey, None, None))
         sp = rg.fit_constrained(rg.Sample(x, y), cfg, constraints=cs)
         row = bs.moment_rows(basis.compiled(), prior)
         assert row @ sp.weights == pytest.approx(ey, abs=1e-8)
@@ -268,14 +292,14 @@ class TestCompatibility:
         basis = bs.make_basis(np.linspace(-2, 2, 8), 2, truncation=1)
         prior = pr.BachelierPrior(0.0, 1.0)
         ey, ey2 = 1.0, 2.0
-        cs = rg.compatibility_constraints(basis, prior, (ey, ey2, None))
-        A, b, c, d = cs.socs[0]
+        cs = rg.compatibility_constraints(basis.compiled(), prior, (ey, ey2, None))
+        A, d = cs.cap
         w = np.ones(basis.dimension) * ey
-        gap = (c @ w + d) - np.linalg.norm(A @ w + b)
+        gap = d - np.linalg.norm(A @ w)
         assert gap > 0.1  # variance slack
 
     def test_convex_order_cone_solution(self):
-        # inactive, the cone leaves the fit alone; active, the fit is the
+        # inactive, the cap leaves the fit alone; active, the fit is the
         # minimizer of the objective plus mu/2 |A w|^2 under the mean row,
         # with the multiplier mu found by a scalar root search
         rng = np.random.default_rng(8)
@@ -284,18 +308,19 @@ class TestCompatibility:
         prior = pr.BachelierPrior(0.0, 1.0)
         x = rng.standard_normal(500)
         s = rg.Sample(x, 1.0 + 0.5 * np.tanh(x) + 0.1 * rng.standard_normal(500))
-        w_free = rg.fit_constrained(s, cfg, constraints=rg.compatibility_constraints(basis, prior, (1.0, None, None))).weights
-        cs = rg.compatibility_constraints(basis, prior, (1.0, 1.5, None))
+        cb = basis.compiled()
+        w_free = rg.fit_constrained(s, cfg, constraints=rg.compatibility_constraints(cb, prior, (1.0, None, None))).weights
+        cs = rg.compatibility_constraints(cb, prior, (1.0, 1.5, None))
         w = rg.fit_constrained(s, cfg, constraints=cs).weights
-        A, _, _, d = cs.socs[0]
+        A, d = cs.cap
         assert d - np.linalg.norm(A @ w) > 0.1
         assert np.abs(w - w_free).max() <= 1e-9 * np.abs(w_free).max()
 
-        V, c = rg.design_system(s, basis.compiled())
+        V, c = rg.design_system(s, cb)
         P = 2.0 * (V + rg.tikhonov_factor(s, cfg) * rg.penalty_matrix(cfg))
         for ey2 in (1.1, 1.05):
-            cs = rg.compatibility_constraints(basis, prior, (1.0, ey2, None))
-            A, _, _, d = cs.socs[0]
+            cs = rg.compatibility_constraints(cb, prior, (1.0, ey2, None))
+            A, d = cs.cap
             E, e = cs.eq_rows, cs.eq_rhs
             n = P.shape[0]
 
@@ -337,7 +362,7 @@ class TestConstrainedMatchesUnconstrained:
 
     def test_nonnegative_data_constraint_inactive(self):
         # data sampled from a spline with comfortably positive loadings:
-        # the unconstrained optimum already satisfies the cone
+        # the unconstrained optimum already satisfies the constraints
         rng = np.random.default_rng(11)
         cfg = make_cfg()
         w_true = rng.uniform(0.5, 2.0, cfg.basis.dimension)

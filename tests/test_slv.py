@@ -349,9 +349,10 @@ class TestCalibrationNormals:
 
 class TestCalibration:
     def test_shipped_calibration_solves_by_active_set(self, monkeypatch):
-        # each date's program has nonnegativity rows, the forward-variance
-        # equality and no cone block: the active-set route certifies all 40,
-        # so the interior-point iteration never starts; one row joins the
+        # each date's program has the hull's nonnegativity rows, the
+        # mean-compatibility equality and no cap: the active-set route
+        # certifies all 40, with no proximal round and no equality-only
+        # solve (``_penalized_kkt_point``); one row joins the
         # working set on the kept factors, and the KKT system of the final
         # working set is LU-factored once per date
         cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "slv_flat_smile.json").read_text())
@@ -382,6 +383,14 @@ class TestCalibration:
         with pytest.raises(opt.OptError, match=r"^step 1 \(t=0\.1\): constrained regression " + stalled) as exc:
             slv.calibrate_leverage(params, np.linspace(0, 0.5, 6), 1000, seed=5)
         assert exc.type is opt.OptError
+
+    def test_infeasible_step_names_a_compatibility_family(self, params, monkeypatch):
+        # a second moment far below E[a_t^2]^2 leaves no fit that meets both the
+        # mean and the convex-order cap: the step names one of the paper's families
+        monkeypatch.setattr(slv, "fourth_moment", lambda p, t: 1e-6 * slv.forward_variance(p, t) ** 2)
+        family = r"most violated family: (mean-compatibility|convex-order) \("
+        with pytest.raises(opt.InfeasibleError, match=r"^step 1 \(t=0\.1\): constrained regression is infeasible; " + family):
+            slv.calibrate_leverage(params, np.linspace(0, 0.5, 6), 1000, seed=5, flags=slv.ConstraintFlags(quadratic_cap=True))
 
     def test_seed_determinism(self, params):
         grid = np.linspace(0, 0.5, 6)
@@ -422,7 +431,7 @@ class TestCalibration:
         grid = np.linspace(0, 0.5, 6)
         flags = slv.ConstraintFlags(forward_variance_eq=True, nonnegative=True, quadratic_cap=True)
         surf = slv.calibrate_leverage(params, grid, 4000, seed=12, flags=flags)
-        # slack of the second-moment cone at the final step
+        # slack of the convex-order cap at the final step
         from volspline.bspline import weighted_gram, make_basis
         t = 0.5
         marginal = slv._spot_marginal_log(params, t)
@@ -437,7 +446,7 @@ class TestCalibration:
         assert total < cap * (1.0 - 1e-3)  # strictly slack, not binding
 
     def test_inactive_cap_leaves_calibration_unchanged(self, params):
-        # the cone row does not bind, so every slice must match the
+        # the cap does not bind, so every slice must match the
         # calibration without it to solver precision
         grid = np.linspace(0, 0.5, 6)
         capped = slv.calibrate_leverage(params, grid, 4000, seed=12, flags=slv.ConstraintFlags(True, True, True))

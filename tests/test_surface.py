@@ -219,7 +219,7 @@ class TestSurfaceCommands:
 
 
     def test_shipped_calibration_takes_the_exact_route(self, tmp_path, monkeypatch):
-        # the program has no cone block and its curvature P is singular, but
+        # the program has no cap and its curvature P is singular, but
         # the mass and forward equalities pin its null space: P + rho A^T A
         # passes the Cholesky test and the active-set route certifies it,
         # in its known 35 working-set steps on kept factors and one LU
@@ -262,6 +262,13 @@ class TestSurfaceCommands:
 
 
 class TestSliceCalibration:
+    @pytest.mark.parametrize("field, value", [
+        ("relative_grid_size", 0), ("curvature_weight", -1.0), ("time_smoothness_weight", -5.0), ("lsq_weight", -1.0),
+    ])
+    def test_config_rejects_an_empty_grid_and_negative_weights(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least"):
+            sf.SurfaceConfig(**{field: value})
+
     def test_prior_recovery(self, lognormal_prior):
         ms = prior_quotes(lognormal_prior, 1.0, [80.0, 90.0, 100.0, 110.0, 125.0])
         sl = sf.calibrate_surface([ms], lognormal_prior, sf.SurfaceConfig(n_knots=11)).slices[0]

@@ -11,6 +11,11 @@ first on odd i, one benchmark process at a time.  The base is typically a
 JSON line is kept; a run that prints none, or reads ``correct: false`` or a
 nonzero ``failed``, is reported as such.
 
+The header line names the BLAS, OpenMP and volspline thread caps the runs
+inherit (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``VOLSPLINE_THREADS``;
+``unset`` when absent): the active-set working-set path can depend on the
+BLAS thread count, so a report says which count it measured.
+
 For every end-to-end metric named in the head's ``BENCHMARK.json`` it prints
 each side's median and quartiles, the gap between the medians, and the
 number of pairs each side won (lower or higher is better as the metric
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -33,6 +39,7 @@ from pathlib import Path
 PAIRS = 10
 FIRST_SEED = 201
 SECONDS = 14.0
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "VOLSPLINE_THREADS")
 
 
 def _parse(argv):
@@ -109,8 +116,9 @@ def main(argv=None) -> int:
     bad = [f"{side} pair {i + 1}" for side, outs in runs.items() for i, out in enumerate(outs)
            if "error" in out or not out["correct"] or out["failed"]]
     rows = summarize(bench["end_to_end"], runs)
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARS)
     print(f"workload {args.workload}: {PAIRS} pairs, seeds {FIRST_SEED}-{FIRST_SEED + PAIRS - 1}, "
-          f"{SECONDS:g} s per run; median [quartiles]")
+          f"{SECONDS:g} s per run, {threads}; median [quartiles]")
     print(f"{'metric':14s} {'base':32s} {'head':32s} {'change':>8s} {'head won':>9s} {'base won':>9s}  verdict")
     for row in rows:
         if "base" not in row:
