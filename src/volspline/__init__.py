@@ -28,7 +28,6 @@ from volspline.bspline import (
     compile_basis,
     derivative_decomposition,
     design_matrix,
-    eval_basis,
     eval_spline,
     gram_matrix,
     make_basis,
@@ -46,7 +45,6 @@ __all__ = [
     "compile_basis",
     "derivative_decomposition",
     "design_matrix",
-    "eval_basis",
     "eval_spline",
     "gram_matrix",
     "make_basis",

@@ -10,13 +10,15 @@ keeps the full basis.
 
 Three evaluation routes are provided and agree to machine precision:
 
-* the forward order recursion, one point at a time (``_eval_all``),
+* the forward order recursion, one point at a time (``design_matrix``),
 * the backward (de Boor style) collapse of the weight vector, one point at
   a time,
 * the compiled piecewise-polynomial form evaluated by Horner's rule.
 
 The two recursions are the per-point reference routes; the compiled form
-is the route every engine evaluates by.
+is the route every engine evaluates by.  It has one Horner kernel,
+``_horner``, run on one spline or on the active window of a basis: the
+``order + 1`` functions that live on a knot interval (``CompiledBasis``).
 
 Polynomials are stored in local coordinates ``x - ref`` per interval so
 that compiled evaluation stays well conditioned for knots far from zero.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -42,8 +45,6 @@ __all__ = [
     "LebesgueMeasure",
     "make_basis",
     "locate",
-    "eval_basis",
-    "eval_basis_many",
     "design_matrix",
     "compile_basis",
     "eval_spline",
@@ -352,50 +353,14 @@ def _eval_all(spec: BasisSpec, x: float) -> np.ndarray:
     return vals
 
 
-def _forward_values(basis: BasisSpec, xs) -> np.ndarray:
-    """All ``k + n + 1`` untruncated basis values, one row per point."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise SplineError("evaluation points must be finite")
-    return np.array([_eval_all(basis, x) for x in xs.tolist()]).reshape(xs.size, basis.full_dimension)
-
-
-def eval_basis_many(basis: BasisSpec, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Active untruncated basis values at many points, by the forward
-    recursion at each point (a reference route; engines use the compiled
-    form).
-
-    Returns ``(first, vals)``: ``first[p] = locate(x_p) + 1`` is the full
-    index of the first active function and ``vals`` has one column per
-    active slot (n + 1 columns).
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    full = _forward_values(basis, xs)
-    first = locate(basis.knots, xs) + 1
-    return first, np.take_along_axis(full, first[:, None] + np.arange(basis.order + 1), axis=1)
-
-
-def eval_basis(basis: BasisSpec, x: float) -> tuple[int, np.ndarray]:
-    """Values of the possibly-nonzero truncated basis functions at ``x``.
-
-    Returns ``(first_active, values)`` in truncated indexing: the returned
-    values belong to kept functions ``first_active, first_active + 1, ...``
-    and there are at most ``order + 1`` of them (fewer where the active
-    window sticks out past a truncated wing).
-    """
-    row = _forward_values(basis, x)[0]
-    f = locate(basis.knots, float(x)) + 1
-    lo, hi = basis.first_index, basis.last_index
-    start, stop = max(f, lo), min(f + basis.order, hi)
-    if stop < start:
-        return 0, np.zeros(0)
-    return start - lo, row[start : stop + 1]
-
-
 def design_matrix(basis: BasisSpec, xs) -> np.ndarray:
     """Dense matrix of kept basis values, one row per point, by the forward
     recursion at each point."""
-    return _forward_values(basis, xs)[:, basis.first_index : basis.last_index + 1]
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise SplineError("evaluation points must be finite")
+    full = np.array([_eval_all(basis, x) for x in xs.tolist()]).reshape(xs.size, basis.full_dimension)
+    return full[:, basis.first_index : basis.last_index + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +413,23 @@ class PiecewisePoly:
         return float(acc[0]) if scalar else acc
 
     def derivative(self) -> "PiecewisePoly":
-        c = self.coeffs
-        if c.shape[1] == 1:
-            dc = np.zeros((c.shape[0], 1))
-        else:
-            dc = c[:, 1:] * np.arange(1, c.shape[1])
-        return PiecewisePoly(self._knots, self.refs, dc)
+        return PiecewisePoly(self._knots, self.refs, _derivative_coeffs(self.coeffs))
 
     def one_sided(self, x: float, p: int, side: str) -> float:
         """p-th derivative at ``x`` using the piece on the given side."""
-        idx = int(np.searchsorted(self.breakpoints, x, side="right" if side == "right" else "left"))
-        c = self.coeffs[idx].copy()
+        idx = np.searchsorted(self.breakpoints, [x], side="right" if side == "right" else "left")
+        pp = self
         for _ in range(p):
-            c = c[1:] * np.arange(1, c.size) if c.size > 1 else np.zeros(1)
-        u = x - self.refs[idx]
-        acc = 0.0
-        for d in range(c.size - 1, -1, -1):
-            acc = acc * u + c[d]
-        return float(acc)
+            pp = pp.derivative()
+        return float(_horner(pp._columns, idx, _local_coordinates(pp.refs, idx, x))[0])
+
+
+def _derivative_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Local coefficients of the derivatives, the degree along the last axis;
+    a constant's derivative keeps one zero coefficient."""
+    if coeffs.shape[-1] == 1:
+        return np.zeros_like(coeffs)
+    return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
 
 
 def _local_coordinates(refs: np.ndarray, idx: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -476,13 +440,14 @@ def _local_coordinates(refs: np.ndarray, idx: np.ndarray, xs: np.ndarray) -> np.
 
 
 def _horner(columns: np.ndarray, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Values at local coordinates ``u`` in pieces ``idx`` of the polynomial
-    whose degree-d coefficients are ``columns[d]``, by Horner's rule."""
-    acc = columns[-1].take(idx)
+    """Values at local coordinates ``u`` in pieces ``idx`` by Horner's rule,
+    gathering the degree-d coefficients ``columns[d]`` along axis 0: one per
+    piece for a spline, a row per piece for a window (with ``u`` a column)."""
+    acc = columns[-1].take(idx, axis=0)
     column = np.empty_like(acc)
     for d in range(columns.shape[0] - 2, -1, -1):
         acc *= u
-        acc += columns[d].take(idx, out=column, mode="clip")  # clip: out= unbuffered
+        acc += columns[d].take(idx, axis=0, out=column, mode="clip")  # clip: out= unbuffered
     return acc
 
 
@@ -498,14 +463,8 @@ def _binomial_shift(d: int, delta: float, scale: float) -> np.ndarray:
     """Local coefficients of ((u + delta) * scale)^d."""
     coeff = np.zeros(d + 1)
     for j in range(d + 1):
-        coeff[j] = _comb(d, j) * delta ** (d - j)
+        coeff[j] = comb(d, j) * delta ** (d - j)
     return coeff * scale**d
-
-
-def _comb(n: int, r: int) -> float:
-    from math import comb
-
-    return float(comb(n, r))
 
 
 @dataclass(frozen=True)
@@ -516,9 +475,11 @@ class CompiledBasis:
     j on interval i.  Shares breakpoints/refs across functions so products
     and integrals can work interval by interval.  Besides the pieces it
     holds only the full-basis index of the first kept function and the
-    basis order (the ``order + 1`` functions active on an interval), not the
-    ``BasisSpec``: the spec caches its compiled form, and a reference back
-    would make a cycle that only the garbage collector frees.
+    basis order, not the ``BasisSpec``: the spec caches its compiled form,
+    and a reference back would make a cycle that only the garbage collector
+    frees.  Piece i (``_piece_index``) carries only the ``order + 1``
+    functions of full index ``i .. i + order``, its active window:
+    ``active`` evaluates it and ``evaluate`` scatters it into a dense matrix.
     """
 
     first_index: int
@@ -532,42 +493,44 @@ class CompiledBasis:
         """The breakpoints with their spacing check, for locating points."""
         return KnotVector(self.breakpoints)
 
+    @cached_property
+    def window(self) -> tuple[np.ndarray, np.ndarray]:
+        """``kept[i, s]``, the kept index of full function ``i + s`` (the
+        dimension for a dropped one), and ``columns[d, i, s]``, its degree-d
+        coefficient on piece i (zero for a dropped one), for ``_horner``."""
+        dim, pieces = self.coeffs.shape[0], np.arange(self.refs.size)[:, None]
+        kept = pieces + np.arange(self.order + 1) - self.first_index
+        kept[(kept < 0) | (kept >= dim)] = dim
+        padded = np.concatenate([self.coeffs, np.zeros((1,) + self.coeffs.shape[1:])])
+        columns = np.ascontiguousarray(padded[kept, pieces].transpose(2, 0, 1))
+        for a in (kept, columns):
+            a.setflags(write=False)
+        return kept, columns
+
     @property
     def edges(self) -> np.ndarray:
         """Interval edges ``-inf, breakpoints..., +inf``; interval i is [edges[i], edges[i+1])."""
         return np.concatenate([[-np.inf], self.breakpoints, [np.inf]])
 
-    def evaluate(self, xs) -> np.ndarray:
-        """Dense (points, dimension) matrix via Horner on local coordinates."""
+    def active(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The piece index of each point and the ``(points, order + 1)``
+        values of its window's functions, in the slots of ``window``."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         idx = _piece_index(self.knot_vector, xs)
-        u = xs - self.refs[idx]
+        return idx, _horner(self.window[1], idx, _local_coordinates(self.refs, idx, xs)[:, None])
+
+    def evaluate(self, xs) -> np.ndarray:
+        """Dense (points, dimension) matrix of ``active``'s values; a dropped
+        function's go to a spare last column, so they overwrite no kept one."""
+        idx, values = self.active(xs)
         dim = self.coeffs.shape[0]
-        out = np.zeros((xs.size, dim))
-        lo = self.first_index
-        first = idx  # the piece index is locate + 1: the first active function
-        for s in range(self.order + 1):
-            j_full = first + s
-            keep = (j_full >= lo) & (j_full < lo + dim)
-            if not keep.any():
-                continue
-            rows = np.nonzero(keep)[0]
-            cols = j_full[keep] - lo
-            c = self.coeffs[cols, idx[keep], :]
-            acc = c[:, -1].copy()
-            for d in range(c.shape[1] - 2, -1, -1):
-                acc = acc * u[keep] + c[:, d]
-            out[rows, cols] = acc
-        return out
+        out = np.zeros((idx.size, dim + 1))
+        np.put_along_axis(out, self.window[0][idx], values, axis=1)
+        return out[:, :dim].copy()
 
     def derivative(self) -> "CompiledBasis":
         """The first derivatives of the kept functions, on the same pieces."""
-        c = self.coeffs
-        if c.shape[2] == 1:
-            dc = np.zeros_like(c)
-        else:
-            dc = c[:, :, 1:] * np.arange(1, c.shape[2])
-        return replace(self, coeffs=dc)
+        return replace(self, coeffs=_derivative_coeffs(self.coeffs))
 
     def affine_image(self, g0: float, h: float) -> "CompiledBasis":
         """The basis of the knots ``g0 + h * breakpoints``, without a compile.
@@ -590,11 +553,8 @@ class CompiledBasis:
         wc = np.tensordot(np.asarray(weights, dtype=float), self.coeffs, axes=(0, 0))
         return PiecewisePoly(self.knot_vector, self.refs, wc)
 
-    def spline_values(self, weights: np.ndarray, xs) -> np.ndarray:
-        return self.combination(weights)(np.atleast_1d(np.asarray(xs, dtype=float)))
-
     def spline_rows(self, weights, xs) -> np.ndarray:
-        """``spline_values(w, xs)`` for each row w of ``weights``, one row of
+        """``combination(w)(xs)`` for each row w of ``weights``, one row of
         values each, bit for bit; the points are located once for all rows."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         idx = _piece_index(self.knot_vector, xs)
@@ -709,12 +669,6 @@ class Spline:
     def compiled(self) -> PiecewisePoly:
         return self.basis.compiled().combination(self.weights)
 
-    def derivative_spline(self, p: int = 1) -> "Spline":
-        dm = derivative_decomposition(self.basis, p)
-        if dm.basis is None:
-            raise SplineError("derivative order reaches the Dirac comb; not a function spline")
-        return Spline(dm.basis, dm.matrix @ self.weights)
-
 
 def _full_weights(basis: BasisSpec, weights: np.ndarray) -> np.ndarray:
     w = np.zeros(basis.full_dimension)
@@ -753,7 +707,7 @@ def eval_spline(spline: Spline, x, method: str = "compiled"):
     pts = np.atleast_1d(xs)
     basis = spline.basis
     if method == "compiled":
-        out = basis.compiled().spline_values(spline.weights, pts)
+        out = basis.compiled().combination(spline.weights)(pts)
     elif method == "forward":
         out = design_matrix(basis, pts) @ spline.weights
     elif method == "backward":
@@ -945,35 +899,24 @@ class LebesgueMeasure:
         return (ub**p - ua**p) / p
 
 
-def gram_matrix(basis: BasisSpec, p: int = 0, weight=None) -> np.ndarray:
-    """Matrix of inner products of p-th derivatives of the kept functions.
+def gram_matrix(basis: BasisSpec, p: int = 0) -> np.ndarray:
+    """Matrix of Lebesgue inner products of p-th derivatives of the kept
+    functions (``weighted_gram`` integrates against a measure).
 
-    Against Lebesgue measure (``weight=None``) the integral runs over the
-    whole line, so the truncation order must satisfy ``t < p`` or the wing
-    functions would make it diverge.  ``p = order + 1`` uses the trapezoid
-    convention for the knot atoms.  A ``weight`` object with a
-    ``moment_table(lo, hi, ref, deg)`` method (a prior distribution; see
-    ``weighted_gram``) integrates products against that measure instead.
+    The integral runs over the whole line, so the truncation order must
+    satisfy ``t < p`` or the wing functions would make it diverge.
+    ``p = order + 1`` uses the trapezoid convention for the knot atoms.
     """
     n = basis.order
     if not 0 <= p <= n + 1:
         raise SplineError(f"penalty order p={p} outside [0, order + 1]")
-    if p == n + 1:
-        if weight is not None:
-            raise SplineError("comb inner products support only the trapezoid convention")
-        dm = derivative_decomposition(basis, p)
-        core = _comb_gram(basis.knots)
-        return dm.matrix.T @ core @ dm.matrix
     dm = derivative_decomposition(basis, p)
-    low = dm.basis
-    assert low is not None
-    if weight is None:
-        if basis.truncation >= p:
-            raise SplineError(
-                "square-integrability over the line needs truncation < penalty order"
-            )
-        weight = LebesgueMeasure()
-    core = weighted_gram(low.compiled(), weight)
+    if p == n + 1:
+        core = _comb_gram(basis.knots)
+    elif basis.truncation >= p:
+        raise SplineError("square-integrability over the line needs truncation < penalty order")
+    else:
+        core = weighted_gram(dm.basis.compiled(), LebesgueMeasure())
     return dm.matrix.T @ core @ dm.matrix
 
 

@@ -204,7 +204,7 @@ def _profile_evaluation(r: Runner, knots, order: int) -> None:
     t_rec = time.perf_counter() - t0
     t0 = time.perf_counter()
     cb = bs.compile_basis(basis)  # include the pre-processing cost
-    cb.spline_values(w, xs)
+    cb.combination(w)(xs)
     t_cmp = time.perf_counter() - t0
     r.timings["eval_recursive_per_point"] = t_rec
     r.timings["eval_compiled_total"] = t_cmp
@@ -271,6 +271,9 @@ def cmd_regress(r: Runner) -> None:
         if cfg["center_knots"]:
             knots = knots + float(np.mean(sample.x))
         if np.any(np.diff(knots) <= 0.0):
+            if sample.sigma_x > 0.0:  # the sample spreads: the half-width put the knots together
+                raise ConfigError(f"config field 'knot_halfwidth_stds' must be wide enough for distinct knots, "
+                                  f"got {halfwidth!r} for a sample standard deviation of {sample.sigma_x!r}")
             raise ConfigError(f"config field 'sample' must spread its x values over distinct knots, "
                               f"got standard deviation {sample.sigma_x!r} in {cfg['sample']!r}")
         basis = bs.make_basis(knots, cfg["order"], cfg["truncation"])
@@ -518,13 +521,13 @@ def _span_basis(cfg, v0: float) -> bs.BasisSpec:
     return bs.make_basis(np.linspace(cfg["s0"] - half, cfg["s0"] + half, cfg["knots"]), cfg["order"], truncation=0)
 
 
-def _dominating_base(cfg, coef, peak: float, iterations: int = 50) -> float:
+def _dominating_base(cfg, coef, peak: float) -> float:
     """The smallest base above ``peak`` at least the local variance on its
     own knot span, which widens as the base rises: the fixed point of
-    v -> the peak local variance on v's span, reached from below.  For the
-    constant and affine forms the peak grows like sqrt(v), and a few steps
-    reach it."""
-    for _ in range(iterations):
+    v -> the peak local variance on v's span, reached from below in at most
+    50 steps.  For the constant and affine forms the peak grows like
+    sqrt(v), and a few steps reach it."""
+    for _ in range(50):
         v, peak = peak, pde.local_variance_range(coef, _span_basis(cfg, peak), cfg["horizon"])[1][0]
         if peak <= v:
             return v

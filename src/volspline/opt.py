@@ -158,11 +158,12 @@ PROX_EXHAUSTED = "proximal rounds exhausted"
 
 _CAP_ROUNDS = 60  # solves of the cap's multiplier search, doublings and secant steps, at most
 _PROX_ROUNDS = 200  # proximal-point rounds of a flat program, at most
+_TOL = 1e-8  # the optimality test of every solve: residuals and gap at or below it
 
 
-def _equilibrate(G, h, A, b, f, P, sweeps: int = 6):
-    """Ruiz-style scaling: each row of G and of A has its own scalar, and
-    a zero row of G keeps its scale.
+def _equilibrate(G, h, A, b, f, P):
+    """Ruiz-style scaling in six sweeps: each row of G and of A has its own
+    scalar, and a zero row of G keeps its scale.
 
     Columns are scaled by their largest entry in ``[d P d; G; A]``, as in
     OSQP; a column with no entry at all keeps its scale.  Returns the scaled
@@ -183,7 +184,7 @@ def _equilibrate(G, h, A, b, f, P, sweeps: int = 6):
     e = np.ones(m)
     a = np.ones(A.shape[0])
     absP, absGT, absAT = np.abs(P), np.abs(G.T, order="C"), np.abs(A.T, order="C")
-    for _ in range(sweeps):
+    for _ in range(6):
         GsT, AsT = absGT * e, absAT * a  # column-scaled once d is updated
         col = (d[:, None] * absP).max(axis=0) * d
         np.maximum(col, GsT.max(axis=1, initial=0.0) * d, out=col)
@@ -446,18 +447,19 @@ def _least_violation(x, G, h, A, b, viol_tol: float, max_steps: int):
     return x if out[5] else out[0][:n]
 
 
-def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
+def solve_socp(prog: SOCProgram) -> Solution:
     """Solve ``min 0.5 x^T P x + f^T x`` over the orthant rows, the
     equalities and at most one second-moment cap ``||C x|| <= d``.
 
     Returns a Solution whose status is ``optimal``, ``infeasible`` or
     ``max_iter``, and whose ``exit`` says why a route stopped short.
-    ``optimal`` means, on the internally equilibrated problem:
+    ``optimal`` means, on the internally equilibrated problem, with one
+    tolerance for every engine, ``_TOL = 1e-8``:
 
-    - primal residuals at or below ``tol``;
-    - the dual residual at or below ``tol``, relative to the largest of 1,
+    - primal residuals at or below ``_TOL``;
+    - the dual residual at or below ``_TOL``, relative to the largest of 1,
       ``|f|``, ``|P x|``, ``|A^T y|`` and ``|G^T z|``;
-    - the gap at or below ``tol``.  It is exactly 0 for a point of the
+    - the gap at or below ``_TOL``.  It is exactly 0 for a point of the
       active-set route (``s = max(h - G x, 0)`` is 0 on the working set,
       off which ``z`` is 0); with a cap that binds it is the cap's relative
       slack ``1 - ||C x|| / d``.
@@ -484,7 +486,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
       steps.  After each round the KKT system of P on the round's working
       set is solved as well, OSQP's polishing (Stellato et al. 2020).
       The answer is the first polished point that passes the test on P
-      and f, or round point that passes it at ``tol / 100``.  On an LP
+      and f, or round point that passes it at ``_TOL / 100``.  On an LP
       the rounds end after finitely many (Ferris 1991); after
       ``_PROX_ROUNDS`` the status is ``max_iter``.
 
@@ -503,7 +505,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
     mu doubles until the cap holds, and then a safeguarded secant on
     ``1 / ||C x_mu|| - 1 / d``, nearly linear in mu (More & Sorensen
     1983), finds the mu where the cap binds to a relative slack of
-    ``tol / 100``; ``_CAP_ROUNDS`` solves in all.  A cap that never holds
+    ``_TOL / 100``; ``_CAP_ROUNDS`` solves in all.  A cap that never holds
     is ``infeasible``.
 
     Non-finite data (in ``P``, ``f``, ``G``, ``h``, ``A``, ``b``, or the
@@ -525,8 +527,8 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
     bnorm = max(1.0, np.linalg.norm(b))
     hnorm = max(1.0, np.linalg.norm(h))
     fnorm = max(1.0, np.linalg.norm(f))
-    # the rows outside the working set may add at most tol / 100 to pres
-    viol_tol, max_steps = 1e-2 * tol * hnorm, 4 * (m + p) + 10
+    # the rows outside the working set may add at most _TOL / 100 to pres
+    viol_tol, max_steps = 1e-2 * _TOL * hnorm, 4 * (m + p) + 10
 
     def residuals(Pq, x, y, z, active):
         """Primal and dual residuals and gap of a point on the curvature Pq."""
@@ -544,7 +546,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
         if why == "infeasible":
             return _least_violation(x, G, h, A, b, viol_tol, max_steps), why, (np.inf,) * 3, steps, ""
         res = residuals(Pq, x, y, z, active)
-        return x, "optimal" if not why and max(res) <= tol else "max_iter", res, steps, why or ""
+        return x, "optimal" if not why and max(res) <= _TOL else "max_iter", res, steps, why or ""
 
     def proximal(Pq):
         """Proximal-point rounds on the flat curvature Pq."""
@@ -559,8 +561,8 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
             route = _dual_active_set(L, Pp, G, h, A, b, f - sigma * x, viol_tol, max_steps)
             steps += route[4]
             out = verdict(Pq, route, steps)
-            # the round's own point is off by sigma (x_k - x): take it well within tol
-            if out[1] == "infeasible" or out[4] or max(out[2]) <= 1e-2 * tol:
+            # the round's own point is off by sigma (x_k - x): take it well within _TOL
+            if out[1] == "infeasible" or out[4] or max(out[2]) <= 1e-2 * _TOL:
                 return out
             x, active = out[0], route[3]
             # polish, as OSQP does: a KKT point of Pq itself on the round's working
@@ -581,7 +583,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
             x, y = _penalized_kkt_point(Pq, G, h, A, b, f)
             res = residuals(Pq, x, y, np.zeros(0), np.zeros(0, dtype=bool))
             # an unbounded objective leaves a dual residual no x can remove
-            return x, "optimal" if max(res) <= tol else "infeasible", res, 0, ""
+            return x, "optimal" if max(res) <= _TOL else "infeasible", res, 0, ""
         Pr, fr, rho = Pq, f, 0.0  # the objective the active-set route minimizes
         L = _strict_cholesky(Pq)
         if L is None and p:
@@ -615,7 +617,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
         for _ in range(_CAP_ROUNDS):
             if hi is None:
                 mu = max(2.0 * lo, 1.0)  # double mu until the cap holds
-            elif dc - hi[2] <= 1e-2 * tol * dc:
+            elif dc - hi[2] <= 1e-2 * _TOL * dc:
                 break
             else:  # phi increases with mu: the secant through its last two values, kept in (lo, hi)
                 mu = np.nan
@@ -637,7 +639,7 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
             return out[0], "infeasible", (np.inf,) * 3, steps, NO_BRACKET
         _, out, r = hi
         res = out[2][:2] + ((dc - r) / dc,)  # the cap's complementarity: it binds
-        ok = max(res) <= tol
+        ok = max(res) <= _TOL
         return out[0], "optimal" if ok else "max_iter", res, steps, "" if ok else CAP_UNCONVERGED
 
     x, status, res, steps, why = solve(P) if prog.cap is None else capped(prog.cap[0] * d_scale, prog.cap[1])
@@ -649,16 +651,16 @@ def solve_socp(prog: SOCProgram, tol: float = 1e-8) -> Solution:
 # quadratic programs and weighted pseudoinverse
 # ---------------------------------------------------------------------------
 
-def solve_qp(quad: QuadForm, constraints=None, tol: float = 1e-8) -> Solution:
+def solve_qp(quad: QuadForm, constraints=None) -> Solution:
     """Minimize the quadratic form under a ``ConstraintSet`` (or none).
 
     The inequality rows ``rows @ x >= rhs`` become the orthant block
     ``G = -rows``, ``h = -rhs``, and the set's cap the program's ``cap``.
     """
     if constraints is None:
-        return solve_socp(SOCProgram(quad.q, P=quad.P), tol=tol)
+        return solve_socp(SOCProgram(quad.q, P=quad.P))
     A_eq, b_eq, ineq_rows, ineq_rhs, cap = constraints.as_blocks()
-    return solve_socp(SOCProgram(quad.q, A_eq, b_eq, quad.P, -ineq_rows, -ineq_rhs, cap), tol=tol)
+    return solve_socp(SOCProgram(quad.q, A_eq, b_eq, quad.P, -ineq_rows, -ineq_rhs, cap))
 
 
 def pseudoinverse_lsq(A, b, Q) -> np.ndarray:

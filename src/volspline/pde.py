@@ -179,6 +179,7 @@ GL_POINTS = 10  # Gauss-Legendre points per knot interval in the weak form
 _CHECK_TIMES = 17  # times on [0, horizon] at which PDEProblem checks the local variance
 _BLOCK_STEPS = 10  # steps whose operators evolve holds at once
 _BLOWUP = 1e6  # largest |weight| evolve accepts
+_RANNACHER = 2  # fully implicit steps that start a cn march
 _SINGULAR = 1.0 / np.finfo(float).eps  # condition number past which a step system counts as singular
 
 
@@ -212,9 +213,10 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
     local basis products there, the basis and its first two derivatives at
     the boundary knots, and the live polynomial pieces.
 
-    On a knot interval only the ``order + 1`` functions that start at its
-    piece index are nonzero.  For each interval ``products`` holds, at each
-    of its Gauss points, the outer products ``b_a b_b``, ``b_a b_b'`` and
+    On a knot interval only the ``order + 1`` functions of its piece's
+    window (``CompiledBasis.window``) are nonzero, and ``CompiledBasis.active``
+    gives their values.  For each interval ``products`` holds, at each of
+    its Gauss points, the outer products ``b_a b_b``, ``b_a b_b'`` and
     ``b_a' b_b'`` of those functions, stacked along the point axis in that
     order; ``scatter`` places local entry ``(a, b)`` at its global
     (test, trial) position.  A function the truncation drops has zero
@@ -226,19 +228,12 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
     pts = np.array([g[0], g[-1]])
     d1 = cb.derivative()
     dim, size = cb.coeffs.shape[0], cb.order + 1
-    # interval [g[i], g[i+1]) is piece i + 1, whose first live function has full index i + 1
-    cols = live[:, None] + 1 - cb.first_index + np.arange(size)
-    kept = (cols >= 0) & (cols < dim)
-    cols = np.where(kept, cols, 0)
-
-    def local(values):  # (intervals, points, order + 1) values of the live functions
-        values = values.reshape(live.size, GL_POINTS, dim)
-        return np.take_along_axis(values, cols[:, None, :], axis=2) * kept[:, None, :]
-
-    V, D = local(cb.evaluate(xs)), local(d1.evaluate(xs))
+    V, D = (b.active(xs)[1].reshape(live.size, GL_POINTS, size) for b in (cb, d1))
     products = np.concatenate(
         [V[..., :, None] * V[..., None, :], V[..., :, None] * D[..., None, :], D[..., :, None] * D[..., None, :]], axis=1
     ).reshape(live.size, 3 * GL_POINTS, size * size)
+    # interval [g[i], g[i+1]) is piece i + 1; a dropped function's spare index, dim, wraps to 0
+    cols = cb.window[0][live + 1] % dim
     scatter = (cols[:, :, None] * dim + cols[:, None, :]).reshape(-1)
     for arr in (xs, ws, products, scatter):
         arr.setflags(write=False)
@@ -474,12 +469,12 @@ def evolve(
     problem: PDEProblem,
     steps: int,
     scheme: str = "cn",
-    rannacher: int = 2,
 ) -> Trajectory:
     """March the constrained system from the constant initial ratio.
 
-    Schemes: ``explicit``, ``implicit`` or ``cn`` (trapezoidal); the first
-    ``rannacher`` steps run fully implicit to damp the stiff startup layer.
+    Schemes: ``explicit``, ``implicit`` or ``cn`` (trapezoidal).  Under
+    ``cn`` the first two steps (``_RANNACHER``) run fully implicit, which
+    damps the stiff startup layer (Rannacher 1984).
     The matrices are evaluated at each step's midpoint, which keeps the
     trapezoidal scheme second order and avoids the coefficient singularity
     at t = 0.  Mass and mean are re-imposed exactly after every step, and
@@ -505,7 +500,7 @@ def evolve(
     times = np.linspace(0.0, problem.horizon, steps + 1)
     thetas = np.full(steps, theta)
     if scheme == "cn":
-        thetas[: max(rannacher, 0)] = 1.0
+        thetas[:_RANNACHER] = 1.0
 
     # startup check: the truncated basis must reproduce the constant 1
     g = basis.knots.knots

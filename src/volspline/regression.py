@@ -318,14 +318,14 @@ def solve_penalized(V, c, R, lam: float, sample: Sample, cb: CompiledBasis) -> n
     return w
 
 
-def solve_constrained(V, c, R, lam: float, constraints: ConstraintSet | None, tol: float = 1e-8) -> np.ndarray:
+def solve_constrained(V, c, R, lam: float, constraints: ConstraintSet | None) -> np.ndarray:
     """Weights minimizing ``w^T (V + lam R) w - 2 c^T w`` under the constraints.
 
     Only an ``optimal`` solve gives weights; ``solution_weights`` raises
     ``opt.InfeasibleError`` or ``opt.OptError`` on any other status.
     """
     quad = opt.QuadForm(2.0 * (V + lam * R), -2.0 * c)
-    return solution_weights(opt.solve_qp(quad, constraints, tol=tol), constraints, "constrained regression")
+    return solution_weights(opt.solve_qp(quad, constraints), constraints, "constrained regression")
 
 
 def fit_penalized(sample: Sample, cfg: RegressionConfig, lam: float | None = None) -> Spline:
@@ -342,14 +342,13 @@ def fit_constrained(
     cfg: RegressionConfig,
     lam: float | None = None,
     constraints: ConstraintSet | None = None,
-    tol: float = 1e-8,
 ) -> Spline:
     """Penalized least squares under a constraint set, via ``opt.solve_qp``;
     a solve that does not end ``optimal`` raises (see ``solution_weights``)."""
     if lam is None:
         lam = tikhonov_factor(sample, cfg)
     V, c = design_system(sample, cfg.basis.compiled())
-    return Spline(cfg.basis, solve_constrained(V, c, penalty_matrix(cfg), lam, constraints, tol))
+    return Spline(cfg.basis, solve_constrained(V, c, penalty_matrix(cfg), lam, constraints))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "ConstraintFlags",
     "LeverageSlice",
     "LeverageSurface",
-    "ou_step_exact",
     "forward_variance",
     "fourth_moment",
     "calibrate_leverage",
@@ -115,21 +114,6 @@ def _increments(z0: np.ndarray, z1: np.ndarray, dt: float, p: ScottParams):
     np.multiply(z0, np.sqrt(v11), out=innov)
     innov *= p.nu
     return dw, innov
-
-
-def ou_step_exact(u: np.ndarray, dt: float, p: ScottParams, normals: np.ndarray):
-    """Advance the OU state exactly and return the correlated spot increment.
-
-    ``normals`` holds two independent standard normal rows; the increments
-    are those of ``_increments``, and ``u`` is left as it is.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    z0, z1 = normals
-    dw, innov = _increments(z0, z1, dt, p)
-    u_new = u * np.exp(-p.theta * dt)
-    u_new += innov
-    return u_new, dw
 
 
 @dataclass(frozen=True)

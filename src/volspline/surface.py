@@ -318,8 +318,10 @@ class SurfaceConfig:
     relative_grid_size: int = 81
     knot_pad_gaps: float = 1.0
 
-    # the least value of each bounded field, which the CLI's config declaration reads too
-    LOWS = {"relative_grid_size": 1, "curvature_weight": 0, "time_smoothness_weight": 0, "lsq_weight": 0}
+    # the least value of each bounded field, which the CLI's config declaration reads too: the curvature
+    # penalty, of order 2, needs order >= 1, and a negative pad leaves the outer quotes off the knot span
+    LOWS = {"order": 1, "relative_grid_size": 1, "curvature_weight": 0, "time_smoothness_weight": 0, "lsq_weight": 0,
+            "knot_pad_gaps": 0}
 
     def __post_init__(self) -> None:
         if self.n_knots < self.order + 2:
@@ -432,7 +434,6 @@ def calibrate_surface(
     prior,
     config: SurfaceConfig = SurfaceConfig(),
     mode: str = "bracket",
-    tol: float = 1e-8,
 ) -> SurfaceCalibration:
     """Joint quadratic-program calibration of every maturity slice.
 
@@ -501,7 +502,7 @@ def calibrate_surface(
         rel_grid = _relative_grid(basis, measures, config)
         cs = cs.merge(calendar_constraints(basis, measures, [sl.forward for sl in market], rel_grid))
 
-    x = solution_weights(opt.solve_qp(opt.QuadForm(P, q), cs, tol=tol), cs, "surface calibration")
+    x = solution_weights(opt.solve_qp(opt.QuadForm(P, q), cs), cs, "surface calibration")
 
     slices = tuple(
         RNSlice(
@@ -536,7 +537,10 @@ class SurfaceReport:
         )
 
 
-def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1000, tol: float = 1e-7) -> SurfaceReport:
+_VALIDATE_TOL = 1e-7  # a check of validate passes at a worst margin of at least -_VALIDATE_TOL
+
+
+def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1000) -> SurfaceReport:
     """Static-arbitrage checks on dense grids.
 
     Reported, never enforced: monotonicity and convexity of calls in
@@ -544,7 +548,7 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
     calendar monotonicity at constant relative strike, and the
     tangent-versus-chord condition on each bracket of the relative grid
     (the latter may fail between grid points without invalidating the
-    fine-grid calibration).
+    fine-grid calibration).  Each check passes at or above ``-_VALIDATE_TOL``.
     """
     checks: list[tuple[str, bool, float, bool]] = []
     mono_worst = np.inf
@@ -578,10 +582,10 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
             float(calls[0] - (sl.forward - strikes[0])),  # deep ITM: C >= F - K
             float(calls[-1]),  # deep OTM: C >= 0 and small
         )
-    checks.append(("call monotonicity in strike", mono_worst >= -tol, mono_worst, True))
-    checks.append(("call convexity in strike", conv_worst >= -tol, conv_worst, True))
-    checks.append(("density nonnegative", dens_worst >= -tol, dens_worst, True))
-    checks.append(("price limits at extreme strikes", lim_worst >= -tol, lim_worst, True))
+    checks.append(("call monotonicity in strike", mono_worst >= -_VALIDATE_TOL, mono_worst, True))
+    checks.append(("call convexity in strike", conv_worst >= -_VALIDATE_TOL, conv_worst, True))
+    checks.append(("density nonnegative", dens_worst >= -_VALIDATE_TOL, dens_worst, True))
+    checks.append(("price limits at extreme strikes", lim_worst >= -_VALIDATE_TOL, lim_worst, True))
     checks.append(("unit mass", mass_worst <= 1e-8, mass_worst, True))
     checks.append(("forward repriced", fwd_worst <= 1e-8, fwd_worst, True))
     checks.append(("put-call parity", parity_worst <= 1e-10, parity_worst, True))
@@ -612,8 +616,8 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
             cu = c2[:-1] + s_lo * (xstar - x0)
             cd = c1[:-1] + (c1[1:] - c1[:-1]) * (xstar - x0) / (x1 - x0)
             tangent_worst = min(tangent_worst, float(np.fmin.reduce(cu - cd, initial=np.inf)))  # skips NaN
-        checks.append(("calendar monotonicity on fine grid", cal_worst >= -tol, cal_worst, True))
+        checks.append(("calendar monotonicity on fine grid", cal_worst >= -_VALIDATE_TOL, cal_worst, True))
         # sufficient condition between grid points, stronger than what the
         # calibration enforces; may fail without invalidating the fit
-        checks.append(("tangent-chord calendar condition", tangent_worst >= -tol, tangent_worst, False))
+        checks.append(("tangent-chord calendar condition", tangent_worst >= -_VALIDATE_TOL, tangent_worst, False))
     return SurfaceReport(checks=tuple(checks))

@@ -25,10 +25,8 @@ class TestConstruction:
     def test_order0_indicators(self):
         basis = bs.make_basis([0.0, 1.0], 0)
         assert basis.dimension == 3
-        for x, idx in ((-0.5, 0), (0.5, 1), (1.5, 2)):
-            first, vals = bs.eval_basis(basis, x)
-            assert first == idx
-            np.testing.assert_allclose(vals, [1.0])
+        rows = bs.design_matrix(basis, [-0.5, 0.5, 1.5])
+        np.testing.assert_allclose(rows, np.eye(3))
 
     def test_truncated_dimension(self):
         # removing the wing functions above degree t leaves k + 2t - n + 1
@@ -103,12 +101,8 @@ class TestLocate:
 class TestEvaluation:
     def test_hand_unrolled_order1(self):
         basis = bs.make_basis([0.0, 1.0], 1)
-        first, vals = bs.eval_basis(basis, 0.5)
-        assert first == 1
-        np.testing.assert_allclose(vals, [0.5, 0.5], atol=1e-15)
-        first, vals = bs.eval_basis(basis, -1.0)
-        assert first == 0
-        np.testing.assert_allclose(vals, [1.0, 1.0], atol=1e-15)
+        rows = bs.design_matrix(basis, [0.5, -1.0])
+        np.testing.assert_allclose(rows, [[0.0, 0.5, 0.5, 0.0], [1.0, 1.0, 0.0, 0.0]], atol=1e-15)
 
     def test_partition_of_unity_interior(self):
         rng = np.random.default_rng(2)
@@ -123,8 +117,7 @@ class TestEvaluation:
         rng = np.random.default_rng(3)
         basis = random_basis(rng, n_knots=8, order=3)
         xs = rng.uniform(-6, 6, 500)
-        _, vals = bs.eval_basis_many(basis, xs)
-        assert vals.min() >= -1e-14
+        assert bs.design_matrix(basis, xs).min() >= -1e-14
 
     def test_compile_matches_forward(self):
         rng = np.random.default_rng(4)
@@ -188,9 +181,8 @@ class TestEvaluation:
 
     def test_truncated_evaluation_drops_wings(self):
         basis = bs.make_basis(np.arange(6.0), 2, truncation=0)
-        first, vals = bs.eval_basis(basis, -3.0)  # left of all knots
-        assert first == 0
-        np.testing.assert_allclose(vals, [1.0])  # only the constant wing survives
+        row = bs.design_matrix(basis, [-3.0])[0]  # left of all knots
+        np.testing.assert_allclose(row, np.eye(basis.dimension)[0])  # only the constant wing survives
 
 
 class TestAffineEquivariance:

@@ -353,8 +353,14 @@ def test_unknown_or_incomplete_option_exits_2(tmp_path, capsys, monkeypatch, com
         ("surface-calibrate", "surface_synthetic.json", "config.curvature_weight=-1", "'curvature_weight'"),
         ("surface-calibrate", "surface_synthetic.json", "config.time_smoothness_weight=-5", "'time_smoothness_weight'"),
         ("surface-calibrate", "surface_synthetic.json", "config.lsq_weight=-1", "'lsq_weight'"),
+        # exited 4 in the basis or the curvature penalty, and 3 as an infeasible bid-ask fit
+        ("surface-calibrate", "surface_synthetic.json", "config.order=-1", "'order'"),
+        ("surface-calibrate", "surface_synthetic.json", "config.order=0", "'order'"),
+        ("surface-calibrate", "surface_synthetic.json", "config.knot_pad_gaps=-1", "'knot_pad_gaps'"),
         ("regress", "regress_demo.json", "penalty_order=0", "penalty_order"),
         ("regress", "regress_demo.json", "truncation=5", "truncation"),
+        # the sample spreads, but the half-width puts every knot at its mean: the sample was blamed
+        ("regress", "regress_demo.json", "knot_halfwidth_stds=1e-300", "'knot_halfwidth_stds'"),
         # --set keeps a value that is not JSON as a string: "False" is not the flag false
         ("regress", "regress_demo.json", "center_knots=False", "'center_knots'"),
         ("regress", "regress_demo.json", "center_knots=0", "'center_knots'"),

@@ -131,7 +131,7 @@ class TestSolveSOCP:
 
     def test_kkt_residuals_reported(self):
         prog = opt.SOCProgram(np.array([1.0]), cap=(np.array([[1.0]]), 1.0))
-        sol = opt.solve_socp(prog, tol=1e-8)
+        sol = opt.solve_socp(prog)
         assert max(sol.kkt_residuals) <= 1e-8
 
     def test_singular_kkt_matrix_ends_the_iteration(self):

@@ -233,7 +233,7 @@ class TestEvolve:
     def test_explicit_blowup_guard(self):
         prob = ratio_problem(0.8, n_knots=40, half_sigmas=5.0)
         with pytest.raises(pde.PDEError, match="blew up"):
-            pde.evolve(prob, 20, scheme="explicit", rannacher=0)
+            pde.evolve(prob, 20, scheme="explicit")
 
     def test_density_positive_and_normalized(self):
         prob = ratio_problem(0.9, n_knots=30)
@@ -294,8 +294,8 @@ class TestEvolve:
         basis = bs.make_basis(np.linspace(S0 - half, S0 + half, 25), 3, truncation=0)
         base = max(V0, float(coef.value(0.0, basis.knots.knots).max()))  # dominates the variance on the span
         prob = pde.PDEProblem(coef, base, S0, basis, 1.0)
-        steps, rannacher = 12, 2
-        traj = pde.evolve(prob, steps, scheme=scheme, rannacher=rannacher)
+        steps, rannacher = 12, 2  # evolve starts a cn march with two implicit steps
+        traj = pde.evolve(prob, steps, scheme=scheme)
 
         times = np.linspace(0.0, 1.0, steps + 1)
         A = pde.assemble(prob, 0.5 * (times[0] + times[1])).mass
@@ -358,16 +358,17 @@ class RampVariance(pde.VarianceCoef):
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def public_march(prob, steps, scheme="cn", rannacher=2):
+def public_march(prob, steps, scheme="cn"):
     """Weights and projection sizes of ``steps`` steps composed from the
-    public step functions, each building its own tables."""
+    public step functions, each building its own tables; a cn march starts
+    with two implicit steps, as ``evolve``'s does."""
     times = np.linspace(0.0, prob.horizon, steps + 1)
     A = pde.assemble(prob, 0.5 * (times[0] + times[1])).mass
     w = np.ones(prob.basis.dimension)
     weights, proj = [w], []
     for m in range(steps):
         th = {"explicit": 0.0, "implicit": 1.0, "cn": 0.5}[scheme]
-        th = 1.0 if scheme == "cn" and m < rannacher else th
+        th = 1.0 if scheme == "cn" and m < 2 else th
         dt, tm = times[m + 1] - times[m], 0.5 * (times[m] + times[m + 1])
         B = pde.assemble(prob, tm).stiffness
         vals, op = pde.collocation_rows(prob, tm)

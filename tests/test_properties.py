@@ -123,9 +123,38 @@ def test_evaluation_routes_agree(data, order, extra, centre):
     for route in ("backward", "compiled"):
         assert np.max(np.abs(spline(xs, method=route) - forward) / scale(spline)) <= 1e-12, route
     if order:
-        slope = spline.derivative_spline(1)
+        dm = bs.derivative_decomposition(basis, 1)
+        slope = bs.Spline(dm.basis, dm.matrix @ spline.weights)
         err = np.abs(slope(xs, method="forward") - spline.compiled().derivative()(xs))
         assert np.max(err / scale(slope)) <= 1e-12
+
+
+@SETTINGS
+@given(data=st.data(), order=st.integers(0, 5), n_knots=st.integers(0, 8), centre=centres)
+def test_evaluate_columns_are_the_unit_combinations_bit_for_bit(data, order, n_knots, centre):
+    """Column j of ``CompiledBasis.evaluate``, the active window scattered
+    to its kept columns, is ``combination(e_j)``, the Horner rule of kept
+    function j alone, value for value: for every truncation, repeated
+    knots, orders above the knot count, points on the knots and beyond
+    them, and the derivatives' bases."""
+    gaps = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=max(n_knots - 1, 0),
+                              max_size=max(n_knots - 1, 0)))
+    g = centre + np.concatenate([[0.0], np.cumsum(gaps)]) if n_knots else np.zeros(0)
+    truncation = data.draw(st.integers(-1, order)) if order <= n_knots else order
+    try:
+        basis = bs.make_basis(g, order, truncation)
+    except bs.SplineError:  # knots repeated beyond order + 1, or a truncation that keeps nothing
+        assume(False)
+    lo, hi = (g[0], g[-1]) if n_knots else (centre - 1.0, centre + 1.0)
+    span = max(hi - lo, 1.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    xs = np.concatenate([rng.uniform(lo - 3.0 * span, hi + 3.0 * span, 60), g])
+    cb = basis.compiled()
+    for compiled in (cb, cb.derivative()):
+        values = compiled.evaluate(xs)
+        assert values.shape == (xs.size, basis.dimension)
+        for j, unit in enumerate(np.eye(basis.dimension)):
+            assert np.array_equal(values[:, j], compiled.combination(unit)(xs)), j
 
 
 # ---------------------------------------------------------------------------

@@ -54,50 +54,49 @@ class TestClosedForms:
 
 
 class TestOUStep:
+    """The engine advances the OU state by ``u e^{-theta dt} + innov``, with
+    ``dw, innov = _increments(z0, z1, dt, p)`` (see ``_particle_step``)."""
+
     def test_deterministic_when_no_volofvol(self):
         p = slv.ScottParams(100.0, 0.2, 1.3, 0.0, 0.0, 0.25)
-        u = np.array([0.5, -0.2])
-        normals = np.ones((2, 2))
-        u_new, _ = slv.ou_step_exact(u, 0.4, p, normals)
-        np.testing.assert_allclose(u_new, u * np.exp(-1.3 * 0.4), rtol=1e-14)
+        _, innov = slv._increments(np.ones(2), np.ones(2), 0.4, p)
+        np.testing.assert_array_equal(innov, 0.0)
 
     def test_stationary_variance(self, params):
         rng = np.random.default_rng(1)
         u = np.zeros(200_000)
         for _ in range(60):
-            u, _ = slv.ou_step_exact(u, 0.2, params, rng.standard_normal((2, u.size)))
+            _, innov = slv._increments(*rng.standard_normal((2, u.size)), 0.2, params)
+            u = u * np.exp(-params.theta * 0.2) + innov
         target = params.nu**2 / (2 * params.theta)
         assert u.var() == pytest.approx(target, rel=0.02)
 
     def test_increment_correlation(self, params):
         rng = np.random.default_rng(2)
         n = 500_000
-        u0 = np.zeros(n)
-        u1, dw = slv.ou_step_exact(u0, 0.5, params, rng.standard_normal((2, n)))
-        integ = (u1 - u0 * np.exp(-params.theta * 0.5)) / params.nu
+        dw, innov = slv._increments(*rng.standard_normal((2, n)), 0.5, params)
+        integ = innov / params.nu
         v11, v12 = slv._ou_cov(params, 0.5)
         assert np.cov(integ, dw)[0, 1] == pytest.approx(v12, abs=3e-3)
         assert dw.var() == pytest.approx(0.5, rel=0.01)
 
     @pytest.mark.parametrize("rho", [-0.8, 1.0])
-    def test_buffered_step_equals_the_plain_formula(self, params, rho):
+    def test_buffered_increments_equal_the_plain_formula(self, params, rho):
         # the same operations in the same order, written into fewer arrays;
         # rho = 1 leaves no independent part in dw
         p = dataclasses.replace(params, rho=rho)
         rng = np.random.default_rng(3)
-        u, normals = rng.standard_normal(1001), rng.standard_normal((2, 1001))
-        u_in, normals_in = u.copy(), normals.copy()
+        normals = rng.standard_normal((2, 1001))
+        normals_in = normals.copy()
         for dt in (0.025, 0.5):
             v11, v12 = slv._ou_cov(p, dt)
             z0, z1 = normals
             integ = np.sqrt(v11) * z0
             resid = dt - v12**2 / v11
             dw_want = v12 / np.sqrt(v11) * z0 + np.sqrt(max(resid, 0.0)) * z1
-            u_want = u * np.exp(-p.theta * dt) + p.nu * integ
-            u_new, dw = slv.ou_step_exact(u, dt, p, normals)
-            np.testing.assert_array_equal(u_new, u_want)
+            dw, innov = slv._increments(z0, z1, dt, p)
+            np.testing.assert_array_equal(innov, p.nu * integ)
             np.testing.assert_array_equal(dw, dw_want)
-        np.testing.assert_array_equal(u, u_in)
         np.testing.assert_array_equal(normals, normals_in)
 
 

@@ -22,7 +22,10 @@ number of pairs each side won (lower or higher is better as the metric
 says; ties count for neither).  A gain holds when the head wins at least
 nine tenths of the pairs and its median is better by more than the distance
 between the base's quartiles; a metric regresses when the head's median is
-worse than the base's by more than the metric's bound.
+worse than the base's by more than the metric's bound.  A metric whose
+base interquartile range exceeds its bound times the base median is
+``unresolved``, unless every head run beats every base run: its runs
+spread too widely to tell a change within the bound.
 """
 
 from __future__ import annotations
@@ -85,12 +88,14 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict]]) -> list[dict]:
         gain = sign * (bq[1] - hq[1])
         head_wins = sum(sign * (b - h) > 0 for b, h in pairs)
         base_wins = sum(sign * (h - b) > 0 for b, h in pairs)
+        head_beats_all = min(sign * b for b in base) > max(sign * h for h in head)
         rows.append({
             "metric": name, "unit": spec["unit"], "pairs": len(pairs),
             "base": bq, "head": hq, "change_pct": 100.0 * (hq[1] - bq[1]) / bq[1] if bq[1] else math.nan,
             "head_wins": head_wins, "base_wins": base_wins,
             "gain_holds": head_wins >= math.ceil(0.9 * len(pairs)) and gain > bq[2] - bq[0],
             "regressed": -gain > spec["bound"] * abs(bq[1]),
+            "unresolved": bq[2] - bq[0] > spec["bound"] * abs(bq[1]) and not head_beats_all,
         })
     return rows
 
@@ -124,7 +129,8 @@ def main(argv=None) -> int:
         if "base" not in row:
             print(f"{row['metric']:14s} fewer than two pairs report it")
             continue
-        verdict = "gain holds" if row["gain_holds"] else "regressed beyond bound" if row["regressed"] else "-"
+        verdict = ("gain holds" if row["gain_holds"] else "regressed beyond bound" if row["regressed"]
+                   else "unresolved" if row["unresolved"] else "-")
         print(f"{row['metric']:14s} {_fmt(row['base']):32s} {_fmt(row['head']):32s} {row['change_pct']:+7.1f}% "
               f"{row['head_wins']:>9d} {row['base_wins']:>9d}  {verdict}")
     if bad:
