@@ -8,6 +8,7 @@ from scipy.special import ndtr
 __all__ = ["black_call", "implied_vol"]
 
 _INV_ROOT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_MAX_ITER = 200  # Newton or bisection steps of implied_vol beyond its first 60
 
 
 def black_call(forward, strike, total_variance):
@@ -30,7 +31,7 @@ def _black_positive(F, K, log_fk, s):
     return F * ndtr(d1) - K * ndtr(d1 - s), d1
 
 
-def implied_vol(price, forward, strike, maturity, tol: float = 1e-10, max_iter: int = 200):
+def implied_vol(price, forward, strike, maturity, tol: float = 1e-10):
     """Volatility solving the call-price equation, by safeguarded Newton.
 
     Newton's method in volatility starts at the inflection point of the
@@ -45,7 +46,7 @@ def implied_vol(price, forward, strike, maturity, tol: float = 1e-10, max_iter: 
     ``tol / 4`` past the root it predicts, so that the bracket closes once
     the steps are below ``tol``.  A strike stops once its bracket is no
     wider than ``tol`` and returns the bracket's midpoint, so accuracy is
-    ``tol`` in volatility units.  A call makes at most ``60 + max_iter``
+    ``tol`` in volatility units.  A call makes at most ``60 + _MAX_ITER``
     price evaluations.
 
     Prices at or below intrinsic return 0; prices at or above the forward
@@ -64,11 +65,11 @@ def implied_vol(price, forward, strike, maturity, tol: float = 1e-10, max_iter: 
     out = np.where(nan, np.nan, 0.0)
     live = ~(at_intrinsic | nan)
     if np.any(live):
-        out[live] = _newton_vol(price[live], F, K[live], T, tol, max_iter)
+        out[live] = _newton_vol(price[live], F, K[live], T, tol)
     return float(out[0]) if scalar else out
 
 
-def _newton_vol(p, F, K, T, tol, max_iter):
+def _newton_vol(p, F, K, T, tol):
     """``implied_vol`` of prices strictly between intrinsic and the forward,
     at positive strikes and maturity.
 
@@ -86,7 +87,7 @@ def _newton_vol(p, F, K, T, tol, max_iter):
     vega_scale = F * _INV_ROOT_2PI  # dC/ds = F phi(d1)
     # a vanishing vega makes an infinite or NaN step, which no bracket holds
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(60 + max_iter):
+        for _ in range(60 + _MAX_ITER):
             c, d1 = _black_positive(F, K, log_fk, s)
             f = c - p
             np.copyto(lo, s, where=f <= 0.0)

@@ -343,7 +343,7 @@ def cmd_slv_calibrate(r: Runner) -> None:
     rows = ((*row, str(flag)) for row, flag in zip(cells, res["price_flags"]))
     r.emit_csv("smile.csv", ["strike", "price", "stderr", "implied_vol", "flag"], rows)
     lev_grid = params.s0 * np.exp(np.linspace(-0.6, 0.6, cfg["leverage_grid"]))
-    rows = _grid_rows(surf.times, lev_grid, lambda k: surf.leverage(k, lev_grid))
+    rows = _grid_rows(surf.times, lev_grid, lambda k: surf.slices[k].leverage(lev_grid))
     r.emit_csv("leverage.csv", ["t", "spot", "leverage"], rows)
     r.finish("slv-calibrate")
 
@@ -381,12 +381,8 @@ def _quotes(spec) -> dict[float, list[tuple[str, sf.Quote]]]:
     return groups
 
 
-_SURFACE_CHECKS = {
-    "n_knots": Check(lambda v, s: v >= s["order"] + 2, "be at least order + 2 (order is {order})"),
-    **{name: at_least(low) for name, low in sf.SurfaceConfig.LOWS.items()},
-}
 _SURFACE_CONFIG = obj({  # surface.SurfaceConfig
-    f.name: Field(INTEGER if isinstance(f.default, int) else NUMBER, f.default, _SURFACE_CHECKS.get(f.name))
+    f.name: Field(INTEGER if isinstance(f.default, int) else NUMBER, f.default, sf.SurfaceConfig.CHECKS.get(f.name))
     for f in dataclasses.fields(sf.SurfaceConfig)
 })
 
@@ -427,7 +423,7 @@ def cmd_surface_calibrate(r: Runner) -> None:
     if isinstance(prior, pr.SSVIParams):  # a base model that admits arbitrage is a poor base
         report = pr.validate_ssvi(prior, (maturities[0], maturities[-1]))
         if not report.passed:
-            failed = ", ".join(repr(name) for name, ok, _ in report.checks if not ok)
+            failed = ", ".join(repr(name) for name, ok, *_ in report.checks if not ok)
             raise ConfigError(f"SSVI prior fails {failed} over maturities [{maturities[0]!r}, {maturities[-1]!r}]")
     config = sf.SurfaceConfig(**cfg["config"])
     with r.stage("calibrate"):

@@ -204,12 +204,13 @@ def _equilibrate(G, h, A, b, f, P):
     return Gs, e * h, As, a * b, fs / obj_scale, Ps / obj_scale, d
 
 
-def _penalized_kkt_point(P, G, h, A, b, f):
-    """x minimizing ``0.5 x^T P x + f^T x + 0.5 |G x - h|^2`` subject to
-    ``A x = b``, and the multiplier y of the equalities."""
+def _least_squares_kkt_point(P, A, b, f):
+    """x minimizing ``0.5 x^T P x + f^T x`` subject to ``A x = b``, and the
+    multiplier y of the equalities: the least-squares solution of the KKT
+    system, which is singular along directions that neither P nor A pins."""
     n, p = P.shape[0], A.shape[0]
-    K = np.block([[P + G.T @ G, A.T], [A, np.zeros((p, p))]])
-    xy, *_ = np.linalg.lstsq(K, np.concatenate([G.T @ h - f, b]), rcond=None)
+    K = np.block([[P, A.T], [A, np.zeros((p, p))]])
+    xy, *_ = np.linalg.lstsq(K, np.concatenate([-f, b]), rcond=None)
     return xy[:n], xy[n:]
 
 
@@ -466,7 +467,7 @@ def solve_socp(prog: SOCProgram) -> Solution:
 
     Routes, chosen by the program's structure:
 
-    - no orthant rows: one KKT solve (``_penalized_kkt_point``),
+    - no orthant rows: one KKT solve (``_least_squares_kkt_point``),
       ``iterations`` 0; a dual residual it cannot remove means the
       objective is unbounded, reported ``infeasible``;
     - an equilibrated P with every eigenvalue above 1e-12 of the largest
@@ -567,7 +568,7 @@ def solve_socp(prog: SOCProgram) -> Solution:
             x, active = out[0], route[3]
             # polish, as OSQP does: a KKT point of Pq itself on the round's working
             # set, by least squares, since that system is singular along flat directions
-            xp, yp = _penalized_kkt_point(Pq, G[:0], h[:0], np.vstack([A, G[active]]), np.r_[b, h[active]], f)
+            xp, yp = _least_squares_kkt_point(Pq, np.vstack([A, G[active]]), np.r_[b, h[active]], f)
             z = np.zeros(m)
             z[active] = np.maximum(yp[p:], 0.0)
             polished = verdict(Pq, (xp, yp[:p], z, active, 0, None), steps)
@@ -580,7 +581,7 @@ def solve_socp(prog: SOCProgram) -> Solution:
         curvature Pq, in equilibrated units."""
         if not m:
             # equalities only: the optimality conditions are one linear system
-            x, y = _penalized_kkt_point(Pq, G, h, A, b, f)
+            x, y = _least_squares_kkt_point(Pq, A, b, f)
             res = residuals(Pq, x, y, np.zeros(0), np.zeros(0, dtype=bool))
             # an unbounded objective leaves a dual residual no x can remove
             return x, "optimal" if max(res) <= _TOL else "infeasible", res, 0, ""

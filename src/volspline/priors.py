@@ -33,7 +33,8 @@ from volspline.config import NUMBER, POSITIVE, Check, Field, array, at_least, ei
 
 __all__ = [
     "PriorError", "BachelierPrior", "LogNormalPrior", "SSVIParams", "SSVISlice", "ssvi_total_variance",
-    "ssvi_density", "validate_ssvi", "adaptive_quad", "FORWARD_CURVE", "PRIOR", "prior_from_json",
+    "ssvi_density", "ValidationReport", "validate_ssvi", "adaptive_quad", "FORWARD_CURVE", "PRIOR",
+    "prior_from_json",
 ]
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -195,15 +196,12 @@ def ssvi_total_variance(p: SSVIParams, t: float, k):
     """Total implied variance at maturity t and log-moneyness k."""
     if t <= 0.0:
         raise PriorError("maturity must be positive")
-    k = np.asarray(k, dtype=float)
-    th = p.theta(t)
-    z = p.phi(th)
-    root = np.sqrt((z * k + p.rho) ** 2 + (1.0 - p.rho**2))
-    out = p.delta(t) + 0.5 * th * (1.0 + z * p.rho * k + root)
+    out = _ssvi_w_derivs(p, t, k)[0]
     return float(out) if out.ndim == 0 else out
 
 
 def _ssvi_w_derivs(p: SSVIParams, t: float, k):
+    """Total variance w at log-moneyness k and its first two k-derivatives."""
     k = np.asarray(k, dtype=float)
     th = p.theta(t)
     z = p.phi(th)
@@ -243,12 +241,21 @@ def ssvi_density(p: SSVIParams, t: float, x):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    passed: bool
-    checks: tuple[tuple[str, bool, float], ...]  # (name, ok, worst margin)
+    """Named static-arbitrage checks of a prior (``validate_ssvi``) or of a
+    calibrated surface (``surface.validate``).  ``passed`` reads the required
+    checks only; the others are reported as informational and do not gate."""
+
+    checks: tuple[tuple[str, bool, float, bool], ...]  # name, ok, worst margin, required
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _, required in self.checks if required)
 
     def __str__(self) -> str:
-        lines = [f"{'PASS' if ok else 'FAIL'} {name}: worst margin {m:.3e}" for name, ok, m in self.checks]
-        return "\n".join(lines)
+        return "\n".join(
+            f"{'PASS' if ok else 'FAIL'}{'' if required else ' (informational)'} {name}: worst margin {m:.3e}"
+            for name, ok, m, required in self.checks
+        )
 
 
 def validate_ssvi(p: SSVIParams, t_range: tuple[float, float]) -> ValidationReport:
@@ -277,7 +284,7 @@ def validate_ssvi(p: SSVIParams, t_range: tuple[float, float]) -> ValidationRepo
         ("calendar: d(theta*phi)/dtheta >= 0", bool(np.all(dtheta_thetaphi >= 0.0)), float(dtheta_thetaphi.min())),
         ("calendar: d(theta*phi)/dtheta upper bound", bool(np.all(cal_hi >= 0.0)), float(cal_hi.min())),
     ]
-    return ValidationReport(passed=all(ok for _, ok, _ in checks), checks=tuple(checks))
+    return ValidationReport(tuple((*check, True) for check in checks))  # every check is required
 
 
 # composite Gauss-Legendre grid of every SSVI slice table: cells over the

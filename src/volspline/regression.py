@@ -168,23 +168,19 @@ class ConstraintSet:
             parts[:] = [(rows, rhs)]
         return parts[0]
 
-    def add_eq_rows(self, rows, rhs, family: str) -> None:
-        """Equalities ``rows @ w == rhs`` (rhs a scalar or one value per row)."""
+    def add_eq(self, rows, rhs, family: str) -> None:
+        """Equalities ``rows @ w == rhs``: one row or a block of rows, rhs a
+        scalar or one value per row."""
         block = self._block(rows, rhs)
         self._eq.append(block)
         self.eq_families.extend([family] * block[0].shape[0])
 
-    def add_ineq_rows(self, rows, rhs, family: str) -> None:
-        """Inequalities ``rows @ w >= rhs`` (rhs a scalar or one value per row)."""
+    def add_ineq(self, rows, rhs, family: str) -> None:
+        """Inequalities ``rows @ w >= rhs``: one row or a block of rows, rhs
+        a scalar or one value per row."""
         block = self._block(rows, rhs)
         self._ineq.append(block)
         self.ineq_families.extend([family] * block[0].shape[0])
-
-    def add_eq(self, row, rhs: float, family: str) -> None:
-        self.add_eq_rows(row, rhs, family)
-
-    def add_ineq(self, row, rhs: float, family: str) -> None:
-        self.add_ineq_rows(row, rhs, family)
 
     @property
     def eq_rows(self) -> np.ndarray:
@@ -356,7 +352,7 @@ def fit_constrained(
 # ---------------------------------------------------------------------------
 
 def _derivative_sign_rows(basis: BasisSpec, p: int, sign: float, cs: ConstraintSet, family: str) -> None:
-    cs.add_ineq_rows(sign * derivative_decomposition(basis, p).matrix, 0.0, family)
+    cs.add_ineq(sign * derivative_decomposition(basis, p).matrix, 0.0, family)
 
 
 def _limit_row(basis: BasisSpec, p: int, side: str) -> np.ndarray:
@@ -416,7 +412,7 @@ def shape_constraints(basis: BasisSpec, specs) -> ConstraintSet:
         kind = spec if isinstance(spec, str) else spec["kind"]
         # derivative_decomposition rejects a derivative order the basis cannot carry
         if kind == "nonnegative":
-            cs.add_ineq_rows(np.eye(basis.dimension), 0.0, "nonnegative")
+            cs.add_ineq(np.eye(basis.dimension), 0.0, "nonnegative")
         elif kind in ("nondecreasing", "nonincreasing"):
             _derivative_sign_rows(basis, 1, 1.0 if kind == "nondecreasing" else -1.0, cs, kind)
         elif kind in ("convex", "concave"):
@@ -477,9 +473,9 @@ def compatibility_constraints(
             raise ValueError("hull lower bound exceeds upper bound")
         eye = np.eye(dim)
         if np.isfinite(lo):
-            cs.add_ineq_rows(eye, lo, "hull")
+            cs.add_ineq(eye, lo, "hull")
         if np.isfinite(hi):
-            cs.add_ineq_rows(-eye, -hi, "hull")
+            cs.add_ineq(-eye, -hi, "hull")
     if ey2 is not None:
         if ey2 < 0.0:
             raise ValueError("second moment must be nonnegative")

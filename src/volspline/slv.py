@@ -10,16 +10,12 @@ with a penalized, optionally constrained B-spline and divides it into the
 local volatility.
 
 Both marches, the calibration's particles and the repricing paths, take
-each date's normals from ``_date_normals``: one helper thread per call
-draws the next date's normals from that date's own stream while the
-calling thread steps the current one, and is joined before the call
-returns or raises.  The draws are the bits of a serial loop, so results
-do not depend on the thread.
+each date's normals from ``_date_normals``, which draws the next date's
+while the caller steps the current one.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import closing
 from dataclasses import dataclass, fields
 from math import comb
@@ -148,9 +144,6 @@ class LeverageSurface:
         if len(self.slices) != np.asarray(self.times).size:
             raise ValueError("one slice per time-grid point is required")
 
-    def leverage(self, k: int, spots):
-        return self.slices[k].leverage(spots)
-
 
 def _constant_slice(t: float, value: float, sigma_bs: float) -> LeverageSlice:
     pp = PiecewisePoly(np.zeros(0), np.zeros(1), np.array([[value]]))
@@ -225,12 +218,9 @@ def calibrate_leverage(
     ``regression.compatibility_constraints`` for ``E[a_t^2 | log S_t]`` with
     the exact law of log S_t, as ``flags`` selects them.
 
-    Each date's ``(2, n_particles)`` normals come from its own stream,
-    ``_step_rng(seed, "calibrate", k)``, through ``_date_normals``: one
-    helper thread draws date ``k + 1``'s while this one steps and regresses
-    date ``k``, and the bits are those of a serial draw.  The particle step
-    and the regression stay on this thread.  The helper lives for this call
-    only and is joined before it returns or raises.
+    Each date's ``(2, n_particles)`` normals come from
+    ``_date_normals(seed, "calibrate", ...)``; the particle step and the
+    regression stay on the calling thread.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -343,47 +333,33 @@ def _date_normals(seed: int, stream: str, n_dates: int, n: int):
 
     Date ``k`` draws from its own stream, ``_step_rng(seed, stream, k)``,
     all of row 0 and then all of row 1, the stream and order of
-    ``standard_normal((2, n))``.  One helper thread draws date ``k + 1``
+    ``standard_normal((2, n))``.  A one-worker executor draws date ``k + 1``
     into the second of two buffers while the caller uses date ``k``'s:
     ``Generator.standard_normal`` releases the GIL, so the draws overlap the
     caller's numpy work, and each buffer holds the bits a serial loop would
-    draw.  The helper calls ``_step_rng`` and the generator only.  A buffer
-    is valid until the next ``next()``.  Exhausting or closing the generator
-    stops and joins the helper; an error in the helper is raised here.
+    draw.  The worker calls ``_step_rng`` and the generator only, and lives
+    for one march.  A buffer is valid until the next ``next()``.  An error
+    in the worker is raised here unchanged; exhausting or closing the
+    generator, or an error, joins the worker.
     """
+    # imported here: importing slv need not load concurrent.futures (and logging)
+    from concurrent.futures import ThreadPoolExecutor
+
     buffers = np.empty((2, 2, n))
-    free = threading.Semaphore(2)  # buffers the helper may fill
-    filled = threading.Semaphore(0)  # buffers the caller may read
-    failed: list[BaseException] = []
-    stop = False
 
-    def draw() -> None:
-        try:
-            for k in range(n_dates):
-                free.acquire()
-                if stop:
-                    return
-                rng, z = _step_rng(seed, stream, k), buffers[k % 2]
-                rng.standard_normal(out=z[0])
-                rng.standard_normal(out=z[1])
-                filled.release()
-        except BaseException as exc:  # handed to the caller, which raises it
-            failed.append(exc)
-            filled.release()
+    def draw(k: int) -> np.ndarray:
+        rng, z = _step_rng(seed, stream, k), buffers[k % 2]
+        rng.standard_normal(out=z[0])
+        rng.standard_normal(out=z[1])
+        return z
 
-    helper = threading.Thread(target=draw, name=f"volspline-{stream}-normals", daemon=True)
-    helper.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix=f"volspline-{stream}-normals") as worker:
+        pending = worker.submit(draw, 0) if n_dates else None
         for k in range(n_dates):
-            filled.acquire()
-            if failed:
-                raise failed[0]
-            yield buffers[k % 2]
-            free.release()
-    finally:
-        stop = True
-        free.release()  # wakes a helper that waits for a buffer
-        helper.join()
+            z = pending.result()
+            if k + 1 < n_dates:  # into the buffer the caller finished with at this next()
+                pending = worker.submit(draw, k + 1)
+            yield z
 
 
 def simulate_terminal(surface: LeverageSurface, n_paths: int, seed: int) -> np.ndarray:
@@ -391,14 +367,13 @@ def simulate_terminal(surface: LeverageSurface, n_paths: int, seed: int) -> np.n
 
     The paths are antithetic: path ``i + half`` (``half = (n_paths + 1) //
     2``) takes the negated normals of path ``i``.  Each date's normals for
-    the ``half`` pairs come in one ``(2, half)`` buffer (``_date_normals``:
-    one helper thread draws the next date's while this one marches), and
-    the pairs march ``_MARCH_BLOCK`` at a time: a block's increments are
-    computed once, path ``i`` adds them and path ``i + half`` subtracts
-    them (``_particle_step``).  The memory is the spots, the OU states and
+    the ``half`` pairs come in one ``(2, half)`` buffer of
+    ``_date_normals(seed, "reprice", ...)``, and the pairs march
+    ``_MARCH_BLOCK`` at a time: a block's increments are computed once,
+    path ``i`` adds them and path ``i + half`` subtracts them
+    (``_particle_step``).  The memory is the spots, the OU states and the
     two buffers of normals, four path-sized arrays, plus a few block-sized
-    ones.  The helper lives for this call only and is joined before it
-    returns or raises.
+    ones.
     """
     p = surface.params
     half = (n_paths + 1) // 2
@@ -449,11 +424,10 @@ def reprice_and_implied(
     normals with opposite signs, so an odd ``n_paths`` is rounded up to whole
     pairs.  ``simulate_terminal`` marches them in blocks of pairs, each
     block's increments computed once and added to one path of each pair,
-    subtracted from the other, while one helper thread draws the next
-    date's normals; its memory is four path-sized arrays (the spots, the OU
-    states and two buffers of normals).  Standard errors are taken over the
-    pair averages, the independent draws, rather than over the correlated
-    paths, so at least two pairs (``n_paths >= 3``) are needed.
+    subtracted from the other; its memory is four path-sized arrays.
+    Standard errors are taken over the pair averages, the independent
+    draws, rather than over the correlated paths, so at least two pairs
+    (``n_paths >= 3``) are needed.
 
     The pair-averaged payoffs are summed over ``_PAIR_BLOCK`` pairs at a
     time, once for the prices and once more for the centred squares of the

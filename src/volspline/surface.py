@@ -16,14 +16,16 @@ Bachelier prior works directly in price space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from volspline import opt
 from volspline.bspline import BasisSpec, CompiledBasis, Spline, gram_matrix, make_basis, piece_integrals
-from volspline.config import ConfigError
-from volspline.priors import BachelierPrior, LogNormalPrior, SSVIParams, SSVISlice, ssvi_total_variance
+from volspline.config import Check, ConfigError, at_least
+from volspline.priors import (
+    BachelierPrior, LogNormalPrior, SSVIParams, SSVISlice, ValidationReport, ssvi_total_variance,
+)
 from volspline.regression import ConstraintSet, solution_weights
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "RNSlice",
     "SurfaceConfig",
     "SurfaceCalibration",
-    "SurfaceReport",
     "slice_measure",
     "pricing_linear_forms",
     "calibrate_surface",
@@ -82,10 +83,10 @@ class MarketSlice:
 class _CoordMeasure:
     """A prior at one maturity in the spline coordinate u.
 
-    ``spot_map='exp'`` means the underlying is ``F exp(u)`` (log-moneyness
-    splines); ``'identity'`` means the coordinate is the price itself.
-    Outside these classes the coordinate is read through ``coordinate``,
-    ``coord_of_strike`` and ``spot_of_coord``.  Subclasses supply
+    ``coordinate`` is ``'log-moneyness'``, where the underlying is
+    ``F exp(u)``, or ``'price'``, where u is the underlying itself.  Outside
+    these classes u is read through ``coord_of_strike`` and
+    ``spot_of_coord``.  Subclasses supply
     ``moment_table`` (integrals of ``(u - ref)^d`` against the measure for
     arrays of intervals), ``moment_tables`` (that mass table and the spot
     table, against spot times the measure) and ``atm_variance``.
@@ -96,7 +97,7 @@ class _CoordMeasure:
     """
 
     forward: float
-    spot_map: str
+    coordinate: str  # 'log-moneyness' or 'price'
     _pieces: tuple | None = None  # (compiled basis, its mass rows, its spot rows)
 
     def piece_rows(self, cb: CompiledBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -108,36 +109,31 @@ class _CoordMeasure:
             self._pieces = (cb, mass, spot)
         return self._pieces[1:]
 
-    @property
-    def coordinate(self) -> str:
-        """The spline coordinate's name: ``'log-moneyness'`` or ``'price'``."""
-        return "log-moneyness" if self.spot_map == "exp" else "price"
-
     def coord_of_strike(self, strikes):
         strikes = np.asarray(strikes, dtype=float)
-        if self.spot_map != "exp":
+        if self.coordinate == "price":
             return strikes
         with np.errstate(divide="ignore"):
             return np.log(np.maximum(strikes, 0.0) / self.forward)
 
     def spot_of_coord(self, u):
         u = np.asarray(u, dtype=float)
-        return self.forward * np.exp(u) if self.spot_map == "exp" else u
+        return u if self.coordinate == "price" else self.forward * np.exp(u)
 
     def density_price(self, x):
         x = np.asarray(x, dtype=float)
-        if self.spot_map == "exp":
-            return self.coord_density(np.log(x / self.forward)) / x
-        return self.coord_density(x)
+        if self.coordinate == "price":
+            return self.coord_density(x)
+        return self.coord_density(np.log(x / self.forward)) / x
 
 
 class GaussianCoordMeasure(_CoordMeasure):
     """Gaussian prior measure in the spline coordinate."""
 
-    def __init__(self, law: BachelierPrior, forward: float, spot_map: str):
+    def __init__(self, law: BachelierPrior, forward: float, coordinate: str):
         self.law = law
         self.forward = forward
-        self.spot_map = spot_map
+        self.coordinate = coordinate
 
     def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
         return self.law.moment_table(lo, hi, ref, deg)
@@ -145,24 +141,25 @@ class GaussianCoordMeasure(_CoordMeasure):
     def moment_tables(self, lo, hi, ref, deg: int) -> tuple[np.ndarray, np.ndarray]:
         """Mass and spot tables; in price space one table of degree deg + 1
         serves both: u (u - ref)^d = (u - ref)^(d+1) + ref (u - ref)^d."""
-        if self.spot_map == "exp":
-            factor, tilted = self.law.tilted(1.0)
-            return self.moment_table(lo, hi, ref, deg), self.forward * factor * tilted.moment_table(lo, hi, ref, deg)
-        table = self.law.moment_table(lo, hi, ref, deg + 1)
-        return table[..., :-1], table[..., 1:] + np.asarray(ref, dtype=float)[..., None] * table[..., :-1]
+        if self.coordinate == "price":
+            table = self.law.moment_table(lo, hi, ref, deg + 1)
+            return table[..., :-1], table[..., 1:] + np.asarray(ref, dtype=float)[..., None] * table[..., :-1]
+        factor, tilted = self.law.tilted(1.0)
+        return self.moment_table(lo, hi, ref, deg), self.forward * factor * tilted.moment_table(lo, hi, ref, deg)
 
     def coord_density(self, u):
         return self.law.density(u)
 
     def atm_variance(self) -> float:
-        """Total variance of log-moneyness; 0 in price space."""
-        return self.law.variance if self.spot_map == "exp" else 0.0
+        """Total variance of log-moneyness; read on log-moneyness slices only
+        (``_relative_grid``)."""
+        return self.law.variance
 
 
 class SSVICoordMeasure(_CoordMeasure):
     """SSVI prior at one maturity in log-moneyness (see ``priors.SSVISlice``)."""
 
-    spot_map = "exp"
+    coordinate = "log-moneyness"
 
     def __init__(self, params: SSVIParams, maturity: float):
         self.params = params
@@ -208,10 +205,10 @@ def slice_measure(prior, maturity: float, forward: float | None = None):
         return measure
     if isinstance(prior, LogNormalPrior):
         F = prior.forward if forward is None else forward
-        return GaussianCoordMeasure(LogNormalPrior(F, prior.total_variance * maturity).log_law(), F, "exp")
+        return GaussianCoordMeasure(LogNormalPrior(F, prior.total_variance * maturity).log_law(), F, "log-moneyness")
     if isinstance(prior, BachelierPrior):
         F = prior.mean if forward is None else forward
-        return GaussianCoordMeasure(BachelierPrior(F, prior.variance * maturity), F, "identity")
+        return GaussianCoordMeasure(BachelierPrior(F, prior.variance * maturity), F, "price")
     raise TypeError(f"unsupported prior {type(prior).__name__}")
 
 
@@ -318,20 +315,21 @@ class SurfaceConfig:
     relative_grid_size: int = 81
     knot_pad_gaps: float = 1.0
 
-    # the least value of each bounded field, which the CLI's config declaration reads too: the curvature
-    # penalty, of order 2, needs order >= 1, and a negative pad leaves the outer quotes off the knot span
-    LOWS = {"order": 1, "relative_grid_size": 1, "curvature_weight": 0, "time_smoothness_weight": 0, "lsq_weight": 0,
-            "knot_pad_gaps": 0}
+    # the range of each bounded field, which the CLI's config declaration reads too: a truncated basis
+    # needs n_knots >= order + 2 to be nonempty, the curvature penalty, of order 2, needs order >= 1,
+    # and a negative pad leaves the outer quotes off the knot span
+    CHECKS = {
+        "n_knots": Check(lambda v, s: v >= s["order"] + 2, "be at least order + 2 (order is {order})"),
+        "order": at_least(1),
+        "relative_grid_size": at_least(1),
+        **dict.fromkeys(("curvature_weight", "time_smoothness_weight", "lsq_weight", "knot_pad_gaps"), at_least(0)),
+    }
 
     def __post_init__(self) -> None:
-        if self.n_knots < self.order + 2:
-            raise ValueError(
-                f"n_knots must be at least order + 2 = {self.order + 2} for a nonempty truncated basis, "
-                f"got {self.n_knots!r}"
-            )
-        for name, low in self.LOWS.items():
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, check in self.CHECKS.items():
+            if not check.test(values[name], values):
+                raise ValueError(f"{name} must {check.need.format(**values)}, got {values[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -370,14 +368,14 @@ def _relative_grid(basis: BasisSpec, measures, cfg: SurfaceConfig) -> np.ndarray
     """Relative strikes K / F for the calendar fine grid.
 
     Log-moneyness slices span four at-the-money standard deviations of the
-    widest slice; price-space slices span the knots, taken relative to the
-    first slice's forward.
+    widest slice (``atm_variance``); price-space slices span the knots,
+    taken relative to the first slice's forward.  All slices share one
+    prior, so the first slice's ``coordinate`` is that of every slice.
     """
-    w_max = max([0.0] + [m.atm_variance() for m in measures])
-    if w_max <= 0.0:
+    if measures[0].coordinate == "price":
         g = basis.knots.knots
         return np.linspace(g[0], g[-1], cfg.relative_grid_size) / measures[0].forward
-    half = 4.0 * np.sqrt(w_max)
+    half = 4.0 * np.sqrt(max(m.atm_variance() for m in measures))
     return np.exp(np.linspace(-half, half, cfg.relative_grid_size))
 
 
@@ -415,17 +413,17 @@ def calendar_constraints(
         fine = np.zeros((2 * m, total))
         fine[0::2, lo], fine[0::2, hi] = -f1["call_rows"][:m], f2["call_rows"][:m]
         fine[1::2, lo], fine[1::2, hi] = -f1["put_rows"][:m], f2["put_rows"][:m]
-        cs.add_ineq_rows(fine, 0.0, "calendar-fine-grid")
+        cs.add_ineq(fine, 0.0, "calendar-fine-grid")
         # order-zero wing coefficients must be nondecreasing in maturity
         wing = np.zeros((2, total))
         wing[0, offs[i]], wing[0, offs[i + 1]] = -1.0, 1.0
         wing[1, offs[i + 1] - 1], wing[1, offs[i + 2] - 1] = -1.0, 1.0
-        cs.add_ineq_rows(wing, 0.0, "calendar-wing")
+        cs.add_ineq(wing, 0.0, "calendar-wing")
         # far-strike price rows beyond the knot range: a put below, a call above
         farrows = np.zeros((2, total))
         farrows[0, lo], farrows[0, hi] = -f1["put_rows"][m], f2["put_rows"][m]
         farrows[1, lo], farrows[1, hi] = -f1["call_rows"][m + 1], f2["call_rows"][m + 1]
-        cs.add_ineq_rows(farrows, 0.0, "calendar-wing")
+        cs.add_ineq(farrows, 0.0, "calendar-wing")
     return cs
 
 
@@ -474,7 +472,7 @@ def calibrate_surface(
         cs.add_eq(row, sl.forward, "forward")
         rows = np.zeros((dim, total))
         rows[:, block] = np.eye(dim)
-        cs.add_ineq_rows(rows, 0.0, "nonnegative")
+        cs.add_ineq(rows, 0.0, "nonnegative")
         if not sl.quotes:
             continue
         rows = np.zeros((len(sl.quotes), total))
@@ -484,7 +482,7 @@ def calibrate_surface(
             bracket = np.empty((2 * len(sl.quotes), total))
             bracket[0::2], bracket[1::2] = rows, -rows
             bounds = np.ravel([(qt.bid, -qt.ask) for qt in sl.quotes])
-            cs.add_ineq_rows(bracket, bounds, "bid-ask")
+            cs.add_ineq(bracket, bounds, "bid-ask")
         else:
             mids = np.array([qt.mid for qt in sl.quotes])
             P += 2.0 * config.lsq_weight * rows.T @ rows
@@ -518,29 +516,13 @@ def calibrate_surface(
 
 
 # ---------------------------------------------------------------------------
-# validation report
+# static-arbitrage validation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SurfaceReport:
-    checks: tuple[tuple[str, bool, float, bool], ...]  # name, ok, margin, required
-
-    @property
-    def passed(self) -> bool:
-        """Required checks only; informational ones are reported but not gating."""
-        return all(ok for _, ok, _, req in self.checks if req)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            f"{'PASS' if ok else 'FAIL'}{'' if req else ' (informational)'} {name}: worst margin {m:.3e}"
-            for name, ok, m, req in self.checks
-        )
-
 
 _VALIDATE_TOL = 1e-7  # a check of validate passes at a worst margin of at least -_VALIDATE_TOL
 
 
-def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1000) -> SurfaceReport:
+def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1000) -> ValidationReport:
     """Static-arbitrage checks on dense grids.
 
     Reported, never enforced: monotonicity and convexity of calls in
@@ -548,7 +530,8 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
     calendar monotonicity at constant relative strike, and the
     tangent-versus-chord condition on each bracket of the relative grid
     (the latter may fail between grid points without invalidating the
-    fine-grid calibration).  Each check passes at or above ``-_VALIDATE_TOL``.
+    fine-grid calibration, so the report marks it not required and it does
+    not gate ``passed``).  Each check passes at or above ``-_VALIDATE_TOL``.
     """
     checks: list[tuple[str, bool, float, bool]] = []
     mono_worst = np.inf
@@ -620,4 +603,4 @@ def validate(calib: SurfaceCalibration, n_strikes: int = 400, n_density: int = 1
         # sufficient condition between grid points, stronger than what the
         # calibration enforces; may fail without invalidating the fit
         checks.append(("tangent-chord calendar condition", tangent_worst >= -_VALIDATE_TOL, tangent_worst, False))
-    return SurfaceReport(checks=tuple(checks))
+    return ValidationReport(tuple(checks))

@@ -615,9 +615,9 @@ class TestQPRecast:
         rows = np.array([[-1.0, 0.0], [0.0, 1.0]])  # x0 <= 1, x1 >= 0.5
         rhs = np.array([-1.0, 0.5])
         plain = ConstraintSet(2)
-        plain.add_ineq_rows(rows, rhs, "box")
+        plain.add_ineq(rows, rhs, "box")
         padded = ConstraintSet(2)
-        padded.add_ineq_rows(np.insert(rows, 1, 0.0, axis=0), np.insert(rhs, 1, -1.0), "box")
+        padded.add_ineq(np.insert(rows, 1, 0.0, axis=0), np.insert(rhs, 1, -1.0), "box")
         want = opt.solve_qp(opt.QuadForm(P, q), plain)
         sol = opt.solve_qp(opt.QuadForm(P, q), padded)
         assert want.status == sol.status == "optimal"

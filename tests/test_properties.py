@@ -39,6 +39,14 @@ def _quad(f, lo, hi, centre, sd, points=(), reach=45.0, epsabs=0.0):
     return sum(quad(f, a, b, epsabs=epsabs, epsrel=1e-12, limit=200)[0] for a, b in zip(cuts[:-1], cuts[1:]))
 
 
+def _epsabs(tol):
+    """The absolute ``_quad`` target whose error, summed over the at most
+    ``SPLITS.size + 1`` pieces, stays within 1/100 of the absolute term
+    ``tol`` of the assertion the reference feeds: a signed integral whose
+    pieces cancel cannot reach a relative 1e-12 (scipy warns of roundoff)."""
+    return tol / (100.0 * (SPLITS.size + 1))
+
+
 def _gauss_pdf(mean, sd):
     return lambda x: math.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
 
@@ -275,8 +283,8 @@ def test_gaussian_table_matches_quad(T, mean, rate, z, zref, deg):
     table = law.moment_table([lo], [hi], [ref], deg)[0]
     pdf = _gauss_pdf(mean, sd)
     for d in range(deg + 1):
-        want = _quad(lambda x: (x - ref) ** d * pdf(x), lo, hi, mean, sd)
         size = _quad(lambda x: abs(x - ref) ** d * pdf(x), lo, hi, mean, sd)
+        want = _quad(lambda x: (x - ref) ** d * pdf(x), lo, hi, mean, sd, epsabs=_epsabs(1e-10 * size))
         # relative to the integral of |x - ref|^d: far-tail intervals keep their digits
         assert abs(table[d] - want) <= 1e-10 * size + 1e-300
 
@@ -295,10 +303,11 @@ def test_lognormal_tables_match_quad(T, vol, z, zref, deg):
     kref = m + zref * sd
     mass, spot = (table[0] for table in measure.moment_tables([klo], [khi], [kref], deg))
     for d in range(deg + 1):
-        want = _quad(lambda k: (k - kref) ** d * pdf(k), klo, khi, m, sd)
-        assert mass[d] == pytest.approx(want, rel=1e-9, abs=1e-13 * (4.0 * sd) ** d)
-        want = _quad(lambda k: (k - kref) ** d * F * math.exp(k) * pdf(k), klo, khi, m, sd)
-        assert spot[d] == pytest.approx(want, rel=1e-9, abs=1e-13 * F * (4.0 * sd) ** d)
+        tol = 1e-13 * (4.0 * sd) ** d
+        want = _quad(lambda k: (k - kref) ** d * pdf(k), klo, khi, m, sd, epsabs=_epsabs(tol))
+        assert mass[d] == pytest.approx(want, rel=1e-9, abs=tol)
+        want = _quad(lambda k: (k - kref) ** d * F * math.exp(k) * pdf(k), klo, khi, m, sd, epsabs=_epsabs(F * tol))
+        assert spot[d] == pytest.approx(want, rel=1e-9, abs=F * tol)
 
 
 @SETTINGS
@@ -315,9 +324,10 @@ def test_ssvi_tables_match_quad(data, T, z, zref, deg):
     reach = 60.0 / sd  # SSVI wings are linear in k: exponential, wide tails
     mass, spot = (table[0] for table in slc.log_moment_tables([klo], [khi], [kref], deg))
     for d in range(deg + 1):
-        want = _quad(lambda k: (k - kref) ** d * q(k), klo, khi, 0.0, sd, reach=reach)
+        want = _quad(lambda k: (k - kref) ** d * q(k), klo, khi, 0.0, sd, reach=reach, epsabs=_epsabs(1e-12))
         assert mass[d] == pytest.approx(want, rel=1e-8, abs=1e-12)
-        want = _quad(lambda k: (k - kref) ** d * F * math.exp(k) * q(k), klo, khi, 0.0, sd, reach=reach)
+        want = _quad(lambda k: (k - kref) ** d * F * math.exp(k) * q(k), klo, khi, 0.0, sd, reach=reach,
+                     epsabs=_epsabs(1e-12 * F))
         assert spot[d] == pytest.approx(want, rel=1e-8, abs=1e-12 * F)
 
 
@@ -609,10 +619,10 @@ def test_qp_solutions_are_feasible_and_match_slsqp(data, n, m, with_soc):
     cs = rg.ConstraintSet(n)
     G = rng.standard_normal((m, n))
     G[:, data.draw(st.lists(st.integers(0, n - 1), max_size=n - 1))] = 0.0
-    cs.add_ineq_rows(G, G @ x0 - rng.uniform(0.1, 1.0, m), "ineq")
+    cs.add_ineq(G, G @ x0 - rng.uniform(0.1, 1.0, m), "ineq")
     me = data.draw(st.integers(0, n - 1))
     A = rng.standard_normal((me, n))
-    cs.add_eq_rows(A, A @ x0, "eq")
+    cs.add_eq(A, A @ x0, "eq")
     if with_soc:
         k = data.draw(st.integers(1, n))
         As = rng.standard_normal((k, n))

@@ -164,9 +164,9 @@ class TestConstraintSet:
         for r in ineq[5:]:
             rows.add_ineq(r, 0.0, "b")
         blocks = rg.ConstraintSet(5)
-        blocks.add_eq_rows(eq, eq_rhs, "e")
-        blocks.add_ineq_rows(ineq[:4], ineq_rhs[:4], "a")
-        blocks.add_ineq_rows(ineq[4:], 0.0, "b")
+        blocks.add_eq(eq, eq_rhs, "e")
+        blocks.add_ineq(ineq[:4], ineq_rhs[:4], "a")
+        blocks.add_ineq(ineq[4:], 0.0, "b")
         for a, b in zip(rows.as_blocks()[:4], blocks.as_blocks()[:4]):
             np.testing.assert_array_equal(a, b)
         assert rows.eq_families == blocks.eq_families == ["e"] * 3
@@ -178,7 +178,7 @@ class TestConstraintSet:
 
     def test_rejects_rows_of_the_wrong_width(self):
         with pytest.raises(ValueError):
-            rg.ConstraintSet(3).add_ineq_rows(np.eye(2), 0.0, "x")
+            rg.ConstraintSet(3).add_ineq(np.eye(2), 0.0, "x")
 
     def test_holds_one_cap(self):
         # a second cap, added or merged in, names the family of the first

@@ -351,12 +351,12 @@ class TestCalibration:
         # each date's program has the hull's nonnegativity rows, the
         # mean-compatibility equality and no cap: the active-set route
         # certifies all 40, with no proximal round and no equality-only
-        # solve (``_penalized_kkt_point``); one row joins the
+        # solve (``_least_squares_kkt_point``); one row joins the
         # working set on the kept factors, and the KKT system of the final
         # working set is LU-factored once per date
         cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "slv_flat_smile.json").read_text())
         routes, starts, lus, sols = [], [], [], []
-        for name, calls in (("_dual_active_set", routes), ("_penalized_kkt_point", starts),
+        for name, calls in (("_dual_active_set", routes), ("_least_squares_kkt_point", starts),
                             ("_kkt", lus), ("solve_socp", sols)):
             monkeypatch.setattr(opt, name, lambda *a, f=getattr(opt, name), c=calls, **k: c.append(f(*a, **k)) or c[-1])
         flags = cfg["constraints"]
@@ -375,7 +375,7 @@ class TestCalibration:
         surf = slv.calibrate_leverage(p0, np.linspace(0, 1, 11), 4000, seed=3)
         xs = np.linspace(70.0, 140.0, 15)
         for k in (3, 10):
-            np.testing.assert_allclose(surf.leverage(k, xs), 0.25 * xs / 0.2, rtol=1e-6)
+            np.testing.assert_allclose(surf.slices[k].leverage(xs), 0.25 * xs / 0.2, rtol=1e-6)
 
     def test_stalled_step_raises_naming_it(self, params, stall_solver):
         stalled = stall_solver()

@@ -226,7 +226,7 @@ class TestSurfaceCommands:
         # factorization of the final working set's KKT system
         tests, routes, starts, sols, lus = [], [], [], [], []
         for name, calls in (("_strict_cholesky", tests), ("_dual_active_set", routes),
-                            ("_penalized_kkt_point", starts), ("solve_socp", sols), ("_kkt", lus)):
+                            ("_least_squares_kkt_point", starts), ("solve_socp", sols), ("_kkt", lus)):
             wrapped = getattr(opt, name)
             monkeypatch.setattr(opt, name, lambda *a, f=wrapped, c=calls, **k: c.append(f(*a, **k)) or c[-1])
         monkeypatch.chdir(REPO)
@@ -322,7 +322,7 @@ class TestCalendar:
         mats = [0.5, 1.0]
         basis = sf.make_basis(np.linspace(-0.5, 0.5, 9), 3, truncation=0)
         measures = [
-            sf.GaussianCoordMeasure(pr.BachelierPrior(-0.02 * t, 0.04 * t), 100.0, "exp") for t in mats
+            sf.GaussianCoordMeasure(pr.BachelierPrior(-0.02 * t, 0.04 * t), 100.0, "log-moneyness") for t in mats
         ]
         rel = np.exp(np.linspace(-0.4, 0.4, 21))
         cs = sf.calendar_constraints(basis, measures, [100.0, 100.0], rel)
@@ -332,7 +332,7 @@ class TestCalendar:
         mats = [0.5, 1.0]
         basis = sf.make_basis(np.linspace(-0.5, 0.5, 9), 3, truncation=0)
         measures = [
-            sf.GaussianCoordMeasure(pr.BachelierPrior(-0.02 * t, 0.04 * t), 100.0, "exp") for t in mats
+            sf.GaussianCoordMeasure(pr.BachelierPrior(-0.02 * t, 0.04 * t), 100.0, "log-moneyness") for t in mats
         ]
         rel = np.exp(np.linspace(-0.4, 0.4, 21))
         cs = sf.calendar_constraints(basis, measures, [100.0, 100.0], rel)
