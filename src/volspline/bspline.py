@@ -409,8 +409,15 @@ class PiecewisePoly:
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
         idx = _piece_index(self._knots, xs)
-        acc = _horner(self._columns, idx, _local_coordinates(self.refs, idx, xs))
+        acc = self.at_local(idx, _local_coordinates(self.refs, idx, xs))
         return float(acc[0]) if scalar else acc
+
+    def at_local(self, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The values at points already located: ``idx`` their piece index
+        and ``u`` their local coordinates ``x - refs[idx]``, as
+        ``CompiledBasis.local`` gives them on the same breakpoints and refs.
+        A new array, ``__call__``'s values bit for bit."""
+        return _horner(self._columns, idx, u)
 
     def derivative(self) -> "PiecewisePoly":
         return PiecewisePoly(self._knots, self.refs, _derivative_coeffs(self.coeffs))
@@ -480,6 +487,12 @@ class CompiledBasis:
     frees.  Piece i (``_piece_index``) carries only the ``order + 1``
     functions of full index ``i .. i + order``, its active window:
     ``active`` evaluates it and ``evaluate`` scatters it into a dense matrix.
+
+    What depends on the pieces alone is found once per compiled basis and
+    cached with it: ``knot_vector`` locates points, ``live`` holds the
+    nonempty pieces that every moment table over the basis integrates
+    (``live_pieces``), and ``window`` holds the active windows.  A mapped or
+    differentiated basis is a new object with caches of its own.
     """
 
     first_index: int
@@ -492,6 +505,18 @@ class CompiledBasis:
     def knot_vector(self) -> KnotVector:
         """The breakpoints with their spacing check, for locating points."""
         return KnotVector(self.breakpoints)
+
+    @cached_property
+    def live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``live_pieces``: the edges ``lo`` and ``hi``, refs and coefficients
+        of the nonempty intervals some function lives on, read-only.  Found
+        once per compiled basis and shared by every moment table over it."""
+        lo, hi = self.edges[:-1], self.edges[1:]
+        live = (hi > lo) & np.any(self.coeffs != 0.0, axis=(0, 2))
+        pieces = lo[live], hi[live], self.refs[live], self.coeffs[:, live, :]
+        for a in pieces:
+            a.setflags(write=False)
+        return pieces
 
     @cached_property
     def window(self) -> tuple[np.ndarray, np.ndarray]:
@@ -512,12 +537,18 @@ class CompiledBasis:
         """Interval edges ``-inf, breakpoints..., +inf``; interval i is [edges[i], edges[i+1])."""
         return np.concatenate([[-np.inf], self.breakpoints, [np.inf]])
 
+    def local(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """The piece index of each point (``_piece_index``) and its local
+        coordinate ``x - refs[idx]``, as new arrays."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        idx = _piece_index(self.knot_vector, xs)
+        return idx, _local_coordinates(self.refs, idx, xs)
+
     def active(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """The piece index of each point and the ``(points, order + 1)``
         values of its window's functions, in the slots of ``window``."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        idx = _piece_index(self.knot_vector, xs)
-        return idx, _horner(self.window[1], idx, _local_coordinates(self.refs, idx, xs)[:, None])
+        idx, u = self.local(xs)
+        return idx, _horner(self.window[1], idx, u[:, None])
 
     def evaluate(self, xs) -> np.ndarray:
         """Dense (points, dimension) matrix of ``active``'s values; a dropped
@@ -556,10 +587,8 @@ class CompiledBasis:
     def spline_rows(self, weights, xs) -> np.ndarray:
         """``combination(w)(xs)`` for each row w of ``weights``, one row of
         values each, bit for bit; the points are located once for all rows."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        idx = _piece_index(self.knot_vector, xs)
-        u = _local_coordinates(self.refs, idx, xs)
-        out = np.empty((len(weights), xs.size))
+        idx, u = self.local(xs)
+        out = np.empty((len(weights), idx.size))
         for row, w in zip(out, np.asarray(weights, dtype=float)):
             row[:] = _horner(np.ascontiguousarray(np.tensordot(w, self.coeffs, axes=(0, 0)).T), idx, u)
         return out
@@ -921,10 +950,9 @@ def gram_matrix(basis: BasisSpec, p: int = 0) -> np.ndarray:
 
 
 def live_pieces(cb: CompiledBasis):
-    """Edges, refs and coefficients of the nonempty intervals some function lives on."""
-    lo, hi = cb.edges[:-1], cb.edges[1:]
-    live = (hi > lo) & np.any(cb.coeffs != 0.0, axis=(0, 2))
-    return lo[live], hi[live], cb.refs[live], cb.coeffs[:, live, :]
+    """Edges, refs and coefficients of the nonempty intervals some function
+    lives on, as ``cb.live`` caches them."""
+    return cb.live
 
 
 def piece_integrals(coeffs: np.ndarray, table: np.ndarray, total: bool = False) -> np.ndarray:

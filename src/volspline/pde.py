@@ -195,7 +195,6 @@ class _StepTables(NamedTuple):
     B0: np.ndarray  # basis values at pts, (2, dimension)
     B1: np.ndarray  # first derivatives there
     B2: np.ndarray  # second derivatives there
-    pieces: tuple  # live_pieces of the compiled basis
 
 
 def _interval_rule(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +210,7 @@ def _interval_rule(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _basis_tables(cb: CompiledBasis) -> _StepTables:
     """Gauss-Legendre points and weights on the knot intervals with the
     local basis products there, the basis and its first two derivatives at
-    the boundary knots, and the live polynomial pieces.
+    the boundary knots.
 
     On a knot interval only the ``order + 1`` functions of its piece's
     window (``CompiledBasis.window``) are nonzero, and ``CompiledBasis.active``
@@ -247,7 +246,6 @@ def _basis_tables(cb: CompiledBasis) -> _StepTables:
         B0=cb.evaluate(pts),
         B1=d1.evaluate(pts),
         B2=d1.derivative().evaluate(pts),
-        pieces=live_pieces(cb),
     )
 
 
@@ -340,11 +338,12 @@ def constrain(problem: PDEProblem, t, tables=None) -> tuple[np.ndarray, np.ndarr
 
     The rows are the mass and forward rows of the base slice measure
     (``PDEProblem.base_measure``) over the live pieces, from one stacked
-    Gaussian table of degree order + 1 for all the times.  The pieces come
-    from ``tables`` (see ``assemble``) when given, else from the basis.
+    Gaussian table of degree order + 1 for all the times.  The pieces are
+    cached on the compiled basis (``CompiledBasis.live``); ``tables`` is
+    taken as by the other step functions and not needed.
     """
     ts = _step_times(t)
-    lo, hi, refs, coeffs = live_pieces(problem.basis.compiled()) if tables is None else tables.pieces
+    lo, hi, refs, coeffs = live_pieces(problem.basis.compiled())
     mass_table, spot_table = problem.base_measure(ts[:, None]).moment_tables(lo, hi, refs, coeffs.shape[2] - 1)
     mass, mean = piece_integrals(coeffs, mass_table, total=True), piece_integrals(coeffs, spot_table, total=True)
     return (mass[0], mean[0]) if np.ndim(t) == 0 else (mass, mean)
@@ -459,7 +458,7 @@ def _step_operators(problem: PDEProblem, tables: _StepTables, times: np.ndarray,
     vals, op = collocation_rows(problem, tm, tables)
     implicit = (theta * dt)[:, None, None]
     explicit = ((1.0 - theta) * dt)[:, None, None]
-    rows = np.stack(constrain(problem, t1, tables), axis=1)
+    rows = np.stack(constrain(problem, t1), axis=1)
     return _StepOperators(
         A - implicit * B, vals - implicit * op, A + explicit * B, vals + explicit * op, rows, rows @ rows.transpose(0, 2, 1)
     )

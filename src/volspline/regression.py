@@ -59,6 +59,12 @@ class Sample:
     def sigma_x(self) -> float:
         return float(np.std(self.x))
 
+    @cached_property
+    def law(self) -> "EmpiricalMeasure":
+        """The empirical law of ``x``, which keeps where its points lie in
+        each basis it is integrated over (``EmpiricalMeasure.locate_in``)."""
+        return EmpiricalMeasure(self.x)
+
 
 class EmpiricalMeasure:
     """The law ``(1/N) sum_n w_n delta_{x_n}`` of N points (``w_n = 1`` when
@@ -66,11 +72,24 @@ class EmpiricalMeasure:
 
     A table over intervals ``[lo_i, hi_i)`` holds the power sums
     ``(1/N) sum_{x_n in [lo_i, hi_i)} w_n (x_n - ref_i)^d``: one interval
-    index per point and one ``np.bincount`` per degree.  The intervals are
-    sorted and disjoint, as ``live_pieces`` gives them.  The index is found
+    index and one local coordinate ``x_n - ref_i`` per point, and one
+    ``np.bincount`` per degree.  The intervals are sorted and disjoint, as
+    ``live_pieces`` gives them.  The index and the coordinates are found
     once per set of intervals and shared with the measures ``weighted``
     derives, so a Gram and moment rows over the same pieces locate the
     points once.
+
+    The located sample.  Where every piece of a compiled basis is live (the
+    wings unbounded, no piece dead), the live pieces are the basis's own
+    pieces: ``locate_in(cb)`` finds each point's piece by ``cb.local``, the
+    breakpoints' ``KnotVector`` and its O(1) locate, and registers that
+    index and those coordinates as the tables' over ``cb.live``.  They are
+    ``_locate``'s index and coordinates bit for bit, and no finite point
+    lies outside every piece.  A spline on ``cb`` (``cb.combination``)
+    shares its breakpoints and refs, so the same pair evaluates it at these
+    points (``PiecewisePoly.at_local``).  Other bases, and points that are
+    NaN or ``+inf``, which ``_locate`` leaves outside, locate by
+    ``_locate`` against the live edges.
     """
 
     def __init__(self, points, weights=None):
@@ -81,29 +100,49 @@ class EmpiricalMeasure:
         self._located: dict = {}
 
     def weighted(self, weights) -> "EmpiricalMeasure":
-        """The same points with new weights, sharing the located indices."""
+        """The same points with new weights, sharing the located points."""
         out = EmpiricalMeasure(self.points, weights)
         out._located = self._located
         return out
 
     def _locate(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Interval of each point; ``lo.size`` for a point outside them all."""
-        key = (lo.tobytes(), hi.tobytes())
-        idx = self._located.get(key)
-        if idx is None:
-            # searchsorted(lo, points, "right") - 1; past a leading -inf the
-            # edges are knots, which locate in O(1) when evenly spaced
-            wing = int(lo.size > 0 and lo[0] == -np.inf)
-            idx = locate(KnotVector(lo[wing:]), self.points) + wing
-            inside = (idx >= 0) & (self.points < hi[np.maximum(idx, 0)])
-            idx[~inside] = lo.size
-            self._located[key] = idx
+        # searchsorted(lo, points, "right") - 1; past a leading -inf the
+        # edges are knots, which locate in O(1) when evenly spaced
+        wing = int(lo.size > 0 and lo[0] == -np.inf)
+        idx = locate(KnotVector(lo[wing:]), self.points) + wing
+        inside = (idx >= 0) & (self.points < hi[np.maximum(idx, 0)])
+        idx[~inside] = lo.size
         return idx
+
+    def _local(self, lo: np.ndarray, hi: np.ndarray, ref: np.ndarray, cb: CompiledBasis | None = None):
+        """The interval of each point (``_locate``) and its coordinate
+        ``x - ref`` (``x`` itself outside), found once per set of intervals;
+        by ``cb.local`` where these are all the pieces of ``cb``."""
+        key = (lo.tobytes(), hi.tobytes(), ref.tobytes())
+        got = self._located.get(key)
+        if got is None:
+            if cb is None:
+                idx = self._locate(lo, hi)
+                got = idx, self.points - np.append(ref, 0.0)[idx]
+            else:
+                got = cb.local(self.points)
+            self._located[key] = got
+        return got
+
+    def locate_in(self, cb: CompiledBasis) -> tuple[np.ndarray, np.ndarray] | None:
+        """The piece of ``cb`` each point lies in and its local coordinate
+        (``cb.local``), where every piece of ``cb`` is live and every point
+        below ``+inf``; then they are also the moment tables' over
+        ``cb.live``.  None otherwise.  Found once per basis."""
+        lo, hi, ref, _ = cb.live
+        if lo.size < cb.refs.size or not np.all(self.points < np.inf):
+            return None
+        return self._local(lo, hi, ref, cb)
 
     def moment_table(self, lo, hi, ref, deg: int) -> np.ndarray:
         lo, hi, ref = (np.asarray(v, dtype=float).reshape(-1) for v in (lo, hi, ref))
-        idx = self._locate(lo, hi)
-        u = self.points - np.append(ref, 0.0)[idx]
+        idx, u = self._local(lo, hi, ref)
         term = np.ones_like(u) if self.weights is None else self.weights.copy()
         table = np.empty((lo.size, deg + 1))
         for d in range(deg + 1):
@@ -271,12 +310,14 @@ def solution_weights(sol: opt.Solution, constraints: ConstraintSet | None, what:
 def design_system(sample: Sample, cb: CompiledBasis) -> tuple[np.ndarray, np.ndarray]:
     """Normal-equation blocks ``V = B^T B / N`` and ``c = B^T y / N``.
 
-    The scatter plot enters as the sample's empirical measure: ``V`` is its
-    ``weighted_gram`` and ``c`` its ``moment_rows`` weighted by ``y``, both
-    read from the per-interval power sums of one interval index.  The dense
-    design ``B`` is not formed.
+    The scatter plot enters as the sample's empirical measure
+    (``Sample.law``): ``V`` is its ``weighted_gram`` and ``c`` its
+    ``moment_rows`` weighted by ``y``, both read from the per-interval power
+    sums of one interval index, located in ``cb`` once
+    (``EmpiricalMeasure.locate_in``).  The dense design ``B`` is not formed.
     """
-    law = EmpiricalMeasure(sample.x)
+    law = sample.law
+    law.locate_in(cb)
     V = weighted_gram(cb, law)
     c = moment_rows(cb, law.weighted(sample.y))
     return V, c

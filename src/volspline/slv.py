@@ -121,14 +121,21 @@ class LeverageSlice:
     floor: float
     sigma_bs: float
 
-    def conditional_variance(self, spots):
-        vals = self.cond_var(np.log(np.asarray(spots, dtype=float)))
+    def conditional_variance(self, spots, located=None):
+        """The floored conditional variance at the spots; ``located``, the
+        piece index and local coordinate of each log-spot in ``cond_var``'s
+        pieces, spares locating them (``PiecewisePoly.at_local``)."""
+        if located is None:
+            vals = self.cond_var(np.log(np.asarray(spots, dtype=float)))
+        else:
+            vals = self.cond_var.at_local(*located)
         # the values are a fresh array (or a float): floor them in place
         return np.maximum(vals, self.floor, out=vals if np.ndim(vals) else None)
 
-    def leverage(self, spots):
+    def leverage(self, spots, located=None):
+        """``sigma_bs * spots / sqrt(conditional_variance(spots, located))``."""
         spots = np.asarray(spots, dtype=float)
-        cv = self.conditional_variance(spots)
+        cv = self.conditional_variance(spots, located)
         lev = self.sigma_bs * spots
         lev /= np.sqrt(cv, out=cv if np.ndim(cv) else None)
         return lev
@@ -158,10 +165,13 @@ def _step_rng(seed: int, stream: str, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _particle_step(s, u, dt: float, p: ScottParams, dw, innov, leverage: LeverageSlice, antithetic: bool = False):
+def _particle_step(
+    s, u, dt: float, p: ScottParams, dw, innov, leverage: LeverageSlice, antithetic: bool = False, located=None
+):
     """Move one block of particles one date in place: the spots ``s`` by an
     Euler step with the slice's leverage, floored at ``1e-8 s0``, and the
-    OU states ``u`` exactly.
+    OU states ``u`` exactly.  ``located`` is the spots' log located in the
+    slice's pieces, where the caller has it (see ``calibrate_leverage``).
 
     ``dw`` and ``innov`` are the date's increments (``_increments``) for
     the block; an antithetic block, whose normals are their negation,
@@ -172,7 +182,7 @@ def _particle_step(s, u, dt: float, p: ScottParams, dw, innov, leverage: Leverag
     move = np.subtract if antithetic else np.add
     # the leverage before step: its temporaries are freed before step is
     # made, not above it at the top of the heap (see calibrate_leverage)
-    lev = leverage.leverage(s)
+    lev = leverage.leverage(s, located)
     step = np.exp(u)
     step *= p.a0  # the volatility at the start of the date
     step *= lev
@@ -221,6 +231,16 @@ def calibrate_leverage(
     Each date's ``(2, n_particles)`` normals come from
     ``_date_normals(seed, "calibrate", ...)``; the particle step and the
     regression stay on the calling thread.
+
+    Each date locates its particles in its knots once.  The regression's
+    sample law finds each log-spot's piece of the mapped basis and its local
+    coordinate (``EmpiricalMeasure.locate_in``), and both moment tables read
+    them.  The next date's step evaluates the new slice on the same pair:
+    nothing moves the spots between the regression and that step, and the
+    slice, ``cb.combination(w)``, shares ``cb``'s breakpoints and refs, so
+    its leverage is that of ``LeverageSlice.leverage(s)`` bit for bit.  The
+    first date's constant slice, and a basis with a dead piece (a
+    truncation of -1), locate the spots afresh.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -236,6 +256,7 @@ def calibrate_leverage(
     s = np.full(n_particles, p.s0)
     u = np.zeros(n_particles)
     slices: list[LeverageSlice] = [_constant_slice(0.0, p.a0**2, p.sigma_bs)]
+    located = None  # the last regression's log-spots in the last slice's pieces
 
     with closing(_date_normals(seed, "calibrate", times.size - 1, n_particles)) as normals:
         for k, (z0, z1) in enumerate(normals):
@@ -246,7 +267,7 @@ def calibrate_leverage(
             # fault it in again on every date (7600 minor page faults in a
             # shipped calibration instead of 240, with the order of _particle_step)
             dw, innov = _increments(z0, z1, t1 - t0, p)
-            _particle_step(s, u, t1 - t0, p, dw, innov, slices[-1])
+            _particle_step(s, u, t1 - t0, p, dw, innov, slices[-1], located=located)
 
             sample = rg.Sample(np.log(s), p.a0**2 * np.exp(2.0 * u))
             std = sample.sigma_x
@@ -276,6 +297,7 @@ def calibrate_leverage(
 
             floor = 1e-10 * forward_variance(p, t1)
             slices.append(LeverageSlice(t=float(t1), cond_var=cb.combination(w), floor=floor, sigma_bs=p.sigma_bs))
+            located = sample.law.locate_in(cb)
 
     return LeverageSurface(times=times, slices=tuple(slices), params=p)
 

@@ -403,3 +403,15 @@ def test_weighted_gram_is_the_optimized_einsum_bit_for_bit(order, truncation, n_
         hankel = table[:, np.add.outer(np.arange(deg + 1), np.arange(deg + 1))]
         gram = np.einsum("jia,iab,lib->jl", coeffs, hankel, coeffs, optimize=True)
         assert bs.weighted_gram(cb, law).tobytes() == (0.5 * (gram + gram.T)).tobytes()
+
+
+def test_live_pieces_are_cached_read_only_on_the_compiled_basis():
+    cb = bs.make_basis(np.linspace(-2.0, 2.0, 6), 2, -1).compiled()
+    pieces = bs.live_pieces(cb)
+    assert pieces is cb.live and bs.live_pieces(cb) is pieces
+    lo, hi, refs, coeffs = pieces
+    # truncation -1: the two wing pieces carry no function
+    assert lo.tolist() == cb.breakpoints[:-1].tolist() and hi.tolist() == cb.breakpoints[1:].tolist()
+    assert refs.tolist() == cb.refs[1:-1].tolist() and coeffs.shape[1] == 5
+    assert not any(a.flags.writeable for a in pieces)
+    assert cb.affine_image(1.0, 2.0).live is not pieces

@@ -268,6 +268,46 @@ def test_slv_paths_are_those_of_horner_by_rows(monkeypatch):
     assert spots.tobytes() == ref_spots.tobytes()
 
 
+@settings(SETTINGS, max_examples=60)
+@given(data=st.data(), order=st.integers(1, 3))
+def test_located_sample_is_the_tables_and_the_spline_bit_for_bit(data, order):
+    """A sample located once in an affine image of the unit grid gives the
+    interval index and tables of ``_locate`` and, through the shared pair,
+    the spline's and the leverage's values bit for bit.  Truncation -1
+    leaves the wing pieces dead, and the tables fall back to ``_locate``."""
+    n = data.draw(st.integers(order + 2, 30))  # truncation -1 keeps n - order - 1 functions
+    g0, h = data.draw(st.floats(-50.0, 50.0)), data.draw(st.floats(1e-3, 5.0))
+    truncation = data.draw(st.integers(-1, order))
+    cb = bs.make_basis(np.arange(n, dtype=float), order, truncation).compiled().affine_image(g0, h)
+    g = cb.breakpoints
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    span = g[-1] - g[0]
+    xs = np.concatenate([_neighbours(g), rng.uniform(g[0] - span, g[-1] + span, 200)])
+    rng.shuffle(xs)
+    y = rng.standard_normal(xs.size)
+    lo, hi, refs, coeffs = bs.live_pieces(cb)
+    law, fresh = rg.EmpiricalMeasure(xs), rg.EmpiricalMeasure(xs)
+    located = law.locate_in(cb)
+    idx = fresh._locate(lo, hi)
+    if truncation < 0:
+        assert located is None and lo.size < cb.refs.size
+    else:
+        assert located[0].tobytes() == idx.tobytes()
+        assert located[1].tobytes() == (xs - refs[idx]).tobytes()
+    deg = 2 * (coeffs.shape[2] - 1)
+    for a, b in ((law, fresh), (law.weighted(y), fresh.weighted(y))):
+        assert a.moment_table(lo, hi, refs, deg).tobytes() == b.moment_table(lo, hi, refs, deg).tobytes()
+    if located is None:
+        return
+    pp = cb.combination(rng.standard_normal(cb.coeffs.shape[0]))
+    assert pp.at_local(*located).tobytes() == pp(xs).tobytes()
+    # the calibration's route: the sample is the log of the spots the next step moves
+    spots = np.exp(xs)
+    sample = rg.EmpiricalMeasure(np.log(spots))
+    leverage = slv.LeverageSlice(t=1.0, cond_var=pp, floor=1e-3, sigma_bs=0.25)
+    assert leverage.leverage(spots, sample.locate_in(cb)).tobytes() == leverage.leverage(spots).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # one table per measure
 # ---------------------------------------------------------------------------

@@ -148,6 +148,22 @@ class TestDesignSystem:
         wing = int(lo[0] == -np.inf)
         assert bs.KnotVector(lo[wing:]).equal_spacing == (unit.size == 20)
 
+    @pytest.mark.parametrize("outside", [np.inf, np.nan])
+    def test_points_outside_every_interval_leave_the_sample_unlocated(self, outside):
+        # the piece index puts +inf and NaN in the last piece, _locate outside
+        # every interval: the tables take the _locate route, without them
+        cb = bs.make_basis(np.arange(20.0), 2, 1).compiled().affine_image(4.2, 0.031)
+        lo, hi, refs, _ = bs.live_pieces(cb)
+        inside = np.array([3.0, 4.5, 5.0, 9.0])
+        idx, u = rg.EmpiricalMeasure(np.append(inside, -np.inf)).locate_in(cb)
+        assert idx.tolist() == (bs.locate(cb.knot_vector, np.append(inside, -np.inf)) + 1).tolist()
+        law = rg.EmpiricalMeasure(np.append(inside, outside))
+        assert law.locate_in(cb) is None
+        np.testing.assert_allclose(
+            5 * law.moment_table(lo, hi, refs, 2), 4 * rg.EmpiricalMeasure(inside).moment_table(lo, hi, refs, 2),
+            rtol=1e-15,
+        )
+
 
 class TestConstraintSet:
     def test_block_assembly_equals_row_by_row(self):

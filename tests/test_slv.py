@@ -177,7 +177,8 @@ class TestPathMarch:
         grid = np.linspace(0.0, 0.5, 6)
         surface = slv.calibrate_leverage(params, grid, 3000, seed=44, flags=flags)
 
-        def full_array_step(s, u, dt, p, z0, z1, leverage):
+        def full_array_step(s, u, dt, p, z0, z1, leverage, located=None):
+            # the located sample is ignored: the leverage is recomputed from the spots
             u[...] = _full_array_particle_step(s, u, dt, p, np.stack([z0, z1]), leverage)
 
         monkeypatch.setattr(slv, "_increments", lambda z0, z1, dt, p: (z0, z1))
